@@ -100,31 +100,12 @@ def _out_path(out_dir, name):
     return os.path.join(out_dir, name)
 
 
-def _write_csv(out_dir, name, text):
+def _write(out_dir, name, text):
     write_text_atomic(_out_path(out_dir, name), text)
-    return name
-
-
-def _write_svg(out_dir, name, text):
-    write_text_atomic(_out_path(out_dir, name), text)
-    return name
 
 
 def _svg_meta(seed, config):
     return f"seed={seed} config_hash={config_hash(config)} format_version=1"
-
-
-def _scale_matrix(scaler, X):
-    return (np.asarray(X, dtype=np.float64) - scaler.mean) / scaler.std
-
-
-def _pipeline_predict(model, scaler):
-    """Prediction over raw feature rows: standardize, then run the model."""
-
-    def predict(X):
-        return model.predict(_scale_matrix(scaler, X))
-
-    return predict
 
 
 # --- ingest ------------------------------------------------------------------
@@ -143,7 +124,7 @@ def ingest(csv_path, out_dir, seed):
     stats = data_mod.summary_statistics(raw, include_target=True)
     os.makedirs(out_dir, exist_ok=True)
     data_mod.dataset_to_json(derived, _out_path(out_dir, "dataset.json"), seed=seed)
-    _write_csv(out_dir, "summary_stats.csv", report_mod.summary_stats_csv(stats, seed=seed))
+    _write(out_dir, "summary_stats.csv", report_mod.summary_stats_csv(stats, seed=seed))
     click.echo(f"ingested {derived.n} records ({len(duplicates)} duplicate groups)")
     click.echo(f"wrote {_out_path(out_dir, 'dataset.json')}")
 
@@ -183,23 +164,16 @@ def _prepare_training(dataset_path, out_dir, seed, split_fraction, split_path):
         split = data_mod.split_from_json(split_path)
     else:
         split = data_mod.train_test_split(dataset.n, split_fraction, seed)
-    scaler = data_mod.fit_scaler(dataset, split.train_rows)
     os.makedirs(out_dir, exist_ok=True)
     data_mod.split_to_json(split, _out_path(out_dir, "split.json"))
-    data_mod.scaler_to_json(scaler, _out_path(out_dir, "scaler.json"), seed=split.seed)
-    return dataset, split, scaler
+    return dataset, split
 
 
-def _train_one(dataset, split, scaler, variant, params, seed, out_dir, jobs=1):
-    scaled = data_mod.apply_scaler(scaler, dataset)
-    train_data = scaled.subset(split.train_rows)
+def _train_one(dataset, split, variant, params, seed, out_dir):
+    train_data = dataset.subset(split.train_rows)
     model_seed = derive_seed(seed, "train", variant)
     started = time.perf_counter()
-    if variant == "rf":
-        config = _replace_config(ensemble_mod.default_forest_config(model_seed), params)
-        model = ensemble_mod.fit_forest(train_data, config, jobs=jobs)
-    else:
-        model = tuning_mod.fit_variant(variant, train_data, params, model_seed)
+    model = tuning_mod.fit_variant(variant, train_data, params, model_seed)
     elapsed = time.perf_counter() - started
     model_name = f"model_{variant}.json"
     ensemble_mod.save_model(model, _out_path(out_dir, model_name))
@@ -224,15 +198,6 @@ def _train_one(dataset, split, scaler, variant, params, seed, out_dir, jobs=1):
     return model, train_r2, elapsed
 
 
-def _replace_config(config, params):
-    from dataclasses import replace
-
-    try:
-        return replace(config, **params)
-    except TypeError as exc:
-        raise DataValidationError(f"invalid parameters: {exc}") from None
-
-
 @main.command()
 @click.argument("dataset_path", type=click.Path())
 @click.option("--model", "variant", required=True, type=click.Choice(["rf", "gbm", "xgb"]))
@@ -242,14 +207,13 @@ def _replace_config(config, params):
               type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
 @click.option("--split", "split_path", type=click.Path(), default=None,
               help="Reuse an existing split.json instead of re-splitting.")
-@click.option("--jobs", default=1, show_default=True, help="Worker cap for forest fitting.")
 @_model_flags
 @guarded
-def train(dataset_path, variant, out_dir, seed, split_fraction, split_path, jobs, **flags):
+def train(dataset_path, variant, out_dir, seed, split_fraction, split_path, **flags):
     """Fit one model on the train split; defaults are the published best parameters."""
     params = _collect_params(variant, flags)
-    dataset, split, scaler = _prepare_training(dataset_path, out_dir, seed, split_fraction, split_path)
-    _, train_r2, elapsed = _train_one(dataset, split, scaler, variant, params, seed, out_dir, jobs)
+    dataset, split = _prepare_training(dataset_path, out_dir, seed, split_fraction, split_path)
+    _, train_r2, elapsed = _train_one(dataset, split, variant, params, seed, out_dir)
     click.echo(f"trained {variant} in {elapsed:.2f}s, train R^2 {100 * train_r2:.3f}%")
 
 
@@ -288,7 +252,7 @@ def tune(dataset_path, variant, grid_path, folds, seed, split_fraction, out_dir)
         seed=seed,
         config={"grid": grid, "k": folds},
     )
-    _write_csv(out_dir, f"cv_{variant}.csv", report_mod.cv_cells_csv(result, seed=seed))
+    _write(out_dir, f"cv_{variant}.csv", report_mod.cv_cells_csv(result, seed=seed))
     click.echo(
         f"best {variant} params {json.dumps(result.best_params, sort_keys=True)} "
         f"mean CV R^2 {100 * result.best_mean_score:.3f}%"
@@ -297,10 +261,9 @@ def tune(dataset_path, variant, grid_path, folds, seed, split_fraction, out_dir)
 
 # --- evaluate ----------------------------------------------------------------
 
-def _evaluate_one(model, variant, dataset, split, scaler, seed, out_dir):
-    scaled = data_mod.apply_scaler(scaler, dataset)
+def _evaluate_one(model, variant, dataset, split, seed, out_dir):
     actual = dataset.y[split.test_rows]
-    predicted = model.predict(scaled.X[split.test_rows])
+    predicted = model.predict(dataset.X[split.test_rows])
     report = metrics_mod.evaluate_predictions(VARIANT_NAMES[variant], actual, predicted)
     write_json_artifact(
         _out_path(out_dir, f"metrics_{variant}.json"),
@@ -309,10 +272,10 @@ def _evaluate_one(model, variant, dataset, split, scaler, seed, out_dir):
         seed=seed,
         config={"variant": variant},
     )
-    _write_csv(out_dir, f"metrics_{variant}.csv",
-               report_mod.metrics_table_csv([report], seed=seed))
+    _write(out_dir, f"metrics_{variant}.csv",
+           report_mod.metrics_table_csv([report], seed=seed))
     meta = _svg_meta(seed, {"variant": variant})
-    _write_svg(
+    _write(
         out_dir,
         f"residual_scatter_{variant}.svg",
         report_mod.render(
@@ -327,7 +290,7 @@ def _evaluate_one(model, variant, dataset, split, scaler, seed, out_dir):
     except NumericError as exc:
         click.echo(f"warning: skipping Q-Q figure: {exc}", err=True)
     else:
-        _write_svg(
+        _write(
             out_dir,
             f"qq_{variant}.svg",
             report_mod.render(
@@ -337,7 +300,7 @@ def _evaluate_one(model, variant, dataset, split, scaler, seed, out_dir):
                 meta,
             ),
         )
-    _write_svg(
+    _write(
         out_dir,
         f"prediction_error_{variant}.svg",
         report_mod.render(
@@ -354,11 +317,10 @@ def _evaluate_one(model, variant, dataset, split, scaler, seed, out_dir):
 @click.argument("model_path", type=click.Path())
 @click.argument("dataset_path", type=click.Path())
 @click.option("--split", "split_path", required=True, type=click.Path())
-@click.option("--scaler", "scaler_path", required=True, type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", default=42, show_default=True)
 @guarded
-def evaluate(model_path, dataset_path, split_path, scaler_path, out_dir, seed):
+def evaluate(model_path, dataset_path, split_path, out_dir, seed):
     """Score a saved model on the test split and render diagnostic figures."""
     model = ensemble_mod.load_model(model_path)
     dataset = data_mod.dataset_from_json(dataset_path)
@@ -367,9 +329,8 @@ def evaluate(model_path, dataset_path, split_path, scaler_path, out_dir, seed):
             f"model expects {model.feature_count} features, dataset has {dataset.m}"
         )
     split = data_mod.split_from_json(split_path)
-    scaler = data_mod.scaler_from_json(scaler_path)
     os.makedirs(out_dir, exist_ok=True)
-    report = _evaluate_one(model, model.variant, dataset, split, scaler, seed, out_dir)
+    report = _evaluate_one(model, model.variant, dataset, split, seed, out_dir)
     click.echo(
         f"{report.model}: R^2 {100 * report.r_squared:.3f}% MAE {report.mae:.3f} "
         f"RMSE {report.rmse:.3f} MAPE {report.mape:.3f}%"
@@ -378,21 +339,20 @@ def evaluate(model_path, dataset_path, split_path, scaler_path, out_dir, seed):
 
 # --- explain -----------------------------------------------------------------
 
-def _explain_shap(model, variant, dataset, scaler, explain_rows, background_rows,
+def _explain_shap(model, variant, dataset, explain_rows, background_rows,
                   row_ids, seed, out_dir):
-    predict = _pipeline_predict(model, scaler)
     background = explain_mod.ValueFunctionConfig(background_rows)
     explanation = explain_mod.shap_exact(
-        predict, explain_rows, background, feature_names=dataset.feature_names
+        model.predict, explain_rows, background, feature_names=dataset.feature_names
     )
     importance = explain_mod.global_importance(explanation)
     swarm = explain_mod.beeswarm_data(explanation)
-    _write_csv(out_dir, f"shap_values_{variant}.csv",
-               report_mod.shap_values_csv(explanation, row_ids, seed=seed))
-    _write_csv(out_dir, f"shap_importance_{variant}.csv",
-               report_mod.importance_csv(importance, seed=seed))
+    _write(out_dir, f"shap_values_{variant}.csv",
+           report_mod.shap_values_csv(explanation, row_ids, seed=seed))
+    _write(out_dir, f"shap_importance_{variant}.csv",
+           report_mod.importance_csv(importance, seed=seed))
     meta = _svg_meta(seed, {"variant": variant, "rows": len(row_ids)})
-    _write_svg(
+    _write(
         out_dir,
         f"beeswarm_{variant}.svg",
         report_mod.render(
@@ -404,7 +364,7 @@ def _explain_shap(model, variant, dataset, scaler, explain_rows, background_rows
     )
     ordered_names = [importance.feature_names[j] for j in importance.order]
     ordered_totals = importance.totals[importance.order]
-    _write_svg(
+    _write(
         out_dir,
         f"importance_{variant}.svg",
         report_mod.render(
@@ -417,15 +377,14 @@ def _explain_shap(model, variant, dataset, scaler, explain_rows, background_rows
     return importance
 
 
-def _explain_ice(model, variant, dataset, scaler, rows, row_ids, features, grid_points,
+def _explain_ice(model, variant, dataset, rows, row_ids, features, grid_points,
                  centered, derivative, seed, out_dir, suffix=""):
-    predict = _pipeline_predict(model, scaler)
     panels = []
     curve_sets = []
     for name in features:
         index = dataset.feature_index(name)
         raw = explain_mod.ice_curves(
-            predict, rows, index, n_points=grid_points, feature_name=name
+            model.predict, rows, index, n_points=grid_points, feature_name=name
         )
         chosen = raw
         if centered:
@@ -442,11 +401,11 @@ def _explain_ice(model, variant, dataset, scaler, rows, row_ids, features, grid_
                 "anchor_index": chosen.anchor_index,
             }
         )
-    _write_csv(out_dir, f"ice_{variant}{suffix}.csv",
-               report_mod.ice_long_csv(curve_sets, row_ids, seed=seed))
+    _write(out_dir, f"ice_{variant}{suffix}.csv",
+           report_mod.ice_long_csv(curve_sets, row_ids, seed=seed))
     kind_label = "derivative" if derivative else ("centered" if centered else "raw")
     meta = _svg_meta(seed, {"variant": variant, "kind": kind_label})
-    _write_svg(
+    _write(
         out_dir,
         f"ice_panel_{variant}{suffix}.svg",
         report_mod.render(
@@ -477,7 +436,6 @@ def _choose_rows(dataset, split, rows_cap, background_cap, seed):
 @main.command()
 @click.argument("model_path", type=click.Path())
 @click.argument("dataset_path", type=click.Path())
-@click.option("--scaler", "scaler_path", required=True, type=click.Path())
 @click.option("--split", "split_path", type=click.Path(), default=None,
               help="Explain test rows against a train-row background.")
 @click.option("--mode", type=click.Choice(["shap", "ice"]), default="shap", show_default=True)
@@ -493,19 +451,18 @@ def _choose_rows(dataset, split, rows_cap, background_cap, seed):
 @click.option("--seed", default=42, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @guarded
-def explain(model_path, dataset_path, scaler_path, split_path, mode, feature_name,
+def explain(model_path, dataset_path, split_path, mode, feature_name,
             centered, derivative, background_size, rows_cap, grid_points, seed, out_dir):
     """Explain a saved model with exact Shapley values or ICE curves."""
     model = ensemble_mod.load_model(model_path)
     dataset = data_mod.dataset_from_json(dataset_path)
-    scaler = data_mod.scaler_from_json(scaler_path)
     split = data_mod.split_from_json(split_path) if split_path else None
     variant = model.variant
     explain_ids, background_ids = _choose_rows(dataset, split, rows_cap, background_size, seed)
     os.makedirs(out_dir, exist_ok=True)
     if mode == "shap":
         importance = _explain_shap(
-            model, variant, dataset, scaler,
+            model, variant, dataset,
             dataset.X[explain_ids], dataset.X[background_ids],
             [int(i) for i in explain_ids], seed, out_dir,
         )
@@ -516,7 +473,7 @@ def explain(model_path, dataset_path, scaler_path, split_path, mode, feature_nam
         if feature_name:
             dataset.feature_index(feature_name)  # validate early
         _explain_ice(
-            model, variant, dataset, scaler, dataset.X[explain_ids],
+            model, variant, dataset, dataset.X[explain_ids],
             [int(i) for i in explain_ids], features, grid_points,
             centered, derivative, seed, out_dir,
         )
@@ -535,8 +492,6 @@ GROUPING_FEATURES = [
     "NumberOfMajorSurgeries",
 ]
 
-# floored at 0.2: tiny subsets can make a rare binary flag constant,
-# which the scaler rejects by contract
 LEARNING_FRACTIONS = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
 
@@ -555,10 +510,9 @@ LEARNING_FRACTIONS = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
               help="Cap on attributed rows (default: full test split).")
 @click.option("--ice-rows", type=int, default=60, show_default=True)
 @click.option("--grid-points", default=30, show_default=True)
-@click.option("--jobs", default=1, show_default=True)
 @guarded
 def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
-              background_size, explain_rows, ice_rows, grid_points, jobs):
+              background_size, explain_rows, ice_rows, grid_points):
     """One-shot pipeline: ingest, split, train, evaluate, curves, explain."""
     started = time.perf_counter()
     timings = {}
@@ -571,9 +525,9 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
     data_mod.dataset_to_json(derived, _out_path(out_dir, "dataset.json"), seed=seed)
 
     stats = data_mod.summary_statistics(raw, include_target=True)
-    _write_csv(out_dir, "summary_stats.csv", report_mod.summary_stats_csv(stats, seed=seed))
+    _write(out_dir, "summary_stats.csv", report_mod.summary_stats_csv(stats, seed=seed))
     correlation = data_mod.pearson_correlation(raw, include_target=True)
-    _write_svg(
+    _write(
         out_dir,
         "correlation_heatmap.svg",
         report_mod.render(
@@ -591,7 +545,7 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
             {"label": report_mod.value_label(g.value), "values": derived.y[column == g.value]}
             for g in groups
         ]
-        _write_svg(
+        _write(
             out_dir,
             f"group_boxplot_{feature}.svg",
             report_mod.render(
@@ -601,14 +555,12 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
                 _svg_meta(seed, {"figure": "group", "feature": feature}),
             ),
         )
-    _write_csv(out_dir, "group_premium_stats.csv",
-               report_mod.group_summary_all_csv(group_csv_parts, seed=seed))
+    _write(out_dir, "group_premium_stats.csv",
+           report_mod.group_summary_all_csv(group_csv_parts, seed=seed))
     timings["eda"] = time.perf_counter() - started
 
     split = data_mod.train_test_split(derived.n, split_fraction, seed)
     data_mod.split_to_json(split, _out_path(out_dir, "split.json"))
-    scaler = data_mod.fit_scaler(derived, split.train_rows)
-    data_mod.scaler_to_json(scaler, _out_path(out_dir, "scaler.json"), seed=seed)
     train_subset = derived.subset(split.train_rows)
 
     models = {}
@@ -629,7 +581,7 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
                 seed=seed,
                 config={"grid": tuning_mod.DEFAULT_GRIDS[variant], "k": folds},
             )
-            _write_csv(out_dir, f"cv_{variant}.csv", report_mod.cv_cells_csv(result, seed=seed))
+            _write(out_dir, f"cv_{variant}.csv", report_mod.cv_cells_csv(result, seed=seed))
             cv_mean = result.best_mean_score
         else:
             params = tuning_mod.default_params(variant)
@@ -637,12 +589,10 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
             cv_mean = float(np.mean(cv_scores))
         timings[f"cv_{variant}"] = time.perf_counter() - stage_start
 
-        model, train_r2, fit_seconds = _train_one(
-            derived, split, scaler, variant, params, seed, out_dir, jobs
-        )
+        model, train_r2, fit_seconds = _train_one(derived, split, variant, params, seed, out_dir)
         timings[f"fit_{variant}"] = fit_seconds
         models[variant] = (model, params)
-        report = _evaluate_one(model, variant, derived, split, scaler, seed, out_dir)
+        report = _evaluate_one(model, variant, derived, split, seed, out_dir)
         metrics_reports.append(report)
         cv_entries.append(
             {
@@ -658,9 +608,9 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
         curve = tuning_mod.learning_curve(
             train_subset, variant, params, LEARNING_FRACTIONS, folds, seed
         )
-        _write_csv(out_dir, f"learning_curve_{variant}.csv",
-                   report_mod.learning_curve_csv(curve, seed=seed))
-        _write_svg(
+        _write(out_dir, f"learning_curve_{variant}.csv",
+               report_mod.learning_curve_csv(curve, seed=seed))
+        _write(
             out_dir,
             f"learning_curve_{variant}.svg",
             report_mod.render(
@@ -673,11 +623,11 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
         )
         timings[f"learning_curve_{variant}"] = time.perf_counter() - stage_start
 
-    _write_csv(out_dir, "test_metrics.csv",
-               report_mod.metrics_table_csv(metrics_reports, seed=seed))
-    _write_csv(out_dir, "cv_overview.csv", report_mod.cv_table_csv(cv_entries, seed=seed))
+    _write(out_dir, "test_metrics.csv",
+           report_mod.metrics_table_csv(metrics_reports, seed=seed))
+    _write(out_dir, "cv_overview.csv", report_mod.cv_table_csv(cv_entries, seed=seed))
     rows = tuning_mod.improvement_table(improvement_inputs)
-    _write_csv(out_dir, "improvement.csv", report_mod.improvement_csv(rows, seed=seed))
+    _write(out_dir, "improvement.csv", report_mod.improvement_csv(rows, seed=seed))
 
     explain_ids, background_ids = _choose_rows(
         derived, split, explain_rows, background_size, seed
@@ -690,14 +640,14 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
         model, params = models[variant]
         stage_start = time.perf_counter()
         _explain_shap(
-            model, variant, derived, scaler,
+            model, variant, derived,
             derived.X[explain_ids], derived.X[background_ids],
             [int(i) for i in explain_ids], seed, out_dir,
         )
         timings[f"shap_{variant}"] = time.perf_counter() - stage_start
         stage_start = time.perf_counter()
         _explain_ice(
-            model, variant, derived, scaler, derived.X[ice_ids],
+            model, variant, derived, derived.X[ice_ids],
             [int(i) for i in ice_ids], list(derived.feature_names), grid_points,
             True, False, seed, out_dir,
         )

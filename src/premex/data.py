@@ -120,14 +120,6 @@ class Dataset:
 
 
 @dataclass
-class ScalerState:
-    """Per-feature mean and sample (n-1) standard deviation of train rows."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-
-@dataclass
 class SplitIndices:
     train_rows: np.ndarray
     test_rows: np.ndarray
@@ -280,40 +272,6 @@ def derive_features(records) -> Dataset:
     return Dataset(list(MODEL_FEATURES), matrix, target)
 
 
-def fit_scaler(data: Dataset, rows) -> ScalerState:
-    """Means/stds over the given (train) rows only; the target is untouched."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise DataValidationError("cannot fit a scaler on zero rows")
-    sub = data.X[rows]
-    mean = sub.mean(axis=0)
-    std = sub.std(axis=0, ddof=1) if rows.size > 1 else np.zeros(data.m)
-    for j, s in enumerate(std):
-        if s <= 0.0:
-            raise NumericError(
-                f"feature {data.feature_names[j]!r} is constant on the fit rows"
-            )
-    return ScalerState(mean=mean, std=std)
-
-
-def apply_scaler(state: ScalerState, data: Dataset) -> Dataset:
-    if state.mean.shape[0] != data.m:
-        raise DataValidationError(
-            f"scaler has {state.mean.shape[0]} columns, dataset has {data.m}"
-        )
-    scaled = (data.X - state.mean) / state.std
-    return Dataset(list(data.feature_names), scaled, data.y.copy())
-
-
-def invert_scaler(state: ScalerState, data: Dataset) -> Dataset:
-    if state.mean.shape[0] != data.m:
-        raise DataValidationError(
-            f"scaler has {state.mean.shape[0]} columns, dataset has {data.m}"
-        )
-    restored = data.X * state.std + state.mean
-    return Dataset(list(data.feature_names), restored, data.y.copy())
-
-
 def train_test_split(n: int, fraction: float, seed: int) -> SplitIndices:
     """Seeded shuffle; the first round(fraction*n) rows become the train set."""
     if not 0.0 < fraction < 1.0:
@@ -412,19 +370,6 @@ def dataset_to_json(data: Dataset, path, *, seed=None) -> None:
 def dataset_from_json(path) -> Dataset:
     document = read_json_artifact(path, "dataset")
     return Dataset(document["feature_names"], np.array(document["X"]), np.array(document["y"]))
-
-
-def scaler_to_json(state: ScalerState, path, *, seed=None) -> None:
-    payload = {"mean": state.mean.tolist(), "std": state.std.tolist()}
-    write_json_artifact(path, "scaler", payload, seed=seed, config=payload)
-
-
-def scaler_from_json(path) -> ScalerState:
-    document = read_json_artifact(path, "scaler")
-    return ScalerState(
-        mean=np.array(document["mean"], dtype=np.float64),
-        std=np.array(document["std"], dtype=np.float64),
-    )
 
 
 def split_to_json(split: SplitIndices, path) -> None:

@@ -1,15 +1,15 @@
 """The three tree-ensemble learners and their serialization.
 
 * random forest: bootstrap rows per tree, unweighted prediction average
-* gbm: stagewise trees on squared-loss residuals, shrunk by the learning rate
 * xgb: stagewise trees on (gradient, hessian) with L2 leaf penalty lambda
-  and per-split penalty gamma
+  and per-split penalty gamma, shrunk by the learning rate
+* gbm: the same loop with lambda = gamma = 0, which fits squared-loss
+  residuals
 
 Each tree/stage draws from its own stream derived from (seed, index), so
 fitting order never changes the result.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +113,6 @@ class ForestModel:
             out[start : start + 8192] = stacked.mean(axis=0)
         return out
 
-    def predict_row(self, row) -> float:
-        return float(np.mean([tree.predict_row(row) for tree in self.trees]))
-
 
 @dataclass
 class BoostedModel:
@@ -144,11 +141,8 @@ class BoostedModel:
             out = out + self.learning_rate * tree.predict_matrix(X)
         return out
 
-    def predict_row(self, row) -> float:
-        return float(self.predict(np.asarray(row, dtype=np.float64)[None, :])[0])
 
-
-def fit_forest(data: Dataset, config: ForestConfig, jobs: int = 1) -> ForestModel:
+def fit_forest(data: Dataset, config: ForestConfig) -> ForestModel:
     """Fit n_estimators trees on bootstrap resamples (with replacement)."""
     if data.n < 2:
         raise DataValidationError("need at least 2 rows to fit a forest")
@@ -156,27 +150,16 @@ def fit_forest(data: Dataset, config: ForestConfig, jobs: int = 1) -> ForestMode
         raise ValueError("a forest needs at least one tree")
     tree_config = config.tree_config()
     tree_config.validate(data.m)
-
-    def fit_one(k: int) -> RegressionTree:
+    trees = []
+    for k in range(config.n_estimators):
         rng = stream(config.seed, "forest_tree", k)
         if config.bootstrap:
             rows = rng.integers(0, data.n, size=data.n)
             X, y = data.X[rows], data.y[rows]
         else:
             X, y = data.X, data.y
-        return fit_tree(X, y, tree_config, rng)
-
-    indices = range(config.n_estimators)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trees = list(pool.map(fit_one, indices))
-    else:
-        trees = [fit_one(k) for k in indices]
+        trees.append(fit_tree(X, y, tree_config, rng))
     return ForestModel(trees=trees, config=config, feature_names=list(data.feature_names))
-
-
-def predict_forest(model: ForestModel, row) -> float:
-    return model.predict_row(row)
 
 
 def _stage_rows(rng: np.random.Generator, n: int, subsample: float) -> np.ndarray:
@@ -187,35 +170,9 @@ def _stage_rows(rng: np.random.Generator, n: int, subsample: float) -> np.ndarra
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def fit_gbm(data: Dataset, config: BoostConfig) -> BoostedModel:
-    """Classic gradient boosting under squared loss: stages fit residuals."""
-    config.validate()
-    if data.n < 2:
-        raise DataValidationError("need at least 2 rows to fit a boosted model")
-    tree_config = config.tree_config()
-    tree_config.validate(data.m)
-    base = float(data.y.mean())
-    predictions = np.full(data.n, base)
-    stages = []
-    for t in range(config.n_estimators):
-        rng = stream(config.seed, "stage", t)
-        rows = _stage_rows(rng, data.n, config.subsample)
-        residuals = data.y - predictions
-        tree = fit_tree(data.X[rows], residuals[rows], tree_config, rng)
-        stages.append(tree)
-        predictions = predictions + config.learning_rate * tree.predict_matrix(data.X)
-    return BoostedModel(
-        variant="gbm",
-        base_score=base,
-        learning_rate=config.learning_rate,
-        stages=stages,
-        config=config,
-        feature_names=list(data.feature_names),
-    )
-
-
-def fit_xgb(data: Dataset, config: BoostConfig) -> BoostedModel:
-    """Second-order boosting: squared loss gives g = pred - y, h = 1."""
+def _fit_boosted(data: Dataset, config: BoostConfig, variant: str,
+                 reg_lambda: float, gamma: float) -> BoostedModel:
+    """Stagewise second-order boosting under squared loss: g = pred - y, h = 1."""
     config.validate()
     if data.n < 2:
         raise DataValidationError("need at least 2 rows to fit a boosted model")
@@ -230,18 +187,13 @@ def fit_xgb(data: Dataset, config: BoostConfig) -> BoostedModel:
         rows = _stage_rows(rng, data.n, config.subsample)
         grad = predictions - data.y
         tree = fit_tree_gradients(
-            data.X[rows],
-            grad[rows],
-            ones[rows],
-            tree_config,
-            rng,
-            reg_lambda=config.reg_lambda,
-            gamma=config.gamma,
+            data.X[rows], grad[rows], ones[rows], tree_config, rng,
+            reg_lambda=reg_lambda, gamma=gamma,
         )
         stages.append(tree)
         predictions = predictions + config.learning_rate * tree.predict_matrix(data.X)
     return BoostedModel(
-        variant="xgb",
+        variant=variant,
         base_score=base,
         learning_rate=config.learning_rate,
         stages=stages,
@@ -250,8 +202,20 @@ def fit_xgb(data: Dataset, config: BoostConfig) -> BoostedModel:
     )
 
 
-def predict_boosted(model: BoostedModel, row) -> float:
-    return model.predict_row(row)
+def fit_gbm(data: Dataset, config: BoostConfig) -> BoostedModel:
+    """Classic gradient boosting under squared loss: stages fit residuals.
+
+    With lambda = gamma = 0 each second-order leaf -G/H is the mean residual
+    of its rows and each gain is half the SSE reduction, so the stages are
+    the classic residual-fit trees.  config.reg_lambda and config.gamma
+    are not used.
+    """
+    return _fit_boosted(data, config, "gbm", reg_lambda=0.0, gamma=0.0)
+
+
+def fit_xgb(data: Dataset, config: BoostConfig) -> BoostedModel:
+    """Second-order boosting with L2 leaf penalty and per-split penalty."""
+    return _fit_boosted(data, config, "xgb", reg_lambda=config.reg_lambda, gamma=config.gamma)
 
 
 # --- serialization ----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Model-agnostic explanations: exact Shapley values and ICE curves.
 
 Everything here works against a bare prediction function (matrix in,
-vector out), so it applies to any of the ensembles or to a composed
-scaler+model pipeline.
+vector out), so it applies to any of the ensembles, whose predict takes
+the raw feature matrix.
 
 The value function is interventional: val(S) replaces the features
 outside S with background rows and averages the predictions.  With p
@@ -288,11 +288,3 @@ def derivative_ice(curve_set: IceCurveSet) -> IceCurveSet:
         anchor_index=None,
     )
 
-
-def subsample_rows(matrix: np.ndarray, size: int | None, rng) -> np.ndarray:
-    """Deterministic row subsample used for background/explained sets."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    if size is None or size >= matrix.shape[0]:
-        return matrix
-    chosen = np.sort(rng.choice(matrix.shape[0], size=size, replace=False))
-    return matrix[chosen]

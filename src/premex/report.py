@@ -614,14 +614,6 @@ def _group_rows(feature, groups):
     ]
 
 
-def group_summary_csv(feature: str, groups, *, seed=None) -> str:
-    return _csv_text(
-        _GROUP_HEADER,
-        _group_rows(feature, groups),
-        csv_meta_line(seed=seed, config={"table": "group_summary", "feature": feature}),
-    )
-
-
 def group_summary_all_csv(parts, *, seed=None) -> str:
     """One table for every grouping feature: parts are (feature, groups) pairs."""
     rows = []
@@ -680,14 +672,3 @@ def ice_long_csv(curve_sets, row_ids=None, *, seed=None) -> str:
         csv_meta_line(seed=seed, config={"table": "ice_curves"}),
     )
 
-
-def emit_tables(metrics_reports, cv_entries, improvement_rows, summary=None, *, seed=None) -> dict:
-    """The summary/CV/improvement/test-metrics CSV family, keyed by logical name."""
-    tables = {
-        "test_metrics": metrics_table_csv(metrics_reports, seed=seed),
-        "cv_overview": cv_table_csv(cv_entries, seed=seed),
-        "improvement": improvement_csv(improvement_rows, seed=seed),
-    }
-    if summary is not None:
-        tables["summary_stats"] = summary_stats_csv(summary, seed=seed)
-    return tables

@@ -3,8 +3,9 @@
 Split search is exact: every midpoint between adjacent distinct sorted
 feature values is a candidate.  Two growth criteria share the engine:
 
-* plain SSE reduction with leaf = mean target (forests, classic boosting)
-* regularized second-order gain with leaf = -G/(H + lambda) (xgb stages)
+* plain SSE reduction with leaf = mean target (forests)
+* regularized second-order gain with leaf = -G/(H + lambda) (boosting
+  stages; gbm's are the lambda = gamma = 0 case)
 
 Ties are broken toward the lowest feature index, then the lowest
 threshold, so identical inputs always grow identical trees.
@@ -15,23 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataValidationError
-
-try:  # optional accelerator; the numpy fallback returns identical values
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _traverse_compiled(X, feature, threshold, left, right, value, out):
-        for i in range(X.shape[0]):
-            j = 0
-            while feature[j] >= 0:
-                if X[i, feature[j]] <= threshold[j]:
-                    j = left[j]
-                else:
-                    j = right[j]
-            out[i] = value[j]
-
-except ImportError:  # pragma: no cover - exercised only without numba
-    _traverse_compiled = None
 
 
 @dataclass
@@ -104,19 +88,12 @@ class RegressionTree:
         return node.value
 
     def predict_matrix(self, X) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise DataValidationError(
                 f"matrix has shape {X.shape}, tree expects (*, {self.feature_count})"
             )
         flat = self._flatten()
-        if _traverse_compiled is not None:
-            out = np.empty(X.shape[0])
-            _traverse_compiled(
-                X, flat["feature"], flat["threshold"], flat["left"], flat["right"],
-                flat["value"], out,
-            )
-            return out
         idx = np.zeros(X.shape[0], dtype=np.int64)
         rows = np.arange(X.shape[0])
         for _ in range(flat["depth"]):
@@ -223,10 +200,6 @@ def fit_tree_gradients(
         raise DataValidationError("grad and hess must have equal length")
     root = _grow(X, grad, hess, config, rng, reg_lambda=reg_lambda, gamma=gamma, second_order=True)
     return RegressionTree(root, X.shape[1], config)
-
-
-def predict_tree(tree: RegressionTree, row) -> float:
-    return tree.predict_row(row)
 
 
 def _check_fit_inputs(X, targets, config):

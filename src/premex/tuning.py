@@ -1,9 +1,10 @@
 """k-fold cross-validation, exhaustive grid search, and learning curves.
 
-Selection is always by mean R^2 across folds.  Every fold refits the
-scaler on its own training rows, so no statistics leak from held-out
-rows.  Model streams derive from (seed, "fold", i) alone, which makes a
-refit of the winning cell reproduce its recorded score exactly.
+Selection is always by mean R^2 across folds.  Models train on the raw
+feature matrix: tree splits depend only on the order of each feature's
+values, so no per-fold transform is fit.  Model streams derive from
+(seed, "fold", i) alone, which makes a refit of the winning cell
+reproduce its recorded score exactly.
 """
 
 import itertools
@@ -11,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, apply_scaler, fit_scaler, round_half_up
+from .data import Dataset, round_half_up
 from .ensemble import (
     default_forest_config,
     default_gbm_config,
@@ -49,35 +50,37 @@ DEFAULT_GRIDS = {
 }
 
 
-def default_params(variant: str) -> dict:
-    config = {
-        "rf": default_forest_config,
-        "gbm": default_gbm_config,
-        "xgb": default_xgb_config,
-    }[variant]()
-    params = config.to_dict()
-    params.pop("seed")
-    params.pop("bootstrap", None)
-    return params
-
-
 _VARIANT_SETUP = {
     "rf": (default_forest_config, fit_forest),
     "gbm": (default_gbm_config, fit_gbm),
     "xgb": (default_xgb_config, fit_xgb),
 }
 
+# Config fields that are not hyperparameters of the variant: the seed,
+# the forest's fixed bootstrap, and the penalties gbm does not apply.
+_NOT_PARAMS = {
+    "rf": ("seed", "bootstrap"),
+    "gbm": ("seed", "reg_lambda", "gamma"),
+    "xgb": ("seed",),
+}
+
+
+def default_params(variant: str) -> dict:
+    params = _VARIANT_SETUP[variant][0]().to_dict()
+    for key in _NOT_PARAMS[variant]:
+        params.pop(key)
+    return params
+
 
 def fit_variant(variant: str, data: Dataset, params: dict, seed: int):
     """Fit one of the three learners from a plain hyperparameter dict."""
     if variant not in _VARIANT_SETUP:
         raise ValueError(f"unknown model variant {variant!r}")
+    unknown = sorted(set(params) - set(default_params(variant)))
+    if unknown:
+        raise ValueError(f"invalid parameters for {variant!r}: {unknown}")
     make_default, fitter = _VARIANT_SETUP[variant]
-    try:
-        config = replace(make_default(seed), **params)
-    except TypeError as exc:
-        raise ValueError(f"invalid parameters for {variant!r}: {exc}") from None
-    return fitter(data, config)
+    return fitter(data, replace(make_default(seed), **params))
 
 
 def kfold_indices(n: int, k: int, seed: int) -> list:
@@ -95,15 +98,12 @@ def kfold_indices(n: int, k: int, seed: int) -> list:
 
 
 def _fold_score(data: Dataset, variant: str, params: dict, train_rows, val_rows, model_seed: int) -> float:
-    scaler = fit_scaler(data, train_rows)
-    scaled = apply_scaler(scaler, data)
-    model = fit_variant(variant, scaled.subset(train_rows), params, model_seed)
-    predictions = model.predict(scaled.X[val_rows])
-    return r_squared(data.y[val_rows], predictions)
+    model = fit_variant(variant, data.subset(train_rows), params, model_seed)
+    return r_squared(data.y[val_rows], model.predict(data.X[val_rows]))
 
 
 def cross_val_score(data: Dataset, variant: str, params: dict, k: int, seed: int) -> list:
-    """Per-fold held-out R^2; the scaler is refit inside every fold."""
+    """Per-fold held-out R^2; each fold's model is fit on the other folds."""
     folds = kfold_indices(data.n, k, seed)
     all_rows = np.arange(data.n)
     scores = []
@@ -252,11 +252,9 @@ def learning_curve(data: Dataset, variant: str, params: dict, fractions, k: int,
                     f"fraction {fraction} keeps {size} row(s); need at least 2"
                 )
             subset = np.sort(shuffled[:size])
-            scaler = fit_scaler(data, subset)
-            scaled = apply_scaler(scaler, data)
-            model = fit_variant(variant, scaled.subset(subset), params, model_seed)
-            train_scores[j, i] = r_squared(data.y[subset], model.predict(scaled.X[subset]))
-            val_scores[j, i] = r_squared(data.y[val_rows], model.predict(scaled.X[val_rows]))
+            model = fit_variant(variant, data.subset(subset), params, model_seed)
+            train_scores[j, i] = r_squared(data.y[subset], model.predict(data.X[subset]))
+            val_scores[j, i] = r_squared(data.y[val_rows], model.predict(data.X[val_rows]))
             sizes[j, i] = size
     return LearningCurve(
         fractions=fractions,

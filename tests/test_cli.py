@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import premex.data as data_mod
+import premex.ensemble as ensemble_mod
 from premex.cli import main
+from premex.metrics import r_squared
 
 import synth
 
@@ -116,6 +119,17 @@ class TestTrain:
         assert result.exit_code == 2
         assert "does not apply" in result.output
 
+    @pytest.mark.parametrize("flag", ["--reg-lambda", "--gamma"])
+    def test_xgb_penalty_rejected_for_gbm(self, runner, workdir, flag):
+        result = runner.invoke(
+            main,
+            ["train", str(workdir / "dataset.json"), "--model", "gbm",
+             "--out", str(workdir / "gbm_penalty"), flag, "50"],
+        )
+        assert result.exit_code == 2
+        assert "does not apply to gbm" in result.output
+        assert not (workdir / "gbm_penalty").exists()
+
 
 class TestTune:
     def test_single_cell_grid(self, runner, workdir, tmp_path):
@@ -131,6 +145,26 @@ class TestTune:
         assert document["best_params"] == {"n_estimators": 6, "max_depth": 2}
         assert len(document["cells"]) == 1
 
+    def test_flag_set_in_one_row_is_accepted(self, runner, tmp_path):
+        # AnyTransplants is 1 in a single row, so it is constant on most
+        # CV training folds; tree models train on the raw matrix regardless
+        rows = [line.split(",") for line in synth.make_csv_text(n=60, seed=5).splitlines()[1:]]
+        for i, row in enumerate(rows):
+            row[3] = "1" if i == 0 else "0"
+        csv_path = tmp_path / "one_transplant.csv"
+        csv_path.write_text(synth.HEADER + "\n" + "\n".join(",".join(r) for r in rows) + "\n")
+        out = tmp_path / "o"
+        assert runner.invoke(main, ["ingest", str(csv_path), "--out", str(out)]).exit_code == 0
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n_estimators": [5]}))
+        result = runner.invoke(
+            main,
+            ["tune", str(out / "dataset.json"), "--model", "gbm",
+             "--grid", str(grid), "--folds", "3", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert (out / "cv_gbm.json").exists()
+
     def test_missing_grid_file(self, runner, workdir, tmp_path):
         result = runner.invoke(
             main,
@@ -145,13 +179,19 @@ class TestEvaluate:
         result = runner.invoke(
             main,
             ["evaluate", str(workdir / "model_rf.json"), str(workdir / "dataset.json"),
-             "--split", str(workdir / "split.json"),
-             "--scaler", str(workdir / "scaler.json"), "--out", str(workdir)],
+             "--split", str(workdir / "split.json"), "--out", str(workdir)],
         )
         assert result.exit_code == 0, result.output
         metrics = json.loads((workdir / "metrics_rf.json").read_text())
         assert metrics["n"] == 75  # 25% of 300
         assert metrics["rmse"] >= metrics["mae"]
+        # the saved model scores the raw feature rows; nothing is transformed
+        dataset = data_mod.dataset_from_json(str(workdir / "dataset.json"))
+        test_rows = data_mod.split_from_json(str(workdir / "split.json")).test_rows
+        model = ensemble_mod.load_model(str(workdir / "model_rf.json"))
+        assert metrics["r_squared"] == r_squared(
+            dataset.y[test_rows], model.predict(dataset.X[test_rows])
+        )
         for name in ("residual_scatter_rf.svg", "qq_rf.svg", "prediction_error_rf.svg",
                      "metrics_rf.csv"):
             assert (workdir / name).exists()
@@ -178,8 +218,7 @@ class TestEvaluate:
         ]).exit_code == 0
         result = runner.invoke(main, [
             "evaluate", str(out / "model_gbm.json"), str(out / "dataset.json"),
-            "--split", str(out / "split.json"), "--scaler", str(out / "scaler.json"),
-            "--out", str(out),
+            "--split", str(out / "split.json"), "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
         metrics = json.loads((out / "metrics_gbm.json").read_text())
@@ -199,8 +238,7 @@ class TestEvaluate:
         result = runner.invoke(
             main,
             ["evaluate", str(workdir / "model_rf.json"), str(path),
-             "--split", str(workdir / "split.json"),
-             "--scaler", str(workdir / "scaler.json"), "--out", str(workdir)],
+             "--split", str(workdir / "split.json"), "--out", str(workdir)],
         )
         assert result.exit_code == 3
 
@@ -210,7 +248,6 @@ class TestExplain:
         result = runner.invoke(
             main,
             ["explain", str(workdir / "model_gbm.json"), str(workdir / "dataset.json"),
-             "--scaler", str(workdir / "scaler.json"),
              "--split", str(workdir / "split.json"),
              "--mode", "shap", "--rows", "6", "--background-size", "25",
              "--out", str(workdir)],
@@ -223,19 +260,15 @@ class TestExplain:
         assert (workdir / "shap_importance_gbm.csv").exists()
 
     def test_shap_efficiency_from_csv(self, runner, workdir):
-        runner.invoke(
+        result = runner.invoke(
             main,
             ["explain", str(workdir / "model_gbm.json"), str(workdir / "dataset.json"),
-             "--scaler", str(workdir / "scaler.json"),
              "--split", str(workdir / "split.json"),
              "--mode", "shap", "--rows", "4", "--background-size", "20",
              "--out", str(workdir)],
         )
-        import premex.data as data_mod
-        import premex.ensemble as ensemble_mod
-
+        assert result.exit_code == 0, result.output
         dataset = data_mod.dataset_from_json(str(workdir / "dataset.json"))
-        scaler = data_mod.scaler_from_json(str(workdir / "scaler.json"))
         model = ensemble_mod.load_model(str(workdir / "model_gbm.json"))
         lines = (workdir / "shap_values_gbm.csv").read_text().strip().splitlines()[2:]
         for line in lines:
@@ -243,15 +276,13 @@ class TestExplain:
             row_id = int(cells[0])
             phi = np.array([float(v) for v in cells[1:-1]])
             base = float(cells[-1])
-            scaled = (dataset.X[row_id] - scaler.mean) / scaler.std
-            prediction = model.predict(scaled[None, :])[0]
+            prediction = model.predict(dataset.X[[row_id]])[0]
             assert base + phi.sum() == pytest.approx(prediction, abs=1e-4)
 
     def test_centered_ice_anchors_at_minimum(self, runner, workdir):
         result = runner.invoke(
             main,
             ["explain", str(workdir / "model_rf.json"), str(workdir / "dataset.json"),
-             "--scaler", str(workdir / "scaler.json"),
              "--mode", "ice", "--feature", "Age", "--centered", "--rows", "10",
              "--out", str(workdir)],
         )
@@ -273,7 +304,6 @@ class TestExplain:
         result = runner.invoke(
             main,
             ["explain", str(out / "model_gbm.json"), str(out / "dataset.json"),
-             "--scaler", str(out / "scaler.json"),
              "--mode", "shap", "--rows", "3", "--background-size", "10",
              "--out", str(out)],
         )

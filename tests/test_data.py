@@ -7,12 +7,9 @@ from premex import data as data_mod
 from premex.data import (
     Dataset,
     RawRecord,
-    apply_scaler,
     derive_features,
     detect_duplicates,
-    fit_scaler,
     group_summary,
-    invert_scaler,
     load_csv,
     pearson_correlation,
     round_half_up,
@@ -148,52 +145,6 @@ class TestDeriveFeatures:
             derive_features([record])
 
 
-class TestScaler:
-    def test_simple_column(self):
-        dataset = Dataset(["a"], np.array([[1.0], [2.0], [3.0]]), np.zeros(3))
-        state = fit_scaler(dataset, [0, 1, 2])
-        assert state.mean[0] == 2.0
-        assert state.std[0] == 1.0  # sample (n-1) convention
-
-    def test_train_columns_become_standard(self, synth_dataset):
-        rows = np.arange(0, synth_dataset.n, 2)
-        state = fit_scaler(synth_dataset, rows)
-        scaled = apply_scaler(state, synth_dataset)
-        means = scaled.X[rows].mean(axis=0)
-        stds = scaled.X[rows].std(axis=0, ddof=1)
-        assert np.all(np.abs(means) < 1e-9)
-        assert np.allclose(stds, 1.0, atol=1e-9)
-
-    def test_test_rows_generally_off_center(self, synth_dataset):
-        rows = np.arange(0, 150)
-        state = fit_scaler(synth_dataset, rows)
-        scaled = apply_scaler(state, synth_dataset)
-        other = scaled.X[150:].mean(axis=0)
-        assert np.any(np.abs(other) > 1e-6)
-
-    def test_round_trip(self, synth_dataset):
-        state = fit_scaler(synth_dataset, np.arange(synth_dataset.n))
-        restored = invert_scaler(state, apply_scaler(state, synth_dataset))
-        assert np.max(np.abs(restored.X - synth_dataset.X)) < 1e-12
-        assert np.array_equal(restored.y, synth_dataset.y)
-
-    def test_target_untouched(self, synth_dataset):
-        state = fit_scaler(synth_dataset, np.arange(synth_dataset.n))
-        scaled = apply_scaler(state, synth_dataset)
-        assert np.array_equal(scaled.y, synth_dataset.y)
-
-    def test_constant_column_rejected(self):
-        dataset = Dataset(["a", "b"], np.array([[1.0, 5.0], [2.0, 5.0]]), np.zeros(2))
-        with pytest.raises(NumericError, match="'b'"):
-            fit_scaler(dataset, [0, 1])
-
-    def test_dimension_mismatch(self, synth_dataset):
-        state = fit_scaler(synth_dataset, np.arange(synth_dataset.n))
-        narrow = Dataset(["a"], np.ones((3, 1)), np.zeros(3))
-        with pytest.raises(DataValidationError):
-            apply_scaler(state, narrow)
-
-
 class TestSplit:
     def test_986_rows_give_740_train(self):
         split = train_test_split(986, 0.75, seed=1)
@@ -323,14 +274,6 @@ class TestJsonRoundTrips:
         assert loaded.feature_names == synth_dataset.feature_names
         assert np.array_equal(loaded.X, synth_dataset.X)
         assert np.array_equal(loaded.y, synth_dataset.y)
-
-    def test_scaler(self, synth_dataset, tmp_path):
-        state = fit_scaler(synth_dataset, np.arange(synth_dataset.n))
-        path = str(tmp_path / "s.json")
-        data_mod.scaler_to_json(state, path)
-        loaded = data_mod.scaler_from_json(path)
-        assert np.array_equal(loaded.mean, state.mean)
-        assert np.array_equal(loaded.std, state.std)
 
     def test_split(self, tmp_path):
         split = train_test_split(50, 0.75, seed=11)

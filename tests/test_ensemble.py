@@ -13,13 +13,12 @@ from premex.ensemble import (
     fit_gbm,
     fit_xgb,
     load_model,
-    predict_boosted,
-    predict_forest,
     save_model,
+    _stage_rows,
 )
 from premex.errors import DataValidationError, FormatVersionError
 from premex.rng import stream
-from premex.tree import TreeConfig, TreeNode, RegressionTree, fit_tree, predict_tree
+from premex.tree import TreeConfig, TreeNode, RegressionTree, fit_tree
 
 
 def leaf_tree(value, feature_count=2):
@@ -34,7 +33,7 @@ class TestForest:
             config=ForestConfig(n_estimators=3),
             feature_names=["a", "b"],
         )
-        assert predict_forest(model, [0.0, 0.0]) == 20.0
+        assert model.predict([0.0, 0.0])[0] == 20.0
 
     def test_single_tree_degenerate_forest(self, small_regression):
         config = ForestConfig(n_estimators=1, bootstrap=False, max_depth=3,
@@ -52,22 +51,13 @@ class TestForest:
         stacked = np.stack([t.predict_matrix(probe) for t in forest.trees])
         assert np.array_equal(forest.predict(probe), stacked.mean(axis=0))
         row = small_regression.X[0]
-        assert predict_forest(forest, row) == np.mean(
-            [predict_tree(t, row) for t in forest.trees]
-        )
+        assert [t.predict_row(row) for t in forest.trees] == stacked[:, 0].tolist()
 
     def test_same_seed_bit_identical_files(self, small_regression, tmp_path):
         config = ForestConfig(n_estimators=5, max_depth=3, seed=77)
         for name in ("a.json", "b.json"):
             save_model(fit_forest(small_regression, config), tmp_path / name)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-    def test_jobs_do_not_change_result(self, small_regression):
-        config = ForestConfig(n_estimators=8, max_depth=3, seed=5)
-        sequential = fit_forest(small_regression, config, jobs=1)
-        threaded = fit_forest(small_regression, config, jobs=4)
-        for a, b in zip(sequential.trees, threaded.trees):
-            assert a.to_dict() == b.to_dict()
 
     def test_bootstrap_varies_trees(self, small_regression):
         forest = fit_forest(small_regression, ForestConfig(n_estimators=4, max_depth=3, seed=1))
@@ -124,7 +114,7 @@ class TestGbm:
             variant="gbm", base_score=5.0, learning_rate=0.1,
             stages=[leaf_tree(10.0)], config=BoostConfig(), feature_names=["a", "b"],
         )
-        assert predict_boosted(model, [0.0, 0.0]) == 6.0
+        assert model.predict([0.0, 0.0])[0] == 6.0
 
     def test_learning_rate_bounds(self, small_regression):
         with pytest.raises(ValueError):
@@ -133,20 +123,45 @@ class TestGbm:
             fit_gbm(small_regression, BoostConfig(subsample=0.0))
 
 
+def classic_residual_fit(data, config):
+    """Textbook gradient boosting: each stage is an SSE tree on the residuals.
+
+    Uses the library's stage streams and row subsets, so it must grow the
+    same trees as the second-order loop at lambda = gamma = 0.
+    """
+    predictions = np.full(data.n, data.y.mean())
+    stages = []
+    for t in range(config.n_estimators):
+        rng = stream(config.seed, "stage", t)
+        rows = _stage_rows(rng, data.n, config.subsample)
+        residuals = data.y - predictions
+        tree = fit_tree(data.X[rows], residuals[rows], config.tree_config(), rng)
+        stages.append(tree)
+        predictions = predictions + config.learning_rate * tree.predict_matrix(data.X)
+    return stages, predictions
+
+
+def assert_matches_classic(data, shared):
+    stages, predictions = classic_residual_fit(data, BoostConfig(**shared))
+    gbm = fit_gbm(data, BoostConfig(**shared))
+    xgb = fit_xgb(data, BoostConfig(reg_lambda=0.0, gamma=0.0, **shared))
+    assert [t.to_dict() for t in gbm.stages] == [t.to_dict() for t in stages]
+    for model in (gbm, xgb):
+        assert np.max(np.abs(model.predict(data.X) - predictions)) < 1e-9
+
+
 class TestXgb:
     def test_unregularized_matches_gbm(self, small_regression):
-        shared = dict(n_estimators=15, learning_rate=0.2, max_depth=3,
-                      min_samples_split=2, subsample=1.0, seed=8)
-        gbm = fit_gbm(small_regression, BoostConfig(**shared))
-        xgb = fit_xgb(small_regression, BoostConfig(reg_lambda=0.0, gamma=0.0, **shared))
-        assert np.max(np.abs(gbm.predict(small_regression.X) - xgb.predict(small_regression.X))) < 1e-9
+        assert_matches_classic(small_regression, dict(
+            n_estimators=15, learning_rate=0.2, max_depth=3,
+            min_samples_split=2, subsample=1.0, seed=8,
+        ))
 
     def test_unregularized_matches_gbm_with_subsampling(self, small_regression):
-        shared = dict(n_estimators=10, learning_rate=0.2, max_depth=3,
-                      min_samples_split=2, subsample=0.7, seed=8)
-        gbm = fit_gbm(small_regression, BoostConfig(**shared))
-        xgb = fit_xgb(small_regression, BoostConfig(reg_lambda=0.0, gamma=0.0, **shared))
-        assert np.max(np.abs(gbm.predict(small_regression.X) - xgb.predict(small_regression.X))) < 1e-9
+        assert_matches_classic(small_regression, dict(
+            n_estimators=10, learning_rate=0.2, max_depth=3,
+            min_samples_split=2, subsample=0.7, seed=8,
+        ))
 
     def test_huge_gamma_collapses_to_base(self, small_regression):
         model = fit_xgb(small_regression, BoostConfig(

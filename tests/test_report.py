@@ -9,7 +9,6 @@ from premex.metrics import MetricsReport
 from premex.report import (
     FigureSpec,
     cv_table_csv,
-    emit_tables,
     group_summary_all_csv,
     importance_csv,
     improvement_csv,
@@ -150,18 +149,6 @@ class TestTables:
     def test_metrics_table_empty_rejected(self):
         with pytest.raises(DataValidationError):
             metrics_table_csv([])
-
-    def test_emit_tables_bundle(self, synth_dataset):
-        stats = summary_statistics(synth_dataset, include_target=True)
-        tables = emit_tables(
-            sample_reports(),
-            [{"model": "RandomForest", "train_r2": 0.95, "cv_r2": 0.73, "best_params": {"n_estimators": 220}}],
-            [ImprovementRow("RandomForest", 95.809, 73.428, 84.046, 10.618)],
-            summary=stats,
-        )
-        assert set(tables) == {"test_metrics", "cv_overview", "improvement", "summary_stats"}
-        stats_lines = tables["summary_stats"].strip().splitlines()
-        assert len(stats_lines) == 2 + synth_dataset.m + 1  # meta + header + rows
 
     def test_improvement_csv_values(self):
         text = improvement_csv([ImprovementRow("XGBoost", 88.222, 74.475, 86.470, 11.995)])

@@ -8,7 +8,6 @@ from premex.tree import (
     TreeConfig,
     fit_tree,
     fit_tree_gradients,
-    predict_tree,
 )
 
 
@@ -123,19 +122,19 @@ class TestFitTree:
 class TestPredict:
     def test_single_leaf_any_row(self):
         tree = fit_tree(np.ones((3, 2)), np.full(3, 7.5), TreeConfig(), stream(0, "t"))
-        assert predict_tree(tree, [123.0, -5.0]) == 7.5
+        assert tree.predict_row([123.0, -5.0]) == 7.5
 
     def test_traversal_of_known_split(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([1.0, 1.0, 3.0, 3.0])
         tree = fit_tree(X, y, TreeConfig(max_depth=1), stream(0, "t"))
-        assert predict_tree(tree, [1.5]) == 1.0
+        assert tree.predict_row([1.5]) == 1.0
 
     def test_boundary_value_goes_left(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([1.0, 1.0, 3.0, 3.0])
         tree = fit_tree(X, y, TreeConfig(max_depth=1), stream(0, "t"))
-        assert predict_tree(tree, [tree.root.threshold]) == 1.0
+        assert tree.predict_row([tree.root.threshold]) == 1.0
 
     def test_piecewise_constant_between_thresholds(self):
         rng = np.random.default_rng(8)
