@@ -21,7 +21,7 @@ from . import explain as explain_mod
 from . import metrics as metrics_mod
 from . import report as report_mod
 from . import tuning as tuning_mod
-from .artifacts import config_hash, write_json_artifact, write_text_atomic
+from .artifacts import FORMAT_VERSION, config_hash, write_json_artifact, write_text_atomic
 from .errors import DataValidationError, NumericError
 from .rng import derive_seed, stream
 
@@ -105,7 +105,7 @@ def _write(out_dir, name, text):
 
 
 def _svg_meta(seed, config):
-    return f"seed={seed} config_hash={config_hash(config)} format_version=1"
+    return f"seed={seed} config_hash={config_hash(config)} format_version={FORMAT_VERSION}"
 
 
 # --- ingest ------------------------------------------------------------------

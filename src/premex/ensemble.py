@@ -10,7 +10,7 @@ Each tree/stage draws from its own stream derived from (seed, index), so
 fitting order never changes the result.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -170,8 +170,7 @@ def _stage_rows(rng: np.random.Generator, n: int, subsample: float) -> np.ndarra
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def _fit_boosted(data: Dataset, config: BoostConfig, variant: str,
-                 reg_lambda: float, gamma: float) -> BoostedModel:
+def _fit_boosted(data: Dataset, config: BoostConfig, variant: str) -> BoostedModel:
     """Stagewise second-order boosting under squared loss: g = pred - y, h = 1."""
     config.validate()
     if data.n < 2:
@@ -188,7 +187,7 @@ def _fit_boosted(data: Dataset, config: BoostConfig, variant: str,
         grad = predictions - data.y
         tree = fit_tree_gradients(
             data.X[rows], grad[rows], ones[rows], tree_config, rng,
-            reg_lambda=reg_lambda, gamma=gamma,
+            reg_lambda=config.reg_lambda, gamma=config.gamma,
         )
         stages.append(tree)
         predictions = predictions + config.learning_rate * tree.predict_matrix(data.X)
@@ -208,14 +207,14 @@ def fit_gbm(data: Dataset, config: BoostConfig) -> BoostedModel:
     With lambda = gamma = 0 each second-order leaf -G/H is the mean residual
     of its rows and each gain is half the SSE reduction, so the stages are
     the classic residual-fit trees.  config.reg_lambda and config.gamma
-    are not used.
+    are replaced by 0, and the model's config records the 0s.
     """
-    return _fit_boosted(data, config, "gbm", reg_lambda=0.0, gamma=0.0)
+    return _fit_boosted(data, replace(config, reg_lambda=0.0, gamma=0.0), "gbm")
 
 
 def fit_xgb(data: Dataset, config: BoostConfig) -> BoostedModel:
     """Second-order boosting with L2 leaf penalty and per-split penalty."""
-    return _fit_boosted(data, config, "xgb", reg_lambda=config.reg_lambda, gamma=config.gamma)
+    return _fit_boosted(data, config, "xgb")
 
 
 # --- serialization ----------------------------------------------------------
@@ -245,34 +244,43 @@ def save_model(model, path) -> None:
     write_json_artifact(path, "model", payload, seed=model.config.seed, config=payload["config"])
 
 
+def _config_from(document, config_type, path):
+    config = document.get("config")
+    expected = sorted(f.name for f in fields(config_type))
+    if not isinstance(config, dict) or sorted(config) != expected:
+        raise DataValidationError(f"{path}: model config must hold exactly the keys {expected}")
+    return config_type(**config)
+
+
 def load_model(path):
     document = read_json_artifact(path, "model")
     variant = document.get("variant")
-    names = document["feature_names"]
+    if variant not in ("rf", "gbm", "xgb"):
+        raise DataValidationError(f"{path}: unknown model variant {variant!r}")
+    names = document.get("feature_names")
+    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+        raise DataValidationError(f"{path}: feature_names must be a non-empty list of names")
+    if not isinstance(document.get("trees"), list) or (variant == "rf" and not document["trees"]):
+        raise DataValidationError(f"{path}: trees must be a list, non-empty for rf")
+    try:
+        trees = [RegressionTree.from_dict(doc, len(names)) for doc in document["trees"]]
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc
     if variant == "rf":
-        config = ForestConfig(**document["config"])
-        tree_config = config.tree_config()
-        trees = [
-            RegressionTree.from_dict(doc, len(names), tree_config)
-            for doc in document["trees"]
-        ]
+        config = _config_from(document, ForestConfig, path)
         return ForestModel(trees=trees, config=config, feature_names=names)
-    if variant in ("gbm", "xgb"):
-        config = BoostConfig(**document["config"])
-        tree_config = config.tree_config()
-        stages = [
-            RegressionTree.from_dict(doc, len(names), tree_config)
-            for doc in document["trees"]
-        ]
-        return BoostedModel(
-            variant=variant,
-            base_score=float(document["base_score"]),
-            learning_rate=float(document["learning_rate"]),
-            stages=stages,
-            config=config,
-            feature_names=names,
-        )
-    raise DataValidationError(f"{path}: unknown model variant {variant!r}")
+    config = _config_from(document, BoostConfig, path)
+    scalars = [document.get("base_score"), document.get("learning_rate")]
+    if not all(type(v) in (int, float) and np.isfinite(v) for v in scalars):
+        raise DataValidationError(f"{path}: base_score and learning_rate must be finite numbers")
+    return BoostedModel(
+        variant=variant,
+        base_score=float(scalars[0]),
+        learning_rate=float(scalars[1]),
+        stages=trees,
+        config=config,
+        feature_names=names,
+    )
 
 
 # Published best parameters used as training defaults per variant.

@@ -9,6 +9,17 @@ feature values is a candidate.  Two growth criteria share the engine:
 
 Ties are broken toward the lowest feature index, then the lowest
 threshold, so identical inputs always grow identical trees.
+
+A tree is one flat node table: the equal-length columns `feature`,
+`threshold`, `left`, `right`, `value` and `count`, indexed by node id.
+Node 0 is the root, and nodes are numbered depth-first, left child
+first, so every child's id is greater than its parent's.  A row goes
+left when row[feature] <= threshold.  A leaf has feature -1 and
+threshold 0; its `left` and `right` point to the leaf itself, so a
+batch of rows descends in exactly depth() gathers with no leaf test.
+`value` is the leaf prediction (0 on internal nodes) and `count` the
+number of training rows that reached the node.  The model JSON stores
+the six columns as they are.
 """
 
 from dataclasses import dataclass, field
@@ -17,13 +28,14 @@ import numpy as np
 
 from .errors import DataValidationError
 
+COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
+
 
 @dataclass
 class TreeConfig:
     max_depth: int | None = None  # None = unbounded
     min_samples_split: int = 2
     max_features: int | None = None  # None = all features
-    min_gain: float = 0.0
 
     def validate(self, n_features: int) -> None:
         if self.max_depth is not None and self.max_depth < 0:
@@ -34,47 +46,37 @@ class TreeConfig:
             raise ValueError(
                 f"max_features must be in 1..{n_features}, got {self.max_features}"
             )
-        if self.min_gain < 0:
-            raise ValueError("min_gain must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "max_features": self.max_features,
-            "min_gain": self.min_gain,
-        }
 
 
-@dataclass
-class TreeNode:
-    # internal: feature/threshold/left/right set; leaf: value/count set
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-    count: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-@dataclass
+@dataclass(eq=False)
 class RegressionTree:
-    root: TreeNode
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    count: np.ndarray
     feature_count: int
-    config: TreeConfig
-    _flat: dict = field(default=None, repr=False, compare=False)
+    _depth: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name in COLUMNS:
+            dtype = np.float64 if name in ("threshold", "value") else np.int64
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        # one step per level below the root; this loop ends only because
+        # from_dict rejects tables whose child ids could form a cycle
+        level = np.zeros(1, dtype=np.int64)
+        self._depth = -1
+        while level.size:
+            self._depth += 1
+            level = level[self.feature[level] >= 0]
+            level = np.concatenate([self.left[level], self.right[level]])
 
     def depth(self) -> int:
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
+        return self._depth
 
-        return walk(self.root)
+    def node_count(self) -> int:
+        return int(self.feature.size)
 
     def predict_row(self, row) -> float:
         row = np.asarray(row, dtype=np.float64)
@@ -82,10 +84,13 @@ class RegressionTree:
             raise DataValidationError(
                 f"row has {row.shape} values, tree expects {self.feature_count}"
             )
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
+        node = 0
+        while self.feature[node] >= 0:
+            if row[self.feature[node]] <= self.threshold[node]:
+                node = self.left[node]
+            else:
+                node = self.right[node]
+        return float(self.value[node])
 
     def predict_matrix(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -93,91 +98,66 @@ class RegressionTree:
             raise DataValidationError(
                 f"matrix has shape {X.shape}, tree expects (*, {self.feature_count})"
             )
-        flat = self._flatten()
-        idx = np.zeros(X.shape[0], dtype=np.int64)
+        # a leaf reads column -1 and steps to itself either way
         rows = np.arange(X.shape[0])
-        for _ in range(flat["depth"]):
-            feat = flat["feature"][idx]
-            lookup = np.where(feat >= 0, feat, 0)
-            go_left = X[rows, lookup] <= flat["threshold"][idx]
-            step = np.where(go_left, flat["left"][idx], flat["right"][idx])
-            idx = np.where(feat >= 0, step, idx)
-        return flat["value"][idx]
-
-    def _flatten(self) -> dict:
-        # Arrays indexed by node id; leaves self-loop so the level
-        # iteration in predict_matrix is a fixed-depth gather.
-        if self._flat is not None:
-            return self._flat
-        feature, threshold, left, right, value = [], [], [], [], []
-
-        def add(node) -> int:
-            node_id = len(feature)
-            feature.append(node.feature)
-            threshold.append(node.threshold)
-            left.append(node_id)
-            right.append(node_id)
-            value.append(node.value)
-            if not node.is_leaf:
-                left[node_id] = add(node.left)
-                right[node_id] = add(node.right)
-                value[node_id] = 0.0
-            return node_id
-
-        # children of the root get ids after it, so id 0 is always the root
-        add(self.root)
-        self._flat = {
-            "feature": np.asarray(feature, dtype=np.int64),
-            "threshold": np.asarray(threshold, dtype=np.float64),
-            "left": np.asarray(left, dtype=np.int64),
-            "right": np.asarray(right, dtype=np.int64),
-            "value": np.asarray(value, dtype=np.float64),
-            "depth": self.depth(),
-        }
-        return self._flat
-
-    def node_count(self) -> int:
-        def walk(node):
-            if node.is_leaf:
-                return 1
-            return 1 + walk(node.left) + walk(node.right)
-
-        return walk(self.root)
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        for _ in range(self._depth):
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
 
     def to_dict(self) -> dict:
-        def encode(node):
-            if node.is_leaf:
-                return {"value": node.value, "count": node.count}
-            return {
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "left": encode(node.left),
-                "right": encode(node.right),
-            }
-
-        return encode(self.root)
+        return {name: getattr(self, name).tolist() for name in COLUMNS}
 
     @staticmethod
-    def from_dict(document, feature_count: int, config: TreeConfig) -> "RegressionTree":
-        def decode(doc):
-            if "value" in doc:
-                return TreeNode(value=float(doc["value"]), count=int(doc["count"]))
-            return TreeNode(
-                feature=int(doc["feature"]),
-                threshold=float(doc["threshold"]),
-                left=decode(doc["left"]),
-                right=decode(doc["right"]),
+    def from_dict(document, feature_count: int) -> "RegressionTree":
+        """Rebuild a tree from to_dict() output; DataValidationError if malformed."""
+        if not isinstance(document, dict) or sorted(document) != sorted(COLUMNS):
+            raise DataValidationError(f"a tree must hold exactly the columns {list(COLUMNS)}")
+        table = {
+            name: _column(document[name], name, "if" if name in ("threshold", "value") else "i")
+            for name in COLUMNS
+        }
+        feature, left, right = table["feature"], table["left"], table["right"]
+        n = feature.size
+        if any(column.size != n for column in table.values()):
+            raise DataValidationError("tree columns differ in length")
+        if not (np.isfinite(table["threshold"]).all() and np.isfinite(table["value"]).all()):
+            raise DataValidationError("tree thresholds and values must be finite")
+        if feature.min() < -1 or feature.max() >= feature_count:
+            raise DataValidationError(f"tree feature index outside -1..{feature_count - 1}")
+        if table["count"].min() < 1:
+            raise DataValidationError("tree row counts must be positive")
+        ids = np.arange(n)
+        leaf = feature < 0
+        if (left[leaf] != ids[leaf]).any() or (right[leaf] != ids[leaf]).any():
+            raise DataValidationError("a tree leaf must point to itself")
+        parents = np.concatenate([ids[~leaf], ids[~leaf]])
+        children = np.concatenate([left[~leaf], right[~leaf]])
+        if (children <= parents).any() or not np.array_equal(np.sort(children), ids[1:]):
+            raise DataValidationError(
+                "tree child ids must exceed their parent's and cover 1..n-1 once"
             )
+        return RegressionTree(**table, feature_count=feature_count)
 
-        return RegressionTree(decode(document), feature_count, config)
+
+def _column(values, name, kinds) -> np.ndarray:
+    """One table column as a 1-d array whose dtype kind is in `kinds`."""
+    try:
+        array = np.asarray(values) if isinstance(values, list) and values else None
+    except (ValueError, OverflowError):
+        array = None
+    if array is None or array.ndim != 1 or array.dtype.kind not in kinds:
+        what = "integers" if kinds == "i" else "numbers"
+        raise DataValidationError(f"tree column {name!r} must be a non-empty list of {what}")
+    return array
 
 
 def fit_tree(X, targets, config: TreeConfig, rng: np.random.Generator) -> RegressionTree:
     """Grow a tree greedily, maximizing SSE reduction; leaves predict means."""
     X, targets = _check_fit_inputs(X, targets, config)
     ones = np.ones_like(targets)
-    root = _grow(X, targets, ones, config, rng, reg_lambda=0.0, gamma=0.0, second_order=False)
-    return RegressionTree(root, X.shape[1], config)
+    return _grow(X, targets, ones, config, rng, reg_lambda=0.0, gamma=0.0, second_order=False)
 
 
 def fit_tree_gradients(
@@ -198,8 +178,7 @@ def fit_tree_gradients(
     hess = np.ascontiguousarray(hess, dtype=np.float64)
     if hess.shape != grad.shape:
         raise DataValidationError("grad and hess must have equal length")
-    root = _grow(X, grad, hess, config, rng, reg_lambda=reg_lambda, gamma=gamma, second_order=True)
-    return RegressionTree(root, X.shape[1], config)
+    return _grow(X, grad, hess, config, rng, reg_lambda=reg_lambda, gamma=gamma, second_order=True)
 
 
 def _check_fit_inputs(X, targets, config):
@@ -215,74 +194,61 @@ def _check_fit_inputs(X, targets, config):
     return X, targets
 
 
-def _grow(X, a, b, config, rng, *, reg_lambda, gamma, second_order) -> TreeNode:
+def _grow(X, a, b, config, rng, *, reg_lambda, gamma, second_order) -> RegressionTree:
     """Shared growth engine over per-row statistics a (sums) and b (weights).
 
     SSE mode: a = targets, b = 1; node score is (sum a)^2 / n and the split
     gain is the exact SSE reduction.  Second-order mode: a = gradients,
     b = hessians; score is G^2/(H+lambda), gain is halved and gamma-penalized.
+    Nodes are appended to the table in the order the stack pops them, which
+    is depth-first with the left child first.
     """
     n_features = X.shape[1]
     k = config.max_features
     use_subsets = k is not None and k < n_features
+    table = {name: [] for name in COLUMNS}
 
-    def leaf_from(rows) -> TreeNode:
-        sa = float(a[rows].sum())
-        sb = float(b[rows].sum())
-        if second_order:
-            value = -sa / (sb + reg_lambda)
-        else:
-            value = sa / sb
-        return TreeNode(value=value, count=int(rows.size))
-
-    root_holder = [None]
-    # stack entries: (row indices, depth, parent holder, child slot)
-    stack = [(np.arange(X.shape[0], dtype=np.int64), 0, root_holder, 0)]
+    # stack entries: (row indices, depth, parent id, child column)
+    stack = [(np.arange(X.shape[0], dtype=np.int64), 0, -1, "left")]
     while stack:
-        rows, depth, holder, slot = stack.pop()
-        node = None
+        rows, depth, parent, side = stack.pop()
+        node = len(table["feature"])
+        if parent >= 0:
+            table[side][parent] = node
+        best_gain, best_feature, best_threshold = -np.inf, -1, 0.0
         depth_capped = config.max_depth is not None and depth >= config.max_depth
-        if depth_capped or rows.size < config.min_samples_split:
-            node = leaf_from(rows)
-        elif not second_order and np.ptp(a[rows]) == 0.0:
-            node = leaf_from(rows)
-        else:
+        if not (
+            depth_capped
+            or rows.size < config.min_samples_split
+            or (not second_order and np.ptp(a[rows]) == 0.0)
+        ):
             if use_subsets:
                 candidates = np.sort(rng.choice(n_features, size=k, replace=False))
             else:
                 candidates = np.arange(n_features)
-            best_gain, best_feature, best_threshold = -np.inf, -1, 0.0
             for f in candidates:
                 gain, threshold = _best_split(
                     X[rows, f], a[rows], b[rows], reg_lambda, gamma, second_order
                 )
                 if gain > best_gain:
                     best_gain, best_feature, best_threshold = gain, int(f), threshold
-            if best_feature < 0 or best_gain <= config.min_gain:
-                node = leaf_from(rows)
-        if node is not None:
-            holder[slot] = node
+        table["left"].append(node)
+        table["right"].append(node)
+        table["count"].append(rows.size)
+        if best_gain <= 0.0:
+            sa = float(a[rows].sum())
+            sb = float(b[rows].sum())
+            table["feature"].append(-1)
+            table["threshold"].append(0.0)
+            table["value"].append(-sa / (sb + reg_lambda) if second_order else sa / sb)
             continue
-        node = TreeNode(feature=best_feature, threshold=best_threshold)
-        holder[slot] = node
+        table["feature"].append(best_feature)
+        table["threshold"].append(best_threshold)
+        table["value"].append(0.0)
         go_left = X[rows, best_feature] <= best_threshold
-        child_holder = _NodeChildren(node)
-        stack.append((rows[~go_left], depth + 1, child_holder, 1))
-        stack.append((rows[go_left], depth + 1, child_holder, 0))
-    return root_holder[0]
-
-
-class _NodeChildren:
-    """Lets the growth stack assign node.left/right by slot index."""
-
-    def __init__(self, node: TreeNode):
-        self.node = node
-
-    def __setitem__(self, slot: int, child: TreeNode) -> None:
-        if slot == 0:
-            self.node.left = child
-        else:
-            self.node.right = child
+        stack.append((rows[~go_left], depth + 1, node, "right"))
+        stack.append((rows[go_left], depth + 1, node, "left"))
+    return RegressionTree(**table, feature_count=n_features)
 
 
 def _best_split(column, a, b, reg_lambda, gamma, second_order):

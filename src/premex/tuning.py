@@ -153,19 +153,26 @@ class CvResult:
 
 def grid_cells(grid: dict) -> list:
     """Cartesian product in declared key order, values in declared order."""
-    if not grid:
-        raise DataValidationError("empty grid")
+    if not isinstance(grid, dict) or not grid:
+        raise DataValidationError("a grid must be a non-empty object")
     keys = list(grid.keys())
     for key, values in grid.items():
-        if not values:
-            raise DataValidationError(f"grid dimension {key!r} is empty")
+        if not isinstance(values, list) or not values:
+            raise DataValidationError(f"grid dimension {key!r} must be a non-empty list")
     return [dict(zip(keys, combo)) for combo in itertools.product(*grid.values())]
 
 
 def grid_search(data: Dataset, variant: str, grid: dict, k: int, seed: int) -> CvResult:
     """Evaluate the full Cartesian product; ties go to the earliest cell."""
+    all_cells = grid_cells(grid)
+    unknown = sorted(set(grid) - set(default_params(variant)))
+    if unknown:
+        raise DataValidationError(
+            f"grid keys {unknown} are not {variant} hyperparameters; "
+            f"expected keys from {sorted(default_params(variant))}"
+        )
     cells = []
-    for params in grid_cells(grid):
+    for params in all_cells:
         fold_scores = cross_val_score(data, variant, params, k, seed)
         cells.append(
             GridCell(

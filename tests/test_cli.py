@@ -165,6 +165,22 @@ class TestTune:
         assert result.exit_code == 0, result.output
         assert (out / "cv_gbm.json").exists()
 
+    @pytest.mark.parametrize("variant, grid", [
+        ("gbm", {"reg_lambda": [50]}),  # an xgb penalty gbm does not apply
+        ("rf", {"n_estimator": [5]}),  # misspelled
+    ])
+    def test_unknown_grid_key_exits_3(self, runner, workdir, tmp_path, variant, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        result = runner.invoke(
+            main,
+            ["tune", str(workdir / "dataset.json"), "--model", variant,
+             "--grid", str(path), "--folds", "2", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output and "Traceback" not in result.output
+        assert sorted(grid)[0] in result.output
+
     def test_missing_grid_file(self, runner, workdir, tmp_path):
         result = runner.invoke(
             main,
@@ -241,6 +257,47 @@ class TestEvaluate:
              "--split", str(workdir / "split.json"), "--out", str(workdir)],
         )
         assert result.exit_code == 3
+
+
+class TestCorruptModel:
+    @staticmethod
+    def edit_and_evaluate(runner, workdir, tmp_path, edit):
+        doc = json.loads((workdir / "model_xgb.json").read_text())
+        edit(doc)
+        path = tmp_path / "corrupt.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main,
+            ["evaluate", str(path), str(workdir / "dataset.json"),
+             "--split", str(workdir / "split.json"), "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output and "Traceback" not in result.output
+        return result
+
+    def test_extra_config_key(self, runner, workdir, tmp_path):
+        self.edit_and_evaluate(runner, workdir, tmp_path,
+                               lambda doc: doc["config"].update(colsample=0.5))
+
+    def test_feature_out_of_range(self, runner, workdir, tmp_path):
+        def edit(doc):
+            doc["trees"][0]["feature"][0] = 99
+        result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
+        assert "feature index" in result.output
+
+    def test_child_cycle(self, runner, workdir, tmp_path):
+        def edit(doc):
+            tree = doc["trees"][1]
+            tree["left"][tree["left"][0]] = 0  # the root's left child points back
+            tree["feature"][tree["left"][0]] = 0
+        self.edit_and_evaluate(runner, workdir, tmp_path, edit)
+
+    def test_nested_tree_layout(self, runner, workdir, tmp_path):
+        def edit(doc):
+            doc["trees"][0] = {"feature": 0, "threshold": 40.5,
+                               "left": {"value": -10.0, "count": 100},
+                               "right": {"value": 10.0, "count": 125}}
+        self.edit_and_evaluate(runner, workdir, tmp_path, edit)
 
 
 class TestExplain:

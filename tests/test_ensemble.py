@@ -18,12 +18,12 @@ from premex.ensemble import (
 )
 from premex.errors import DataValidationError, FormatVersionError
 from premex.rng import stream
-from premex.tree import TreeConfig, TreeNode, RegressionTree, fit_tree
+from premex.tree import RegressionTree, fit_tree
 
 
 def leaf_tree(value, feature_count=2):
-    node = TreeNode(value=value, count=1)
-    return RegressionTree(node, feature_count, TreeConfig())
+    return RegressionTree(feature=[-1], threshold=[0.0], left=[0], right=[0],
+                          value=[value], count=[1], feature_count=feature_count)
 
 
 class TestForest:
@@ -116,6 +116,13 @@ class TestGbm:
         )
         assert model.predict([0.0, 0.0])[0] == 6.0
 
+    def test_saved_config_records_zero_penalties(self, small_regression, tmp_path):
+        # BoostConfig defaults reg_lambda to 1.0, which gbm does not apply
+        model = fit_gbm(small_regression, BoostConfig(n_estimators=2, seed=0))
+        save_model(model, tmp_path / "gbm.json")
+        saved = json.loads((tmp_path / "gbm.json").read_text())["config"]
+        assert saved["reg_lambda"] == 0.0 and saved["gamma"] == 0.0
+
     def test_learning_rate_bounds(self, small_regression):
         with pytest.raises(ValueError):
             fit_gbm(small_regression, BoostConfig(learning_rate=0.0))
@@ -202,6 +209,32 @@ class TestSerialization:
         clone = load_model(path)
         probe = np.random.default_rng(0).normal(size=(100, small_regression.m))
         assert np.array_equal(model.predict(probe), clone.predict(probe))
+
+    @pytest.mark.parametrize("maker", ["rf", "gbm", "xgb"])
+    def test_save_load_save_identical_bytes(self, small_regression, tmp_path, maker):
+        fitter = {"rf": fit_forest, "gbm": fit_gbm, "xgb": fit_xgb}[maker]
+        config = (ForestConfig(n_estimators=4, max_depth=3, seed=2) if maker == "rf"
+                  else BoostConfig(n_estimators=4, max_depth=3, subsample=0.8, seed=2))
+        save_model(fitter(small_regression, config), tmp_path / "a.json")
+        save_model(load_model(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["config"].pop("seed"),  # missing config key
+        lambda doc: doc["config"].update(colsample=0.5),  # unknown config key
+        lambda doc: doc.update(feature_names="abc"),
+        lambda doc: doc.update(trees={}),
+        lambda doc: doc.update(base_score=float("nan")),
+        lambda doc: doc.pop("learning_rate"),
+    ])
+    def test_malformed_document_rejected(self, small_regression, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(fit_xgb(small_regression, BoostConfig(n_estimators=2, seed=1)), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataValidationError):
+            load_model(path)
 
     def test_wrong_version_tag(self, tmp_path):
         path = tmp_path / "model.json"

@@ -37,31 +37,31 @@ class TestFitTree:
         assert oracle_threshold == 2.5  # split between 2 and 3 zeroes the SSE
 
         tree = fit_tree(X, y, TreeConfig(max_depth=1), stream(0, "t"))
-        assert tree.root.feature == 0
-        assert tree.root.threshold == oracle_threshold
-        assert tree.root.left.value == 1.0
-        assert tree.root.right.value == 3.0
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == oracle_threshold
+        assert tree.value[tree.left[0]] == 1.0
+        assert tree.value[tree.right[0]] == 3.0
 
     def test_constant_targets_single_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
         y = np.full(8, 4.2)
         tree = fit_tree(X, y, TreeConfig(), stream(0, "t"))
-        assert tree.root.is_leaf
-        assert tree.root.value == 4.2
-        assert tree.root.count == 8
+        assert tree.node_count() == 1 and tree.feature[0] == -1
+        assert tree.value[0] == 4.2
+        assert tree.count[0] == 8
 
     def test_depth_zero_predicts_mean(self):
         X = np.arange(6.0).reshape(-1, 1)
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         tree = fit_tree(X, y, TreeConfig(max_depth=0), stream(0, "t"))
-        assert tree.root.is_leaf
-        assert tree.root.value == y.mean()
+        assert tree.node_count() == 1 and tree.feature[0] == -1
+        assert tree.value[0] == y.mean()
 
     def test_unbounded_tree_zero_sse_on_distinct_rows(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        tree = fit_tree(X, y, TreeConfig(min_samples_split=2, min_gain=0.0), stream(0, "t"))
+        tree = fit_tree(X, y, TreeConfig(min_samples_split=2), stream(0, "t"))
         assert np.max(np.abs(tree.predict_matrix(X) - y)) < 1e-9
 
     def test_training_sse_never_above_mean_predictor(self):
@@ -80,22 +80,18 @@ class TestFitTree:
         y = rng.normal(size=200)
         tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
         assert tree.depth() <= 4
-
-        def check(node):
-            if node.is_leaf:
-                assert node.count >= 1
-            else:
-                assert node.left is not None and node.right is not None
-                check(node.left)
-                check(node.right)
-
-        check(tree.root)
+        internal = tree.feature >= 0
+        assert np.all(tree.count >= 1)
+        # an internal node's rows are exactly its children's rows
+        assert np.array_equal(
+            tree.count[internal], tree.count[tree.left[internal]] + tree.count[tree.right[internal]]
+        )
 
     def test_min_samples_split(self):
         X = np.arange(5.0).reshape(-1, 1)
         y = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         tree = fit_tree(X, y, TreeConfig(min_samples_split=6), stream(0, "t"))
-        assert tree.root.is_leaf
+        assert tree.node_count() == 1
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(2)
@@ -134,23 +130,14 @@ class TestPredict:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([1.0, 1.0, 3.0, 3.0])
         tree = fit_tree(X, y, TreeConfig(max_depth=1), stream(0, "t"))
-        assert tree.predict_row([tree.root.threshold]) == 1.0
+        assert tree.predict_row([tree.threshold[0]]) == 1.0
 
     def test_piecewise_constant_between_thresholds(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(50, 2))
         y = rng.normal(size=50)
         tree = fit_tree(X, y, TreeConfig(max_depth=3), stream(0, "t"))
-
-        def thresholds(node, feature, acc):
-            if not node.is_leaf:
-                if node.feature == feature:
-                    acc.append(node.threshold)
-                thresholds(node.left, feature, acc)
-                thresholds(node.right, feature, acc)
-            return acc
-
-        cuts = sorted(thresholds(tree.root, 0, []))
+        cuts = sorted(tree.threshold[tree.feature == 0])
         row = X[0].copy()
         base = tree.predict_row(row)
         # nudge feature 0 without crossing any cut
@@ -181,17 +168,19 @@ class TestMidpointThresholds:
         y = rng.normal(size=60)
         tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
 
-        def check(node, rows):
-            if node.is_leaf:
-                return
-            values = np.unique(X[rows, node.feature])
+        node_rows = {0: np.arange(60)}
+        for node in range(tree.node_count()):  # parents come before children
+            rows, feature = node_rows.pop(node), tree.feature[node]
+            assert rows.size == tree.count[node]
+            if feature < 0:
+                continue
+            values = np.unique(X[rows, feature])
             midpoints = (values[1:] + values[:-1]) / 2.0
-            assert node.threshold in midpoints
-            go_left = X[rows, node.feature] <= node.threshold
-            check(node.left, rows[go_left])
-            check(node.right, rows[~go_left])
-
-        check(tree.root, np.arange(60))
+            assert tree.threshold[node] in midpoints
+            go_left = X[rows, feature] <= tree.threshold[node]
+            node_rows[tree.left[node]] = rows[go_left]
+            node_rows[tree.right[node]] = rows[~go_left]
+        assert not node_rows
 
 
 class TestGradientTrees:
@@ -215,17 +204,7 @@ class TestGradientTrees:
         hess = np.ones(50)
 
         def leaf_values(tree):
-            acc = []
-
-            def walk(node):
-                if node.is_leaf:
-                    acc.append(node.value)
-                else:
-                    walk(node.left)
-                    walk(node.right)
-
-            walk(tree.root)
-            return np.array(acc)
+            return tree.value[tree.feature < 0]
 
         loose = fit_tree_gradients(X, grad, hess, TreeConfig(max_depth=0), stream(0, "t"),
                                    reg_lambda=0.0)
@@ -239,7 +218,36 @@ class TestGradientTrees:
         grad = rng.normal(size=50)
         tree = fit_tree_gradients(X, grad, np.ones(50), TreeConfig(max_depth=5),
                                   stream(0, "t"), reg_lambda=0.0, gamma=1e12)
-        assert tree.root.is_leaf
+        assert tree.node_count() == 1
+
+
+def known_split_tree():
+    X = np.array([[1.0], [2.0], [3.0], [4.0]])
+    y = np.array([1.0, 1.0, 3.0, 3.0])
+    return fit_tree(X, y, TreeConfig(max_depth=1), stream(0, "t"))
+
+
+class TestTable:
+    def test_depth_one_tree(self):
+        tree = known_split_tree()
+        assert tree.depth() == 1
+        assert tree.node_count() == 3
+        assert tree.to_dict() == {
+            "feature": [0, -1, -1],
+            "threshold": [2.5, 0.0, 0.0],
+            "left": [1, 1, 2],
+            "right": [2, 1, 2],
+            "value": [0.0, 1.0, 3.0],
+            "count": [4, 2, 2],
+        }
+
+    def test_children_numbered_depth_first_left_first(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(120, 4))
+        tree = fit_tree(X, rng.normal(size=120), TreeConfig(max_depth=5), stream(0, "t"))
+        internal = np.flatnonzero(tree.feature >= 0)
+        assert np.array_equal(tree.left[internal], internal + 1)
+        assert np.all(tree.right[internal] > tree.left[internal])
 
 
 class TestSerialization:
@@ -247,16 +255,46 @@ class TestSerialization:
         rng = np.random.default_rng(15)
         X = rng.normal(size=(60, 4))
         y = rng.normal(size=60)
-        config = TreeConfig(max_depth=4)
-        tree = fit_tree(X, y, config, stream(0, "t"))
-        clone = RegressionTree.from_dict(tree.to_dict(), 4, config)
+        tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
+        clone = RegressionTree.from_dict(tree.to_dict(), 4)
+        assert clone.to_dict() == tree.to_dict()
+        assert clone.depth() == tree.depth()
         probe = rng.normal(size=(25, 4))
         assert np.array_equal(tree.predict_matrix(probe), clone.predict_matrix(probe))
 
     def test_dict_shape(self):
-        X = np.array([[1.0], [2.0], [3.0], [4.0]])
-        y = np.array([1.0, 1.0, 3.0, 3.0])
-        tree = fit_tree(X, y, TreeConfig(max_depth=1), stream(0, "t"))
-        doc = tree.to_dict()
-        assert set(doc) == {"feature", "threshold", "left", "right"}
-        assert set(doc["left"]) == {"value", "count"}
+        doc = known_split_tree().to_dict()
+        assert set(doc) == {"feature", "threshold", "left", "right", "value", "count"}
+        assert all(len(column) == 3 for column in doc.values())
+
+    @pytest.mark.parametrize("column, cells", [
+        ("feature", [0, -1]),  # unequal length
+        ("feature", [1, -1, -1]),  # feature outside -1..m-1
+        ("feature", [-2, -1, -1]),
+        ("feature", [0.0, -1, -1]),  # non-integer index
+        ("left", [1, 1, "2"]),
+        ("threshold", [float("nan"), 0.0, 0.0]),  # non-finite
+        ("value", [0.0, float("inf"), 3.0]),
+        ("count", [4, 0, 2]),
+        ("count", [2**63, 2, 2]),  # beyond int64
+        ("left", [1, 2, 2]),  # leaf 1 does not point to itself
+        ("left", [0, 1, 2]),  # root is its own child: a cycle
+        ("right", [1, 1, 2]),  # node 2 is never reached, node 1 twice
+        ("feature", [[0], [-1], [-1]]),
+        ("value", []),
+    ])
+    def test_malformed_table_rejected(self, column, cells):
+        doc = known_split_tree().to_dict()
+        doc[column] = cells
+        with pytest.raises(DataValidationError):
+            RegressionTree.from_dict(doc, 1)
+
+    @pytest.mark.parametrize("doc", [
+        {"value": 1.0, "count": 4},  # nested layout: a leaf root
+        {"feature": 0, "threshold": 2.5, "left": {"value": 1.0, "count": 2},
+         "right": {"value": 3.0, "count": 2}},
+        [],
+    ])
+    def test_nested_layout_rejected(self, doc):
+        with pytest.raises(DataValidationError):
+            RegressionTree.from_dict(doc, 1)

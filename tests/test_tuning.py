@@ -134,8 +134,9 @@ class TestGridSearch:
     def test_empty_grid_dimension(self, synth_dataset):
         with pytest.raises(DataValidationError):
             grid_search(synth_dataset, "gbm", {"n_estimators": []}, 3, seed=0)
-        with pytest.raises(DataValidationError):
-            grid_search(synth_dataset, "gbm", {}, 3, seed=0)
+        for grid in ({}, [], {"n_estimators": 5}):
+            with pytest.raises(DataValidationError):
+                grid_search(synth_dataset, "gbm", grid, 3, seed=0)
 
 
 class TestImprovementTable:
