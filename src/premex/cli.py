@@ -148,13 +148,13 @@ def _model_flags(fn):
 
 
 def _collect_params(variant, flag_values):
+    """The published parameters with the given flags over them; a bad flag exits 2."""
     params = tuning_mod.default_params(variant)
-    for key, value in flag_values.items():
-        if value is None:
-            continue
-        if key not in params:
-            raise click.UsageError(f"--{key.replace('_', '-')} does not apply to {variant}")
-        params[key] = value
+    params.update((key, value) for key, value in flag_values.items() if value is not None)
+    try:
+        ensemble_mod.variant_config(variant, params, seed=0)
+    except DataValidationError as exc:
+        raise click.UsageError(str(exc))
     return params
 
 
@@ -200,7 +200,7 @@ def _train_one(dataset, split, variant, params, seed, out_dir):
 
 @main.command()
 @click.argument("dataset_path", type=click.Path())
-@click.option("--model", "variant", required=True, type=click.Choice(["rf", "gbm", "xgb"]))
+@click.option("--model", "variant", required=True, type=click.Choice(list(ensemble_mod.PUBLISHED)))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", default=42, show_default=True)
 @click.option("--split-fraction", default=0.75, show_default=True,
@@ -221,10 +221,10 @@ def train(dataset_path, variant, out_dir, seed, split_fraction, split_path, **fl
 
 @main.command()
 @click.argument("dataset_path", type=click.Path())
-@click.option("--model", "variant", required=True, type=click.Choice(["rf", "gbm", "xgb"]))
+@click.option("--model", "variant", required=True, type=click.Choice(list(ensemble_mod.PUBLISHED)))
 @click.option("--grid", "grid_path", type=click.Path(), default=None,
               help="JSON grid document; defaults to the shipped grid.")
-@click.option("--folds", default=5, show_default=True)
+@click.option("--folds", default=5, show_default=True, type=click.IntRange(min=2))
 @click.option("--seed", default=42, show_default=True)
 @click.option("--split-fraction", default=0.75, show_default=True,
               type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
@@ -492,6 +492,8 @@ GROUPING_FEATURES = [
     "NumberOfMajorSurgeries",
 ]
 
+# must end at 1.0: outside --full-tune, reproduce reports that point's
+# validation score as the k-fold CV score
 LEARNING_FRACTIONS = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
 
@@ -501,7 +503,7 @@ LEARNING_FRACTIONS = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 @click.option("--seed", default=42, show_default=True)
 @click.option("--split-fraction", default=0.75, show_default=True,
               type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
-@click.option("--folds", default=5, show_default=True)
+@click.option("--folds", default=5, show_default=True, type=click.IntRange(min=2))
 @click.option("--full-tune", is_flag=True,
               help="Run the shipped grids instead of the published best parameters.")
 @click.option("--background-size", type=int, default=None,
@@ -567,9 +569,9 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
     cv_entries = []
     improvement_inputs = []
     metrics_reports = []
-    for variant in ("rf", "gbm", "xgb"):
-        stage_start = time.perf_counter()
+    for variant in ensemble_mod.PUBLISHED:
         if full_tune:
+            stage_start = time.perf_counter()
             result = tuning_mod.grid_search(
                 train_subset, variant, tuning_mod.DEFAULT_GRIDS[variant], folds, seed
             )
@@ -582,27 +584,15 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
                 config={"grid": tuning_mod.DEFAULT_GRIDS[variant], "k": folds},
             )
             _write(out_dir, f"cv_{variant}.csv", report_mod.cv_cells_csv(result, seed=seed))
-            cv_mean = result.best_mean_score
+            timings[f"cv_{variant}"] = time.perf_counter() - stage_start
         else:
             params = tuning_mod.default_params(variant)
-            cv_scores = tuning_mod.cross_val_score(train_subset, variant, params, folds, seed)
-            cv_mean = float(np.mean(cv_scores))
-        timings[f"cv_{variant}"] = time.perf_counter() - stage_start
 
         model, train_r2, fit_seconds = _train_one(derived, split, variant, params, seed, out_dir)
         timings[f"fit_{variant}"] = fit_seconds
         models[variant] = (model, params)
         report = _evaluate_one(model, variant, derived, split, seed, out_dir)
         metrics_reports.append(report)
-        cv_entries.append(
-            {
-                "model": VARIANT_NAMES[variant],
-                "train_r2": train_r2,
-                "cv_r2": cv_mean,
-                "best_params": params,
-            }
-        )
-        improvement_inputs.append((VARIANT_NAMES[variant], train_r2, cv_mean, report.r_squared))
 
         stage_start = time.perf_counter()
         curve = tuning_mod.learning_curve(
@@ -623,6 +613,18 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
         )
         timings[f"learning_curve_{variant}"] = time.perf_counter() - stage_start
 
+        # the curve's fraction-1.0 point is k-fold CV of these parameters
+        cv_mean = result.best_mean_score if full_tune else curve.val_scores[-1]
+        cv_entries.append(
+            {
+                "model": VARIANT_NAMES[variant],
+                "train_r2": train_r2,
+                "cv_r2": cv_mean,
+                "best_params": params,
+            }
+        )
+        improvement_inputs.append((VARIANT_NAMES[variant], train_r2, cv_mean, report.r_squared))
+
     _write(out_dir, "test_metrics.csv",
            report_mod.metrics_table_csv(metrics_reports, seed=seed))
     _write(out_dir, "cv_overview.csv", report_mod.cv_table_csv(cv_entries, seed=seed))
@@ -636,7 +638,7 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
     if ice_rows is not None and ice_rows < ice_ids.size:
         pick = stream(seed, "ice_rows").choice(ice_ids.size, size=ice_rows, replace=False)
         ice_ids = ice_ids[np.sort(pick)]
-    for variant in ("rf", "gbm", "xgb"):
+    for variant in ensemble_mod.PUBLISHED:
         model, params = models[variant]
         stage_start = time.perf_counter()
         _explain_shap(

@@ -207,6 +207,11 @@ def load_csv(path) -> list:
                         f"{path}: row {row_number}, column {column!r}: "
                         f"non-numeric value {cell.strip()!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataValidationError(
+                        f"{path}: row {row_number}, column {column!r}: "
+                        f"non-finite value {cell.strip()!r}"
+                    )
                 if column in BINARY_COLUMNS and value not in (0.0, 1.0):
                     raise DataValidationError(
                         f"{path}: row {row_number}, column {column!r}: "
@@ -277,7 +282,7 @@ def train_test_split(n: int, fraction: float, seed: int) -> SplitIndices:
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if n < 2:
-        raise ValueError("need at least 2 rows to split")
+        raise DataValidationError(f"need at least 2 rows to split, got {n}")
     from .rng import stream
 
     permutation = stream(seed, "train_test_split").permutation(n)

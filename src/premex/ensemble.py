@@ -8,9 +8,16 @@
 
 Each tree/stage draws from its own stream derived from (seed, index), so
 fitting order never changes the result.
+
+`PUBLISHED` is the one home of the published best hyperparameters;
+`variant_config` lays a parameter dict over them.  Every config checks
+its fields' types and ranges when built, `replace()` and `load_model`
+included, and raises DataValidationError.
 """
 
-from dataclasses import dataclass, fields, replace
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -18,17 +25,32 @@ from .artifacts import read_json_artifact, write_json_artifact
 from .data import Dataset, round_half_up
 from .errors import DataValidationError
 from .rng import stream
-from .tree import RegressionTree, TreeConfig, fit_tree, fit_tree_gradients
+from .tree import RegressionTree, TreeConfig, check_count, fit_tree, fit_tree_gradients
 
 
-@dataclass
-class ForestConfig:
-    n_estimators: int = 220
-    max_depth: int | None = 7
-    min_samples_split: int = 3
-    max_features: int | None = None  # None = all features
-    bootstrap: bool = True
-    seed: int = 0
+# The defaults of `train` and `reproduce`, keyed by variant; per variant,
+# the keys a grid or a flag may set (not the seed, rf's bootstrap or
+# gbm's penalties).
+PUBLISHED = {
+    "rf": {"n_estimators": 220, "max_depth": 7, "min_samples_split": 3, "max_features": None},
+    "gbm": {"n_estimators": 19, "learning_rate": 0.19, "max_depth": 3, "min_samples_split": 2,
+            "max_features": None, "subsample": 1.0},
+    "xgb": {"n_estimators": 50, "learning_rate": 0.1, "max_depth": 5, "min_samples_split": 2,
+            "max_features": None, "subsample": 0.9, "reg_lambda": 1.0, "gamma": 0.0},
+}
+
+
+def _check_number(name: str, value, rate: bool) -> None:
+    """DataValidationError unless value is a finite number: in (0, 1] if a rate, else >= 0."""
+    finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    if rate and not (finite and 0.0 < value <= 1.0):
+        raise DataValidationError(f"{name} must be a number in (0, 1], got {value!r}")
+    if not rate and not (finite and value >= 0.0):
+        raise DataValidationError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+class _TreeFields:
+    """max_depth, min_samples_split and max_features, checked as a TreeConfig."""
 
     def tree_config(self) -> TreeConfig:
         return TreeConfig(
@@ -37,19 +59,26 @@ class ForestConfig:
             max_features=self.max_features,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "max_features": self.max_features,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-        }
+
+@dataclass
+class ForestConfig(_TreeFields):
+    n_estimators: int = 220
+    max_depth: int | None = 7
+    min_samples_split: int = 3
+    max_features: int | None = None  # None = all features
+    bootstrap: bool = True
+    seed: int = 0
+
+    def __post_init__(self):
+        check_count("n_estimators", self.n_estimators, 1)
+        self.tree_config()  # checks the three tree fields
+        if not isinstance(self.bootstrap, bool):
+            raise DataValidationError(f"bootstrap must be true or false, got {self.bootstrap!r}")
+        check_count("seed", self.seed, None)
 
 
 @dataclass
-class BoostConfig:
+class BoostConfig(_TreeFields):
     n_estimators: int = 50
     learning_rate: float = 0.1
     max_depth: int | None = 3
@@ -60,35 +89,38 @@ class BoostConfig:
     gamma: float = 0.0  # xgb only
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.n_estimators < 0:
-            raise ValueError("n_estimators must be >= 0")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
-        if self.reg_lambda < 0 or self.gamma < 0:
-            raise ValueError("reg_lambda and gamma must be >= 0")
+    def __post_init__(self):
+        check_count("n_estimators", self.n_estimators, 0)
+        _check_number("learning_rate", self.learning_rate, rate=True)
+        self.tree_config()  # checks the three tree fields
+        _check_number("subsample", self.subsample, rate=True)
+        _check_number("reg_lambda", self.reg_lambda, rate=False)
+        _check_number("gamma", self.gamma, rate=False)
+        check_count("seed", self.seed, None)
 
-    def tree_config(self) -> TreeConfig:
-        return TreeConfig(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            max_features=self.max_features,
+
+def variant_config(variant: str, params: dict, seed: int):
+    """The config of one learner: `params` over its PUBLISHED defaults.
+
+    DataValidationError for an unknown variant or key, or a value of the
+    wrong type or range.  gbm's reg_lambda and gamma are pinned to 0.
+    """
+    if variant not in PUBLISHED:
+        raise DataValidationError(
+            f"unknown model variant {variant!r}; expected one of {list(PUBLISHED)}"
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "max_features": self.max_features,
-            "subsample": self.subsample,
-            "reg_lambda": self.reg_lambda,
-            "gamma": self.gamma,
-            "seed": self.seed,
-        }
+    unknown = sorted(set(params) - set(PUBLISHED[variant]))
+    if unknown:
+        raise DataValidationError(
+            f"{unknown[0]} does not apply to {variant}; "
+            f"its hyperparameters are {sorted(PUBLISHED[variant])}"
+        )
+    merged = {**PUBLISHED[variant], **params, "seed": seed}
+    if variant == "rf":
+        return ForestConfig(**merged)
+    if variant == "gbm":
+        merged.update(reg_lambda=0.0, gamma=0.0)
+    return BoostConfig(**merged)
 
 
 @dataclass
@@ -104,14 +136,10 @@ class ForestModel:
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        # chunked so huge attribution batches never stack K full-size rows;
-        # the per-column mean over trees is unchanged by row chunking
-        out = np.empty(X.shape[0])
-        for start in range(0, X.shape[0], 8192):
-            block = X[start : start + 8192]
-            stacked = np.stack([tree.predict_matrix(block) for tree in self.trees])
-            out[start : start + 8192] = stacked.mean(axis=0)
-        return out
+        out = np.zeros(X.shape[0])
+        for tree in self.trees:
+            out += tree.predict_matrix(X)
+        return out / len(self.trees)
 
 
 @dataclass
@@ -146,8 +174,6 @@ def fit_forest(data: Dataset, config: ForestConfig) -> ForestModel:
     """Fit n_estimators trees on bootstrap resamples (with replacement)."""
     if data.n < 2:
         raise DataValidationError("need at least 2 rows to fit a forest")
-    if config.n_estimators < 1:
-        raise ValueError("a forest needs at least one tree")
     tree_config = config.tree_config()
     tree_config.validate(data.m)
     trees = []
@@ -172,7 +198,6 @@ def _stage_rows(rng: np.random.Generator, n: int, subsample: float) -> np.ndarra
 
 def _fit_boosted(data: Dataset, config: BoostConfig, variant: str) -> BoostedModel:
     """Stagewise second-order boosting under squared loss: g = pred - y, h = 1."""
-    config.validate()
     if data.n < 2:
         raise DataValidationError("need at least 2 rows to fit a boosted model")
     tree_config = config.tree_config()
@@ -219,28 +244,16 @@ def fit_xgb(data: Dataset, config: BoostConfig) -> BoostedModel:
 
 # --- serialization ----------------------------------------------------------
 
-def _model_payload(model) -> tuple:
-    if isinstance(model, ForestModel):
-        return "rf", {
-            "variant": "rf",
-            "config": model.config.to_dict(),
-            "feature_names": model.feature_names,
-            "trees": [tree.to_dict() for tree in model.trees],
-        }
-    if isinstance(model, BoostedModel):
-        return model.variant, {
-            "variant": model.variant,
-            "config": model.config.to_dict(),
-            "feature_names": model.feature_names,
-            "base_score": model.base_score,
-            "learning_rate": model.learning_rate,
-            "trees": [tree.to_dict() for tree in model.stages],
-        }
-    raise TypeError(f"not a model: {type(model)!r}")
-
-
 def save_model(model, path) -> None:
-    _, payload = _model_payload(model)
+    boosted = isinstance(model, BoostedModel)
+    payload = {
+        "variant": model.variant,
+        "config": asdict(model.config),
+        "feature_names": model.feature_names,
+        "trees": [tree.to_dict() for tree in (model.stages if boosted else model.trees)],
+    }
+    if boosted:
+        payload.update(base_score=model.base_score, learning_rate=model.learning_rate)
     write_json_artifact(path, "model", payload, seed=model.config.seed, config=payload["config"])
 
 
@@ -249,13 +262,16 @@ def _config_from(document, config_type, path):
     expected = sorted(f.name for f in fields(config_type))
     if not isinstance(config, dict) or sorted(config) != expected:
         raise DataValidationError(f"{path}: model config must hold exactly the keys {expected}")
-    return config_type(**config)
+    try:
+        return config_type(**config)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: model config: {exc}") from exc
 
 
 def load_model(path):
     document = read_json_artifact(path, "model")
     variant = document.get("variant")
-    if variant not in ("rf", "gbm", "xgb"):
+    if variant not in PUBLISHED:
         raise DataValidationError(f"{path}: unknown model variant {variant!r}")
     names = document.get("feature_names")
     if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
@@ -280,42 +296,4 @@ def load_model(path):
         stages=trees,
         config=config,
         feature_names=names,
-    )
-
-
-# Published best parameters used as training defaults per variant.
-def default_forest_config(seed: int = 0) -> ForestConfig:
-    return ForestConfig(
-        n_estimators=220,
-        max_depth=7,
-        min_samples_split=3,
-        max_features=None,
-        bootstrap=True,
-        seed=seed,
-    )
-
-
-def default_gbm_config(seed: int = 0) -> BoostConfig:
-    return BoostConfig(
-        n_estimators=19,
-        learning_rate=0.19,
-        max_depth=3,
-        min_samples_split=2,
-        subsample=1.0,
-        reg_lambda=0.0,
-        gamma=0.0,
-        seed=seed,
-    )
-
-
-def default_xgb_config(seed: int = 0) -> BoostConfig:
-    return BoostConfig(
-        n_estimators=50,
-        learning_rate=0.1,
-        max_depth=5,
-        min_samples_split=2,
-        subsample=0.9,
-        reg_lambda=1.0,
-        gamma=0.0,
-        seed=seed,
     )

@@ -1,7 +1,7 @@
 """Regression evaluation metrics and residual diagnostics."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,14 +58,7 @@ class MetricsReport:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "r_squared": self.r_squared,
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "mape": self.mape,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 def evaluate_predictions(model_name: str, actual, predicted) -> MetricsReport:

@@ -22,6 +22,7 @@ number of training rows that reached the node.  The model JSON stores
 the six columns as they are.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,19 +32,36 @@ from .errors import DataValidationError
 COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
 
 
+def check_count(name: str, value, minimum: int | None, nullable: bool = False) -> None:
+    """DataValidationError unless value is an int >= minimum, or None if nullable.
+
+    bool is not a count, although Python makes it an int.
+    """
+    if value is None and nullable:
+        return
+    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not is_int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise DataValidationError(
+            f"{name} must be an integer{bound}{' or null' if nullable else ''}, got {value!r}"
+        )
+
+
 @dataclass
 class TreeConfig:
     max_depth: int | None = None  # None = unbounded
     min_samples_split: int = 2
     max_features: int | None = None  # None = all features
 
+    def __post_init__(self):
+        check_count("max_depth", self.max_depth, 0, nullable=True)
+        check_count("min_samples_split", self.min_samples_split, 2)
+        check_count("max_features", self.max_features, 1, nullable=True)
+
     def validate(self, n_features: int) -> None:
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if self.max_features is not None and not 1 <= self.max_features <= n_features:
-            raise ValueError(
+        """The one data-dependent check: max_features <= n_features."""
+        if self.max_features is not None and self.max_features > n_features:
+            raise DataValidationError(
                 f"max_features must be in 1..{n_features}, got {self.max_features}"
             )
 

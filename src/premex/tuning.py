@@ -5,27 +5,22 @@ feature matrix: tree splits depend only on the order of each feature's
 values, so no per-fold transform is fit.  Model streams derive from
 (seed, "fold", i) alone, which makes a refit of the winning cell
 reproduce its recorded score exactly.
+
+Hyperparameters are plain dicts over the defaults in `ensemble.PUBLISHED`;
+`ensemble.variant_config` checks their keys, types and ranges, for every
+grid cell before the first fit.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Dataset, round_half_up
-from .ensemble import (
-    default_forest_config,
-    default_gbm_config,
-    default_xgb_config,
-    fit_forest,
-    fit_gbm,
-    fit_xgb,
-)
+from .ensemble import PUBLISHED, fit_forest, fit_gbm, fit_xgb, variant_config
 from .errors import DataValidationError
 from .metrics import r_squared
 from .rng import derive_seed, stream
-
-VARIANTS = ("rf", "gbm", "xgb")
 
 # Grids as published; the rf/xgb estimator lists are kept verbatim even
 # though the source table's range notation is internally inconsistent.
@@ -50,43 +45,20 @@ DEFAULT_GRIDS = {
 }
 
 
-_VARIANT_SETUP = {
-    "rf": (default_forest_config, fit_forest),
-    "gbm": (default_gbm_config, fit_gbm),
-    "xgb": (default_xgb_config, fit_xgb),
-}
-
-# Config fields that are not hyperparameters of the variant: the seed,
-# the forest's fixed bootstrap, and the penalties gbm does not apply.
-_NOT_PARAMS = {
-    "rf": ("seed", "bootstrap"),
-    "gbm": ("seed", "reg_lambda", "gamma"),
-    "xgb": ("seed",),
-}
-
-
 def default_params(variant: str) -> dict:
-    params = _VARIANT_SETUP[variant][0]().to_dict()
-    for key in _NOT_PARAMS[variant]:
-        params.pop(key)
-    return params
+    return dict(PUBLISHED[variant])
 
 
 def fit_variant(variant: str, data: Dataset, params: dict, seed: int):
     """Fit one of the three learners from a plain hyperparameter dict."""
-    if variant not in _VARIANT_SETUP:
-        raise ValueError(f"unknown model variant {variant!r}")
-    unknown = sorted(set(params) - set(default_params(variant)))
-    if unknown:
-        raise ValueError(f"invalid parameters for {variant!r}: {unknown}")
-    make_default, fitter = _VARIANT_SETUP[variant]
-    return fitter(data, replace(make_default(seed), **params))
+    config = variant_config(variant, params, seed)
+    return {"rf": fit_forest, "gbm": fit_gbm, "xgb": fit_xgb}[variant](data, config)
 
 
 def kfold_indices(n: int, k: int, seed: int) -> list:
     """k disjoint validation index sets; sizes differ by at most one."""
     if not 2 <= k <= n:
-        raise ValueError(f"k must be in 2..{n}, got {k}")
+        raise DataValidationError(f"cannot split {n} rows into {k} folds; need 2..{n} folds")
     permutation = stream(seed, "kfold").permutation(n)
     base, extra = divmod(n, k)
     folds, start = [], 0
@@ -133,22 +105,7 @@ class CvResult:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "k": self.k,
-            "seed": self.seed,
-            "best_params": self.best_params,
-            "best_mean_score": self.best_mean_score,
-            "cells": [
-                {
-                    "params": cell.params,
-                    "fold_scores": cell.fold_scores,
-                    "mean_score": cell.mean_score,
-                    "rank": cell.rank,
-                }
-                for cell in self.cells
-            ],
-        }
+        return asdict(self)
 
 
 def grid_cells(grid: dict) -> list:
@@ -165,12 +122,11 @@ def grid_cells(grid: dict) -> list:
 def grid_search(data: Dataset, variant: str, grid: dict, k: int, seed: int) -> CvResult:
     """Evaluate the full Cartesian product; ties go to the earliest cell."""
     all_cells = grid_cells(grid)
-    unknown = sorted(set(grid) - set(default_params(variant)))
-    if unknown:
-        raise DataValidationError(
-            f"grid keys {unknown} are not {variant} hyperparameters; "
-            f"expected keys from {sorted(default_params(variant))}"
-        )
+    for params in all_cells:
+        try:
+            variant_config(variant, params, seed).tree_config().validate(data.m)
+        except DataValidationError as exc:
+            raise DataValidationError(f"grid cell {params}: {exc}") from exc
     cells = []
     for params in all_cells:
         fold_scores = cross_val_score(data, variant, params, k, seed)

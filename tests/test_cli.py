@@ -76,6 +76,21 @@ class TestIngest:
         assert result.exit_code == 3
         assert "PremiumPrice" in result.output
 
+    @pytest.mark.parametrize("column, cell", [("NumberOfMajorSurgeries", "nan"), ("Age", "inf")])
+    def test_non_finite_cell_exits_3(self, runner, tmp_path, column, cell):
+        lines = synth.make_csv_text(n=20, seed=3).splitlines()
+        row = lines[5].split(",")
+        row[synth.HEADER.split(",").index(column)] = cell
+        lines[5] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["ingest", str(bad), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output and "Traceback" not in result.output
+        assert column in result.output and "non-finite" in result.output
+        assert not (out / "dataset.json").exists()
+
 
 class TestTrain:
     def test_same_command_twice_identical_bytes(self, runner, synth_csv, tmp_path):
@@ -130,6 +145,46 @@ class TestTrain:
         assert "does not apply to gbm" in result.output
         assert not (workdir / "gbm_penalty").exists()
 
+    @pytest.mark.parametrize("variant, flag, value, field", [
+        ("rf", "--n-estimators", "0", "n_estimators"),
+        ("rf", "--max-depth", "-1", "max_depth"),
+        ("rf", "--min-samples-split", "1", "min_samples_split"),
+        ("gbm", "--learning-rate", "5", "learning_rate"),
+        ("xgb", "--subsample", "0", "subsample"),
+        ("xgb", "--gamma", "nan", "gamma"),
+    ])
+    def test_bad_flag_value_exits_2(self, runner, workdir, variant, flag, value, field):
+        out = workdir / "bad_flag"
+        result = runner.invoke(
+            main,
+            ["train", str(workdir / "dataset.json"), "--model", variant,
+             "--out", str(out), flag, value],
+        )
+        assert result.exit_code == 2, result.output
+        assert field in result.output and "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_max_features_above_feature_count_exits_3(self, runner, workdir, tmp_path):
+        # the bound depends on the dataset, so it is a validation error
+        result = runner.invoke(
+            main,
+            ["train", str(workdir / "dataset.json"), "--model", "rf",
+             "--out", str(tmp_path / "o"), "--max-features", "20"],
+        )
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output and "max_features" in result.output
+
+    def test_one_row_dataset_exits_3(self, runner, tmp_path):
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text(synth.make_csv_text(n=1, seed=1))
+        out = tmp_path / "o"
+        assert runner.invoke(main, ["ingest", str(csv_path), "--out", str(out)]).exit_code == 0
+        result = runner.invoke(
+            main, ["train", str(out / "dataset.json"), "--model", "gbm", "--out", str(out)]
+        )
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output and "Traceback" not in result.output
+
 
 class TestTune:
     def test_single_cell_grid(self, runner, workdir, tmp_path):
@@ -180,6 +235,38 @@ class TestTune:
         assert result.exit_code == 3, result.output
         assert "error:" in result.output and "Traceback" not in result.output
         assert sorted(grid)[0] in result.output
+
+    @pytest.mark.parametrize("grid", [
+        {"n_estimators": ["a"]},
+        {"n_estimators": [2.5]},
+        {"n_estimators": [True]},
+        {"learning_rate": [5]},
+        {"max_depth": [-2]},
+        {"subsample": [0]},
+        {"max_features": [20]},
+    ])
+    def test_bad_grid_value_exits_3(self, runner, workdir, tmp_path, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        result = runner.invoke(
+            main,
+            ["tune", str(workdir / "dataset.json"), "--model", "gbm",
+             "--grid", str(path), "--folds", "2", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output and "Traceback" not in result.output
+        assert sorted(grid)[0] in result.output
+
+    @pytest.mark.parametrize("folds, code", [("1", 2), ("500", 3)])
+    def test_fold_count_out_of_range(self, runner, workdir, tmp_path, folds, code):
+        # 500 folds pass the flag's range but exceed the 225-row train split
+        result = runner.invoke(
+            main,
+            ["tune", str(workdir / "dataset.json"), "--model", "gbm",
+             "--folds", folds, "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == code, result.output
+        assert "Traceback" not in result.output
 
     def test_missing_grid_file(self, runner, workdir, tmp_path):
         result = runner.invoke(
@@ -292,6 +379,14 @@ class TestCorruptModel:
             tree["feature"][tree["left"][0]] = 0
         self.edit_and_evaluate(runner, workdir, tmp_path, edit)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_estimators", "x"), ("learning_rate", 7), ("seed", "s"),
+    ])
+    def test_bad_config_value(self, runner, workdir, tmp_path, key, value):
+        result = self.edit_and_evaluate(runner, workdir, tmp_path,
+                                        lambda doc: doc["config"].update({key: value}))
+        assert key in result.output
+
     def test_nested_tree_layout(self, runner, workdir, tmp_path):
         def edit(doc):
             doc["trees"][0] = {"feature": 0, "threshold": 40.5,
@@ -394,3 +489,9 @@ class TestReproduceSmoke:
         )
         assert result.exit_code == 4
         assert "error" in result.output
+
+    def test_one_fold_is_a_usage_error(self, runner, synth_csv, tmp_path):
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["reproduce", synth_csv, "--out", str(out), "--folds", "1"])
+        assert result.exit_code == 2, result.output
+        assert "--folds" in result.output and not out.exists()

@@ -85,6 +85,16 @@ class TestLoadCsv:
         with pytest.raises(DataValidationError, match="row 1.*Height"):
             load_csv(path)
 
+    @pytest.mark.parametrize("row, column", [
+        ("inf,0,0,0,0,155,57,0,0,0,16000", "Age"),
+        ("18,0,0,0,0,155,57,0,0,nan,16000", "NumberOfMajorSurgeries"),
+        ("18,0,0,0,0,155,-inf,0,0,0,16000", "Weight"),
+    ])
+    def test_non_finite_cell_rejected(self, tmp_path, row, column):
+        path = write_csv(tmp_path, row + "\n")
+        with pytest.raises(DataValidationError, match=f"row 1.*{column}.*non-finite"):
+            load_csv(path)
+
     def test_out_of_domain_binary(self, tmp_path):
         path = write_csv(tmp_path, "18,2,0,0,0,155,57,0,0,0,16000\n")
         with pytest.raises(DataValidationError, match="Diabetes"):
@@ -182,6 +192,10 @@ class TestSplit:
     def test_fraction_out_of_range(self):
         with pytest.raises(ValueError):
             train_test_split(10, 1.5, seed=0)
+
+    def test_one_row_cannot_split(self):
+        with pytest.raises(DataValidationError):
+            train_test_split(1, 0.75, seed=0)
 
 
 class TestSummaryStatistics:

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from premex.data import Dataset
 from premex.ensemble import (
+    PUBLISHED,
     BoostConfig,
     BoostedModel,
     ForestConfig,
@@ -14,16 +16,78 @@ from premex.ensemble import (
     fit_xgb,
     load_model,
     save_model,
+    variant_config,
     _stage_rows,
 )
 from premex.errors import DataValidationError, FormatVersionError
 from premex.rng import stream
-from premex.tree import RegressionTree, fit_tree
+from premex.tree import RegressionTree, TreeConfig, fit_tree
 
 
 def leaf_tree(value, feature_count=2):
     return RegressionTree(feature=[-1], threshold=[0.0], left=[0], right=[0],
                           value=[value], count=[1], feature_count=feature_count)
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("make", [
+        lambda: TreeConfig(max_depth=-1),
+        lambda: TreeConfig(max_depth=2.0),
+        lambda: TreeConfig(min_samples_split=1),
+        lambda: TreeConfig(max_features=0),
+        lambda: TreeConfig(max_features=True),
+        lambda: ForestConfig(n_estimators=0),
+        lambda: ForestConfig(n_estimators=True),
+        lambda: ForestConfig(n_estimators="10"),
+        lambda: ForestConfig(bootstrap=1),
+        lambda: ForestConfig(seed="s"),
+        lambda: ForestConfig(max_depth=-4),
+        lambda: BoostConfig(n_estimators=-1),
+        lambda: BoostConfig(learning_rate=7),
+        lambda: BoostConfig(learning_rate=float("nan")),
+        lambda: BoostConfig(learning_rate=True),
+        lambda: BoostConfig(subsample=1.5),
+        lambda: BoostConfig(reg_lambda=-1.0),
+        lambda: BoostConfig(gamma=float("inf")),
+        lambda: BoostConfig(gamma="0"),
+        lambda: BoostConfig(seed=1.0),
+        lambda: replace(BoostConfig(), min_samples_split=0),
+    ])
+    def test_bad_value_rejected(self, make):
+        with pytest.raises(DataValidationError):
+            make()
+
+    def test_accepted_edges(self):
+        BoostConfig(n_estimators=0, learning_rate=1, subsample=1, reg_lambda=0, max_depth=None)
+        ForestConfig(n_estimators=1, max_depth=0, max_features=1, bootstrap=False, seed=-3)
+        TreeConfig(max_depth=None, max_features=None)
+
+
+class TestVariantConfig:
+    def test_published_defaults_with_params_over_them(self):
+        config = variant_config("xgb", {"max_depth": 2}, 5)
+        assert config == BoostConfig(**{**PUBLISHED["xgb"], "max_depth": 2, "seed": 5})
+        assert variant_config("rf", {}, 1) == ForestConfig(**PUBLISHED["rf"], seed=1)
+
+    def test_gbm_pins_penalties_to_zero(self):
+        config = variant_config("gbm", {"learning_rate": 0.5}, 0)
+        assert config.reg_lambda == 0.0 and config.gamma == 0.0
+        assert BoostConfig().reg_lambda == 1.0  # the library default it overrides
+
+    @pytest.mark.parametrize("variant, params", [
+        ("gbm", {"reg_lambda": 1.0}),
+        ("rf", {"bootstrap": False}),
+        ("rf", {"seed": 3}),
+        ("xgb", {"n_estimator": 5}),
+        ("svm", {}),
+    ])
+    def test_unknown_key_or_variant_rejected(self, variant, params):
+        with pytest.raises(DataValidationError):
+            variant_config(variant, params, 0)
+
+    def test_bad_value_rejected(self):
+        with pytest.raises(DataValidationError, match="subsample"):
+            variant_config("xgb", {"subsample": 0}, 0)
 
 
 class TestForest:
@@ -124,9 +188,9 @@ class TestGbm:
         assert saved["reg_lambda"] == 0.0 and saved["gamma"] == 0.0
 
     def test_learning_rate_bounds(self, small_regression):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataValidationError):
             fit_gbm(small_regression, BoostConfig(learning_rate=0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(DataValidationError):
             fit_gbm(small_regression, BoostConfig(subsample=0.0))
 
 

@@ -103,7 +103,7 @@ class TestFitTree:
         assert first.to_dict() == second.to_dict()
 
     def test_feature_subset_size_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataValidationError):
             fit_tree(np.ones((4, 2)), np.arange(4.0), TreeConfig(max_features=5), stream(0, "t"))
 
     def test_empty_input(self):

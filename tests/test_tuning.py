@@ -1,9 +1,12 @@
 import json
 
+import premex.tuning as tuning_mod
+
 import numpy as np
 import pytest
 
 from premex.data import Dataset
+from premex.ensemble import variant_config
 from premex.errors import DataValidationError
 from premex.tuning import (
     DEFAULT_GRIDS,
@@ -41,9 +44,9 @@ class TestKfold:
             assert np.array_equal(a, b)
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataValidationError):
             kfold_indices(5, 6, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataValidationError):
             kfold_indices(5, 1, seed=0)
 
 
@@ -73,11 +76,15 @@ class TestCrossValScore:
         assert scores[0] == scores[1]
 
     def test_invalid_params(self, synth_dataset):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataValidationError):
             cross_val_score(synth_dataset, "gbm", {"bogus": 1}, 3, seed=0)
 
+    def test_too_many_folds(self, synth_dataset):
+        with pytest.raises(DataValidationError):
+            cross_val_score(synth_dataset.subset(np.arange(4)), "gbm", {}, 5, seed=0)
+
     def test_unknown_variant(self, synth_dataset):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataValidationError):
             cross_val_score(synth_dataset, "svm", {}, 3, seed=0)
 
 
@@ -136,6 +143,15 @@ class TestGridSearch:
             grid_search(synth_dataset, "gbm", {"n_estimators": []}, 3, seed=0)
         for grid in ({}, [], {"n_estimators": 5}):
             with pytest.raises(DataValidationError):
+                grid_search(synth_dataset, "gbm", grid, 3, seed=0)
+
+    def test_bad_cell_rejected_before_any_fit(self, synth_dataset, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a cell was fit before the grid was checked")
+        monkeypatch.setattr(tuning_mod, "fit_variant", no_fit)
+        for grid in ({"n_estimators": [5, "a"]}, {"max_features": [1, 10]},
+                     {"learning_rate": [0.1], "n_estimators": [3, True]}):
+            with pytest.raises(DataValidationError, match="grid cell"):
                 grid_search(synth_dataset, "gbm", grid, 3, seed=0)
 
 
@@ -197,10 +213,21 @@ class TestDefaults:
             "reg_lambda": 1.0, "gamma": 0.0,
         }
 
+    def test_published_json_is_unchanged(self):
+        # the run reports and cv_overview.csv hold these bytes
+        assert json.dumps(default_params("gbm"), sort_keys=True) == (
+            '{"learning_rate": 0.19, "max_depth": 3, "max_features": null, '
+            '"min_samples_split": 2, "n_estimators": 19, "subsample": 1.0}'
+        )
+        default_params("rf")["n_estimators"] = 1
+        assert default_params("rf")["n_estimators"] == 220
+
     def test_shipped_grids_are_wellformed(self):
         for variant, grid in DEFAULT_GRIDS.items():
             cells = grid_cells(grid)
             assert cells, variant
+            for params in cells:
+                variant_config(variant, params, 0).tree_config().validate(9)
 
     def test_fit_variant_roundtrip(self, small_regression):
         model = fit_variant("rf", small_regression, {"n_estimators": 3, "max_depth": 2}, seed=1)
