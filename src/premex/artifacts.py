@@ -61,7 +61,7 @@ def read_json_artifact(path, kind: str) -> dict:
             document = json.load(handle)
     except json.JSONDecodeError as exc:
         raise DataValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(document, dict) or "meta" not in document:
+    if not isinstance(document, dict) or not isinstance(document.get("meta"), dict):
         raise DataValidationError(f"{path}: missing meta block")
     version = document["meta"].get("format_version")
     if version != FORMAT_VERSION:

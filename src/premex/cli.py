@@ -2,6 +2,10 @@
 
 Every command derives all randomness from --seed, writes artifacts
 atomically, and embeds {seed, config hash, format version} in each one.
+Each pipeline stage has one implementation (`_ingest`, `_train_one`,
+`_tune`, `_evaluate_one`, `_explain_shap`, `_explain_ice`), called both by
+its command and by `reproduce`, so the one-shot run writes the same
+artifacts as the single commands.
 Exit codes: 0 success, 2 usage, 3 data validation, 4 I/O, 5 numeric.
 """
 
@@ -96,19 +100,37 @@ def main():
     """Premium regression pipeline with explainable tree ensembles."""
 
 
-def _out_path(out_dir, name):
-    return os.path.join(out_dir, name)
-
-
 def _write(out_dir, name, text):
-    write_text_atomic(_out_path(out_dir, name), text)
+    write_text_atomic(os.path.join(out_dir, name), text)
 
 
 def _svg_meta(seed, config):
     return f"seed={seed} config_hash={config_hash(config)} format_version={FORMAT_VERSION}"
 
 
+def _subsample(ids, cap, seed, name):
+    """At most `cap` of `ids`, drawn from the (seed, name) stream, in their order."""
+    if cap is None or cap >= ids.size:
+        return ids
+    return ids[np.sort(stream(seed, name).choice(ids.size, size=cap, replace=False))]
+
+
 # --- ingest ------------------------------------------------------------------
+
+def _ingest(csv_path, out_dir, seed):
+    """Load the CSV; write dataset.json and summary_stats.csv.
+
+    Returns the raw 10-input table, the 9-feature dataset and the groups of
+    duplicate records.
+    """
+    records = data_mod.load_csv(csv_path)
+    raw = data_mod.raw_table(records)
+    derived = data_mod.derive_features(records)
+    stats = data_mod.summary_statistics(raw, include_target=True)
+    data_mod.dataset_to_json(derived, os.path.join(out_dir, "dataset.json"), seed=seed)
+    _write(out_dir, "summary_stats.csv", report_mod.summary_stats_csv(stats, seed=seed))
+    return raw, derived, data_mod.detect_duplicates(records)
+
 
 @main.command()
 @click.argument("csv_path", type=click.Path())
@@ -117,16 +139,9 @@ def _svg_meta(seed, config):
 @guarded
 def ingest(csv_path, out_dir, seed):
     """Validate the premium CSV, derive BMI, and write dataset artifacts."""
-    records = data_mod.load_csv(csv_path)
-    duplicates = data_mod.detect_duplicates(records)
-    raw = data_mod.raw_table(records)
-    derived = data_mod.derive_features(records)
-    stats = data_mod.summary_statistics(raw, include_target=True)
-    os.makedirs(out_dir, exist_ok=True)
-    data_mod.dataset_to_json(derived, _out_path(out_dir, "dataset.json"), seed=seed)
-    _write(out_dir, "summary_stats.csv", report_mod.summary_stats_csv(stats, seed=seed))
+    _, derived, duplicates = _ingest(csv_path, out_dir, seed)
     click.echo(f"ingested {derived.n} records ({len(duplicates)} duplicate groups)")
-    click.echo(f"wrote {_out_path(out_dir, 'dataset.json')}")
+    click.echo(f"wrote {os.path.join(out_dir, 'dataset.json')}")
 
 
 # --- train -------------------------------------------------------------------
@@ -158,25 +173,13 @@ def _collect_params(variant, flag_values):
     return params
 
 
-def _prepare_training(dataset_path, out_dir, seed, split_fraction, split_path):
-    dataset = data_mod.dataset_from_json(dataset_path)
-    if split_path:
-        split = data_mod.split_from_json(split_path)
-    else:
-        split = data_mod.train_test_split(dataset.n, split_fraction, seed)
-    os.makedirs(out_dir, exist_ok=True)
-    data_mod.split_to_json(split, _out_path(out_dir, "split.json"))
-    return dataset, split
-
-
-def _train_one(dataset, split, variant, params, seed, out_dir):
-    train_data = dataset.subset(split.train_rows)
+def _train_one(train_data, variant, params, seed, out_dir):
+    """Fit one model; write model_{variant}.json and run_report_{variant}.json."""
     model_seed = derive_seed(seed, "train", variant)
     started = time.perf_counter()
     model = tuning_mod.fit_variant(variant, train_data, params, model_seed)
     elapsed = time.perf_counter() - started
-    model_name = f"model_{variant}.json"
-    ensemble_mod.save_model(model, _out_path(out_dir, model_name))
+    ensemble_mod.save_model(model, os.path.join(out_dir, f"model_{variant}.json"))
     train_r2 = metrics_mod.r_squared(train_data.y, model.predict(train_data.X))
     report = {
         "variant": variant,
@@ -184,12 +187,12 @@ def _train_one(dataset, split, variant, params, seed, out_dir):
         "seed": seed,
         "model_seed": model_seed,
         "config_hash": config_hash(params),
-        "train_rows": int(split.train_rows.size),
+        "train_rows": train_data.n,
         "train_r_squared": train_r2,
         "fit_seconds": elapsed,
     }
     write_json_artifact(
-        _out_path(out_dir, f"run_report_{variant}.json"),
+        os.path.join(out_dir, f"run_report_{variant}.json"),
         "run_report",
         report,
         seed=seed,
@@ -212,12 +215,34 @@ def _train_one(dataset, split, variant, params, seed, out_dir):
 def train(dataset_path, variant, out_dir, seed, split_fraction, split_path, **flags):
     """Fit one model on the train split; defaults are the published best parameters."""
     params = _collect_params(variant, flags)
-    dataset, split = _prepare_training(dataset_path, out_dir, seed, split_fraction, split_path)
-    _, train_r2, elapsed = _train_one(dataset, split, variant, params, seed, out_dir)
+    dataset = data_mod.dataset_from_json(dataset_path)
+    if split_path:
+        split = data_mod.split_from_json(split_path, dataset.n)
+    else:
+        split = data_mod.train_test_split(dataset.n, split_fraction, seed)
+    _, train_r2, elapsed = _train_one(
+        dataset.subset(split.train_rows), variant, params, seed, out_dir
+    )
+    # written last, so a fit that fails leaves no split without its model
+    data_mod.split_to_json(split, os.path.join(out_dir, "split.json"))
     click.echo(f"trained {variant} in {elapsed:.2f}s, train R^2 {100 * train_r2:.3f}%")
 
 
 # --- tune --------------------------------------------------------------------
+
+def _tune(train_data, variant, grid, folds, seed, out_dir):
+    """Grid search with k-fold CV; write cv_{variant}.json and cv_{variant}.csv."""
+    result = tuning_mod.grid_search(train_data, variant, grid, folds, seed)
+    write_json_artifact(
+        os.path.join(out_dir, f"cv_{variant}.json"),
+        "cv_result",
+        result.to_dict(),
+        seed=seed,
+        config={"grid": grid, "k": folds},
+    )
+    _write(out_dir, f"cv_{variant}.csv", report_mod.cv_cells_csv(result, seed=seed))
+    return result
+
 
 @main.command()
 @click.argument("dataset_path", type=click.Path())
@@ -242,17 +267,7 @@ def tune(dataset_path, variant, grid_path, folds, seed, split_fraction, out_dir)
     else:
         grid = tuning_mod.DEFAULT_GRIDS[variant]
     split = data_mod.train_test_split(dataset.n, split_fraction, seed)
-    train_data = dataset.subset(split.train_rows)
-    result = tuning_mod.grid_search(train_data, variant, grid, folds, seed)
-    os.makedirs(out_dir, exist_ok=True)
-    write_json_artifact(
-        _out_path(out_dir, f"cv_{variant}.json"),
-        "cv_result",
-        result.to_dict(),
-        seed=seed,
-        config={"grid": grid, "k": folds},
-    )
-    _write(out_dir, f"cv_{variant}.csv", report_mod.cv_cells_csv(result, seed=seed))
+    result = _tune(dataset.subset(split.train_rows), variant, grid, folds, seed, out_dir)
     click.echo(
         f"best {variant} params {json.dumps(result.best_params, sort_keys=True)} "
         f"mean CV R^2 {100 * result.best_mean_score:.3f}%"
@@ -261,12 +276,13 @@ def tune(dataset_path, variant, grid_path, folds, seed, split_fraction, out_dir)
 
 # --- evaluate ----------------------------------------------------------------
 
-def _evaluate_one(model, variant, dataset, split, seed, out_dir):
-    actual = dataset.y[split.test_rows]
-    predicted = model.predict(dataset.X[split.test_rows])
+def _evaluate_one(model, dataset, test_ids, seed, out_dir):
+    variant = model.variant
+    actual = dataset.y[test_ids]
+    predicted = model.predict(dataset.X[test_ids])
     report = metrics_mod.evaluate_predictions(VARIANT_NAMES[variant], actual, predicted)
     write_json_artifact(
-        _out_path(out_dir, f"metrics_{variant}.json"),
+        os.path.join(out_dir, f"metrics_{variant}.json"),
         "metrics",
         report.to_dict(),
         seed=seed,
@@ -328,9 +344,8 @@ def evaluate(model_path, dataset_path, split_path, out_dir, seed):
         raise DataValidationError(
             f"model expects {model.feature_count} features, dataset has {dataset.m}"
         )
-    split = data_mod.split_from_json(split_path)
-    os.makedirs(out_dir, exist_ok=True)
-    report = _evaluate_one(model, model.variant, dataset, split, seed, out_dir)
+    split = data_mod.split_from_json(split_path, dataset.n)
+    report = _evaluate_one(model, dataset, split.test_rows, seed, out_dir)
     click.echo(
         f"{report.model}: R^2 {100 * report.r_squared:.3f}% MAE {report.mae:.3f} "
         f"RMSE {report.rmse:.3f} MAPE {report.mape:.3f}%"
@@ -339,11 +354,12 @@ def evaluate(model_path, dataset_path, split_path, out_dir, seed):
 
 # --- explain -----------------------------------------------------------------
 
-def _explain_shap(model, variant, dataset, explain_rows, background_rows,
-                  row_ids, seed, out_dir):
-    background = explain_mod.ValueFunctionConfig(background_rows)
+def _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir):
+    variant = model.variant
+    row_ids = [int(i) for i in explain_ids]
+    background = explain_mod.ValueFunctionConfig(dataset.X[background_ids])
     explanation = explain_mod.shap_exact(
-        model.predict, explain_rows, background, feature_names=dataset.feature_names
+        model.predict, dataset.X[explain_ids], background, feature_names=dataset.feature_names
     )
     importance = explain_mod.global_importance(explanation)
     swarm = explain_mod.beeswarm_data(explanation)
@@ -377,19 +393,20 @@ def _explain_shap(model, variant, dataset, explain_rows, background_rows,
     return importance
 
 
-def _explain_ice(model, variant, dataset, rows, row_ids, features, grid_points,
-                 centered, derivative, seed, out_dir, suffix=""):
+def _explain_ice(model, dataset, ids, features, grid_points, centered, derivative,
+                 seed, out_dir):
+    variant = model.variant
     panels = []
     curve_sets = []
     for name in features:
         index = dataset.feature_index(name)
         raw = explain_mod.ice_curves(
-            model.predict, rows, index, n_points=grid_points, feature_name=name
+            model.predict, dataset.X[ids], index, n_points=grid_points, feature_name=name
         )
         chosen = raw
         if centered:
             chosen = explain_mod.center_ice(raw)
-        if derivative:
+        elif derivative:
             chosen = explain_mod.derivative_ice(raw)
         curve_sets.extend([raw] if chosen is raw else [raw, chosen])
         panels.append(
@@ -401,13 +418,13 @@ def _explain_ice(model, variant, dataset, rows, row_ids, features, grid_points,
                 "anchor_index": chosen.anchor_index,
             }
         )
-    _write(out_dir, f"ice_{variant}{suffix}.csv",
-           report_mod.ice_long_csv(curve_sets, row_ids, seed=seed))
+    _write(out_dir, f"ice_{variant}.csv",
+           report_mod.ice_long_csv(curve_sets, [int(i) for i in ids], seed=seed))
     kind_label = "derivative" if derivative else ("centered" if centered else "raw")
     meta = _svg_meta(seed, {"variant": variant, "kind": kind_label})
     _write(
         out_dir,
-        f"ice_panel_{variant}{suffix}.svg",
+        f"ice_panel_{variant}.svg",
         report_mod.render(
             report_mod.FigureSpec("ice_panel",
                                   f"{VARIANT_NAMES[variant]} {kind_label} ICE curves"),
@@ -415,22 +432,6 @@ def _explain_ice(model, variant, dataset, rows, row_ids, features, grid_points,
             meta,
         ),
     )
-
-
-def _choose_rows(dataset, split, rows_cap, background_cap, seed):
-    if split is not None:
-        explain_ids = split.test_rows
-        background_ids = split.train_rows
-    else:
-        explain_ids = np.arange(dataset.n)
-        background_ids = np.arange(dataset.n)
-    if rows_cap is not None and rows_cap < explain_ids.size:
-        pick = stream(seed, "explain_rows").choice(explain_ids.size, size=rows_cap, replace=False)
-        explain_ids = explain_ids[np.sort(pick)]
-    if background_cap is not None and background_cap < background_ids.size:
-        pick = stream(seed, "background").choice(background_ids.size, size=background_cap, replace=False)
-        background_ids = background_ids[np.sort(pick)]
-    return explain_ids, background_ids
 
 
 @main.command()
@@ -443,40 +444,36 @@ def _choose_rows(dataset, split, rows_cap, background_cap, seed):
               help="Single feature for ICE mode (default: all features).")
 @click.option("--centered", is_flag=True, help="Center ICE curves at the left grid edge.")
 @click.option("--derivative", is_flag=True, help="Differentiate ICE curves.")
-@click.option("--background-size", type=int, default=None,
+@click.option("--background-size", type=click.IntRange(min=1), default=None,
               help="Subsample the background set (default: all rows).")
-@click.option("--rows", "rows_cap", type=int, default=None,
+@click.option("--rows", "rows_cap", type=click.IntRange(min=1), default=None,
               help="Cap on explained rows (default: all).")
-@click.option("--grid-points", default=30, show_default=True)
+@click.option("--grid-points", default=30, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=42, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @guarded
 def explain(model_path, dataset_path, split_path, mode, feature_name,
             centered, derivative, background_size, rows_cap, grid_points, seed, out_dir):
     """Explain a saved model with exact Shapley values or ICE curves."""
+    if centered and derivative:
+        raise click.UsageError("--centered and --derivative cannot be combined")
     model = ensemble_mod.load_model(model_path)
     dataset = data_mod.dataset_from_json(dataset_path)
-    split = data_mod.split_from_json(split_path) if split_path else None
-    variant = model.variant
-    explain_ids, background_ids = _choose_rows(dataset, split, rows_cap, background_size, seed)
-    os.makedirs(out_dir, exist_ok=True)
+    if split_path:
+        split = data_mod.split_from_json(split_path, dataset.n)
+        explain_ids, background_ids = split.test_rows, split.train_rows
+    else:
+        explain_ids = background_ids = np.arange(dataset.n)
+    explain_ids = _subsample(explain_ids, rows_cap, seed, "explain_rows")
     if mode == "shap":
-        importance = _explain_shap(
-            model, variant, dataset,
-            dataset.X[explain_ids], dataset.X[background_ids],
-            [int(i) for i in explain_ids], seed, out_dir,
-        )
+        background_ids = _subsample(background_ids, background_size, seed, "background")
+        importance = _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir)
         top = [importance.feature_names[j] for j in importance.order[:2]]
         click.echo(f"top features: {', '.join(top)}")
     else:
         features = [feature_name] if feature_name else list(dataset.feature_names)
-        if feature_name:
-            dataset.feature_index(feature_name)  # validate early
-        _explain_ice(
-            model, variant, dataset, dataset.X[explain_ids],
-            [int(i) for i in explain_ids], features, grid_points,
-            centered, derivative, seed, out_dir,
-        )
+        _explain_ice(model, dataset, explain_ids, features, grid_points,
+                     centered, derivative, seed, out_dir)
         click.echo(f"wrote ICE curves for {len(features)} feature(s)")
 
 
@@ -492,8 +489,8 @@ GROUPING_FEATURES = [
     "NumberOfMajorSurgeries",
 ]
 
-# must end at 1.0: outside --full-tune, reproduce reports that point's
-# validation score as the k-fold CV score
+# must end at 1.0: reproduce reports that point's validation score as the
+# k-fold CV score
 LEARNING_FRACTIONS = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
 
@@ -506,28 +503,19 @@ LEARNING_FRACTIONS = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 @click.option("--folds", default=5, show_default=True, type=click.IntRange(min=2))
 @click.option("--full-tune", is_flag=True,
               help="Run the shipped grids instead of the published best parameters.")
-@click.option("--background-size", type=int, default=None,
+@click.option("--background-size", type=click.IntRange(min=1), default=None,
               help="Subsample the attribution background (default: full train split).")
-@click.option("--explain-rows", type=int, default=None,
+@click.option("--explain-rows", type=click.IntRange(min=1), default=None,
               help="Cap on attributed rows (default: full test split).")
-@click.option("--ice-rows", type=int, default=60, show_default=True)
-@click.option("--grid-points", default=30, show_default=True)
+@click.option("--ice-rows", default=60, show_default=True, type=click.IntRange(min=1))
+@click.option("--grid-points", default=30, show_default=True, type=click.IntRange(min=1))
 @guarded
 def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
               background_size, explain_rows, ice_rows, grid_points):
     """One-shot pipeline: ingest, split, train, evaluate, curves, explain."""
     started = time.perf_counter()
     timings = {}
-    os.makedirs(out_dir, exist_ok=True)
-
-    records = data_mod.load_csv(csv_path)
-    duplicates = data_mod.detect_duplicates(records)
-    raw = data_mod.raw_table(records)
-    derived = data_mod.derive_features(records)
-    data_mod.dataset_to_json(derived, _out_path(out_dir, "dataset.json"), seed=seed)
-
-    stats = data_mod.summary_statistics(raw, include_target=True)
-    _write(out_dir, "summary_stats.csv", report_mod.summary_stats_csv(stats, seed=seed))
+    raw, derived, duplicates = _ingest(csv_path, out_dir, seed)
     correlation = data_mod.pearson_correlation(raw, include_target=True)
     _write(
         out_dir,
@@ -562,36 +550,26 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
     timings["eda"] = time.perf_counter() - started
 
     split = data_mod.train_test_split(derived.n, split_fraction, seed)
-    data_mod.split_to_json(split, _out_path(out_dir, "split.json"))
+    data_mod.split_to_json(split, os.path.join(out_dir, "split.json"))
     train_subset = derived.subset(split.train_rows)
 
-    models = {}
+    models = []
     cv_entries = []
     improvement_inputs = []
     metrics_reports = []
     for variant in ensemble_mod.PUBLISHED:
         if full_tune:
             stage_start = time.perf_counter()
-            result = tuning_mod.grid_search(
-                train_subset, variant, tuning_mod.DEFAULT_GRIDS[variant], folds, seed
-            )
-            params = result.best_params
-            write_json_artifact(
-                _out_path(out_dir, f"cv_{variant}.json"),
-                "cv_result",
-                result.to_dict(),
-                seed=seed,
-                config={"grid": tuning_mod.DEFAULT_GRIDS[variant], "k": folds},
-            )
-            _write(out_dir, f"cv_{variant}.csv", report_mod.cv_cells_csv(result, seed=seed))
+            params = _tune(train_subset, variant, tuning_mod.DEFAULT_GRIDS[variant],
+                           folds, seed, out_dir).best_params
             timings[f"cv_{variant}"] = time.perf_counter() - stage_start
         else:
             params = tuning_mod.default_params(variant)
 
-        model, train_r2, fit_seconds = _train_one(derived, split, variant, params, seed, out_dir)
+        model, train_r2, fit_seconds = _train_one(train_subset, variant, params, seed, out_dir)
         timings[f"fit_{variant}"] = fit_seconds
-        models[variant] = (model, params)
-        report = _evaluate_one(model, variant, derived, split, seed, out_dir)
+        models.append(model)
+        report = _evaluate_one(model, derived, split.test_rows, seed, out_dir)
         metrics_reports.append(report)
 
         stage_start = time.perf_counter()
@@ -614,7 +592,7 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
         timings[f"learning_curve_{variant}"] = time.perf_counter() - stage_start
 
         # the curve's fraction-1.0 point is k-fold CV of these parameters
-        cv_mean = result.best_mean_score if full_tune else curve.val_scores[-1]
+        cv_mean = curve.val_scores[-1]
         cv_entries.append(
             {
                 "model": VARIANT_NAMES[variant],
@@ -631,33 +609,22 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
     rows = tuning_mod.improvement_table(improvement_inputs)
     _write(out_dir, "improvement.csv", report_mod.improvement_csv(rows, seed=seed))
 
-    explain_ids, background_ids = _choose_rows(
-        derived, split, explain_rows, background_size, seed
-    )
-    ice_ids = explain_ids
-    if ice_rows is not None and ice_rows < ice_ids.size:
-        pick = stream(seed, "ice_rows").choice(ice_ids.size, size=ice_rows, replace=False)
-        ice_ids = ice_ids[np.sort(pick)]
-    for variant in ensemble_mod.PUBLISHED:
-        model, params = models[variant]
+    explain_ids = _subsample(split.test_rows, explain_rows, seed, "explain_rows")
+    background_ids = _subsample(split.train_rows, background_size, seed, "background")
+    ice_ids = _subsample(explain_ids, ice_rows, seed, "ice_rows")
+    for model in models:
+        variant = model.variant
         stage_start = time.perf_counter()
-        _explain_shap(
-            model, variant, derived,
-            derived.X[explain_ids], derived.X[background_ids],
-            [int(i) for i in explain_ids], seed, out_dir,
-        )
+        _explain_shap(model, derived, explain_ids, background_ids, seed, out_dir)
         timings[f"shap_{variant}"] = time.perf_counter() - stage_start
         stage_start = time.perf_counter()
-        _explain_ice(
-            model, variant, derived, derived.X[ice_ids],
-            [int(i) for i in ice_ids], list(derived.feature_names), grid_points,
-            True, False, seed, out_dir,
-        )
+        _explain_ice(model, derived, ice_ids, list(derived.feature_names), grid_points,
+                     True, False, seed, out_dir)
         timings[f"ice_{variant}"] = time.perf_counter() - stage_start
 
     timings["total"] = time.perf_counter() - started
     write_json_artifact(
-        _out_path(out_dir, "timings.json"),
+        os.path.join(out_dir, "timings.json"),
         "timings",
         {"seconds": timings, "duplicate_groups": len(duplicates)},
         seed=seed,
@@ -674,7 +641,7 @@ NONDETERMINISTIC_ARTIFACTS = ("timings.json", "run_report_rf.json",
 def _write_manifest(out_dir, seed):
     entries = []
     for name in sorted(os.listdir(out_dir)):
-        path = _out_path(out_dir, name)
+        path = os.path.join(out_dir, name)
         if not os.path.isfile(path) or name == "manifest.json":
             continue
         entry = {"name": name}
@@ -685,7 +652,7 @@ def _write_manifest(out_dir, seed):
                 entry["sha256"] = hashlib.sha256(handle.read()).hexdigest()
         entries.append(entry)
     write_json_artifact(
-        _out_path(out_dir, "manifest.json"),
+        os.path.join(out_dir, "manifest.json"),
         "manifest",
         {"files": entries},
         seed=seed,

@@ -373,8 +373,32 @@ def dataset_to_json(data: Dataset, path, *, seed=None) -> None:
 
 
 def dataset_from_json(path) -> Dataset:
+    """Load dataset.json: m feature names, a rectangular n x m X and n y values.
+
+    A missing key, a ragged row, a value that is not a number (bool, string,
+    null) or a non-finite one raises DataValidationError.
+    """
     document = read_json_artifact(path, "dataset")
-    return Dataset(document["feature_names"], np.array(document["X"]), np.array(document["y"]))
+    names, X, y = (document.get(key) for key in ("feature_names", "X", "y"))
+    if not isinstance(names, list) or not names or not all(isinstance(v, str) for v in names):
+        raise DataValidationError(f"{path}: feature_names must be a non-empty list of strings")
+    if not isinstance(X, list) or not X or not all(
+        isinstance(row, list) and len(row) == len(names) for row in X
+    ):
+        raise DataValidationError(f"{path}: X must be a non-empty list of rows of {len(names)} numbers")
+    if not isinstance(y, list) or len(y) != len(X):
+        raise DataValidationError(f"{path}: y must be a list of {len(X)} numbers, one per X row")
+    for key, cells in (("X", [v for row in X for v in row]), ("y", y)):
+        if not all(type(v) in (int, float) for v in cells):
+            raise DataValidationError(f"{path}: {key} holds a value that is not a number")
+    try:
+        X, y = np.array(X, dtype=np.float64), np.array(y, dtype=np.float64)
+    except OverflowError:
+        raise DataValidationError(f"{path}: a number is too large for a float") from None
+    for key, values in (("X", X), ("y", y)):
+        if not np.isfinite(values).all():
+            raise DataValidationError(f"{path}: {key} holds a non-finite value")
+    return Dataset(names, X, y)
 
 
 def split_to_json(split: SplitIndices, path) -> None:
@@ -386,10 +410,27 @@ def split_to_json(split: SplitIndices, path) -> None:
     write_json_artifact(path, "split", payload, seed=split.seed, config={"n": len(payload["train_rows"]) + len(payload["test_rows"])})
 
 
-def split_from_json(path) -> SplitIndices:
+def split_from_json(path, n: int) -> SplitIndices:
+    """Load split.json for a dataset of n rows.
+
+    train_rows and test_rows must be disjoint, non-empty lists of distinct
+    row ids in 0..n-1, and split_seed an integer; else DataValidationError.
+    """
     document = read_json_artifact(path, "split")
-    return SplitIndices(
-        train_rows=np.array(document["train_rows"], dtype=np.int64),
-        test_rows=np.array(document["test_rows"], dtype=np.int64),
-        seed=int(document["split_seed"]),
-    )
+    rows = {}
+    for key in ("train_rows", "test_rows"):
+        ids = document.get(key)
+        if not isinstance(ids, list) or not ids or not all(
+            type(i) is int and 0 <= i < n for i in ids
+        ):
+            raise DataValidationError(
+                f"{path}: {key} must be a non-empty list of row ids in 0..{n - 1}"
+            )
+        if len(set(ids)) != len(ids):
+            raise DataValidationError(f"{path}: {key} repeats a row id")
+        rows[key] = np.array(ids, dtype=np.int64)
+    if np.intersect1d(rows["train_rows"], rows["test_rows"]).size:
+        raise DataValidationError(f"{path}: train_rows and test_rows share a row id")
+    if type(document.get("split_seed")) is not int:
+        raise DataValidationError(f"{path}: split_seed must be an integer")
+    return SplitIndices(rows["train_rows"], rows["test_rows"], document["split_seed"])

@@ -69,22 +69,37 @@ def kfold_indices(n: int, k: int, seed: int) -> list:
     return folds
 
 
-def _fold_score(data: Dataset, variant: str, params: dict, train_rows, val_rows, model_seed: int) -> float:
-    model = fit_variant(variant, data.subset(train_rows), params, model_seed)
-    return r_squared(data.y[val_rows], model.predict(data.X[val_rows]))
+def _fold_fits(data: Dataset, variant: str, params: dict, fractions, k: int, seed: int):
+    """Fit nested prefixes of each fold's shuffled training rows.
+
+    Returns the training-subset sizes, train R^2 and held-out R^2, each a
+    fractions x folds array.  Fold i's model seed is (seed, "fold", i) at
+    every fraction, so the fraction-1.0 row is plain k-fold CV.
+    """
+    folds = kfold_indices(data.n, k, seed)
+    all_rows = np.arange(data.n)
+    sizes, train_scores, val_scores = (np.zeros((len(fractions), k)) for _ in range(3))
+    for i, val_rows in enumerate(folds):
+        train_rows = np.setdiff1d(all_rows, val_rows)
+        shuffled = stream(seed, "curve", i).permutation(train_rows)
+        model_seed = derive_seed(seed, "fold", i)
+        for j, fraction in enumerate(fractions):
+            size = round_half_up(fraction * train_rows.size)
+            if size < 2:
+                raise DataValidationError(
+                    f"fraction {fraction} keeps {size} row(s); need at least 2"
+                )
+            subset = np.sort(shuffled[:size])
+            model = fit_variant(variant, data.subset(subset), params, model_seed)
+            train_scores[j, i] = r_squared(data.y[subset], model.predict(data.X[subset]))
+            val_scores[j, i] = r_squared(data.y[val_rows], model.predict(data.X[val_rows]))
+            sizes[j, i] = size
+    return sizes, train_scores, val_scores
 
 
 def cross_val_score(data: Dataset, variant: str, params: dict, k: int, seed: int) -> list:
     """Per-fold held-out R^2; each fold's model is fit on the other folds."""
-    folds = kfold_indices(data.n, k, seed)
-    all_rows = np.arange(data.n)
-    scores = []
-    for i, val_rows in enumerate(folds):
-        train_rows = np.setdiff1d(all_rows, val_rows)
-        scores.append(
-            _fold_score(data, variant, params, train_rows, val_rows, derive_seed(seed, "fold", i))
-        )
-    return scores
+    return _fold_fits(data, variant, params, [1.0], k, seed)[2][0].tolist()
 
 
 @dataclass
@@ -199,26 +214,7 @@ def learning_curve(data: Dataset, variant: str, params: dict, fractions, k: int,
         raise ValueError("fractions must lie in (0, 1]")
     if sorted(fractions) != fractions:
         raise ValueError("fractions must be increasing")
-    folds = kfold_indices(data.n, k, seed)
-    all_rows = np.arange(data.n)
-    train_scores = np.zeros((len(fractions), k))
-    val_scores = np.zeros((len(fractions), k))
-    sizes = np.zeros((len(fractions), k))
-    for i, val_rows in enumerate(folds):
-        train_rows = np.setdiff1d(all_rows, val_rows)
-        shuffled = stream(seed, "curve", i).permutation(train_rows)
-        model_seed = derive_seed(seed, "fold", i)
-        for j, fraction in enumerate(fractions):
-            size = round_half_up(fraction * train_rows.size)
-            if size < 2:
-                raise DataValidationError(
-                    f"fraction {fraction} keeps {size} row(s); need at least 2"
-                )
-            subset = np.sort(shuffled[:size])
-            model = fit_variant(variant, data.subset(subset), params, model_seed)
-            train_scores[j, i] = r_squared(data.y[subset], model.predict(data.X[subset]))
-            val_scores[j, i] = r_squared(data.y[val_rows], model.predict(data.X[val_rows]))
-            sizes[j, i] = size
+    sizes, train_scores, val_scores = _fold_fits(data, variant, params, fractions, k, seed)
     return LearningCurve(
         fractions=fractions,
         n_rows=sizes.mean(axis=1).tolist(),

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import premex.data as data_mod
 import premex.ensemble as ensemble_mod
@@ -174,6 +176,18 @@ class TestTrain:
         assert result.exit_code == 3, result.output
         assert "error:" in result.output and "max_features" in result.output
 
+    @pytest.mark.parametrize("reuse_split", [False, True])
+    def test_failed_fit_leaves_no_split(self, runner, workdir, tmp_path, reuse_split):
+        out = tmp_path / "o"
+        split = ["--split", str(workdir / "split.json")] if reuse_split else []
+        result = runner.invoke(
+            main,
+            ["train", str(workdir / "dataset.json"), "--model", "rf",
+             "--out", str(out), "--max-features", "20", *split],
+        )
+        assert result.exit_code == 3, result.output
+        assert not (out / "split.json").exists()
+
     def test_one_row_dataset_exits_3(self, runner, tmp_path):
         csv_path = tmp_path / "one.csv"
         csv_path.write_text(synth.make_csv_text(n=1, seed=1))
@@ -290,7 +304,7 @@ class TestEvaluate:
         assert metrics["rmse"] >= metrics["mae"]
         # the saved model scores the raw feature rows; nothing is transformed
         dataset = data_mod.dataset_from_json(str(workdir / "dataset.json"))
-        test_rows = data_mod.split_from_json(str(workdir / "split.json")).test_rows
+        test_rows = data_mod.split_from_json(str(workdir / "split.json"), dataset.n).test_rows
         model = ensemble_mod.load_model(str(workdir / "model_rf.json"))
         assert metrics["r_squared"] == r_squared(
             dataset.y[test_rows], model.predict(dataset.X[test_rows])
@@ -344,6 +358,92 @@ class TestEvaluate:
              "--split", str(workdir / "split.json"), "--out", str(workdir)],
         )
         assert result.exit_code == 3
+
+
+def _set_keys(**changes):
+    def edit(doc):
+        doc.update(changes)
+        for key, value in changes.items():
+            if value is None:
+                del doc[key]
+    return edit
+
+
+def _edit_x_cell(value):
+    def edit(doc):
+        doc["X"][3][5] = value
+    return edit
+
+
+class TestCorruptSplitAndDataset:
+    """A malformed split.json or dataset.json exits 3 with a message."""
+
+    @staticmethod
+    def evaluate_with(runner, workdir, tmp_path, name, doc):
+        """Run evaluate with `doc` in place of the workdir's file `name`."""
+        (tmp_path / name).write_text(json.dumps(doc))
+        paths = {key: str(workdir / key) for key in ("split.json", "dataset.json")}
+        paths[name] = str(tmp_path / name)
+        return runner.invoke(
+            main,
+            ["evaluate", str(workdir / "model_gbm.json"), paths["dataset.json"],
+             "--split", paths["split.json"], "--out", str(tmp_path / "o")],
+        )
+
+    @pytest.mark.parametrize("name, edit", [
+        pytest.param("split.json", _set_keys(test_rows=[99999]), id="row-past-end"),
+        pytest.param("split.json", _set_keys(test_rows=[-1, 2]), id="negative-row"),
+        pytest.param("split.json", _set_keys(train_rows="abc"), id="rows-string"),
+        pytest.param("split.json", _set_keys(train_rows=[]), id="rows-empty"),
+        pytest.param("split.json", _set_keys(test_rows=[4, 4, 5]), id="row-repeated"),
+        pytest.param("split.json", _set_keys(test_rows=[1.0, 2.0]), id="row-float"),
+        pytest.param("split.json", _set_keys(split_seed=None), id="no-seed"),
+        pytest.param("split.json", lambda doc: doc["test_rows"].append(doc["train_rows"][0]),
+                     id="lists-overlap"),
+        pytest.param("dataset.json", lambda doc: doc.pop("feature_names"), id="no-names"),
+        pytest.param("dataset.json", _edit_x_cell("x"), id="cell-string"),
+        pytest.param("dataset.json", _edit_x_cell(float("nan")), id="cell-nan"),
+        pytest.param("dataset.json", _edit_x_cell(None), id="cell-null"),
+        pytest.param("dataset.json", _edit_x_cell(True), id="cell-bool"),
+        pytest.param("dataset.json", _edit_x_cell(10**400), id="cell-overflow"),
+        pytest.param("dataset.json", lambda doc: doc["X"][7].pop(), id="ragged-row"),
+        pytest.param("dataset.json", lambda doc: doc["y"].__setitem__(0, float("inf")),
+                     id="target-inf"),
+        pytest.param("dataset.json", lambda doc: doc.update(meta="m"), id="meta-string"),
+    ])
+    def test_malformed_file_exits_3(self, runner, workdir, tmp_path, name, edit):
+        doc = json.loads((workdir / name).read_text())
+        edit(doc)
+        result = self.evaluate_with(runner, workdir, tmp_path, name, doc)
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output and isinstance(result.exception, SystemExit)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_file_never_raises(self, runner, workdir, tmp_path, data):
+        # one value of a valid file is dropped or replaced, at most two levels down
+        name = data.draw(st.sampled_from(["split.json", "dataset.json"]))
+        doc = json.loads((workdir / name).read_text())
+        container, key = doc, data.draw(st.sampled_from(sorted(doc)))
+        for _ in range(2):
+            inner = container[key]
+            if not isinstance(inner, (list, dict)) or not inner or not data.draw(st.booleans()):
+                break
+            container = inner
+            key = data.draw(st.sampled_from(sorted(inner)) if isinstance(inner, dict)
+                            else st.integers(0, len(inner) - 1))
+        value = data.draw(st.one_of(
+            st.just("<drop>"), st.text(max_size=3), st.none(), st.just(float("nan")),
+            st.sampled_from([-1, 300, 99999, 10**400]),
+        ))
+        if value == "<drop>":
+            del container[key]
+        else:
+            container[key] = value
+        result = self.evaluate_with(runner, workdir, tmp_path, name, doc)
+        assert result.exit_code in (0, 2, 3), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestCorruptModel:
@@ -447,6 +547,24 @@ class TestExplain:
             if float(cells[3]) == grid_min:
                 assert float(cells[4]) == 0.0
 
+    @pytest.mark.parametrize("args", [
+        ["--mode", "shap", "--rows", "-3"],
+        ["--mode", "shap", "--rows", "0"],
+        ["--mode", "shap", "--background-size", "-2"],
+        ["--mode", "ice", "--feature", "BMI", "--grid-points", "-1"],
+        ["--mode", "ice", "--feature", "BMI", "--grid-points", "0"],
+        ["--mode", "ice", "--centered", "--derivative"],
+    ])
+    def test_usage_errors_exit_2(self, runner, workdir, tmp_path, args):
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["explain", str(workdir / "model_gbm.json"), str(workdir / "dataset.json"),
+             "--split", str(workdir / "split.json"), "--out", str(out), *args],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
     def test_constant_model_zero_shap(self, runner, workdir):
         out = workdir
         assert runner.invoke(main, [
@@ -489,6 +607,18 @@ class TestReproduceSmoke:
         )
         assert result.exit_code == 4
         assert "error" in result.output
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--explain-rows", "0"),
+        ("--background-size", "-2"),
+        ("--ice-rows", "-1"),
+        ("--grid-points", "0"),
+    ])
+    def test_count_below_one_is_a_usage_error(self, runner, synth_csv, tmp_path, flag, value):
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["reproduce", synth_csv, "--out", str(out), flag, value])
+        assert result.exit_code == 2, result.output
+        assert flag in result.output and not out.exists()
 
     def test_one_fold_is_a_usage_error(self, runner, synth_csv, tmp_path):
         out = tmp_path / "o"

@@ -293,7 +293,7 @@ class TestJsonRoundTrips:
         split = train_test_split(50, 0.75, seed=11)
         path = str(tmp_path / "split.json")
         data_mod.split_to_json(split, path)
-        loaded = data_mod.split_from_json(path)
+        loaded = data_mod.split_from_json(path, 50)
         assert np.array_equal(loaded.train_rows, split.train_rows)
         assert np.array_equal(loaded.test_rows, split.test_rows)
         assert loaded.seed == 11
