@@ -276,6 +276,18 @@ def tune(dataset_path, variant, grid_path, folds, seed, split_fraction, out_dir)
 
 # --- evaluate ----------------------------------------------------------------
 
+def _load_model_and_dataset(model_path, dataset_path):
+    """A saved model and a dataset whose columns are the model's features, in order."""
+    model = ensemble_mod.load_model(model_path)
+    dataset = data_mod.dataset_from_json(dataset_path)
+    if model.feature_names != dataset.feature_names:
+        raise DataValidationError(
+            f"model features {model.feature_names} differ from dataset features "
+            f"{dataset.feature_names}"
+        )
+    return model, dataset
+
+
 def _evaluate_one(model, dataset, test_ids, seed, out_dir):
     variant = model.variant
     actual = dataset.y[test_ids]
@@ -338,12 +350,7 @@ def _evaluate_one(model, dataset, test_ids, seed, out_dir):
 @guarded
 def evaluate(model_path, dataset_path, split_path, out_dir, seed):
     """Score a saved model on the test split and render diagnostic figures."""
-    model = ensemble_mod.load_model(model_path)
-    dataset = data_mod.dataset_from_json(dataset_path)
-    if model.feature_count != dataset.m:
-        raise DataValidationError(
-            f"model expects {model.feature_count} features, dataset has {dataset.m}"
-        )
+    model, dataset = _load_model_and_dataset(model_path, dataset_path)
     split = data_mod.split_from_json(split_path, dataset.n)
     report = _evaluate_one(model, dataset, split.test_rows, seed, out_dir)
     click.echo(
@@ -357,9 +364,13 @@ def evaluate(model_path, dataset_path, split_path, out_dir, seed):
 def _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir):
     variant = model.variant
     row_ids = [int(i) for i in explain_ids]
+    if variant == "rf":
+        terms = (model.trees, 1.0 / len(model.trees), 0.0)
+    else:
+        terms = (model.stages, model.learning_rate, model.base_score)
     background = explain_mod.ValueFunctionConfig(dataset.X[background_ids])
-    explanation = explain_mod.shap_exact(
-        model.predict, dataset.X[explain_ids], background, feature_names=dataset.feature_names
+    explanation = explain_mod.tree_shap(
+        *terms, dataset.X[explain_ids], background, feature_names=dataset.feature_names
     )
     importance = explain_mod.global_importance(explanation)
     swarm = explain_mod.beeswarm_data(explanation)
@@ -457,8 +468,7 @@ def explain(model_path, dataset_path, split_path, mode, feature_name,
     """Explain a saved model with exact Shapley values or ICE curves."""
     if centered and derivative:
         raise click.UsageError("--centered and --derivative cannot be combined")
-    model = ensemble_mod.load_model(model_path)
-    dataset = data_mod.dataset_from_json(dataset_path)
+    model, dataset = _load_model_and_dataset(model_path, dataset_path)
     if split_path:
         split = data_mod.split_from_json(split_path, dataset.n)
         explain_ids, background_ids = split.test_rows, split.train_rows

@@ -130,10 +130,6 @@ class ForestModel:
     feature_names: list
     variant: str = "rf"
 
-    @property
-    def feature_count(self) -> int:
-        return self.trees[0].feature_count
-
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.zeros(X.shape[0])

@@ -1,15 +1,25 @@
-"""Model-agnostic explanations: exact Shapley values and ICE curves.
+"""Explanations: exact interventional Shapley values and ICE curves.
 
-Everything here works against a bare prediction function (matrix in,
-vector out), so it applies to any of the ensembles, whose predict takes
-the raw feature matrix.
+The Shapley value function is interventional: val(S) replaces the
+features outside S with background rows and averages the predictions.
 
-The value function is interventional: val(S) replaces the features
-outside S with background rows and averages the predictions.  With p
-features this costs 2^p value-function evaluations per explained row,
-all batched into a single prediction call, which is exact and cheap for
-small p.  A permutation-average implementation ships alongside as an
-independent cross-check for tests.
+`tree_shap` computes these values for a tree ensemble in closed form from
+the trees' flat node tables.  For an explained row x and a background row
+z, a leaf is reached by a hybrid row iff every feature of its path takes
+its value from a row that meets the leaf's condition on it.  With a
+features met only by x and b met only by z, the leaf's value adds
+(a-1)!·b!/(a+b)! to each x-only feature and -a!·(b-1)!/(a+b)! to each
+z-only feature (Lundberg et al. 2020, arXiv 1905.04610; Laberge &
+Pequignot 2022, arXiv 2209.15123).  Background rows are grouped per leaf
+by the features they meet, so the cost per tree is explained rows times
+(leaf, mask) groups, with no model evaluation.
+
+`shap_exact` works against a bare prediction function (matrix in, vector
+out) and enumerates all 2^p coalitions, 2^p x |background| model rows per
+explained row.  It is the model-agnostic oracle the tests hold
+`tree_shap` to; a permutation-average implementation ships alongside as
+an independent cross-check of `shap_exact`.  ICE curves also take a bare
+prediction function.
 """
 
 import itertools
@@ -132,6 +142,106 @@ def shap_exact(predict_fn, rows, background: ValueFunctionConfig, feature_names=
     )
 
 
+def _leaf_weights(p: int):
+    """Shapley weights of a leaf game with a x-only and b z-only features.
+
+    plus[a, b] = (a-1)!·b!/(a+b)! goes to each x-only feature and
+    minus[a, b] = -a!·(b-1)!/(a+b)! to each z-only one.
+    """
+    plus = np.zeros((p + 1, p + 1))
+    minus = np.zeros((p + 1, p + 1))
+    for a in range(p + 1):
+        for b in range(p + 1):
+            if a:
+                plus[a, b] = math.factorial(a - 1) * math.factorial(b) / math.factorial(a + b)
+            if b:
+                minus[a, b] = -math.factorial(a) * math.factorial(b - 1) / math.factorial(a + b)
+    return plus, minus
+
+
+def _leaf_boxes(tree, p: int):
+    """(leaf ids, lo, hi): a row reaches leaf k iff lo[k] < row <= hi[k] on every feature.
+
+    One pass in id order; every parent's id is lower than its children's.
+    """
+    lo = np.full((tree.node_count(), p), -np.inf)
+    hi = np.full((tree.node_count(), p), np.inf)
+    for node in np.flatnonzero(tree.feature >= 0):
+        f, t = tree.feature[node], tree.threshold[node]
+        left, right = tree.left[node], tree.right[node]
+        lo[left] = lo[right] = lo[node]
+        hi[left] = hi[right] = hi[node]
+        hi[left, f] = min(hi[node, f], t)
+        lo[right, f] = max(lo[node, f], t)
+    leaves = np.flatnonzero(tree.feature < 0)
+    return leaves, lo[leaves], hi[leaves]
+
+
+def _leaf_masks(X, lo, hi) -> np.ndarray:
+    """Per row and leaf, the bitmask of the features whose leaf condition the row meets."""
+    masks = np.zeros((X.shape[0], lo.shape[0]), dtype=np.int64)
+    for j in range(X.shape[1]):
+        column = X[:, j : j + 1]
+        masks |= ((lo[:, j] < column) & (column <= hi[:, j])).astype(np.int64) << j
+    return masks
+
+
+def tree_shap(trees, scale: float, offset: float, rows, background: ValueFunctionConfig,
+              feature_names=None) -> ShapExplanation:
+    """The Shapley values of shap_exact for the model offset + scale * sum(trees).
+
+    Per tree, background rows are counted by (leaf, mask of the features
+    they meet there); each explained row then makes one pass over those
+    groups.  A group adds nothing when some feature is met by neither row,
+    and otherwise adds the leaf's value, weighted as in _leaf_weights, to
+    the features met by only one of them.  The base value is the mean
+    prediction over the background: the groups whose rows meet every
+    feature, i.e. reach the leaf.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    n, p = rows.shape
+    if p > MAX_EXACT_FEATURES:
+        raise DataValidationError(
+            f"{p} features do not fit the feature masks; refusing beyond {MAX_EXACT_FEATURES}"
+        )
+    B = background.background
+    if B.shape[1] != p or any(tree.feature_count != p for tree in trees):
+        raise DataValidationError("trees, background and explained rows differ in width")
+    if feature_names is None:
+        feature_names = [f"x{j}" for j in range(p)]
+
+    everything = (1 << p) - 1
+    plus, minus = _leaf_weights(p)
+    phi = np.zeros((n, p))
+    base_value = 0.0
+    for tree in trees:
+        leaves, lo, hi = _leaf_boxes(tree, p)
+        keys = (np.arange(leaves.size, dtype=np.int64) << p) | _leaf_masks(B, lo, hi)
+        keys, counts = np.unique(keys, return_counts=True)
+        leaf, z_mask = keys >> p, keys & everything
+        weight = scale * tree.value[leaves[leaf]] * counts / B.shape[0]
+        base_value += float(weight[z_mask == everything].sum())
+
+        # the live (explained row, group) entries: each feature met by either row
+        x_mask = _leaf_masks(rows, lo, hi)[:, leaf]
+        row, group = np.nonzero((x_mask | z_mask) == everything)
+        x_mask, z_mask = x_mask[row, group], z_mask[group]
+        x_only, z_only = x_mask & ~z_mask, z_mask & ~x_mask
+        a, b = np.bitwise_count(x_only), np.bitwise_count(z_only)
+        gain, loss = plus[a, b] * weight[group], minus[a, b] * weight[group]
+        for j in range(p):
+            bit = 1 << j
+            for only, amount in ((x_only, gain), (z_only, loss)):
+                take = (only & bit) != 0
+                phi[:, j] += np.bincount(row[take], weights=amount[take], minlength=n)
+    return ShapExplanation(
+        base_value=offset + base_value,
+        phi=phi,
+        feature_values=rows.copy(),
+        feature_names=list(feature_names),
+    )
+
+
 def shap_permutation(predict_fn, row, background: ValueFunctionConfig) -> np.ndarray:
     """Shapley values as the average marginal contribution over all p!
     feature orderings.  Independent of shap_exact; used to cross-check it.
@@ -235,11 +345,10 @@ def ice_curves(predict_fn, rows, feature_index: int, grid=None, n_points: int = 
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise DataValidationError("empty evaluation grid")
-    curves = np.empty((rows.shape[0], grid.size))
-    for g, value in enumerate(grid):
-        swept = rows.copy()
-        swept[:, feature_index] = value
-        curves[:, g] = predict_fn(swept)
+    # all grid points in one prediction call: block g holds every row at grid[g]
+    swept = np.tile(rows, (grid.size, 1))
+    swept[:, feature_index] = np.repeat(grid, rows.shape[0])
+    curves = np.ascontiguousarray(predict_fn(swept).reshape(grid.size, rows.shape[0]).T)
     return IceCurveSet(
         feature_index=feature_index,
         feature_name=feature_name or f"x{feature_index}",

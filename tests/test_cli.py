@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import premex.data as data_mod
 import premex.ensemble as ensemble_mod
 from premex.cli import main
+from premex.explain import ValueFunctionConfig, shap_exact
 from premex.metrics import r_squared
 
 import synth
@@ -418,6 +419,22 @@ class TestCorruptSplitAndDataset:
         assert result.exit_code == 3, result.output
         assert "error:" in result.output and isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_reversed_feature_names_exit_3(self, runner, workdir, tmp_path, command):
+        # same matrix, names in another order than the model's features
+        doc = json.loads((workdir / "dataset.json").read_text())
+        doc["feature_names"].reverse()
+        (tmp_path / "dataset.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            [command, str(workdir / "model_rf.json"), str(tmp_path / "dataset.json"),
+             "--split", str(workdir / "split.json"), "--out", str(out)],
+        )
+        assert result.exit_code == 3, result.output
+        assert "differ from dataset features" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -530,6 +547,29 @@ class TestExplain:
             base = float(cells[-1])
             prediction = model.predict(dataset.X[[row_id]])[0]
             assert base + phi.sum() == pytest.approx(prediction, abs=1e-4)
+
+    @pytest.mark.parametrize("variant", ["rf", "gbm", "xgb"])
+    def test_shap_csv_equals_exact_shapley_values(self, runner, workdir, tmp_path, variant):
+        # all 30 train rows are the background and all 5 test rows are explained
+        split = tmp_path / "split.json"
+        data_mod.split_to_json(data_mod.SplitIndices(np.arange(30), np.arange(30, 35), 0),
+                               str(split))
+        model_path = str(workdir / f"model_{variant}.json")
+        result = runner.invoke(
+            main,
+            ["explain", model_path, str(workdir / "dataset.json"), "--split", str(split),
+             "--mode", "shap", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        dataset = data_mod.dataset_from_json(str(workdir / "dataset.json"))
+        model = ensemble_mod.load_model(model_path)
+        expected = shap_exact(model.predict, dataset.X[30:35],
+                              ValueFunctionConfig(dataset.X[:30]))
+        lines = (tmp_path / f"shap_values_{variant}.csv").read_text().strip().splitlines()[2:]
+        assert len(lines) == 5
+        for i, line in enumerate(lines):
+            values = [*expected.phi[i], expected.base_value]
+            assert line.split(",") == [str(30 + i)] + [f"{v:.6f}" for v in values]
 
     def test_centered_ice_anchors_at_minimum(self, runner, workdir):
         result = runner.invoke(

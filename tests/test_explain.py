@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from premex.data import Dataset
+from premex.data import derive_features, load_csv
 from premex.ensemble import BoostConfig, fit_gbm
 from premex.errors import DataValidationError, NumericError
 from premex.explain import (
@@ -15,9 +17,13 @@ from premex.explain import (
     shap_exact,
     shap_permutation,
     shap_value_function,
+    tree_shap,
 )
 from premex.rng import stream
-from premex.tree import TreeConfig, fit_tree
+from premex.tree import COLUMNS, RegressionTree, TreeConfig, fit_tree
+from premex.tuning import fit_variant
+
+from conftest import FIXTURE20
 
 
 def linear_model(weights, intercept=0.0):
@@ -211,6 +217,19 @@ class TestIceCurves:
         assert grid[0] == values.min()
         assert grid[-1] == values.max()
 
+    def test_one_prediction_call_per_feature(self):
+        calls = []
+
+        def f(X):
+            calls.append(X.shape[0])
+            return np.atleast_2d(X) @ np.array([1.0, 2.0])
+
+        rows = np.random.default_rng(18).normal(size=(4, 2))
+        curves = ice_curves(f, rows, 0, grid=np.linspace(-1.0, 1.0, 7))
+        assert calls == [4 * 7]
+        swept = np.column_stack([np.full(4, curves.grid[3]), rows[:, 1]])
+        assert np.array_equal(curves.curves[:, 3], f(swept))
+
     def test_invalid_feature(self):
         f = linear_model([1.0, 1.0])
         with pytest.raises(DataValidationError):
@@ -308,3 +327,161 @@ class TestOnFittedEnsemble:
         age = synth_dataset.feature_index("Age")
         curves = ice_curves(model.predict, rows, age, feature_name="Age")
         assert curves.curves.shape[0] == 5
+
+
+def tree_terms(model):
+    """(trees, scale, offset) of a fitted ensemble, as the explain command passes them."""
+    if model.variant == "rf":
+        return model.trees, 1.0 / len(model.trees), 0.0
+    return model.stages, model.learning_rate, model.base_score
+
+
+def sum_of_trees(trees, scale, offset):
+    def predict(X):
+        X = np.atleast_2d(X)
+        return offset + scale * sum((t.predict_matrix(X) for t in trees), np.zeros(X.shape[0]))
+
+    return predict
+
+
+def assert_matches_oracle(predict_fn, terms, rows, background_rows):
+    """tree_shap equals shap_exact within 1e-9 relative.
+
+    φ is compared relative to the largest |φ| of the oracle (at least 1e-9
+    absolute), the base value relative to itself.
+    """
+    background = ValueFunctionConfig(background_rows)
+    expected = shap_exact(predict_fn, rows, background)
+    actual = tree_shap(*terms, rows, background)
+    tolerance = 1e-9 * max(np.abs(expected.phi).max(), 1.0)
+    assert np.abs(actual.phi - expected.phi).max() <= tolerance
+    assert abs(actual.base_value - expected.base_value) <= 1e-9 * max(abs(expected.base_value), 1.0)
+    assert np.array_equal(actual.feature_values, np.atleast_2d(rows))
+    return actual
+
+
+def table(feature, threshold, left, right, value, feature_count):
+    """A tree from its node table; every node's row count is 1."""
+    columns = dict(zip(COLUMNS, (feature, threshold, left, right, value, [1] * len(feature))))
+    return RegressionTree.from_dict(columns, feature_count)
+
+
+# feature 0 splits twice on the path to leaves 2 and 3 (at 2 then 1) and to
+# leaves 7 and 8 (at 2 then 5); feature 2 is never used
+TWICE = table(
+    feature=[0, 0, -1, -1, 1, -1, 0, -1, -1],
+    threshold=[2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0],
+    left=[1, 2, 2, 3, 5, 5, 7, 7, 8],
+    right=[4, 3, 2, 3, 6, 5, 8, 7, 8],
+    value=[0.0, 0.0, 10.0, -4.0, 0.0, 7.0, 0.0, 1.0, 20.0],
+    feature_count=3,
+)
+
+
+# a tree no data grows, but a model file may hold: feature 0's second split
+# on each path is looser than its first, so leaves 3 and 5 are unreachable
+LOOSE = table(
+    feature=[0, 0, -1, -1, 0, -1, -1],
+    threshold=[3.0, 5.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+    left=[1, 2, 2, 3, 5, 5, 6],
+    right=[4, 3, 2, 3, 6, 5, 6],
+    value=[0.0, 0.0, 4.0, 9.0, 0.0, -2.0, 6.0],
+    feature_count=3,
+)
+
+
+def grid_rows(f0_values, f1_values):
+    return np.array([[a, b, 0.5] for a in f0_values for b in f1_values])
+
+
+class TestTreeShap:
+    @pytest.mark.parametrize("variant,params", [
+        ("rf", {"n_estimators": 10, "max_depth": 5}),
+        ("gbm", {"n_estimators": 8}),
+        ("xgb", {"n_estimators": 8, "max_depth": 4}),
+    ])
+    def test_fitted_on_synth(self, synth_dataset, variant, params):
+        model = fit_variant(variant, synth_dataset.subset(np.arange(200)), params, 11)
+        X = synth_dataset.X
+        assert_matches_oracle(model.predict, tree_terms(model), X[200:206], X[:30])
+
+    @pytest.mark.parametrize("variant", ["rf", "gbm", "xgb"])
+    def test_fitted_on_fixture20(self, variant):
+        data = derive_features(load_csv(FIXTURE20))
+        model = fit_variant(variant, data, {"n_estimators": 6}, 5)
+        assert_matches_oracle(model.predict, tree_terms(model), data.X[:5], data.X[5:])
+
+    def test_feature_split_twice_on_a_path(self):
+        rows = grid_rows([0.5, 1.5, 2.5, 5.5], [-0.5, 0.5])
+        background = grid_rows([0.5, 1.5, 3.5, 6.5], [-0.5, 0.5])
+        terms = ([TWICE, LOOSE], 1.0, 0.0)
+        explanation = assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
+        assert np.array_equal(explanation.phi[:, 2], np.zeros(len(rows)))
+
+    def test_rows_on_thresholds(self):
+        # every value of feature 0 and 1 sits on a threshold; such a row goes left
+        rows = grid_rows([1.0, 2.0, 5.0], [0.0])
+        background = grid_rows([1.0, 2.0, 5.0], [0.0, 1.0])
+        terms = ([TWICE, TWICE], 0.5, 3.0)
+        assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
+
+    def test_single_leaf_trees(self):
+        leaf = table([-1], [0.0], [0], [0], [6.0], feature_count=3)
+        rows, background = grid_rows([0.5, 5.5], [1.0]), grid_rows([1.0, 2.5], [-1.0])
+        terms = ([leaf, TWICE, leaf], 0.25, 0.0)
+        assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
+        only_leaves = tree_shap([leaf, leaf], 0.5, 1.0, rows, ValueFunctionConfig(background))
+        assert np.array_equal(only_leaves.phi, np.zeros((2, 3)))
+        assert only_leaves.base_value == 7.0
+
+    def test_zero_stage_boosted_model(self, synth_dataset):
+        model = fit_gbm(synth_dataset, BoostConfig(n_estimators=0, seed=1))
+        rows, background = synth_dataset.X[:3], synth_dataset.X[3:20]
+        explanation = tree_shap(*tree_terms(model), rows, ValueFunctionConfig(background))
+        assert np.array_equal(explanation.phi, np.zeros((3, synth_dataset.m)))
+        assert explanation.base_value == model.base_score
+        assert_matches_oracle(model.predict, tree_terms(model), rows, background)
+
+    def test_one_row_background(self, synth_dataset):
+        model = fit_variant("rf", synth_dataset, {"n_estimators": 5, "max_depth": 6}, 2)
+        X = synth_dataset.X
+        assert_matches_oracle(model.predict, tree_terms(model), X[10:14], X[:1])
+
+    def test_width_mismatch(self, synth_dataset):
+        model = fit_variant("gbm", synth_dataset, {"n_estimators": 2}, 2)
+        X = synth_dataset.X
+        with pytest.raises(DataValidationError):
+            tree_shap(*tree_terms(model), X[:2, :4], ValueFunctionConfig(X[:5, :4]))
+        with pytest.raises(DataValidationError):
+            tree_shap(*tree_terms(model), X[:2], ValueFunctionConfig(X[:5, :4]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_trees_on_tied_integer_data(self, data):
+        p = data.draw(st.integers(1, 4))
+
+        def grow(columns, depth):
+            node = len(columns["feature"])
+            for name, initial in zip(COLUMNS, (-1, 0.0, node, node, 0.0, 1)):
+                columns[name].append(initial)
+            if depth < 4 and data.draw(st.booleans()):
+                columns["feature"][node] = data.draw(st.integers(0, p - 1))
+                columns["threshold"][node] = float(data.draw(st.integers(0, 3)))
+                columns["left"][node] = grow(columns, depth + 1)
+                columns["right"][node] = grow(columns, depth + 1)
+            else:
+                columns["value"][node] = float(data.draw(st.integers(-9, 9)))
+            return node
+
+        trees = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            columns = {name: [] for name in COLUMNS}
+            grow(columns, 0)
+            trees.append(RegressionTree.from_dict(columns, p))
+        values = st.integers(0, 4).map(float)
+        rows = np.array(data.draw(st.lists(st.lists(values, min_size=p, max_size=p),
+                                           min_size=1, max_size=4)))
+        background = np.array(data.draw(st.lists(st.lists(values, min_size=p, max_size=p),
+                                                 min_size=1, max_size=6)))
+        terms = (trees, data.draw(st.sampled_from([1.0, 0.5, 0.1])), 2.0)
+        assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
