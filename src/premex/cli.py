@@ -121,15 +121,14 @@ def _ingest(csv_path, out_dir, seed):
     """Load the CSV; write dataset.json and summary_stats.csv.
 
     Returns the raw 10-input table, the 9-feature dataset and the groups of
-    duplicate records.
+    duplicate rows.
     """
-    records = data_mod.load_csv(csv_path)
-    raw = data_mod.raw_table(records)
-    derived = data_mod.derive_features(records)
-    stats = data_mod.summary_statistics(raw, include_target=True)
+    raw = data_mod.load_csv(csv_path)
+    derived = data_mod.derive_features(raw)
+    stats = data_mod.summary_statistics(raw)
     data_mod.dataset_to_json(derived, os.path.join(out_dir, "dataset.json"), seed=seed)
     _write(out_dir, "summary_stats.csv", report_mod.summary_stats_csv(stats, seed=seed))
-    return raw, derived, data_mod.detect_duplicates(records)
+    return raw, derived, data_mod.detect_duplicates(raw)
 
 
 @main.command()
@@ -526,7 +525,7 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
     started = time.perf_counter()
     timings = {}
     raw, derived, duplicates = _ingest(csv_path, out_dir, seed)
-    correlation = data_mod.pearson_correlation(raw, include_target=True)
+    correlation = data_mod.pearson_correlation(raw)
     _write(
         out_dir,
         "correlation_heatmap.svg",

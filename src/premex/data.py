@@ -1,18 +1,21 @@
 """Ingest, validate, transform, and summarize the insurance premium CSV.
 
-The raw file has 11 columns (10 inputs + PremiumPrice).  Height and
-Weight are folded into BMI, giving the 9-feature model matrix.  All
-operations here are pure functions; nothing mutates its inputs.
+The raw file has 11 columns (10 inputs + PremiumPrice).  `load_csv` returns
+it as the raw table: a Dataset of the 10 input columns with PremiumPrice as
+the target.  `derive_features` folds Height and Weight into BMI, giving the
+9-feature model matrix.  All operations here are pure functions; nothing
+mutates its inputs.
 """
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import read_json_artifact, write_json_artifact
 from .errors import DataValidationError, NumericError
+from .rng import stream
 
 RAW_COLUMNS = [
     "Age",
@@ -56,24 +59,6 @@ TARGET_NAME = "PremiumPrice"
 def round_half_up(x: float) -> int:
     """round() uses banker's rounding; splits need half-up for determinism."""
     return int(math.floor(x + 0.5))
-
-
-@dataclass(frozen=True)
-class RawRecord:
-    age: float
-    diabetes: float
-    blood_pressure_problems: float
-    any_transplants: float
-    any_chronic_diseases: float
-    height: float
-    weight: float
-    known_allergies: float
-    history_of_cancer_in_family: float
-    number_of_major_surgeries: float
-    premium_price: float
-
-    def as_tuple(self):
-        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass
@@ -169,13 +154,13 @@ class GroupStats:
     maximum: float
 
 
-def load_csv(path) -> list:
-    """Parse the premium CSV into RawRecords, validating schema and domains."""
-    try:
-        handle = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError:
-        raise
-    with handle:
+def load_csv(path) -> Dataset:
+    """Parse the premium CSV into the raw table, validating schema and domains.
+
+    The columns are RAW_COLUMNS[:-1] and the target is PremiumPrice.  A
+    failed check raises DataValidationError naming the row (and column).
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -189,7 +174,7 @@ def load_csv(path) -> list:
                 f"{path}: header mismatch; missing columns {missing}, "
                 f"unexpected columns {unexpected}"
             )
-        records = []
+        rows = []
         for row_number, row in enumerate(reader, start=1):
             if not row or all(cell.strip() == "" for cell in row):
                 raise DataValidationError(f"{path}: row {row_number} is blank")
@@ -218,63 +203,39 @@ def load_csv(path) -> list:
                         f"binary flag must be 0 or 1, got {cell.strip()}"
                     )
                 values.append(value)
-            record = RawRecord(*values)
-            _validate_record(record, path, row_number)
-            records.append(record)
-    if not records:
+            cells = dict(zip(RAW_COLUMNS, values))
+            if cells["Age"] < 0:
+                raise DataValidationError(f"{path}: row {row_number}: Age must be >= 0")
+            for column in ("Height", "Weight", "PremiumPrice"):
+                if cells[column] <= 0:
+                    raise DataValidationError(f"{path}: row {row_number}: {column} must be > 0")
+            rows.append(values)
+    if not rows:
         raise DataValidationError(f"{path}: no rows after the header")
-    return records
+    table = np.array(rows, dtype=np.float64)
+    return Dataset(RAW_COLUMNS[:-1], table[:, :-1], table[:, -1])
 
 
-def _validate_record(record: RawRecord, path, row_number: int) -> None:
-    checks = [
-        (record.age >= 0, "Age must be >= 0"),
-        (record.height > 0, "Height must be > 0"),
-        (record.weight > 0, "Weight must be > 0"),
-        (record.premium_price > 0, "PremiumPrice must be > 0"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise DataValidationError(f"{path}: row {row_number}: {message}")
+def detect_duplicates(raw: Dataset) -> list:
+    """Groups of row indices whose X row and y are identical, in first-seen order."""
+    groups = {}
+    for index, row in enumerate(np.column_stack([raw.X, raw.y]).tolist()):
+        groups.setdefault(tuple(row), []).append(index)
+    return [group for group in groups.values() if len(group) > 1]
 
 
-def detect_duplicates(records) -> list:
-    """Groups of row indices whose entire record content is identical."""
-    seen = {}
-    for index, record in enumerate(records):
-        seen.setdefault(record.as_tuple(), []).append(index)
-    return [group for group in seen.values() if len(group) > 1]
-
-
-def raw_table(records) -> Dataset:
-    """The 10 raw input columns as a Dataset (PremiumPrice as target)."""
-    matrix = np.array([r.as_tuple() for r in records], dtype=np.float64)
-    return Dataset(RAW_COLUMNS[:-1], matrix[:, :-1], matrix[:, -1])
-
-
-def derive_features(records) -> Dataset:
-    """Build the model matrix: BMI replaces Height/Weight, order is fixed."""
-    rows = []
-    for index, record in enumerate(records):
-        if record.height <= 0:
-            raise DataValidationError(f"record {index}: non-positive height")
-        bmi = record.weight / (record.height / 100.0) ** 2
-        rows.append(
-            [
-                record.age,
-                record.diabetes,
-                record.blood_pressure_problems,
-                record.any_transplants,
-                record.any_chronic_diseases,
-                bmi,
-                record.known_allergies,
-                record.history_of_cancer_in_family,
-                record.number_of_major_surgeries,
-            ]
-        )
-    matrix = np.array(rows, dtype=np.float64)
-    target = np.array([r.premium_price for r in records], dtype=np.float64)
-    return Dataset(list(MODEL_FEATURES), matrix, target)
+def derive_features(raw: Dataset) -> Dataset:
+    """Build the model matrix from the raw table: BMI replaces Height/Weight, order is fixed."""
+    height, weight = (raw.X[:, raw.feature_index(name)] for name in ("Height", "Weight"))
+    bad = np.flatnonzero(~(height > 0))
+    if bad.size:
+        raise DataValidationError(f"record {bad[0]}: non-positive height")
+    # Python's float ** 2 calls pow(); numpy's ** 2 squares, which can differ
+    # in the last bit, so BMI stays in Python floats
+    bmi = np.array([w / (h / 100.0) ** 2 for h, w in zip(height.tolist(), weight.tolist())])
+    columns = [bmi if name == "BMI" else raw.X[:, raw.feature_index(name)]
+               for name in MODEL_FEATURES]
+    return Dataset(list(MODEL_FEATURES), np.column_stack(columns), raw.y.copy())
 
 
 def train_test_split(n: int, fraction: float, seed: int) -> SplitIndices:
@@ -283,8 +244,6 @@ def train_test_split(n: int, fraction: float, seed: int) -> SplitIndices:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if n < 2:
         raise DataValidationError(f"need at least 2 rows to split, got {n}")
-    from .rng import stream
-
     permutation = stream(seed, "train_test_split").permutation(n)
     n_train = round_half_up(fraction * n)
     n_train = min(max(n_train, 1), n - 1)
@@ -293,15 +252,12 @@ def train_test_split(n: int, fraction: float, seed: int) -> SplitIndices:
     return SplitIndices(train_rows=train, test_rows=test, seed=int(seed))
 
 
-def summary_statistics(data: Dataset, include_target: bool = True) -> SummaryStats:
-    """Mean/std/min/quartiles/max per column, quartiles by linear interpolation."""
+def summary_statistics(data: Dataset) -> SummaryStats:
+    """Mean/std/min/quartiles/max per column and the target, quartiles by linear interpolation."""
     if data.n < 1:
         raise DataValidationError("empty dataset")
-    columns = data.X
-    names = list(data.feature_names)
-    if include_target:
-        columns = np.column_stack([columns, data.y])
-        names.append(TARGET_NAME)
+    columns = np.column_stack([data.X, data.y])
+    names = [*data.feature_names, TARGET_NAME]
     q1, median, q3 = np.percentile(columns, [25, 50, 75], axis=0, method="linear")
     std = (
         columns.std(axis=0, ddof=1)
@@ -320,14 +276,12 @@ def summary_statistics(data: Dataset, include_target: bool = True) -> SummarySta
     )
 
 
-def pearson_correlation(data: Dataset, include_target: bool = False) -> CorrelationMatrix:
+def pearson_correlation(data: Dataset) -> CorrelationMatrix:
+    """Pearson correlations between every pair of columns, the target last."""
     if data.n < 2:
         raise DataValidationError("need at least 2 rows for correlations")
-    columns = data.X
-    names = list(data.feature_names)
-    if include_target:
-        columns = np.column_stack([columns, data.y])
-        names.append(TARGET_NAME)
+    columns = np.column_stack([data.X, data.y])
+    names = [*data.feature_names, TARGET_NAME]
     centered = columns - columns.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
     for j, s in enumerate(norms):

@@ -15,8 +15,8 @@ its fields' types and ranges when built, `replace()` and `load_model`
 included, and raises DataValidationError.
 """
 
-import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -40,9 +40,15 @@ PUBLISHED = {
 }
 
 
+def _finite(value) -> bool:
+    """A real number, not bool, nan, inf or an int too large for a float."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and abs(value) <= sys.float_info.max)
+
+
 def _check_number(name: str, value, rate: bool) -> None:
     """DataValidationError unless value is a finite number: in (0, 1] if a rate, else >= 0."""
-    finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    finite = _finite(value)
     if rate and not (finite and 0.0 < value <= 1.0):
         raise DataValidationError(f"{name} must be a number in (0, 1], got {value!r}")
     if not rate and not (finite and value >= 0.0):
@@ -283,7 +289,7 @@ def load_model(path):
         return ForestModel(trees=trees, config=config, feature_names=names)
     config = _config_from(document, BoostConfig, path)
     scalars = [document.get("base_score"), document.get("learning_rate")]
-    if not all(type(v) in (int, float) and np.isfinite(v) for v in scalars):
+    if not all(_finite(v) for v in scalars):
         raise DataValidationError(f"{path}: base_score and learning_rate must be finite numbers")
     return BoostedModel(
         variant=variant,

@@ -380,8 +380,8 @@ def center_ice(curve_set: IceCurveSet, anchor_index: int = 0) -> IceCurveSet:
 def derivative_ice(curve_set: IceCurveSet) -> IceCurveSet:
     """Numerical slope of each curve: central differences inside, one-sided ends."""
     grid, curves = curve_set.grid, curve_set.curves
-    if grid.size < 3:
-        raise NumericError("derivative curves need a grid of at least 3 points")
+    if grid.size < 2:
+        raise NumericError("derivative curves need a grid of at least 2 points")
     slopes = np.empty_like(curves)
     slopes[:, 0] = (curves[:, 1] - curves[:, 0]) / (grid[1] - grid[0])
     slopes[:, -1] = (curves[:, -1] - curves[:, -2]) / (grid[-1] - grid[-2])

@@ -16,7 +16,7 @@ def _pair(actual, predicted, min_len=1):
             f"length mismatch: {actual.shape[0]} actuals vs {predicted.shape[0]} predictions"
         )
     if actual.size < min_len:
-        raise ValueError(f"need at least {min_len} samples")
+        raise NumericError(f"need at least {min_len} samples, got {actual.size}")
     return actual, predicted
 
 

@@ -56,9 +56,11 @@ def fit_variant(variant: str, data: Dataset, params: dict, seed: int):
 
 
 def kfold_indices(n: int, k: int, seed: int) -> list:
-    """k disjoint validation index sets; sizes differ by at most one."""
-    if not 2 <= k <= n:
-        raise DataValidationError(f"cannot split {n} rows into {k} folds; need 2..{n} folds")
+    """k disjoint validation index sets of at least 2 rows; sizes differ by at most one."""
+    if not 2 <= k <= n // 2:
+        raise DataValidationError(
+            f"cannot split {n} rows into {k} folds of at least 2 rows; need 2..{n // 2} folds"
+        )
     permutation = stream(seed, "kfold").permutation(n)
     base, extra = divmod(n, k)
     folds, start = [], 0

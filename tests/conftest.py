@@ -48,13 +48,13 @@ def synth_csv(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def synth_records(synth_csv):
+def synth_raw(synth_csv):
     return data_mod.load_csv(synth_csv)
 
 
 @pytest.fixture(scope="session")
-def synth_dataset(synth_records):
-    return data_mod.derive_features(synth_records)
+def synth_dataset(synth_raw):
+    return data_mod.derive_features(synth_raw)
 
 
 @pytest.fixture

@@ -1,0 +1,73 @@
+"""The golden manifest: the sha256 of every artifact of one capped `reproduce`.
+
+`tests/test_golden.py` runs GOLDEN_ARGS on `synth.make_csv_text(DATA_ROWS,
+DATA_SEED)` and compares the run's manifest with `tests/data/golden_manifest.json`.
+A change that moves artifact bytes on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/golden.py --write
+
+and says which files changed and why.
+"""
+
+import json
+import os
+import sys
+
+import numpy as np
+from click.testing import CliRunner
+
+sys.path.insert(0, os.path.dirname(__file__))
+
+import synth  # noqa: E402
+
+from premex.cli import main  # noqa: E402
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_manifest.json")
+DATA_ROWS = 120
+DATA_SEED = 7
+GOLDEN_ARGS = ["--folds", "2", "--background-size", "10", "--explain-rows", "4",
+               "--ice-rows", "5", "--grid-points", "5"]
+
+
+def run_manifest(work_dir) -> dict:
+    """Run the capped reproduce in `work_dir`; name -> sha256 (None if not hashed)."""
+    csv_path = os.path.join(work_dir, "premiums.csv")
+    with open(csv_path, "w", encoding="utf-8") as handle:
+        handle.write(synth.make_csv_text(n=DATA_ROWS, seed=DATA_SEED))
+    out_dir = os.path.join(work_dir, "out")
+    result = CliRunner().invoke(main, ["reproduce", csv_path, "--out", out_dir, *GOLDEN_ARGS])
+    if result.exit_code != 0:
+        raise RuntimeError(f"reproduce exited {result.exit_code}: {result.output}")
+    with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as handle:
+        entries = json.load(handle)["files"]
+    return {entry["name"]: entry.get("sha256") for entry in entries}
+
+
+def load_golden() -> dict:
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def write_golden(files: dict) -> None:
+    document = {
+        "command": ["premex", "reproduce", "premiums.csv", "--out", "out", *GOLDEN_ARGS],
+        "data": {"generator": "tests/synth.py make_csv_text", "n": DATA_ROWS,
+                 "seed": DATA_SEED},
+        "numpy": np.__version__,
+        "files": files,
+    }
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/golden.py --write")
+    with tempfile.TemporaryDirectory() as scratch:
+        manifest = run_manifest(scratch)
+    write_golden(manifest)
+    hashed = sum(value is not None for value in manifest.values())
+    print(f"wrote {GOLDEN_PATH}: {len(manifest)} files, {hashed} hashed")

@@ -14,6 +14,7 @@ from premex.explain import ValueFunctionConfig, shap_exact
 from premex.metrics import r_squared
 
 import synth
+from conftest import FIXTURE20
 
 
 @pytest.fixture
@@ -39,6 +40,17 @@ def workdir(tmp_path, synth_csv, runner):
         )
         assert result.exit_code == 0, result.output
     return out
+
+
+def _synth_csv_with_cell(tmp_path, line, column, cell):
+    """A 20-row synthetic CSV whose `column` on `line` (the header is line 0) holds `cell`."""
+    lines = synth.make_csv_text(n=20, seed=3).splitlines()
+    row = lines[line].split(",")
+    row[synth.HEADER.split(",").index(column)] = cell
+    lines[line] = ",".join(row)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestIngest:
@@ -79,20 +91,52 @@ class TestIngest:
         assert result.exit_code == 3
         assert "PremiumPrice" in result.output
 
+    @pytest.mark.parametrize("column, cell, message", [
+        ("Age", "-1", "Age must be >= 0"),
+        ("Height", "0", "Height must be > 0"),
+        ("Weight", "0", "Weight must be > 0"),
+    ])
+    def test_out_of_domain_cell_exits_3(self, runner, tmp_path, column, cell, message):
+        bad = _synth_csv_with_cell(tmp_path, 2, column, cell)
+        result = runner.invoke(main, ["ingest", str(bad), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 3, result.output
+        assert f"row 2: {message}" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize("column, cell", [("NumberOfMajorSurgeries", "nan"), ("Age", "inf")])
     def test_non_finite_cell_exits_3(self, runner, tmp_path, column, cell):
-        lines = synth.make_csv_text(n=20, seed=3).splitlines()
-        row = lines[5].split(",")
-        row[synth.HEADER.split(",").index(column)] = cell
-        lines[5] = ",".join(row)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        bad = _synth_csv_with_cell(tmp_path, 5, column, cell)
         out = tmp_path / "o"
         result = runner.invoke(main, ["ingest", str(bad), "--out", str(out)])
         assert result.exit_code == 3, result.output
         assert "error:" in result.output and "Traceback" not in result.output
         assert column in result.output and "non-finite" in result.output
         assert not (out / "dataset.json").exists()
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_csv_never_raises(self, runner, tmp_path, data):
+        # one cell of the fixture, header included, is dropped, doubled or replaced
+        lines = open(FIXTURE20, encoding="utf-8").read().splitlines()
+        line = data.draw(st.integers(0, len(lines) - 1))
+        cells = lines[line].split(",")
+        cell = data.draw(st.integers(0, len(cells) - 1))
+        edit = data.draw(st.sampled_from(
+            ["<drop>", "<double>", "", "x", "nan", "inf", "1e400", "-1", "0", "2"]
+        ))
+        if edit == "<drop>":
+            del cells[cell]
+        elif edit == "<double>":
+            cells.insert(cell, cells[cell])
+        else:
+            cells[cell] = edit
+        lines[line] = ",".join(cells)
+        path = tmp_path / "mutated.csv"
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["ingest", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code in (0, 3), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestTrain:
@@ -361,6 +405,53 @@ class TestEvaluate:
         assert result.exit_code == 3
 
 
+class TestShortSplits:
+    """A test split or CV fold too small to score ends in an exit code, not a traceback."""
+
+    @pytest.fixture
+    def out50(self, runner, tmp_path):
+        csv_path = tmp_path / "premiums50.csv"
+        csv_path.write_text(synth.make_csv_text(n=50, seed=3))
+        out = tmp_path / "o"
+        assert runner.invoke(main, ["ingest", str(csv_path), "--out", str(out)]).exit_code == 0
+        return out
+
+    @staticmethod
+    def train_and_evaluate(runner, out, fraction):
+        result = runner.invoke(main, [
+            "train", str(out / "dataset.json"), "--model", "gbm", "--out", str(out),
+            "--n-estimators", "5", "--split-fraction", fraction,
+        ])
+        assert result.exit_code == 0, result.output
+        return runner.invoke(main, [
+            "evaluate", str(out / "model_gbm.json"), str(out / "dataset.json"),
+            "--split", str(out / "split.json"), "--out", str(out),
+        ])
+
+    def test_one_row_test_split_exits_5(self, runner, out50):
+        result = self.train_and_evaluate(runner, out50, "0.99")  # 49 train rows, 1 test
+        assert result.exit_code == 5, result.output
+        assert "error:" in result.output and isinstance(result.exception, SystemExit)
+        assert not (out50 / "metrics_gbm.json").exists()
+
+    def test_two_row_test_split_skips_qq(self, runner, out50):
+        result = self.train_and_evaluate(runner, out50, "0.96")  # 48 train rows, 2 test
+        assert result.exit_code == 0, result.output
+        assert "skipping Q-Q figure" in result.output
+        assert json.loads((out50 / "metrics_gbm.json").read_text())["n"] == 2
+        assert not (out50 / "qq_gbm.svg").exists()
+
+    def test_one_row_folds_exit_3(self, runner, out50, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n_estimators": [5]}))
+        result = runner.invoke(main, [  # 38 folds of the 38-row train split
+            "tune", str(out50 / "dataset.json"), "--model", "gbm", "--grid", str(grid),
+            "--folds", "38", "--out", str(out50),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output and isinstance(result.exception, SystemExit)
+
+
 def _set_keys(**changes):
     def edit(doc):
         doc.update(changes)
@@ -374,6 +465,26 @@ def _edit_x_cell(value):
     def edit(doc):
         doc["X"][3][5] = value
     return edit
+
+
+def _mutate_one_value(data, doc, depth):
+    """Drop or replace one value of a JSON document, at most `depth` levels down."""
+    container, key = doc, data.draw(st.sampled_from(sorted(doc)))
+    for _ in range(depth):
+        inner = container[key]
+        if not isinstance(inner, (list, dict)) or not inner or not data.draw(st.booleans()):
+            break
+        container = inner
+        key = data.draw(st.sampled_from(sorted(inner)) if isinstance(inner, dict)
+                        else st.integers(0, len(inner) - 1))
+    value = data.draw(st.one_of(
+        st.just("<drop>"), st.text(max_size=3), st.none(), st.just(float("nan")),
+        st.sampled_from([-1, 300, 99999, 10**400]),
+    ))
+    if value == "<drop>":
+        del container[key]
+    else:
+        container[key] = value
 
 
 class TestCorruptSplitAndDataset:
@@ -439,25 +550,9 @@ class TestCorruptSplitAndDataset:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_mutated_file_never_raises(self, runner, workdir, tmp_path, data):
-        # one value of a valid file is dropped or replaced, at most two levels down
         name = data.draw(st.sampled_from(["split.json", "dataset.json"]))
         doc = json.loads((workdir / name).read_text())
-        container, key = doc, data.draw(st.sampled_from(sorted(doc)))
-        for _ in range(2):
-            inner = container[key]
-            if not isinstance(inner, (list, dict)) or not inner or not data.draw(st.booleans()):
-                break
-            container = inner
-            key = data.draw(st.sampled_from(sorted(inner)) if isinstance(inner, dict)
-                            else st.integers(0, len(inner) - 1))
-        value = data.draw(st.one_of(
-            st.just("<drop>"), st.text(max_size=3), st.none(), st.just(float("nan")),
-            st.sampled_from([-1, 300, 99999, 10**400]),
-        ))
-        if value == "<drop>":
-            del container[key]
-        else:
-            container[key] = value
+        _mutate_one_value(data, doc, depth=2)
         result = self.evaluate_with(runner, workdir, tmp_path, name, doc)
         assert result.exit_code in (0, 2, 3), result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -510,6 +605,23 @@ class TestCorruptModel:
                                "left": {"value": -10.0, "count": 100},
                                "right": {"value": 10.0, "count": 125}}
         self.edit_and_evaluate(runner, workdir, tmp_path, edit)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_model_never_raises(self, runner, workdir, tmp_path, data):
+        # three levels reach one node cell: trees -> stage -> column -> node
+        doc = json.loads((workdir / "model_gbm.json").read_text())
+        _mutate_one_value(data, doc, depth=3)
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main,
+            ["evaluate", str(path), str(workdir / "dataset.json"),
+             "--split", str(workdir / "split.json"), "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code in (0, 2, 3, 4, 5), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestExplain:
@@ -586,6 +698,19 @@ class TestExplain:
         for cells in centered:
             if float(cells[3]) == grid_min:
                 assert float(cells[4]) == 0.0
+
+    def test_derivative_ice_all_features(self, runner, workdir, tmp_path):
+        # the binary flags have 2-point grids: one forward difference per curve
+        result = runner.invoke(
+            main,
+            ["explain", str(workdir / "model_gbm.json"), str(workdir / "dataset.json"),
+             "--mode", "ice", "--derivative", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "ice_gbm.csv").read_text().strip().splitlines()[2:]
+        slopes = [line.split(",") for line in lines if line.split(",")[1] == "derivative"]
+        assert {cells[0] for cells in slopes} == set(data_mod.MODEL_FEATURES)
+        assert sum(cells[0] == "Diabetes" for cells in slopes) == 300 * 2
 
     @pytest.mark.parametrize("args", [
         ["--mode", "shap", "--rows", "-3"],

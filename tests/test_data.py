@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from premex import data as data_mod
 from premex.data import (
+    RAW_COLUMNS,
     Dataset,
-    RawRecord,
     derive_features,
     detect_duplicates,
     group_summary,
@@ -57,12 +57,19 @@ def write_csv(tmp_path, body, header=None):
     return str(path)
 
 
+def raw_row(height, weight):
+    """A one-row raw table: age 40, no flags, premium 20000."""
+    return Dataset(RAW_COLUMNS[:-1], [[40, 0, 0, 0, 0, height, weight, 0, 0, 0]], [20000])
+
+
 class TestLoadCsv:
     def test_fixture_is_field_exact(self):
-        records = load_csv(FIXTURE20)
-        assert len(records) == 20
-        for record, expected in zip(records, FIXTURE20_EXPECTED):
-            assert record.as_tuple() == pytest.approx(expected, abs=0)
+        raw = load_csv(FIXTURE20)
+        assert raw.n == 20
+        assert raw.feature_names == RAW_COLUMNS[:-1]
+        expected = np.array(FIXTURE20_EXPECTED, dtype=np.float64)
+        assert np.array_equal(raw.X, expected[:, :-1])
+        assert np.array_equal(raw.y, expected[:, -1])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -116,43 +123,47 @@ class TestDuplicates:
         assert detect_duplicates(load_csv(FIXTURE20)) == []
 
     def test_constructed_duplicate_group(self):
-        records = load_csv(FIXTURE20)
-        records = list(records)
-        records[7] = records[3]
-        assert detect_duplicates(records) == [[3, 7]]
+        raw = load_csv(FIXTURE20)
+        X, y = raw.X.copy(), raw.y.copy()
+        X[7], y[7] = X[3], y[3]
+        assert detect_duplicates(Dataset(raw.feature_names, X, y)) == [[3, 7]]
+        y[7] += 1000.0  # same inputs, another premium: not a duplicate
+        assert detect_duplicates(Dataset(raw.feature_names, X, y)) == []
 
     def test_single_row(self):
-        records = load_csv(FIXTURE20)[:1]
-        assert detect_duplicates(records) == []
+        raw = load_csv(FIXTURE20).subset([0])
+        assert detect_duplicates(raw) == []
 
 
 class TestDeriveFeatures:
     def test_bmi_from_typical_means(self):
-        record = RawRecord(40, 0, 0, 0, 0, 168.18, 76.95, 0, 0, 0, 20000)
-        dataset = derive_features([record])
+        dataset = derive_features(raw_row(168.18, 76.95))
         bmi = dataset.X[0, dataset.feature_index("BMI")]
         assert bmi == pytest.approx(27.21, abs=0.005)  # 76.95 / 1.6818^2
 
     def test_bmi_round_numbers(self):
-        record = RawRecord(40, 0, 0, 0, 0, 200.0, 100.0, 0, 0, 0, 20000)
-        dataset = derive_features([record])
+        dataset = derive_features(raw_row(200.0, 100.0))
         assert dataset.X[0, dataset.feature_index("BMI")] == 25.0
 
-    def test_feature_order_and_shape(self, synth_records):
-        dataset = derive_features(synth_records)
+    def test_bmi_is_python_float_pow(self):
+        # numpy's x * x square gives 25.408938350525194 here
+        dataset = derive_features(raw_row(165.98, 70.0))
+        assert dataset.X[0, dataset.feature_index("BMI")] == 25.40893835052519
+
+    def test_feature_order_and_shape(self, synth_raw):
+        dataset = derive_features(synth_raw)
         assert dataset.feature_names == [
             "Age", "Diabetes", "BloodPressureProblems", "AnyTransplants",
             "AnyChronicDiseases", "BMI", "KnownAllergies",
             "HistoryOfCancerInFamily", "NumberOfMajorSurgeries",
         ]
         assert dataset.m == 9
-        assert dataset.n == len(synth_records)
+        assert dataset.n == synth_raw.n
         assert np.all(dataset.X[:, dataset.feature_index("BMI")] > 0)
 
     def test_nonpositive_height_rejected(self):
-        record = RawRecord(40, 0, 0, 0, 0, 0.0, 70.0, 0, 0, 0, 20000)
         with pytest.raises(DataValidationError):
-            derive_features([record])
+            derive_features(raw_row(0.0, 70.0))
 
 
 class TestSplit:
@@ -201,21 +212,21 @@ class TestSplit:
 class TestSummaryStatistics:
     def test_constant_column(self):
         dataset = Dataset(["a"], np.full((3, 1), 5.0), np.full(3, 5.0))
-        stats = summary_statistics(dataset, include_target=True)
+        stats = summary_statistics(dataset)
         for row in stats.rows():
             name, mean, std, minimum, q1, median, q3, maximum = row
             assert (mean, minimum, q1, median, q3, maximum) == (5.0,) * 6
             assert std == 0.0
 
     def test_quartile_ordering(self, synth_dataset):
-        stats = summary_statistics(synth_dataset, include_target=True)
+        stats = summary_statistics(synth_dataset)
         assert np.all(stats.minimum <= stats.q1)
         assert np.all(stats.q1 <= stats.median)
         assert np.all(stats.median <= stats.q3)
         assert np.all(stats.q3 <= stats.maximum)
 
     def test_includes_target_row(self, synth_dataset):
-        stats = summary_statistics(synth_dataset, include_target=True)
+        stats = summary_statistics(synth_dataset)
         assert stats.names[-1] == "PremiumPrice"
         assert len(stats.names) == synth_dataset.m + 1
 
@@ -226,28 +237,29 @@ class TestSummaryStatistics:
 
 
 class TestPearson:
+    # the target is always the last column, so it holds each pair's second variable
     def test_self_correlation(self):
-        dataset = Dataset(["a", "b"], np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]), np.zeros(3))
+        dataset = Dataset(["a"], np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0, 3.0]))
         matrix = pearson_correlation(dataset).matrix
         assert matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_anticorrelation(self):
-        dataset = Dataset(["a", "b"], np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]]), np.zeros(3))
+        dataset = Dataset(["a"], np.array([[1.0], [2.0], [3.0]]), np.array([3.0, 2.0, 1.0]))
         matrix = pearson_correlation(dataset).matrix
         assert matrix[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_computed_point_eight(self):
         # x=[1,2,3,4], y=[1,3,2,4]: cov-sum 4, both norms sqrt(5) -> 0.8
         dataset = Dataset(
-            ["x", "y"],
-            np.array([[1.0, 1.0], [2.0, 3.0], [3.0, 2.0], [4.0, 4.0]]),
-            np.zeros(4),
+            ["x"],
+            np.array([[1.0], [2.0], [3.0], [4.0]]),
+            np.array([1.0, 3.0, 2.0, 4.0]),
         )
         matrix = pearson_correlation(dataset).matrix
         assert matrix[0, 1] == pytest.approx(0.8, abs=1e-12)
 
     def test_matrix_invariants(self, synth_dataset):
-        result = pearson_correlation(synth_dataset, include_target=True)
+        result = pearson_correlation(synth_dataset)
         matrix = result.matrix
         assert np.array_equal(matrix, matrix.T)
         assert np.array_equal(np.diag(matrix), np.ones(len(result.names)))

@@ -305,9 +305,17 @@ class TestDerivativeIce:
         from_centered = derivative_ice(center_ice(raw))
         assert np.max(np.abs(from_raw.curves - from_centered.curves)) < 1e-9
 
+    def test_two_point_grid_is_one_forward_difference(self):
+        # a binary flag's grid: both ends get the same one-sided slope
+        f = linear_model([3.0, 1.0])
+        rows = np.random.default_rng(18).normal(size=(4, 2))
+        derivative = derivative_ice(ice_curves(f, rows, 0, grid=[0.0, 2.0]))
+        assert derivative.curves.shape == (4, 2)
+        assert np.max(np.abs(derivative.curves - 3.0)) < 1e-12
+
     def test_small_grid_rejected(self):
         f = linear_model([1.0, 0.0])
-        raw = ice_curves(f, np.zeros((2, 2)), 0, grid=[0.0, 1.0])
+        raw = ice_curves(f, np.zeros((2, 2)), 0, grid=[0.0])
         with pytest.raises(NumericError):
             derivative_ice(raw)
 

@@ -66,6 +66,11 @@ class TestTrivialCases:
         with pytest.raises(ValueError):
             mae([1.0], [1.0, 2.0])
 
+    def test_too_few_samples_is_numeric(self):
+        # a one-row test split: R^2 needs two actuals
+        with pytest.raises(NumericError, match="at least 2"):
+            r_squared([1.0], [1.0])
+
     def test_constant_actuals(self):
         with pytest.raises(NumericError):
             r_squared([2.0, 2.0], [1.0, 3.0])

@@ -47,7 +47,7 @@ class TestRenderDeterminism:
         residuals = actual - predicted
         stats_groups = group_summary(synth_dataset, "Diabetes")
         column = synth_dataset.X[:, synth_dataset.feature_index("Diabetes")]
-        corr = pearson_correlation(synth_dataset, include_target=True)
+        corr = pearson_correlation(synth_dataset)
         rng = np.random.default_rng(3)
         documents = [
             render(FigureSpec("prediction_error", "pe"), {"actual": actual, "predicted": predicted}),
@@ -161,7 +161,7 @@ class TestTables:
         assert len(lines) == 4
 
     def test_summary_stats_two_decimals(self, synth_dataset):
-        stats = summary_statistics(synth_dataset, include_target=True)
+        stats = summary_statistics(synth_dataset)
         body = summary_stats_csv(stats).strip().splitlines()[2]
         cells = body.split(",")
         assert all("." in cell and len(cell.split(".")[1]) == 2 for cell in cells[1:])

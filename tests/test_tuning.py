@@ -49,6 +49,12 @@ class TestKfold:
         with pytest.raises(DataValidationError):
             kfold_indices(5, 1, seed=0)
 
+    def test_folds_below_two_rows_rejected(self):
+        # 3 folds of 5 rows leave a 1-row validation fold, where R^2 is undefined
+        with pytest.raises(DataValidationError, match="2 rows"):
+            kfold_indices(5, 3, seed=0)
+        assert [f.size for f in kfold_indices(5, 2, seed=0)] == [3, 2]
+
 
 class TestCrossValScore:
     def test_mean_baseline_never_beats_out_of_fold_mean(self, synth_dataset):
