@@ -417,6 +417,10 @@ def _explain_ice(model, dataset, ids, features, grid_points, centered, derivativ
         if centered:
             chosen = explain_mod.center_ice(raw)
         elif derivative:
+            if raw.grid.size < 2:
+                click.echo(f"warning: skipping {name}: its grid has one point, "
+                           "so it has no derivative", err=True)
+                continue
             chosen = explain_mod.derivative_ice(raw)
         curve_sets.extend([raw] if chosen is raw else [raw, chosen])
         panels.append(
@@ -428,6 +432,9 @@ def _explain_ice(model, dataset, ids, features, grid_points, centered, derivativ
                 "anchor_index": chosen.anchor_index,
             }
         )
+    if not panels:
+        raise NumericError("derivative curves need a grid of at least 2 points; "
+                           "each feature asked for is constant among the explained rows")
     _write(out_dir, f"ice_{variant}.csv",
            report_mod.ice_long_csv(curve_sets, [int(i) for i in ids], seed=seed))
     kind_label = "derivative" if derivative else ("centered" if centered else "raw")
@@ -442,6 +449,7 @@ def _explain_ice(model, dataset, ids, features, grid_points, centered, derivativ
             meta,
         ),
     )
+    return len(panels)
 
 
 @main.command()
@@ -481,9 +489,9 @@ def explain(model_path, dataset_path, split_path, mode, feature_name,
         click.echo(f"top features: {', '.join(top)}")
     else:
         features = [feature_name] if feature_name else list(dataset.feature_names)
-        _explain_ice(model, dataset, explain_ids, features, grid_points,
-                     centered, derivative, seed, out_dir)
-        click.echo(f"wrote ICE curves for {len(features)} feature(s)")
+        written = _explain_ice(model, dataset, explain_ids, features, grid_points,
+                               centered, derivative, seed, out_dir)
+        click.echo(f"wrote ICE curves for {written} feature(s)")
 
 
 # --- reproduce ---------------------------------------------------------------

@@ -173,7 +173,11 @@ class BoostedModel:
 
 
 def fit_forest(data: Dataset, config: ForestConfig) -> ForestModel:
-    """Fit n_estimators trees on bootstrap resamples (with replacement)."""
+    """Fit n_estimators trees on bootstrap resamples (with replacement).
+
+    A resample is passed as integer weights on its distinct rows: how
+    often each row was drawn.
+    """
     if data.n < 2:
         raise DataValidationError("need at least 2 rows to fit a forest")
     tree_config = config.tree_config()
@@ -182,11 +186,12 @@ def fit_forest(data: Dataset, config: ForestConfig) -> ForestModel:
     for k in range(config.n_estimators):
         rng = stream(config.seed, "forest_tree", k)
         if config.bootstrap:
-            rows = rng.integers(0, data.n, size=data.n)
-            X, y = data.X[rows], data.y[rows]
+            drawn = np.bincount(rng.integers(0, data.n, size=data.n), minlength=data.n)
+            rows = np.flatnonzero(drawn)
+            tree = fit_tree(data.X[rows], data.y[rows], tree_config, rng, weights=drawn[rows])
         else:
-            X, y = data.X, data.y
-        trees.append(fit_tree(X, y, tree_config, rng))
+            tree = fit_tree(data.X, data.y, tree_config, rng)
+        trees.append(tree)
     return ForestModel(trees=trees, config=config, feature_names=list(data.feature_names))
 
 

@@ -7,8 +7,30 @@ feature values is a candidate.  Two growth criteria share the engine:
 * regularized second-order gain with leaf = -G/(H + lambda) (boosting
   stages; gbm's are the lambda = gamma = 0 case)
 
-Ties are broken toward the lowest feature index, then the lowest
-threshold, so identical inputs always grow identical trees.
+Growth is level-wise on presorted columns, the exact greedy method on
+sorted column blocks of XGBoost (Chen & Guestrin 2016, arXiv 1603.02754):
+
+* Each fit sorts every feature column once, stably, so equal values keep
+  row order.  A node owns one range of positions, the same range in each
+  feature's sorted order.
+* A split partitions its node's range stably in every sorted order, left
+  rows first, so no column is sorted again.
+* One depth level at a time, all open nodes are scored together.  Their
+  ranges are laid out as padded (feature, node, position) blocks of nodes
+  of similar size, and a cumulative sum runs along each node's positions
+  alone.  So every prefix sum restarts at its node and adds the node's
+  rows in (value, row) order, exactly as sorting that node by itself
+  would.  Gains are computed only between distinct values.
+* Ties go to the first maximum: the lowest threshold within a feature,
+  then the lowest feature index, so identical inputs always grow
+  identical trees.  A leaf's value sums its rows in ascending row order.
+* With max_features, each level draws one feature subset per open node
+  from the tree's generator, breadth-first, left child first.
+* Nodes are made breadth-first and renumbered depth-first, left child
+  first, when the table is built.
+
+Integer row weights stand for repeated rows, so a bootstrap resample is
+its distinct rows weighted by their draw counts.
 
 A tree is one flat node table: the equal-length columns `feature`,
 `threshold`, `left`, `right`, `value` and `count`, indexed by node id.
@@ -18,8 +40,8 @@ left when row[feature] <= threshold.  A leaf has feature -1 and
 threshold 0; its `left` and `right` point to the leaf itself, so a
 batch of rows descends in exactly depth() gathers with no leaf test.
 `value` is the leaf prediction (0 on internal nodes) and `count` the
-number of training rows that reached the node.  The model JSON stores
-the six columns as they are.
+number of training rows, weights counted, that reached the node.  The
+model JSON stores the six columns as they are.
 """
 
 import numbers
@@ -171,11 +193,27 @@ def _column(values, name, kinds) -> np.ndarray:
     return array
 
 
-def fit_tree(X, targets, config: TreeConfig, rng: np.random.Generator) -> RegressionTree:
-    """Grow a tree greedily, maximizing SSE reduction; leaves predict means."""
+def fit_tree(X, targets, config: TreeConfig, rng: np.random.Generator, *,
+             weights=None) -> RegressionTree:
+    """Grow a tree greedily, maximizing SSE reduction; leaves predict means.
+
+    `weights` are optional positive integer row multiplicities: row i
+    counts as weights[i] copies of itself, in `count`, in
+    `min_samples_split` and in every sum.  On integer targets every sum
+    is exact, so the tree equals the one grown on the repeated rows; on
+    other targets the sums can differ from the repeated rows' in the last
+    bits.
+    """
     X, targets = _check_fit_inputs(X, targets, config)
-    ones = np.ones_like(targets)
-    return _grow(X, targets, ones, config, rng, reg_lambda=0.0, gamma=0.0, second_order=False)
+    if weights is None:
+        counts = np.ones(X.shape[0], dtype=np.int64)
+    else:
+        counts = np.asarray(weights)
+        if counts.shape != targets.shape or counts.dtype.kind not in "iu" or counts.min() < 1:
+            raise DataValidationError("weights must be one positive integer per row")
+        counts = counts.astype(np.int64)
+    b = counts.astype(np.float64)
+    return _grow(X, targets * b, b, counts, targets, config, rng, reg_lambda=0.0, gamma=0.0)
 
 
 def fit_tree_gradients(
@@ -196,14 +234,15 @@ def fit_tree_gradients(
     hess = np.ascontiguousarray(hess, dtype=np.float64)
     if hess.shape != grad.shape:
         raise DataValidationError("grad and hess must have equal length")
-    return _grow(X, grad, hess, config, rng, reg_lambda=reg_lambda, gamma=gamma, second_order=True)
+    counts = np.ones(X.shape[0], dtype=np.int64)
+    return _grow(X, grad, hess, counts, None, config, rng, reg_lambda=reg_lambda, gamma=gamma)
 
 
 def _check_fit_inputs(X, targets, config):
     X = np.ascontiguousarray(X, dtype=np.float64)
     targets = np.ascontiguousarray(targets, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise DataValidationError("X must be a non-empty 2-d matrix")
+    if X.ndim != 2 or 0 in X.shape:
+        raise DataValidationError("X must be a 2-d matrix with at least one row and column")
     if targets.shape != (X.shape[0],):
         raise DataValidationError(
             f"{targets.shape[0]} targets for {X.shape[0]} rows"
@@ -212,84 +251,243 @@ def _check_fit_inputs(X, targets, config):
     return X, targets
 
 
-def _grow(X, a, b, config, rng, *, reg_lambda, gamma, second_order) -> RegressionTree:
-    """Shared growth engine over per-row statistics a (sums) and b (weights).
+def _grow(X, a, b, counts, targets, config, rng, *, reg_lambda, gamma) -> RegressionTree:
+    """Shared level-wise engine over per-row statistics a (sums) and b (weights).
 
-    SSE mode: a = targets, b = 1; node score is (sum a)^2 / n and the split
-    gain is the exact SSE reduction.  Second-order mode: a = gradients,
-    b = hessians; score is G^2/(H+lambda), gain is halved and gamma-penalized.
-    Nodes are appended to the table in the order the stack pops them, which
-    is depth-first with the left child first.
+    SSE mode (targets given): a = weight * target, b = weight; node score
+    is (sum a)^2 / (sum b), the gain is the exact SSE reduction, and a node
+    whose targets are all equal is a leaf.  Second-order mode (targets
+    None): a = gradients, b = hessians; score is G^2/(H+lambda), the gain
+    is halved and gamma-penalized.  `counts` are the integer row weights.
     """
-    n_features = X.shape[1]
+    second_order = targets is None
+    n, n_features = X.shape
     k = config.max_features
-    use_subsets = k is not None and k < n_features
-    table = {name: [] for name in COLUMNS}
+    subset_size = k if k is not None and k < n_features else None
+    columns = _SortedColumns(X, a, b)
+    counts = np.append(counts, 0)
+    if not second_order:
+        targets = np.append(targets, 0.0)
 
-    # stack entries: (row indices, depth, parent id, child column)
-    stack = [(np.arange(X.shape[0], dtype=np.int64), 0, -1, "left")]
-    while stack:
-        rows, depth, parent, side = stack.pop()
-        node = len(table["feature"])
-        if parent >= 0:
-            table[side][parent] = node
-        best_gain, best_feature, best_threshold = -np.inf, -1, 0.0
-        depth_capped = config.max_depth is not None and depth >= config.max_depth
-        if not (
-            depth_capped
-            or rows.size < config.min_samples_split
-            or (not second_order and np.ptp(a[rows]) == 0.0)
-        ):
-            if use_subsets:
-                candidates = np.sort(rng.choice(n_features, size=k, replace=False))
-            else:
-                candidates = np.arange(n_features)
-            for f in candidates:
-                gain, threshold = _best_split(
-                    X[rows, f], a[rows], b[rows], reg_lambda, gamma, second_order
-                )
-                if gain > best_gain:
-                    best_gain, best_feature, best_threshold = gain, int(f), threshold
-        table["left"].append(node)
-        table["right"].append(node)
-        table["count"].append(rows.size)
-        if best_gain <= 0.0:
-            sa = float(a[rows].sum())
-            sb = float(b[rows].sum())
-            table["feature"].append(-1)
-            table["threshold"].append(0.0)
-            table["value"].append(-sa / (sb + reg_lambda) if second_order else sa / sb)
-            continue
-        table["feature"].append(best_feature)
-        table["threshold"].append(best_threshold)
-        table["value"].append(0.0)
-        go_left = X[rows, best_feature] <= best_threshold
-        stack.append((rows[~go_left], depth + 1, node, "right"))
-        stack.append((rows[go_left], depth + 1, node, "left"))
+    levels, leaves = [], []
+    start, size = np.zeros(1, dtype=np.int64), np.array([n])
+    depth = first_id = 0
+    while True:
+        bounds = np.column_stack([start, start + size]).ravel()
+        rows = columns.rows()
+        count = np.add.reduceat(counts[rows], bounds)[::2]
+        splittable = count >= config.min_samples_split
+        if config.max_depth is not None and depth >= config.max_depth:
+            splittable[:] = False
+        if not second_order:
+            values = targets[rows]
+            spread = np.maximum.reduceat(values, bounds) - np.minimum.reduceat(values, bounds)
+            splittable &= ~(spread[::2] == 0.0)
+        feature = np.full(start.size, -1, dtype=np.int64)
+        threshold = np.zeros(start.size)
+        split = np.flatnonzero(splittable)
+        if split.size:
+            gainful, best_feature, best_threshold, n_left = columns.best_splits(
+                start[split], size[split], rng, subset_size, reg_lambda, gamma, second_order
+            )
+            split, n_left = split[gainful], n_left[gainful]
+            feature[split], threshold[split] = best_feature[gainful], best_threshold[gainful]
+        if split.size:
+            # children at the depth bound are leaves: only the row order matters
+            last = config.max_depth is not None and depth + 1 >= config.max_depth
+            columns.partition(start[split], size[split], n_left, feature[split], last)
+
+        ids = first_id + np.arange(start.size)
+        left, right = ids.copy(), ids.copy()
+        left[split] = first_id + start.size + 2 * np.arange(split.size)
+        right[split] = left[split] + 1
+        levels.append((ids, feature, threshold, left, right, count))
+        leaf = feature < 0
+        leaves.append(np.column_stack([ids[leaf], start[leaf], start[leaf] + size[leaf]]))
+        first_id += start.size
+        if not split.size:
+            break
+        start = np.column_stack([start[split], start[split] + n_left]).ravel()
+        size = np.column_stack([n_left, size[split] - n_left]).ravel()
+        depth += 1
+
+    # a leaf keeps its range once made, so its rows sit there in ascending
+    # order; a row of a C-contiguous 2-row array sums in the same pairwise
+    # order as a[rows].sum()
+    sums = np.vstack([columns.a[columns.keys[-1]], columns.b[columns.keys[-1]]])
+    value = np.zeros(first_id)
+    for node, lo, hi in np.concatenate(leaves).tolist():
+        sa, sb = np.add.reduce(sums[:, lo:hi], axis=1).tolist()
+        value[node] = -sa / (sb + reg_lambda) if second_order else sa / sb
+    return _depth_first_table(levels, value, n_features)
+
+
+def _spans(start, size):
+    """The positions of each range start[j] .. start[j] + size[j] - 1, range by range."""
+    return np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
+
+
+def _blocks(size):
+    """The nodes in blocks of similar size, largest first.
+
+    Padding a block to its largest node at most doubles it, so the padded
+    work and memory stay within twice the rows, however uneven the nodes.
+    """
+    order = np.argsort(-size, kind="stable")
+    held = np.cumsum(size[order])
+    blocks, first = [], 0
+    while first < order.size:
+        largest = size[order[first]]
+        fits = largest * np.arange(1, order.size - first + 1) <= 2 * (
+            held[first:] - held[first] + largest)
+        stop = first + (fits.size if fits.all() else int(np.argmin(fits)))
+        blocks.append(order[first:stop])
+        first = stop
+    return blocks
+
+
+class _SortedColumns:
+    """Each feature's rows in sorted order, cut into node ranges as a tree grows.
+
+    A node owns one range of positions, the same in every feature's order,
+    and a split partitions its range stably, so each order stays sorted
+    within every node.  keys[f, p] names the row at position p of feature
+    f's order as f * stride + row, with stride = n + 1; keys[-1] holds the
+    rows in row order, named the same way.  `x`, `a` and `b` hold stride
+    entries per row of keys, so one flat gather reads them for any keys.
+    Row n and position n are padding, with x = a = b = 0.
+    """
+
+    def __init__(self, X, a, b):
+        n, n_features = X.shape
+        self.stride = n + 1
+        order = np.full((n_features + 1, n + 1), n, dtype=np.int64)
+        order[:-1, :n] = np.argsort(X, axis=0, kind="stable").T
+        order[-1, :n] = np.arange(n)
+        self.keys = order + self.stride * np.arange(n_features + 1)[:, None]
+        x = np.zeros((n_features + 1, n + 1))
+        x[:-1, :n] = X.T
+        self.x = x.ravel()
+        self.a, self.b = (np.tile(np.append(v, 0.0), n_features + 1) for v in (a, b))
+
+    def rows(self):
+        """The row at each position, ascending within every node."""
+        return self.keys[-1] % self.stride
+
+    def best_splits(self, start, size, rng, subset_size, reg_lambda, gamma, second_order):
+        """Per node: (gain > 0, feature, threshold, rows going left) of its best split.
+
+        A lane is one (feature, node) pair.  Gains are scored only where a
+        split can fall: between distinct values.  Ties go to the first
+        maximum: the lowest threshold within a feature, then the lowest
+        feature.
+        """
+        n_features, n_nodes = self.keys.shape[0] - 1, start.size
+        feature, node, cut, left_a, left_b, total_a, total_b = (
+            np.concatenate(parts) for parts in zip(*(
+                self._candidates(start, size, nodes) for nodes in _blocks(size))))
+        best_gain = np.full((n_nodes, n_features), -np.inf)
+        best_cut = np.zeros((n_nodes, n_features), dtype=np.int64)
+        if cut.size:
+            new_lane = np.ones(cut.size, dtype=bool)
+            lane_id = feature * n_nodes + node
+            np.not_equal(lane_id[1:], lane_id[:-1], out=new_lane[1:])
+            first = np.flatnonzero(new_lane)
+            lane = np.cumsum(new_lane) - 1
+            # a Python float's ** 2 is C pow, which rounds a few squares
+            # differently from an array's ** 2; a node score keeps pow's
+            squares = np.array([t**2 for t in total_a[first].tolist()])
+            parent_score = squares / (total_b[first] + reg_lambda)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                left_score = left_a**2 / (left_b + reg_lambda)
+                right_score = (total_a - left_a) ** 2 / (total_b - left_b + reg_lambda)
+                gains = left_score + right_score - parent_score[lane]
+                if second_order:
+                    gains = 0.5 * gains - gamma
+            # first maximum per lane; a lane holding nan or inf scores -inf,
+            # as np.argmax followed by a finiteness check would
+            hit = np.flatnonzero(gains == np.maximum.reduceat(gains, first)[lane])
+            first_hit = np.ones(hit.size, dtype=bool)
+            np.not_equal(lane[hit][1:], lane[hit][:-1], out=first_hit[1:])
+            hit = hit[first_hit]
+            hit = hit[np.isfinite(gains[hit])]
+            best_gain[node[hit], feature[hit]] = gains[hit]
+            best_cut[node[hit], feature[hit]] = cut[hit]
+        if subset_size is not None:
+            # one subset per node, drawn breadth-first, left child first
+            drawn = np.zeros(best_gain.shape, dtype=bool)
+            for j in range(n_nodes):
+                drawn[j, rng.choice(n_features, size=subset_size, replace=False)] = True
+            best_gain[~drawn] = -np.inf
+        nodes = np.arange(n_nodes)
+        chosen = np.argmax(best_gain, axis=1)  # first max -> lowest feature on ties
+        at = start + best_cut[nodes, chosen]
+        threshold = (self.x[self.keys[chosen, at]] + self.x[self.keys[chosen, at + 1]]) / 2.0
+        # sorted by its split feature, a node's left rows come first
+        xs = self.x[self.keys[np.repeat(chosen, size), _spans(start, size)]]
+        n_left = np.add.reduceat(xs <= np.repeat(threshold, size), np.cumsum(size) - size,
+                                 dtype=np.int64)
+        return best_gain[nodes, chosen] > 0.0, chosen, threshold, n_left
+
+    def _candidates(self, start, size, nodes):
+        """Every split candidate of the given nodes, lane by lane, cut ascending.
+
+        The nodes' ranges are laid out as a padded (feature, node,
+        position) block, so each prefix sum runs along one node's range
+        alone and adds its rows in the order a stable sort of that node
+        would.  Per candidate: (feature, node, cut, left a, left b, total
+        a, total b); the split falls after the cut-th position of the node.
+        """
+        offset = np.arange(max(int(size[nodes].max()), 2))
+        inside = offset < size[nodes, None]
+        keys = self.keys[:-1, np.where(inside, start[nodes, None] + offset, -1)]
+        xs = self.x[keys]
+        ca = np.cumsum(self.a[keys], axis=2)
+        cb = np.cumsum(self.b[keys], axis=2)
+        feature, j, cut = np.nonzero((xs[..., 1:] > xs[..., :-1]) & inside[:, 1:])
+        last = size[nodes[j]] - 1
+        return (feature, nodes[j], cut, ca[feature, j, cut], cb[feature, j, cut],
+                ca[feature, j, last], cb[feature, j, last])
+
+    def partition(self, start, size, n_left, feature, row_order_only=False):
+        """Stably move each split node's left rows to the front of its range.
+
+        Sorted by its split feature, a node's first n_left rows go left;
+        every row of keys, or only keys[-1], is partitioned by that one set.
+        """
+        at = _spans(start, size)  # node by node
+        within = at - np.repeat(start, size)
+        goes_right = within >= np.repeat(n_left, size)
+        goes_left = np.ones(self.stride, dtype=bool)
+        goes_left[self.keys[np.repeat(feature, size)[goes_right], at[goes_right]]
+                  % self.stride] = False
+        goes_left = np.tile(goes_left, self.keys.shape[0])  # by key
+        moved = slice(-1, None) if row_order_only else slice(None)
+        taken = self.keys[moved, at]
+        flags = goes_left[taken]
+        # every row of keys holds each node's left rows in the same number,
+        # so its lefts and its rights each fill a fixed width
+        lefts = taken[flags].reshape(taken.shape[0], -1)
+        rights = taken[~flags].reshape(taken.shape[0], -1)
+        source = np.where(goes_right,
+                          lefts.shape[1] + np.repeat(np.cumsum(size - n_left) - size, size),
+                          np.repeat(np.cumsum(n_left) - n_left, size)) + within
+        self.keys[moved, at] = np.hstack([lefts, rights])[:, source]
+
+
+def _depth_first_table(levels, value, n_features) -> RegressionTree:
+    """The breadth-first levels as one table numbered depth-first, left child first."""
+    ids, feature, threshold, left, right, count = (np.concatenate(c) for c in zip(*levels))
+    internal = [level[0][level[1] >= 0] for level in levels]
+    subtree = np.ones(ids.size, dtype=np.int64)
+    for nodes in reversed(internal):
+        subtree[nodes] += subtree[left[nodes]] + subtree[right[nodes]]
+    order = np.zeros(ids.size, dtype=np.int64)
+    for nodes in internal:
+        order[left[nodes]] = order[nodes] + 1
+        order[right[nodes]] = order[nodes] + 1 + subtree[left[nodes]]
+    table = {}
+    for name, column in zip(COLUMNS, (feature, threshold, order[left], order[right], value, count)):
+        table[name] = np.empty_like(column)
+        table[name][order] = column
     return RegressionTree(**table, feature_count=n_features)
-
-
-def _best_split(column, a, b, reg_lambda, gamma, second_order):
-    """Best (gain, threshold) for one feature; (-inf, 0) when unsplittable."""
-    order = np.argsort(column, kind="stable")
-    xs = column[order]
-    if xs[0] == xs[-1]:
-        return -np.inf, 0.0
-    ca = np.cumsum(a[order])[:-1]
-    cb = np.cumsum(b[order])[:-1]
-    total_a, total_b = ca[-1] + a[order[-1]], cb[-1] + b[order[-1]]
-
-    left_score = ca**2 / (cb + reg_lambda)
-    right_score = (total_a - ca) ** 2 / (total_b - cb + reg_lambda)
-    parent_score = total_a**2 / (total_b + reg_lambda)
-    gains = left_score + right_score - parent_score
-    if second_order:
-        gains = 0.5 * gains - gamma
-
-    splittable = xs[1:] > xs[:-1]
-    gains[~splittable] = -np.inf
-    best = int(np.argmax(gains))  # first max -> lowest threshold on ties
-    if not np.isfinite(gains[best]):
-        return -np.inf, 0.0
-    threshold = (xs[best] + xs[best + 1]) / 2.0
-    return float(gains[best]), float(threshold)

@@ -1,0 +1,108 @@
+"""A node-at-a-time tree growth engine: the oracle for `premex.tree`.
+
+A stack grows one node at a time, depth-first, and every node sorts each
+candidate feature's column afresh.  Tests require the level-wise engine in
+`premex.tree` to grow the same node tables as `_grow` and `_best_split`
+here, bit for bit.
+"""
+
+import numpy as np
+
+from premex.tree import COLUMNS, RegressionTree
+
+
+def fit_tree(X, targets, config, rng):
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    ones = np.ones_like(targets)
+    return _grow(X, targets, ones, config, rng, reg_lambda=0.0, gamma=0.0, second_order=False)
+
+
+def fit_tree_gradients(X, grad, hess, config, rng, reg_lambda=1.0, gamma=0.0):
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    grad = np.ascontiguousarray(grad, dtype=np.float64)
+    hess = np.ascontiguousarray(hess, dtype=np.float64)
+    return _grow(X, grad, hess, config, rng, reg_lambda=reg_lambda, gamma=gamma, second_order=True)
+
+
+def _grow(X, a, b, config, rng, *, reg_lambda, gamma, second_order) -> RegressionTree:
+    """Shared growth engine over per-row statistics a (sums) and b (weights).
+
+    SSE mode: a = targets, b = 1; node score is (sum a)^2 / n and the split
+    gain is the exact SSE reduction.  Second-order mode: a = gradients,
+    b = hessians; score is G^2/(H+lambda), gain is halved and gamma-penalized.
+    Nodes are appended to the table in the order the stack pops them, which
+    is depth-first with the left child first.
+    """
+    n_features = X.shape[1]
+    k = config.max_features
+    use_subsets = k is not None and k < n_features
+    table = {name: [] for name in COLUMNS}
+
+    # stack entries: (row indices, depth, parent id, child column)
+    stack = [(np.arange(X.shape[0], dtype=np.int64), 0, -1, "left")]
+    while stack:
+        rows, depth, parent, side = stack.pop()
+        node = len(table["feature"])
+        if parent >= 0:
+            table[side][parent] = node
+        best_gain, best_feature, best_threshold = -np.inf, -1, 0.0
+        depth_capped = config.max_depth is not None and depth >= config.max_depth
+        if not (
+            depth_capped
+            or rows.size < config.min_samples_split
+            or (not second_order and np.ptp(a[rows]) == 0.0)
+        ):
+            if use_subsets:
+                candidates = np.sort(rng.choice(n_features, size=k, replace=False))
+            else:
+                candidates = np.arange(n_features)
+            for f in candidates:
+                gain, threshold = _best_split(
+                    X[rows, f], a[rows], b[rows], reg_lambda, gamma, second_order
+                )
+                if gain > best_gain:
+                    best_gain, best_feature, best_threshold = gain, int(f), threshold
+        table["left"].append(node)
+        table["right"].append(node)
+        table["count"].append(rows.size)
+        if best_gain <= 0.0:
+            sa = float(a[rows].sum())
+            sb = float(b[rows].sum())
+            table["feature"].append(-1)
+            table["threshold"].append(0.0)
+            table["value"].append(-sa / (sb + reg_lambda) if second_order else sa / sb)
+            continue
+        table["feature"].append(best_feature)
+        table["threshold"].append(best_threshold)
+        table["value"].append(0.0)
+        go_left = X[rows, best_feature] <= best_threshold
+        stack.append((rows[~go_left], depth + 1, node, "right"))
+        stack.append((rows[go_left], depth + 1, node, "left"))
+    return RegressionTree(**table, feature_count=n_features)
+
+
+def _best_split(column, a, b, reg_lambda, gamma, second_order):
+    """Best (gain, threshold) for one feature; (-inf, 0) when unsplittable."""
+    order = np.argsort(column, kind="stable")
+    xs = column[order]
+    if xs[0] == xs[-1]:
+        return -np.inf, 0.0
+    ca = np.cumsum(a[order])[:-1]
+    cb = np.cumsum(b[order])[:-1]
+    total_a, total_b = ca[-1] + a[order[-1]], cb[-1] + b[order[-1]]
+
+    left_score = ca**2 / (cb + reg_lambda)
+    right_score = (total_a - ca) ** 2 / (total_b - cb + reg_lambda)
+    parent_score = total_a**2 / (total_b + reg_lambda)
+    gains = left_score + right_score - parent_score
+    if second_order:
+        gains = 0.5 * gains - gamma
+
+    splittable = xs[1:] > xs[:-1]
+    gains[~splittable] = -np.inf
+    best = int(np.argmax(gains))  # first max -> lowest threshold on ties
+    if not np.isfinite(gains[best]):
+        return -np.inf, 0.0
+    threshold = (xs[best] + xs[best + 1]) / 2.0
+    return float(gains[best]), float(threshold)

@@ -247,17 +247,19 @@ class TestTrain:
 
 class TestTune:
     def test_single_cell_grid(self, runner, workdir, tmp_path):
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"n_estimators": [6], "max_depth": [2]}))
-        result = runner.invoke(
-            main,
-            ["tune", str(workdir / "dataset.json"), "--model", "gbm",
-             "--grid", str(grid), "--folds", "3", "--out", str(workdir)],
-        )
-        assert result.exit_code == 0, result.output
-        document = json.loads((workdir / "cv_gbm.json").read_text())
-        assert document["best_params"] == {"n_estimators": 6, "max_depth": 2}
-        assert len(document["cells"]) == 1
+        # a depth bound past int64 is as valid as a small one
+        for depth in (2, 99999999999999999999):
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"n_estimators": [6], "max_depth": [depth]}))
+            result = runner.invoke(
+                main,
+                ["tune", str(workdir / "dataset.json"), "--model", "gbm",
+                 "--grid", str(grid), "--folds", "3", "--out", str(workdir)],
+            )
+            assert result.exit_code == 0, result.output
+            document = json.loads((workdir / "cv_gbm.json").read_text())
+            assert document["best_params"] == {"n_estimators": 6, "max_depth": depth}
+            assert len(document["cells"]) == 1
 
     def test_flag_set_in_one_row_is_accepted(self, runner, tmp_path):
         # AnyTransplants is 1 in a single row, so it is constant on most
@@ -711,6 +713,22 @@ class TestExplain:
         slopes = [line.split(",") for line in lines if line.split(",")[1] == "derivative"]
         assert {cells[0] for cells in slopes} == set(data_mod.MODEL_FEATURES)
         assert sum(cells[0] == "Diabetes" for cells in slopes) == 300 * 2
+
+    def test_derivative_ice_skips_one_point_grid(self, runner, workdir, tmp_path):
+        # KnownAllergies is 0 in all 5 explained rows, so its grid has one point
+        args = ["explain", str(workdir / "model_gbm.json"), str(workdir / "dataset.json"),
+                "--mode", "ice", "--derivative", "--rows", "5"]
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "all")])
+        assert result.exit_code == 0, result.output
+        assert "skipping KnownAllergies" in result.stderr
+        lines = (tmp_path / "all" / "ice_gbm.csv").read_text().strip().splitlines()[2:]
+        slopes = {line.split(",")[0] for line in lines if line.split(",")[1] == "derivative"}
+        assert slopes == set(data_mod.MODEL_FEATURES) - {"KnownAllergies"}
+        # named on its own, the feature still has no derivative
+        result = runner.invoke(main, [*args, "--feature", "KnownAllergies",
+                                      "--out", str(tmp_path / "one")])
+        assert result.exit_code == 5, result.output
+        assert "at least 2 points" in result.stderr
 
     @pytest.mark.parametrize("args", [
         ["--mode", "shap", "--rows", "-3"],

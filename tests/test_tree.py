@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import reference_tree
 from premex.errors import DataValidationError
 from premex.rng import stream
 from premex.tree import (
@@ -109,6 +113,10 @@ class TestFitTree:
     def test_empty_input(self):
         with pytest.raises(DataValidationError):
             fit_tree(np.empty((0, 2)), np.empty(0), TreeConfig(), stream(0, "t"))
+
+    def test_no_feature_columns(self):
+        with pytest.raises(DataValidationError):
+            fit_tree(np.empty((4, 0)), np.arange(4.0), TreeConfig(), stream(0, "t"))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataValidationError):
@@ -298,3 +306,75 @@ class TestSerialization:
     def test_nested_layout_rejected(self, doc):
         with pytest.raises(DataValidationError):
             RegressionTree.from_dict(doc, 1)
+
+
+class TestReferenceEngine:
+    """The level-wise engine grows the trees the node-at-a-time one grew."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_tables_equal_the_reference(self, data):
+        def arrays(shape, elements, label):
+            return data.draw(hnp.arrays(np.float64, shape, elements=elements), label=label)
+
+        n = data.draw(st.integers(2, 30), label="n")
+        X = arrays((n, data.draw(st.integers(1, 4))), st.integers(0, 3).map(float), "X")  # ties
+        y = arrays(n, st.integers(0, 4).map(float), "y")
+        config = TreeConfig(max_depth=data.draw(st.integers(1, 4)),
+                            min_samples_split=data.draw(st.integers(2, 4)))
+        # SSE mode, with and without a depth bound
+        for mode in (config, TreeConfig(max_depth=None)):
+            assert (fit_tree(X, y, mode, stream(0, "t")).to_dict()
+                    == reference_tree.fit_tree(X, y, mode, stream(0, "t")).to_dict())
+        # second-order mode on float gradients, lambda > 0 and gamma > 0
+        grad = arrays(n, st.floats(-10.0, 10.0), "grad")
+        hess = arrays(n, st.floats(0.5, 2.0), "hess")
+        penalties = (data.draw(st.floats(0.1, 2.0), label="lambda"),
+                     data.draw(st.floats(0.001, 0.1), label="gamma"))
+        assert (fit_tree_gradients(X, grad, hess, config, stream(0, "t"), *penalties).to_dict()
+                == reference_tree.fit_tree_gradients(X, grad, hess, config, stream(0, "t"),
+                                                     *penalties).to_dict())
+        # bootstrap weights against the same rows repeated, in drawn order
+        weights = np.array(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        repeated = np.repeat(np.arange(n), weights)
+        repeated = repeated[data.draw(st.permutations(range(repeated.size)), label="order")]
+        assert (fit_tree(X, y, config, stream(0, "t"), weights=weights).to_dict()
+                == reference_tree.fit_tree(X[repeated], y[repeated], config,
+                                           stream(0, "t")).to_dict())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weights_on_float_targets_agree_to_rounding(self, seed):
+        # weight * target sums a row once where the repeated rows add it
+        # weight times, so only integer targets are bit-identical; generic
+        # float targets keep the same splits and agree to rounding
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, size=(60, 3)).astype(float)
+        y = rng.normal(1000.0, 300.0, size=60)
+        weights = rng.integers(1, 4, size=60)
+        repeated = rng.permutation(np.repeat(np.arange(60), weights))
+        config = TreeConfig(max_depth=5)
+        tree = fit_tree(X, y, config, stream(0, "t"), weights=weights)
+        expected = reference_tree.fit_tree(X[repeated], y[repeated], config, stream(0, "t"))
+        for name in ("feature", "threshold", "left", "right", "count"):
+            assert np.array_equal(getattr(tree, name), getattr(expected, name))
+        assert np.allclose(tree.value, expected.value, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("weights",[[1, 1, 0, 1], [1, 2, 1], [1.0, 1.0, 1.0, 1.0]])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(DataValidationError):
+            fit_tree(np.ones((4, 2)), np.arange(4.0), TreeConfig(), stream(0, "t"), weights=weights)
+
+
+class TestFeatureSubsets:
+    def test_each_node_splits_within_its_drawn_subset(self):
+        # only feature 0 carries signal, so a node that did not draw it
+        # splits on noise
+        rng = np.random.default_rng(23)
+        X = rng.integers(0, 6, size=(200, 3)).astype(float)
+        y = 10.0 * X[:, 0]
+        every = fit_tree(X, y, TreeConfig(max_depth=4), stream(3, "t"))
+        assert set(every.feature[every.feature >= 0]) == {0}
+        config = TreeConfig(max_depth=4, max_features=1)
+        tree = fit_tree(X, y, config, stream(3, "t"))
+        assert set(tree.feature[tree.feature >= 0]) - {0}
+        assert tree.to_dict() == fit_tree(X, y, config, stream(3, "t")).to_dict()
