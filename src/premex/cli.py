@@ -5,7 +5,9 @@ atomically, and embeds {seed, config hash, format version} in each one.
 Each pipeline stage has one implementation (`_ingest`, `_train_one`,
 `_tune`, `_evaluate_one`, `_explain_shap`, `_explain_ice`), called both by
 its command and by `reproduce`, so the one-shot run writes the same
-artifacts as the single commands.
+artifacts as the single commands.  Each figure is one call of its
+`report.<figure>_svg` function with the stage's arrays, a title and the
+SVG meta line.
 Exit codes: 0 success, 2 usage, 3 data validation, 4 I/O, 5 numeric.
 """
 
@@ -301,42 +303,19 @@ def _evaluate_one(model, dataset, test_ids, seed, out_dir):
     )
     _write(out_dir, f"metrics_{variant}.csv",
            report_mod.metrics_table_csv([report], seed=seed))
+    name = VARIANT_NAMES[variant]
     meta = _svg_meta(seed, {"variant": variant})
-    _write(
-        out_dir,
-        f"residual_scatter_{variant}.svg",
-        report_mod.render(
-            report_mod.FigureSpec("residual_scatter", f"{VARIANT_NAMES[variant]} residuals",
-                                  "predicted premium", "residual"),
-            {"predicted": predicted, "residuals": actual - predicted},
-            meta,
-        ),
-    )
+    _write(out_dir, f"residual_scatter_{variant}.svg", report_mod.residual_scatter_svg(
+        predicted, actual - predicted, f"{name} residuals", meta))
     try:
         diagnostics = metrics_mod.residual_diagnostics(actual, predicted)
     except NumericError as exc:
         click.echo(f"warning: skipping Q-Q figure: {exc}", err=True)
     else:
-        _write(
-            out_dir,
-            f"qq_{variant}.svg",
-            report_mod.render(
-                report_mod.FigureSpec("qq", f"{VARIANT_NAMES[variant]} residual Q-Q",
-                                      "normal quantile", "standardized residual"),
-                {"theoretical": diagnostics.qq_theoretical, "sample": diagnostics.qq_sample},
-                meta,
-            ),
-        )
-    _write(
-        out_dir,
-        f"prediction_error_{variant}.svg",
-        report_mod.render(
-            report_mod.FigureSpec("prediction_error", f"{VARIANT_NAMES[variant]} prediction error",
-                                  "actual premium", "predicted premium"),
-            {"actual": actual, "predicted": predicted},
-            meta,
-        ),
-    )
+        _write(out_dir, f"qq_{variant}.svg", report_mod.qq_svg(
+            diagnostics.qq_theoretical, diagnostics.qq_sample, f"{name} residual Q-Q", meta))
+    _write(out_dir, f"prediction_error_{variant}.svg", report_mod.prediction_error_svg(
+        actual, predicted, f"{name} prediction error", meta))
     return report
 
 
@@ -372,34 +351,17 @@ def _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir):
         *terms, dataset.X[explain_ids], background, feature_names=dataset.feature_names
     )
     importance = explain_mod.global_importance(explanation)
-    swarm = explain_mod.beeswarm_data(explanation)
     _write(out_dir, f"shap_values_{variant}.csv",
            report_mod.shap_values_csv(explanation, row_ids, seed=seed))
     _write(out_dir, f"shap_importance_{variant}.csv",
            report_mod.importance_csv(importance, seed=seed))
+    name = VARIANT_NAMES[variant]
     meta = _svg_meta(seed, {"variant": variant, "rows": len(row_ids)})
-    _write(
-        out_dir,
-        f"beeswarm_{variant}.svg",
-        report_mod.render(
-            report_mod.FigureSpec("beeswarm", f"{VARIANT_NAMES[variant]} attribution summary",
-                                  "attribution (premium units)"),
-            {"feature_names": swarm.feature_names, "points": swarm.points},
-            meta,
-        ),
-    )
-    ordered_names = [importance.feature_names[j] for j in importance.order]
-    ordered_totals = importance.totals[importance.order]
-    _write(
-        out_dir,
-        f"importance_{variant}.svg",
-        report_mod.render(
-            report_mod.FigureSpec("importance_bar", f"{VARIANT_NAMES[variant]} feature importance",
-                                  "sum of |attribution|"),
-            {"names": ordered_names, "totals": ordered_totals},
-            meta,
-        ),
-    )
+    _write(out_dir, f"beeswarm_{variant}.svg", report_mod.beeswarm_svg(
+        *explain_mod.beeswarm_data(explanation), f"{name} attribution summary", meta))
+    _write(out_dir, f"importance_{variant}.svg", report_mod.importance_bar_svg(
+        [importance.feature_names[j] for j in importance.order],
+        importance.totals[importance.order], f"{name} feature importance", meta))
     return importance
 
 
@@ -423,32 +385,16 @@ def _explain_ice(model, dataset, ids, features, grid_points, centered, derivativ
                 continue
             chosen = explain_mod.derivative_ice(raw)
         curve_sets.extend([raw] if chosen is raw else [raw, chosen])
-        panels.append(
-            {
-                "feature_name": name,
-                "grid": chosen.grid,
-                "curves": chosen.curves,
-                "pdp": chosen.pdp,
-                "anchor_index": chosen.anchor_index,
-            }
-        )
+        panels.append(chosen)
     if not panels:
         raise NumericError("derivative curves need a grid of at least 2 points; "
                            "each feature asked for is constant among the explained rows")
     _write(out_dir, f"ice_{variant}.csv",
            report_mod.ice_long_csv(curve_sets, [int(i) for i in ids], seed=seed))
     kind_label = "derivative" if derivative else ("centered" if centered else "raw")
-    meta = _svg_meta(seed, {"variant": variant, "kind": kind_label})
-    _write(
-        out_dir,
-        f"ice_panel_{variant}.svg",
-        report_mod.render(
-            report_mod.FigureSpec("ice_panel",
-                                  f"{VARIANT_NAMES[variant]} {kind_label} ICE curves"),
-            {"panels": panels},
-            meta,
-        ),
-    )
+    _write(out_dir, f"ice_panel_{variant}.svg", report_mod.ice_panel_svg(
+        panels, f"{VARIANT_NAMES[variant]} {kind_label} ICE curves",
+        _svg_meta(seed, {"variant": variant, "kind": kind_label})))
     return len(panels)
 
 
@@ -534,34 +480,17 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
     timings = {}
     raw, derived, duplicates = _ingest(csv_path, out_dir, seed)
     correlation = data_mod.pearson_correlation(raw)
-    _write(
-        out_dir,
-        "correlation_heatmap.svg",
-        report_mod.render(
-            report_mod.FigureSpec("correlation_heatmap", "Attribute correlation"),
-            {"names": correlation.names, "matrix": correlation.matrix},
-            _svg_meta(seed, {"figure": "correlation"}),
-        ),
-    )
+    _write(out_dir, "correlation_heatmap.svg", report_mod.correlation_heatmap_svg(
+        correlation.names, correlation.matrix, "Attribute correlation",
+        _svg_meta(seed, {"figure": "correlation"})))
     group_csv_parts = []
     for feature in GROUPING_FEATURES:
         groups = data_mod.group_summary(derived, feature)
         group_csv_parts.append((feature, groups))
         column = derived.X[:, derived.feature_index(feature)]
-        figure_groups = [
-            {"label": report_mod.value_label(g.value), "values": derived.y[column == g.value]}
-            for g in groups
-        ]
-        _write(
-            out_dir,
-            f"group_boxplot_{feature}.svg",
-            report_mod.render(
-                report_mod.FigureSpec("group_boxplot", f"Premium by {feature}",
-                                      feature, "premium"),
-                {"groups": figure_groups},
-                _svg_meta(seed, {"figure": "group", "feature": feature}),
-            ),
-        )
+        _write(out_dir, f"group_boxplot_{feature}.svg", report_mod.group_boxplot_svg(
+            feature, [(g.value, derived.y[column == g.value]) for g in groups],
+            f"Premium by {feature}", _svg_meta(seed, {"figure": "group", "feature": feature})))
     _write(out_dir, "group_premium_stats.csv",
            report_mod.group_summary_all_csv(group_csv_parts, seed=seed))
     timings["eda"] = time.perf_counter() - started
@@ -571,8 +500,7 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
     train_subset = derived.subset(split.train_rows)
 
     models = []
-    cv_entries = []
-    improvement_inputs = []
+    scores = []  # per model: train, CV and test R^2 and its parameters
     metrics_reports = []
     for variant in ensemble_mod.PUBLISHED:
         if full_tune:
@@ -595,36 +523,21 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
         )
         _write(out_dir, f"learning_curve_{variant}.csv",
                report_mod.learning_curve_csv(curve, seed=seed))
-        _write(
-            out_dir,
-            f"learning_curve_{variant}.svg",
-            report_mod.render(
-                report_mod.FigureSpec("learning_curve",
-                                      f"{VARIANT_NAMES[variant]} learning curve",
-                                      "training rows", "R^2"),
-                {"n_rows": curve.n_rows, "train": curve.train_scores, "val": curve.val_scores},
-                _svg_meta(seed, {"figure": "learning_curve", "variant": variant}),
-            ),
-        )
+        _write(out_dir, f"learning_curve_{variant}.svg", report_mod.learning_curve_svg(
+            curve.n_rows, curve.train_scores, curve.val_scores,
+            f"{VARIANT_NAMES[variant]} learning curve",
+            _svg_meta(seed, {"figure": "learning_curve", "variant": variant})))
         timings[f"learning_curve_{variant}"] = time.perf_counter() - stage_start
 
         # the curve's fraction-1.0 point is k-fold CV of these parameters
-        cv_mean = curve.val_scores[-1]
-        cv_entries.append(
-            {
-                "model": VARIANT_NAMES[variant],
-                "train_r2": train_r2,
-                "cv_r2": cv_mean,
-                "best_params": params,
-            }
-        )
-        improvement_inputs.append((VARIANT_NAMES[variant], train_r2, cv_mean, report.r_squared))
+        scores.append({"model": VARIANT_NAMES[variant], "train_r2": train_r2,
+                       "cv_r2": curve.val_scores[-1], "test_r2": report.r_squared,
+                       "best_params": params})
 
     _write(out_dir, "test_metrics.csv",
            report_mod.metrics_table_csv(metrics_reports, seed=seed))
-    _write(out_dir, "cv_overview.csv", report_mod.cv_table_csv(cv_entries, seed=seed))
-    rows = tuning_mod.improvement_table(improvement_inputs)
-    _write(out_dir, "improvement.csv", report_mod.improvement_csv(rows, seed=seed))
+    _write(out_dir, "cv_overview.csv", report_mod.cv_table_csv(scores, seed=seed))
+    _write(out_dir, "improvement.csv", report_mod.improvement_csv(scores, seed=seed))
 
     explain_ids = _subsample(split.test_rows, explain_rows, seed, "explain_rows")
     background_ids = _subsample(split.train_rows, background_size, seed, "background")

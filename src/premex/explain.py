@@ -300,15 +300,12 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-@dataclass
-class BeeswarmData:
-    feature_order: list  # feature indices, most important first
-    feature_names: list  # names in plot order
-    points: list  # per feature: (phi values, color scalars in [0, 1])
+def beeswarm_data(explanation: ShapExplanation):
+    """Feature names, most important first, and each feature's plot points.
 
-
-def beeswarm_data(explanation: ShapExplanation) -> BeeswarmData:
-    """Plot-ready beeswarm rows: attributions plus rank-normalized colors."""
+    A feature's points are (its attributions, rank-normalized colors of its
+    values in [0, 1]).
+    """
     importance = global_importance(explanation)
     n = explanation.phi.shape[0]
     points = []
@@ -319,11 +316,7 @@ def beeswarm_data(explanation: ShapExplanation) -> BeeswarmData:
         else:
             colors = (_average_ranks(column) - 1.0) / (n - 1.0)
         points.append((explanation.phi[:, j].copy(), colors))
-    return BeeswarmData(
-        feature_order=list(importance.order),
-        feature_names=[explanation.feature_names[j] for j in importance.order],
-        points=points,
-    )
+    return [explanation.feature_names[j] for j in importance.order], points
 
 
 def make_grid(column: np.ndarray, n_points: int = 30, max_distinct: int = 10) -> np.ndarray:

@@ -1,33 +1,22 @@
 """Static SVG figures and CSV tables for every computed artifact.
 
-The renderer is deliberately dependency-free: identical inputs must give
-byte-identical SVG, which rules out plotting libraries that embed
-timestamps or hashed ids.  Figures validate their data shape before any
-output is produced.
+Each figure is one function, `<figure>_svg(<data>, title, meta)`, that
+takes its data as named parameters and returns the SVG text; each table is
+one `<table>_csv` function.  The renderer is deliberately dependency-free:
+identical inputs must give byte-identical SVG, which rules out plotting
+libraries that embed timestamps or hashed ids.  Figures validate their data
+shape before any output is produced.
 """
 
 import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import csv_meta_line
 from .errors import DataValidationError
-
-FIGURE_KINDS = (
-    "correlation_heatmap",
-    "group_boxplot",
-    "learning_curve",
-    "residual_scatter",
-    "qq",
-    "prediction_error",
-    "beeswarm",
-    "importance_bar",
-    "ice_panel",
-)
 
 # One place for every cosmetic constant.
 COLOR_AXIS = "#333333"
@@ -39,18 +28,6 @@ COLOR_CURVE = "#7f9fbf"
 COLOR_LOW = (31, 119, 180)  # beeswarm low feature value
 COLOR_HIGH = (214, 39, 40)  # beeswarm high feature value
 FONT = "font-family=\"Helvetica,Arial,sans-serif\""
-
-
-@dataclass
-class FigureSpec:
-    kind: str
-    title: str
-    x_label: str = ""
-    y_label: str = ""
-
-    def __post_init__(self):
-        if self.kind not in FIGURE_KINDS:
-            raise DataValidationError(f"unknown figure kind {self.kind!r}")
 
 
 def _esc(text: str) -> str:
@@ -71,11 +48,6 @@ def _label(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return f"{x:.4g}"
-
-
-def value_label(x: float) -> str:
-    """Compact label for a (possibly integral) feature value."""
-    return _label(float(x))
 
 
 def _ticks(lo: float, hi: float, target: int = 5):
@@ -118,8 +90,7 @@ class _Canvas:
         if meta:
             self.parts.append(f"<desc>{_esc(meta)}</desc>")
         self.parts.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
-        if title:
-            self.text(width / 2, 24, title, size=16, anchor="middle", weight="bold")
+        self.text(width / 2, 24, title, size=16, anchor="middle", weight="bold")
 
     def line(self, x1, y1, x2, y2, color=COLOR_AXIS, width=1.0, dash=""):
         extra = f' stroke-dasharray="{dash}"' if dash else ""
@@ -159,34 +130,25 @@ class _Canvas:
             f"{_esc(content)}</text>"
         )
 
-    def render(self) -> str:
+    def svg(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _axes(canvas, box, x_scale, y_scale, x_label, y_label, x_ticks=None, y_ticks=None):
+def _axes(canvas, box, x_scale, y_scale, x_label, y_label):
     left, top, right, bottom = box
     canvas.line(left, bottom, right, bottom)
     canvas.line(left, top, left, bottom)
-    for tick in x_ticks if x_ticks is not None else _ticks(x_scale.lo, x_scale.hi):
+    for tick in _ticks(x_scale.lo, x_scale.hi):
         px = x_scale(tick)
         canvas.line(px, bottom, px, bottom + 4)
         canvas.text(px, bottom + 16, _label(tick), size=10, anchor="middle")
-    for tick in y_ticks if y_ticks is not None else _ticks(y_scale.lo, y_scale.hi):
+    for tick in _ticks(y_scale.lo, y_scale.hi):
         py = y_scale(tick)
         canvas.line(left - 4, py, left, py)
         canvas.line(left, py, right, py, color=COLOR_GRID, width=0.5)
         canvas.text(left - 7, py + 3.5, _label(tick), size=10, anchor="end")
-    if x_label:
-        canvas.text((left + right) / 2, bottom + 34, x_label, size=12, anchor="middle")
-    if y_label:
-        canvas.text(left - 44, (top + bottom) / 2, y_label, size=12, anchor="middle", angle=-90)
-
-
-def _require(data, keys, kind):
-    for key in keys:
-        if key not in data:
-            raise DataValidationError(f"{kind} figure needs {key!r} data")
-    return [data[key] for key in keys]
+    canvas.text((left + right) / 2, bottom + 34, x_label, size=12, anchor="middle")
+    canvas.text(left - 44, (top + bottom) / 2, y_label, size=12, anchor="middle", angle=-90)
 
 
 def _as_array(values, kind, name, min_len=1):
@@ -211,10 +173,10 @@ def _heat_color(value: float) -> str:
     return _blend((255, 255, 255), COLOR_LOW, -v)
 
 
-# --- figure kinds -----------------------------------------------------------
+# --- figures: one function per figure, data as named parameters -------------
 
-def _figure_correlation_heatmap(spec, data, meta):
-    (names, matrix) = _require(data, ["names", "matrix"], spec.kind)
+def correlation_heatmap_svg(names, matrix, title, meta=""):
+    """The m x m correlation `matrix` as colored cells, rows and columns named."""
     matrix = np.asarray(matrix, dtype=np.float64)
     m = len(names)
     if matrix.shape != (m, m):
@@ -222,7 +184,7 @@ def _figure_correlation_heatmap(spec, data, meta):
     cell = 42 if m <= 12 else 30
     left, top = 170, 170
     width, height = left + cell * m + 60, top + cell * m + 40
-    canvas = _Canvas(width, height, spec.title, meta)
+    canvas = _Canvas(width, height, title, meta)
     for i in range(m):
         for j in range(m):
             x = left + j * cell
@@ -239,22 +201,22 @@ def _figure_correlation_heatmap(spec, data, meta):
             left + i * cell + cell / 2, top - 6, name,
             size=9, anchor="start", angle=-60,
         )
-    return canvas.render()
+    return canvas.svg()
 
 
-def _figure_group_boxplot(spec, data, meta):
-    (groups,) = _require(data, ["groups"], spec.kind)
+def group_boxplot_svg(feature, groups, title, meta=""):
+    """Premium boxplots per value of `feature`; `groups` are (value, premiums) pairs."""
     if not groups:
         raise DataValidationError("group_boxplot: no groups")
     width, height = 520, 420
     box = (70, 50, width - 30, height - 70)
-    all_values = np.concatenate([_as_array(g["values"], spec.kind, "values") for g in groups])
+    all_values = np.concatenate([_as_array(values, "group_boxplot", "values")
+                                 for _, values in groups])
     y_scale = _Scale(all_values.min(), all_values.max(), box[3], box[1])
-    canvas = _Canvas(width, height, spec.title, meta)
+    canvas = _Canvas(width, height, title, meta)
     slot = (box[2] - box[0]) / len(groups)
-    x_ticks = []
-    for g_index, group in enumerate(groups):
-        values = np.sort(np.asarray(group["values"], dtype=np.float64))
+    for g_index, (value, group_values) in enumerate(groups):
+        values = np.sort(np.asarray(group_values, dtype=np.float64))
         q1, median, q3 = np.percentile(values, [25, 50, 75], method="linear")
         iqr = q3 - q1
         in_lo = values[values >= q1 - 1.5 * iqr]
@@ -271,28 +233,25 @@ def _figure_group_boxplot(spec, data, meta):
                     fill="#aec7e8", stroke=COLOR_AXIS)
         canvas.line(center - half, y_scale(median), center + half, y_scale(median),
                     color=COLOR_ACCENT, width=2)
-        for value in values[(values < whisker_lo) | (values > whisker_hi)]:
-            canvas.circle(center, y_scale(value), 2.2, COLOR_POINT, opacity=0.7)
-        canvas.text(center, box[3] + 16, str(group["label"]), size=10, anchor="middle")
-        x_ticks.append(center)
+        for outlier in values[(values < whisker_lo) | (values > whisker_hi)]:
+            canvas.circle(center, y_scale(outlier), 2.2, COLOR_POINT, opacity=0.7)
+        canvas.text(center, box[3] + 16, _label(float(value)), size=10, anchor="middle")
     canvas.line(box[0], box[3], box[2], box[3])
     canvas.line(box[0], box[1], box[0], box[3])
     for tick in _ticks(y_scale.lo, y_scale.hi):
         canvas.text(box[0] - 7, y_scale(tick) + 3.5, _label(tick), size=10, anchor="end")
         canvas.line(box[0] - 4, y_scale(tick), box[0], y_scale(tick))
-    if spec.x_label:
-        canvas.text((box[0] + box[2]) / 2, box[3] + 34, spec.x_label, size=12, anchor="middle")
-    if spec.y_label:
-        canvas.text(box[0] - 44, (box[1] + box[3]) / 2, spec.y_label, size=12,
-                    anchor="middle", angle=-90)
-    return canvas.render()
+    canvas.text((box[0] + box[2]) / 2, box[3] + 34, feature, size=12, anchor="middle")
+    canvas.text(box[0] - 44, (box[1] + box[3]) / 2, "premium", size=12,
+                anchor="middle", angle=-90)
+    return canvas.svg()
 
 
-def _figure_learning_curve(spec, data, meta):
-    (n_rows, train, val) = _require(data, ["n_rows", "train", "val"], spec.kind)
-    n_rows = _as_array(n_rows, spec.kind, "n_rows", 2)
-    train = _as_array(train, spec.kind, "train", 2)
-    val = _as_array(val, spec.kind, "val", 2)
+def learning_curve_svg(n_rows, train, val, title, meta=""):
+    """Mean train and validation R^2 against training rows."""
+    n_rows = _as_array(n_rows, "learning_curve", "n_rows", 2)
+    train = _as_array(train, "learning_curve", "train", 2)
+    val = _as_array(val, "learning_curve", "val", 2)
     if not n_rows.size == train.size == val.size:
         raise DataValidationError("learning_curve: series lengths differ")
     width, height = 520, 380
@@ -300,8 +259,8 @@ def _figure_learning_curve(spec, data, meta):
     y_all = np.concatenate([train, val])
     x_scale = _Scale(n_rows.min(), n_rows.max(), box[0], box[2])
     y_scale = _Scale(y_all.min(), min(1.05, y_all.max() + 0.05), box[3], box[1])
-    canvas = _Canvas(width, height, spec.title, meta)
-    _axes(canvas, box, x_scale, y_scale, spec.x_label, spec.y_label)
+    canvas = _Canvas(width, height, title, meta)
+    _axes(canvas, box, x_scale, y_scale, "training rows", "R^2")
     canvas.polyline([x_scale(x) for x in n_rows], [y_scale(y) for y in train], COLOR_ACCENT, 2)
     canvas.polyline([x_scale(x) for x in n_rows], [y_scale(y) for y in val], COLOR_POINT, 2)
     for x, y in zip(n_rows, train):
@@ -312,18 +271,26 @@ def _figure_learning_curve(spec, data, meta):
     canvas.text(box[2] - 132, box[1] + 16, "training score", size=10)
     canvas.rect(box[2] - 150, box[1] + 24, 12, 12, COLOR_POINT)
     canvas.text(box[2] - 132, box[1] + 34, "validation score", size=10)
-    return canvas.render()
+    return canvas.svg()
 
 
-def _scatter_figure(spec, xs, ys, meta, identity=False, zero_line=False):
+def _series_pair(kind, names, xs, ys, min_len):
+    xs = _as_array(xs, kind, names[0], min_len)
+    ys = _as_array(ys, kind, names[1], min_len)
+    if xs.size != ys.size:
+        raise DataValidationError(f"{kind}: series lengths differ")
+    return xs, ys
+
+
+def _scatter_svg(xs, ys, title, x_label, y_label, meta, identity=False, zero_line=False):
     width, height = 480, 420
     box = (70, 50, width - 30, height - 70)
     lo = min(xs.min(), ys.min()) if identity else None
     hi = max(xs.max(), ys.max()) if identity else None
     x_scale = _Scale(lo if identity else xs.min(), hi if identity else xs.max(), box[0], box[2])
     y_scale = _Scale(lo if identity else ys.min(), hi if identity else ys.max(), box[3], box[1])
-    canvas = _Canvas(width, height, spec.title, meta)
-    _axes(canvas, box, x_scale, y_scale, spec.x_label, spec.y_label)
+    canvas = _Canvas(width, height, title, meta)
+    _axes(canvas, box, x_scale, y_scale, x_label, y_label)
     if identity:
         canvas.line(x_scale(lo), y_scale(lo), x_scale(hi), y_scale(hi),
                     color=COLOR_ACCENT, width=1.5, dash="5,3")
@@ -332,38 +299,31 @@ def _scatter_figure(spec, xs, ys, meta, identity=False, zero_line=False):
                     color=COLOR_ACCENT, width=1.5, dash="5,3")
     for x, y in zip(xs, ys):
         canvas.circle(x_scale(x), y_scale(y), 2.5, COLOR_POINT, opacity=0.6)
-    return canvas.render()
+    return canvas.svg()
 
 
-def _figure_residual_scatter(spec, data, meta):
-    (predicted, residuals) = _require(data, ["predicted", "residuals"], spec.kind)
-    predicted = _as_array(predicted, spec.kind, "predicted", 2)
-    residuals = _as_array(residuals, spec.kind, "residuals", 2)
-    if predicted.size != residuals.size:
-        raise DataValidationError("residual_scatter: series lengths differ")
-    return _scatter_figure(spec, predicted, residuals, meta, zero_line=True)
+def residual_scatter_svg(predicted, residuals, title, meta=""):
+    """Residuals against predictions, with the zero line."""
+    xs, ys = _series_pair("residual_scatter", ("predicted", "residuals"), predicted, residuals, 2)
+    return _scatter_svg(xs, ys, title, "predicted premium", "residual", meta, zero_line=True)
 
 
-def _figure_qq(spec, data, meta):
-    (theoretical, sample) = _require(data, ["theoretical", "sample"], spec.kind)
-    theoretical = _as_array(theoretical, spec.kind, "theoretical", 3)
-    sample = _as_array(sample, spec.kind, "sample", 3)
-    if theoretical.size != sample.size:
-        raise DataValidationError("qq: series lengths differ")
-    return _scatter_figure(spec, theoretical, sample, meta, identity=True)
+def qq_svg(theoretical, sample, title, meta=""):
+    """Sample quantiles against normal quantiles, with the identity line."""
+    xs, ys = _series_pair("qq", ("theoretical", "sample"), theoretical, sample, 3)
+    return _scatter_svg(xs, ys, title, "normal quantile", "standardized residual", meta,
+                        identity=True)
 
 
-def _figure_prediction_error(spec, data, meta):
-    (actual, predicted) = _require(data, ["actual", "predicted"], spec.kind)
-    actual = _as_array(actual, spec.kind, "actual", 2)
-    predicted = _as_array(predicted, spec.kind, "predicted", 2)
-    if actual.size != predicted.size:
-        raise DataValidationError("prediction_error: series lengths differ")
-    return _scatter_figure(spec, actual, predicted, meta, identity=True)
+def prediction_error_svg(actual, predicted, title, meta=""):
+    """Predictions against actual premiums, with the identity line."""
+    xs, ys = _series_pair("prediction_error", ("actual", "predicted"), actual, predicted, 2)
+    return _scatter_svg(xs, ys, title, "actual premium", "predicted premium", meta,
+                        identity=True)
 
 
-def _figure_beeswarm(spec, data, meta):
-    (names, points) = _require(data, ["feature_names", "points"], spec.kind)
+def beeswarm_svg(names, points, title, meta=""):
+    """One row of attributions per feature; `points` are (phi, colors in [0, 1]) pairs."""
     if not names or len(names) != len(points):
         raise DataValidationError("beeswarm: names and point groups must align")
     band = 40
@@ -376,7 +336,7 @@ def _figure_beeswarm(spec, data, meta):
         raise DataValidationError("beeswarm: no attribution points")
     limit = max(abs(all_phi.min()), abs(all_phi.max()), 1e-12)
     x_scale = _Scale(-limit, limit, left, width - 90)
-    canvas = _Canvas(width, height, spec.title, meta)
+    canvas = _Canvas(width, height, title, meta)
     canvas.line(x_scale(0), top, x_scale(0), bottom, color=COLOR_GRID, width=1)
     for row, (name, (phi, colors)) in enumerate(zip(names, points)):
         phi = np.asarray(phi, dtype=np.float64)
@@ -402,18 +362,18 @@ def _figure_beeswarm(spec, data, meta):
         canvas.line(x_scale(tick), bottom, x_scale(tick), bottom + 4)
         canvas.text(x_scale(tick), bottom + 16, _label(tick), size=10, anchor="middle")
     canvas.text((left + width - 90) / 2, bottom + 34,
-                spec.x_label or "attribution", size=12, anchor="middle")
+                "attribution (premium units)", size=12, anchor="middle")
     # color legend
     for i in range(40):
         canvas.rect(width - 60, top + i * 3, 10, 3, _blend(COLOR_HIGH, COLOR_LOW, i / 39))
     canvas.text(width - 44, top + 8, "high", size=9)
     canvas.text(width - 44, top + 120, "low", size=9)
-    return canvas.render()
+    return canvas.svg()
 
 
-def _figure_importance_bar(spec, data, meta):
-    (names, totals) = _require(data, ["names", "totals"], spec.kind)
-    totals = _as_array(totals, spec.kind, "totals")
+def importance_bar_svg(names, totals, title, meta=""):
+    """One bar of summed |attribution| per feature, in the given order."""
+    totals = _as_array(totals, "importance_bar", "totals")
     if len(names) != totals.size:
         raise DataValidationError("importance_bar: names and totals must align")
     band = 34
@@ -422,7 +382,7 @@ def _figure_importance_bar(spec, data, meta):
     bottom = top + band * len(names)
     height = bottom + 70
     x_scale = _Scale(0, totals.max() if totals.max() > 0 else 1.0, left, width - 40)
-    canvas = _Canvas(width, height, spec.title, meta)
+    canvas = _Canvas(width, height, title, meta)
     for row, (name, total) in enumerate(zip(names, totals)):
         y = top + band * row + 6
         canvas.text(left - 8, y + band / 2, name, size=10, anchor="end")
@@ -433,12 +393,12 @@ def _figure_importance_bar(spec, data, meta):
         canvas.line(x_scale(tick), bottom, x_scale(tick), bottom + 4)
         canvas.text(x_scale(tick), bottom + 16, _label(tick), size=10, anchor="middle")
     canvas.text((left + width - 40) / 2, bottom + 34,
-                spec.x_label or "total |attribution|", size=12, anchor="middle")
-    return canvas.render()
+                "sum of |attribution|", size=12, anchor="middle")
+    return canvas.svg()
 
 
-def _figure_ice_panel(spec, data, meta):
-    (panels,) = _require(data, ["panels"], spec.kind)
+def ice_panel_svg(panels, title, meta=""):
+    """One panel per `explain.IceCurveSet`: its curves, its PDP and its anchor."""
     if not panels:
         raise DataValidationError("ice_panel: no panels")
     columns = min(3, len(panels))
@@ -447,11 +407,11 @@ def _figure_ice_panel(spec, data, meta):
     margin = 40
     width = margin + columns * (panel_w + 20) + 20
     height = 50 + rows * (panel_h + 40)
-    canvas = _Canvas(width, height, spec.title, meta)
+    canvas = _Canvas(width, height, title, meta)
     for index, panel in enumerate(panels):
-        grid = _as_array(panel["grid"], spec.kind, "grid", 1)
-        curves = np.atleast_2d(np.asarray(panel["curves"], dtype=np.float64))
-        pdp = _as_array(panel["pdp"], spec.kind, "pdp", 1)
+        grid = _as_array(panel.grid, "ice_panel", "grid", 1)
+        curves = np.atleast_2d(np.asarray(panel.curves, dtype=np.float64))
+        pdp = _as_array(panel.pdp, "ice_panel", "pdp", 1)
         if curves.shape[1] != grid.size or pdp.size != grid.size:
             raise DataValidationError("ice_panel: curve/grid lengths differ")
         px = margin + (index % columns) * (panel_w + 20)
@@ -461,7 +421,7 @@ def _figure_ice_panel(spec, data, meta):
         hi = max(curves.max(), pdp.max())
         x_scale = _Scale(grid.min(), grid.max(), box[0], box[2])
         y_scale = _Scale(lo, hi, box[3], box[1])
-        canvas.text(px + panel_w / 2, py + 12, str(panel.get("feature_name", "")),
+        canvas.text(px + panel_w / 2, py + 12, str(panel.feature_name),
                     size=11, anchor="middle", weight="bold")
         canvas.line(box[0], box[3], box[2], box[3])
         canvas.line(box[0], box[1], box[0], box[3])
@@ -473,28 +433,10 @@ def _figure_ice_panel(spec, data, meta):
         for curve in curves:
             canvas.polyline(xs, [y_scale(v) for v in curve], COLOR_CURVE, 0.8, opacity=0.5)
         canvas.polyline(xs, [y_scale(v) for v in pdp], COLOR_PDP, 2.5)
-        anchor = panel.get("anchor_index")
-        if anchor is not None:
+        if panel.anchor_index is not None:
+            anchor = panel.anchor_index
             canvas.circle(x_scale(grid[anchor]), y_scale(pdp[anchor]), 3, COLOR_ACCENT)
-    return canvas.render()
-
-
-_FIGURES = {
-    "correlation_heatmap": _figure_correlation_heatmap,
-    "group_boxplot": _figure_group_boxplot,
-    "learning_curve": _figure_learning_curve,
-    "residual_scatter": _figure_residual_scatter,
-    "qq": _figure_qq,
-    "prediction_error": _figure_prediction_error,
-    "beeswarm": _figure_beeswarm,
-    "importance_bar": _figure_importance_bar,
-    "ice_panel": _figure_ice_panel,
-}
-
-
-def render(spec: FigureSpec, data: dict, meta: str = "") -> str:
-    """Render one figure kind to a self-contained SVG string."""
-    return _FIGURES[spec.kind](spec, data, meta)
+    return canvas.svg()
 
 
 # --- CSV tables -------------------------------------------------------------
@@ -536,7 +478,7 @@ def metrics_table_csv(reports, *, seed=None) -> str:
 
 
 def cv_table_csv(entries, *, seed=None) -> str:
-    """Model training / CV overview: one row per model."""
+    """Model training / CV overview: one row per model, R^2 in percent."""
     if not entries:
         raise DataValidationError("no models to tabulate")
     rows = [
@@ -568,12 +510,18 @@ def cv_cells_csv(result, *, seed=None) -> str:
     return _csv_text(header, rows, csv_meta_line(seed=seed, config={"table": "cv_cells", "variant": result.variant}))
 
 
-def improvement_csv(rows, *, seed=None) -> str:
-    if not rows:
+def improvement_csv(entries, *, seed=None) -> str:
+    """Train, CV and test R^2 in percent per model, and the test - CV difference.
+
+    The published increment column does not reproduce from its own inputs;
+    we report the plain difference in percentage points instead.
+    """
+    if not entries:
         raise DataValidationError("no models to tabulate")
     body = [
-        [r.model, f"{r.train_r2:.3f}", f"{r.cv_r2:.3f}", f"{r.test_r2:.3f}", f"{r.improvement:.3f}"]
-        for r in rows
+        [e["model"], f"{100.0 * e['train_r2']:.3f}", f"{100.0 * e['cv_r2']:.3f}",
+         f"{100.0 * e['test_r2']:.3f}", f"{100.0 * (e['test_r2'] - e['cv_r2']):.3f}"]
+        for e in entries
     ]
     return _csv_text(
         ["Model", "TrainR2_pct", "CvR2_pct", "TestR2_pct", "ImprovementPoints"],

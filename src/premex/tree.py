@@ -234,6 +234,8 @@ def fit_tree_gradients(
     hess = np.ascontiguousarray(hess, dtype=np.float64)
     if hess.shape != grad.shape:
         raise DataValidationError("grad and hess must have equal length")
+    if not np.isfinite(hess).all():
+        raise DataValidationError("hessians must be finite (no NaN or inf)")
     counts = np.ones(X.shape[0], dtype=np.int64)
     return _grow(X, grad, hess, counts, None, config, rng, reg_lambda=reg_lambda, gamma=gamma)
 
@@ -247,6 +249,9 @@ def _check_fit_inputs(X, targets, config):
         raise DataValidationError(
             f"{targets.shape[0]} targets for {X.shape[0]} rows"
         )
+    # an inf feature value makes an inf midpoint and an empty child
+    if not (np.isfinite(X).all() and np.isfinite(targets).all()):
+        raise DataValidationError("X and targets must be finite (no NaN or inf)")
     config.validate(X.shape[1])
     return X, targets
 

@@ -169,35 +169,6 @@ def grid_search(data: Dataset, variant: str, grid: dict, k: int, seed: int) -> C
 
 
 @dataclass
-class ImprovementRow:
-    model: str
-    train_r2: float
-    cv_r2: float
-    test_r2: float
-    improvement: float  # test - CV, percentage points
-
-
-def improvement_table(entries) -> list:
-    """Rows of (model, train/CV/test R^2 in percent, test - CV difference).
-
-    The published increment column does not reproduce from its own inputs;
-    we report the plain difference in percentage points instead.
-    """
-    rows = []
-    for model, train_r2, cv_r2, test_r2 in entries:
-        rows.append(
-            ImprovementRow(
-                model=model,
-                train_r2=100.0 * train_r2,
-                cv_r2=100.0 * cv_r2,
-                test_r2=100.0 * test_r2,
-                improvement=100.0 * (test_r2 - cv_r2),
-            )
-        )
-    return rows
-
-
-@dataclass
 class LearningCurve:
     fractions: list
     n_rows: list  # mean training-subset size per fraction

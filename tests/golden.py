@@ -2,6 +2,9 @@
 
 `tests/test_golden.py` runs GOLDEN_ARGS on `synth.make_csv_text(DATA_ROWS,
 DATA_SEED)` and compares the run's manifest with `tests/data/golden_manifest.json`.
+It also runs `explain` in the ICE modes that `reproduce` never writes (raw and
+derivative, ICE_RUNS) on the run's `model_gbm.json`, and records those files'
+hashes under `<run>/<file>`.
 A change that moves artifact bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/golden.py --write
@@ -9,6 +12,7 @@ A change that moves artifact bytes on purpose regenerates the file with
 and says which files changed and why.
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -27,6 +31,8 @@ DATA_ROWS = 120
 DATA_SEED = 7
 GOLDEN_ARGS = ["--folds", "2", "--background-size", "10", "--explain-rows", "4",
                "--ice-rows", "5", "--grid-points", "5"]
+ICE_ARGS = ["--mode", "ice", "--rows", "5", "--grid-points", "5"]
+ICE_RUNS = {"ice_raw": [], "ice_derivative": ["--derivative"]}
 
 
 def run_manifest(work_dir) -> dict:
@@ -40,7 +46,20 @@ def run_manifest(work_dir) -> dict:
         raise RuntimeError(f"reproduce exited {result.exit_code}: {result.output}")
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as handle:
         entries = json.load(handle)["files"]
-    return {entry["name"]: entry.get("sha256") for entry in entries}
+    files = {entry["name"]: entry.get("sha256") for entry in entries}
+    for run, flags in ICE_RUNS.items():
+        ice_dir = os.path.join(work_dir, run)
+        result = CliRunner().invoke(main, [
+            "explain", os.path.join(out_dir, "model_gbm.json"),
+            os.path.join(out_dir, "dataset.json"), "--split", os.path.join(out_dir, "split.json"),
+            "--out", ice_dir, *ICE_ARGS, *flags,
+        ])
+        if result.exit_code != 0:
+            raise RuntimeError(f"explain {run} exited {result.exit_code}: {result.output}")
+        for name in sorted(os.listdir(ice_dir)):
+            with open(os.path.join(ice_dir, name), "rb") as handle:
+                files[f"{run}/{name}"] = hashlib.sha256(handle.read()).hexdigest()
+    return files
 
 
 def load_golden() -> dict:
@@ -51,6 +70,11 @@ def load_golden() -> dict:
 def write_golden(files: dict) -> None:
     document = {
         "command": ["premex", "reproduce", "premiums.csv", "--out", "out", *GOLDEN_ARGS],
+        "ice_commands": {
+            run: ["premex", "explain", "out/model_gbm.json", "out/dataset.json",
+                  "--split", "out/split.json", "--out", run, *ICE_ARGS, *flags]
+            for run, flags in ICE_RUNS.items()
+        },
         "data": {"generator": "tests/synth.py make_csv_text", "n": DATA_ROWS,
                  "seed": DATA_SEED},
         "numpy": np.__version__,

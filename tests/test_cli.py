@@ -626,6 +626,28 @@ class TestCorruptModel:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+class TestCorruptGrid:
+    # no n_estimators key, so no mutation can ask for 99999 stages
+    GRID = {"learning_rate": [0.1, 0.2], "max_depth": [2, 3], "subsample": [0.8]}
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_grid_never_raises(self, runner, workdir, tmp_path, data):
+        # one level down reaches one value of a key's list
+        grid = json.loads(json.dumps(self.GRID))
+        _mutate_one_value(data, grid, depth=1)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        result = runner.invoke(
+            main,
+            ["tune", str(workdir / "dataset.json"), "--model", "gbm", "--grid", str(path),
+             "--folds", "2", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code in (0, 2, 3, 4, 5), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 class TestExplain:
     def test_shap_outputs(self, runner, workdir):
         result = runner.invoke(

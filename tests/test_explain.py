@@ -159,8 +159,8 @@ class TestBeeswarm:
     def test_single_point_color_convention(self):
         f = linear_model([2.0])
         explanation = shap_exact(f, np.array([[4.0]]), ValueFunctionConfig(np.array([[1.0]])))
-        swarm = beeswarm_data(explanation)
-        phi, colors = swarm.points[0]
+        _, points = beeswarm_data(explanation)
+        phi, colors = points[0]
         assert colors[0] == 0.5
 
     def test_order_matches_importance(self, background5):
@@ -168,17 +168,19 @@ class TestBeeswarm:
         rows = np.random.default_rng(4).normal(size=(8, 5))
         explanation = shap_exact(f, rows, background5)
         importance = global_importance(explanation)
-        swarm = beeswarm_data(explanation)
-        assert swarm.feature_order == importance.order
+        names, points = beeswarm_data(explanation)
+        assert names == [explanation.feature_names[j] for j in importance.order]
+        assert [phi.tolist() for phi, _ in points] == [
+            explanation.phi[:, j].tolist() for j in importance.order
+        ]
 
     def test_binary_column_two_color_levels(self, background5):
         f = linear_model([1.0, 1.0, 1.0, 1.0, 1.0])
         rows = np.random.default_rng(5).normal(size=(10, 5))
         rows[:, 2] = np.tile([0.0, 1.0], 5)
         explanation = shap_exact(f, rows, background5)
-        swarm = beeswarm_data(explanation)
-        slot = swarm.feature_order.index(2)
-        _, colors = swarm.points[slot]
+        names, points = beeswarm_data(explanation)
+        _, colors = points[names.index(explanation.feature_names[2])]
         assert len(np.unique(colors)) == 2
 
 

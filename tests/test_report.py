@@ -5,20 +5,28 @@ import pytest
 
 from premex.data import Dataset, group_summary, pearson_correlation, summary_statistics
 from premex.errors import DataValidationError
+from premex.explain import IceCurveSet
 from premex.metrics import MetricsReport
 from premex.report import (
-    FigureSpec,
+    beeswarm_svg,
+    correlation_heatmap_svg,
     cv_table_csv,
+    group_boxplot_svg,
     group_summary_all_csv,
+    ice_panel_svg,
+    importance_bar_svg,
     importance_csv,
     improvement_csv,
     learning_curve_csv,
+    learning_curve_svg,
     metrics_table_csv,
-    render,
+    prediction_error_svg,
+    qq_svg,
+    residual_scatter_svg,
     shap_values_csv,
     summary_stats_csv,
 )
-from premex.tuning import ImprovementRow, LearningCurve
+from premex.tuning import LearningCurve
 
 
 def sample_reports():
@@ -35,12 +43,20 @@ def scatter_data(n=25, seed=0):
     return actual, actual + rng.normal(size=n) * 50
 
 
+def improvement_entry(model, train_r2, cv_r2, test_r2):
+    return {"model": model, "train_r2": train_r2, "cv_r2": cv_r2, "test_r2": test_r2}
+
+
+def improvement_cells(*entry):
+    """The body row of improvement.csv for one model's R^2 fractions."""
+    return improvement_csv([improvement_entry(*entry)]).strip().splitlines()[2].split(",")
+
+
 class TestRenderDeterminism:
     def test_identical_inputs_identical_bytes(self):
         actual, predicted = scatter_data()
-        spec = FigureSpec("prediction_error", "title", "actual", "predicted")
-        data = {"actual": actual, "predicted": predicted}
-        assert render(spec, data, "meta") == render(spec, data, "meta")
+        assert (prediction_error_svg(actual, predicted, "title", "meta")
+                == prediction_error_svg(actual, predicted, "title", "meta"))
 
     def test_all_kinds_are_wellformed_xml(self, synth_dataset):
         actual, predicted = scatter_data(40)
@@ -50,59 +66,38 @@ class TestRenderDeterminism:
         corr = pearson_correlation(synth_dataset)
         rng = np.random.default_rng(3)
         documents = [
-            render(FigureSpec("prediction_error", "pe"), {"actual": actual, "predicted": predicted}),
-            render(FigureSpec("residual_scatter", "rs"), {"predicted": predicted, "residuals": residuals}),
-            render(FigureSpec("qq", "qq"), {"theoretical": np.sort(residuals), "sample": np.sort(residuals)}),
-            render(
-                FigureSpec("correlation_heatmap", "corr"),
-                {"names": corr.names, "matrix": corr.matrix},
+            prediction_error_svg(actual, predicted, "pe"),
+            residual_scatter_svg(predicted, residuals, "rs"),
+            qq_svg(np.sort(residuals), np.sort(residuals), "qq"),
+            correlation_heatmap_svg(corr.names, corr.matrix, "corr"),
+            group_boxplot_svg(
+                "Diabetes",
+                [(0.0, synth_dataset.y[column == 0.0]), (1.0, synth_dataset.y[column == 1.0])],
+                "groups",
             ),
-            render(
-                FigureSpec("group_boxplot", "groups"),
-                {"groups": [
-                    {"label": "0", "values": synth_dataset.y[column == 0.0]},
-                    {"label": "1", "values": synth_dataset.y[column == 1.0]},
-                ]},
+            learning_curve_svg([10, 20, 40], [0.9, 0.85, 0.8], [0.3, 0.5, 0.6], "lc"),
+            beeswarm_svg(
+                ["Age", "BMI"],
+                [(rng.normal(size=30) * 100, rng.random(30)),
+                 (rng.normal(size=30) * 50, rng.random(30))],
+                "bee",
             ),
-            render(
-                FigureSpec("learning_curve", "lc"),
-                {"n_rows": [10, 20, 40], "train": [0.9, 0.85, 0.8], "val": [0.3, 0.5, 0.6]},
-            ),
-            render(
-                FigureSpec("beeswarm", "bee"),
-                {"feature_names": ["Age", "BMI"],
-                 "points": [(rng.normal(size=30) * 100, rng.random(30)),
-                            (rng.normal(size=30) * 50, rng.random(30))]},
-            ),
-            render(
-                FigureSpec("importance_bar", "imp"),
-                {"names": ["Age", "BMI"], "totals": [300.0, 120.0]},
-            ),
-            render(
-                FigureSpec("ice_panel", "ice"),
-                {"panels": [{
-                    "feature_name": "Age",
-                    "grid": np.linspace(18, 66, 12),
-                    "curves": rng.normal(size=(6, 12)),
-                    "pdp": rng.normal(size=12),
-                    "anchor_index": 0,
-                }]},
+            importance_bar_svg(["Age", "BMI"], [300.0, 120.0], "imp"),
+            ice_panel_svg(
+                [IceCurveSet(0, "Age", np.linspace(18, 66, 12), rng.normal(size=(6, 12)),
+                             rng.normal(size=12), "centered", anchor_index=0)],
+                "ice",
             ),
         ]
         for document in documents:
             root = ET.fromstring(document)
             assert root.tag.endswith("svg")
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DataValidationError):
-            FigureSpec("pie_chart", "nope")
-
 
 class TestPredictionErrorFigure:
     def test_perfect_predictions_sit_on_identity_line(self):
         actual = np.array([1.0, 2.0, 3.0, 4.0])
-        spec = FigureSpec("prediction_error", "pe")
-        document = render(spec, {"actual": actual, "predicted": actual.copy()})
+        document = prediction_error_svg(actual, actual.copy(), "pe")
         root = ET.fromstring(document)
         ns = {"svg": "http://www.w3.org/2000/svg"}
         circles = root.findall(".//svg:circle", ns)
@@ -116,20 +111,40 @@ class TestPredictionErrorFigure:
         assert line_found  # the identity line is always drawn
 
     def test_shape_mismatch_rejected(self):
-        spec = FigureSpec("prediction_error", "pe")
         with pytest.raises(DataValidationError):
-            render(spec, {"actual": [1.0, 2.0], "predicted": [1.0]})
+            prediction_error_svg([1.0, 2.0], [1.0], "pe")
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("draw", [
+        pytest.param(lambda: learning_curve_svg([1, 2, 3], [0.5, 0.6], [0.4, 0.5, 0.6], "t"),
+                     id="learning-curve-lengths"),
+        pytest.param(lambda: learning_curve_svg([1], [0.5], [0.4], "t"), id="learning-curve-short"),
+        pytest.param(lambda: residual_scatter_svg([1.0, 2.0], [1.0], "t"), id="residual-lengths"),
+        pytest.param(lambda: qq_svg([0.0, 1.0], [0.0, 1.0], "t"), id="qq-short"),
+        pytest.param(lambda: correlation_heatmap_svg(["a", "b"], np.eye(3), "t"),
+                     id="heatmap-shape"),
+        pytest.param(lambda: group_boxplot_svg("f", [], "t"), id="boxplot-no-groups"),
+        pytest.param(lambda: group_boxplot_svg("f", [(0.0, [])], "t"), id="boxplot-empty-group"),
+        pytest.param(lambda: beeswarm_svg(["a", "b"], [([1.0], [0.5])], "t"),
+                     id="beeswarm-names"),
+        pytest.param(lambda: beeswarm_svg(["a"], [([], [])], "t"), id="beeswarm-no-points"),
+        pytest.param(lambda: importance_bar_svg(["a"], [1.0, 2.0], "t"), id="importance-names"),
+        pytest.param(lambda: ice_panel_svg([], "t"), id="ice-no-panels"),
+        pytest.param(lambda: ice_panel_svg([IceCurveSet(0, "a", np.arange(3.0), np.zeros((2, 4)),
+                                                        np.zeros(3), "raw")], "t"),
+                     id="ice-grid-lengths"),
+    ])
+    def test_bad_shape_rejected(self, draw):
         with pytest.raises(DataValidationError):
-            render(spec, {"actual": [1.0, 2.0]})
+            draw()
 
 
 class TestMetaEmbedding:
     def test_svg_carries_desc(self):
         actual, predicted = scatter_data()
-        document = render(
-            FigureSpec("prediction_error", "pe"),
-            {"actual": actual, "predicted": predicted},
-            "seed=42 config_hash=abc format_version=1",
+        document = prediction_error_svg(
+            actual, predicted, "pe", "seed=42 config_hash=abc format_version=1"
         )
         assert "<desc>seed=42 config_hash=abc format_version=1</desc>" in document
 
@@ -151,7 +166,7 @@ class TestTables:
             metrics_table_csv([])
 
     def test_improvement_csv_values(self):
-        text = improvement_csv([ImprovementRow("XGBoost", 88.222, 74.475, 86.470, 11.995)])
+        text = improvement_csv([improvement_entry("XGBoost", 0.88222, 0.74475, 0.86470)])
         assert "XGBoost,88.222,74.475,86.470,11.995" in text
 
     def test_learning_curve_csv(self):
@@ -197,3 +212,14 @@ class TestTables:
             seed=9,
         )
         assert '"{""learning_rate"": 0.19, ""n_estimators"": 19}"' in text
+
+
+class TestImprovementCsv:
+    def test_published_example_difference(self):
+        assert improvement_cells("XGBoost", 0.88222, 0.74475, 0.86470)[4] == "11.995"
+
+    def test_equal_scores_zero(self):
+        assert improvement_cells("RF", 0.9, 0.8, 0.8)[4] == "0.000"
+
+    def test_cv_above_test_is_negative(self):
+        assert improvement_cells("GBM", 0.9, 0.85, 0.80)[4] == "-5.000"

@@ -229,6 +229,37 @@ class TestGradientTrees:
         assert tree.node_count() == 1
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+class TestNonFiniteInputs:
+    """NaN or inf in any fit input is rejected before growth.
+
+    Every fit here has a depth bound: without the check, an unbounded fit
+    on an inf feature value splits the same node forever.
+    """
+
+    @pytest.mark.parametrize("X, y", [
+        pytest.param([[-INF], [0.0], [INF]], [1.0, 2.0, 3.0], id="inf-feature"),
+        pytest.param([[0.0], [NAN], [2.0]], [1.0, 2.0, 3.0], id="nan-feature"),
+        pytest.param([[0.0], [1.0], [2.0]], [1.0, NAN, 3.0], id="nan-target"),
+        pytest.param([[0.0], [1.0], [2.0]], [1.0, -INF, 3.0], id="inf-target"),
+    ])
+    def test_fit_tree(self, X, y):
+        with pytest.raises(DataValidationError, match="finite"):
+            fit_tree(X, y, TreeConfig(max_depth=3), stream(0, "t"))
+
+    @pytest.mark.parametrize("X, grad, hess", [
+        pytest.param([[-INF], [0.0], [INF]], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], id="inf-feature"),
+        pytest.param([[0.0], [1.0], [2.0]], [1.0, NAN, 3.0], [1.0, 1.0, 1.0], id="nan-gradient"),
+        pytest.param([[0.0], [1.0], [2.0]], [1.0, 2.0, 3.0], [1.0, INF, 1.0], id="inf-hessian"),
+        pytest.param([[0.0], [1.0], [2.0]], [1.0, 2.0, 3.0], [NAN, 1.0, 1.0], id="nan-hessian"),
+    ])
+    def test_fit_tree_gradients(self, X, grad, hess):
+        with pytest.raises(DataValidationError, match="finite"):
+            fit_tree_gradients(X, grad, hess, TreeConfig(max_depth=3), stream(0, "t"))
+
+
 def known_split_tree():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([1.0, 1.0, 3.0, 3.0])

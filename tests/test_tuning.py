@@ -16,7 +16,6 @@ from premex.tuning import (
     fit_variant,
     grid_cells,
     grid_search,
-    improvement_table,
     kfold_indices,
     learning_curve,
 )
@@ -159,20 +158,6 @@ class TestGridSearch:
                      {"learning_rate": [0.1], "n_estimators": [3, True]}):
             with pytest.raises(DataValidationError, match="grid cell"):
                 grid_search(synth_dataset, "gbm", grid, 3, seed=0)
-
-
-class TestImprovementTable:
-    def test_published_example_difference(self):
-        rows = improvement_table([("XGBoost", 0.88222, 0.74475, 0.86470)])
-        assert rows[0].improvement == pytest.approx(11.995, abs=1e-9)
-
-    def test_equal_scores_zero(self):
-        rows = improvement_table([("RF", 0.9, 0.8, 0.8)])
-        assert rows[0].improvement == 0.0
-
-    def test_cv_above_test_is_negative(self):
-        rows = improvement_table([("GBM", 0.9, 0.85, 0.80)])
-        assert rows[0].improvement == pytest.approx(-5.0)
 
 
 class TestLearningCurve:
