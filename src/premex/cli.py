@@ -182,6 +182,7 @@ def _train_one(train_data, variant, params, seed, out_dir):
     elapsed = time.perf_counter() - started
     ensemble_mod.save_model(model, os.path.join(out_dir, f"model_{variant}.json"))
     train_r2 = metrics_mod.r_squared(train_data.y, model.predict(train_data.X))
+    trees = model.trees if model.variant == "rf" else model.stages
     report = {
         "variant": variant,
         "params": params,
@@ -191,6 +192,10 @@ def _train_one(train_data, variant, params, seed, out_dir):
         "train_rows": train_data.n,
         "train_r_squared": train_r2,
         "fit_seconds": elapsed,
+        # read off the node tables
+        "nodes": sum(tree.node_count() for tree in trees),
+        "leaves": sum(int((tree.feature < 0).sum()) for tree in trees),
+        "depth": max((tree.depth() for tree in trees), default=0),
     }
     write_json_artifact(
         os.path.join(out_dir, f"run_report_{variant}.json"),

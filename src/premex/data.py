@@ -241,7 +241,7 @@ def derive_features(raw: Dataset) -> Dataset:
 def train_test_split(n: int, fraction: float, seed: int) -> SplitIndices:
     """Seeded shuffle; the first round(fraction*n) rows become the train set."""
     if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+        raise DataValidationError(f"fraction must be in (0, 1), got {fraction}")
     if n < 2:
         raise DataValidationError(f"need at least 2 rows to split, got {n}")
     permutation = stream(seed, "train_test_split").permutation(n)

@@ -25,7 +25,9 @@ from .artifacts import read_json_artifact, write_json_artifact
 from .data import Dataset, round_half_up
 from .errors import DataValidationError
 from .rng import stream
-from .tree import RegressionTree, TreeConfig, check_count, fit_tree, fit_tree_gradients
+from .tree import (
+    CHUNK_ROWS, RegressionTree, TreeConfig, check_count, fit_trees, fit_trees_gradients,
+)
 
 
 # The defaults of `train` and `reproduce`, keyed by variant; per variant,
@@ -176,23 +178,51 @@ def fit_forest(data: Dataset, config: ForestConfig) -> ForestModel:
     """Fit n_estimators trees on bootstrap resamples (with replacement).
 
     A resample is passed as integer weights on its distinct rows: how
-    often each row was drawn.
+    often each row was drawn.  All the trees grow together, as one batch
+    of `tree.fit_trees`.
     """
-    if data.n < 2:
-        raise DataValidationError("need at least 2 rows to fit a forest")
+    [model] = fit_models("rf", config, [(data, config.seed)])
+    return model
+
+
+def fit_models(variant: str, config, jobs):
+    """Fit one `variant` model per (dataset, seed) of `jobs`, with config at that seed.
+
+    An iterator over the models, in order; each equals the one fit_forest,
+    fit_gbm or fit_xgb fits on its dataset alone at
+    replace(config, seed=seed).  Boosted models grow in lockstep groups:
+    stage t of every model of a group is one `tree.fit_trees_gradients`
+    batch.  A group holds consecutive models whose rows sum to at most
+    CHUNK_ROWS, so its stage is one chunk, and only one group's models
+    are held at a time.
+    """
+    if variant == "rf":
+        return _fit_forests(config, jobs)
+    if variant == "gbm":
+        config = replace(config, reg_lambda=0.0, gamma=0.0)
+    return _fit_boosted(config, jobs, variant)
+
+
+def _fit_forests(config: ForestConfig, jobs):
     tree_config = config.tree_config()
-    tree_config.validate(data.m)
-    trees = []
-    for k in range(config.n_estimators):
-        rng = stream(config.seed, "forest_tree", k)
-        if config.bootstrap:
+
+    def tree_jobs(data, seed):
+        for k in range(config.n_estimators):
+            rng = stream(seed, "forest_tree", k)
+            if not config.bootstrap:
+                yield data.X, data.y, None, rng
+                continue
             drawn = np.bincount(rng.integers(0, data.n, size=data.n), minlength=data.n)
             rows = np.flatnonzero(drawn)
-            tree = fit_tree(data.X[rows], data.y[rows], tree_config, rng, weights=drawn[rows])
-        else:
-            tree = fit_tree(data.X, data.y, tree_config, rng)
-        trees.append(tree)
-    return ForestModel(trees=trees, config=config, feature_names=list(data.feature_names))
+            yield data.X[rows], data.y[rows], drawn[rows], rng
+
+    for data, seed in jobs:
+        if data.n < 2:
+            raise DataValidationError("need at least 2 rows to fit a forest")
+        tree_config.validate(data.m)
+        yield ForestModel(trees=fit_trees(tree_jobs(data, seed), tree_config),
+                          config=replace(config, seed=seed),
+                          feature_names=list(data.feature_names))
 
 
 def _stage_rows(rng: np.random.Generator, n: int, subsample: float) -> np.ndarray:
@@ -203,34 +233,55 @@ def _stage_rows(rng: np.random.Generator, n: int, subsample: float) -> np.ndarra
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def _fit_boosted(data: Dataset, config: BoostConfig, variant: str) -> BoostedModel:
-    """Stagewise second-order boosting under squared loss: g = pred - y, h = 1."""
-    if data.n < 2:
-        raise DataValidationError("need at least 2 rows to fit a boosted model")
+def _fit_boosted(config: BoostConfig, jobs, variant: str):
+    """The models of fit_models, in lockstep groups of at most CHUNK_ROWS rows."""
     tree_config = config.tree_config()
-    tree_config.validate(data.m)
-    base = float(data.y.mean())
-    predictions = np.full(data.n, base)
-    ones = np.ones(data.n)
-    stages = []
+    group, rows = [], 0
+    for data, seed in jobs:
+        if data.n < 2:
+            raise DataValidationError("need at least 2 rows to fit a boosted model")
+        tree_config.validate(data.m)
+        if group and rows + data.n > CHUNK_ROWS:
+            yield from _boost_lockstep(config, group, variant)
+            group, rows = [], 0
+        group.append((data, seed))
+        rows += data.n
+    if group:
+        yield from _boost_lockstep(config, group, variant)
+
+
+def _boost_lockstep(config: BoostConfig, group, variant: str) -> list:
+    """Stagewise second-order boosting under squared loss: g = pred - y, h = 1.
+
+    Stage t of every model of the group is one batch.
+    """
+    tree_config = config.tree_config()
+    predictions = [np.full(data.n, float(data.y.mean())) for data, _ in group]
+    stages = [[] for _ in group]
+
+    def stage_jobs(t):
+        for (data, seed), prediction in zip(group, predictions):
+            rng = stream(seed, "stage", t)
+            rows = _stage_rows(rng, data.n, config.subsample)
+            grad = prediction - data.y
+            yield data.X[rows], grad[rows], np.ones(rows.size), rng
+
     for t in range(config.n_estimators):
-        rng = stream(config.seed, "stage", t)
-        rows = _stage_rows(rng, data.n, config.subsample)
-        grad = predictions - data.y
-        tree = fit_tree_gradients(
-            data.X[rows], grad[rows], ones[rows], tree_config, rng,
-            reg_lambda=config.reg_lambda, gamma=config.gamma,
+        trees = fit_trees_gradients(stage_jobs(t), tree_config, config.reg_lambda, config.gamma)
+        for i, ((data, _), tree) in enumerate(zip(group, trees)):
+            stages[i].append(tree)
+            predictions[i] = predictions[i] + config.learning_rate * tree.predict_matrix(data.X)
+    return [
+        BoostedModel(
+            variant=variant,
+            base_score=float(data.y.mean()),
+            learning_rate=config.learning_rate,
+            stages=own,
+            config=replace(config, seed=seed),
+            feature_names=list(data.feature_names),
         )
-        stages.append(tree)
-        predictions = predictions + config.learning_rate * tree.predict_matrix(data.X)
-    return BoostedModel(
-        variant=variant,
-        base_score=base,
-        learning_rate=config.learning_rate,
-        stages=stages,
-        config=config,
-        feature_names=list(data.feature_names),
-    )
+        for (data, seed), own in zip(group, stages)
+    ]
 
 
 def fit_gbm(data: Dataset, config: BoostConfig) -> BoostedModel:
@@ -241,12 +292,14 @@ def fit_gbm(data: Dataset, config: BoostConfig) -> BoostedModel:
     the classic residual-fit trees.  config.reg_lambda and config.gamma
     are replaced by 0, and the model's config records the 0s.
     """
-    return _fit_boosted(data, replace(config, reg_lambda=0.0, gamma=0.0), "gbm")
+    [model] = fit_models("gbm", config, [(data, config.seed)])
+    return model
 
 
 def fit_xgb(data: Dataset, config: BoostConfig) -> BoostedModel:
     """Second-order boosting with L2 leaf penalty and per-split penalty."""
-    return _fit_boosted(data, config, "xgb")
+    [model] = fit_models("xgb", config, [(data, config.seed)])
+    return model
 
 
 # --- serialization ----------------------------------------------------------

@@ -17,12 +17,9 @@ by the features they meet, so the cost per tree is explained rows times
 `shap_exact` works against a bare prediction function (matrix in, vector
 out) and enumerates all 2^p coalitions, 2^p x |background| model rows per
 explained row.  It is the model-agnostic oracle the tests hold
-`tree_shap` to; a permutation-average implementation ships alongside as
-an independent cross-check of `shap_exact`.  ICE curves also take a bare
-prediction function.
+`tree_shap` to.  ICE curves also take a bare prediction function.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +28,6 @@ import numpy as np
 from .errors import DataValidationError, NumericError
 
 MAX_EXACT_FEATURES = 20
-MAX_PERMUTATION_FEATURES = 8
 
 
 @dataclass
@@ -68,21 +64,6 @@ class IceCurveSet:
     pdp: np.ndarray  # pointwise mean of the curves
     variant: str  # "raw", "centered", or "derivative"
     anchor_index: int | None = None
-
-
-def _hybrid_rows(row, mask_columns, background):
-    hybrid = background.copy()
-    hybrid[:, mask_columns] = row[mask_columns]
-    return hybrid
-
-
-def shap_value_function(predict_fn, row, subset, background: ValueFunctionConfig) -> float:
-    """val(S): expected prediction with features in S pinned to the row."""
-    row = np.asarray(row, dtype=np.float64)
-    columns = np.zeros(row.size, dtype=bool)
-    for j in subset:
-        columns[j] = True
-    return float(np.mean(predict_fn(_hybrid_rows(row, columns, background.background))))
 
 
 def _subset_weights(p: int) -> np.ndarray:
@@ -240,37 +221,6 @@ def tree_shap(trees, scale: float, offset: float, rows, background: ValueFunctio
         feature_values=rows.copy(),
         feature_names=list(feature_names),
     )
-
-
-def shap_permutation(predict_fn, row, background: ValueFunctionConfig) -> np.ndarray:
-    """Shapley values as the average marginal contribution over all p!
-    feature orderings.  Independent of shap_exact; used to cross-check it.
-    """
-    row = np.asarray(row, dtype=np.float64)
-    p = row.size
-    if p > MAX_PERMUTATION_FEATURES:
-        raise DataValidationError(f"permutation oracle is limited to {MAX_PERMUTATION_FEATURES} features")
-    B = background.background
-    cache = {}
-
-    def val(subset: frozenset) -> float:
-        if subset not in cache:
-            columns = np.zeros(p, dtype=bool)
-            for j in subset:
-                columns[j] = True
-            cache[subset] = float(np.mean(predict_fn(_hybrid_rows(row, columns, B))))
-        return cache[subset]
-
-    phi = np.zeros(p)
-    for permutation in itertools.permutations(range(p)):
-        members = frozenset()
-        current = val(members)
-        for j in permutation:
-            members = members | {j}
-            following = val(members)
-            phi[j] += following - current
-            current = following
-    return phi / math.factorial(p)
 
 
 def global_importance(explanation: ShapExplanation) -> GlobalImportance:

@@ -5,14 +5,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DataValidationError, NumericError
 
 
 def _pair(actual, predicted, min_len=1):
     actual = np.asarray(actual, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
     if actual.shape != predicted.shape:
-        raise ValueError(
+        raise DataValidationError(
             f"length mismatch: {actual.shape[0]} actuals vs {predicted.shape[0]} predictions"
         )
     if actual.size < min_len:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, round_half_up
-from .ensemble import PUBLISHED, fit_forest, fit_gbm, fit_xgb, variant_config
+from .ensemble import PUBLISHED, fit_forest, fit_gbm, fit_models, fit_xgb, variant_config
 from .errors import DataValidationError
 from .metrics import r_squared
 from .rng import derive_seed, stream
@@ -76,26 +76,33 @@ def _fold_fits(data: Dataset, variant: str, params: dict, fractions, k: int, see
 
     Returns the training-subset sizes, train R^2 and held-out R^2, each a
     fractions x folds array.  Fold i's model seed is (seed, "fold", i) at
-    every fraction, so the fraction-1.0 row is plain k-fold CV.
+    every fraction, so the fraction-1.0 row is plain k-fold CV.  The
+    models grow together, in one `ensemble.fit_models` call, and each is
+    scored and dropped as it arrives.
     """
     folds = kfold_indices(data.n, k, seed)
     all_rows = np.arange(data.n)
-    sizes, train_scores, val_scores = (np.zeros((len(fractions), k)) for _ in range(3))
+    subsets, seeds = [], []  # fold by fold, fraction by fraction
     for i, val_rows in enumerate(folds):
         train_rows = np.setdiff1d(all_rows, val_rows)
         shuffled = stream(seed, "curve", i).permutation(train_rows)
-        model_seed = derive_seed(seed, "fold", i)
-        for j, fraction in enumerate(fractions):
+        for fraction in fractions:
             size = round_half_up(fraction * train_rows.size)
             if size < 2:
                 raise DataValidationError(
                     f"fraction {fraction} keeps {size} row(s); need at least 2"
                 )
-            subset = np.sort(shuffled[:size])
-            model = fit_variant(variant, data.subset(subset), params, model_seed)
-            train_scores[j, i] = r_squared(data.y[subset], model.predict(data.X[subset]))
-            val_scores[j, i] = r_squared(data.y[val_rows], model.predict(data.X[val_rows]))
-            sizes[j, i] = size
+            subsets.append(np.sort(shuffled[:size]))
+            seeds.append(derive_seed(seed, "fold", i))
+    models = fit_models(variant, variant_config(variant, params, seed),
+                        ((data.subset(rows), s) for rows, s in zip(subsets, seeds)))
+    sizes, train_scores, val_scores = (np.zeros((len(fractions), k)) for _ in range(3))
+    for index, (subset, model) in enumerate(zip(subsets, models)):
+        i, j = divmod(index, len(fractions))
+        val_rows = folds[i]
+        train_scores[j, i] = r_squared(data.y[subset], model.predict(data.X[subset]))
+        val_scores[j, i] = r_squared(data.y[val_rows], model.predict(data.X[val_rows]))
+        sizes[j, i] = subset.size
     return sizes, train_scores, val_scores
 
 
@@ -184,9 +191,9 @@ def learning_curve(data: Dataset, variant: str, params: dict, fractions, k: int,
     """
     fractions = list(fractions)
     if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
-        raise ValueError("fractions must lie in (0, 1]")
+        raise DataValidationError("fractions must lie in (0, 1]")
     if sorted(fractions) != fractions:
-        raise ValueError("fractions must be increasing")
+        raise DataValidationError("fractions must be increasing")
     sizes, train_scores, val_scores = _fold_fits(data, variant, params, fractions, k, seed)
     return LearningCurve(
         fractions=fractions,

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import premex.data as data_mod
 import premex.ensemble as ensemble_mod
-from premex.cli import main
+import premex.metrics as metrics_mod
+import premex.tuning as tuning_mod
+from premex.cli import EXIT_VALIDATION, guarded, main
 from premex.explain import ValueFunctionConfig, shap_exact
 from premex.metrics import r_squared
 
@@ -163,6 +165,17 @@ class TestTrain:
         assert report["fit_seconds"] > 0.0
         assert report["seed"] == 7
         assert "config_hash" in report
+
+    @pytest.mark.parametrize("variant", ["rf", "gbm", "xgb"])
+    def test_run_report_model_statistics_match_the_model(self, workdir, variant):
+        report = json.loads((workdir / f"run_report_{variant}.json").read_text())
+        trees = json.loads((workdir / f"model_{variant}.json").read_text())["trees"]
+        model = ensemble_mod.load_model(str(workdir / f"model_{variant}.json"))
+        assert report["nodes"] == sum(len(tree["feature"]) for tree in trees)
+        assert report["leaves"] == sum(tree["feature"].count(-1) for tree in trees)
+        members = model.trees if variant == "rf" else model.stages
+        assert report["depth"] == max(tree.depth() for tree in members)
+        assert 1 <= report["depth"] <= {"rf": 4, "gbm": 3, "xgb": 3}[variant]
 
     def test_unknown_flag_exits_2(self, runner, workdir):
         result = runner.invoke(
@@ -830,3 +843,21 @@ class TestReproduceSmoke:
         result = runner.invoke(main, ["reproduce", synth_csv, "--out", str(out), "--folds", "1"])
         assert result.exit_code == 2, result.output
         assert "--folds" in result.output and not out.exists()
+
+
+class TestGuardedRaises:
+    """Every check that no command reaches today still maps to exit 3."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda data: data_mod.train_test_split(10, 1.5, seed=0),
+                     id="split-fraction"),
+        pytest.param(lambda data: metrics_mod.mae([1.0], [1.0, 2.0]), id="metric-lengths"),
+        pytest.param(lambda data: tuning_mod.learning_curve(data, "gbm", {}, [1.5], 3, 0),
+                     id="curve-fraction-range"),
+        pytest.param(lambda data: tuning_mod.learning_curve(data, "gbm", {}, [0.5, 0.2], 3, 0),
+                     id="curve-fraction-order"),
+    ])
+    def test_exits_3(self, call, synth_dataset):
+        with pytest.raises(SystemExit) as exit_info:
+            guarded(call)(synth_dataset)
+        assert exit_info.value.code == EXIT_VALIDATION

@@ -201,7 +201,7 @@ class TestSplit:
         assert split.train_rows.size == min(max(round_half_up(fraction * n), 1), n - 1)
 
     def test_fraction_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataValidationError):
             train_test_split(10, 1.5, seed=0)
 
     def test_one_row_cannot_split(self):

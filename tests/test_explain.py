@@ -15,13 +15,12 @@ from premex.explain import (
     ice_curves,
     make_grid,
     shap_exact,
-    shap_permutation,
-    shap_value_function,
     tree_shap,
 )
 from premex.rng import stream
 from premex.tree import COLUMNS, RegressionTree, TreeConfig, fit_tree
 from premex.tuning import fit_variant
+from reference_shap import shap_permutation, shap_value_function
 
 from conftest import FIXTURE20
 

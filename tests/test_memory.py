@@ -1,0 +1,48 @@
+"""Peak numpy allocation of batched growth, measured with tracemalloc.
+
+A batch of trees is grown in chunks of at most `tree.CHUNK_ROWS` rows,
+and a learning curve scores and drops each model as it arrives.  At the
+chosen bound the forest fit peaks near 4.1 MB and the curve near 3.7 MB.
+With the whole forest in one chunk the fit peaks near 74 MB, and with a
+bound twice as large the fit and the curve peak near 6.0 and 4.9 MB, so
+these limits fail either change.
+"""
+
+import tracemalloc
+
+import pytest
+
+import synth
+from premex import data as data_mod
+from premex.ensemble import PUBLISHED, ForestConfig, fit_forest
+from premex.tuning import learning_curve
+
+MB = 2**20
+
+
+@pytest.fixture(scope="module")
+def rows740(tmp_path_factory):
+    path = tmp_path_factory.mktemp("memory") / "premiums.csv"
+    path.write_text(synth.make_csv_text(n=740, seed=7), encoding="utf-8")
+    return data_mod.derive_features(data_mod.load_csv(str(path)))
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_published_forest_fit(rows740):
+    config = ForestConfig(**PUBLISHED["rf"], seed=1)  # 220 trees
+    assert peak_bytes(lambda: fit_forest(rows740, config)) < 5.0 * MB
+
+
+def test_rf_learning_curve(rows740):
+    # 5 folds x 5 fractions = 25 forests of the benchmark's 22 trees
+    fractions = [0.2, 0.4, 0.6, 0.8, 1.0]
+    assert peak_bytes(lambda: learning_curve(
+        rows740, "rf", {"n_estimators": 22}, fractions, 5, seed=3)) < 4.25 * MB

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from premex.errors import NumericError
+from premex.errors import DataValidationError, NumericError
 from premex.metrics import (
     evaluate_predictions,
     mae,
@@ -63,7 +63,7 @@ class TestTrivialCases:
         assert rmse(actual, actual - 2.5) == pytest.approx(2.5)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataValidationError):
             mae([1.0], [1.0, 2.0])
 
     def test_too_few_samples_is_numeric(self):

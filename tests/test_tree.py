@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import premex.tree as tree_mod
 import reference_tree
 from premex.errors import DataValidationError
 from premex.rng import stream
@@ -12,6 +15,8 @@ from premex.tree import (
     TreeConfig,
     fit_tree,
     fit_tree_gradients,
+    fit_trees,
+    fit_trees_gradients,
 )
 
 
@@ -394,6 +399,61 @@ class TestReferenceEngine:
     def test_bad_weights_rejected(self, weights):
         with pytest.raises(DataValidationError):
             fit_tree(np.ones((4, 2)), np.arange(4.0), TreeConfig(), stream(0, "t"), weights=weights)
+
+
+class TestBatchedGrowth:
+    """A batch grows each job's tree exactly as the job grown alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_each_tree_equals_its_job_alone(self, data):
+        def arrays(shape, elements, label):
+            return data.draw(hnp.arrays(np.float64, shape, elements=elements), label=label)
+
+        n_features = data.draw(st.integers(1, 4), label="features")
+        config = TreeConfig(
+            max_depth=data.draw(st.none() | st.integers(1, 4), label="max_depth"),
+            min_samples_split=data.draw(st.integers(2, 4), label="min_samples_split"),
+            max_features=data.draw(st.none() | st.integers(1, n_features), label="max_features"),
+        )
+        jobs = []
+        for j in range(data.draw(st.integers(1, 6), label="jobs")):
+            n = data.draw(st.integers(1, 30), label="n")
+            X = arrays((n, n_features), st.integers(0, 3).map(float), "X")  # ties
+            y = arrays(n, st.integers(0, 4).map(float), "y")
+            weights = data.draw(st.none() | st.lists(st.integers(1, 3), min_size=n, max_size=n),
+                                label="weights")
+            grad = arrays(n, st.floats(-10.0, 10.0), "grad")
+            hess = arrays(n, st.floats(0.5, 2.0), "hess")
+            jobs.append((X, y, None if weights is None else np.array(weights), grad, hess, j))
+        penalties = (data.draw(st.floats(0.1, 2.0), label="lambda"),
+                     data.draw(st.floats(0.001, 0.1), label="gamma"))
+        # a small chunk bound makes most batches span several chunks
+        with mock.patch.object(tree_mod, "CHUNK_ROWS", data.draw(st.integers(1, 60))):
+            sse = fit_trees([(X, y, w, stream(j, "t")) for X, y, w, _, _, j in jobs], config)
+            second_order = fit_trees_gradients(
+                [(X, g, h, stream(j, "t")) for X, _, _, g, h, j in jobs], config, *penalties)
+        for (X, y, w, g, h, j), batched, batched_gh in zip(jobs, sse, second_order):
+            alone = fit_tree(X, y, config, stream(j, "t"), weights=w)
+            alone_gh = fit_tree_gradients(X, g, h, config, stream(j, "t"), *penalties)
+            assert batched.to_dict() == alone.to_dict()
+            assert batched_gh.to_dict() == alone_gh.to_dict()
+            if config.max_features is not None:
+                continue  # the reference draws subsets depth-first, not level by level
+            repeated = np.arange(X.shape[0]) if w is None else np.repeat(np.arange(X.shape[0]), w)
+            assert batched.to_dict() == reference_tree.fit_tree(
+                X[repeated], y[repeated], config, stream(j, "t")).to_dict()
+            assert batched_gh.to_dict() == reference_tree.fit_tree_gradients(
+                X, g, h, config, stream(j, "t"), *penalties).to_dict()
+
+    def test_empty_batch(self):
+        assert fit_trees([], TreeConfig()) == []
+
+    def test_mixed_widths_rejected(self):
+        jobs = [(np.ones((3, 2)), np.arange(3.0), None, stream(0, "t")),
+                (np.ones((3, 1)), np.arange(3.0), None, stream(1, "t"))]
+        with pytest.raises(DataValidationError, match="same features"):
+            fit_trees(jobs, TreeConfig())
 
 
 class TestFeatureSubsets:

@@ -5,9 +5,11 @@ import premex.tuning as tuning_mod
 import numpy as np
 import pytest
 
-from premex.data import Dataset
+from premex.data import Dataset, round_half_up
 from premex.ensemble import variant_config
 from premex.errors import DataValidationError
+from premex.metrics import r_squared
+from premex.rng import derive_seed, stream
 from premex.tuning import (
     DEFAULT_GRIDS,
     CvResult,
@@ -154,6 +156,7 @@ class TestGridSearch:
         def no_fit(*args):
             raise AssertionError("a cell was fit before the grid was checked")
         monkeypatch.setattr(tuning_mod, "fit_variant", no_fit)
+        monkeypatch.setattr(tuning_mod, "fit_models", no_fit)
         for grid in ({"n_estimators": [5, "a"]}, {"max_features": [1, 10]},
                      {"learning_rate": [0.1], "n_estimators": [3, True]}):
             with pytest.raises(DataValidationError, match="grid cell"):
@@ -182,10 +185,41 @@ class TestLearningCurve:
             learning_curve(synth_dataset, "gbm", {"n_estimators": 2}, [0.001], 3, seed=0)
 
     def test_fraction_validation(self, synth_dataset):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataValidationError):
             learning_curve(synth_dataset, "gbm", {}, [0.5, 0.2], 3, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataValidationError):
             learning_curve(synth_dataset, "gbm", {}, [1.5], 3, seed=0)
+
+
+def fold_by_fold(data, variant, params, fractions, k, seed):
+    """Train and held-out R^2 per (fraction, fold), one fit_variant call at a time."""
+    train, val = np.zeros((len(fractions), k)), np.zeros((len(fractions), k))
+    for i, val_rows in enumerate(kfold_indices(data.n, k, seed)):
+        train_rows = np.setdiff1d(np.arange(data.n), val_rows)
+        shuffled = stream(seed, "curve", i).permutation(train_rows)
+        for j, fraction in enumerate(fractions):
+            subset = np.sort(shuffled[:round_half_up(fraction * train_rows.size)])
+            model = fit_variant(variant, data.subset(subset), params, derive_seed(seed, "fold", i))
+            train[j, i] = r_squared(data.y[subset], model.predict(data.X[subset]))
+            val[j, i] = r_squared(data.y[val_rows], model.predict(data.X[val_rows]))
+    return train, val
+
+
+class TestLockstepFits:
+    """Models grown together score exactly as models fit one at a time."""
+
+    @pytest.mark.parametrize("variant, params", [
+        ("rf", {"n_estimators": 4, "max_depth": 4, "max_features": 3}),
+        ("gbm", {"n_estimators": 6}),
+        ("xgb", {"n_estimators": 6, "max_depth": 3, "subsample": 0.7}),
+    ])
+    def test_scores_equal_a_loop_of_fit_variant(self, synth_dataset, variant, params):
+        fractions, k, seed = [0.3, 0.6, 1.0], 4, 13
+        train, val = fold_by_fold(synth_dataset, variant, params, fractions, k, seed)
+        assert cross_val_score(synth_dataset, variant, params, k, seed) == val[-1].tolist()
+        curve = learning_curve(synth_dataset, variant, params, fractions, k, seed)
+        assert curve.train_scores == train.mean(axis=1).tolist()
+        assert curve.val_scores == val.mean(axis=1).tolist()
 
 
 class TestDefaults:
