@@ -127,9 +127,9 @@ def _ingest(csv_path, out_dir, seed):
     """
     raw = data_mod.load_csv(csv_path)
     derived = data_mod.derive_features(raw)
-    stats = data_mod.summary_statistics(raw)
+    names, table = data_mod.summary_statistics(raw)
     data_mod.dataset_to_json(derived, os.path.join(out_dir, "dataset.json"), seed=seed)
-    _write(out_dir, "summary_stats.csv", report_mod.summary_stats_csv(stats, seed=seed))
+    _write(out_dir, "summary_stats.csv", report_mod.summary_stats_csv(names, table, seed=seed))
     return raw, derived, data_mod.detect_duplicates(raw)
 
 
@@ -165,7 +165,7 @@ def _model_flags(fn):
 
 def _collect_params(variant, flag_values):
     """The published parameters with the given flags over them; a bad flag exits 2."""
-    params = tuning_mod.default_params(variant)
+    params = dict(ensemble_mod.PUBLISHED[variant])
     params.update((key, value) for key, value in flag_values.items() if value is not None)
     try:
         ensemble_mod.variant_config(variant, params, seed=0)
@@ -182,7 +182,6 @@ def _train_one(train_data, variant, params, seed, out_dir):
     elapsed = time.perf_counter() - started
     ensemble_mod.save_model(model, os.path.join(out_dir, f"model_{variant}.json"))
     train_r2 = metrics_mod.r_squared(train_data.y, model.predict(train_data.X))
-    trees = model.trees if model.variant == "rf" else model.stages
     report = {
         "variant": variant,
         "params": params,
@@ -193,9 +192,9 @@ def _train_one(train_data, variant, params, seed, out_dir):
         "train_r_squared": train_r2,
         "fit_seconds": elapsed,
         # read off the node tables
-        "nodes": sum(tree.node_count() for tree in trees),
-        "leaves": sum(int((tree.feature < 0).sum()) for tree in trees),
-        "depth": max((tree.depth() for tree in trees), default=0),
+        "nodes": sum(tree.node_count() for tree in model.trees),
+        "leaves": sum(int((tree.feature < 0).sum()) for tree in model.trees),
+        "depth": max((tree.depth() for tree in model.trees), default=0),
     }
     write_json_artifact(
         os.path.join(out_dir, f"run_report_{variant}.json"),
@@ -313,12 +312,12 @@ def _evaluate_one(model, dataset, test_ids, seed, out_dir):
     _write(out_dir, f"residual_scatter_{variant}.svg", report_mod.residual_scatter_svg(
         predicted, actual - predicted, f"{name} residuals", meta))
     try:
-        diagnostics = metrics_mod.residual_diagnostics(actual, predicted)
+        theoretical, sample = metrics_mod.qq_points(actual, predicted)
     except NumericError as exc:
         click.echo(f"warning: skipping Q-Q figure: {exc}", err=True)
     else:
         _write(out_dir, f"qq_{variant}.svg", report_mod.qq_svg(
-            diagnostics.qq_theoretical, diagnostics.qq_sample, f"{name} residual Q-Q", meta))
+            theoretical, sample, f"{name} residual Q-Q", meta))
     _write(out_dir, f"prediction_error_{variant}.svg", report_mod.prediction_error_svg(
         actual, predicted, f"{name} prediction error", meta))
     return report
@@ -345,29 +344,31 @@ def evaluate(model_path, dataset_path, split_path, out_dir, seed):
 # --- explain -----------------------------------------------------------------
 
 def _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir):
+    """Write the SHAP CSVs and figures; return the feature names, most important first."""
     variant = model.variant
     row_ids = [int(i) for i in explain_ids]
+    rows, names = dataset.X[explain_ids], dataset.feature_names
     if variant == "rf":
-        terms = (model.trees, 1.0 / len(model.trees), 0.0)
+        scale, offset = 1.0 / len(model.trees), 0.0
     else:
-        terms = (model.stages, model.learning_rate, model.base_score)
-    background = explain_mod.ValueFunctionConfig(dataset.X[background_ids])
-    explanation = explain_mod.tree_shap(
-        *terms, dataset.X[explain_ids], background, feature_names=dataset.feature_names
+        scale, offset = model.learning_rate, model.base_score
+    base_value, phi = explain_mod.tree_shap(
+        model.trees, scale, offset, rows, dataset.X[background_ids]
     )
-    importance = explain_mod.global_importance(explanation)
+    totals, order = explain_mod.importance(phi)
+    ranked = [names[j] for j in order]
     _write(out_dir, f"shap_values_{variant}.csv",
-           report_mod.shap_values_csv(explanation, row_ids, seed=seed))
+           report_mod.shap_values_csv(names, base_value, phi, row_ids, seed=seed))
     _write(out_dir, f"shap_importance_{variant}.csv",
-           report_mod.importance_csv(importance, seed=seed))
+           report_mod.importance_csv(names, totals, order, seed=seed))
     name = VARIANT_NAMES[variant]
     meta = _svg_meta(seed, {"variant": variant, "rows": len(row_ids)})
     _write(out_dir, f"beeswarm_{variant}.svg", report_mod.beeswarm_svg(
-        *explain_mod.beeswarm_data(explanation), f"{name} attribution summary", meta))
+        ranked, explain_mod.beeswarm_data(phi, rows, order), f"{name} attribution summary",
+        meta))
     _write(out_dir, f"importance_{variant}.svg", report_mod.importance_bar_svg(
-        [importance.feature_names[j] for j in importance.order],
-        importance.totals[importance.order], f"{name} feature importance", meta))
-    return importance
+        ranked, totals[order], f"{name} feature importance", meta))
+    return ranked
 
 
 def _explain_ice(model, dataset, ids, features, grid_points, centered, derivative,
@@ -435,9 +436,8 @@ def explain(model_path, dataset_path, split_path, mode, feature_name,
     explain_ids = _subsample(explain_ids, rows_cap, seed, "explain_rows")
     if mode == "shap":
         background_ids = _subsample(background_ids, background_size, seed, "background")
-        importance = _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir)
-        top = [importance.feature_names[j] for j in importance.order[:2]]
-        click.echo(f"top features: {', '.join(top)}")
+        ranked = _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir)
+        click.echo(f"top features: {', '.join(ranked[:2])}")
     else:
         features = [feature_name] if feature_name else list(dataset.feature_names)
         written = _explain_ice(model, dataset, explain_ids, features, grid_points,
@@ -484,9 +484,9 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
     started = time.perf_counter()
     timings = {}
     raw, derived, duplicates = _ingest(csv_path, out_dir, seed)
-    correlation = data_mod.pearson_correlation(raw)
+    names, matrix = data_mod.pearson_correlation(raw)
     _write(out_dir, "correlation_heatmap.svg", report_mod.correlation_heatmap_svg(
-        correlation.names, correlation.matrix, "Attribute correlation",
+        names, matrix, "Attribute correlation",
         _svg_meta(seed, {"figure": "correlation"})))
     group_csv_parts = []
     for feature in GROUPING_FEATURES:
@@ -514,7 +514,7 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
                            folds, seed, out_dir).best_params
             timings[f"cv_{variant}"] = time.perf_counter() - stage_start
         else:
-            params = tuning_mod.default_params(variant)
+            params = ensemble_mod.PUBLISHED[variant]
 
         model, train_r2, fit_seconds = _train_one(train_subset, variant, params, seed, out_dir)
         timings[f"fit_{variant}"] = fit_seconds

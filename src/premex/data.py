@@ -3,8 +3,9 @@
 The raw file has 11 columns (10 inputs + PremiumPrice).  `load_csv` returns
 it as the raw table: a Dataset of the 10 input columns with PremiumPrice as
 the target.  `derive_features` folds Height and Weight into BMI, giving the
-9-feature model matrix.  All operations here are pure functions; nothing
-mutates its inputs.
+9-feature model matrix.  `summary_statistics` and `pearson_correlation`
+return (column names, array) pairs, the target last.  All operations here
+are pure functions; nothing mutates its inputs.
 """
 
 import csv
@@ -109,37 +110,6 @@ class SplitIndices:
     train_rows: np.ndarray
     test_rows: np.ndarray
     seed: int
-
-
-@dataclass
-class SummaryStats:
-    names: list
-    mean: np.ndarray
-    std: np.ndarray
-    minimum: np.ndarray
-    q1: np.ndarray
-    median: np.ndarray
-    q3: np.ndarray
-    maximum: np.ndarray
-
-    def rows(self):
-        for i, name in enumerate(self.names):
-            yield (
-                name,
-                self.mean[i],
-                self.std[i],
-                self.minimum[i],
-                self.q1[i],
-                self.median[i],
-                self.q3[i],
-                self.maximum[i],
-            )
-
-
-@dataclass
-class CorrelationMatrix:
-    names: list
-    matrix: np.ndarray
 
 
 @dataclass
@@ -252,32 +222,21 @@ def train_test_split(n: int, fraction: float, seed: int) -> SplitIndices:
     return SplitIndices(train_rows=train, test_rows=test, seed=int(seed))
 
 
-def summary_statistics(data: Dataset) -> SummaryStats:
-    """Mean/std/min/quartiles/max per column and the target, quartiles by linear interpolation."""
+def summary_statistics(data: Dataset):
+    """(names, table): one table row per column and the target, holding its
+    mean, std, min, Q1, median, Q3 and max; quartiles by linear interpolation."""
     if data.n < 1:
         raise DataValidationError("empty dataset")
     columns = np.column_stack([data.X, data.y])
-    names = [*data.feature_names, TARGET_NAME]
     q1, median, q3 = np.percentile(columns, [25, 50, 75], axis=0, method="linear")
-    std = (
-        columns.std(axis=0, ddof=1)
-        if data.n > 1
-        else np.zeros(columns.shape[1])
-    )
-    return SummaryStats(
-        names=names,
-        mean=columns.mean(axis=0),
-        std=std,
-        minimum=columns.min(axis=0),
-        q1=q1,
-        median=median,
-        q3=q3,
-        maximum=columns.max(axis=0),
-    )
+    std = columns.std(axis=0, ddof=1) if data.n > 1 else np.zeros(columns.shape[1])
+    table = np.column_stack([columns.mean(axis=0), std, columns.min(axis=0), q1, median, q3,
+                             columns.max(axis=0)])
+    return [*data.feature_names, TARGET_NAME], table
 
 
-def pearson_correlation(data: Dataset) -> CorrelationMatrix:
-    """Pearson correlations between every pair of columns, the target last."""
+def pearson_correlation(data: Dataset):
+    """(names, matrix): Pearson correlations between every pair of columns, the target last."""
     if data.n < 2:
         raise DataValidationError("need at least 2 rows for correlations")
     columns = np.column_stack([data.X, data.y])
@@ -290,7 +249,7 @@ def pearson_correlation(data: Dataset) -> CorrelationMatrix:
     matrix = (centered.T @ centered) / np.outer(norms, norms)
     matrix = (matrix + matrix.T) / 2.0
     np.fill_diagonal(matrix, 1.0)
-    return CorrelationMatrix(names=names, matrix=matrix)
+    return names, matrix
 
 
 def group_summary(data: Dataset, flag_feature: str) -> list:

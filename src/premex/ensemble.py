@@ -111,7 +111,8 @@ def variant_config(variant: str, params: dict, seed: int):
     """The config of one learner: `params` over its PUBLISHED defaults.
 
     DataValidationError for an unknown variant or key, or a value of the
-    wrong type or range.  gbm's reg_lambda and gamma are pinned to 0.
+    wrong type or range.  gbm's reg_lambda and gamma are left at their
+    defaults; `fit_models` pins them to 0.
     """
     if variant not in PUBLISHED:
         raise DataValidationError(
@@ -124,11 +125,7 @@ def variant_config(variant: str, params: dict, seed: int):
             f"its hyperparameters are {sorted(PUBLISHED[variant])}"
         )
     merged = {**PUBLISHED[variant], **params, "seed": seed}
-    if variant == "rf":
-        return ForestConfig(**merged)
-    if variant == "gbm":
-        merged.update(reg_lambda=0.0, gamma=0.0)
-    return BoostConfig(**merged)
+    return (ForestConfig if variant == "rf" else BoostConfig)(**merged)
 
 
 @dataclass
@@ -151,23 +148,23 @@ class BoostedModel:
     variant: str  # "gbm" or "xgb"
     base_score: float
     learning_rate: float
-    stages: list
+    trees: list
     config: BoostConfig
     feature_names: list
 
     @property
     def feature_count(self) -> int:
-        if self.stages:
-            return self.stages[0].feature_count
+        if self.trees:
+            return self.trees[0].feature_count
         return len(self.feature_names)
 
     def predict(self, X, n_stages: int | None = None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self.stages and X.shape[1] != self.feature_count:
+        if self.trees and X.shape[1] != self.feature_count:
             raise DataValidationError(
                 f"matrix has {X.shape[1]} columns, model expects {self.feature_count}"
             )
-        use = self.stages if n_stages is None else self.stages[:n_stages]
+        use = self.trees if n_stages is None else self.trees[:n_stages]
         out = np.full(X.shape[0], self.base_score)
         for tree in use:
             out = out + self.learning_rate * tree.predict_matrix(X)
@@ -276,7 +273,7 @@ def _boost_lockstep(config: BoostConfig, group, variant: str) -> list:
             variant=variant,
             base_score=float(data.y.mean()),
             learning_rate=config.learning_rate,
-            stages=own,
+            trees=own,
             config=replace(config, seed=seed),
             feature_names=list(data.feature_names),
         )
@@ -305,14 +302,13 @@ def fit_xgb(data: Dataset, config: BoostConfig) -> BoostedModel:
 # --- serialization ----------------------------------------------------------
 
 def save_model(model, path) -> None:
-    boosted = isinstance(model, BoostedModel)
     payload = {
         "variant": model.variant,
         "config": asdict(model.config),
         "feature_names": model.feature_names,
-        "trees": [tree.to_dict() for tree in (model.stages if boosted else model.trees)],
+        "trees": [tree.to_dict() for tree in model.trees],
     }
-    if boosted:
+    if isinstance(model, BoostedModel):
         payload.update(base_score=model.base_score, learning_rate=model.learning_rate)
     write_json_artifact(path, "model", payload, seed=model.config.seed, config=payload["config"])
 
@@ -353,7 +349,7 @@ def load_model(path):
         variant=variant,
         base_score=float(scalars[0]),
         learning_rate=float(scalars[1]),
-        stages=trees,
+        trees=trees,
         config=config,
         feature_names=names,
     )

@@ -17,7 +17,9 @@ by the features they meet, so the cost per tree is explained rows times
 `shap_exact` works against a bare prediction function (matrix in, vector
 out) and enumerates all 2^p coalitions, 2^p x |background| model rows per
 explained row.  It is the model-agnostic oracle the tests hold
-`tree_shap` to.  ICE curves also take a bare prediction function.
+`tree_shap` to.  Both take the background as a matrix and return
+(base value, φ), φ an explained rows x p array; `importance` ranks the
+features by sum of |φ|.  ICE curves also take a bare prediction function.
 """
 
 import math
@@ -28,31 +30,6 @@ import numpy as np
 from .errors import DataValidationError, NumericError
 
 MAX_EXACT_FEATURES = 20
-
-
-@dataclass
-class ValueFunctionConfig:
-    background: np.ndarray  # reference rows drawn from the training matrix
-
-    def __post_init__(self):
-        self.background = np.atleast_2d(np.asarray(self.background, dtype=np.float64))
-        if self.background.shape[0] < 1:
-            raise DataValidationError("background must contain at least one row")
-
-
-@dataclass
-class ShapExplanation:
-    base_value: float  # mean model prediction over the background
-    phi: np.ndarray  # n_explained x p attribution matrix
-    feature_values: np.ndarray  # raw values of the explained rows
-    feature_names: list
-
-
-@dataclass
-class GlobalImportance:
-    feature_names: list
-    totals: np.ndarray  # sum of |phi| per feature
-    order: list  # feature indices, descending importance
 
 
 @dataclass
@@ -73,8 +50,18 @@ def _subset_weights(p: int) -> np.ndarray:
     )
 
 
-def shap_exact(predict_fn, rows, background: ValueFunctionConfig, feature_names=None) -> ShapExplanation:
-    """Exact Shapley attributions by full subset enumeration.
+def _background_matrix(background, p: int) -> np.ndarray:
+    """The background as a float matrix of at least 1 row and p columns."""
+    B = np.asarray(background, dtype=np.float64)
+    if B.ndim != 2 or B.shape[0] < 1:
+        raise DataValidationError("background must be a 2-d matrix with at least one row")
+    if B.shape[1] != p:
+        raise DataValidationError("background and explained rows differ in width")
+    return B
+
+
+def shap_exact(predict_fn, rows, background):
+    """(base value, φ): exact Shapley attributions by full subset enumeration.
 
     For each explained row all 2^p hybrid batches are evaluated in one
     prediction call; val(S) is then a cached lookup, so each feature's
@@ -86,11 +73,7 @@ def shap_exact(predict_fn, rows, background: ValueFunctionConfig, feature_names=
         raise DataValidationError(
             f"{p} features would need 2^{p} subsets; refusing beyond {MAX_EXACT_FEATURES}"
         )
-    B = background.background
-    if B.shape[1] != p:
-        raise DataValidationError("background and explained rows differ in width")
-    if feature_names is None:
-        feature_names = [f"x{j}" for j in range(p)]
+    B = _background_matrix(background, p)
 
     n_subsets = 1 << p
     weights = _subset_weights(p)
@@ -115,12 +98,7 @@ def shap_exact(predict_fn, rows, background: ValueFunctionConfig, feature_names=
             masks = without[j]
             gains = values[masks | (1 << j)] - values[masks]
             phi[i, j] = float(np.sum(weights[popcount[masks]] * gains))
-    return ShapExplanation(
-        base_value=base_value,
-        phi=phi,
-        feature_values=rows.copy(),
-        feature_names=list(feature_names),
-    )
+    return base_value, phi
 
 
 def _leaf_weights(p: int):
@@ -167,9 +145,8 @@ def _leaf_masks(X, lo, hi) -> np.ndarray:
     return masks
 
 
-def tree_shap(trees, scale: float, offset: float, rows, background: ValueFunctionConfig,
-              feature_names=None) -> ShapExplanation:
-    """The Shapley values of shap_exact for the model offset + scale * sum(trees).
+def tree_shap(trees, scale: float, offset: float, rows, background):
+    """shap_exact's (base value, φ) for the model offset + scale * sum(trees).
 
     Per tree, background rows are counted by (leaf, mask of the features
     they meet there); each explained row then makes one pass over those
@@ -185,11 +162,9 @@ def tree_shap(trees, scale: float, offset: float, rows, background: ValueFunctio
         raise DataValidationError(
             f"{p} features do not fit the feature masks; refusing beyond {MAX_EXACT_FEATURES}"
         )
-    B = background.background
-    if B.shape[1] != p or any(tree.feature_count != p for tree in trees):
-        raise DataValidationError("trees, background and explained rows differ in width")
-    if feature_names is None:
-        feature_names = [f"x{j}" for j in range(p)]
+    B = _background_matrix(background, p)
+    if any(tree.feature_count != p for tree in trees):
+        raise DataValidationError("trees and explained rows differ in width")
 
     everything = (1 << p) - 1
     plus, minus = _leaf_weights(p)
@@ -215,25 +190,16 @@ def tree_shap(trees, scale: float, offset: float, rows, background: ValueFunctio
             for only, amount in ((x_only, gain), (z_only, loss)):
                 take = (only & bit) != 0
                 phi[:, j] += np.bincount(row[take], weights=amount[take], minlength=n)
-    return ShapExplanation(
-        base_value=offset + base_value,
-        phi=phi,
-        feature_values=rows.copy(),
-        feature_names=list(feature_names),
-    )
+    return offset + base_value, phi
 
 
-def global_importance(explanation: ShapExplanation) -> GlobalImportance:
-    """Sum of absolute attributions per feature, ranked descending."""
-    if explanation.phi.size == 0:
+def importance(phi):
+    """(totals, order): each feature's sum of |φ|, and the feature indices
+    by descending total, ties by index."""
+    if phi.size == 0:
         raise DataValidationError("empty explanation")
-    totals = np.abs(explanation.phi).sum(axis=0)
-    order = sorted(range(totals.size), key=lambda j: (-totals[j], j))
-    return GlobalImportance(
-        feature_names=list(explanation.feature_names),
-        totals=totals,
-        order=order,
-    )
+    totals = np.abs(phi).sum(axis=0)
+    return totals, sorted(range(totals.size), key=lambda j: (-totals[j], j))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -250,23 +216,18 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def beeswarm_data(explanation: ShapExplanation):
-    """Feature names, most important first, and each feature's plot points.
-
-    A feature's points are (its attributions, rank-normalized colors of its
-    values in [0, 1]).
-    """
-    importance = global_importance(explanation)
-    n = explanation.phi.shape[0]
+def beeswarm_data(phi, rows, order) -> list:
+    """The plot points of each feature in `order`: (its attributions,
+    rank-normalized colors of its values in `rows`, in [0, 1])."""
+    n = phi.shape[0]
     points = []
-    for j in importance.order:
-        column = explanation.feature_values[:, j]
+    for j in order:
         if n == 1:
             colors = np.array([0.5])
         else:
-            colors = (_average_ranks(column) - 1.0) / (n - 1.0)
-        points.append((explanation.phi[:, j].copy(), colors))
-    return [explanation.feature_names[j] for j in importance.order], points
+            colors = (_average_ranks(rows[:, j]) - 1.0) / (n - 1.0)
+        points.append((phi[:, j].copy(), colors))
+    return points
 
 
 def make_grid(column: np.ndarray, n_points: int = 30, max_distinct: int = 10) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Regression evaluation metrics and residual diagnostics."""
+"""Regression evaluation metrics and the residual Q-Q points."""
 
 import math
 from dataclasses import asdict, dataclass
@@ -73,29 +73,17 @@ def evaluate_predictions(model_name: str, actual, predicted) -> MetricsReport:
     )
 
 
-@dataclass
-class ResidualDiagnostics:
-    residuals: np.ndarray
-    standardized: np.ndarray
-    qq_theoretical: np.ndarray  # normal quantiles at p_i = (i - 0.5)/n
-    qq_sample: np.ndarray  # sorted standardized residuals
-
-
-def residual_diagnostics(actual, predicted) -> ResidualDiagnostics:
+def qq_points(actual, predicted):
+    """(theoretical, sample): the normal quantiles at p_i = (i - 0.5)/n and
+    the sorted standardized residuals."""
     actual, predicted = _pair(actual, predicted, min_len=3)
     residuals = actual - predicted
     spread = residuals.std(ddof=1)
     if spread == 0.0:
         raise NumericError("residuals have zero variance")
-    standardized = (residuals - residuals.mean()) / spread
     n = residuals.size
     ranks = (np.arange(1, n + 1) - 0.5) / n
-    return ResidualDiagnostics(
-        residuals=residuals,
-        standardized=standardized,
-        qq_theoretical=normal_quantile(ranks),
-        qq_sample=np.sort(standardized),
-    )
+    return normal_quantile(ranks), np.sort((residuals - residuals.mean()) / spread)
 
 
 # Inverse normal CDF: Acklam's rational approximation, peak relative

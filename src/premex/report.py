@@ -450,11 +450,9 @@ def _csv_text(header, rows, meta: str) -> str:
     return buffer.getvalue()
 
 
-def summary_stats_csv(stats, *, seed=None) -> str:
-    rows = [
-        [name] + [f"{v:.2f}" for v in values]
-        for name, *values in stats.rows()
-    ]
+def summary_stats_csv(names, table, *, seed=None) -> str:
+    """One row per column name: its row of `data.summary_statistics`' table."""
+    rows = [[name] + [f"{v:.2f}" for v in values] for name, values in zip(names, table)]
     return _csv_text(
         ["Feature", "Mean", "Std", "Min", "Q1", "Median", "Q3", "Max"],
         rows,
@@ -574,23 +572,21 @@ def group_summary_all_csv(parts, *, seed=None) -> str:
     )
 
 
-def shap_values_csv(explanation, row_ids=None, *, seed=None) -> str:
-    n = explanation.phi.shape[0]
+def shap_values_csv(names, base_value, phi, row_ids=None, *, seed=None) -> str:
+    n = phi.shape[0]
     if row_ids is None:
         row_ids = list(range(n))
-    header = ["RowId"] + list(explanation.feature_names) + ["BaseValue"]
+    header = ["RowId"] + list(names) + ["BaseValue"]
     rows = [
-        [row_ids[i]] + [f"{v:.6f}" for v in explanation.phi[i]] + [f"{explanation.base_value:.6f}"]
+        [row_ids[i]] + [f"{v:.6f}" for v in phi[i]] + [f"{base_value:.6f}"]
         for i in range(n)
     ]
     return _csv_text(header, rows, csv_meta_line(seed=seed, config={"table": "shap_values"}))
 
 
-def importance_csv(importance, *, seed=None) -> str:
-    rows = [
-        [importance.feature_names[j], f"{importance.totals[j]:.6f}", rank + 1]
-        for rank, j in enumerate(importance.order)
-    ]
+def importance_csv(names, totals, order, *, seed=None) -> str:
+    """One row per feature in `order`, as `explain.importance` ranks them."""
+    rows = [[names[j], f"{totals[j]:.6f}", rank + 1] for rank, j in enumerate(order)]
     return _csv_text(
         ["Feature", "TotalAbsAttribution", "Rank"],
         rows,

@@ -3,7 +3,7 @@
 A single user-facing seed fans out into one stream per task (tree k,
 boosting stage t, CV fold i, ...) by mixing the seed with the task path
 through splitmix64.  Streams are independent of execution order, so
-parallel and sequential training produce bit-identical models.
+batched and one-at-a-time training produce bit-identical models.
 
 The mixing function is fixed: splitmix64 (Steele, Lea & Flood's 64-bit
 finalizer), applied to the seed and then folded over each path token.

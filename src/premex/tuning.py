@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, round_half_up
-from .ensemble import PUBLISHED, fit_forest, fit_gbm, fit_models, fit_xgb, variant_config
+from .ensemble import fit_forest, fit_gbm, fit_models, fit_xgb, variant_config
 from .errors import DataValidationError
 from .metrics import r_squared
 from .rng import derive_seed, stream
@@ -43,10 +43,6 @@ DEFAULT_GRIDS = {
         "subsample": [0.6, 0.7, 0.75, 0.8, 0.85, 0.9],
     },
 }
-
-
-def default_params(variant: str) -> dict:
-    return dict(PUBLISHED[variant])
 
 
 def fit_variant(variant: str, data: Dataset, params: dict, seed: int):

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from premex.errors import DataValidationError
-from premex.explain import ValueFunctionConfig
 
 MAX_PERMUTATION_FEATURES = 8
 
@@ -23,16 +22,16 @@ def _hybrid_rows(row, mask_columns, background):
     return hybrid
 
 
-def shap_value_function(predict_fn, row, subset, background: ValueFunctionConfig) -> float:
+def shap_value_function(predict_fn, row, subset, background) -> float:
     """val(S): expected prediction with features in S pinned to the row."""
     row = np.asarray(row, dtype=np.float64)
     columns = np.zeros(row.size, dtype=bool)
     for j in subset:
         columns[j] = True
-    return float(np.mean(predict_fn(_hybrid_rows(row, columns, background.background))))
+    return float(np.mean(predict_fn(_hybrid_rows(row, columns, np.asarray(background)))))
 
 
-def shap_permutation(predict_fn, row, background: ValueFunctionConfig) -> np.ndarray:
+def shap_permutation(predict_fn, row, background) -> np.ndarray:
     """Shapley values as the average marginal contribution over all p!
     feature orderings.  Independent of shap_exact; used to cross-check it.
     """
@@ -40,7 +39,7 @@ def shap_permutation(predict_fn, row, background: ValueFunctionConfig) -> np.nda
     p = row.size
     if p > MAX_PERMUTATION_FEATURES:
         raise DataValidationError(f"permutation oracle is limited to {MAX_PERMUTATION_FEATURES} features")
-    B = background.background
+    B = np.asarray(background)
     cache = {}
 
     def val(subset: frozenset) -> float:

@@ -12,7 +12,7 @@ import premex.ensemble as ensemble_mod
 import premex.metrics as metrics_mod
 import premex.tuning as tuning_mod
 from premex.cli import EXIT_VALIDATION, guarded, main
-from premex.explain import ValueFunctionConfig, shap_exact
+from premex.explain import shap_exact
 from premex.metrics import r_squared
 
 import synth
@@ -173,8 +173,7 @@ class TestTrain:
         model = ensemble_mod.load_model(str(workdir / f"model_{variant}.json"))
         assert report["nodes"] == sum(len(tree["feature"]) for tree in trees)
         assert report["leaves"] == sum(tree["feature"].count(-1) for tree in trees)
-        members = model.trees if variant == "rf" else model.stages
-        assert report["depth"] == max(tree.depth() for tree in members)
+        assert report["depth"] == max(tree.depth() for tree in model.trees)
         assert 1 <= report["depth"] <= {"rf": 4, "gbm": 3, "xgb": 3}[variant]
 
     def test_unknown_flag_exits_2(self, runner, workdir):
@@ -712,12 +711,11 @@ class TestExplain:
         assert result.exit_code == 0, result.output
         dataset = data_mod.dataset_from_json(str(workdir / "dataset.json"))
         model = ensemble_mod.load_model(model_path)
-        expected = shap_exact(model.predict, dataset.X[30:35],
-                              ValueFunctionConfig(dataset.X[:30]))
+        base_value, phi = shap_exact(model.predict, dataset.X[30:35], dataset.X[:30])
         lines = (tmp_path / f"shap_values_{variant}.csv").read_text().strip().splitlines()[2:]
         assert len(lines) == 5
         for i, line in enumerate(lines):
-            values = [*expected.phi[i], expected.base_value]
+            values = [*phi[i], base_value]
             assert line.split(",") == [str(30 + i)] + [f"{v:.6f}" for v in values]
 
     def test_centered_ice_anchors_at_minimum(self, runner, workdir):

@@ -212,23 +212,24 @@ class TestSplit:
 class TestSummaryStatistics:
     def test_constant_column(self):
         dataset = Dataset(["a"], np.full((3, 1), 5.0), np.full(3, 5.0))
-        stats = summary_statistics(dataset)
-        for row in stats.rows():
-            name, mean, std, minimum, q1, median, q3, maximum = row
+        _, table = summary_statistics(dataset)
+        for mean, std, minimum, q1, median, q3, maximum in table:
             assert (mean, minimum, q1, median, q3, maximum) == (5.0,) * 6
             assert std == 0.0
 
     def test_quartile_ordering(self, synth_dataset):
-        stats = summary_statistics(synth_dataset)
-        assert np.all(stats.minimum <= stats.q1)
-        assert np.all(stats.q1 <= stats.median)
-        assert np.all(stats.median <= stats.q3)
-        assert np.all(stats.q3 <= stats.maximum)
+        _, table = summary_statistics(synth_dataset)
+        minimum, q1, median, q3, maximum = table[:, 2:].T
+        assert np.all(minimum <= q1)
+        assert np.all(q1 <= median)
+        assert np.all(median <= q3)
+        assert np.all(q3 <= maximum)
 
     def test_includes_target_row(self, synth_dataset):
-        stats = summary_statistics(synth_dataset)
-        assert stats.names[-1] == "PremiumPrice"
-        assert len(stats.names) == synth_dataset.m + 1
+        names, table = summary_statistics(synth_dataset)
+        assert names[-1] == "PremiumPrice"
+        assert len(names) == synth_dataset.m + 1
+        assert table.shape == (synth_dataset.m + 1, 7)
 
     def test_empty_dataset(self):
         dataset = Dataset(["a"], np.empty((0, 1)), np.empty(0))
@@ -240,12 +241,12 @@ class TestPearson:
     # the target is always the last column, so it holds each pair's second variable
     def test_self_correlation(self):
         dataset = Dataset(["a"], np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0, 3.0]))
-        matrix = pearson_correlation(dataset).matrix
+        _, matrix = pearson_correlation(dataset)
         assert matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_anticorrelation(self):
         dataset = Dataset(["a"], np.array([[1.0], [2.0], [3.0]]), np.array([3.0, 2.0, 1.0]))
-        matrix = pearson_correlation(dataset).matrix
+        _, matrix = pearson_correlation(dataset)
         assert matrix[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_computed_point_eight(self):
@@ -255,14 +256,13 @@ class TestPearson:
             np.array([[1.0], [2.0], [3.0], [4.0]]),
             np.array([1.0, 3.0, 2.0, 4.0]),
         )
-        matrix = pearson_correlation(dataset).matrix
+        _, matrix = pearson_correlation(dataset)
         assert matrix[0, 1] == pytest.approx(0.8, abs=1e-12)
 
     def test_matrix_invariants(self, synth_dataset):
-        result = pearson_correlation(synth_dataset)
-        matrix = result.matrix
+        names, matrix = pearson_correlation(synth_dataset)
         assert np.array_equal(matrix, matrix.T)
-        assert np.array_equal(np.diag(matrix), np.ones(len(result.names)))
+        assert np.array_equal(np.diag(matrix), np.ones(len(names)))
         assert np.all(np.abs(matrix) <= 1.0 + 1e-12)
 
     def test_constant_column_rejected(self):

@@ -13,6 +13,7 @@ from premex.ensemble import (
     ForestModel,
     fit_forest,
     fit_gbm,
+    fit_models,
     fit_xgb,
     load_model,
     save_model,
@@ -69,9 +70,11 @@ class TestVariantConfig:
         assert config == BoostConfig(**{**PUBLISHED["xgb"], "max_depth": 2, "seed": 5})
         assert variant_config("rf", {}, 1) == ForestConfig(**PUBLISHED["rf"], seed=1)
 
-    def test_gbm_pins_penalties_to_zero(self):
-        config = variant_config("gbm", {"learning_rate": 0.5}, 0)
-        assert config.reg_lambda == 0.0 and config.gamma == 0.0
+    def test_gbm_pins_penalties_to_zero(self, small_regression):
+        # variant_config leaves the penalties at their defaults; fit_models pins them
+        config = variant_config("gbm", {"learning_rate": 0.5, "n_estimators": 2}, 0)
+        [model] = fit_models("gbm", config, [(small_regression, 0)])
+        assert model.config.reg_lambda == 0.0 and model.config.gamma == 0.0
         assert BoostConfig().reg_lambda == 1.0  # the library default it overrides
 
     @pytest.mark.parametrize("variant, params", [
@@ -176,7 +179,7 @@ class TestGbm:
     def test_one_stage_arithmetic(self):
         model = BoostedModel(
             variant="gbm", base_score=5.0, learning_rate=0.1,
-            stages=[leaf_tree(10.0)], config=BoostConfig(), feature_names=["a", "b"],
+            trees=[leaf_tree(10.0)], config=BoostConfig(), feature_names=["a", "b"],
         )
         assert model.predict([0.0, 0.0])[0] == 6.0
 
@@ -216,7 +219,7 @@ def assert_matches_classic(data, shared):
     stages, predictions = classic_residual_fit(data, BoostConfig(**shared))
     gbm = fit_gbm(data, BoostConfig(**shared))
     xgb = fit_xgb(data, BoostConfig(reg_lambda=0.0, gamma=0.0, **shared))
-    assert [t.to_dict() for t in gbm.stages] == [t.to_dict() for t in stages]
+    assert [t.to_dict() for t in gbm.trees] == [t.to_dict() for t in stages]
     for model in (gbm, xgb):
         assert np.max(np.abs(model.predict(data.X) - predictions)) < 1e-9
 

@@ -7,12 +7,11 @@ from premex.data import derive_features, load_csv
 from premex.ensemble import BoostConfig, fit_gbm
 from premex.errors import DataValidationError, NumericError
 from premex.explain import (
-    ValueFunctionConfig,
     beeswarm_data,
     center_ice,
     derivative_ice,
-    global_importance,
     ice_curves,
+    importance,
     make_grid,
     shap_exact,
     tree_shap,
@@ -37,7 +36,7 @@ def linear_model(weights, intercept=0.0):
 @pytest.fixture
 def background5():
     rng = np.random.default_rng(31)
-    return ValueFunctionConfig(rng.normal(size=(16, 5)))
+    return rng.normal(size=(16, 5))
 
 
 class TestValueFunction:
@@ -51,34 +50,47 @@ class TestValueFunction:
         f = linear_model([1.0, -1.0, 0.5, 0.0, 2.0])
         row = np.zeros(5)
         value = shap_value_function(f, row, set(), background5)
-        assert value == pytest.approx(float(np.mean(f(background5.background))), abs=1e-12)
+        assert value == pytest.approx(float(np.mean(f(background5))), abs=1e-12)
 
     def test_single_background_row(self):
         f = linear_model([2.0, 0.0])
-        background = ValueFunctionConfig(np.array([[3.0, 1.0]]))
+        background = np.array([[3.0, 1.0]])
         value = shap_value_function(f, np.array([9.0, 9.0]), set(), background)
         assert value == 6.0
 
-    def test_empty_background_rejected(self):
-        with pytest.raises(DataValidationError):
-            ValueFunctionConfig(np.empty((0, 3)))
+
+class TestBackgroundChecks:
+    @pytest.mark.parametrize("background", [
+        pytest.param(np.empty((0, 3)), id="no-rows"),
+        pytest.param(np.zeros(3), id="1-d"),
+        pytest.param(np.zeros((4, 2)), id="wrong-width"),
+    ])
+    @pytest.mark.parametrize("explain", [
+        pytest.param(lambda rows, background: shap_exact(
+            lambda X: np.atleast_2d(X).sum(axis=1), rows, background), id="shap_exact"),
+        pytest.param(lambda rows, background: tree_shap(
+            [TWICE], 1.0, 0.0, rows, background), id="tree_shap"),
+    ])
+    def test_rejected(self, explain, background):
+        with pytest.raises(DataValidationError, match="background"):
+            explain(np.zeros((2, 3)), background)
 
 
 class TestShapExact:
     def test_constant_model_all_zero(self, background5):
         f = lambda X: np.full(np.atleast_2d(X).shape[0], 42.0)
         rows = np.random.default_rng(0).normal(size=(4, 5))
-        explanation = shap_exact(f, rows, background5)
-        assert np.array_equal(explanation.phi, np.zeros((4, 5)))
-        assert explanation.base_value == 42.0
+        base_value, phi = shap_exact(f, rows, background5)
+        assert np.array_equal(phi, np.zeros((4, 5)))
+        assert base_value == 42.0
 
     def test_additive_closed_form(self, background5):
         weights = [1.5, -2.0, 0.0, 0.7, 3.0]
         f = linear_model(weights, intercept=11.0)
         rows = np.random.default_rng(1).normal(size=(6, 5))
-        explanation = shap_exact(f, rows, background5)
-        expected = np.asarray(weights) * (rows - background5.background.mean(axis=0))
-        assert np.max(np.abs(explanation.phi - expected)) < 1e-9
+        _, phi = shap_exact(f, rows, background5)
+        expected = np.asarray(weights) * (rows - background5.mean(axis=0))
+        assert np.max(np.abs(phi - expected)) < 1e-9
 
     def test_matches_permutation_oracle_on_trees(self):
         rng = np.random.default_rng(7)
@@ -88,98 +100,90 @@ class TestShapExact:
             y = rng.normal(size=60)
             tree = fit_tree(X, y, TreeConfig(max_depth=3), stream(trial, "t"))
             f = tree.predict_matrix
-            background = ValueFunctionConfig(X[:10])
+            background = X[:10]
             rows = X[10:13]
-            explanation = shap_exact(f, rows, background)
+            _, phi = shap_exact(f, rows, background)
             for i, row in enumerate(rows):
                 oracle = shap_permutation(f, row, background)
-                assert np.max(np.abs(explanation.phi[i] - oracle)) < 1e-9
+                assert np.max(np.abs(phi[i] - oracle)) < 1e-9
 
     def test_efficiency(self, background5):
         rng = np.random.default_rng(3)
         f = lambda X: np.sin(np.atleast_2d(X)).sum(axis=1) * 3.0
         rows = rng.normal(size=(5, 5))
-        explanation = shap_exact(f, rows, background5)
+        base_value, phi = shap_exact(f, rows, background5)
         for i, row in enumerate(rows):
-            total = explanation.base_value + explanation.phi[i].sum()
+            total = base_value + phi[i].sum()
             assert total == pytest.approx(f(row[None, :])[0], abs=1e-6)
 
     def test_dummy_feature_exactly_zero(self, background5):
         f = lambda X: np.atleast_2d(X)[:, 0] * 2.0  # ignores features 1..4
         rows = np.random.default_rng(2).normal(size=(3, 5))
-        explanation = shap_exact(f, rows, background5)
-        assert np.array_equal(explanation.phi[:, 1:], np.zeros((3, 4)))
+        _, phi = shap_exact(f, rows, background5)
+        assert np.array_equal(phi[:, 1:], np.zeros((3, 4)))
 
     def test_symmetric_features_get_equal_phi(self):
         f = lambda X: np.atleast_2d(X)[:, 0] + np.atleast_2d(X)[:, 1]
         # background symmetric under swapping the two features
-        background = ValueFunctionConfig(np.array([
+        background = np.array([
             [1.0, 1.0, 0.0],
             [2.0, 3.0, 1.0],
             [3.0, 2.0, -1.0],
-        ]))
+        ])
         row = np.array([5.0, 5.0, 9.0])
-        explanation = shap_exact(f, row[None, :], background)
-        assert explanation.phi[0, 0] == pytest.approx(explanation.phi[0, 1], abs=1e-9)
+        _, phi = shap_exact(f, row[None, :], background)
+        assert phi[0, 0] == pytest.approx(phi[0, 1], abs=1e-9)
 
     def test_feature_count_guard(self):
         f = lambda X: np.atleast_2d(X).sum(axis=1)
         wide = np.zeros((1, 21))
         with pytest.raises(DataValidationError):
-            shap_exact(f, wide, ValueFunctionConfig(wide))
-
-    def test_width_mismatch(self, background5):
-        f = lambda X: np.atleast_2d(X).sum(axis=1)
-        with pytest.raises(DataValidationError):
-            shap_exact(f, np.zeros((1, 4)), background5)
+            shap_exact(f, wide, wide)
 
 
 class TestGlobalImportance:
     def test_zero_phi(self, background5):
         f = lambda X: np.zeros(np.atleast_2d(X).shape[0])
-        explanation = shap_exact(f, np.zeros((2, 5)), background5)
-        importance = global_importance(explanation)
-        assert np.array_equal(importance.totals, np.zeros(5))
-        assert importance.order == [0, 1, 2, 3, 4]  # ties break by index
+        _, phi = shap_exact(f, np.zeros((2, 5)), background5)
+        totals, order = importance(phi)
+        assert np.array_equal(totals, np.zeros(5))
+        assert order == [0, 1, 2, 3, 4]  # ties break by index
 
     def test_absolute_sum(self):
-        explanation = shap_exact(
+        _, phi = shap_exact(
             linear_model([1.0, 0.0]),
             np.array([[0.0, 0.0], [3.0, 0.0]]),
-            ValueFunctionConfig(np.array([[1.0, 0.0], [1.0, 0.0]])),
+            np.array([[1.0, 0.0], [1.0, 0.0]]),
         )
-        importance = global_importance(explanation)
+        totals, order = importance(phi)
         # phi column 0 is [-1, 2]; |.| sums to 3
-        assert importance.totals[0] == pytest.approx(3.0, abs=1e-9)
-        assert importance.order[0] == 0
+        assert totals[0] == pytest.approx(3.0, abs=1e-9)
+        assert order[0] == 0
 
 
 class TestBeeswarm:
     def test_single_point_color_convention(self):
         f = linear_model([2.0])
-        explanation = shap_exact(f, np.array([[4.0]]), ValueFunctionConfig(np.array([[1.0]])))
-        _, points = beeswarm_data(explanation)
-        phi, colors = points[0]
+        rows = np.array([[4.0]])
+        _, phi = shap_exact(f, rows, np.array([[1.0]]))
+        [(_, colors)] = beeswarm_data(phi, rows, [0])
         assert colors[0] == 0.5
 
     def test_order_matches_importance(self, background5):
         f = linear_model([0.1, 5.0, 0.0, 1.0, -2.0])
         rows = np.random.default_rng(4).normal(size=(8, 5))
-        explanation = shap_exact(f, rows, background5)
-        importance = global_importance(explanation)
-        names, points = beeswarm_data(explanation)
-        assert names == [explanation.feature_names[j] for j in importance.order]
-        assert [phi.tolist() for phi, _ in points] == [
-            explanation.phi[:, j].tolist() for j in importance.order
-        ]
+        _, phi = shap_exact(f, rows, background5)
+        _, order = importance(phi)
+        points = beeswarm_data(phi, rows, order)
+        assert [phi_j.tolist() for phi_j, _ in points] == [phi[:, j].tolist() for j in order]
 
     def test_binary_column_two_color_levels(self, background5):
         f = linear_model([1.0, 1.0, 1.0, 1.0, 1.0])
         rows = np.random.default_rng(5).normal(size=(10, 5))
         rows[:, 2] = np.tile([0.0, 1.0], 5)
-        explanation = shap_exact(f, rows, background5)
-        names, points = beeswarm_data(explanation)
-        _, colors = points[names.index(explanation.feature_names[2])]
+        _, phi = shap_exact(f, rows, background5)
+        _, order = importance(phi)
+        _, colors = beeswarm_data(phi, rows, order)[order.index(2)]
         assert len(np.unique(colors)) == 2
 
 
@@ -326,12 +330,9 @@ class TestOnFittedEnsemble:
         config = BoostConfig(n_estimators=8, max_depth=3, seed=6)
         model = fit_gbm(synth_dataset, config)
         rows = synth_dataset.X[:5]
-        background = ValueFunctionConfig(synth_dataset.X[:40])
-        explanation = shap_exact(
-            model.predict, rows, background, feature_names=synth_dataset.feature_names
-        )
+        base_value, phi = shap_exact(model.predict, rows, synth_dataset.X[:40])
         for i in range(5):
-            total = explanation.base_value + explanation.phi[i].sum()
+            total = base_value + phi[i].sum()
             assert total == pytest.approx(model.predict(rows[i : i + 1])[0], abs=1e-6)
         age = synth_dataset.feature_index("Age")
         curves = ice_curves(model.predict, rows, age, feature_name="Age")
@@ -342,7 +343,7 @@ def tree_terms(model):
     """(trees, scale, offset) of a fitted ensemble, as the explain command passes them."""
     if model.variant == "rf":
         return model.trees, 1.0 / len(model.trees), 0.0
-    return model.stages, model.learning_rate, model.base_score
+    return model.trees, model.learning_rate, model.base_score
 
 
 def sum_of_trees(trees, scale, offset):
@@ -359,14 +360,12 @@ def assert_matches_oracle(predict_fn, terms, rows, background_rows):
     φ is compared relative to the largest |φ| of the oracle (at least 1e-9
     absolute), the base value relative to itself.
     """
-    background = ValueFunctionConfig(background_rows)
-    expected = shap_exact(predict_fn, rows, background)
-    actual = tree_shap(*terms, rows, background)
-    tolerance = 1e-9 * max(np.abs(expected.phi).max(), 1.0)
-    assert np.abs(actual.phi - expected.phi).max() <= tolerance
-    assert abs(actual.base_value - expected.base_value) <= 1e-9 * max(abs(expected.base_value), 1.0)
-    assert np.array_equal(actual.feature_values, np.atleast_2d(rows))
-    return actual
+    expected_base, expected_phi = shap_exact(predict_fn, rows, background_rows)
+    base_value, phi = tree_shap(*terms, rows, background_rows)
+    tolerance = 1e-9 * max(np.abs(expected_phi).max(), 1.0)
+    assert np.abs(phi - expected_phi).max() <= tolerance
+    assert abs(base_value - expected_base) <= 1e-9 * max(abs(expected_base), 1.0)
+    return phi
 
 
 def table(feature, threshold, left, right, value, feature_count):
@@ -424,8 +423,8 @@ class TestTreeShap:
         rows = grid_rows([0.5, 1.5, 2.5, 5.5], [-0.5, 0.5])
         background = grid_rows([0.5, 1.5, 3.5, 6.5], [-0.5, 0.5])
         terms = ([TWICE, LOOSE], 1.0, 0.0)
-        explanation = assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
-        assert np.array_equal(explanation.phi[:, 2], np.zeros(len(rows)))
+        phi = assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
+        assert np.array_equal(phi[:, 2], np.zeros(len(rows)))
 
     def test_rows_on_thresholds(self):
         # every value of feature 0 and 1 sits on a threshold; such a row goes left
@@ -439,16 +438,16 @@ class TestTreeShap:
         rows, background = grid_rows([0.5, 5.5], [1.0]), grid_rows([1.0, 2.5], [-1.0])
         terms = ([leaf, TWICE, leaf], 0.25, 0.0)
         assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
-        only_leaves = tree_shap([leaf, leaf], 0.5, 1.0, rows, ValueFunctionConfig(background))
-        assert np.array_equal(only_leaves.phi, np.zeros((2, 3)))
-        assert only_leaves.base_value == 7.0
+        base_value, phi = tree_shap([leaf, leaf], 0.5, 1.0, rows, background)
+        assert np.array_equal(phi, np.zeros((2, 3)))
+        assert base_value == 7.0
 
     def test_zero_stage_boosted_model(self, synth_dataset):
         model = fit_gbm(synth_dataset, BoostConfig(n_estimators=0, seed=1))
         rows, background = synth_dataset.X[:3], synth_dataset.X[3:20]
-        explanation = tree_shap(*tree_terms(model), rows, ValueFunctionConfig(background))
-        assert np.array_equal(explanation.phi, np.zeros((3, synth_dataset.m)))
-        assert explanation.base_value == model.base_score
+        base_value, phi = tree_shap(*tree_terms(model), rows, background)
+        assert np.array_equal(phi, np.zeros((3, synth_dataset.m)))
+        assert base_value == model.base_score
         assert_matches_oracle(model.predict, tree_terms(model), rows, background)
 
     def test_one_row_background(self, synth_dataset):
@@ -460,9 +459,9 @@ class TestTreeShap:
         model = fit_variant("gbm", synth_dataset, {"n_estimators": 2}, 2)
         X = synth_dataset.X
         with pytest.raises(DataValidationError):
-            tree_shap(*tree_terms(model), X[:2, :4], ValueFunctionConfig(X[:5, :4]))
+            tree_shap(*tree_terms(model), X[:2, :4], X[:5, :4])
         with pytest.raises(DataValidationError):
-            tree_shap(*tree_terms(model), X[:2], ValueFunctionConfig(X[:5, :4]))
+            tree_shap(*tree_terms(model), X[:2], X[:5, :4])
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

@@ -12,7 +12,7 @@ from premex.metrics import (
     mape,
     normal_quantile,
     r_squared,
-    residual_diagnostics,
+    qq_points,
     rmse,
 )
 
@@ -138,24 +138,24 @@ class TestReport:
 class TestResidualDiagnostics:
     def test_perfect_predictions_rejected(self):
         with pytest.raises(NumericError):
-            residual_diagnostics(ACTUAL, ACTUAL)
+            qq_points(ACTUAL, ACTUAL)
 
     def test_simple_standardization(self):
-        diag = residual_diagnostics([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
-        assert np.allclose(diag.standardized, [-1.0, 0.0, 1.0])
+        # residuals [-1, 0, 1] are already standardized; the sample is them sorted
+        _, sample = qq_points([2.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+        assert np.allclose(sample, [-1.0, 0.0, 1.0])
 
     def test_symmetric_residuals(self):
         actual = np.array([1.0, 2.0, 3.0, 4.0])
         predicted = actual - np.array([-2.0, -1.0, 1.0, 2.0])
-        diag = residual_diagnostics(actual, predicted)
-        assert diag.residuals.mean() == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(diag.qq_sample, -diag.qq_sample[::-1], atol=1e-12)
-        assert np.allclose(diag.qq_theoretical, -diag.qq_theoretical[::-1], atol=1e-9)
+        theoretical, sample = qq_points(actual, predicted)
+        assert np.allclose(sample, -sample[::-1], atol=1e-12)
+        assert np.allclose(theoretical, -theoretical[::-1], atol=1e-9)
 
     def test_qq_rank_points(self):
-        diag = residual_diagnostics([1.0, 2.0, 3.0, 10.0], [1.5, 1.5, 2.0, 4.0])
+        theoretical, _ = qq_points([1.0, 2.0, 3.0, 10.0], [1.5, 1.5, 2.0, 4.0])
         expected = normal_quantile((np.arange(1, 5) - 0.5) / 4)
-        assert np.array_equal(diag.qq_theoretical, expected)
+        assert np.array_equal(theoretical, expected)
 
 
 class TestNormalQuantile:

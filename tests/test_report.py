@@ -63,13 +63,13 @@ class TestRenderDeterminism:
         residuals = actual - predicted
         stats_groups = group_summary(synth_dataset, "Diabetes")
         column = synth_dataset.X[:, synth_dataset.feature_index("Diabetes")]
-        corr = pearson_correlation(synth_dataset)
+        names, matrix = pearson_correlation(synth_dataset)
         rng = np.random.default_rng(3)
         documents = [
             prediction_error_svg(actual, predicted, "pe"),
             residual_scatter_svg(predicted, residuals, "rs"),
             qq_svg(np.sort(residuals), np.sort(residuals), "qq"),
-            correlation_heatmap_svg(corr.names, corr.matrix, "corr"),
+            correlation_heatmap_svg(names, matrix, "corr"),
             group_boxplot_svg(
                 "Diabetes",
                 [(0.0, synth_dataset.y[column == 0.0]), (1.0, synth_dataset.y[column == 1.0])],
@@ -176,8 +176,7 @@ class TestTables:
         assert len(lines) == 4
 
     def test_summary_stats_two_decimals(self, synth_dataset):
-        stats = summary_statistics(synth_dataset)
-        body = summary_stats_csv(stats).strip().splitlines()[2]
+        body = summary_stats_csv(*summary_statistics(synth_dataset)).strip().splitlines()[2]
         cells = body.split(",")
         assert all("." in cell and len(cell.split(".")[1]) == 2 for cell in cells[1:])
 
@@ -190,19 +189,17 @@ class TestTables:
         assert len(lines) == 2 + 4  # meta + header + 2 groups per feature
 
     def test_shap_and_importance_csv(self, synth_dataset):
-        from premex.explain import ValueFunctionConfig, global_importance, shap_exact
+        from premex.explain import importance, shap_exact
 
         f = lambda X: np.atleast_2d(X)[:, 0] * 2.0
         rows = synth_dataset.X[:3]
-        explanation = shap_exact(
-            f, rows, ValueFunctionConfig(synth_dataset.X[:20]),
-            feature_names=synth_dataset.feature_names,
-        )
-        shap_text = shap_values_csv(explanation, [5, 6, 7], seed=0)
+        names = synth_dataset.feature_names
+        base_value, phi = shap_exact(f, rows, synth_dataset.X[:20])
+        shap_text = shap_values_csv(names, base_value, phi, [5, 6, 7], seed=0)
         lines = shap_text.strip().splitlines()
         assert lines[1].startswith("RowId,Age,")
         assert len(lines) == 2 + 3
-        importance_text = importance_csv(global_importance(explanation), seed=0)
+        importance_text = importance_csv(names, *importance(phi), seed=0)
         assert importance_text.strip().splitlines()[2].split(",")[0] == "Age"
 
     def test_cv_table(self):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from premex.data import Dataset, round_half_up
-from premex.ensemble import variant_config
+from premex.cli import _collect_params
+from premex.ensemble import PUBLISHED, variant_config
 from premex.errors import DataValidationError
 from premex.metrics import r_squared
 from premex.rng import derive_seed, stream
@@ -14,7 +15,6 @@ from premex.tuning import (
     DEFAULT_GRIDS,
     CvResult,
     cross_val_score,
-    default_params,
     fit_variant,
     grid_cells,
     grid_search,
@@ -224,14 +224,14 @@ class TestLockstepFits:
 
 class TestDefaults:
     def test_default_params_match_published_best(self):
-        assert default_params("rf") == {
+        assert PUBLISHED["rf"] == {
             "n_estimators": 220, "max_depth": 7, "min_samples_split": 3,
             "max_features": None,
         }
-        gbm = default_params("gbm")
+        gbm = PUBLISHED["gbm"]
         assert gbm["n_estimators"] == 19
         assert gbm["learning_rate"] == 0.19
-        xgb = default_params("xgb")
+        xgb = PUBLISHED["xgb"]
         assert xgb == {
             "n_estimators": 50, "learning_rate": 0.1, "max_depth": 5,
             "min_samples_split": 2, "max_features": None, "subsample": 0.9,
@@ -240,12 +240,13 @@ class TestDefaults:
 
     def test_published_json_is_unchanged(self):
         # the run reports and cv_overview.csv hold these bytes
-        assert json.dumps(default_params("gbm"), sort_keys=True) == (
+        assert json.dumps(PUBLISHED["gbm"], sort_keys=True) == (
             '{"learning_rate": 0.19, "max_depth": 3, "max_features": null, '
             '"min_samples_split": 2, "n_estimators": 19, "subsample": 1.0}'
         )
-        default_params("rf")["n_estimators"] = 1
-        assert default_params("rf")["n_estimators"] == 220
+        # a flag over the published value leaves PUBLISHED as it is
+        assert _collect_params("rf", {"n_estimators": 1})["n_estimators"] == 1
+        assert PUBLISHED["rf"]["n_estimators"] == 220
 
     def test_shipped_grids_are_wellformed(self):
         for variant, grid in DEFAULT_GRIDS.items():
