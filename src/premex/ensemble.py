@@ -26,7 +26,8 @@ from .data import Dataset, round_half_up
 from .errors import DataValidationError
 from .rng import stream
 from .tree import (
-    CHUNK_ROWS, RegressionTree, TreeConfig, check_count, fit_trees, fit_trees_gradients,
+    CHUNK_ROWS, Presorted, RegressionTree, TreeConfig, check_count, fit_trees,
+    fit_trees_gradients,
 )
 
 
@@ -159,6 +160,12 @@ class BoostedModel:
         return len(self.feature_names)
 
     def predict(self, X, n_stages: int | None = None) -> np.ndarray:
+        """The prediction of the first n_stages stages, or of all of them if None."""
+        check_count("n_stages", n_stages, 0, nullable=True)
+        if n_stages is not None and n_stages > len(self.trees):
+            raise DataValidationError(
+                f"n_stages must be at most the model's {len(self.trees)} stages, got {n_stages}"
+            )
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self.trees and X.shape[1] != self.feature_count:
             raise DataValidationError(
@@ -176,7 +183,7 @@ def fit_forest(data: Dataset, config: ForestConfig) -> ForestModel:
 
     A resample is passed as integer weights on its distinct rows: how
     often each row was drawn.  All the trees grow together, as one batch
-    of `tree.fit_trees`.
+    of `tree.fit_trees` on one `tree.Presorted` of the data.
     """
     [model] = fit_models("rf", config, [(data, config.seed)])
     return model
@@ -204,14 +211,15 @@ def _fit_forests(config: ForestConfig, jobs):
     tree_config = config.tree_config()
 
     def tree_jobs(data, seed):
+        matrix = Presorted(data.X)
         for k in range(config.n_estimators):
             rng = stream(seed, "forest_tree", k)
             if not config.bootstrap:
-                yield data.X, data.y, None, rng
+                yield matrix, np.arange(data.n), data.y, None, rng
                 continue
             drawn = np.bincount(rng.integers(0, data.n, size=data.n), minlength=data.n)
             rows = np.flatnonzero(drawn)
-            yield data.X[rows], data.y[rows], drawn[rows], rng
+            yield matrix, rows, data.y[rows], drawn[rows], rng
 
     for data, seed in jobs:
         if data.n < 2:
@@ -223,7 +231,7 @@ def _fit_forests(config: ForestConfig, jobs):
 
 
 def _stage_rows(rng: np.random.Generator, n: int, subsample: float) -> np.ndarray:
-    """Per-stage row subset, drawn without replacement; sorted for determinism."""
+    """Per-stage row subset, drawn without replacement; ascending, as a tree job's rows must be."""
     if subsample >= 1.0:
         return np.arange(n)
     size = max(2, min(n, round_half_up(subsample * n)))
@@ -250,18 +258,20 @@ def _fit_boosted(config: BoostConfig, jobs, variant: str):
 def _boost_lockstep(config: BoostConfig, group, variant: str) -> list:
     """Stagewise second-order boosting under squared loss: g = pred - y, h = 1.
 
-    Stage t of every model of the group is one batch.
+    Stage t of every model of the group is one batch, and each model's
+    stages share one `tree.Presorted` of its data.
     """
     tree_config = config.tree_config()
+    matrices = [Presorted(data.X) for data, _ in group]
     predictions = [np.full(data.n, float(data.y.mean())) for data, _ in group]
     stages = [[] for _ in group]
 
     def stage_jobs(t):
-        for (data, seed), prediction in zip(group, predictions):
+        for (data, seed), matrix, prediction in zip(group, matrices, predictions):
             rng = stream(seed, "stage", t)
             rows = _stage_rows(rng, data.n, config.subsample)
             grad = prediction - data.y
-            yield data.X[rows], grad[rows], np.ones(rows.size), rng
+            yield matrix, rows, grad[rows], np.ones(rows.size), rng
 
     for t in range(config.n_estimators):
         trees = fit_trees_gradients(stage_jobs(t), tree_config, config.reg_lambda, config.gamma)

@@ -1,7 +1,9 @@
 """CART-style binary regression trees.
 
 Split search is exact: every midpoint between adjacent distinct sorted
-feature values is a candidate.  Two growth criteria share the engine:
+feature values is a candidate.  Where the midpoint rounds up to the upper
+value or overflows, the lower value is the threshold.  Two growth
+criteria share the engine:
 
 * plain SSE reduction with leaf = mean target (forests)
 * regularized second-order gain with leaf = -G/(H + lambda) (boosting
@@ -10,9 +12,14 @@ feature values is a candidate.  Two growth criteria share the engine:
 Growth is level-wise on presorted columns, the exact greedy method on
 sorted column blocks of XGBoost (Chen & Guestrin 2016, arXiv 1603.02754):
 
-* Each fit sorts every feature column once, stably, so equal values keep
-  row order.  A node owns one range of positions, the same range in each
-  feature's sorted order.
+* Each model matrix is ranked once: `Presorted` sorts every feature
+  column stably, so equal values keep row order, and checks the matrix
+  for finite values.  A job names strictly ascending row ids into it, and
+  its order is the matrix's order with the other rows filtered out:
+  for ascending rows, exactly a stable sort of the job's own rows.  So a
+  forest's bootstrap trees and a boosted model's stages sort nothing.
+* A node owns one range of positions, the same range in each feature's
+  sorted order.
 * A split partitions its node's range stably in every sorted order, left
   rows first, so no column is sorted again.
 * One depth level at a time, all open nodes are scored together.  Their
@@ -35,6 +42,8 @@ sorted column blocks of XGBoost (Chen & Guestrin 2016, arXiv 1603.02754):
   tree is bit for bit the one its job grows alone; the batch only shares
   the fixed cost of each level's numpy calls.  A batch is grown in
   consecutive chunks of at most CHUNK_ROWS rows, which bounds its memory.
+* A chunk's sorted columns and each level's padded blocks are written
+  into work arrays kept across levels, chunks and calls (`_WorkArrays`).
 
 Integer row weights stand for repeated rows, so a bootstrap resample is
 its distinct rows weighted by their draw counts.
@@ -51,6 +60,7 @@ number of training rows, weights counted, that reached the node.  The
 model JSON stores the six columns as they are.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -62,9 +72,10 @@ COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
 
 # The most rows, summed over its trees, that one level loop grows at once.
 # A level's working memory is about 600 bytes per row.  3000 rows hold a
-# 5-fold boosting stage (5 x 592 rows) and about 6 bootstrap trees; on
-# train-cv, peak RSS rose 0.45 MB at 2000 rows, 0.9 MB at 3000, 1.8 MB at
-# 4500 and 2.9 MB at 6000 over one tree at a time (44.2 MB).
+# 5-fold boosting stage (5 x 592 rows) and about 6 bootstrap trees.  With
+# the work arrays kept, train-cv took 1.46 s at 3000 rows, 1.41 s at 4500
+# and 1.42 s at 6000, at a peak RSS of 46.1, 46.6 and 47.5 MB; above 3000,
+# tests/test_memory.py's bounds fail.
 CHUNK_ROWS = 3000
 
 
@@ -207,6 +218,45 @@ def _column(values, name, kinds) -> np.ndarray:
     return array
 
 
+class Presorted:
+    """A model matrix, checked finite, with each column's stable sorted order.
+
+    Build it once per matrix and name any strictly ascending subset of its
+    rows in a fit_trees or fit_trees_gradients job; no job sorts again.
+    """
+
+    def __init__(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or 0 in X.shape:
+            raise DataValidationError("X must be a 2-d matrix with at least one row and column")
+        # an inf feature value makes an inf midpoint and an empty child
+        if not np.isfinite(X).all():
+            raise DataValidationError("X must be finite (no NaN or inf)")
+        self.shape = X.shape
+        self._columns = np.ascontiguousarray(X.T)
+        self._order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+
+    def _check_rows(self, rows) -> np.ndarray:
+        rows = np.asarray(rows)
+        if (rows.ndim != 1 or rows.dtype.kind not in "iu" or not rows.size or rows[0] < 0
+                or rows[-1] >= self.shape[0] or (rows[1:] <= rows[:-1]).any()):
+            raise DataValidationError(
+                f"rows must be strictly ascending row ids in 0..{self.shape[0] - 1}"
+            )
+        return rows
+
+    def _order_of(self, rows, first) -> np.ndarray:
+        """Each column's order of `rows`, row rows[i] written as first + i.
+
+        The matrix's order with the other rows filtered out: since rows
+        ascend, ties keep row order, as a stable sort of X[rows] would.
+        """
+        position = np.full(self.shape[0], -1)
+        position[rows] = first + np.arange(rows.size)
+        mapped = position[self._order]
+        return mapped[mapped >= 0].reshape(-1, rows.size)
+
+
 def fit_tree(X, targets, config: TreeConfig, rng: np.random.Generator, *,
              weights=None) -> RegressionTree:
     """Grow a tree greedily, maximizing SSE reduction; leaves predict means.
@@ -218,14 +268,17 @@ def fit_tree(X, targets, config: TreeConfig, rng: np.random.Generator, *,
     other targets the sums can differ from the repeated rows' in the last
     bits.
     """
-    return fit_trees([(X, targets, weights, rng)], config)[0]
+    matrix = Presorted(X)
+    return fit_trees([(matrix, np.arange(matrix.shape[0]), targets, weights, rng)], config)[0]
 
 
 def fit_trees(jobs, config: TreeConfig) -> list:
-    """fit_tree on each job (X, targets, weights or None, rng), grown together.
+    """fit_tree on each job (matrix, rows, targets, weights or None, rng), grown together.
 
-    Every tree is the one fit_tree grows on its job alone.  `jobs` may be
-    any iterable; it is read one chunk at a time (see CHUNK_ROWS).
+    `matrix` is a Presorted and `rows` strictly ascending row ids into it;
+    targets and weights hold one value per id.  Every tree is the one
+    fit_tree grows on matrix's rows `rows` alone.  `jobs` may be any
+    iterable; it is read one chunk at a time (see CHUNK_ROWS).
     """
     return _grow((_sse_job(*job, config) for job in jobs), config, 0.0, 0.0)
 
@@ -244,56 +297,56 @@ def fit_tree_gradients(
     Split gain is 0.5*[G_L^2/(H_L+l) + G_R^2/(H_R+l) - G^2/(H+l)] - gamma
     and each leaf predicts -G/(H+l).
     """
-    return fit_trees_gradients([(X, grad, hess, rng)], config, reg_lambda, gamma)[0]
+    matrix = Presorted(X)
+    return fit_trees_gradients([(matrix, np.arange(matrix.shape[0]), grad, hess, rng)],
+                               config, reg_lambda, gamma)[0]
 
 
 def fit_trees_gradients(jobs, config: TreeConfig, reg_lambda: float = 1.0,
                         gamma: float = 0.0) -> list:
-    """fit_tree_gradients on each job (X, grad, hess, rng), grown together.
+    """fit_tree_gradients on each job (matrix, rows, grad, hess, rng), grown together.
 
-    Every tree is the one fit_tree_gradients grows on its job alone.
-    `jobs` may be any iterable; it is read one chunk at a time.
+    `matrix` and `rows` are as in fit_trees.  Every tree is the one
+    fit_tree_gradients grows on matrix's rows `rows` alone.  `jobs` may be
+    any iterable; it is read one chunk at a time.
     """
     return _grow((_gradient_job(*job, config) for job in jobs), config, reg_lambda, gamma)
 
 
-def _sse_job(X, targets, weights, rng, config):
-    X, targets = _check_fit_inputs(X, targets, config)
+def _sse_job(matrix, rows, targets, weights, rng, config):
+    rows, targets = _check_fit_inputs(matrix, rows, targets, config)
     if weights is None:
-        counts = np.ones(X.shape[0], dtype=np.int64)
+        counts = np.ones(rows.size, dtype=np.int64)
     else:
         counts = np.asarray(weights)
         if counts.shape != targets.shape or counts.dtype.kind not in "iu" or counts.min() < 1:
             raise DataValidationError("weights must be one positive integer per row")
         counts = counts.astype(np.int64)
     b = counts.astype(np.float64)
-    return X, targets * b, b, counts, targets, rng
+    return matrix, rows, targets * b, b, counts, targets, rng
 
 
-def _gradient_job(X, grad, hess, rng, config):
-    X, grad = _check_fit_inputs(X, grad, config)
+def _gradient_job(matrix, rows, grad, hess, rng, config):
+    rows, grad = _check_fit_inputs(matrix, rows, grad, config)
     hess = np.ascontiguousarray(hess, dtype=np.float64)
     if hess.shape != grad.shape:
         raise DataValidationError("grad and hess must have equal length")
     if not np.isfinite(hess).all():
         raise DataValidationError("hessians must be finite (no NaN or inf)")
-    return X, grad, hess, np.ones(X.shape[0], dtype=np.int64), None, rng
+    return matrix, rows, grad, hess, np.ones(rows.size, dtype=np.int64), None, rng
 
 
-def _check_fit_inputs(X, targets, config):
-    X = np.ascontiguousarray(X, dtype=np.float64)
+def _check_fit_inputs(matrix, rows, targets, config):
+    if not isinstance(matrix, Presorted):
+        raise DataValidationError("a job's matrix must be a tree.Presorted")
+    rows = matrix._check_rows(rows)
     targets = np.ascontiguousarray(targets, dtype=np.float64)
-    if X.ndim != 2 or 0 in X.shape:
-        raise DataValidationError("X must be a 2-d matrix with at least one row and column")
-    if targets.shape != (X.shape[0],):
-        raise DataValidationError(
-            f"{targets.shape[0]} targets for {X.shape[0]} rows"
-        )
-    # an inf feature value makes an inf midpoint and an empty child
-    if not (np.isfinite(X).all() and np.isfinite(targets).all()):
-        raise DataValidationError("X and targets must be finite (no NaN or inf)")
-    config.validate(X.shape[1])
-    return X, targets
+    if targets.shape != rows.shape:
+        raise DataValidationError(f"{targets.size} targets for {rows.size} rows")
+    if not np.isfinite(targets).all():
+        raise DataValidationError("targets must be finite (no NaN or inf)")
+    config.validate(matrix.shape[1])
+    return rows, targets
 
 
 def _grow(jobs, config, reg_lambda, gamma) -> list:
@@ -303,18 +356,18 @@ def _grow(jobs, config, reg_lambda, gamma) -> list:
     """
     trees, chunk, rows = [], [], 0
     for job in jobs:
-        if chunk and rows + job[0].shape[0] > CHUNK_ROWS:
+        if chunk and rows + job[1].size > CHUNK_ROWS:
             trees += _grow_chunk(chunk, config, reg_lambda, gamma)
             chunk, rows = [], 0
         chunk.append(job)
-        rows += job[0].shape[0]
+        rows += job[1].size
     if chunk:
         trees += _grow_chunk(chunk, config, reg_lambda, gamma)
     return trees
 
 
 def _grow_chunk(jobs, config, reg_lambda, gamma) -> list:
-    """The level-wise engine over a batch of jobs (X, a, b, counts, targets, rng).
+    """The level-wise engine over a batch of jobs (matrix, rows, a, b, counts, targets, rng).
 
     SSE mode (targets given): a = weight * target, b = weight; node score
     is (sum a)^2 / (sum b), the gain is the exact SSE reduction, and a node
@@ -327,20 +380,20 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> list:
     tree at once.  Nothing a node computes depends on the other nodes, so
     each tree is the one its job grows alone.
     """
-    second_order = jobs[0][4] is None
+    second_order = jobs[0][5] is None
     n_features = jobs[0][0].shape[1]
     if any(job[0].shape[1] != n_features for job in jobs):
         raise DataValidationError("every tree of a batch must have the same features")
-    a, b, counts = (np.concatenate([job[i] for job in jobs]) for i in (1, 2, 3))
-    rngs = [job[5] for job in jobs]
+    a, b, counts = (np.concatenate([job[i] for job in jobs]) for i in (2, 3, 4))
+    rngs = [job[6] for job in jobs]
     k = config.max_features
     subset_size = k if k is not None and k < n_features else None
-    size = np.array([job[0].shape[0] for job in jobs])
+    size = np.array([job[1].size for job in jobs])
     start = np.cumsum(size) - size
-    columns = _SortedColumns([job[0] for job in jobs], a, b)
+    columns = _SortedColumns([job[:2] for job in jobs], a, b)
     counts = np.append(counts, 0)
     if not second_order:
-        targets = np.append(np.concatenate([job[4] for job in jobs]), 0.0)
+        targets = np.append(np.concatenate([job[5] for job in jobs]), 0.0)
 
     levels, leaves = [], []
     tree = np.arange(len(jobs))  # the job each open node belongs to
@@ -422,6 +475,38 @@ def _blocks(size):
     return blocks
 
 
+class _WorkArrays:
+    """Named grow-only buffers, each lent out as an exactly sized array.
+
+    A chunk's sorted columns and each level's padded blocks are a few
+    hundred KB each.  Allocated afresh, they pass glibc's mmap and trim
+    thresholds, so every level faulted their pages in again: about 65k
+    minor page faults per train-cv iteration, nearly all in the level
+    loop.  Lent from here, they are faulted in once per process, and an
+    iteration takes about 2k.  A boosting stage is one fit_trees_gradients
+    call, so the buffers outlive calls, not only levels and chunks, and
+    one store serves the module: no cell is read before the chunk that
+    lent it writes it, so nothing carries from one fit to the next.  An
+    array lent from a name is valid until that name is lent again; there
+    are no threads to share them.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def get(self, name, shape, dtype) -> np.ndarray:
+        """An uninitialized `shape` array of `dtype` over the buffer `name`."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < nbytes:
+            buffer = self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buffer[:nbytes].view(dtype).reshape(shape)
+
+
+_WORK = _WorkArrays()
+
+
 class _SortedColumns:
     """Each feature's rows in sorted order, cut into node ranges as trees grow.
 
@@ -430,20 +515,27 @@ class _SortedColumns:
     within every node.  keys[f, p] is the row at position p of feature f's
     order, and keys[-1] holds the rows in row order.  x[f, row] is a
     feature value and a[row], b[row] the row's statistics.  Row n and
-    position n are padding, with x = a = b = 0.
+    position n are padding, with x = a = b = 0.  keys and x are the work
+    arrays "keys" and "x"; a level's temporaries are the work arrays 0 and
+    1, of 8-byte items, and 2, of 1-byte items.
     """
 
-    def __init__(self, matrices, a, b):
-        n, n_features = a.size, matrices[0].shape[1]
-        self.keys = np.full((n_features + 1, n + 1), n, dtype=np.int64)
+    def __init__(self, jobs, a, b):
+        """jobs: each tree's (Presorted matrix, ascending rows); a and b per stacked row."""
+        n, n_features = a.size, jobs[0][0].shape[1]
+        # a chunk past CHUNK_ROWS rows (one large job) keeps no memory
+        self.work = _WORK if n <= CHUNK_ROWS else _WorkArrays()
+        self.keys = self.work.get("keys", (n_features + 1, n + 1), np.int64)
+        self.keys[:, n] = n
         self.keys[-1, :n] = np.arange(n)
-        self.x = np.zeros((n_features, n + 1))
-        # each tree's rows are stacked in turn and sorted on their own
+        self.x = self.work.get("x", (n_features, n + 1), np.float64)
+        self.x[:, n] = 0.0
+        # each tree's rows are stacked in turn, in their matrix's order
         lo = 0
-        for X in matrices:
-            hi = lo + X.shape[0]
-            self.keys[:-1, lo:hi] = lo + np.argsort(X, axis=0, kind="stable").T
-            self.x[:, lo:hi] = X.T
+        for matrix, rows in jobs:
+            hi = lo + rows.size
+            self.keys[:-1, lo:hi] = matrix._order_of(rows, lo)
+            self.x[:, lo:hi] = matrix._columns[:, rows]
             lo = hi
         # x's flat index of (f, row) is x_offset[f] + row
         self.x_offset = (n + 1) * np.arange(n_features)[:, None, None]
@@ -474,8 +566,14 @@ class _SortedColumns:
         nodes = np.arange(n_nodes)
         chosen = np.argmax(best_gain, axis=1)  # first max -> lowest feature on ties
         at = start + best_cut[nodes, chosen]
-        threshold = (self.x[chosen, self.keys[chosen, at]]
-                     + self.x[chosen, self.keys[chosen, at + 1]]) / 2.0
+        below = self.x[chosen, self.keys[chosen, at]]
+        above = self.x[chosen, self.keys[chosen, at + 1]]
+        # the midpoint of two adjacent floats can round up to the upper
+        # one, and that of two huge ones overflow to inf; either would send
+        # every row left, so the lower value splits the rows instead
+        with np.errstate(over="ignore"):
+            threshold = (below + above) / 2.0
+        threshold = np.where(threshold < above, threshold, below)
         # sorted by its split feature, a node's left rows come first
         split_feature = np.repeat(chosen, size)
         xs = self.x[split_feature, self.keys[split_feature, _spans(start, size)]]
@@ -493,27 +591,34 @@ class _SortedColumns:
         distinct values; a split at cut falls after the node's cut-th
         position.  Unset lanes keep gain -inf.
         """
-        width = max(int(size[nodes].max()), 2)
+        n_features, width = self.x.shape[0], max(int(size[nodes].max()), 2)
+        shape = (n_features, nodes.size, width)
         offset = np.arange(width)
         inside = offset < size[nodes, None]
-        # np.take: a faster gather than fancy indexing
-        rows = np.take(self.keys[:-1], np.where(inside, start[nodes, None] + offset, -1), axis=1)
+        # np.take: a faster gather than fancy indexing.  mode="wrap" writes
+        # straight into out, where "raise" copies through a temporary; it
+        # sends the -1 padding to position n
+        rows = np.take(self.keys[:-1], np.where(inside, start[nodes, None] + offset, -1),
+                       axis=1, out=self.work.get(0, shape, np.int64), mode="wrap")
         rows += self.x_offset  # flat indices into x, undone below
-        xs = np.take(self.x, rows)
+        xs = np.take(self.x, rows, out=self.work.get(1, shape, np.float64), mode="wrap")
         rows -= self.x_offset
-        at = np.flatnonzero((xs[..., 1:] > xs[..., :-1]) & inside[:, 1:])
-        del xs
+        step = np.greater(xs[..., 1:], xs[..., :-1],
+                          out=self.work.get(2, (n_features, nodes.size, width - 1), bool))
+        step &= inside[:, 1:]
+        at = np.flatnonzero(step)
         if not at.size:
             return
-        ca, cb = np.take(self.a, rows), np.take(self.b, rows)
-        del rows
-        # in place, the same sequential sums as np.cumsum
-        ca, cb = (np.cumsum(c, axis=2, out=c).reshape(-1, width) for c in (ca, cb))
         lane, cut = np.divmod(at, width - 1)  # lane = feature * nodes.size + node
-        left_a, left_b = ca[lane, cut], cb[lane, cut]
-        last = np.tile(size[nodes] - 1, ca.shape[0] // nodes.size)
-        lane_a, lane_b = ca[np.arange(ca.shape[0]), last], cb[np.arange(ca.shape[0]), last]
-        del ca, cb
+        lanes = np.arange(n_features * nodes.size)
+        last = np.tile(size[nodes] - 1, n_features)
+        sums = []
+        for stat in (self.a, self.b):
+            # in xs's storage, in place: the same sequential sums as np.cumsum
+            c = np.take(stat, rows, out=self.work.get(1, shape, np.float64), mode="wrap")
+            c = np.cumsum(c, axis=2, out=c).reshape(-1, width)
+            sums += [c[lane, cut], c[lanes, last]]
+        left_a, lane_a, left_b, lane_b = sums
         total_a, total_b = lane_a[lane], lane_b[lane]
 
         new_lane = np.ones(lane.size, dtype=bool)
@@ -554,21 +659,28 @@ class _SortedColumns:
         at = _spans(start, size)  # node by node
         within = at - np.repeat(start, size)
         goes_right = within >= np.repeat(n_left, size)
-        goes_left = np.ones(self.keys.shape[1], dtype=bool)  # by row
-        goes_left[self.keys[np.repeat(feature, size)[goes_right], at[goes_right]]] = False
-        moved = slice(-1, None) if row_order_only else slice(None)
-        taken = np.take(self.keys[moved], at, axis=1)
-        flags = np.take(goes_left, taken)
-        # every row of keys holds each node's left rows in the same number,
-        # so its lefts and its rights each fill a fixed width
-        lefts = int(n_left.sum())
-        grouped = np.empty_like(taken)
-        grouped[:, :lefts] = taken[flags].reshape(taken.shape[0], -1)
-        grouped[:, lefts:] = taken[~flags].reshape(taken.shape[0], -1)
-        source = np.where(goes_right,
-                          lefts + np.repeat(np.cumsum(size - n_left) - size, size),
-                          np.repeat(np.cumsum(n_left) - n_left, size)) + within
-        self.keys[moved, at] = np.take(grouped, source, axis=1, out=taken)
+        sign = np.ones(self.keys.shape[1], dtype=np.int8)  # by row: +1 left, -1 right
+        sign[self.keys[np.repeat(feature, size)[goes_right], at[goes_right]]] = -1
+        keys = self.keys[-1:] if row_order_only else self.keys
+        shape = (keys.shape[0], at.size)
+        taken = np.take(keys, at, axis=1, out=self.work.get(0, shape, np.int64), mode="wrap")
+        s = np.take(sign, taken, out=self.work.get(2, shape, np.int8), mode="wrap")
+        # A key in node j moves to start[j] + (the node's left keys through
+        # it) - 1 if it goes left, and to start[j] + n_left[j] + (the
+        # node's right keys through it) - 1 if not.  With S the running sum
+        # of s along its row of keys, both are (s * (S + p[j]) + q) / 2:
+        # every row holds each node's left rows in the same number, so S
+        # enters node j at the earlier nodes' lefts less their rights,
+        # lefts_before[j] - (first[j] - lefts_before[j]).
+        first = np.cumsum(size) - size  # node j's first index into at
+        lefts_before = np.cumsum(n_left) - n_left
+        to = np.cumsum(s, axis=1, out=self.work.get(1, shape, np.int64))
+        to += np.repeat(first - 2 * lefts_before - n_left, size)  # p
+        to *= s
+        to += np.repeat(2 * start + n_left - 1, size) + within  # q
+        to >>= 1
+        to += keys.shape[1] * np.arange(keys.shape[0])[:, None]  # flat index into keys
+        keys.reshape(-1)[to] = taken  # keys is C-contiguous: reshape is a view
 
 
 def _depth_first_tables(levels, value, n_trees, n_features) -> list:

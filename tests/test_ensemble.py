@@ -176,6 +176,18 @@ class TestGbm:
             shorter.predict(small_regression.X),
         )
 
+    @pytest.mark.parametrize("n_stages", [-1, -2, 11, True, 2.0, "3"])
+    def test_bad_stage_count_rejected(self, small_regression, n_stages):
+        model = fit_gbm(small_regression, BoostConfig(n_estimators=10, max_depth=2, seed=2))
+        with pytest.raises(DataValidationError, match="n_stages"):
+            model.predict(small_regression.X, n_stages=n_stages)
+
+    def test_stage_count_edges(self, small_regression):
+        model = fit_gbm(small_regression, BoostConfig(n_estimators=10, max_depth=2, seed=2))
+        X = small_regression.X
+        assert np.all(model.predict(X, n_stages=0) == model.base_score)
+        assert np.array_equal(model.predict(X, n_stages=10), model.predict(X))
+
     def test_one_stage_arithmetic(self):
         model = BoostedModel(
             variant="gbm", base_score=5.0, learning_rate=0.1,

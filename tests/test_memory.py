@@ -2,10 +2,13 @@
 
 A batch of trees is grown in chunks of at most `tree.CHUNK_ROWS` rows,
 and a learning curve scores and drops each model as it arrives.  At the
-chosen bound the forest fit peaks near 4.1 MB and the curve near 3.7 MB.
-With the whole forest in one chunk the fit peaks near 74 MB, and with a
-bound twice as large the fit and the curve peak near 6.0 and 4.9 MB, so
-these limits fail either change.
+chosen bound the forest fit peaks near 4.0 MB, the curve near 3.7 MB and
+the xgb cross-validation near 4.2 MB.  With the whole forest in one chunk
+the fit peaks near 74 MB, and with a bound 1.5 or 2 times as large the
+fit and the curve peak near 4.9 and 4.7 MB or 5.8 and 5.7 MB, so these
+limits fail either change.  The level loop's work arrays are kept across
+calls, so each test passes only if it also holds in a fresh process,
+where the fit allocates them.
 """
 
 import tracemalloc
@@ -15,7 +18,7 @@ import pytest
 import synth
 from premex import data as data_mod
 from premex.ensemble import PUBLISHED, ForestConfig, fit_forest
-from premex.tuning import learning_curve
+from premex.tuning import cross_val_score, learning_curve
 
 MB = 2**20
 
@@ -46,3 +49,8 @@ def test_rf_learning_curve(rows740):
     fractions = [0.2, 0.4, 0.6, 0.8, 1.0]
     assert peak_bytes(lambda: learning_curve(
         rows740, "rf", {"n_estimators": 22}, fractions, 5, seed=3)) < 4.25 * MB
+
+
+def test_xgb_cross_validation(rows740):
+    # 5 folds of the published 50-stage xgb model, grown in lockstep
+    assert peak_bytes(lambda: cross_val_score(rows740, "xgb", {}, 5, seed=3)) < 4.95 * MB

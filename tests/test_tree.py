@@ -11,6 +11,7 @@ import reference_tree
 from premex.errors import DataValidationError
 from premex.rng import stream
 from premex.tree import (
+    Presorted,
     RegressionTree,
     TreeConfig,
     fit_tree,
@@ -194,6 +195,22 @@ class TestMidpointThresholds:
             node_rows[tree.left[node]] = rows[go_left]
             node_rows[tree.right[node]] = rows[~go_left]
         assert not node_rows
+
+    @pytest.mark.parametrize("low, high", [
+        pytest.param(np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0),
+                     id="midpoint-rounds-up"),
+        pytest.param(1e308, 1.5e308, id="midpoint-overflows"),
+    ])
+    def test_lower_value_splits_where_the_midpoint_would_not(self, low, high):
+        # at the midpoint every row went left: an empty right child, then
+        # a division by zero, or with no depth bound a split without end
+        X, y, config = np.array([[low], [high]]), np.array([0.0, 1.0]), TreeConfig(max_depth=2)
+        sse = fit_tree(X, y, config, stream(0, "t"))
+        second_order = fit_tree_gradients(X, y, np.ones(2), config, stream(0, "t"), 0.0, 0.0)
+        for tree, leaves in ((sse, y), (second_order, -y)):
+            assert tree.threshold[0] == low
+            assert tree.count.tolist() == [2, 1, 1]
+            assert np.array_equal(tree.predict_matrix(X), leaves)
 
 
 class TestGradientTrees:
@@ -430,9 +447,11 @@ class TestBatchedGrowth:
                      data.draw(st.floats(0.001, 0.1), label="gamma"))
         # a small chunk bound makes most batches span several chunks
         with mock.patch.object(tree_mod, "CHUNK_ROWS", data.draw(st.integers(1, 60))):
-            sse = fit_trees([(X, y, w, stream(j, "t")) for X, y, w, _, _, j in jobs], config)
+            sse = fit_trees([(Presorted(X), np.arange(X.shape[0]), y, w, stream(j, "t"))
+                             for X, y, w, _, _, j in jobs], config)
             second_order = fit_trees_gradients(
-                [(X, g, h, stream(j, "t")) for X, _, _, g, h, j in jobs], config, *penalties)
+                [(Presorted(X), np.arange(X.shape[0]), g, h, stream(j, "t"))
+                 for X, _, _, g, h, j in jobs], config, *penalties)
         for (X, y, w, g, h, j), batched, batched_gh in zip(jobs, sse, second_order):
             alone = fit_tree(X, y, config, stream(j, "t"), weights=w)
             alone_gh = fit_tree_gradients(X, g, h, config, stream(j, "t"), *penalties)
@@ -450,10 +469,81 @@ class TestBatchedGrowth:
         assert fit_trees([], TreeConfig()) == []
 
     def test_mixed_widths_rejected(self):
-        jobs = [(np.ones((3, 2)), np.arange(3.0), None, stream(0, "t")),
-                (np.ones((3, 1)), np.arange(3.0), None, stream(1, "t"))]
+        jobs = [(Presorted(np.ones((3, 2))), np.arange(3), np.arange(3.0), None, stream(0, "t")),
+                (Presorted(np.ones((3, 1))), np.arange(3), np.arange(3.0), None, stream(1, "t"))]
         with pytest.raises(DataValidationError, match="same features"):
             fit_trees(jobs, TreeConfig())
+
+
+class TestPresorted:
+    """Jobs on ascending rows of one Presorted matrix sort nothing, and grow the same trees."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_subset_jobs_equal_the_reference_on_their_rows(self, data):
+        def arrays(shape, elements, label):
+            return data.draw(hnp.arrays(np.float64, shape, elements=elements), label=label)
+
+        n = data.draw(st.integers(2, 40), label="n")
+        tied = [arrays(n, st.sampled_from(values), "tied")
+                for values in data.draw(st.lists(st.sampled_from([(0.0, 1.0), (-1.0, 0.5, 2.0)]),
+                                                 min_size=1, max_size=3), label="levels")]
+        # eighths, so every midpoint is exact: the reference splits at the
+        # raw midpoint, which for two adjacent floats sends every row left
+        continuous = arrays(n, st.integers(-800, 800).map(lambda v: v / 8.0), "continuous")
+        X = np.column_stack([*tied, continuous])
+        y = arrays(n, st.integers(0, 4).map(float), "y")
+        grad = arrays(n, st.floats(-10.0, 10.0), "grad")
+        hess = arrays(n, st.floats(0.5, 2.0), "hess")
+        m = X.shape[1]
+        max_features = data.draw(st.none() | st.integers(1, m - 1), label="max_features")
+        # the reference draws feature subsets depth-first and the engine
+        # breadth-first: the same draws while only the root and its
+        # children split
+        depths = st.integers(1, 2) if max_features else st.none() | st.integers(1, 4)
+        config = TreeConfig(max_depth=data.draw(depths, label="max_depth"),
+                            min_samples_split=data.draw(st.integers(2, 4), label="min_split"),
+                            max_features=max_features)
+        penalties = (data.draw(st.floats(0.1, 2.0), label="lambda"),
+                     data.draw(st.floats(0.001, 0.1), label="gamma"))
+        subsets = [np.array(sorted(rows)) for rows in data.draw(st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=4), label="rows")]
+        weights = [np.array(data.draw(st.lists(st.integers(1, 3), min_size=r.size,
+                                               max_size=r.size), label="weights"))
+                   for r in subsets]
+
+        matrix = Presorted(X)
+        for rows in subsets:
+            assert np.array_equal(matrix._order_of(rows, 0).T,
+                                  np.argsort(X[rows], axis=0, kind="stable"))
+        sse = fit_trees([(matrix, rows, y[rows], w, stream(j, "t"))
+                         for j, (rows, w) in enumerate(zip(subsets, weights))], config)
+        second_order = fit_trees_gradients(
+            [(matrix, rows, grad[rows], hess[rows], stream(j, "t"))
+             for j, rows in enumerate(subsets)], config, *penalties)
+        for j, (rows, w) in enumerate(zip(subsets, weights)):
+            repeated = np.repeat(rows, w)
+            assert sse[j].to_dict() == reference_tree.fit_tree(
+                X[repeated], y[repeated], config, stream(j, "t")).to_dict()
+            assert second_order[j].to_dict() == reference_tree.fit_tree_gradients(
+                X[rows], grad[rows], hess[rows], config, stream(j, "t"), *penalties).to_dict()
+
+    @pytest.mark.parametrize("rows", [[2, 1], [0, 0, 1], [1, 1], [-1, 0], [0, 4], [],
+                                      [[0, 1]], [0.0, 1.0]])
+    def test_rows_not_strictly_ascending_ids_rejected(self, rows):
+        matrix = Presorted(np.arange(8.0).reshape(4, 2))
+        rows = np.array(rows)
+        targets = np.zeros(rows.shape[-1])
+        with pytest.raises(DataValidationError, match="strictly ascending"):
+            fit_trees([(matrix, rows, targets, None, stream(0, "t"))], TreeConfig())
+        with pytest.raises(DataValidationError, match="strictly ascending"):
+            fit_trees_gradients([(matrix, rows, targets, targets + 1.0, stream(0, "t"))],
+                                TreeConfig())
+
+    def test_matrix_must_be_presorted(self):
+        with pytest.raises(DataValidationError, match="Presorted"):
+            fit_trees([(np.ones((3, 2)), np.arange(3), np.arange(3.0), None, stream(0, "t"))],
+                      TreeConfig())
 
 
 class TestFeatureSubsets:
