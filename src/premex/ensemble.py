@@ -153,12 +153,6 @@ class BoostedModel:
     config: BoostConfig
     feature_names: list
 
-    @property
-    def feature_count(self) -> int:
-        if self.trees:
-            return self.trees[0].feature_count
-        return len(self.feature_names)
-
     def predict(self, X, n_stages: int | None = None) -> np.ndarray:
         """The prediction of the first n_stages stages, or of all of them if None."""
         check_count("n_stages", n_stages, 0, nullable=True)
@@ -167,9 +161,9 @@ class BoostedModel:
                 f"n_stages must be at most the model's {len(self.trees)} stages, got {n_stages}"
             )
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self.trees and X.shape[1] != self.feature_count:
+        if X.shape[1] != len(self.feature_names):
             raise DataValidationError(
-                f"matrix has {X.shape[1]} columns, model expects {self.feature_count}"
+                f"matrix has {X.shape[1]} columns, model expects {len(self.feature_names)}"
             )
         use = self.trees if n_stages is None else self.trees[:n_stages]
         out = np.full(X.shape[0], self.base_score)

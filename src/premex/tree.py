@@ -21,16 +21,27 @@ sorted column blocks of XGBoost (Chen & Guestrin 2016, arXiv 1603.02754):
 * A node owns one range of positions, the same range in each feature's
   sorted order.
 * A split partitions its node's range stably in every sorted order, left
-  rows first, so no column is sorted again.
+  rows first, so no column is sorted again.  The threshold lies between
+  the values at the chosen cut and the position after it, so the rows
+  through the cut go left: a split sends cut + 1 rows left, uncounted.
 * One depth level at a time, all open nodes are scored together.  Their
   ranges are laid out as padded (feature, node, position) blocks of nodes
   of similar size, and a cumulative sum runs along each node's positions
   alone.  So every prefix sum restarts at its node and adds the node's
   rows in (value, row) order, exactly as sorting that node by itself
   would.  Gains are computed only between distinct values.
+* Unit statistics are counts.  When every b of a chunk is 1 (a boosting
+  stage's hessians, or a forest's weights without bootstrap), a prefix
+  sum of b is its length and a node's total is its size: a sum of ones
+  is exact, so these are the floats the sums would give.  Other b, such
+  as bootstrap weights, are gathered and summed.
 * Ties go to the first maximum: the lowest threshold within a feature,
   then the lowest feature index, so identical inputs always grow
-  identical trees.  A leaf's value sums its rows in ascending row order.
+  identical trees.
+* A leaf's value sums its rows in ascending row order with numpy's
+  pairwise sum at the leaf's own length, as a[rows].sum() does.  Leaves
+  of equal size are gathered as one (leaves, size) array and summed along
+  its rows, so a chunk takes one sum per distinct leaf size, not per leaf.
 * With max_features, each level draws one feature subset per open node
   from the tree's generator, breadth-first, left child first.
 * Nodes are made breadth-first and renumbered depth-first, left child
@@ -66,16 +77,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, NumericError
 
 COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
 
 # The most rows, summed over its trees, that one level loop grows at once.
-# A level's working memory is about 600 bytes per row.  3000 rows hold a
-# 5-fold boosting stage (5 x 592 rows) and about 6 bootstrap trees.  With
-# the work arrays kept, train-cv took 1.46 s at 3000 rows, 1.41 s at 4500
-# and 1.42 s at 6000, at a peak RSS of 46.1, 46.6 and 47.5 MB; above 3000,
-# tests/test_memory.py's bounds fail.
+# A level's working memory is about 700 bytes per row.  3000 rows hold a
+# 5-fold boosting stage (5 x 592 rows) and about 6 bootstrap trees.
+# train-cv took 1.19 s at 3000 rows, 1.17 s at 4500 and 1.15 s at 6000,
+# at a peak RSS of 46.2, 47.1 and 48.1 MB (one 50 s run each, seed 7);
+# above 3000, tests/test_memory.py's forest and learning-curve bounds fail.
 CHUNK_ROWS = 3000
 
 
@@ -122,12 +133,14 @@ class RegressionTree:
     value: np.ndarray
     count: np.ndarray
     feature_count: int
-    _depth: int = field(init=False, repr=False)
+    _depth: int | None = field(default=None, repr=False)  # walked if not given
 
     def __post_init__(self):
         for name in COLUMNS:
             dtype = np.float64 if name in ("threshold", "value") else np.int64
             setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if self._depth is not None:
+            return
         # one step per level below the root; this loop ends only because
         # from_dict rejects tables whose child ids could form a cycle
         level = np.zeros(1, dtype=np.int64)
@@ -251,6 +264,8 @@ class Presorted:
         The matrix's order with the other rows filtered out: since rows
         ascend, ties keep row order, as a stable sort of X[rows] would.
         """
+        if rows.size == self.shape[0]:
+            return self._order + first  # every row
         position = np.full(self.shape[0], -1)
         position[rows] = first + np.arange(rows.size)
         mapped = position[self._order]
@@ -391,69 +406,73 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> list:
     size = np.array([job[1].size for job in jobs])
     start = np.cumsum(size) - size
     columns = _SortedColumns([job[:2] for job in jobs], a, b)
-    counts = np.append(counts, 0)
     if not second_order:
+        counts = np.append(counts, 0)
         targets = np.append(np.concatenate([job[5] for job in jobs]), 0.0)
 
-    levels, leaves = [], []
+    levels = []  # per level: the open nodes' (tree, start, size, count, feature, threshold)
     tree = np.arange(len(jobs))  # the job each open node belongs to
-    depth = first_id = 0
-    while True:
-        bounds = np.column_stack([start, start + size]).ravel()
-        rows = columns.rows()
-        count = np.add.reduceat(counts[rows], bounds)[::2]
-        splittable = count >= config.min_samples_split
-        if config.max_depth is not None and depth >= config.max_depth:
-            splittable[:] = False
-        if not second_order:
-            values = targets[rows]
-            spread = np.maximum.reduceat(values, bounds) - np.minimum.reduceat(values, bounds)
-            splittable &= ~(spread[::2] == 0.0)
-        feature = np.full(start.size, -1, dtype=np.int64)
-        threshold = np.zeros(start.size)
-        split = np.flatnonzero(splittable)
-        if split.size:
-            node_rngs = None if subset_size is None else [rngs[t] for t in tree[split].tolist()]
-            gainful, best_feature, best_threshold, n_left = columns.best_splits(
-                start[split], size[split], node_rngs, subset_size, reg_lambda, gamma,
-                second_order
-            )
-            split, n_left = split[gainful], n_left[gainful]
-            feature[split], threshold[split] = best_feature[gainful], best_threshold[gainful]
-        if split.size:
+    depth = 0
+    # gains and leaf values may divide by zero and midpoints overflow; a
+    # lane that does scores -inf, a midpoint falls back to its lower value,
+    # and a leaf value that is not finite is rejected below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            # every count is 1 in a second-order job, and in an SSE job
+            # whose b = weight is unit
+            count = size
+            if not second_order:
+                bounds = np.column_stack([start, start + size]).ravel()
+                rows = columns.rows()
+                if not columns.unit_b:
+                    count = np.add.reduceat(counts[rows], bounds)[::2]
+                values = targets[rows]
+                spread = (np.maximum.reduceat(values, bounds)
+                          - np.minimum.reduceat(values, bounds))[::2]
+            feature = np.full(start.size, -1, dtype=np.int64)
+            threshold = np.zeros(start.size)
+            split = np.zeros(0, dtype=np.int64)
+            if depth != config.max_depth:
+                splittable = count >= config.min_samples_split
+                if not second_order:
+                    splittable &= spread != 0.0
+                split = np.flatnonzero(splittable)
+            if split.size:
+                node_rngs = (None if subset_size is None
+                             else [rngs[t] for t in tree[split].tolist()])
+                gainful, best_feature, best_threshold, n_left = columns.best_splits(
+                    start[split], size[split], node_rngs, subset_size, reg_lambda, gamma,
+                    second_order
+                )
+                split, n_left = split[gainful], n_left[gainful]
+                feature[split], threshold[split] = best_feature[gainful], best_threshold[gainful]
+            levels.append((tree, start, size, count, feature, threshold))
+            if not split.size:
+                break
             # children at the depth bound are leaves: only the row order matters
-            last = config.max_depth is not None and depth + 1 >= config.max_depth
-            columns.partition(start[split], size[split], n_left, feature[split], last)
-
-        ids = first_id + np.arange(start.size)
-        left, right = ids.copy(), ids.copy()
-        left[split] = first_id + start.size + 2 * np.arange(split.size)
-        right[split] = left[split] + 1
-        levels.append((ids, tree, feature, threshold, left, right, count))
-        leaf = feature < 0
-        leaves.append(np.column_stack([ids[leaf], start[leaf], start[leaf] + size[leaf]]))
-        first_id += start.size
-        if not split.size:
-            break
-        start = np.column_stack([start[split], start[split] + n_left]).ravel()
-        size = np.column_stack([n_left, size[split] - n_left]).ravel()
-        tree = np.repeat(tree[split], 2)
-        depth += 1
-
-    # a leaf keeps its range once made, so its rows sit there in ascending
-    # order; a row of a C-contiguous 2-row array sums in the same pairwise
-    # order as a[rows].sum()
-    sums = np.vstack([columns.a[columns.rows()], columns.b[columns.rows()]])
-    value = np.zeros(first_id)
-    for node, lo, hi in np.concatenate(leaves).tolist():
-        sa, sb = np.add.reduce(sums[:, lo:hi], axis=1).tolist()
-        value[node] = -sa / (sb + reg_lambda) if second_order else sa / sb
-    return _depth_first_tables(levels, value, len(jobs), n_features)
+            parent_start, parent_size = start[split], size[split]
+            columns.partition(parent_start, parent_size, n_left, feature[split],
+                              depth + 1 == config.max_depth)
+            start = parent_start.repeat(2)
+            start[1::2] += n_left
+            size = n_left.repeat(2)
+            size[1::2] = parent_size - n_left
+            tree = tree[split].repeat(2)
+            depth += 1
+        tree, start, size, count, feature, threshold = (np.concatenate(c) for c in zip(*levels))
+        value = np.zeros(feature.size)
+        leaf = np.flatnonzero(feature < 0)
+        value[leaf] = columns.leaf_values(start[leaf], size[leaf], reg_lambda, second_order)
+    if not np.isfinite(value).all():
+        raise NumericError("a leaf value is not finite: its hessians sum to -reg_lambda, "
+                           "or a sum overflowed")
+    return _depth_first_tables([level[0].size for level in levels], tree, feature, threshold,
+                               value, count, len(jobs), n_features)
 
 
 def _spans(start, size):
     """The positions of each range start[j] .. start[j] + size[j] - 1, range by range."""
-    return np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
+    return np.arange(size.sum()) + (start - size.cumsum() + size).repeat(size)
 
 
 def _blocks(size):
@@ -462,6 +481,8 @@ def _blocks(size):
     Padding a block to its largest node at most doubles it, so the padded
     work and memory stay within twice the rows, however uneven the nodes.
     """
+    if size.max() * size.size <= 2 * size.sum():
+        return [slice(None)]  # the largest node is at most twice the mean
     order = np.argsort(-size, kind="stable")
     held = np.cumsum(size[order])
     blocks, first = [], 0
@@ -512,12 +533,14 @@ class _SortedColumns:
 
     A node owns one range of positions, the same in every feature's order,
     and a split partitions its range stably, so each order stays sorted
-    within every node.  keys[f, p] is the row at position p of feature f's
-    order, and keys[-1] holds the rows in row order.  x[f, row] is a
-    feature value and a[row], b[row] the row's statistics.  Row n and
-    position n are padding, with x = a = b = 0.  keys and x are the work
-    arrays "keys" and "x"; a level's temporaries are the work arrays 0 and
-    1, of 8-byte items, and 2, of 1-byte items.
+    within every node.  x[f, row] is a feature value, and a[f, row] and
+    b[f, row] are the row's statistics, the same for every f.  keys[f, p]
+    is the flat index into x, a and b of (f, the row at position p of
+    feature f's order), so one gather reads all three; keys[-1] holds the
+    plain rows in row order.  Row n and position n are padding, with
+    x = -inf and a = b = -0.0.  keys, x, a and b are the work arrays of
+    those names; a level's temporaries are the work arrays 0 and 1, of
+    8-byte items, and 2 and 3, of 1-byte items.
     """
 
     def __init__(self, jobs, a, b):
@@ -525,11 +548,12 @@ class _SortedColumns:
         n, n_features = a.size, jobs[0][0].shape[1]
         # a chunk past CHUNK_ROWS rows (one large job) keeps no memory
         self.work = _WORK if n <= CHUNK_ROWS else _WorkArrays()
+        shape = (n_features, n + 1)
         self.keys = self.work.get("keys", (n_features + 1, n + 1), np.int64)
-        self.keys[:, n] = n
-        self.keys[-1, :n] = np.arange(n)
-        self.x = self.work.get("x", (n_features, n + 1), np.float64)
-        self.x[:, n] = 0.0
+        self.keys[:-1, n] = n
+        self.keys[-1] = np.arange(n + 1)
+        self.x = self.work.get("x", shape, np.float64)
+        self.x[:, n] = -np.inf
         # each tree's rows are stacked in turn, in their matrix's order
         lo = 0
         for matrix, rows in jobs:
@@ -537,9 +561,15 @@ class _SortedColumns:
             self.keys[:-1, lo:hi] = matrix._order_of(rows, lo)
             self.x[:, lo:hi] = matrix._columns[:, rows]
             lo = hi
-        # x's flat index of (f, row) is x_offset[f] + row
-        self.x_offset = (n + 1) * np.arange(n_features)[:, None, None]
-        self.a, self.b = np.append(a, 0.0), np.append(b, 0.0)
+        self.keys[:-1] += (n + 1) * np.arange(n_features)[:, None]
+        # a sum of ones is exact, so unit b's prefix sums are counts
+        self.unit_b = bool((b == 1.0).all())
+        self.a = self.work.get("a", shape, np.float64)
+        self.a[:] = np.append(a, -0.0)
+        self.b = None
+        if not self.unit_b:
+            self.b = self.work.get("b", shape, np.float64)
+            self.b[:] = np.append(b, -0.0)
 
     def rows(self):
         """The row at each position, ascending within every node."""
@@ -553,10 +583,11 @@ class _SortedColumns:
         the generator of each node's tree.
         """
         n_features, n_nodes = self.x.shape[0], start.size
-        best_gain = np.full((n_nodes, n_features), -np.inf)
-        best_cut = np.zeros((n_nodes, n_features), dtype=np.int64)
+        best_gain = np.empty((n_nodes, n_features))
+        best_cut = np.empty((n_nodes, n_features), dtype=np.int64)
         for nodes in _blocks(size):
-            self._score(start, size, nodes, best_gain, best_cut, reg_lambda, gamma, second_order)
+            best_gain[nodes], best_cut[nodes] = self._score(start[nodes], size[nodes], reg_lambda,
+                                                            gamma, second_order)
         if subset_size is not None:
             # one subset per node, drawn breadth-first, left child first
             drawn = np.zeros(best_gain.shape, dtype=bool)
@@ -565,90 +596,105 @@ class _SortedColumns:
             best_gain[~drawn] = -np.inf
         nodes = np.arange(n_nodes)
         chosen = np.argmax(best_gain, axis=1)  # first max -> lowest feature on ties
-        at = start + best_cut[nodes, chosen]
-        below = self.x[chosen, self.keys[chosen, at]]
-        above = self.x[chosen, self.keys[chosen, at + 1]]
+        cut = best_cut[nodes, chosen]
+        at = start + cut
+        below = self.x.take(self.keys[chosen, at])
+        above = self.x.take(self.keys[chosen, at + 1])
         # the midpoint of two adjacent floats can round up to the upper
         # one, and that of two huge ones overflow to inf; either would send
         # every row left, so the lower value splits the rows instead
-        with np.errstate(over="ignore"):
-            threshold = (below + above) / 2.0
+        threshold = (below + above) / 2.0
         threshold = np.where(threshold < above, threshold, below)
-        # sorted by its split feature, a node's left rows come first
-        split_feature = np.repeat(chosen, size)
-        xs = self.x[split_feature, self.keys[split_feature, _spans(start, size)]]
-        n_left = np.add.reduceat(xs <= np.repeat(threshold, size), np.cumsum(size) - size,
-                                 dtype=np.int64)
-        return best_gain[nodes, chosen] > 0.0, chosen, threshold, n_left
+        # below <= threshold < above, so the rows through the cut go left
+        return best_gain[nodes, chosen] > 0.0, chosen, threshold, cut + 1
 
-    def _score(self, start, size, nodes, best_gain, best_cut, reg_lambda, gamma, second_order):
-        """Record each (node, feature) lane's best gain and cut, for the given nodes.
+    def _score(self, start, size, reg_lambda, gamma, second_order):
+        """Each (node, feature) lane's best gain and cut, as two (node, feature) arrays.
 
         The nodes' ranges are laid out as a padded (feature, node,
         position) block, so each prefix sum runs along one node's range
         alone and adds its rows in the order a stable sort of that node
         would.  Gains are scored only where a split can fall, between
         distinct values; a split at cut falls after the node's cut-th
-        position.  Unset lanes keep gain -inf.
+        position.  A lane with no finite gain scores -inf at cut 0.
         """
-        n_features, width = self.x.shape[0], max(int(size[nodes].max()), 2)
-        shape = (n_features, nodes.size, width)
+        n_features, n_nodes, width = self.x.shape[0], start.size, max(int(size.max()), 2)
+        shape = (n_features, n_nodes, width)
         offset = np.arange(width)
-        inside = offset < size[nodes, None]
         # np.take: a faster gather than fancy indexing.  mode="wrap" writes
         # straight into out, where "raise" copies through a temporary; it
         # sends the -1 padding to position n
-        rows = np.take(self.keys[:-1], np.where(inside, start[nodes, None] + offset, -1),
-                       axis=1, out=self.work.get(0, shape, np.int64), mode="wrap")
-        rows += self.x_offset  # flat indices into x, undone below
-        xs = np.take(self.x, rows, out=self.work.get(1, shape, np.float64), mode="wrap")
-        rows -= self.x_offset
+        keys = self.keys[:-1].take(np.where(offset < size[:, None], start[:, None] + offset, -1),
+                                   axis=1, out=self.work.get(0, shape, np.int64), mode="wrap")
+        xs = self.x.take(keys, out=self.work.get(1, shape, np.float64), mode="wrap")
+        # padding reads x = -inf, so no step leads into it
         step = np.greater(xs[..., 1:], xs[..., :-1],
-                          out=self.work.get(2, (n_features, nodes.size, width - 1), bool))
-        step &= inside[:, 1:]
-        at = np.flatnonzero(step)
-        if not at.size:
-            return
-        lane, cut = np.divmod(at, width - 1)  # lane = feature * nodes.size + node
-        lanes = np.arange(n_features * nodes.size)
-        last = np.tile(size[nodes] - 1, n_features)
-        sums = []
-        for stat in (self.a, self.b):
-            # in xs's storage, in place: the same sequential sums as np.cumsum
-            c = np.take(stat, rows, out=self.work.get(1, shape, np.float64), mode="wrap")
-            c = np.cumsum(c, axis=2, out=c).reshape(-1, width)
-            sums += [c[lane, cut], c[lanes, last]]
-        left_a, lane_a, left_b, lane_b = sums
-        total_a, total_b = lane_a[lane], lane_b[lane]
-
-        new_lane = np.ones(lane.size, dtype=bool)
-        np.not_equal(lane[1:], lane[:-1], out=new_lane[1:])
-        first = np.flatnonzero(new_lane)
-        index = np.cumsum(new_lane) - 1  # of the candidate's lane in first
-        # a Python float's ** 2 is C pow, which rounds a few squares
-        # differently from an array's ** 2; a node score keeps pow's
-        squares = np.array([t**2 for t in lane_a[lane[first]].tolist()])
-        parent_score = squares / (lane_b[lane[first]] + reg_lambda)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                          out=self.work.get(2, (n_features, n_nodes, width - 1), bool))
+        # lane = feature * n_nodes + node; np.nonzero of a 2-d array is slower
+        lane, cut = np.divmod(np.flatnonzero(step), width - 1)
+        best_gain = np.full(n_features * n_nodes, -np.inf)
+        best_cut = np.zeros(n_features * n_nodes, dtype=np.int64)
+        if lane.size:
+            sums = []
+            for stat in (self.a,) if self.unit_b else (self.a, self.b):
+                # in xs's storage, in place: the same sequential sums as np.cumsum
+                c = stat.take(keys, out=self.work.get(1, shape, np.float64), mode="wrap")
+                c = c.cumsum(axis=2, out=c).reshape(-1, width)
+                # padding adds -0.0, which leaves every sum as it is, so a
+                # lane's last column holds its node's total
+                sums += [c.take(lane * width + cut), c[:, -1].copy()]
+            if self.unit_b:
+                sums += [cut + 1.0, np.concatenate([size] * n_features) + 0.0]
+            left_a, lane_a, left_b, lane_b = sums
+            # a node score squares with C pow, as a float64 scalar's ** 2
+            # does; an array's ** 2 and np.power round a few squares
+            # differently, np.float_power calls pow
+            parent_score = np.float_power(lane_a, 2) / (lane_b + reg_lambda)
             gains = left_a**2 / (left_b + reg_lambda)
+            total_a, total_b = lane_a[lane], lane_b[lane]
             total_a -= left_a
             total_b -= left_b
             total_b += reg_lambda
             gains += total_a**2 / total_b  # the right child's score
-            gains -= parent_score[index]
+            gains -= parent_score[lane]
             if second_order:
                 gains *= 0.5
                 gains -= gamma
-        # first maximum per lane; a lane holding nan or inf scores -inf,
-        # as np.argmax followed by a finiteness check would
-        hit = np.flatnonzero(gains == np.maximum.reduceat(gains, first)[index])
-        first_hit = np.ones(hit.size, dtype=bool)
-        np.not_equal(index[hit][1:], index[hit][:-1], out=first_hit[1:])
-        hit = hit[first_hit]
-        hit = hit[np.isfinite(gains[hit])]
-        feature, node = np.divmod(lane[hit], nodes.size)
-        best_gain[nodes[node], feature] = gains[hit]
-        best_cut[nodes[node], feature] = cut[hit]
+            # first maximum per lane; a lane holding nan or inf scores
+            # -inf, as np.argmax followed by a finiteness check would
+            np.maximum.at(best_gain, lane, gains)
+            hit = np.flatnonzero(gains == best_gain[lane])
+            first_hit = np.full(best_gain.size, lane.size)
+            np.minimum.at(first_hit, lane[hit], hit)
+            scored = np.isfinite(best_gain)
+            best_gain[~scored] = -np.inf
+            best_cut[scored] = cut[first_hit[scored]]
+        return best_gain.reshape(n_features, n_nodes).T, best_cut.reshape(n_features, n_nodes).T
+
+    def leaf_values(self, start, size, reg_lambda, second_order):
+        """Each leaf's value from the statistics of its range's rows.
+
+        A leaf keeps its range once made, so its rows sit there in
+        ascending order.  Leaves of equal size are summed together, one per
+        row of a C-contiguous array: each row is reduced pairwise at its
+        own length, in the same order as a[rows].sum().
+        """
+        order = size.argsort(kind="stable")
+        start, size = start[order], size[order]
+        a = self.a[0, self.rows()]
+        b = None if self.unit_b else self.b[0, self.rows()]
+        sum_a = np.empty(size.size)
+        sum_b = size + 0.0 if b is None else np.empty(size.size)
+        offset = np.arange(size[-1])
+        bounds = np.flatnonzero(np.diff(size, prepend=-1, append=-1)).tolist()
+        for i, j in zip(bounds[:-1], bounds[1:]):
+            at = start[i:j, None] + offset[:size[i]]
+            sum_a[i:j] = a[at].sum(axis=1)
+            if b is not None:
+                sum_b[i:j] = b[at].sum(axis=1)
+        value = np.empty(size.size)
+        value[order] = -sum_a / (sum_b + reg_lambda) if second_order else sum_a / sum_b
+        return value
 
     def partition(self, start, size, n_left, feature, row_order_only=False):
         """Stably move each split node's left rows to the front of its range.
@@ -657,14 +703,18 @@ class _SortedColumns:
         every row of keys, or only keys[-1], is partitioned by that one set.
         """
         at = _spans(start, size)  # node by node
-        within = at - np.repeat(start, size)
-        goes_right = within >= np.repeat(n_left, size)
-        sign = np.ones(self.keys.shape[1], dtype=np.int8)  # by row: +1 left, -1 right
-        sign[self.keys[np.repeat(feature, size)[goes_right], at[goes_right]]] = -1
+        within = at - start.repeat(size)
+        goes_right = within >= n_left.repeat(size)
+        split_feature = feature.repeat(size)[goes_right]
+        right = self.keys[split_feature, at[goes_right]] - self.x.shape[1] * split_feature
+        # by key, flat as in x: +1 left, -1 right; keys[-1]'s plain rows read sign[0]
         keys = self.keys[-1:] if row_order_only else self.keys
+        sign = self.work.get(3, (min(keys.shape[0], self.x.shape[0]), self.x.shape[1]), np.int8)
+        sign[:] = 1
+        sign[:, right] = -1
         shape = (keys.shape[0], at.size)
-        taken = np.take(keys, at, axis=1, out=self.work.get(0, shape, np.int64), mode="wrap")
-        s = np.take(sign, taken, out=self.work.get(2, shape, np.int8), mode="wrap")
+        taken = keys.take(at, axis=1, out=self.work.get(0, shape, np.int64), mode="wrap")
+        s = sign.take(taken, out=self.work.get(2, shape, np.int8), mode="wrap")
         # A key in node j moves to start[j] + (the node's left keys through
         # it) - 1 if it goes left, and to start[j] + n_left[j] + (the
         # node's right keys through it) - 1 if not.  With S the running sum
@@ -672,28 +722,42 @@ class _SortedColumns:
         # every row holds each node's left rows in the same number, so S
         # enters node j at the earlier nodes' lefts less their rights,
         # lefts_before[j] - (first[j] - lefts_before[j]).
-        first = np.cumsum(size) - size  # node j's first index into at
-        lefts_before = np.cumsum(n_left) - n_left
-        to = np.cumsum(s, axis=1, out=self.work.get(1, shape, np.int64))
-        to += np.repeat(first - 2 * lefts_before - n_left, size)  # p
+        first = size.cumsum() - size  # node j's first index into at
+        lefts_before = n_left.cumsum() - n_left
+        to = s.cumsum(axis=1, out=self.work.get(1, shape, np.int64))
+        to += (first - 2 * lefts_before - n_left).repeat(size)  # p
         to *= s
-        to += np.repeat(2 * start + n_left - 1, size) + within  # q
+        to += (2 * start + n_left - 1).repeat(size) + within  # q
         to >>= 1
         to += keys.shape[1] * np.arange(keys.shape[0])[:, None]  # flat index into keys
         keys.reshape(-1)[to] = taken  # keys is C-contiguous: reshape is a view
 
 
-def _depth_first_tables(levels, value, n_trees, n_features) -> list:
-    """The breadth-first levels as one table per tree, numbered depth-first, left child first."""
-    ids, tree, feature, threshold, left, right, count = (np.concatenate(c) for c in zip(*levels))
-    internal = [level[0][level[2] >= 0] for level in levels]
+def _depth_first_tables(level_sizes, tree, feature, threshold, value, count, n_trees,
+                        n_features) -> list:
+    """The breadth-first nodes as one table per tree, numbered depth-first, left child first.
+
+    Nodes are given level by level; the children of a level's k-th split
+    node are the next level's nodes 2k and 2k + 1.
+    """
+    internal = feature >= 0
+    ids = np.arange(feature.size)
+    # the roots come first, then each split node's two children in turn
+    left = ids.copy()
+    left[internal] = n_trees + 2 * np.arange(np.count_nonzero(internal))
+    right = left + internal
+    bounds = np.cumsum(level_sizes) - level_sizes
+    split_nodes = [lo + np.flatnonzero(internal[lo:lo + n])
+                   for lo, n in zip(bounds.tolist(), level_sizes)]
     subtree = np.ones(ids.size, dtype=np.int64)
-    for nodes in reversed(internal):
+    for nodes in reversed(split_nodes):
         subtree[nodes] += subtree[left[nodes]] + subtree[right[nodes]]
     order = np.zeros(ids.size, dtype=np.int64)  # within its tree
-    for nodes in internal:
+    depth = np.zeros(n_trees, dtype=np.int64)
+    for level, nodes in enumerate(split_nodes):
         order[left[nodes]] = order[nodes] + 1
         order[right[nodes]] = order[nodes] + 1 + subtree[left[nodes]]
+        depth[tree[nodes]] = level + 1
     # tree t's table fills positions first[t] .. first[t] + subtree[t] - 1
     first = np.cumsum(subtree[:n_trees]) - subtree[:n_trees]
     at = first[tree] + order
@@ -702,5 +766,5 @@ def _depth_first_tables(levels, value, n_trees, n_features) -> list:
         table[name] = np.empty_like(column)
         table[name][at] = column
     return [RegressionTree(**{name: column[lo:lo + n] for name, column in table.items()},
-                           feature_count=n_features)
-            for lo, n in zip(first.tolist(), subtree[:n_trees].tolist())]
+                           feature_count=n_features, _depth=d)
+            for lo, n, d in zip(first.tolist(), subtree[:n_trees].tolist(), depth.tolist())]

@@ -70,11 +70,12 @@ def kfold_indices(n: int, k: int, seed: int) -> list:
 def _fold_fits(data: Dataset, variant: str, params: dict, fractions, k: int, seed: int):
     """Fit nested prefixes of each fold's shuffled training rows.
 
-    Returns the training-subset sizes, train R^2 and held-out R^2, each a
-    fractions x folds array.  Fold i's model seed is (seed, "fold", i) at
-    every fraction, so the fraction-1.0 row is plain k-fold CV.  The
-    models grow together, in one `ensemble.fit_models` call, and each is
-    scored and dropped as it arrives.
+    Returns the folds' validation rows, the training subsets (fold by
+    fold, fraction by fraction) and an iterator over their models, in the
+    subsets' order.  Fold i's model seed is (seed, "fold", i) at every
+    fraction, so the fraction-1.0 models are plain k-fold CV.  The models
+    grow together, in one `ensemble.fit_models` call, so a caller scores
+    each model and drops it as it arrives.
     """
     folds = kfold_indices(data.n, k, seed)
     all_rows = np.arange(data.n)
@@ -92,19 +93,18 @@ def _fold_fits(data: Dataset, variant: str, params: dict, fractions, k: int, see
             seeds.append(derive_seed(seed, "fold", i))
     models = fit_models(variant, variant_config(variant, params, seed),
                         ((data.subset(rows), s) for rows, s in zip(subsets, seeds)))
-    sizes, train_scores, val_scores = (np.zeros((len(fractions), k)) for _ in range(3))
-    for index, (subset, model) in enumerate(zip(subsets, models)):
-        i, j = divmod(index, len(fractions))
-        val_rows = folds[i]
-        train_scores[j, i] = r_squared(data.y[subset], model.predict(data.X[subset]))
-        val_scores[j, i] = r_squared(data.y[val_rows], model.predict(data.X[val_rows]))
-        sizes[j, i] = subset.size
-    return sizes, train_scores, val_scores
+    return folds, subsets, models
+
+
+def _r_squared_on(data: Dataset, rows, model) -> float:
+    """The model's R^2 on data's rows `rows`."""
+    return r_squared(data.y[rows], model.predict(data.X[rows]))
 
 
 def cross_val_score(data: Dataset, variant: str, params: dict, k: int, seed: int) -> list:
     """Per-fold held-out R^2; each fold's model is fit on the other folds."""
-    return _fold_fits(data, variant, params, [1.0], k, seed)[2][0].tolist()
+    folds, _, models = _fold_fits(data, variant, params, [1.0], k, seed)
+    return [_r_squared_on(data, rows, model) for rows, model in zip(folds, models)]
 
 
 @dataclass
@@ -190,7 +190,13 @@ def learning_curve(data: Dataset, variant: str, params: dict, fractions, k: int,
         raise DataValidationError("fractions must lie in (0, 1]")
     if sorted(fractions) != fractions:
         raise DataValidationError("fractions must be increasing")
-    sizes, train_scores, val_scores = _fold_fits(data, variant, params, fractions, k, seed)
+    folds, subsets, models = _fold_fits(data, variant, params, fractions, k, seed)
+    sizes, train_scores, val_scores = (np.zeros((len(fractions), k)) for _ in range(3))
+    for index, (subset, model) in enumerate(zip(subsets, models)):
+        i, j = divmod(index, len(fractions))
+        train_scores[j, i] = _r_squared_on(data, subset, model)
+        val_scores[j, i] = _r_squared_on(data, folds[i], model)
+        sizes[j, i] = subset.size
     return LearningCurve(
         fractions=fractions,
         n_rows=sizes.mean(axis=1).tolist(),

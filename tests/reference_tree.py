@@ -11,28 +11,36 @@ import numpy as np
 from premex.tree import COLUMNS, RegressionTree
 
 
-def fit_tree(X, targets, config, rng):
+def fit_tree(X, targets, config, rng, weights=None):
+    """An SSE tree; integer `weights` count each row that many times, as in premex.tree."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     targets = np.ascontiguousarray(targets, dtype=np.float64)
-    ones = np.ones_like(targets)
-    return _grow(X, targets, ones, config, rng, reg_lambda=0.0, gamma=0.0, second_order=False)
+    counts = np.ones(targets.size, dtype=np.int64) if weights is None else np.asarray(weights)
+    b = counts.astype(np.float64)
+    return _grow(X, targets * b, b, counts, targets, config, rng,
+                 reg_lambda=0.0, gamma=0.0, second_order=False)
 
 
 def fit_tree_gradients(X, grad, hess, config, rng, reg_lambda=1.0, gamma=0.0):
     X = np.ascontiguousarray(X, dtype=np.float64)
     grad = np.ascontiguousarray(grad, dtype=np.float64)
     hess = np.ascontiguousarray(hess, dtype=np.float64)
-    return _grow(X, grad, hess, config, rng, reg_lambda=reg_lambda, gamma=gamma, second_order=True)
+    ones = np.ones(grad.size, dtype=np.int64)
+    return _grow(X, grad, hess, ones, None, config, rng,
+                 reg_lambda=reg_lambda, gamma=gamma, second_order=True)
 
 
-def _grow(X, a, b, config, rng, *, reg_lambda, gamma, second_order) -> RegressionTree:
+def _grow(X, a, b, counts, targets, config, rng, *, reg_lambda, gamma,
+          second_order) -> RegressionTree:
     """Shared growth engine over per-row statistics a (sums) and b (weights).
 
-    SSE mode: a = targets, b = 1; node score is (sum a)^2 / n and the split
-    gain is the exact SSE reduction.  Second-order mode: a = gradients,
-    b = hessians; score is G^2/(H+lambda), gain is halved and gamma-penalized.
-    Nodes are appended to the table in the order the stack pops them, which
-    is depth-first with the left child first.
+    SSE mode: a = weight * target, b = weight; node score is
+    (sum a)^2 / (sum b), the split gain is the exact SSE reduction, and a
+    node whose targets are all equal is a leaf.  Second-order mode:
+    a = gradients, b = hessians; score is G^2/(H+lambda), gain is halved
+    and gamma-penalized.  `counts` are the integer row weights.  Nodes are
+    appended to the table in the order the stack pops them, which is
+    depth-first with the left child first.
     """
     n_features = X.shape[1]
     k = config.max_features
@@ -50,8 +58,8 @@ def _grow(X, a, b, config, rng, *, reg_lambda, gamma, second_order) -> Regressio
         depth_capped = config.max_depth is not None and depth >= config.max_depth
         if not (
             depth_capped
-            or rows.size < config.min_samples_split
-            or (not second_order and np.ptp(a[rows]) == 0.0)
+            or counts[rows].sum() < config.min_samples_split
+            or (not second_order and np.ptp(targets[rows]) == 0.0)
         ):
             if use_subsets:
                 candidates = np.sort(rng.choice(n_features, size=k, replace=False))
@@ -65,7 +73,7 @@ def _grow(X, a, b, config, rng, *, reg_lambda, gamma, second_order) -> Regressio
                     best_gain, best_feature, best_threshold = gain, int(f), threshold
         table["left"].append(node)
         table["right"].append(node)
-        table["count"].append(rows.size)
+        table["count"].append(int(counts[rows].sum()))
         if best_gain <= 0.0:
             sa = float(a[rows].sum())
             sb = float(b[rows].sum())

@@ -188,6 +188,17 @@ class TestGbm:
         assert np.all(model.predict(X, n_stages=0) == model.base_score)
         assert np.array_equal(model.predict(X, n_stages=10), model.predict(X))
 
+    def test_width_checked_with_or_without_stages(self):
+        X = np.zeros((4, 5))
+        for trees in ([], [leaf_tree(1.0, feature_count=3)]):
+            model = BoostedModel(
+                variant="gbm", base_score=5.0, learning_rate=0.1, trees=trees,
+                config=BoostConfig(), feature_names=["a", "b", "c"],
+            )
+            for n_stages in (None, 0):
+                with pytest.raises(DataValidationError, match="model expects 3"):
+                    model.predict(X, n_stages=n_stages)
+
     def test_one_stage_arithmetic(self):
         model = BoostedModel(
             variant="gbm", base_score=5.0, learning_rate=0.1,

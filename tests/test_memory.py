@@ -2,10 +2,10 @@
 
 A batch of trees is grown in chunks of at most `tree.CHUNK_ROWS` rows,
 and a learning curve scores and drops each model as it arrives.  At the
-chosen bound the forest fit peaks near 4.0 MB, the curve near 3.7 MB and
-the xgb cross-validation near 4.2 MB.  With the whole forest in one chunk
-the fit peaks near 74 MB, and with a bound 1.5 or 2 times as large the
-fit and the curve peak near 4.9 and 4.7 MB or 5.8 and 5.7 MB, so these
+chosen bound the forest fit peaks near 4.3 MB, the curve near 4.0 MB and
+the xgb cross-validation near 4.3 MB.  With the whole forest in one chunk
+the fit peaks near 79 MB, and with a bound 1.5 or 2 times as large the
+fit and the curve peak near 5.4 and 5.1 MB or 6.4 and 6.3 MB, so these
 limits fail either change.  The level loop's work arrays are kept across
 calls, so each test passes only if it also holds in a fresh process,
 where the fit allocates them.

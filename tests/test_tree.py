@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import premex.tree as tree_mod
 import reference_tree
-from premex.errors import DataValidationError
+from premex.errors import DataValidationError, NumericError
 from premex.rng import stream
 from premex.tree import (
     Presorted,
@@ -559,3 +559,74 @@ class TestFeatureSubsets:
         tree = fit_tree(X, y, config, stream(3, "t"))
         assert set(tree.feature[tree.feature >= 0]) - {0}
         assert tree.to_dict() == fit_tree(X, y, config, stream(3, "t")).to_dict()
+
+
+def eighths_matrix(rng, n):
+    """Features of 2, 12 and about 1,600 values; every midpoint is exact in eighths."""
+    return np.column_stack([rng.integers(0, 2, n), rng.integers(0, 12, n),
+                            rng.integers(-800, 800, n) / 8.0]).astype(float)
+
+
+class TestLeafValues:
+    """Leaves summed by size class keep each leaf's own pairwise sum, bit for bit."""
+
+    def test_float_targets_equal_the_reference_across_leaf_sizes(self):
+        # numpy sums pairwise in blocks of 8 and halves past 128 values, so
+        # the leaves must span sizes on both sides of both boundaries
+        sizes = []
+        for n, max_depth in [(300, 2), (1000, 3), (1000, 9)]:
+            rng = np.random.default_rng(n + max_depth)
+            X = eighths_matrix(rng, n)
+            y = rng.normal(1000.0, 300.0, n)
+            weights = rng.integers(1, 4, n)
+            config = TreeConfig(max_depth=max_depth)
+            for w in (None, weights):
+                tree = fit_tree(X, y, config, stream(0, "t"), weights=w)
+                expected = reference_tree.fit_tree(X, y, config, stream(0, "t"), weights=w)
+                assert tree.to_dict() == expected.to_dict()
+                leaf = tree.feature < 0
+                sizes += [tree.count[leaf]] if w is None else []
+        sizes = np.concatenate(sizes)
+        assert sizes.min() == 1 and sizes.max() > 256
+        assert ((sizes > 8) & (sizes <= 128)).any() and ((sizes > 128) & (sizes <= 256)).any()
+
+
+class TestUnitStatistics:
+    """b = 1 everywhere makes prefix sums counts; any other b is summed as floats."""
+
+    @pytest.mark.parametrize("hess", ["ones", "twos", "one_nudged"])
+    def test_gradient_trees_equal_the_reference(self, hess):
+        rng = np.random.default_rng(8)
+        n = 500
+        X = eighths_matrix(rng, n)
+        grad = rng.normal(size=n)
+        h = {"ones": np.ones(n), "twos": np.full(n, 2.0), "one_nudged": np.ones(n)}[hess]
+        if hess == "one_nudged":
+            h[rng.integers(n)] = 1.0 + 2.0**-40  # not unit: every sum goes through floats
+        for config in (TreeConfig(max_depth=5), TreeConfig(max_depth=None, min_samples_split=30)):
+            for penalties in ((1.0, 0.0), (0.0, 0.0), (0.3, 0.01)):
+                assert (fit_tree_gradients(X, grad, h, config, stream(1, "t"), *penalties).to_dict()
+                        == reference_tree.fit_tree_gradients(X, grad, h, config, stream(1, "t"),
+                                                             *penalties).to_dict())
+
+    def test_bootstrap_weighted_trees_equal_the_reference(self):
+        rng = np.random.default_rng(9)
+        n = 500
+        X = eighths_matrix(rng, n)
+        y = rng.normal(1000.0, 300.0, n)
+        matrix = Presorted(X)
+        config = TreeConfig(max_depth=7, min_samples_split=3)
+        jobs, expected = [], []
+        for k in range(4):
+            drawn = np.bincount(rng.integers(0, n, n), minlength=n)
+            rows = np.flatnonzero(drawn)
+            jobs.append((matrix, rows, y[rows], drawn[rows], stream(k, "t")))
+            expected.append(reference_tree.fit_tree(X[rows], y[rows], config, stream(k, "t"),
+                                                    weights=drawn[rows]))
+        for tree, reference in zip(fit_trees(jobs, config), expected):
+            assert tree.to_dict() == reference.to_dict()
+
+    def test_zero_hessian_leaf_is_a_numeric_error(self):
+        X = np.arange(4.0)[:, None]
+        with pytest.raises(NumericError, match="leaf value"):
+            fit_tree_gradients(X, np.ones(4), np.zeros(4), TreeConfig(), stream(0, "t"), 0.0)
