@@ -353,7 +353,7 @@ def _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir):
     else:
         scale, offset = model.learning_rate, model.base_score
     base_value, phi = explain_mod.tree_shap(
-        model.trees, scale, offset, rows, dataset.X[background_ids]
+        model.table, scale, offset, rows, dataset.X[background_ids]
     )
     totals, order = explain_mod.importance(phi)
     ranked = [names[j] for j in order]

@@ -9,6 +9,7 @@ are pure functions; nothing mutates its inputs.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -301,8 +302,8 @@ def dataset_from_json(path) -> Dataset:
         raise DataValidationError(f"{path}: X must be a non-empty list of rows of {len(names)} numbers")
     if not isinstance(y, list) or len(y) != len(X):
         raise DataValidationError(f"{path}: y must be a list of {len(X)} numbers, one per X row")
-    for key, cells in (("X", [v for row in X for v in row]), ("y", y)):
-        if not all(type(v) in (int, float) for v in cells):
+    for key, cells in (("X", itertools.chain.from_iterable(X)), ("y", y)):
+        if not set(map(type, cells)) <= {int, float}:  # not bool, str or None
             raise DataValidationError(f"{path}: {key} holds a value that is not a number")
     try:
         X, y = np.array(X, dtype=np.float64), np.array(y, dtype=np.float64)

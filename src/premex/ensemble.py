@@ -9,6 +9,12 @@
 Each tree/stage draws from its own stream derived from (seed, index), so
 fitting order never changes the result.
 
+A model packs its trees into one `tree.NodeTable` on first use, and its
+`trees` then view that table.  Prediction descends all trees at once, one
+gather per level, and adds their leaf values in tree order, so it gives
+the bits a loop over the trees gives.  save_model writes the table's
+trees and load_model checks and packs every tree of a file in one pass.
+
 `PUBLISHED` is the one home of the published best hyperparameters;
 `variant_config` lays a parameter dict over them.  Every config checks
 its fields' types and ranges when built, `replace()` and `load_model`
@@ -17,7 +23,7 @@ included, and raises DataValidationError.
 
 import numbers
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,8 +32,7 @@ from .data import Dataset, round_half_up
 from .errors import DataValidationError
 from .rng import stream
 from .tree import (
-    CHUNK_ROWS, Presorted, RegressionTree, TreeConfig, check_count, fit_trees,
-    fit_trees_gradients,
+    CHUNK_ROWS, NodeTable, Presorted, TreeConfig, check_count, fit_trees, fit_trees_gradients,
 )
 
 
@@ -129,29 +134,45 @@ def variant_config(variant: str, params: dict, seed: int):
     return (ForestConfig if variant == "rf" else BoostConfig)(**merged)
 
 
+class _Packed:
+    """A model's trees packed into one `table`, on first use or by load_model.
+
+    Once packed, `trees` are views of the table, so a model holds each
+    node once.
+    """
+
+    @property
+    def table(self) -> NodeTable:
+        if self._table is None:
+            self._table = NodeTable.pack(self.trees, len(self.feature_names))
+            self.trees = self._table.trees()
+        return self._table
+
+
 @dataclass
-class ForestModel:
+class ForestModel(_Packed):
     trees: list
     config: ForestConfig
     feature_names: list
     variant: str = "rf"
+    _table: NodeTable | None = field(default=None, repr=False, compare=False)
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.zeros(X.shape[0])
-        for tree in self.trees:
-            out += tree.predict_matrix(X)
+        self.table.add_predictions(X, out)
         return out / len(self.trees)
 
 
 @dataclass
-class BoostedModel:
+class BoostedModel(_Packed):
     variant: str  # "gbm" or "xgb"
     base_score: float
     learning_rate: float
     trees: list
     config: BoostConfig
     feature_names: list
+    _table: NodeTable | None = field(default=None, repr=False, compare=False)
 
     def predict(self, X, n_stages: int | None = None) -> np.ndarray:
         """The prediction of the first n_stages stages, or of all of them if None."""
@@ -161,14 +182,8 @@ class BoostedModel:
                 f"n_stages must be at most the model's {len(self.trees)} stages, got {n_stages}"
             )
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != len(self.feature_names):
-            raise DataValidationError(
-                f"matrix has {X.shape[1]} columns, model expects {len(self.feature_names)}"
-            )
-        use = self.trees if n_stages is None else self.trees[:n_stages]
         out = np.full(X.shape[0], self.base_score)
-        for tree in use:
-            out = out + self.learning_rate * tree.predict_matrix(X)
+        self.table.add_predictions(X, out, scale=self.learning_rate, n_trees=n_stages)
         return out
 
 
@@ -310,7 +325,7 @@ def save_model(model, path) -> None:
         "variant": model.variant,
         "config": asdict(model.config),
         "feature_names": model.feature_names,
-        "trees": [tree.to_dict() for tree in model.trees],
+        "trees": model.table.to_dicts(),
     }
     if isinstance(model, BoostedModel):
         payload.update(base_score=model.base_score, learning_rate=model.learning_rate)
@@ -339,12 +354,12 @@ def load_model(path):
     if not isinstance(document.get("trees"), list) or (variant == "rf" and not document["trees"]):
         raise DataValidationError(f"{path}: trees must be a list, non-empty for rf")
     try:
-        trees = [RegressionTree.from_dict(doc, len(names)) for doc in document["trees"]]
+        table = NodeTable.from_dicts(document["trees"], len(names))
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from exc
     if variant == "rf":
         config = _config_from(document, ForestConfig, path)
-        return ForestModel(trees=trees, config=config, feature_names=names)
+        return ForestModel(trees=table.trees(), config=config, feature_names=names, _table=table)
     config = _config_from(document, BoostConfig, path)
     scalars = [document.get("base_score"), document.get("learning_rate")]
     if not all(_finite(v) for v in scalars):
@@ -353,7 +368,8 @@ def load_model(path):
         variant=variant,
         base_score=float(scalars[0]),
         learning_rate=float(scalars[1]),
-        trees=trees,
+        trees=table.trees(),
         config=config,
         feature_names=names,
+        _table=table,
     )

@@ -4,15 +4,18 @@ The Shapley value function is interventional: val(S) replaces the
 features outside S with background rows and averages the predictions.
 
 `tree_shap` computes these values for a tree ensemble in closed form from
-the trees' flat node tables.  For an explained row x and a background row
-z, a leaf is reached by a hybrid row iff every feature of its path takes
-its value from a row that meets the leaf's condition on it.  With a
-features met only by x and b met only by z, the leaf's value adds
-(a-1)!·b!/(a+b)! to each x-only feature and -a!·(b-1)!/(a+b)! to each
-z-only feature (Lundberg et al. 2020, arXiv 1905.04610; Laberge &
+its packed node table (`tree.NodeTable`).  For an explained row x and a
+background row z, a leaf is reached by a hybrid row iff every feature of
+its path takes its value from a row that meets the leaf's condition on
+it.  With a features met only by x and b met only by z, the leaf's value
+adds (a-1)!·b!/(a+b)! to each x-only feature and -a!·(b-1)!/(a+b)! to
+each z-only feature (Lundberg et al. 2020, arXiv 1905.04610; Laberge &
 Pequignot 2022, arXiv 2209.15123).  Background rows are grouped per leaf
 by the features they meet, so the cost per tree is explained rows times
-(leaf, mask) groups, with no model evaluation.
+(leaf, mask) groups, with no model evaluation.  The leaf boxes, masks and
+groups of a block of trees are found at once, level by level and with one
+`np.unique`; each tree's sums are still formed alone and added in tree
+order, so the results do not depend on the blocks.
 
 `shap_exact` works against a bare prediction function (matrix in, vector
 out) and enumerates all 2^p coalitions, 2^p x |background| model rows per
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, NumericError
+from .tree import BLOCK_CELLS
 
 MAX_EXACT_FEATURES = 20
 
@@ -118,35 +122,23 @@ def _leaf_weights(p: int):
     return plus, minus
 
 
-def _leaf_boxes(tree, p: int):
-    """(leaf ids, lo, hi): a row reaches leaf k iff lo[k] < row <= hi[k] on every feature.
-
-    One pass in id order; every parent's id is lower than its children's.
-    """
-    lo = np.full((tree.node_count(), p), -np.inf)
-    hi = np.full((tree.node_count(), p), np.inf)
-    for node in np.flatnonzero(tree.feature >= 0):
-        f, t = tree.feature[node], tree.threshold[node]
-        left, right = tree.left[node], tree.right[node]
-        lo[left] = lo[right] = lo[node]
-        hi[left] = hi[right] = hi[node]
-        hi[left, f] = min(hi[node, f], t)
-        lo[right, f] = max(lo[node, f], t)
-    leaves = np.flatnonzero(tree.feature < 0)
-    return leaves, lo[leaves], hi[leaves]
-
-
 def _leaf_masks(X, lo, hi) -> np.ndarray:
     """Per row and leaf, the bitmask of the features whose leaf condition the row meets."""
-    masks = np.zeros((X.shape[0], lo.shape[0]), dtype=np.int64)
-    for j in range(X.shape[1]):
+    shape = (X.shape[0], lo.shape[0])
+    masks = np.zeros(shape, dtype=np.uint32)
+    met, below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    for j, (lo_j, hi_j) in enumerate(zip(np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T))):
         column = X[:, j : j + 1]
-        masks |= ((lo[:, j] < column) & (column <= hi[:, j])).astype(np.int64) << j
+        np.less(lo_j, column, out=met)
+        np.less_equal(column, hi_j, out=below)
+        met &= below
+        masks |= met.astype(np.uint32) << np.uint32(j)
     return masks
 
 
-def tree_shap(trees, scale: float, offset: float, rows, background):
-    """shap_exact's (base value, φ) for the model offset + scale * sum(trees).
+def tree_shap(table, scale: float, offset: float, rows, background):
+    """shap_exact's (base value, φ) for the model offset + scale * sum(trees),
+    the trees packed in `table` (a tree.NodeTable).
 
     Per tree, background rows are counted by (leaf, mask of the features
     they meet there); each explained row then makes one pass over those
@@ -155,6 +147,11 @@ def tree_shap(trees, scale: float, offset: float, rows, background):
     the features met by only one of them.  The base value is the mean
     prediction over the background: the groups whose rows meet every
     feature, i.e. reach the leaf.
+
+    The trees are taken in blocks whose leaves times background rows fit
+    BLOCK_CELLS, and the explained rows in blocks whose rows times groups
+    do.  Every tree's sums are still formed on their own and added in tree
+    order, so φ and the base value do not depend on the blocks.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     n, p = rows.shape
@@ -163,34 +160,60 @@ def tree_shap(trees, scale: float, offset: float, rows, background):
             f"{p} features do not fit the feature masks; refusing beyond {MAX_EXACT_FEATURES}"
         )
     B = _background_matrix(background, p)
-    if any(tree.feature_count != p for tree in trees):
+    if table.feature_count != p:
         raise DataValidationError("trees and explained rows differ in width")
 
     everything = (1 << p) - 1
     plus, minus = _leaf_weights(p)
     phi = np.zeros((n, p))
     base_value = 0.0
-    for tree in trees:
-        leaves, lo, hi = _leaf_boxes(tree, p)
+    for start, stop in table.tree_blocks(B.shape[0]):
+        leaves, lo, hi = table.leaf_boxes(start, stop)
         keys = (np.arange(leaves.size, dtype=np.int64) << p) | _leaf_masks(B, lo, hi)
         keys, counts = np.unique(keys, return_counts=True)
-        leaf, z_mask = keys >> p, keys & everything
-        weight = scale * tree.value[leaves[leaf]] * counts / B.shape[0]
-        base_value += float(weight[z_mask == everything].sum())
+        leaf, z_mask = keys >> p, (keys & everything).astype(np.uint32)
+        weight = scale * table.value[leaves[leaf]] * counts / B.shape[0]
+        # each group's tree, counted from the block's first
+        tree = np.searchsorted(table.first, leaves[leaf], side="right") - 1 - start
+        # per tree, in tree order: its groups whose rows reach the leaf
+        reaching = z_mask == everything
+        cuts = np.searchsorted(tree[reaching], np.arange(1, stop - start))
+        for part in np.split(weight[reaching], cuts):
+            base_value += float(part.sum())
 
-        # the live (explained row, group) entries: each feature met by either row
-        x_mask = _leaf_masks(rows, lo, hi)[:, leaf]
-        row, group = np.nonzero((x_mask | z_mask) == everything)
-        x_mask, z_mask = x_mask[row, group], z_mask[group]
-        x_only, z_only = x_mask & ~z_mask, z_mask & ~x_mask
-        a, b = np.bitwise_count(x_only), np.bitwise_count(z_only)
-        gain, loss = plus[a, b] * weight[group], minus[a, b] * weight[group]
-        for j in range(p):
-            bit = 1 << j
-            for only, amount in ((x_only, gain), (z_only, loss)):
-                take = (only & bit) != 0
-                phi[:, j] += np.bincount(row[take], weights=amount[take], minlength=n)
+        step = max(1, BLOCK_CELLS // leaf.size)
+        for r in range(0, n, step):
+            _add_tree_shap(phi[r : r + step], _leaf_masks(rows[r : r + step], lo, hi)[:, leaf],
+                           z_mask, weight, tree, stop - start, plus, minus)
     return offset + base_value, phi
+
+
+def _add_tree_shap(phi, x_mask, z_mask, weight, tree, n_trees, plus, minus) -> None:
+    """Add each tree's φ for the explained rows of x_mask to phi, tree by tree.
+
+    x_mask is per explained row and group, z_mask, weight and tree per
+    group.  For each (tree, row) a bincount sums the gains (and, apart,
+    the losses) of the row's live groups in group order, as a bincount
+    over that tree alone would.
+    """
+    n, p = phi.shape
+    everything = (1 << p) - 1
+    # the live (explained row, group) entries: each feature met by either row
+    row, group = np.nonzero((x_mask | z_mask) == everything)
+    x_mask, z_mask = x_mask[row, group], z_mask[group]
+    x_only, z_only = x_mask & ~z_mask, z_mask & ~x_mask
+    a, b = np.bitwise_count(x_only), np.bitwise_count(z_only)
+    gain, loss = plus[a, b] * weight[group], minus[a, b] * weight[group]
+    key = tree[group] * n + row
+    sums = np.zeros((n_trees, 2, n, p))
+    for j in range(p):
+        bit = 1 << j
+        for side, (only, amount) in enumerate(((x_only, gain), (z_only, loss))):
+            take = (only & bit) != 0
+            sums[:, side, :, j] = np.bincount(key[take], weights=amount[take],
+                                              minlength=n_trees * n).reshape(n_trees, n)
+    for tree_sums in sums.reshape(-1, n, p):
+        phi += tree_sums
 
 
 def importance(phi):

@@ -598,18 +598,13 @@ def ice_long_csv(curve_sets, row_ids=None, *, seed=None) -> str:
     """Long-format ICE curves: one line per (variant, row, grid point)."""
     rows = []
     for curve_set in curve_sets:
-        ids = row_ids if row_ids is not None else list(range(curve_set.curves.shape[0]))
-        for i in range(curve_set.curves.shape[0]):
-            for g, grid_value in enumerate(curve_set.grid):
-                rows.append(
-                    [
-                        curve_set.feature_name,
-                        curve_set.variant,
-                        ids[i],
-                        f"{grid_value:.6f}",
-                        f"{curve_set.curves[i, g]:.6f}",
-                    ]
-                )
+        curves = curve_set.curves.tolist()
+        ids = row_ids if row_ids is not None else range(len(curves))
+        grid = [f"{value:.6f}" for value in curve_set.grid.tolist()]
+        name, variant = curve_set.feature_name, curve_set.variant
+        for row_id, curve in zip(ids, curves):
+            rows.extend([name, variant, row_id, value, f"{prediction:.6f}"]
+                        for value, prediction in zip(grid, curve))
     return _csv_text(
         ["Feature", "Variant", "RowId", "GridValue", "Prediction"],
         rows,

@@ -69,8 +69,18 @@ batch of rows descends in exactly depth() gathers with no leaf test.
 `value` is the leaf prediction (0 on internal nodes) and `count` the
 number of training rows, weights counted, that reached the node.  The
 model JSON stores the six columns as they are.
+
+An ensemble's trees are packed into one `NodeTable`: the six columns
+concatenated, each tree's first node and its depth.  Prediction starts a
+(trees, rows) matrix of nodes at the roots and takes max(depth) steps,
+each one flat gather of X and one gather of the children;
+`RegressionTree.predict_matrix` is the one-tree case.  Loading checks
+every tree of a file in one pass over the concatenated columns, and
+TreeSHAP reads leaf boxes from it level by level.  Work on (tree, row)
+and (row, leaf) arrays goes in blocks of at most BLOCK_CELLS cells.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -88,6 +98,15 @@ COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
 # at a peak RSS of 46.2, 47.1 and 48.1 MB (one 50 s run each, seed 7);
 # above 3000, tests/test_memory.py's forest and learning-curve bounds fail.
 CHUNK_ROWS = 3000
+
+# The most (tree, row) or (row, leaf) cells that one block of packed
+# prediction or TreeSHAP works on at once (NodeTable.add_predictions,
+# explain.tree_shap).  The published 220-tree forest predicts 7400 rows at
+# a peak of 1.4, 2.0 and 3.3 MB with 2^14, 2^15 and 2^16 cells.  The
+# explain workload's timed commands took 152 and 154 ms (best of 20; 2
+# cores, numpy 2.4.6) with 2^15 and 2^16, and one explain iteration peaked
+# at 45.2 and 45.6 MB RSS.
+BLOCK_CELLS = 2**15
 
 
 def check_count(name: str, value, minimum: int | None, nullable: bool = False) -> None:
@@ -139,16 +158,8 @@ class RegressionTree:
         for name in COLUMNS:
             dtype = np.float64 if name in ("threshold", "value") else np.int64
             setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if self._depth is not None:
-            return
-        # one step per level below the root; this loop ends only because
-        # from_dict rejects tables whose child ids could form a cycle
-        level = np.zeros(1, dtype=np.int64)
-        self._depth = -1
-        while level.size:
-            self._depth += 1
-            level = level[self.feature[level] >= 0]
-            level = np.concatenate([self.left[level], self.right[level]])
+        if self._depth is None:
+            self._depth = int(_depths(self.feature, self.left, self.right, _ROOT)[0])
 
     def depth(self) -> int:
         return self._depth
@@ -176,13 +187,9 @@ class RegressionTree:
             raise DataValidationError(
                 f"matrix has shape {X.shape}, tree expects (*, {self.feature_count})"
             )
-        # a leaf reads column -1 and steps to itself either way
-        rows = np.arange(X.shape[0])
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        for _ in range(self._depth):
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
-        return self.value[node]
+        children = np.stack([self.left, self.right], axis=1).reshape(-1)
+        return self.value.take(_descend(self.feature, self.threshold, children, _ROOT,
+                                        self._depth, X)[0])
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name).tolist() for name in COLUMNS}
@@ -190,33 +197,253 @@ class RegressionTree:
     @staticmethod
     def from_dict(document, feature_count: int) -> "RegressionTree":
         """Rebuild a tree from to_dict() output; DataValidationError if malformed."""
-        if not isinstance(document, dict) or sorted(document) != sorted(COLUMNS):
-            raise DataValidationError(f"a tree must hold exactly the columns {list(COLUMNS)}")
-        table = {
-            name: _column(document[name], name, "if" if name in ("threshold", "value") else "i")
-            for name in COLUMNS
-        }
-        feature, left, right = table["feature"], table["left"], table["right"]
-        n = feature.size
-        if any(column.size != n for column in table.values()):
-            raise DataValidationError("tree columns differ in length")
-        if not (np.isfinite(table["threshold"]).all() and np.isfinite(table["value"]).all()):
-            raise DataValidationError("tree thresholds and values must be finite")
-        if feature.min() < -1 or feature.max() >= feature_count:
-            raise DataValidationError(f"tree feature index outside -1..{feature_count - 1}")
-        if table["count"].min() < 1:
-            raise DataValidationError("tree row counts must be positive")
-        ids = np.arange(n)
-        leaf = feature < 0
-        if (left[leaf] != ids[leaf]).any() or (right[leaf] != ids[leaf]).any():
-            raise DataValidationError("a tree leaf must point to itself")
-        parents = np.concatenate([ids[~leaf], ids[~leaf]])
-        children = np.concatenate([left[~leaf], right[~leaf]])
-        if (children <= parents).any() or not np.array_equal(np.sort(children), ids[1:]):
+        return NodeTable.from_dicts([document], feature_count).trees()[0]
+
+
+_ROOT = np.zeros(1, dtype=np.int64)
+
+
+def _descend(feature, threshold, children, roots, depth: int, X) -> np.ndarray:
+    """The node that each row of X reaches in each tree rooted at `roots`,
+    after `depth` levels: a (trees, rows) array.
+
+    `children` holds each node's (left, right) pair, flat.  Every tree
+    takes each level's step at once: one flat gather of X at
+    row * n_features + feature, one comparison, and one gather of the
+    child.  A leaf reads feature -1, some other cell, and steps to itself
+    either way.
+    """
+    n, m = X.shape
+    flat = np.ascontiguousarray(X).reshape(-1)
+    at = np.arange(0, n * m, m)
+    node = np.repeat(roots[:, None], n, axis=1)
+    for _ in range(depth):
+        go_left = flat.take(at + feature.take(node), mode="wrap") <= threshold.take(node)
+        node *= 2
+        node += ~go_left
+        node = children.take(node)
+    return node
+
+
+def _depths(feature, left, right, roots) -> np.ndarray:
+    """The depth of each tree rooted at `roots`, whose child ids are its own,
+    found level by level for all trees at once.
+
+    This loop ends only because every child id exceeds its parent's, as
+    NodeTable.from_dicts checks.
+    """
+    depth = np.zeros(roots.size, dtype=np.int64)
+    level, tree = roots, np.arange(roots.size)
+    while level.size:
+        split = feature[level] >= 0
+        level, tree = level[split], tree[split]
+        depth[tree] += 1
+        offset = roots[tree]
+        level = np.concatenate([offset + left[level], offset + right[level]])
+        tree = np.concatenate([tree, tree])
+    return depth
+
+
+class NodeTable:
+    """Trees packed into one node table, for prediction, loading, saving and TreeSHAP.
+
+    The six columns of every tree are concatenated in tree order, each
+    tree's child ids its own.  Tree t's root is node first[t], its nodes
+    run up to the next tree's root, and depth[t] is its depth.  trees()
+    gives each tree as a RegressionTree over views of its part, so a model
+    holds its nodes once.
+    """
+
+    def __init__(self, columns: dict, first, depth, feature_count: int):
+        for name in COLUMNS:
+            setattr(self, name, columns[name])
+        self.first = first
+        self.depth = depth
+        self.feature_count = feature_count
+
+    @property
+    def n_trees(self) -> int:
+        return int(self.first.size)
+
+    @staticmethod
+    def pack(trees, feature_count: int) -> "NodeTable":
+        """The table of `trees`, which must each read `feature_count` features."""
+        if any(tree.feature_count != feature_count for tree in trees):
+            raise DataValidationError(f"every tree must read {feature_count} features")
+        sizes = np.array([tree.node_count() for tree in trees], dtype=np.int64)
+        columns = {name: _joined([getattr(tree, name) for tree in trees], name) for name in COLUMNS}
+        depth = np.array([tree.depth() for tree in trees], dtype=np.int64)
+        return NodeTable(columns, np.cumsum(sizes) - sizes, depth, feature_count)
+
+    @staticmethod
+    def from_dicts(documents, feature_count: int) -> "NodeTable":
+        """The table of to_dict() outputs; DataValidationError if a tree is malformed.
+
+        One pass over the concatenated columns checks every tree as a table
+        of its own.  Only a table that fails is checked again tree by tree,
+        so the error names the first malformed tree's first fault.
+        """
+        try:
+            return _checked_table(documents, feature_count)
+        except DataValidationError:
+            for document in documents:
+                _checked_table([document], feature_count)
+            raise
+
+    def _sizes(self) -> list:
+        return np.diff(self.first, append=self.feature.size).tolist()
+
+    def trees(self) -> list:
+        """Each tree as a RegressionTree over views of its part of the table."""
+        return [
+            RegressionTree(*(getattr(self, name)[a:a + n] for name in COLUMNS),
+                           feature_count=self.feature_count, _depth=d)
+            for a, n, d in zip(self.first.tolist(), self._sizes(), self.depth.tolist())
+        ]
+
+    def to_dicts(self) -> list:
+        """Each tree's to_dict(), in tree order."""
+        cells = {name: getattr(self, name).tolist() for name in COLUMNS}
+        return [{name: cells[name][a:a + n] for name in COLUMNS}
+                for a, n in zip(self.first.tolist(), self._sizes())]
+
+    def tree_blocks(self, rows: int) -> list:
+        """(start, stop) runs of consecutive trees whose leaves times `rows`
+        are at most BLOCK_CELLS; a run holds at least one tree."""
+        leaves = np.flatnonzero(self.feature < 0)
+        counts = np.bincount(np.searchsorted(self.first, leaves, side="right") - 1,
+                             minlength=self.n_trees)
+        bounds, cells = [0], 0
+        for t, tree_cells in enumerate((counts * rows).tolist()):
+            if cells and cells + tree_cells > BLOCK_CELLS:
+                bounds.append(t)
+                cells = 0
+            cells += tree_cells
+        bounds.append(self.n_trees)
+        return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+    def add_predictions(self, X, out, scale=None, n_trees=None) -> None:
+        """Add the predictions of the first n_trees trees (all if None) for the
+        rows of X to `out`, times `scale` if given.
+
+        The trees are added one after another in tree order, as a loop over
+        their predict_matrix would add them, so every sum keeps its bits.
+        All trees descend together, in blocks of rows of at most BLOCK_CELLS
+        (tree, row) cells.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise DataValidationError(
-                "tree child ids must exceed their parent's and cover 1..n-1 once"
+                f"matrix has {X.shape[-1]} columns, model expects {self.feature_count}"
             )
-        return RegressionTree(**table, feature_count=feature_count)
+        roots = self.first[:n_trees]
+        if not roots.size:
+            return
+        depth = int(self.depth[:n_trees].max())
+        # each node's (left, right) as ids into the whole table
+        children = np.stack([self.left, self.right], axis=1)
+        children += np.repeat(self.first, self._sizes())[:, None]
+        children = children.reshape(-1)
+        step = max(1, BLOCK_CELLS // roots.size)
+        for lo in range(0, X.shape[0], step):
+            leaves = _descend(self.feature, self.threshold, children, roots, depth,
+                              X[lo:lo + step])
+            values = self.value.take(leaves)
+            if scale is not None:
+                values *= scale
+            part = out[lo:lo + step]
+            for tree_values in values:
+                part += tree_values
+
+    def leaf_boxes(self, start: int, stop: int):
+        """(leaf ids, lo, hi) of trees start..stop-1: a row reaches leaf k iff
+        lo[k] < row <= hi[k] on every feature.
+
+        Leaf ids are into the whole table, in order.  The boxes are built
+        one level of every tree at a time, parents before children.
+        """
+        base = int(self.first[start]) if start < self.n_trees else self.feature.size
+        end = int(self.first[stop]) if stop < self.n_trees else self.feature.size
+        lo = np.full((end - base, self.feature_count), -np.inf)
+        hi = np.full((end - base, self.feature_count), np.inf)
+        # nodes as rows of lo and hi, each with its tree's first row
+        level = offset = self.first[start:stop] - base
+        while level.size:
+            split = self.feature[base + level] >= 0
+            level, offset = level[split], offset[split]
+            f, t = self.feature[base + level], self.threshold[base + level]
+            left = offset + self.left[base + level]
+            right = offset + self.right[base + level]
+            lo[left] = lo[right] = lo[level]
+            hi[left] = hi[right] = hi[level]
+            # as min(hi, t) and max(lo, t): the bound stays unless t is tighter
+            bound = hi[level, f]
+            hi[left, f] = np.where(t < bound, t, bound)
+            bound = lo[level, f]
+            lo[right, f] = np.where(t > bound, t, bound)
+            level, offset = np.concatenate([left, right]), np.concatenate([offset, offset])
+        leaves = np.flatnonzero(self.feature[base:end] < 0)
+        return base + leaves, lo[leaves], hi[leaves]
+
+
+def _joined(arrays, name) -> np.ndarray:
+    dtype = np.float64 if name in ("threshold", "value") else np.int64
+    return np.concatenate([np.empty(0, dtype), *arrays]).astype(dtype, copy=False)
+
+
+def _joined_column(lists, name) -> np.ndarray:
+    """One column of every tree, concatenated; DataValidationError as _column would raise."""
+    kinds = "if" if name in ("threshold", "value") else "i"
+    if all(isinstance(values, list) and values for values in lists):
+        cells = list(itertools.chain.from_iterable(lists))
+        # the types numpy reads as the column's kind in any list
+        if set(map(type, cells)) <= ({float} if kinds == "if" else {int}):
+            try:
+                return np.array(cells, dtype=np.float64 if kinds == "if" else np.int64)
+            except OverflowError:
+                pass  # an int beyond int64, which _column rejects
+    return _joined([_column(values, name, kinds) for values in lists], name)
+
+
+def _checked_table(documents, feature_count: int) -> NodeTable:
+    """The table of `documents`, raising if any of them is malformed as a tree."""
+    for document in documents:
+        if not isinstance(document, dict) or document.keys() != _COLUMN_SET:
+            raise DataValidationError(f"a tree must hold exactly the columns {list(COLUMNS)}")
+    columns = {name: _joined_column([doc[name] for doc in documents], name) for name in COLUMNS}
+    sizes = np.array([len(doc["feature"]) for doc in documents], dtype=np.int64)
+    if any(len(doc[name]) != n for doc, n in zip(documents, sizes.tolist()) for name in COLUMNS):
+        raise DataValidationError("tree columns differ in length")
+    feature, left, right = columns["feature"], columns["left"], columns["right"]
+    first = np.cumsum(sizes) - sizes
+    tree = np.repeat(np.arange(sizes.size), sizes)  # each node's tree
+    offset = first[tree]
+    if not (np.isfinite(columns["threshold"]).all() and np.isfinite(columns["value"]).all()):
+        raise DataValidationError("tree thresholds and values must be finite")
+    if feature.size and (feature.min() < -1 or feature.max() >= feature_count):
+        raise DataValidationError(f"tree feature index outside -1..{feature_count - 1}")
+    if columns["count"].size and columns["count"].min() < 1:
+        raise DataValidationError("tree row counts must be positive")
+    ids = np.arange(feature.size) - offset  # each node's id in its tree
+    leaf = feature < 0
+    if (left[leaf] != ids[leaf]).any() or (right[leaf] != ids[leaf]).any():
+        raise DataValidationError("a tree leaf must point to itself")
+    # per tree: every child above its parent and inside the tree, and
+    # n - 1 children, no two alike, so they cover 1..n-1 once
+    split = ~leaf
+    parents = np.concatenate([ids[split], ids[split]])
+    children = np.concatenate([left[split], right[split]])
+    owner = np.concatenate([tree[split], tree[split]])
+    if ((children <= parents) | (children >= sizes[owner])).any() or (
+            (np.bincount(owner, minlength=sizes.size) != sizes - 1).any()
+            or (np.bincount(children + first[owner], minlength=feature.size) > 1).any()):
+        raise DataValidationError(
+            "tree child ids must exceed their parent's and cover 1..n-1 once"
+        )
+    return NodeTable(columns, first, _depths(feature, left, right, first), feature_count)
+
+
+_COLUMN_SET = frozenset(COLUMNS)
 
 
 def _column(values, name, kinds) -> np.ndarray:

@@ -613,6 +613,16 @@ class TestCorruptModel:
                                         lambda doc: doc["config"].update({key: value}))
         assert key in result.output
 
+    def test_two_malformed_trees_name_the_first(self, runner, workdir, tmp_path):
+        def edit(doc):
+            tree = doc["trees"][1]
+            leaf = tree["feature"].index(-1)
+            tree["left"][leaf] = 0  # a leaf that points away: the last checks
+            doc["trees"][3]["threshold"][0] = 1e400  # inf: an early check, in a later tree
+        result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
+        assert "leaf must point to itself" in result.output
+        assert "finite" not in result.output
+
     def test_nested_tree_layout(self, runner, workdir, tmp_path):
         def edit(doc):
             doc["trees"][0] = {"feature": 0, "threshold": 40.5,

@@ -17,7 +17,7 @@ from premex.explain import (
     tree_shap,
 )
 from premex.rng import stream
-from premex.tree import COLUMNS, RegressionTree, TreeConfig, fit_tree
+from premex.tree import COLUMNS, NodeTable, RegressionTree, TreeConfig, fit_tree
 from premex.tuning import fit_variant
 from reference_shap import shap_permutation, shap_value_function
 
@@ -69,7 +69,7 @@ class TestBackgroundChecks:
         pytest.param(lambda rows, background: shap_exact(
             lambda X: np.atleast_2d(X).sum(axis=1), rows, background), id="shap_exact"),
         pytest.param(lambda rows, background: tree_shap(
-            [TWICE], 1.0, 0.0, rows, background), id="tree_shap"),
+            packed(TWICE), 1.0, 0.0, rows, background), id="tree_shap"),
     ])
     def test_rejected(self, explain, background):
         with pytest.raises(DataValidationError, match="background"):
@@ -340,13 +340,19 @@ class TestOnFittedEnsemble:
 
 
 def tree_terms(model):
-    """(trees, scale, offset) of a fitted ensemble, as the explain command passes them."""
+    """(table, scale, offset) of a fitted ensemble, as the explain command passes them."""
     if model.variant == "rf":
-        return model.trees, 1.0 / len(model.trees), 0.0
-    return model.trees, model.learning_rate, model.base_score
+        return model.table, 1.0 / len(model.trees), 0.0
+    return model.table, model.learning_rate, model.base_score
 
 
-def sum_of_trees(trees, scale, offset):
+def packed(*trees):
+    return NodeTable.pack(trees, trees[0].feature_count)
+
+
+def sum_of_trees(table, scale, offset):
+    trees = table.trees()
+
     def predict(X):
         X = np.atleast_2d(X)
         return offset + scale * sum((t.predict_matrix(X) for t in trees), np.zeros(X.shape[0]))
@@ -422,7 +428,7 @@ class TestTreeShap:
     def test_feature_split_twice_on_a_path(self):
         rows = grid_rows([0.5, 1.5, 2.5, 5.5], [-0.5, 0.5])
         background = grid_rows([0.5, 1.5, 3.5, 6.5], [-0.5, 0.5])
-        terms = ([TWICE, LOOSE], 1.0, 0.0)
+        terms = (packed(TWICE, LOOSE), 1.0, 0.0)
         phi = assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
         assert np.array_equal(phi[:, 2], np.zeros(len(rows)))
 
@@ -430,15 +436,15 @@ class TestTreeShap:
         # every value of feature 0 and 1 sits on a threshold; such a row goes left
         rows = grid_rows([1.0, 2.0, 5.0], [0.0])
         background = grid_rows([1.0, 2.0, 5.0], [0.0, 1.0])
-        terms = ([TWICE, TWICE], 0.5, 3.0)
+        terms = (packed(TWICE, TWICE), 0.5, 3.0)
         assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
 
     def test_single_leaf_trees(self):
         leaf = table([-1], [0.0], [0], [0], [6.0], feature_count=3)
         rows, background = grid_rows([0.5, 5.5], [1.0]), grid_rows([1.0, 2.5], [-1.0])
-        terms = ([leaf, TWICE, leaf], 0.25, 0.0)
+        terms = (packed(leaf, TWICE, leaf), 0.25, 0.0)
         assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
-        base_value, phi = tree_shap([leaf, leaf], 0.5, 1.0, rows, background)
+        base_value, phi = tree_shap(packed(leaf, leaf), 0.5, 1.0, rows, background)
         assert np.array_equal(phi, np.zeros((2, 3)))
         assert base_value == 7.0
 
@@ -491,5 +497,5 @@ class TestTreeShap:
                                            min_size=1, max_size=4)))
         background = np.array(data.draw(st.lists(st.lists(values, min_size=p, max_size=p),
                                                  min_size=1, max_size=6)))
-        terms = (trees, data.draw(st.sampled_from([1.0, 0.5, 0.1])), 2.0)
+        terms = (NodeTable.pack(trees, p), data.draw(st.sampled_from([1.0, 0.5, 0.1])), 2.0)
         assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)

@@ -1,4 +1,4 @@
-"""Peak numpy allocation of batched growth, measured with tracemalloc.
+"""Peak numpy allocation of batched growth and of packed ensembles, measured with tracemalloc.
 
 A batch of trees is grown in chunks of at most `tree.CHUNK_ROWS` rows,
 and a learning curve scores and drops each model as it arrives.  At the
@@ -9,15 +9,24 @@ fit and the curve peak near 5.4 and 5.1 MB or 6.4 and 6.3 MB, so these
 limits fail either change.  The level loop's work arrays are kept across
 calls, so each test passes only if it also holds in a fresh process,
 where the fit allocates them.
+
+A packed ensemble predicts and explains in blocks of at most
+`tree.BLOCK_CELLS` (tree, row) or (row, leaf) cells.  The published
+220-tree forest predicts 7,400 rows (the uncapped `reproduce`'s ICE rows)
+at a peak of 2.0 MB (3.3 MB with twice the cells), and its TreeSHAP of 10
+rows against a 740-row background peaks at 1.4 MB, where each block is one
+tree.  With all trees and rows in one block they peak at 41 and 264 MB.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import synth
 from premex import data as data_mod
 from premex.ensemble import PUBLISHED, ForestConfig, fit_forest
+from premex.explain import tree_shap
 from premex.tuning import cross_val_score, learning_curve
 
 MB = 2**20
@@ -39,6 +48,13 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
+@pytest.fixture(scope="module")
+def published_forest(rows740):
+    forest = fit_forest(rows740, ForestConfig(**PUBLISHED["rf"], seed=1))  # 220 trees
+    forest.table  # packed here, outside the measured calls
+    return forest
+
+
 def test_published_forest_fit(rows740):
     config = ForestConfig(**PUBLISHED["rf"], seed=1)  # 220 trees
     assert peak_bytes(lambda: fit_forest(rows740, config)) < 5.0 * MB
@@ -54,3 +70,14 @@ def test_rf_learning_curve(rows740):
 def test_xgb_cross_validation(rows740):
     # 5 folds of the published 50-stage xgb model, grown in lockstep
     assert peak_bytes(lambda: cross_val_score(rows740, "xgb", {}, 5, seed=3)) < 4.95 * MB
+
+
+def test_published_forest_predicts_ice_rows(rows740, published_forest):
+    X = np.repeat(rows740.X, 10, axis=0)  # 7,400 rows
+    assert peak_bytes(lambda: published_forest.predict(X)) < 2.52 * MB
+
+
+def test_published_forest_tree_shap(rows740, published_forest):
+    scale = 1.0 / len(published_forest.trees)
+    assert peak_bytes(lambda: tree_shap(
+        published_forest.table, scale, 0.0, rows740.X[:10], rows740.X)) < 1.76 * MB

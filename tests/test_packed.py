@@ -1,0 +1,249 @@
+"""One node table per ensemble, against one tree at a time.
+
+`tree.NodeTable` packs an ensemble's trees; prediction, leaf boxes and
+TreeSHAP then run over all trees at once, in blocks of at most
+`BLOCK_CELLS` cells.  Every result must equal, bit for bit, the tree-at-a-
+time oracles of `tests/reference_predict.py`, whatever the block size.
+"""
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_predict as oracle
+from premex import explain as explain_mod
+from premex import tree as tree_mod
+from premex.ensemble import (
+    BoostConfig, BoostedModel, ForestConfig, ForestModel, fit_gbm, load_model, save_model,
+)
+from premex.errors import DataValidationError
+from premex.tree import COLUMNS, NodeTable, RegressionTree
+from premex.tuning import fit_variant
+
+# thresholds and cell values share a small set, so rows often sit on a
+# threshold; -0.0 and 0.0 both occur
+CUTS = [-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.25]
+
+
+def bits(array) -> np.ndarray:
+    """The float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.int64)
+
+
+def assert_same_bits(actual, expected):
+    assert np.asarray(actual).shape == np.asarray(expected).shape
+    assert np.array_equal(bits(actual), bits(expected))
+
+
+def random_tree(data, p: int, max_depth: int) -> RegressionTree:
+    """A node table of depth at most max_depth, numbered depth-first as grown trees are."""
+    columns = {name: [] for name in COLUMNS}
+
+    def grow(depth):
+        node = len(columns["feature"])
+        for name, initial in zip(COLUMNS, (-1, 0.0, node, node, 0.0, 1)):
+            columns[name].append(initial)
+        if depth < max_depth and data.draw(st.booleans()):
+            columns["feature"][node] = data.draw(st.integers(0, p - 1))
+            columns["threshold"][node] = data.draw(st.sampled_from(CUTS))
+            columns["left"][node] = grow(depth + 1)
+            columns["right"][node] = grow(depth + 1)
+        else:
+            columns["value"][node] = data.draw(
+                st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0]))
+        return node
+
+    grow(0)
+    return RegressionTree.from_dict(columns, p)
+
+
+def random_matrix(data, p: int, max_rows: int) -> np.ndarray:
+    cell = st.sampled_from(CUTS) | st.floats(-4.0, 4.0, allow_nan=False)
+    rows = data.draw(st.lists(st.lists(cell, min_size=p, max_size=p),
+                              min_size=1, max_size=max_rows))
+    return np.array(rows, dtype=np.float64)
+
+
+def random_ensemble(data):
+    p = data.draw(st.integers(1, 5))
+    trees = [random_tree(data, p, data.draw(st.integers(0, 6)))
+             for _ in range(data.draw(st.integers(1, 7)))]
+    return p, trees
+
+
+def forest_and_boosted(trees, p):
+    names = [f"x{j}" for j in range(p)]
+    forest = ForestModel(trees=trees, config=ForestConfig(n_estimators=len(trees)),
+                         feature_names=names)
+    boosted = BoostedModel(variant="xgb", base_score=3.7, learning_rate=0.3, trees=trees,
+                           config=BoostConfig(n_estimators=len(trees)), feature_names=names)
+    return forest, boosted
+
+
+class TestPrediction:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_trees_equal_tree_at_a_time(self, data):
+        p, trees = random_ensemble(data)
+        X = random_matrix(data, p, 30)
+        forest, boosted = forest_and_boosted(trees, p)
+        n_stages = data.draw(st.integers(0, len(trees)))
+        block = data.draw(st.sampled_from([1, 5, 64, tree_mod.BLOCK_CELLS]))
+        with mock.patch.object(tree_mod, "BLOCK_CELLS", block):
+            assert_same_bits(forest.predict(X), oracle.forest_predict(trees, X))
+            assert_same_bits(boosted.predict(X), oracle.boosted_predict(trees, 3.7, 0.3, X))
+            assert_same_bits(boosted.predict(X, n_stages=n_stages),
+                             oracle.boosted_predict(trees[:n_stages], 3.7, 0.3, X))
+        for tree in trees:
+            assert_same_bits(tree.predict_matrix(X), oracle.tree_predictions(tree, X))
+            assert [tree.predict_row(row) for row in X] == oracle.tree_predictions(tree, X).tolist()
+
+    def test_single_leaf_trees(self):
+        leaf = RegressionTree.from_dict(
+            {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [2.5],
+             "count": [3]}, 2)
+        forest, boosted = forest_and_boosted([leaf, leaf, leaf], 2)
+        X = np.arange(8.0).reshape(4, 2)
+        assert forest.table.depth.tolist() == [0, 0, 0]
+        assert_same_bits(forest.predict(X), oracle.forest_predict([leaf] * 3, X))
+        assert_same_bits(boosted.predict(X), oracle.boosted_predict([leaf] * 3, 3.7, 0.3, X))
+
+    def test_zero_stage_boosted_model(self, small_regression):
+        model = fit_gbm(small_regression, BoostConfig(n_estimators=0, seed=1))
+        assert model.table.n_trees == 0
+        X = small_regression.X
+        assert_same_bits(model.predict(X), oracle.boosted_predict([], model.base_score, 0.1, X))
+
+    @pytest.mark.parametrize("variant,params", [
+        ("rf", {"n_estimators": 22}),
+        ("gbm", {}),
+        ("xgb", {}),
+    ])
+    @pytest.mark.parametrize("n_rows", [1, 7400])
+    def test_fitted_models(self, synth_dataset, variant, params, n_rows):
+        model = fit_variant(variant, synth_dataset, params, 3)
+        rng = np.random.default_rng(n_rows)
+        X = synth_dataset.X[rng.integers(0, synth_dataset.n, size=n_rows)]
+        X[:, 0] += rng.integers(-3, 4, size=n_rows)  # other ages, some of them unseen
+        if variant == "rf":
+            expected = oracle.forest_predict(model.trees, X)
+        else:
+            expected = oracle.boosted_predict(model.trees, model.base_score,
+                                              model.learning_rate, X)
+        assert_same_bits(model.predict(X), expected)
+
+
+class TestLeafBoxes:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_trees_equal_tree_at_a_time(self, data):
+        p, trees = random_ensemble(data)
+        table = NodeTable.pack(trees, p)
+        expected = [oracle.leaf_boxes(tree, p) for tree in trees]
+        for t, (leaves, lo, hi) in enumerate(expected):
+            got = table.leaf_boxes(t, t + 1)
+            assert np.array_equal(got[0], leaves + table.first[t])
+            assert_same_bits(got[1], lo)
+            assert_same_bits(got[2], hi)
+        start = data.draw(st.integers(0, len(trees) - 1))
+        stop = data.draw(st.integers(start + 1, len(trees)))
+        leaves, lo, hi = table.leaf_boxes(start, stop)
+        assert np.array_equal(leaves, np.concatenate(
+            [expected[t][0] + table.first[t] for t in range(start, stop)]))
+        assert_same_bits(lo, np.concatenate([expected[t][1] for t in range(start, stop)]))
+        assert_same_bits(hi, np.concatenate([expected[t][2] for t in range(start, stop)]))
+
+
+class TestTreeShap:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_trees_equal_tree_at_a_time(self, data):
+        p, trees = random_ensemble(data)
+        rows = random_matrix(data, p, 6)
+        background = random_matrix(data, p, 9)
+        scale = data.draw(st.sampled_from([1.0, 0.5, 0.1]))
+        block = data.draw(st.sampled_from([1, 7, 100, explain_mod.BLOCK_CELLS]))
+        with mock.patch.object(tree_mod, "BLOCK_CELLS", block), \
+                mock.patch.object(explain_mod, "BLOCK_CELLS", block):
+            base_value, phi = explain_mod.tree_shap(NodeTable.pack(trees, p), scale, 2.0,
+                                                    rows, background)
+        expected_base, expected_phi = oracle.tree_shap(trees, scale, 2.0, rows, background)
+        assert_same_bits(base_value, expected_base)
+        assert_same_bits(phi, expected_phi)
+
+    @pytest.mark.parametrize("variant,params", [
+        ("rf", {"n_estimators": 22}),
+        ("gbm", {}),
+        ("xgb", {}),
+    ])
+    def test_fitted_models(self, synth_dataset, variant, params):
+        model = fit_variant(variant, synth_dataset.subset(np.arange(200)), params, 5)
+        scale, offset = ((1.0 / len(model.trees), 0.0) if variant == "rf"
+                         else (model.learning_rate, model.base_score))
+        rows, background = synth_dataset.X[200:230], synth_dataset.X[:200]
+        # 200 background rows: the rf's trees fall into several blocks
+        got = explain_mod.tree_shap(model.table, scale, offset, rows, background)
+        expected = oracle.tree_shap(model.trees, scale, offset, rows, background)
+        assert_same_bits(got[0], expected[0])
+        assert_same_bits(got[1], expected[1])
+
+
+def two_stage_documents():
+    """A root split and a lone leaf, as to_dict() writes them."""
+    split = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, 1, 2],
+             "right": [2, 1, 2], "value": [0.0, 1.0, 2.0], "count": [2, 1, 1]}
+    leaf = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [4.0],
+            "count": [2]}
+    return [split, leaf]
+
+
+class TestLoading:
+    def test_round_trip(self):
+        documents = two_stage_documents() * 3
+        table = NodeTable.from_dicts(documents, 2)
+        assert table.to_dicts() == documents
+        assert [tree.to_dict() for tree in table.trees()] == documents
+        assert table.depth.tolist() == [1, 0] * 3
+        assert table.first.tolist() == [0, 3, 4, 7, 8, 11]
+
+    def test_first_malformed_tree_names_the_error(self):
+        documents = two_stage_documents() * 2
+        documents[1] = dict(documents[1], left=[1])  # tree 1: a leaf pointing away
+        documents[3] = dict(documents[3], value=[float("nan")])  # tree 3: checked earlier
+        with pytest.raises(DataValidationError, match="leaf must point to itself"):
+            NodeTable.from_dicts(documents, 2)
+        documents[1], documents[3] = documents[3], documents[1]
+        with pytest.raises(DataValidationError, match="finite"):
+            NodeTable.from_dicts(documents, 2)
+
+    def test_each_tree_checked_as_a_table_of_its_own(self):
+        # a child id that would be valid in the whole table but not in its tree
+        documents = two_stage_documents()
+        documents[0] = dict(documents[0], right=[3, 1, 2])
+        with pytest.raises(DataValidationError, match="child ids"):
+            NodeTable.from_dicts(documents, 2)
+
+    def test_column_kinds_are_read_per_tree(self):
+        # numpy reads [True, 1] as integers and [True] as booleans, in a
+        # tree of its own as in a file of several trees
+        documents = two_stage_documents()
+        documents[0] = dict(documents[0], count=[2, True, 1])
+        assert NodeTable.from_dicts(documents, 2).count.tolist() == [2, 1, 1, 2]
+        documents[1] = dict(documents[1], count=[True])
+        with pytest.raises(DataValidationError, match="'count' must be a non-empty list"):
+            NodeTable.from_dicts(documents, 2)
+
+    def test_saved_model_loads_packed(self, small_regression, tmp_path):
+        model = fit_gbm(small_regression, BoostConfig(n_estimators=5, max_depth=3, seed=4))
+        save_model(model, tmp_path / "gbm.json")
+        clone = load_model(tmp_path / "gbm.json")
+        saved = json.loads((tmp_path / "gbm.json").read_text())["trees"]
+        assert saved == [tree.to_dict() for tree in model.trees]
+        for name in COLUMNS:
+            assert np.array_equal(getattr(clone.table, name), getattr(model.table, name))
+        assert np.array_equal(clone.table.depth, model.table.depth)
+        assert [t.depth() for t in clone.trees] == [t.depth() for t in model.trees]
