@@ -24,6 +24,10 @@ sorted column blocks of XGBoost (Chen & Guestrin 2016, arXiv 1603.02754):
   rows first, so no column is sorted again.  The threshold lies between
   the values at the chosen cut and the position after it, so the rows
   through the cut go left: a split sends cut + 1 rows left, uncounted.
+  The rows after the cut in the split feature's order are marked in one
+  lookup; each order then compresses its split nodes' keys, left rows and
+  right rows apart, each in position order, into the nodes' left and
+  right spans.
 * One depth level at a time, all open nodes are scored together.  Their
   ranges are laid out as padded (feature, node, position) blocks of nodes
   of similar size, and a cumulative sum runs along each node's positions
@@ -166,20 +170,6 @@ class RegressionTree:
 
     def node_count(self) -> int:
         return int(self.feature.size)
-
-    def predict_row(self, row) -> float:
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (self.feature_count,):
-            raise DataValidationError(
-                f"row has {row.shape} values, tree expects {self.feature_count}"
-            )
-        node = 0
-        while self.feature[node] >= 0:
-            if row[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return float(self.value[node])
 
     def predict_matrix(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -334,7 +324,7 @@ class NodeTable:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise DataValidationError(
-                f"matrix has {X.shape[-1]} columns, model expects {self.feature_count}"
+                f"matrix has shape {X.shape}, model expects (*, {self.feature_count})"
             )
         roots = self.first[:n_trees]
         if not roots.size:
@@ -767,7 +757,9 @@ class _SortedColumns:
     plain rows in row order.  Row n and position n are padding, with
     x = -inf and a = b = -0.0.  keys, x, a and b are the work arrays of
     those names; a level's temporaries are the work arrays 0 and 1, of
-    8-byte items, and 2 and 3, of 1-byte items.
+    8-byte items, and 2 and 3, of 1-byte items: _score uses 0, 1 and 2,
+    and partition takes its keys into 0, their rows' goes-right marks
+    into 2, and marks the rows that go right in 3.
     """
 
     def __init__(self, jobs, a, b):
@@ -928,36 +920,25 @@ class _SortedColumns:
 
         Sorted by its split feature, a node's first n_left rows go left;
         every row of keys, or only keys[-1], is partitioned by that one set.
+        So every row of keys holds each node's left rows in the same number:
+        its left keys, taken in position order, fill the nodes' left spans,
+        and its right keys their right spans.
         """
-        at = _spans(start, size)  # node by node
-        within = at - start.repeat(size)
-        goes_right = within >= n_left.repeat(size)
-        split_feature = feature.repeat(size)[goes_right]
-        right = self.keys[split_feature, at[goes_right]] - self.x.shape[1] * split_feature
-        # by key, flat as in x: +1 left, -1 right; keys[-1]'s plain rows read sign[0]
+        right_at = _spans(start + n_left, size - n_left)
+        split_feature = feature.repeat(size - n_left)
+        right = self.keys[split_feature, right_at] - self.x.shape[1] * split_feature
+        # by key, flat as in x; keys[-1]'s plain rows read goes_right[0]
         keys = self.keys[-1:] if row_order_only else self.keys
-        sign = self.work.get(3, (min(keys.shape[0], self.x.shape[0]), self.x.shape[1]), np.int8)
-        sign[:] = 1
-        sign[:, right] = -1
+        goes_right = self.work.get(3, (min(keys.shape[0], self.x.shape[0]), self.x.shape[1]), bool)
+        goes_right[:] = False
+        goes_right[:, right] = True
+        at = _spans(start, size)
         shape = (keys.shape[0], at.size)
         taken = keys.take(at, axis=1, out=self.work.get(0, shape, np.int64), mode="wrap")
-        s = sign.take(taken, out=self.work.get(2, shape, np.int8), mode="wrap")
-        # A key in node j moves to start[j] + (the node's left keys through
-        # it) - 1 if it goes left, and to start[j] + n_left[j] + (the
-        # node's right keys through it) - 1 if not.  With S the running sum
-        # of s along its row of keys, both are (s * (S + p[j]) + q) / 2:
-        # every row holds each node's left rows in the same number, so S
-        # enters node j at the earlier nodes' lefts less their rights,
-        # lefts_before[j] - (first[j] - lefts_before[j]).
-        first = size.cumsum() - size  # node j's first index into at
-        lefts_before = n_left.cumsum() - n_left
-        to = s.cumsum(axis=1, out=self.work.get(1, shape, np.int64))
-        to += (first - 2 * lefts_before - n_left).repeat(size)  # p
-        to *= s
-        to += (2 * start + n_left - 1).repeat(size) + within  # q
-        to >>= 1
-        to += keys.shape[1] * np.arange(keys.shape[0])[:, None]  # flat index into keys
-        keys.reshape(-1)[to] = taken  # keys is C-contiguous: reshape is a view
+        moves = goes_right.take(taken, out=self.work.get(2, shape, bool), mode="wrap")
+        keys[:, right_at] = taken.take(np.flatnonzero(moves)).reshape(shape[0], -1)
+        np.logical_not(moves, out=moves)
+        keys[:, _spans(start, n_left)] = taken.take(np.flatnonzero(moves)).reshape(shape[0], -1)
 
 
 def _depth_first_tables(level_sizes, tree, feature, threshold, value, count, n_trees,

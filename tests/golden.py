@@ -3,8 +3,10 @@
 `tests/test_golden.py` runs GOLDEN_ARGS on `synth.make_csv_text(DATA_ROWS,
 DATA_SEED)` and compares the run's manifest with `tests/data/golden_manifest.json`.
 It also runs `explain` in the ICE modes that `reproduce` never writes (raw and
-derivative, ICE_RUNS) on the run's `model_gbm.json`, and records those files'
-hashes under `<run>/<file>`.
+derivative, ICE_RUNS) on the run's `model_gbm.json`, and `tune` once per
+variant on the run's `dataset.json` (TUNE_GRIDS: unsorted `n_estimators`
+values, never the grid's last key), and records those files' hashes under
+`<run>/<file>`.
 A change that moves artifact bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/golden.py --write
@@ -33,6 +35,18 @@ GOLDEN_ARGS = ["--folds", "2", "--background-size", "10", "--explain-rows", "4",
                "--ice-rows", "5", "--grid-points", "5"]
 ICE_ARGS = ["--mode", "ice", "--rows", "5", "--grid-points", "5"]
 ICE_RUNS = {"ice_raw": [], "ice_derivative": ["--derivative"]}
+TUNE_ARGS = ["--folds", "2"]
+TUNE_GRIDS = {
+    "rf": {"n_estimators": [5, 2, 3], "max_depth": [2, 4]},
+    "gbm": {"n_estimators": [4, 1, 3], "learning_rate": [0.19, 0.3]},
+    "xgb": {"max_depth": [2, 3], "n_estimators": [6, 2, 4], "subsample": [0.75]},
+}
+
+
+def _hash_dir(files, run, run_dir) -> None:
+    for name in sorted(os.listdir(run_dir)):
+        with open(os.path.join(run_dir, name), "rb") as handle:
+            files[f"{run}/{name}"] = hashlib.sha256(handle.read()).hexdigest()
 
 
 def run_manifest(work_dir) -> dict:
@@ -56,9 +70,19 @@ def run_manifest(work_dir) -> dict:
         ])
         if result.exit_code != 0:
             raise RuntimeError(f"explain {run} exited {result.exit_code}: {result.output}")
-        for name in sorted(os.listdir(ice_dir)):
-            with open(os.path.join(ice_dir, name), "rb") as handle:
-                files[f"{run}/{name}"] = hashlib.sha256(handle.read()).hexdigest()
+        _hash_dir(files, run, ice_dir)
+    for variant, grid in TUNE_GRIDS.items():
+        grid_path = os.path.join(work_dir, f"grid_{variant}.json")
+        with open(grid_path, "w", encoding="utf-8") as handle:
+            json.dump(grid, handle)
+        tune_dir = os.path.join(work_dir, f"tune_{variant}")
+        result = CliRunner().invoke(main, [
+            "tune", os.path.join(out_dir, "dataset.json"), "--model", variant,
+            "--grid", grid_path, "--out", tune_dir, *TUNE_ARGS,
+        ])
+        if result.exit_code != 0:
+            raise RuntimeError(f"tune {variant} exited {result.exit_code}: {result.output}")
+        _hash_dir(files, f"tune_{variant}", tune_dir)
     return files
 
 
@@ -75,6 +99,13 @@ def write_golden(files: dict) -> None:
                   "--split", "out/split.json", "--out", run, *ICE_ARGS, *flags]
             for run, flags in ICE_RUNS.items()
         },
+        "tune_commands": {
+            f"tune_{variant}": ["premex", "tune", "out/dataset.json", "--model", variant,
+                                "--grid", f"grid_{variant}.json", "--out", f"tune_{variant}",
+                                *TUNE_ARGS]
+            for variant in TUNE_GRIDS
+        },
+        "tune_grids": TUNE_GRIDS,
         "data": {"generator": "tests/synth.py make_csv_text", "n": DATA_ROWS,
                  "seed": DATA_SEED},
         "numpy": np.__version__,

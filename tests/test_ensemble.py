@@ -117,8 +117,8 @@ class TestForest:
         probe = small_regression.X[:25]
         stacked = np.stack([t.predict_matrix(probe) for t in forest.trees])
         assert np.array_equal(forest.predict(probe), stacked.mean(axis=0))
-        row = small_regression.X[0]
-        assert [t.predict_row(row) for t in forest.trees] == stacked[:, 0].tolist()
+        row = small_regression.X[:1]
+        assert [t.predict_matrix(row)[0] for t in forest.trees] == stacked[:, 0].tolist()
 
     def test_same_seed_bit_identical_files(self, small_regression, tmp_path):
         config = ForestConfig(n_estimators=5, max_depth=3, seed=77)
@@ -196,7 +196,7 @@ class TestGbm:
                 config=BoostConfig(), feature_names=["a", "b", "c"],
             )
             for n_stages in (None, 0):
-                with pytest.raises(DataValidationError, match="model expects 3"):
+                with pytest.raises(DataValidationError, match=r"model expects \(\*, 3\)"):
                     model.predict(X, n_stages=n_stages)
 
     def test_one_stage_arithmetic(self):
@@ -218,6 +218,19 @@ class TestGbm:
             fit_gbm(small_regression, BoostConfig(learning_rate=0.0))
         with pytest.raises(DataValidationError):
             fit_gbm(small_regression, BoostConfig(subsample=0.0))
+
+
+@pytest.mark.parametrize("model", [
+    ForestModel(trees=[leaf_tree(1.0)], config=ForestConfig(n_estimators=1),
+                feature_names=["a", "b"]),
+    BoostedModel(variant="xgb", base_score=0.0, learning_rate=0.1, trees=[leaf_tree(1.0)],
+                 config=BoostConfig(n_estimators=1), feature_names=["a", "b"]),
+], ids=["rf", "xgb"])
+def test_predict_reports_input_shape(model):
+    # a 3-d input has as many trailing columns as the model has features
+    with pytest.raises(DataValidationError,
+                       match=r"matrix has shape \(2, 3, 2\), model expects \(\*, 2\)"):
+        model.predict(np.zeros((2, 3, 2)))
 
 
 def classic_residual_fit(data, config):
@@ -283,6 +296,50 @@ class TestXgb:
         magnitudes = [stage_magnitudes(lam) for lam in (0.0, 5.0, 50.0)]
         assert np.all(magnitudes[1] < magnitudes[0])
         assert np.all(magnitudes[2] < magnitudes[1])
+
+
+def fold_jobs(data):
+    """Three (dataset, seed) jobs on different rows, as a CV loop passes fit_models."""
+    ids = np.arange(data.n)
+    return [(data.subset(ids[ids % 3 != k]), 10 + k) for k in range(3)]
+
+
+class TestPrefixes:
+    """The first m trees of an N-tree model are the m-tree model, bit for bit.
+
+    Forest tree k draws from stream(seed, "forest_tree", k) and boosting
+    stage t from stream(seed, "stage", t), neither depending on
+    n_estimators, and prediction adds trees in order.
+    """
+
+    @staticmethod
+    def forest_prefix(model, X, m):
+        out = np.zeros(X.shape[0])
+        model.table.add_predictions(X, out, n_trees=m)
+        return out / m
+
+    @pytest.mark.parametrize("together", [False, True])
+    def test_forest(self, small_regression, together):
+        config = ForestConfig(n_estimators=12, max_depth=4, seed=3)
+        jobs = fold_jobs(small_regression) if together else [(small_regression, 3)]
+        full = list(fit_models("rf", config, jobs))
+        X = small_regression.X
+        for m in (1, 7, 12):
+            shorter = list(fit_models("rf", replace(config, n_estimators=m), jobs))
+            for model, short in zip(full, shorter, strict=True):
+                assert np.array_equal(self.forest_prefix(model, X, m), short.predict(X))
+
+    @pytest.mark.parametrize("together", [False, True])
+    def test_xgb_with_subsample(self, small_regression, together):
+        config = BoostConfig(n_estimators=12, learning_rate=0.3, max_depth=3, subsample=0.75,
+                             seed=5)
+        jobs = fold_jobs(small_regression) if together else [(small_regression, 5)]
+        full = list(fit_models("xgb", config, jobs))
+        X = small_regression.X
+        for m in (0, 1, 5, 12):
+            shorter = list(fit_models("xgb", replace(config, n_estimators=m), jobs))
+            for model, short in zip(full, shorter, strict=True):
+                assert np.array_equal(model.predict(X, n_stages=m), short.predict(X))
 
 
 class TestSerialization:

@@ -100,7 +100,6 @@ class TestPrediction:
                              oracle.boosted_predict(trees[:n_stages], 3.7, 0.3, X))
         for tree in trees:
             assert_same_bits(tree.predict_matrix(X), oracle.tree_predictions(tree, X))
-            assert [tree.predict_row(row) for row in X] == oracle.tree_predictions(tree, X).tolist()
 
     def test_single_leaf_trees(self):
         leaf = RegressionTree.from_dict(

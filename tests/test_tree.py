@@ -129,22 +129,27 @@ class TestFitTree:
             fit_tree(np.ones((4, 2)), np.arange(3.0), TreeConfig(), stream(0, "t"))
 
 
+def predict_one(tree, row):
+    """The tree's prediction for one row, as a one-row predict_matrix call."""
+    return tree.predict_matrix(np.asarray(row, dtype=np.float64)[None, :])[0]
+
+
 class TestPredict:
     def test_single_leaf_any_row(self):
         tree = fit_tree(np.ones((3, 2)), np.full(3, 7.5), TreeConfig(), stream(0, "t"))
-        assert tree.predict_row([123.0, -5.0]) == 7.5
+        assert predict_one(tree, [123.0, -5.0]) == 7.5
 
     def test_traversal_of_known_split(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([1.0, 1.0, 3.0, 3.0])
         tree = fit_tree(X, y, TreeConfig(max_depth=1), stream(0, "t"))
-        assert tree.predict_row([1.5]) == 1.0
+        assert predict_one(tree, [1.5]) == 1.0
 
     def test_boundary_value_goes_left(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([1.0, 1.0, 3.0, 3.0])
         tree = fit_tree(X, y, TreeConfig(max_depth=1), stream(0, "t"))
-        assert tree.predict_row([tree.threshold[0]]) == 1.0
+        assert predict_one(tree, [tree.threshold[0]]) == 1.0
 
     def test_piecewise_constant_between_thresholds(self):
         rng = np.random.default_rng(8)
@@ -153,11 +158,11 @@ class TestPredict:
         tree = fit_tree(X, y, TreeConfig(max_depth=3), stream(0, "t"))
         cuts = sorted(tree.threshold[tree.feature == 0])
         row = X[0].copy()
-        base = tree.predict_row(row)
+        base = predict_one(tree, row)
         # nudge feature 0 without crossing any cut
         nearest_above = min((c for c in cuts if c > row[0]), default=row[0] + 1.0)
         row[0] += (nearest_above - row[0]) * 0.5
-        assert tree.predict_row(row) == base
+        assert predict_one(tree, row) == base
 
     def test_matrix_and_row_predictions_agree(self):
         rng = np.random.default_rng(4)
@@ -166,13 +171,13 @@ class TestPredict:
         tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
         probe = rng.normal(size=(20, 3))
         batch = tree.predict_matrix(probe)
-        rows = np.array([tree.predict_row(r) for r in probe])
+        rows = np.array([predict_one(tree, r) for r in probe])
         assert np.array_equal(batch, rows)
 
     def test_dimension_mismatch(self):
         tree = fit_tree(np.ones((3, 2)), np.arange(3.0), TreeConfig(), stream(0, "t"))
         with pytest.raises(DataValidationError):
-            tree.predict_row([1.0])
+            predict_one(tree, [1.0])
 
 
 class TestMidpointThresholds:
