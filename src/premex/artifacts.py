@@ -55,12 +55,21 @@ def write_json_artifact(path, kind: str, payload: dict, *, seed=None, config=Non
     write_text_atomic(path, canonical_json(document) + "\n")
 
 
-def read_json_artifact(path, kind: str) -> dict:
+def read_json(path):
+    """The JSON document in the UTF-8 file at `path`; DataValidationError
+    naming the file if it is not UTF-8 JSON or nests too deeply to parse."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except json.JSONDecodeError as exc:
+            return json.load(handle)
+    # JSONDecodeError, UnicodeDecodeError, or an int of too many digits
+    except ValueError as exc:
         raise DataValidationError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise DataValidationError(f"{path}: JSON nested too deeply to read") from None
+
+
+def read_json_artifact(path, kind: str) -> dict:
+    document = read_json(path)
     if not isinstance(document, dict) or not isinstance(document.get("meta"), dict):
         raise DataValidationError(f"{path}: missing meta block")
     version = document["meta"].get("format_version")

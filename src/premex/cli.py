@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage, 3 data validation, 4 I/O, 5 numeric.
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +28,9 @@ from . import explain as explain_mod
 from . import metrics as metrics_mod
 from . import report as report_mod
 from . import tuning as tuning_mod
-from .artifacts import FORMAT_VERSION, config_hash, write_json_artifact, write_text_atomic
+from .artifacts import (
+    FORMAT_VERSION, config_hash, read_json, write_json_artifact, write_text_atomic,
+)
 from .errors import DataValidationError, NumericError
 from .rng import derive_seed, stream
 
@@ -56,17 +59,28 @@ def guarded(fn):
     return wrapper
 
 
+def _finite_number(text):
+    """A JSON number or constant (NaN, Infinity) of the config file, if finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise click.UsageError(f"config file holds {text}, which is not a finite number")
+    return value
+
+
 def _load_config_map(ctx, param, value):
     """--config JSON supplies per-command flag defaults: {"train": {...}}."""
     if not value:
         return None
     try:
         with open(value, "r", encoding="utf-8") as handle:
-            mapping = json.load(handle)
+            mapping = json.load(handle, parse_constant=_finite_number, parse_float=_finite_number)
     except OSError as exc:
         raise click.UsageError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, UnicodeDecodeError, or an int of too many digits
+    except ValueError as exc:
         raise click.UsageError(f"config file is not valid JSON: {exc}")
+    except RecursionError:
+        raise click.UsageError("config file is nested too deeply to read")
     if not isinstance(mapping, dict):
         raise click.UsageError("config file must hold an object of command sections")
     normalized = {}
@@ -191,10 +205,10 @@ def _train_one(train_data, variant, params, seed, out_dir):
         "train_rows": train_data.n,
         "train_r_squared": train_r2,
         "fit_seconds": elapsed,
-        # read off the node tables
-        "nodes": sum(tree.node_count() for tree in model.trees),
-        "leaves": sum(int((tree.feature < 0).sum()) for tree in model.trees),
-        "depth": max((tree.depth() for tree in model.trees), default=0),
+        # read off the node table
+        "nodes": int(model.trees.feature.size),
+        "leaves": int((model.trees.feature < 0).sum()),
+        "depth": int(model.trees.depth.max(initial=0)),
     }
     write_json_artifact(
         os.path.join(out_dir, f"run_report_{variant}.json"),
@@ -264,11 +278,7 @@ def tune(dataset_path, variant, grid_path, folds, seed, split_fraction, out_dir)
     """Exhaustive grid search with k-fold cross-validation on the train split."""
     dataset = data_mod.dataset_from_json(dataset_path)
     if grid_path:
-        with open(grid_path, "r", encoding="utf-8") as handle:
-            try:
-                grid = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise DataValidationError(f"{grid_path}: not valid JSON: {exc}")
+        grid = read_json(grid_path)
     else:
         grid = tuning_mod.DEFAULT_GRIDS[variant]
     split = data_mod.train_test_split(dataset.n, split_fraction, seed)
@@ -353,7 +363,7 @@ def _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir):
     else:
         scale, offset = model.learning_rate, model.base_score
     base_value, phi = explain_mod.tree_shap(
-        model.table, scale, offset, rows, dataset.X[background_ids]
+        model.trees, scale, offset, rows, dataset.X[background_ids]
     )
     totals, order = explain_mod.importance(phi)
     ranked = [names[j] for j in order]

@@ -132,7 +132,10 @@ def load_csv(path) -> Dataset:
     failed check raises DataValidationError naming the row (and column).
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
+        try:
+            reader = csv.reader(handle.readlines())
+        except UnicodeDecodeError as exc:
+            raise DataValidationError(f"{path}: not UTF-8 text: {exc}") from exc
         try:
             header = next(reader)
         except StopIteration:

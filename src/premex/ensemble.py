@@ -9,11 +9,12 @@
 Each tree/stage draws from its own stream derived from (seed, index), so
 fitting order never changes the result.
 
-A model packs its trees into one `tree.NodeTable` on first use, and its
-`trees` then view that table.  Prediction descends all trees at once, one
-gather per level, and adds their leaf values in tree order, so it gives
-the bits a loop over the trees gives.  save_model writes the table's
-trees and load_model checks and packs every tree of a file in one pass.
+A model's `trees` is one `tree.NodeTable`, the table its fit grew or its
+file held: len(model.trees) counts its trees and model.trees[i] is tree
+i.  Prediction descends all trees at once, one gather per level, and adds
+their leaf values in tree order, so it gives the bits a loop over the
+trees gives.  save_model writes the table's trees and load_model checks
+every tree of a file in one pass.
 
 `PUBLISHED` is the one home of the published best hyperparameters;
 `variant_config` lays a parameter dict over them.  Every config checks
@@ -23,7 +24,7 @@ included, and raises DataValidationError.
 
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -134,45 +135,28 @@ def variant_config(variant: str, params: dict, seed: int):
     return (ForestConfig if variant == "rf" else BoostConfig)(**merged)
 
 
-class _Packed:
-    """A model's trees packed into one `table`, on first use or by load_model.
-
-    Once packed, `trees` are views of the table, so a model holds each
-    node once.
-    """
-
-    @property
-    def table(self) -> NodeTable:
-        if self._table is None:
-            self._table = NodeTable.pack(self.trees, len(self.feature_names))
-            self.trees = self._table.trees()
-        return self._table
-
-
 @dataclass
-class ForestModel(_Packed):
-    trees: list
+class ForestModel:
+    trees: NodeTable
     config: ForestConfig
     feature_names: list
     variant: str = "rf"
-    _table: NodeTable | None = field(default=None, repr=False, compare=False)
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.zeros(X.shape[0])
-        self.table.add_predictions(X, out)
+        self.trees.add_predictions(X, out)
         return out / len(self.trees)
 
 
 @dataclass
-class BoostedModel(_Packed):
+class BoostedModel:
     variant: str  # "gbm" or "xgb"
     base_score: float
     learning_rate: float
-    trees: list
+    trees: NodeTable  # the stages
     config: BoostConfig
     feature_names: list
-    _table: NodeTable | None = field(default=None, repr=False, compare=False)
 
     def predict(self, X, n_stages: int | None = None) -> np.ndarray:
         """The prediction of the first n_stages stages, or of all of them if None."""
@@ -183,7 +167,7 @@ class BoostedModel(_Packed):
             )
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.full(X.shape[0], self.base_score)
-        self.table.add_predictions(X, out, scale=self.learning_rate, n_trees=n_stages)
+        self.trees.add_predictions(X, out, scale=self.learning_rate, n_trees=n_stages)
         return out
 
 
@@ -268,12 +252,13 @@ def _boost_lockstep(config: BoostConfig, group, variant: str) -> list:
     """Stagewise second-order boosting under squared loss: g = pred - y, h = 1.
 
     Stage t of every model of the group is one batch, and each model's
-    stages share one `tree.Presorted` of its data.
+    stages share one `tree.Presorted` of its data.  Model i's stages are
+    the i-th trees of the stages' tables, joined into one at the end.
     """
     tree_config = config.tree_config()
     matrices = [Presorted(data.X) for data, _ in group]
     predictions = [np.full(data.n, float(data.y.mean())) for data, _ in group]
-    stages = [[] for _ in group]
+    stages = []  # one table per stage, its trees in group order
 
     def stage_jobs(t):
         for (data, seed), matrix, prediction in zip(group, matrices, predictions):
@@ -283,20 +268,20 @@ def _boost_lockstep(config: BoostConfig, group, variant: str) -> list:
             yield matrix, rows, grad[rows], np.ones(rows.size), rng
 
     for t in range(config.n_estimators):
-        trees = fit_trees_gradients(stage_jobs(t), tree_config, config.reg_lambda, config.gamma)
-        for i, ((data, _), tree) in enumerate(zip(group, trees)):
-            stages[i].append(tree)
-            predictions[i] = predictions[i] + config.learning_rate * tree.predict_matrix(data.X)
+        stage = fit_trees_gradients(stage_jobs(t), tree_config, config.reg_lambda, config.gamma)
+        stages.append(stage)
+        for i, (data, _) in enumerate(group):
+            predictions[i] = predictions[i] + config.learning_rate * stage[i].predict_matrix(data.X)
     return [
         BoostedModel(
             variant=variant,
             base_score=float(data.y.mean()),
             learning_rate=config.learning_rate,
-            trees=own,
+            trees=NodeTable.join([stage[i] for stage in stages], data.m),
             config=replace(config, seed=seed),
             feature_names=list(data.feature_names),
         )
-        for (data, seed), own in zip(group, stages)
+        for i, (data, seed) in enumerate(group)
     ]
 
 
@@ -325,7 +310,7 @@ def save_model(model, path) -> None:
         "variant": model.variant,
         "config": asdict(model.config),
         "feature_names": model.feature_names,
-        "trees": model.table.to_dicts(),
+        "trees": model.trees.to_dicts(),
     }
     if isinstance(model, BoostedModel):
         payload.update(base_score=model.base_score, learning_rate=model.learning_rate)
@@ -359,7 +344,7 @@ def load_model(path):
         raise DataValidationError(f"{path}: {exc}") from exc
     if variant == "rf":
         config = _config_from(document, ForestConfig, path)
-        return ForestModel(trees=table.trees(), config=config, feature_names=names, _table=table)
+        return ForestModel(trees=table, config=config, feature_names=names)
     config = _config_from(document, BoostConfig, path)
     scalars = [document.get("base_score"), document.get("learning_rate")]
     if not all(_finite(v) for v in scalars):
@@ -368,8 +353,7 @@ def load_model(path):
         variant=variant,
         base_score=float(scalars[0]),
         learning_rate=float(scalars[1]),
-        trees=table.trees(),
+        trees=table,
         config=config,
         feature_names=names,
-        _table=table,
     )

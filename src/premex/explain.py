@@ -4,7 +4,7 @@ The Shapley value function is interventional: val(S) replaces the
 features outside S with background rows and averages the predictions.
 
 `tree_shap` computes these values for a tree ensemble in closed form from
-its packed node table (`tree.NodeTable`).  For an explained row x and a
+its node table (`tree.NodeTable`).  For an explained row x and a
 background row z, a leaf is reached by a hybrid row iff every feature of
 its path takes its value from a row that meets the leaf's condition on
 it.  With a features met only by x and b met only by z, the leaf's value
@@ -138,7 +138,7 @@ def _leaf_masks(X, lo, hi) -> np.ndarray:
 
 def tree_shap(table, scale: float, offset: float, rows, background):
     """shap_exact's (base value, φ) for the model offset + scale * sum(trees),
-    the trees packed in `table` (a tree.NodeTable).
+    the trees of `table` (a tree.NodeTable).
 
     Per tree, background rows are counted by (leaf, mask of the features
     they meet there); each explained row then makes one pass over those
@@ -162,6 +162,9 @@ def tree_shap(table, scale: float, offset: float, rows, background):
     B = _background_matrix(background, p)
     if table.feature_count != p:
         raise DataValidationError("trees and explained rows differ in width")
+    # NaN meets no leaf condition, so φ and the base value would be numbers that mean nothing
+    if not (np.isfinite(rows).all() and np.isfinite(B).all()):
+        raise DataValidationError("explained and background rows must be finite (no NaN or inf)")
 
     everything = (1 << p) - 1
     plus, minus = _leaf_weights(p)

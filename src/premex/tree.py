@@ -63,31 +63,35 @@ sorted column blocks of XGBoost (Chen & Guestrin 2016, arXiv 1603.02754):
 Integer row weights stand for repeated rows, so a bootstrap resample is
 its distinct rows weighted by their draw counts.
 
-A tree is one flat node table: the equal-length columns `feature`,
-`threshold`, `left`, `right`, `value` and `count`, indexed by node id.
-Node 0 is the root, and nodes are numbered depth-first, left child
-first, so every child's id is greater than its parent's.  A row goes
-left when row[feature] <= threshold.  A leaf has feature -1 and
-threshold 0; its `left` and `right` point to the leaf itself, so a
-batch of rows descends in exactly depth() gathers with no leaf test.
-`value` is the leaf prediction (0 on internal nodes) and `count` the
-number of training rows, weights counted, that reached the node.  The
-model JSON stores the six columns as they are.
+One representation serves growth, prediction, loading, saving and
+TreeSHAP: a `NodeTable`, the flat node tables of one or more trees.  A
+tree's table is the equal-length columns `feature`, `threshold`, `left`,
+`right`, `value` and `count`, indexed by node id.  Node 0 is the root,
+and nodes are numbered depth-first, left child first, so every child's id
+is greater than its parent's.  A row goes left when row[feature] <=
+threshold.  A leaf has feature -1 and threshold 0; its `left` and `right`
+point to the leaf itself, so a batch of rows descends in exactly the
+tree's depth in gathers with no leaf test.  `value` is the leaf
+prediction (0 on internal nodes) and `count` the number of training rows,
+weights counted, that reached the node.  The model JSON stores the six
+columns as they are.
 
-An ensemble's trees are packed into one `NodeTable`: the six columns
-concatenated, each tree's first node and its depth.  Prediction starts a
-(trees, rows) matrix of nodes at the roots and takes max(depth) steps,
-each one flat gather of X and one gather of the children;
-`RegressionTree.predict_matrix` is the one-tree case.  Loading checks
-every tree of a file in one pass over the concatenated columns, and
-TreeSHAP reads leaf boxes from it level by level.  Work on (tree, row)
-and (row, leaf) arrays goes in blocks of at most BLOCK_CELLS cells.
+A table of several trees concatenates their columns, each tree's child
+ids its own, and records each tree's first node and depth.  Each chunk of
+growth builds its trees' table, and `fit_trees` joins the chunks' tables
+into the one that a model holds; `table[i]` is tree i over views of its
+part.  Prediction starts a (trees, rows) matrix of nodes at the roots and
+takes max(depth) steps, each one flat gather of X and one gather of the
+children.  Loading checks every tree of a file in one pass over the
+concatenated columns, and TreeSHAP reads leaf boxes from the table level
+by level.  Work on (tree, row) and (row, leaf) arrays goes in blocks of
+at most BLOCK_CELLS cells.
 """
 
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,8 +107,8 @@ COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
 # above 3000, tests/test_memory.py's forest and learning-curve bounds fail.
 CHUNK_ROWS = 3000
 
-# The most (tree, row) or (row, leaf) cells that one block of packed
-# prediction or TreeSHAP works on at once (NodeTable.add_predictions,
+# The most (tree, row) or (row, leaf) cells that one block of prediction
+# or TreeSHAP works on at once (NodeTable.add_predictions,
 # explain.tree_shap).  The published 220-tree forest predicts 7400 rows at
 # a peak of 1.4, 2.0 and 3.3 MB with 2^14, 2^15 and 2^16 cells.  The
 # explain workload's timed commands took 152 and 154 ms (best of 20; 2
@@ -145,49 +149,6 @@ class TreeConfig:
             raise DataValidationError(
                 f"max_features must be in 1..{n_features}, got {self.max_features}"
             )
-
-
-@dataclass(eq=False)
-class RegressionTree:
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    count: np.ndarray
-    feature_count: int
-    _depth: int | None = field(default=None, repr=False)  # walked if not given
-
-    def __post_init__(self):
-        for name in COLUMNS:
-            dtype = np.float64 if name in ("threshold", "value") else np.int64
-            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if self._depth is None:
-            self._depth = int(_depths(self.feature, self.left, self.right, _ROOT)[0])
-
-    def depth(self) -> int:
-        return self._depth
-
-    def node_count(self) -> int:
-        return int(self.feature.size)
-
-    def predict_matrix(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.feature_count:
-            raise DataValidationError(
-                f"matrix has shape {X.shape}, tree expects (*, {self.feature_count})"
-            )
-        children = np.stack([self.left, self.right], axis=1).reshape(-1)
-        return self.value.take(_descend(self.feature, self.threshold, children, _ROOT,
-                                        self._depth, X)[0])
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in COLUMNS}
-
-    @staticmethod
-    def from_dict(document, feature_count: int) -> "RegressionTree":
-        """Rebuild a tree from to_dict() output; DataValidationError if malformed."""
-        return NodeTable.from_dicts([document], feature_count).trees()[0]
 
 
 _ROOT = np.zeros(1, dtype=np.int64)
@@ -235,13 +196,14 @@ def _depths(feature, left, right, roots) -> np.ndarray:
 
 
 class NodeTable:
-    """Trees packed into one node table, for prediction, loading, saving and TreeSHAP.
+    """The node tables of one or more trees, concatenated: what growth
+    returns and a model holds, predicts with, saves and explains.
 
     The six columns of every tree are concatenated in tree order, each
     tree's child ids its own.  Tree t's root is node first[t], its nodes
-    run up to the next tree's root, and depth[t] is its depth.  trees()
-    gives each tree as a RegressionTree over views of its part, so a model
-    holds its nodes once.
+    run up to the next tree's root, and depth[t] is its depth.  len() is
+    the number of trees, and table[t] is tree t as a one-tree table over
+    views of its part.
     """
 
     def __init__(self, columns: dict, first, depth, feature_count: int):
@@ -251,23 +213,41 @@ class NodeTable:
         self.depth = depth
         self.feature_count = feature_count
 
-    @property
-    def n_trees(self) -> int:
+    def __len__(self) -> int:
         return int(self.first.size)
 
+    def __getitem__(self, t) -> "RegressionTree":
+        t = range(len(self))[t]  # IndexError past the end, which also ends iteration
+        a = int(self.first[t])
+        b = int(self.first[t + 1]) if t + 1 < len(self) else self.feature.size
+        return RegressionTree({name: getattr(self, name)[a:b] for name in COLUMNS}, _ROOT,
+                              self.depth[t:t + 1], self.feature_count)
+
     @staticmethod
-    def pack(trees, feature_count: int) -> "NodeTable":
-        """The table of `trees`, which must each read `feature_count` features."""
-        if any(tree.feature_count != feature_count for tree in trees):
-            raise DataValidationError(f"every tree must read {feature_count} features")
-        sizes = np.array([tree.node_count() for tree in trees], dtype=np.int64)
-        columns = {name: _joined([getattr(tree, name) for tree in trees], name) for name in COLUMNS}
-        depth = np.array([tree.depth() for tree in trees], dtype=np.int64)
-        return NodeTable(columns, np.cumsum(sizes) - sizes, depth, feature_count)
+    def join(tables, feature_count: int) -> "NodeTable":
+        """One table of the trees of `tables`, in order; each must read feature_count features.
+
+        The columns are joined one at a time, and each table's column is
+        dropped (set to None) once copied, so a join holds at most one
+        column twice.  The tables are spent: pass ones nothing else reads,
+        such as a table's [t] views.
+        """
+        tables = list(tables)
+        if any(table.feature_count != feature_count for table in tables):
+            raise DataValidationError(f"every tree must read the same {feature_count} features")
+        offsets = np.cumsum([0] + [table.feature.size for table in tables])
+        first = _joined([table.first + at for table, at in zip(tables, offsets)], "first")
+        depth = _joined([table.depth for table in tables], "depth")
+        columns = {}
+        for name in COLUMNS:
+            columns[name] = _joined([getattr(table, name) for table in tables], name)
+            for table in tables:
+                setattr(table, name, None)
+        return NodeTable(columns, first, depth, feature_count)
 
     @staticmethod
     def from_dicts(documents, feature_count: int) -> "NodeTable":
-        """The table of to_dict() outputs; DataValidationError if a tree is malformed.
+        """The table of to_dicts() output; DataValidationError if a tree is malformed.
 
         One pass over the concatenated columns checks every tree as a table
         of its own.  Only a table that fails is checked again tree by tree,
@@ -280,36 +260,26 @@ class NodeTable:
                 _checked_table([document], feature_count)
             raise
 
-    def _sizes(self) -> list:
-        return np.diff(self.first, append=self.feature.size).tolist()
-
-    def trees(self) -> list:
-        """Each tree as a RegressionTree over views of its part of the table."""
-        return [
-            RegressionTree(*(getattr(self, name)[a:a + n] for name in COLUMNS),
-                           feature_count=self.feature_count, _depth=d)
-            for a, n, d in zip(self.first.tolist(), self._sizes(), self.depth.tolist())
-        ]
-
     def to_dicts(self) -> list:
-        """Each tree's to_dict(), in tree order."""
+        """Each tree's six columns as a dict of lists, in tree order."""
         cells = {name: getattr(self, name).tolist() for name in COLUMNS}
-        return [{name: cells[name][a:a + n] for name in COLUMNS}
-                for a, n in zip(self.first.tolist(), self._sizes())]
+        starts = self.first.tolist()
+        return [{name: cells[name][a:b] for name in COLUMNS}
+                for a, b in zip(starts, starts[1:] + [self.feature.size])]
 
     def tree_blocks(self, rows: int) -> list:
         """(start, stop) runs of consecutive trees whose leaves times `rows`
         are at most BLOCK_CELLS; a run holds at least one tree."""
         leaves = np.flatnonzero(self.feature < 0)
         counts = np.bincount(np.searchsorted(self.first, leaves, side="right") - 1,
-                             minlength=self.n_trees)
+                             minlength=len(self))
         bounds, cells = [0], 0
         for t, tree_cells in enumerate((counts * rows).tolist()):
             if cells and cells + tree_cells > BLOCK_CELLS:
                 bounds.append(t)
                 cells = 0
             cells += tree_cells
-        bounds.append(self.n_trees)
+        bounds.append(len(self))
         return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
     def add_predictions(self, X, out, scale=None, n_trees=None) -> None:
@@ -317,22 +287,29 @@ class NodeTable:
         rows of X to `out`, times `scale` if given.
 
         The trees are added one after another in tree order, as a loop over
-        their predict_matrix would add them, so every sum keeps its bits.
-        All trees descend together, in blocks of rows of at most BLOCK_CELLS
-        (tree, row) cells.
+        the trees would add them, so every sum keeps its bits.  All trees
+        descend together, in blocks of rows of at most BLOCK_CELLS (tree,
+        row) cells.  This is the one prediction path of every model.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise DataValidationError(
                 f"matrix has shape {X.shape}, model expects (*, {self.feature_count})"
             )
+        # a NaN row would go right at every split, an inf one to an edge leaf
+        if not np.isfinite(X).all():
+            raise DataValidationError("rows to predict must be finite (no NaN or inf)")
         roots = self.first[:n_trees]
         if not roots.size:
             return
         depth = int(self.depth[:n_trees].max())
-        # each node's (left, right) as ids into the whole table
-        children = np.stack([self.left, self.right], axis=1)
-        children += np.repeat(self.first, self._sizes())[:, None]
+        # each node's (left, right) as ids into the whole table: its own ids
+        # plus its tree's first node, spread over the tree by the running max
+        children = np.zeros((self.feature.size, 2), dtype=np.int64)
+        children[self.first] = self.first[:, None]
+        np.maximum.accumulate(children, out=children)
+        children[:, 0] += self.left
+        children[:, 1] += self.right
         children = children.reshape(-1)
         step = max(1, BLOCK_CELLS // roots.size)
         for lo in range(0, X.shape[0], step):
@@ -352,8 +329,8 @@ class NodeTable:
         Leaf ids are into the whole table, in order.  The boxes are built
         one level of every tree at a time, parents before children.
         """
-        base = int(self.first[start]) if start < self.n_trees else self.feature.size
-        end = int(self.first[stop]) if stop < self.n_trees else self.feature.size
+        base = int(self.first[start]) if start < len(self) else self.feature.size
+        end = int(self.first[stop]) if stop < len(self) else self.feature.size
         lo = np.full((end - base, self.feature_count), -np.inf)
         hi = np.full((end - base, self.feature_count), np.inf)
         # nodes as rows of lo and hi, each with its tree's first row
@@ -374,6 +351,17 @@ class NodeTable:
             level, offset = np.concatenate([left, right]), np.concatenate([offset, offset])
         leaves = np.flatnonzero(self.feature[base:end] < 0)
         return base + leaves, lo[leaves], hi[leaves]
+
+
+class RegressionTree(NodeTable):
+    """A table of one tree: what table[t], fit_tree and fit_tree_gradients give."""
+
+    def predict_matrix(self, X) -> np.ndarray:
+        """The tree's leaf value for each row of X."""
+        # -0.0 + v is v exactly, so these are the leaf values' own bits
+        out = np.full(np.shape(X)[:1], -0.0)
+        self.add_predictions(X, out)
+        return out
 
 
 def _joined(arrays, name) -> np.ndarray:
@@ -504,13 +492,14 @@ def fit_tree(X, targets, config: TreeConfig, rng: np.random.Generator, *,
     return fit_trees([(matrix, np.arange(matrix.shape[0]), targets, weights, rng)], config)[0]
 
 
-def fit_trees(jobs, config: TreeConfig) -> list:
+def fit_trees(jobs, config: TreeConfig) -> NodeTable:
     """fit_tree on each job (matrix, rows, targets, weights or None, rng), grown together.
 
     `matrix` is a Presorted and `rows` strictly ascending row ids into it;
-    targets and weights hold one value per id.  Every tree is the one
-    fit_tree grows on matrix's rows `rows` alone.  `jobs` may be any
-    iterable; it is read one chunk at a time (see CHUNK_ROWS).
+    targets and weights hold one value per id.  The table holds one tree
+    per job, in job order, and each is the one fit_tree grows on matrix's
+    rows `rows` alone.  `jobs` may be any iterable; it is read one chunk
+    at a time (see CHUNK_ROWS).
     """
     return _grow((_sse_job(*job, config) for job in jobs), config, 0.0, 0.0)
 
@@ -535,12 +524,13 @@ def fit_tree_gradients(
 
 
 def fit_trees_gradients(jobs, config: TreeConfig, reg_lambda: float = 1.0,
-                        gamma: float = 0.0) -> list:
+                        gamma: float = 0.0) -> NodeTable:
     """fit_tree_gradients on each job (matrix, rows, grad, hess, rng), grown together.
 
-    `matrix` and `rows` are as in fit_trees.  Every tree is the one
-    fit_tree_gradients grows on matrix's rows `rows` alone.  `jobs` may be
-    any iterable; it is read one chunk at a time.
+    `matrix` and `rows` are as in fit_trees.  The table holds one tree per
+    job, in job order, and each is the one fit_tree_gradients grows on
+    matrix's rows `rows` alone.  `jobs` may be any iterable; it is read one
+    chunk at a time.
     """
     return _grow((_gradient_job(*job, config) for job in jobs), config, reg_lambda, gamma)
 
@@ -581,24 +571,24 @@ def _check_fit_inputs(matrix, rows, targets, config):
     return rows, targets
 
 
-def _grow(jobs, config, reg_lambda, gamma) -> list:
+def _grow(jobs, config, reg_lambda, gamma) -> NodeTable:
     """One tree per job, grown in consecutive chunks of at most CHUNK_ROWS rows.
 
     A job larger than CHUNK_ROWS is a chunk of its own.
     """
-    trees, chunk, rows = [], [], 0
+    tables, chunk, rows = [], [], 0
     for job in jobs:
         if chunk and rows + job[1].size > CHUNK_ROWS:
-            trees += _grow_chunk(chunk, config, reg_lambda, gamma)
+            tables.append(_grow_chunk(chunk, config, reg_lambda, gamma))
             chunk, rows = [], 0
         chunk.append(job)
         rows += job[1].size
     if chunk:
-        trees += _grow_chunk(chunk, config, reg_lambda, gamma)
-    return trees
+        tables.append(_grow_chunk(chunk, config, reg_lambda, gamma))
+    return NodeTable.join(tables, tables[0].feature_count if tables else 0)
 
 
-def _grow_chunk(jobs, config, reg_lambda, gamma) -> list:
+def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
     """The level-wise engine over a batch of jobs (matrix, rows, a, b, counts, targets, rng).
 
     SSE mode (targets given): a = weight * target, b = weight; node score
@@ -683,7 +673,7 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> list:
     if not np.isfinite(value).all():
         raise NumericError("a leaf value is not finite: its hessians sum to -reg_lambda, "
                            "or a sum overflowed")
-    return _depth_first_tables([level[0].size for level in levels], tree, feature, threshold,
+    return _depth_first_table([level[0].size for level in levels], tree, feature, threshold,
                                value, count, len(jobs), n_features)
 
 
@@ -941,9 +931,9 @@ class _SortedColumns:
         keys[:, _spans(start, n_left)] = taken.take(np.flatnonzero(moves)).reshape(shape[0], -1)
 
 
-def _depth_first_tables(level_sizes, tree, feature, threshold, value, count, n_trees,
-                        n_features) -> list:
-    """The breadth-first nodes as one table per tree, numbered depth-first, left child first.
+def _depth_first_table(level_sizes, tree, feature, threshold, value, count, n_trees,
+                        n_features) -> NodeTable:
+    """The breadth-first nodes as the trees' table, numbered depth-first, left child first.
 
     Nodes are given level by level; the children of a level's k-th split
     node are the next level's nodes 2k and 2k + 1.
@@ -973,6 +963,4 @@ def _depth_first_tables(level_sizes, tree, feature, threshold, value, count, n_t
     for name, column in zip(COLUMNS, (feature, threshold, order[left], order[right], value, count)):
         table[name] = np.empty_like(column)
         table[name][at] = column
-    return [RegressionTree(**{name: column[lo:lo + n] for name, column in table.items()},
-                           feature_count=n_features, _depth=d)
-            for lo, n, d in zip(first.tolist(), subtree[:n_trees].tolist(), depth.tolist())]
+    return NodeTable(table, first, depth, n_features)

@@ -1,9 +1,9 @@
 """Tree-at-a-time prediction, leaf boxes and TreeSHAP: the oracles for `premex.tree.NodeTable`.
 
-Each tree walks its own node table here, one tree after another, as the
-ensembles did before their trees were packed into one table.  Tests
-require the packed table to give the same predictions, leaf boxes, base
-value and φ as these, bit for bit.
+Each tree walks its own node table here, one tree after another (a
+model's one-tree views table[t]), as the ensembles did before their trees
+shared one table.  Tests require the whole table to give the same
+predictions, leaf boxes, base value and φ as these, bit for bit.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ def tree_predictions(tree, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     rows = np.arange(X.shape[0])
     node = np.zeros(X.shape[0], dtype=np.int64)
-    for _ in range(tree.depth()):  # a leaf reads column -1 and steps to itself
+    for _ in range(int(tree.depth[0])):  # a leaf reads column -1 and steps to itself
         go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
         node = np.where(go_left, tree.left[node], tree.right[node])
     return tree.value[node]
@@ -41,8 +41,8 @@ def leaf_boxes(tree, p: int):
 
     One pass in id order; every parent's id is lower than its children's.
     """
-    lo = np.full((tree.node_count(), p), -np.inf)
-    hi = np.full((tree.node_count(), p), np.inf)
+    lo = np.full((tree.feature.size, p), -np.inf)
+    hi = np.full((tree.feature.size, p), np.inf)
     for node in np.flatnonzero(tree.feature >= 0):
         f, t = tree.feature[node], tree.threshold[node]
         left, right = tree.left[node], tree.right[node]

@@ -8,7 +8,7 @@ here, bit for bit.
 
 import numpy as np
 
-from premex.tree import COLUMNS, RegressionTree
+from premex.tree import COLUMNS, NodeTable
 
 
 def fit_tree(X, targets, config, rng, weights=None):
@@ -31,7 +31,7 @@ def fit_tree_gradients(X, grad, hess, config, rng, reg_lambda=1.0, gamma=0.0):
 
 
 def _grow(X, a, b, counts, targets, config, rng, *, reg_lambda, gamma,
-          second_order) -> RegressionTree:
+          second_order) -> NodeTable:
     """Shared growth engine over per-row statistics a (sums) and b (weights).
 
     SSE mode: a = weight * target, b = weight; node score is
@@ -87,7 +87,7 @@ def _grow(X, a, b, counts, targets, config, rng, *, reg_lambda, gamma,
         go_left = X[rows, best_feature] <= best_threshold
         stack.append((rows[~go_left], depth + 1, node, "right"))
         stack.append((rows[go_left], depth + 1, node, "left"))
-    return RegressionTree(**table, feature_count=n_features)
+    return NodeTable.from_dicts([table], n_features)
 
 
 def _best_split(column, a, b, reg_lambda, gamma, second_order):

@@ -173,7 +173,7 @@ class TestTrain:
         model = ensemble_mod.load_model(str(workdir / f"model_{variant}.json"))
         assert report["nodes"] == sum(len(tree["feature"]) for tree in trees)
         assert report["leaves"] == sum(tree["feature"].count(-1) for tree in trees)
-        assert report["depth"] == max(tree.depth() for tree in model.trees)
+        assert report["depth"] == max(int(tree.depth[0]) for tree in model.trees)
         assert 1 <= report["depth"] <= {"rf": 4, "gbm": 3, "xgb": 3}[variant]
 
     def test_unknown_flag_exits_2(self, runner, workdir):
@@ -670,6 +670,44 @@ class TestCorruptGrid:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+class TestUnreadableFiles:
+    """An input file that is not UTF-8, or JSON nested past the parser's
+    recursion limit, exits 3 with an error naming the file."""
+
+    @staticmethod
+    def invoke(runner, workdir, tmp_path, role, content):
+        bad = tmp_path / "bad"
+        bad.write_bytes(content)
+        dataset, split = str(workdir / "dataset.json"), str(workdir / "split.json")
+        out = str(tmp_path / "o")
+        argv = {
+            "csv": ["ingest", str(bad), "--out", out],
+            "dataset": ["train", str(bad), "--model", "gbm", "--out", out],
+            "split": ["evaluate", str(workdir / "model_gbm.json"), dataset, "--split", str(bad),
+                      "--out", out],
+            "model": ["evaluate", str(bad), dataset, "--split", split, "--out", out],
+            "grid": ["tune", dataset, "--model", "gbm", "--grid", str(bad), "--folds", "2",
+                     "--out", out],
+        }[role]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {bad}: " in result.output
+
+    @pytest.mark.parametrize("role", ["csv", "dataset", "split", "model", "grid"])
+    def test_leading_0xff_byte_exits_3(self, runner, workdir, tmp_path, role):
+        original = {"csv": synth.make_csv_text(n=20, seed=3).encode(),
+                    "dataset": (workdir / "dataset.json").read_bytes(),
+                    "split": (workdir / "split.json").read_bytes(),
+                    "model": (workdir / "model_gbm.json").read_bytes(),
+                    "grid": b'{"n_estimators": [2]}'}[role]
+        self.invoke(runner, workdir, tmp_path, role, b"\xff" + original)
+
+    @pytest.mark.parametrize("role", ["split", "grid"])
+    def test_deeply_nested_json_exits_3(self, runner, workdir, tmp_path, role):
+        self.invoke(runner, workdir, tmp_path, role, b"[" * 100_000)
+
+
 class TestExplain:
     def test_shap_outputs(self, runner, workdir):
         result = runner.invoke(
@@ -824,6 +862,23 @@ class TestConfigFile:
         config.write_text("[1,2,3]")
         result = runner.invoke(main, ["--config", str(config), "ingest", synth_csv])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b'\xff{"train": {"n_estimators": 2}}', id="not-utf8"),
+        pytest.param(b'{"train": {"n_estimators": 2, "seed": 1e400}}', id="seed-overflows"),
+        pytest.param(b'{"train": {"n_estimators": 2, "seed": NaN}}', id="seed-nan"),
+        pytest.param(b'{"train": {"learning_rate": -Infinity}}', id="rate-minus-infinity"),
+        pytest.param(b"[" * 100_000, id="nested-too-deep"),
+    ])
+    def test_unreadable_or_non_finite_config_exits_2(self, runner, workdir, tmp_path, content):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        result = runner.invoke(main, ["--config", str(config), "train",
+                                      str(workdir / "dataset.json"), "--model", "gbm",
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "config file" in result.output
 
 
 class TestReproduceSmoke:

@@ -22,12 +22,14 @@ from premex.ensemble import (
 )
 from premex.errors import DataValidationError, FormatVersionError
 from premex.rng import stream
-from premex.tree import RegressionTree, TreeConfig, fit_tree
+from premex.tree import NodeTable, TreeConfig, fit_tree
 
 
-def leaf_tree(value, feature_count=2):
-    return RegressionTree(feature=[-1], threshold=[0.0], left=[0], right=[0],
-                          value=[value], count=[1], feature_count=feature_count)
+def leaf_trees(*values, feature_count=2):
+    """The table of one single-leaf tree per value."""
+    return NodeTable.from_dicts([{"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
+                                  "value": [value], "count": [1]} for value in values],
+                                feature_count)
 
 
 class TestConfigChecks:
@@ -96,7 +98,7 @@ class TestVariantConfig:
 class TestForest:
     def test_mean_of_fixed_trees(self):
         model = ForestModel(
-            trees=[leaf_tree(10.0), leaf_tree(20.0), leaf_tree(30.0)],
+            trees=leaf_trees(10.0, 20.0, 30.0),
             config=ForestConfig(n_estimators=3),
             feature_names=["a", "b"],
         )
@@ -108,7 +110,7 @@ class TestForest:
         forest = fit_forest(small_regression, config)
         lone = fit_tree(small_regression.X, small_regression.y,
                         config.tree_config(), stream(0, "unused"))
-        assert forest.trees[0].to_dict() == lone.to_dict()
+        assert forest.trees.to_dicts() == lone.to_dicts()
         probe = small_regression.X[:10]
         assert np.array_equal(forest.predict(probe), lone.predict_matrix(probe))
 
@@ -128,7 +130,7 @@ class TestForest:
 
     def test_bootstrap_varies_trees(self, small_regression):
         forest = fit_forest(small_regression, ForestConfig(n_estimators=4, max_depth=3, seed=1))
-        docs = [json.dumps(t.to_dict()) for t in forest.trees]
+        docs = [json.dumps(t.to_dicts()) for t in forest.trees]
         assert len(set(docs)) > 1
 
     def test_empty_data(self):
@@ -190,7 +192,7 @@ class TestGbm:
 
     def test_width_checked_with_or_without_stages(self):
         X = np.zeros((4, 5))
-        for trees in ([], [leaf_tree(1.0, feature_count=3)]):
+        for trees in (leaf_trees(feature_count=3), leaf_trees(1.0, feature_count=3)):
             model = BoostedModel(
                 variant="gbm", base_score=5.0, learning_rate=0.1, trees=trees,
                 config=BoostConfig(), feature_names=["a", "b", "c"],
@@ -202,7 +204,7 @@ class TestGbm:
     def test_one_stage_arithmetic(self):
         model = BoostedModel(
             variant="gbm", base_score=5.0, learning_rate=0.1,
-            trees=[leaf_tree(10.0)], config=BoostConfig(), feature_names=["a", "b"],
+            trees=leaf_trees(10.0), config=BoostConfig(), feature_names=["a", "b"],
         )
         assert model.predict([0.0, 0.0])[0] == 6.0
 
@@ -221,9 +223,9 @@ class TestGbm:
 
 
 @pytest.mark.parametrize("model", [
-    ForestModel(trees=[leaf_tree(1.0)], config=ForestConfig(n_estimators=1),
+    ForestModel(trees=leaf_trees(1.0), config=ForestConfig(n_estimators=1),
                 feature_names=["a", "b"]),
-    BoostedModel(variant="xgb", base_score=0.0, learning_rate=0.1, trees=[leaf_tree(1.0)],
+    BoostedModel(variant="xgb", base_score=0.0, learning_rate=0.1, trees=leaf_trees(1.0),
                  config=BoostConfig(n_estimators=1), feature_names=["a", "b"]),
 ], ids=["rf", "xgb"])
 def test_predict_reports_input_shape(model):
@@ -231,6 +233,20 @@ def test_predict_reports_input_shape(model):
     with pytest.raises(DataValidationError,
                        match=r"matrix has shape \(2, 3, 2\), model expects \(\*, 2\)"):
         model.predict(np.zeros((2, 3, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_rows(bad):
+    X = np.arange(30.0).reshape(10, 3) % 7.0
+    data = Dataset(["a", "b", "c"], X, X @ np.array([1.0, -2.0, 0.5]))
+    forest = fit_forest(data, ForestConfig(n_estimators=3, seed=0))
+    xgb = fit_xgb(data, BoostConfig(n_estimators=3, seed=0))
+    rows = np.zeros((2, 3))
+    rows[1, 0] = bad
+    for predict in (forest.predict, xgb.predict, lambda X: xgb.predict(X, n_stages=0),
+                    forest.trees[0].predict_matrix):
+        with pytest.raises(DataValidationError, match="rows to predict must be finite"):
+            predict(rows)
 
 
 def classic_residual_fit(data, config):
@@ -255,7 +271,7 @@ def assert_matches_classic(data, shared):
     stages, predictions = classic_residual_fit(data, BoostConfig(**shared))
     gbm = fit_gbm(data, BoostConfig(**shared))
     xgb = fit_xgb(data, BoostConfig(reg_lambda=0.0, gamma=0.0, **shared))
-    assert [t.to_dict() for t in gbm.trees] == [t.to_dict() for t in stages]
+    assert [t.to_dicts() for t in gbm.trees] == [t.to_dicts() for t in stages]
     for model in (gbm, xgb):
         assert np.max(np.abs(model.predict(data.X) - predictions)) < 1e-9
 
@@ -315,7 +331,7 @@ class TestPrefixes:
     @staticmethod
     def forest_prefix(model, X, m):
         out = np.zeros(X.shape[0])
-        model.table.add_predictions(X, out, n_trees=m)
+        model.trees.add_predictions(X, out, n_trees=m)
         return out / m
 
     @pytest.mark.parametrize("together", [False, True])

@@ -17,7 +17,7 @@ from premex.explain import (
     tree_shap,
 )
 from premex.rng import stream
-from premex.tree import COLUMNS, NodeTable, RegressionTree, TreeConfig, fit_tree
+from premex.tree import COLUMNS, NodeTable, TreeConfig, fit_tree
 from premex.tuning import fit_variant
 from reference_shap import shap_permutation, shap_value_function
 
@@ -69,7 +69,7 @@ class TestBackgroundChecks:
         pytest.param(lambda rows, background: shap_exact(
             lambda X: np.atleast_2d(X).sum(axis=1), rows, background), id="shap_exact"),
         pytest.param(lambda rows, background: tree_shap(
-            packed(TWICE), 1.0, 0.0, rows, background), id="tree_shap"),
+            table_of(TWICE), 1.0, 0.0, rows, background), id="tree_shap"),
     ])
     def test_rejected(self, explain, background):
         with pytest.raises(DataValidationError, match="background"):
@@ -342,16 +342,17 @@ class TestOnFittedEnsemble:
 def tree_terms(model):
     """(table, scale, offset) of a fitted ensemble, as the explain command passes them."""
     if model.variant == "rf":
-        return model.table, 1.0 / len(model.trees), 0.0
-    return model.table, model.learning_rate, model.base_score
+        return model.trees, 1.0 / len(model.trees), 0.0
+    return model.trees, model.learning_rate, model.base_score
 
 
-def packed(*trees):
-    return NodeTable.pack(trees, trees[0].feature_count)
+def table_of(*documents):
+    """The table of 3-feature trees given as dicts of columns."""
+    return NodeTable.from_dicts(list(documents), 3)
 
 
 def sum_of_trees(table, scale, offset):
-    trees = table.trees()
+    trees = list(table)
 
     def predict(X):
         X = np.atleast_2d(X)
@@ -374,33 +375,30 @@ def assert_matches_oracle(predict_fn, terms, rows, background_rows):
     return phi
 
 
-def table(feature, threshold, left, right, value, feature_count):
-    """A tree from its node table; every node's row count is 1."""
-    columns = dict(zip(COLUMNS, (feature, threshold, left, right, value, [1] * len(feature))))
-    return RegressionTree.from_dict(columns, feature_count)
+def tree_columns(feature, threshold, left, right, value):
+    """A tree's node table as a dict of columns; every node's row count is 1."""
+    return dict(zip(COLUMNS, (feature, threshold, left, right, value, [1] * len(feature))))
 
 
 # feature 0 splits twice on the path to leaves 2 and 3 (at 2 then 1) and to
 # leaves 7 and 8 (at 2 then 5); feature 2 is never used
-TWICE = table(
+TWICE = tree_columns(
     feature=[0, 0, -1, -1, 1, -1, 0, -1, -1],
     threshold=[2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0],
     left=[1, 2, 2, 3, 5, 5, 7, 7, 8],
     right=[4, 3, 2, 3, 6, 5, 8, 7, 8],
     value=[0.0, 0.0, 10.0, -4.0, 0.0, 7.0, 0.0, 1.0, 20.0],
-    feature_count=3,
 )
 
 
 # a tree no data grows, but a model file may hold: feature 0's second split
 # on each path is looser than its first, so leaves 3 and 5 are unreachable
-LOOSE = table(
+LOOSE = tree_columns(
     feature=[0, 0, -1, -1, 0, -1, -1],
     threshold=[3.0, 5.0, 0.0, 0.0, 1.0, 0.0, 0.0],
     left=[1, 2, 2, 3, 5, 5, 6],
     right=[4, 3, 2, 3, 6, 5, 6],
     value=[0.0, 0.0, 4.0, 9.0, 0.0, -2.0, 6.0],
-    feature_count=3,
 )
 
 
@@ -428,7 +426,7 @@ class TestTreeShap:
     def test_feature_split_twice_on_a_path(self):
         rows = grid_rows([0.5, 1.5, 2.5, 5.5], [-0.5, 0.5])
         background = grid_rows([0.5, 1.5, 3.5, 6.5], [-0.5, 0.5])
-        terms = (packed(TWICE, LOOSE), 1.0, 0.0)
+        terms = (table_of(TWICE, LOOSE), 1.0, 0.0)
         phi = assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
         assert np.array_equal(phi[:, 2], np.zeros(len(rows)))
 
@@ -436,17 +434,29 @@ class TestTreeShap:
         # every value of feature 0 and 1 sits on a threshold; such a row goes left
         rows = grid_rows([1.0, 2.0, 5.0], [0.0])
         background = grid_rows([1.0, 2.0, 5.0], [0.0, 1.0])
-        terms = (packed(TWICE, TWICE), 0.5, 3.0)
+        terms = (table_of(TWICE, TWICE), 0.5, 3.0)
         assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
 
     def test_single_leaf_trees(self):
-        leaf = table([-1], [0.0], [0], [0], [6.0], feature_count=3)
+        leaf = tree_columns([-1], [0.0], [0], [0], [6.0])
         rows, background = grid_rows([0.5, 5.5], [1.0]), grid_rows([1.0, 2.5], [-1.0])
-        terms = (packed(leaf, TWICE, leaf), 0.25, 0.0)
+        terms = (table_of(leaf, TWICE, leaf), 0.25, 0.0)
         assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
-        base_value, phi = tree_shap(packed(leaf, leaf), 0.5, 1.0, rows, background)
+        base_value, phi = tree_shap(table_of(leaf, leaf), 0.5, 1.0, rows, background)
         assert np.array_equal(phi, np.zeros((2, 3)))
         assert base_value == 7.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        rows, background = grid_rows([0.5, 5.5], [1.0]), grid_rows([1.0, 2.5], [-1.0])
+        broken = rows.copy()
+        broken[1, 0] = bad
+        with pytest.raises(DataValidationError, match="background rows must be finite"):
+            tree_shap(table_of(TWICE), 1.0, 0.0, broken, background)
+        broken = background.copy()
+        broken[0, 2] = bad  # a feature no split reads
+        with pytest.raises(DataValidationError, match="background rows must be finite"):
+            tree_shap(table_of(TWICE), 1.0, 0.0, rows, broken)
 
     def test_zero_stage_boosted_model(self, synth_dataset):
         model = fit_gbm(synth_dataset, BoostConfig(n_estimators=0, seed=1))
@@ -487,15 +497,15 @@ class TestTreeShap:
                 columns["value"][node] = float(data.draw(st.integers(-9, 9)))
             return node
 
-        trees = []
+        documents = []
         for _ in range(data.draw(st.integers(1, 3))):
-            columns = {name: [] for name in COLUMNS}
-            grow(columns, 0)
-            trees.append(RegressionTree.from_dict(columns, p))
+            documents.append({name: [] for name in COLUMNS})
+            grow(documents[-1], 0)
         values = st.integers(0, 4).map(float)
         rows = np.array(data.draw(st.lists(st.lists(values, min_size=p, max_size=p),
                                            min_size=1, max_size=4)))
         background = np.array(data.draw(st.lists(st.lists(values, min_size=p, max_size=p),
                                                  min_size=1, max_size=6)))
-        terms = (NodeTable.pack(trees, p), data.draw(st.sampled_from([1.0, 0.5, 0.1])), 2.0)
+        terms = (NodeTable.from_dicts(documents, p), data.draw(st.sampled_from([1.0, 0.5, 0.1])),
+                 2.0)
         assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)

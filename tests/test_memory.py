@@ -1,16 +1,19 @@
-"""Peak numpy allocation of batched growth and of packed ensembles, measured with tracemalloc.
+"""Peak numpy allocation of batched growth and of node tables, measured with tracemalloc.
 
 A batch of trees is grown in chunks of at most `tree.CHUNK_ROWS` rows,
-and a learning curve scores and drops each model as it arrives.  At the
-chosen bound the forest fit peaks near 4.3 MB, the curve near 4.0 MB and
-the xgb cross-validation near 4.3 MB.  With the whole forest in one chunk
-the fit peaks near 79 MB, and with a bound 1.5 or 2 times as large the
-fit and the curve peak near 5.4 and 5.1 MB or 6.4 and 6.3 MB, so these
-limits fail either change.  The level loop's work arrays are kept across
-calls, so each test passes only if it also holds in a fresh process,
-where the fit allocates them.
+whose tables are joined one column at a time, and a learning curve scores
+and drops each model as it arrives.  At the chosen bound the forest fit
+peaks near 4.3 MB, the curve near 4.0 MB and the xgb cross-validation near
+4.4 MB.  With the whole forest in one chunk the fit peaks near 79 MB,
+and with a bound 1.5 or 2 times as large the fit and the curve peak near
+5.4 and 5.1 MB or 6.4 and 6.3 MB, so these limits fail either change.
+The fit's table is the one the forest predicts with, so a first one-row
+prediction leaves the fit's peak as it is; when prediction packed the
+fitted trees into a second table, the two peaked at 5.8 MB.  The level
+loop's work arrays are kept across calls, so each test passes only if it
+also holds in a fresh process, where the fit allocates them.
 
-A packed ensemble predicts and explains in blocks of at most
+An ensemble's table predicts and explains in blocks of at most
 `tree.BLOCK_CELLS` (tree, row) or (row, leaf) cells.  The published
 220-tree forest predicts 7,400 rows (the uncapped `reproduce`'s ICE rows)
 at a peak of 2.0 MB (3.3 MB with twice the cells), and its TreeSHAP of 10
@@ -50,14 +53,18 @@ def peak_bytes(fn):
 
 @pytest.fixture(scope="module")
 def published_forest(rows740):
-    forest = fit_forest(rows740, ForestConfig(**PUBLISHED["rf"], seed=1))  # 220 trees
-    forest.table  # packed here, outside the measured calls
-    return forest
+    return fit_forest(rows740, ForestConfig(**PUBLISHED["rf"], seed=1))  # 220 trees
 
 
 def test_published_forest_fit(rows740):
     config = ForestConfig(**PUBLISHED["rf"], seed=1)  # 220 trees
     assert peak_bytes(lambda: fit_forest(rows740, config)) < 5.0 * MB
+
+
+def test_published_forest_fit_and_first_predict(rows740):
+    # the fit's table is the one prediction reads: no second copy of the nodes
+    config = ForestConfig(**PUBLISHED["rf"], seed=1)
+    assert peak_bytes(lambda: fit_forest(rows740, config).predict(rows740.X[:1])) < 5.0 * MB
 
 
 def test_rf_learning_curve(rows740):
@@ -80,4 +87,4 @@ def test_published_forest_predicts_ice_rows(rows740, published_forest):
 def test_published_forest_tree_shap(rows740, published_forest):
     scale = 1.0 / len(published_forest.trees)
     assert peak_bytes(lambda: tree_shap(
-        published_forest.table, scale, 0.0, rows740.X[:10], rows740.X)) < 1.76 * MB
+        published_forest.trees, scale, 0.0, rows740.X[:10], rows740.X)) < 1.76 * MB

@@ -1,9 +1,10 @@
 """One node table per ensemble, against one tree at a time.
 
-`tree.NodeTable` packs an ensemble's trees; prediction, leaf boxes and
-TreeSHAP then run over all trees at once, in blocks of at most
-`BLOCK_CELLS` cells.  Every result must equal, bit for bit, the tree-at-a-
-time oracles of `tests/reference_predict.py`, whatever the block size.
+`tree.NodeTable` holds an ensemble's trees; prediction, leaf boxes and
+TreeSHAP run over all trees at once, in blocks of at most `BLOCK_CELLS`
+cells.  Every result must equal, bit for bit, the tree-at-a-time oracles
+of `tests/reference_predict.py`, which walk the table's one-tree views
+table[t], whatever the block size.
 """
 
 import json
@@ -39,8 +40,8 @@ def assert_same_bits(actual, expected):
     assert np.array_equal(bits(actual), bits(expected))
 
 
-def random_tree(data, p: int, max_depth: int) -> RegressionTree:
-    """A node table of depth at most max_depth, numbered depth-first as grown trees are."""
+def random_tree(data, p: int, max_depth: int) -> dict:
+    """The columns of a tree of depth at most max_depth, numbered depth-first as grown trees are."""
     columns = {name: [] for name in COLUMNS}
 
     def grow(depth):
@@ -58,7 +59,7 @@ def random_tree(data, p: int, max_depth: int) -> RegressionTree:
         return node
 
     grow(0)
-    return RegressionTree.from_dict(columns, p)
+    return columns
 
 
 def random_matrix(data, p: int, max_rows: int) -> np.ndarray:
@@ -69,18 +70,19 @@ def random_matrix(data, p: int, max_rows: int) -> np.ndarray:
 
 
 def random_ensemble(data):
+    """(p, the table of 1 to 7 random trees)."""
     p = data.draw(st.integers(1, 5))
-    trees = [random_tree(data, p, data.draw(st.integers(0, 6)))
-             for _ in range(data.draw(st.integers(1, 7)))]
-    return p, trees
+    documents = [random_tree(data, p, data.draw(st.integers(0, 6)))
+                 for _ in range(data.draw(st.integers(1, 7)))]
+    return p, NodeTable.from_dicts(documents, p)
 
 
-def forest_and_boosted(trees, p):
+def forest_and_boosted(table, p):
     names = [f"x{j}" for j in range(p)]
-    forest = ForestModel(trees=trees, config=ForestConfig(n_estimators=len(trees)),
+    forest = ForestModel(trees=table, config=ForestConfig(n_estimators=len(table)),
                          feature_names=names)
-    boosted = BoostedModel(variant="xgb", base_score=3.7, learning_rate=0.3, trees=trees,
-                           config=BoostConfig(n_estimators=len(trees)), feature_names=names)
+    boosted = BoostedModel(variant="xgb", base_score=3.7, learning_rate=0.3, trees=table,
+                           config=BoostConfig(n_estimators=len(table)), feature_names=names)
     return forest, boosted
 
 
@@ -88,9 +90,10 @@ class TestPrediction:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_trees_equal_tree_at_a_time(self, data):
-        p, trees = random_ensemble(data)
+        p, table = random_ensemble(data)
+        trees = list(table)
         X = random_matrix(data, p, 30)
-        forest, boosted = forest_and_boosted(trees, p)
+        forest, boosted = forest_and_boosted(table, p)
         n_stages = data.draw(st.integers(0, len(trees)))
         block = data.draw(st.sampled_from([1, 5, 64, tree_mod.BLOCK_CELLS]))
         with mock.patch.object(tree_mod, "BLOCK_CELLS", block):
@@ -99,21 +102,22 @@ class TestPrediction:
             assert_same_bits(boosted.predict(X, n_stages=n_stages),
                              oracle.boosted_predict(trees[:n_stages], 3.7, 0.3, X))
         for tree in trees:
+            assert isinstance(tree, RegressionTree) and len(tree) == 1
             assert_same_bits(tree.predict_matrix(X), oracle.tree_predictions(tree, X))
 
     def test_single_leaf_trees(self):
-        leaf = RegressionTree.from_dict(
-            {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [2.5],
-             "count": [3]}, 2)
-        forest, boosted = forest_and_boosted([leaf, leaf, leaf], 2)
+        leaf = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [2.5],
+                "count": [3]}
+        table = NodeTable.from_dicts([leaf] * 3, 2)
+        forest, boosted = forest_and_boosted(table, 2)
         X = np.arange(8.0).reshape(4, 2)
-        assert forest.table.depth.tolist() == [0, 0, 0]
-        assert_same_bits(forest.predict(X), oracle.forest_predict([leaf] * 3, X))
-        assert_same_bits(boosted.predict(X), oracle.boosted_predict([leaf] * 3, 3.7, 0.3, X))
+        assert forest.trees.depth.tolist() == [0, 0, 0]
+        assert_same_bits(forest.predict(X), oracle.forest_predict(list(table), X))
+        assert_same_bits(boosted.predict(X), oracle.boosted_predict(list(table), 3.7, 0.3, X))
 
     def test_zero_stage_boosted_model(self, small_regression):
         model = fit_gbm(small_regression, BoostConfig(n_estimators=0, seed=1))
-        assert model.table.n_trees == 0
+        assert len(model.trees) == 0
         X = small_regression.X
         assert_same_bits(model.predict(X), oracle.boosted_predict([], model.base_score, 0.1, X))
 
@@ -140,8 +144,8 @@ class TestLeafBoxes:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_trees_equal_tree_at_a_time(self, data):
-        p, trees = random_ensemble(data)
-        table = NodeTable.pack(trees, p)
+        p, table = random_ensemble(data)
+        trees = list(table)
         expected = [oracle.leaf_boxes(tree, p) for tree in trees]
         for t, (leaves, lo, hi) in enumerate(expected):
             got = table.leaf_boxes(t, t + 1)
@@ -161,16 +165,15 @@ class TestTreeShap:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_trees_equal_tree_at_a_time(self, data):
-        p, trees = random_ensemble(data)
+        p, table = random_ensemble(data)
         rows = random_matrix(data, p, 6)
         background = random_matrix(data, p, 9)
         scale = data.draw(st.sampled_from([1.0, 0.5, 0.1]))
         block = data.draw(st.sampled_from([1, 7, 100, explain_mod.BLOCK_CELLS]))
         with mock.patch.object(tree_mod, "BLOCK_CELLS", block), \
                 mock.patch.object(explain_mod, "BLOCK_CELLS", block):
-            base_value, phi = explain_mod.tree_shap(NodeTable.pack(trees, p), scale, 2.0,
-                                                    rows, background)
-        expected_base, expected_phi = oracle.tree_shap(trees, scale, 2.0, rows, background)
+            base_value, phi = explain_mod.tree_shap(table, scale, 2.0, rows, background)
+        expected_base, expected_phi = oracle.tree_shap(list(table), scale, 2.0, rows, background)
         assert_same_bits(base_value, expected_base)
         assert_same_bits(phi, expected_phi)
 
@@ -185,14 +188,14 @@ class TestTreeShap:
                          else (model.learning_rate, model.base_score))
         rows, background = synth_dataset.X[200:230], synth_dataset.X[:200]
         # 200 background rows: the rf's trees fall into several blocks
-        got = explain_mod.tree_shap(model.table, scale, offset, rows, background)
+        got = explain_mod.tree_shap(model.trees, scale, offset, rows, background)
         expected = oracle.tree_shap(model.trees, scale, offset, rows, background)
         assert_same_bits(got[0], expected[0])
         assert_same_bits(got[1], expected[1])
 
 
 def two_stage_documents():
-    """A root split and a lone leaf, as to_dict() writes them."""
+    """A root split and a lone leaf, as to_dicts() writes them."""
     split = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, 1, 2],
              "right": [2, 1, 2], "value": [0.0, 1.0, 2.0], "count": [2, 1, 1]}
     leaf = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [4.0],
@@ -205,7 +208,7 @@ class TestLoading:
         documents = two_stage_documents() * 3
         table = NodeTable.from_dicts(documents, 2)
         assert table.to_dicts() == documents
-        assert [tree.to_dict() for tree in table.trees()] == documents
+        assert [tree.to_dicts() for tree in table] == [[document] for document in documents]
         assert table.depth.tolist() == [1, 0] * 3
         assert table.first.tolist() == [0, 3, 4, 7, 8, 11]
 
@@ -241,8 +244,44 @@ class TestLoading:
         save_model(model, tmp_path / "gbm.json")
         clone = load_model(tmp_path / "gbm.json")
         saved = json.loads((tmp_path / "gbm.json").read_text())["trees"]
-        assert saved == [tree.to_dict() for tree in model.trees]
+        assert saved == [tree.to_dicts()[0] for tree in model.trees]
         for name in COLUMNS:
-            assert np.array_equal(getattr(clone.table, name), getattr(model.table, name))
-        assert np.array_equal(clone.table.depth, model.table.depth)
-        assert [t.depth() for t in clone.trees] == [t.depth() for t in model.trees]
+            assert np.array_equal(getattr(clone.trees, name), getattr(model.trees, name))
+        assert np.array_equal(clone.trees.depth, model.trees.depth)
+        assert [t.depth.tolist() for t in clone.trees] == [t.depth.tolist() for t in model.trees]
+
+
+class TestJoin:
+    def test_join_equals_the_table_of_all_documents(self):
+        documents = two_stage_documents() * 3
+        parts = [NodeTable.from_dicts(documents[:1], 2), NodeTable.from_dicts(documents[1:4], 2),
+                 NodeTable.from_dicts([], 2), NodeTable.from_dicts(documents[4:], 2)]
+        joined = NodeTable.join(parts, 2)
+        whole = NodeTable.from_dicts(documents, 2)
+        for name in (*COLUMNS, "first", "depth"):
+            assert np.array_equal(getattr(joined, name), getattr(whole, name))
+            assert getattr(joined, name).dtype == getattr(whole, name).dtype
+        # each part's column is dropped once copied
+        assert all(getattr(part, name) is None for part in parts for name in COLUMNS)
+
+    def test_views_join_back_into_their_table(self):
+        documents = two_stage_documents() * 2
+        table = NodeTable.from_dicts(documents, 2)
+        assert NodeTable.join([table[t] for t in range(len(table))], 2).to_dicts() == documents
+        assert table.to_dicts() == documents  # spent views leave their table whole
+        assert len(NodeTable.join([], 2)) == 0
+
+    def test_indexing(self):
+        documents = two_stage_documents() * 2
+        table = NodeTable.from_dicts(documents, 2)
+        assert len(table) == 4
+        assert table[-1].to_dicts() == table[3].to_dicts() == [documents[3]]
+        with pytest.raises(IndexError):
+            table[4]
+        assert [len(tree) for tree in table] == [1] * 4
+
+    def test_width_mismatch_rejected(self):
+        parts = [NodeTable.from_dicts(two_stage_documents(), 2),
+                 NodeTable.from_dicts(two_stage_documents(), 3)]
+        with pytest.raises(DataValidationError, match="same 2 features"):
+            NodeTable.join(parts, 2)

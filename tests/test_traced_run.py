@@ -115,6 +115,15 @@ def test_layer_metrics_reduce_the_spans(traced):
 
 
 @pytest.mark.parametrize("name", [
+    "ensemble.trees",  # len(model.trees) of each fitted model
+    "ensemble.predict_ns_per_row_tree",  # rows times len(model.trees) of each prediction
+    "tree.predict_calls",  # the boosting stages' RegressionTree.predict_matrix updates
+])
+def test_layer_metric_counts(traced, name):
+    assert traced["layers"][name] > 0
+
+
+@pytest.mark.parametrize("name", [
     "ensemble.save_model",
     "ensemble.load_model",
     "ensemble.ForestModel.predict",

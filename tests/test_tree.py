@@ -11,8 +11,8 @@ import reference_tree
 from premex.errors import DataValidationError, NumericError
 from premex.rng import stream
 from premex.tree import (
+    NodeTable,
     Presorted,
-    RegressionTree,
     TreeConfig,
     fit_tree,
     fit_tree_gradients,
@@ -56,7 +56,7 @@ class TestFitTree:
         X = np.arange(8.0).reshape(-1, 1)
         y = np.full(8, 4.2)
         tree = fit_tree(X, y, TreeConfig(), stream(0, "t"))
-        assert tree.node_count() == 1 and tree.feature[0] == -1
+        assert tree.feature.size == 1 and tree.feature[0] == -1
         assert tree.value[0] == 4.2
         assert tree.count[0] == 8
 
@@ -64,7 +64,7 @@ class TestFitTree:
         X = np.arange(6.0).reshape(-1, 1)
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         tree = fit_tree(X, y, TreeConfig(max_depth=0), stream(0, "t"))
-        assert tree.node_count() == 1 and tree.feature[0] == -1
+        assert tree.feature.size == 1 and tree.feature[0] == -1
         assert tree.value[0] == y.mean()
 
     def test_unbounded_tree_zero_sse_on_distinct_rows(self):
@@ -89,7 +89,7 @@ class TestFitTree:
         X = rng.normal(size=(200, 5))
         y = rng.normal(size=200)
         tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
-        assert tree.depth() <= 4
+        assert tree.depth[0] <= 4
         internal = tree.feature >= 0
         assert np.all(tree.count >= 1)
         # an internal node's rows are exactly its children's rows
@@ -101,7 +101,7 @@ class TestFitTree:
         X = np.arange(5.0).reshape(-1, 1)
         y = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         tree = fit_tree(X, y, TreeConfig(min_samples_split=6), stream(0, "t"))
-        assert tree.node_count() == 1
+        assert tree.feature.size == 1
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(2)
@@ -110,7 +110,7 @@ class TestFitTree:
         config = TreeConfig(max_depth=5, max_features=3)
         first = fit_tree(X, y, config, stream(1234, "fit"))
         second = fit_tree(X, y, config, stream(1234, "fit"))
-        assert first.to_dict() == second.to_dict()
+        assert first.to_dicts() == second.to_dicts()
 
     def test_feature_subset_size_enforced(self):
         with pytest.raises(DataValidationError):
@@ -188,7 +188,7 @@ class TestMidpointThresholds:
         tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
 
         node_rows = {0: np.arange(60)}
-        for node in range(tree.node_count()):  # parents come before children
+        for node in range(tree.feature.size):  # parents come before children
             rows, feature = node_rows.pop(node), tree.feature[node]
             assert rows.size == tree.count[node]
             if feature < 0:
@@ -229,7 +229,7 @@ class TestGradientTrees:
         gh_tree = fit_tree_gradients(
             X, -residual, np.ones(70), config, stream(5, "a"), reg_lambda=0.0, gamma=0.0
         )
-        assert sse_tree.to_dict() == gh_tree.to_dict()
+        assert sse_tree.to_dicts() == gh_tree.to_dicts()
         assert np.allclose(sse_tree.predict_matrix(X), gh_tree.predict_matrix(X), atol=1e-9)
 
     def test_lambda_shrinks_leaf_values(self):
@@ -253,7 +253,7 @@ class TestGradientTrees:
         grad = rng.normal(size=50)
         tree = fit_tree_gradients(X, grad, np.ones(50), TreeConfig(max_depth=5),
                                   stream(0, "t"), reg_lambda=0.0, gamma=1e12)
-        assert tree.node_count() == 1
+        assert tree.feature.size == 1
 
 
 INF, NAN = float("inf"), float("nan")
@@ -296,16 +296,16 @@ def known_split_tree():
 class TestTable:
     def test_depth_one_tree(self):
         tree = known_split_tree()
-        assert tree.depth() == 1
-        assert tree.node_count() == 3
-        assert tree.to_dict() == {
+        assert tree.depth.tolist() == [1]
+        assert tree.feature.size == 3
+        assert tree.to_dicts() == [{
             "feature": [0, -1, -1],
             "threshold": [2.5, 0.0, 0.0],
             "left": [1, 1, 2],
             "right": [2, 1, 2],
             "value": [0.0, 1.0, 3.0],
             "count": [4, 2, 2],
-        }
+        }]
 
     def test_children_numbered_depth_first_left_first(self):
         rng = np.random.default_rng(17)
@@ -322,14 +322,14 @@ class TestSerialization:
         X = rng.normal(size=(60, 4))
         y = rng.normal(size=60)
         tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
-        clone = RegressionTree.from_dict(tree.to_dict(), 4)
-        assert clone.to_dict() == tree.to_dict()
-        assert clone.depth() == tree.depth()
+        clone = NodeTable.from_dicts(tree.to_dicts(), 4)[0]
+        assert clone.to_dicts() == tree.to_dicts()
+        assert clone.depth.tolist() == tree.depth.tolist()
         probe = rng.normal(size=(25, 4))
         assert np.array_equal(tree.predict_matrix(probe), clone.predict_matrix(probe))
 
     def test_dict_shape(self):
-        doc = known_split_tree().to_dict()
+        doc = known_split_tree().to_dicts()[0]
         assert set(doc) == {"feature", "threshold", "left", "right", "value", "count"}
         assert all(len(column) == 3 for column in doc.values())
 
@@ -350,10 +350,10 @@ class TestSerialization:
         ("value", []),
     ])
     def test_malformed_table_rejected(self, column, cells):
-        doc = known_split_tree().to_dict()
+        doc = known_split_tree().to_dicts()[0]
         doc[column] = cells
         with pytest.raises(DataValidationError):
-            RegressionTree.from_dict(doc, 1)
+            NodeTable.from_dicts([doc], 1)
 
     @pytest.mark.parametrize("doc", [
         {"value": 1.0, "count": 4},  # nested layout: a leaf root
@@ -363,7 +363,7 @@ class TestSerialization:
     ])
     def test_nested_layout_rejected(self, doc):
         with pytest.raises(DataValidationError):
-            RegressionTree.from_dict(doc, 1)
+            NodeTable.from_dicts([doc], 1)
 
 
 class TestReferenceEngine:
@@ -382,23 +382,23 @@ class TestReferenceEngine:
                             min_samples_split=data.draw(st.integers(2, 4)))
         # SSE mode, with and without a depth bound
         for mode in (config, TreeConfig(max_depth=None)):
-            assert (fit_tree(X, y, mode, stream(0, "t")).to_dict()
-                    == reference_tree.fit_tree(X, y, mode, stream(0, "t")).to_dict())
+            assert (fit_tree(X, y, mode, stream(0, "t")).to_dicts()
+                    == reference_tree.fit_tree(X, y, mode, stream(0, "t")).to_dicts())
         # second-order mode on float gradients, lambda > 0 and gamma > 0
         grad = arrays(n, st.floats(-10.0, 10.0), "grad")
         hess = arrays(n, st.floats(0.5, 2.0), "hess")
         penalties = (data.draw(st.floats(0.1, 2.0), label="lambda"),
                      data.draw(st.floats(0.001, 0.1), label="gamma"))
-        assert (fit_tree_gradients(X, grad, hess, config, stream(0, "t"), *penalties).to_dict()
+        assert (fit_tree_gradients(X, grad, hess, config, stream(0, "t"), *penalties).to_dicts()
                 == reference_tree.fit_tree_gradients(X, grad, hess, config, stream(0, "t"),
-                                                     *penalties).to_dict())
+                                                     *penalties).to_dicts())
         # bootstrap weights against the same rows repeated, in drawn order
         weights = np.array(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
         repeated = np.repeat(np.arange(n), weights)
         repeated = repeated[data.draw(st.permutations(range(repeated.size)), label="order")]
-        assert (fit_tree(X, y, config, stream(0, "t"), weights=weights).to_dict()
+        assert (fit_tree(X, y, config, stream(0, "t"), weights=weights).to_dicts()
                 == reference_tree.fit_tree(X[repeated], y[repeated], config,
-                                           stream(0, "t")).to_dict())
+                                           stream(0, "t")).to_dicts())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_weights_on_float_targets_agree_to_rounding(self, seed):
@@ -460,18 +460,18 @@ class TestBatchedGrowth:
         for (X, y, w, g, h, j), batched, batched_gh in zip(jobs, sse, second_order):
             alone = fit_tree(X, y, config, stream(j, "t"), weights=w)
             alone_gh = fit_tree_gradients(X, g, h, config, stream(j, "t"), *penalties)
-            assert batched.to_dict() == alone.to_dict()
-            assert batched_gh.to_dict() == alone_gh.to_dict()
+            assert batched.to_dicts() == alone.to_dicts()
+            assert batched_gh.to_dicts() == alone_gh.to_dicts()
             if config.max_features is not None:
                 continue  # the reference draws subsets depth-first, not level by level
             repeated = np.arange(X.shape[0]) if w is None else np.repeat(np.arange(X.shape[0]), w)
-            assert batched.to_dict() == reference_tree.fit_tree(
-                X[repeated], y[repeated], config, stream(j, "t")).to_dict()
-            assert batched_gh.to_dict() == reference_tree.fit_tree_gradients(
-                X, g, h, config, stream(j, "t"), *penalties).to_dict()
+            assert batched.to_dicts() == reference_tree.fit_tree(
+                X[repeated], y[repeated], config, stream(j, "t")).to_dicts()
+            assert batched_gh.to_dicts() == reference_tree.fit_tree_gradients(
+                X, g, h, config, stream(j, "t"), *penalties).to_dicts()
 
     def test_empty_batch(self):
-        assert fit_trees([], TreeConfig()) == []
+        assert len(fit_trees([], TreeConfig())) == 0
 
     def test_mixed_widths_rejected(self):
         jobs = [(Presorted(np.ones((3, 2))), np.arange(3), np.arange(3.0), None, stream(0, "t")),
@@ -528,10 +528,10 @@ class TestPresorted:
              for j, rows in enumerate(subsets)], config, *penalties)
         for j, (rows, w) in enumerate(zip(subsets, weights)):
             repeated = np.repeat(rows, w)
-            assert sse[j].to_dict() == reference_tree.fit_tree(
-                X[repeated], y[repeated], config, stream(j, "t")).to_dict()
-            assert second_order[j].to_dict() == reference_tree.fit_tree_gradients(
-                X[rows], grad[rows], hess[rows], config, stream(j, "t"), *penalties).to_dict()
+            assert sse[j].to_dicts() == reference_tree.fit_tree(
+                X[repeated], y[repeated], config, stream(j, "t")).to_dicts()
+            assert second_order[j].to_dicts() == reference_tree.fit_tree_gradients(
+                X[rows], grad[rows], hess[rows], config, stream(j, "t"), *penalties).to_dicts()
 
     @pytest.mark.parametrize("rows", [[2, 1], [0, 0, 1], [1, 1], [-1, 0], [0, 4], [],
                                       [[0, 1]], [0.0, 1.0]])
@@ -563,7 +563,7 @@ class TestFeatureSubsets:
         config = TreeConfig(max_depth=4, max_features=1)
         tree = fit_tree(X, y, config, stream(3, "t"))
         assert set(tree.feature[tree.feature >= 0]) - {0}
-        assert tree.to_dict() == fit_tree(X, y, config, stream(3, "t")).to_dict()
+        assert tree.to_dicts() == fit_tree(X, y, config, stream(3, "t")).to_dicts()
 
 
 def eighths_matrix(rng, n):
@@ -588,7 +588,7 @@ class TestLeafValues:
             for w in (None, weights):
                 tree = fit_tree(X, y, config, stream(0, "t"), weights=w)
                 expected = reference_tree.fit_tree(X, y, config, stream(0, "t"), weights=w)
-                assert tree.to_dict() == expected.to_dict()
+                assert tree.to_dicts() == expected.to_dicts()
                 leaf = tree.feature < 0
                 sizes += [tree.count[leaf]] if w is None else []
         sizes = np.concatenate(sizes)
@@ -610,9 +610,9 @@ class TestUnitStatistics:
             h[rng.integers(n)] = 1.0 + 2.0**-40  # not unit: every sum goes through floats
         for config in (TreeConfig(max_depth=5), TreeConfig(max_depth=None, min_samples_split=30)):
             for penalties in ((1.0, 0.0), (0.0, 0.0), (0.3, 0.01)):
-                assert (fit_tree_gradients(X, grad, h, config, stream(1, "t"), *penalties).to_dict()
+                assert (fit_tree_gradients(X, grad, h, config, stream(1, "t"), *penalties).to_dicts()
                         == reference_tree.fit_tree_gradients(X, grad, h, config, stream(1, "t"),
-                                                             *penalties).to_dict())
+                                                             *penalties).to_dicts())
 
     def test_bootstrap_weighted_trees_equal_the_reference(self):
         rng = np.random.default_rng(9)
@@ -629,7 +629,7 @@ class TestUnitStatistics:
             expected.append(reference_tree.fit_tree(X[rows], y[rows], config, stream(k, "t"),
                                                     weights=drawn[rows]))
         for tree, reference in zip(fit_trees(jobs, config), expected):
-            assert tree.to_dict() == reference.to_dict()
+            assert tree.to_dicts() == reference.to_dicts()
 
     def test_zero_hessian_leaf_is_a_numeric_error(self):
         X = np.arange(4.0)[:, None]
