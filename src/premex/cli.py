@@ -91,16 +91,34 @@ def _load_config_map(ctx, param, value):
         if not isinstance(section, dict):
             raise click.UsageError(f"config section {command_name!r} must be an object")
         # accept flag spellings ("--out") as well as parameter names ("out_dir")
-        alias = {}
+        alias, parameters = {}, {}
         for parameter in command.params:
             alias[parameter.name] = parameter.name
+            parameters[parameter.name] = parameter
             for opt in parameter.opts:
                 alias[opt.lstrip("-").replace("-", "_")] = parameter.name
-        normalized[command_name] = {
-            alias.get(key.replace("-", "_"), key): item for key, item in section.items()
-        }
+        normalized[command_name] = {}
+        for key, item in section.items():
+            name = alias.get(key.replace("-", "_"), key)
+            if name in parameters:
+                _check_config_number(parameters[name].type, f"{command_name}.{key}", item)
+            normalized[command_name][name] = item
     ctx.default_map = normalized
     return value
+
+
+def _check_config_number(kind, where, item):
+    """Reject a config value that click's number types would quietly change.
+
+    click takes `int(x)` of a float and of a bool, and `float(x)` of a
+    bool, where the same value given as a flag is a usage error.
+    """
+    if isinstance(kind, click.types.IntParamType) and (
+        isinstance(item, bool) or isinstance(item, float) and not item.is_integer()
+    ):
+        raise click.UsageError(f"config value {where} must be an integer, not {json.dumps(item)}")
+    if isinstance(kind, click.types.FloatParamType) and isinstance(item, bool):
+        raise click.UsageError(f"config value {where} must be a number, not {json.dumps(item)}")
 
 
 @click.group()

@@ -337,9 +337,9 @@ def split_from_json(path, n: int) -> SplitIndices:
     rows = {}
     for key in ("train_rows", "test_rows"):
         ids = document.get(key)
-        if not isinstance(ids, list) or not ids or not all(
-            type(i) is int and 0 <= i < n for i in ids
-        ):
+        # C-level passes over the list, no Python loop; type() keeps bools out
+        if (not isinstance(ids, list) or not ids or set(map(type, ids)) != {int}
+                or min(ids) < 0 or max(ids) >= n):
             raise DataValidationError(
                 f"{path}: {key} must be a non-empty list of row ids in 0..{n - 1}"
             )

@@ -6,12 +6,24 @@ one `<table>_csv` function.  The renderer is deliberately dependency-free:
 identical inputs must give byte-identical SVG, which rules out plotting
 libraries that embed timestamps or hashed ids.  Figures validate their data
 shape before any output is produced.
+
+Numbers are formatted a whole array at a time.  A figure scales each series
+as one array (`_Scale` applies the scalar formula elementwise, so each
+coordinate has the same bits) and writes all of a series' circles, or all
+of a panel's polylines (their shared x coordinates formatted once), with
+one `%`-template filled from the array's values: `'%.2f' % x` is
+`f"{x:.2f}"`.  The ICE, SHAP and importance tables write their rows the
+same way, one template per run of rows, with each text cell (feature name,
+curve variant) quoted once by `csv.writer`'s rules and row ids, which are
+integers, written as `str` writes them.  So the output is the text that
+formatting one number at a time gives (`tests/reference_report.py`).
 """
 
 import csv
 import io
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -79,6 +91,12 @@ class _Scale:
         t = (float(x) - self.lo) / (self.hi - self.lo)
         return self.pixel_lo + t * (self.pixel_hi - self.pixel_lo)
 
+    def array(self, xs):
+        """`self(x)` of every value of `xs`, as one array: the same operations,
+        so the same bits."""
+        t = (np.asarray(xs, dtype=np.float64) - self.lo) / (self.hi - self.lo)
+        return self.pixel_lo + t * (self.pixel_hi - self.pixel_lo)
+
 
 class _Canvas:
     def __init__(self, width: int, height: int, title: str, meta: str = ""):
@@ -106,19 +124,37 @@ class _Canvas:
             f'fill="{fill}" stroke="{stroke}"{extra}/>'
         )
 
-    def circle(self, x, y, r, fill, opacity=None):
-        extra = f' fill-opacity="{opacity}"' if opacity is not None else ""
-        self.parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{fill}"{extra}/>'
-        )
+    def _repeat(self, element, count, values):
+        # `count` copies of the %-template `element`, one per line, filled
+        # from `values` in order; the template's fixed text holds no "%"
+        if count:
+            self.parts.append("\n".join([element] * count) % tuple(values))
 
-    def polyline(self, xs, ys, color, width=1.5, opacity=None):
-        points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+    def circles(self, xs, ys, r, fill, opacity=None):
+        """One circle at each (x, y); `fill` is a color, or (r, g, b) rows, one per point."""
+        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.float64),
+                                     np.asarray(ys, dtype=np.float64))
+        extra = f' fill-opacity="{opacity}"' if opacity is not None else ""
+        if isinstance(fill, str):
+            element = f'<circle cx="%.2f" cy="%.2f" r="{_fmt(r)}" fill="{fill}"{extra}/>'
+            values = np.stack((xs, ys), axis=-1).ravel().tolist()
+        else:
+            element = f'<circle cx="%.2f" cy="%.2f" r="{_fmt(r)}" fill="#%02x%02x%02x"{extra}/>'
+            rgb = np.transpose(fill).tolist()
+            values = chain.from_iterable(zip(xs.tolist(), ys.tolist(), *rgb))
+        self._repeat(element, xs.size, values)
+
+    def polylines(self, xs, ys, color, width=1.5, opacity=None):
+        """One polyline through (xs, row) for each row of `ys`, a 1-d or 2-d array.
+
+        The rows share their x coordinates, so each x is formatted once.
+        """
+        ys = np.atleast_2d(ys)
+        points = " ".join([f"{x:.2f},%.2f" for x in np.asarray(xs, dtype=np.float64).tolist()])
         extra = f' stroke-opacity="{opacity}"' if opacity is not None else ""
-        self.parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"{extra}/>'
-        )
+        element = (f'<polyline points="{points}" fill="none" stroke="{color}" '
+                   f'stroke-width="{width}"{extra}/>')
+        self._repeat(element, ys.shape[0], ys.ravel().tolist())
 
     def text(self, x, y, content, size=11, anchor="start", weight="normal", angle=None, color="#000000"):
         transform = (
@@ -158,11 +194,15 @@ def _as_array(values, kind, name, min_len=1):
     return arr
 
 
+def _rgb(low, high, t):
+    """Integer (r, g, b) of `low` blended toward `high` by each fraction of `t`
+    (a trailing axis of 3), rounded half to even as `round` does."""
+    low = np.asarray(low)
+    return np.rint(low + (np.asarray(high) - low) * np.asarray(t)[..., None]).astype(np.int64)
+
+
 def _blend(low, high, t):
-    r = round(low[0] + (high[0] - low[0]) * t)
-    g = round(low[1] + (high[1] - low[1]) * t)
-    b = round(low[2] + (high[2] - low[2]) * t)
-    return f"#{r:02x}{g:02x}{b:02x}"
+    return "#%02x%02x%02x" % tuple(_rgb(low, high, t).tolist())
 
 
 def _heat_color(value: float) -> str:
@@ -233,8 +273,8 @@ def group_boxplot_svg(feature, groups, title, meta=""):
                     fill="#aec7e8", stroke=COLOR_AXIS)
         canvas.line(center - half, y_scale(median), center + half, y_scale(median),
                     color=COLOR_ACCENT, width=2)
-        for outlier in values[(values < whisker_lo) | (values > whisker_hi)]:
-            canvas.circle(center, y_scale(outlier), 2.2, COLOR_POINT, opacity=0.7)
+        outliers = values[(values < whisker_lo) | (values > whisker_hi)]
+        canvas.circles(center, y_scale.array(outliers), 2.2, COLOR_POINT, opacity=0.7)
         canvas.text(center, box[3] + 16, _label(float(value)), size=10, anchor="middle")
     canvas.line(box[0], box[3], box[2], box[3])
     canvas.line(box[0], box[1], box[0], box[3])
@@ -261,12 +301,11 @@ def learning_curve_svg(n_rows, train, val, title, meta=""):
     y_scale = _Scale(y_all.min(), min(1.05, y_all.max() + 0.05), box[3], box[1])
     canvas = _Canvas(width, height, title, meta)
     _axes(canvas, box, x_scale, y_scale, "training rows", "R^2")
-    canvas.polyline([x_scale(x) for x in n_rows], [y_scale(y) for y in train], COLOR_ACCENT, 2)
-    canvas.polyline([x_scale(x) for x in n_rows], [y_scale(y) for y in val], COLOR_POINT, 2)
-    for x, y in zip(n_rows, train):
-        canvas.circle(x_scale(x), y_scale(y), 3, COLOR_ACCENT)
-    for x, y in zip(n_rows, val):
-        canvas.circle(x_scale(x), y_scale(y), 3, COLOR_POINT)
+    xs, train_ys, val_ys = x_scale.array(n_rows), y_scale.array(train), y_scale.array(val)
+    canvas.polylines(xs, train_ys, COLOR_ACCENT, 2)
+    canvas.polylines(xs, val_ys, COLOR_POINT, 2)
+    canvas.circles(xs, train_ys, 3, COLOR_ACCENT)
+    canvas.circles(xs, val_ys, 3, COLOR_POINT)
     canvas.rect(box[2] - 150, box[1] + 6, 12, 12, COLOR_ACCENT)
     canvas.text(box[2] - 132, box[1] + 16, "training score", size=10)
     canvas.rect(box[2] - 150, box[1] + 24, 12, 12, COLOR_POINT)
@@ -297,8 +336,7 @@ def _scatter_svg(xs, ys, title, x_label, y_label, meta, identity=False, zero_lin
     if zero_line:
         canvas.line(x_scale(x_scale.lo), y_scale(0), x_scale(x_scale.hi), y_scale(0),
                     color=COLOR_ACCENT, width=1.5, dash="5,3")
-    for x, y in zip(xs, ys):
-        canvas.circle(x_scale(x), y_scale(y), 2.5, COLOR_POINT, opacity=0.6)
+    canvas.circles(x_scale.array(xs), y_scale.array(ys), 2.5, COLOR_POINT, opacity=0.6)
     return canvas.svg()
 
 
@@ -331,32 +369,41 @@ def beeswarm_svg(names, points, title, meta=""):
     left, top = 170, 50
     bottom = top + band * len(names)
     height = bottom + 70
-    all_phi = np.concatenate([np.asarray(p[0], dtype=np.float64) for p in points])
-    if all_phi.size == 0:
+    phi = [np.asarray(p[0], dtype=np.float64) for p in points]
+    colors = [np.asarray(p[1], dtype=np.float64) for p in points]
+    if any(c.shape != f.shape for c, f in zip(colors, phi)):
+        raise DataValidationError("beeswarm: each attribution needs one color")
+    sizes = [f.size for f in phi]
+    phi, colors = np.concatenate(phi), np.concatenate(colors)
+    if phi.size == 0:
         raise DataValidationError("beeswarm: no attribution points")
-    limit = max(abs(all_phi.min()), abs(all_phi.max()), 1e-12)
+    limit = max(abs(phi.min()), abs(phi.max()), 1e-12)
     x_scale = _Scale(-limit, limit, left, width - 90)
+    # deterministic vertical stacking: points sharing an x-bin of their
+    # feature's row fan out, taken by (phi, color, index); x grows with phi,
+    # so a bin's points are one run, and a point's level is its place in it.
+    # `row` is sorted, so the sort, first by row, leaves it as it is.
+    row = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((colors, phi, row))
+    xs = x_scale.array(phi[order])
+    bins = (xs - left) // 5
+    starts = np.ones(bins.size, dtype=bool)
+    starts[1:] = (bins[1:] != bins[:-1]) | (row[1:] != row[:-1])
+    position = np.arange(bins.size)
+    level = position - np.maximum.accumulate(np.where(starts, position, 0))
+    step = (level + 1) // 2 * 3.2
+    offset = np.clip(np.where(level % 2 == 1, step, -step), -band / 2 + 4, band / 2 - 4)
+    ys = top + band * (row + 0.5) + offset
+    rgb = _rgb(COLOR_LOW, COLOR_HIGH, colors[order])
     canvas = _Canvas(width, height, title, meta)
     canvas.line(x_scale(0), top, x_scale(0), bottom, color=COLOR_GRID, width=1)
-    for row, (name, (phi, colors)) in enumerate(zip(names, points)):
-        phi = np.asarray(phi, dtype=np.float64)
-        colors = np.asarray(colors, dtype=np.float64)
-        center = top + band * (row + 0.5)
+    ends = np.cumsum(sizes).tolist()
+    for index, (name, start, end) in enumerate(zip(names, [0] + ends, ends)):
+        center = top + band * (index + 0.5)
         canvas.text(left - 8, center + 3.5, name, size=10, anchor="end")
-        canvas.line(left, top + band * (row + 1), width - 90, top + band * (row + 1),
+        canvas.line(left, top + band * (index + 1), width - 90, top + band * (index + 1),
                     color=COLOR_GRID, width=0.5)
-        # deterministic vertical stacking: points sharing an x-bin fan out
-        order = sorted(range(phi.size), key=lambda i: (phi[i], colors[i], i))
-        bins = {}
-        for i in order:
-            bin_id = int((x_scale(phi[i]) - left) // 5)
-            level = bins.get(bin_id, 0)
-            bins[bin_id] = level + 1
-            step = (level + 1) // 2 * 3.2
-            offset = step if level % 2 == 1 else -step
-            offset = max(-band / 2 + 4, min(band / 2 - 4, offset))
-            canvas.circle(x_scale(phi[i]), center + offset, 2.2,
-                          _blend(COLOR_LOW, COLOR_HIGH, colors[i]), opacity=0.8)
+        canvas.circles(xs[start:end], ys[start:end], 2.2, rgb[start:end], opacity=0.8)
     canvas.line(left, bottom, width - 90, bottom)
     for tick in _ticks(-limit, limit):
         canvas.line(x_scale(tick), bottom, x_scale(tick), bottom + 4)
@@ -364,8 +411,8 @@ def beeswarm_svg(names, points, title, meta=""):
     canvas.text((left + width - 90) / 2, bottom + 34,
                 "attribution (premium units)", size=12, anchor="middle")
     # color legend
-    for i in range(40):
-        canvas.rect(width - 60, top + i * 3, 10, 3, _blend(COLOR_HIGH, COLOR_LOW, i / 39))
+    for i, (r, g, b) in enumerate(_rgb(COLOR_HIGH, COLOR_LOW, np.arange(40) / 39).tolist()):
+        canvas.rect(width - 60, top + i * 3, 10, 3, f"#{r:02x}{g:02x}{b:02x}")
     canvas.text(width - 44, top + 8, "high", size=9)
     canvas.text(width - 44, top + 120, "low", size=9)
     return canvas.svg()
@@ -429,13 +476,12 @@ def ice_panel_svg(panels, title, meta=""):
             canvas.text(x_scale(tick), box[3] + 12, _label(tick), size=8, anchor="middle")
         for tick in _ticks(y_scale.lo, y_scale.hi, 4):
             canvas.text(box[0] - 3, y_scale(tick) + 2.5, _label(tick), size=8, anchor="end")
-        xs = [x_scale(x) for x in grid]
-        for curve in curves:
-            canvas.polyline(xs, [y_scale(v) for v in curve], COLOR_CURVE, 0.8, opacity=0.5)
-        canvas.polyline(xs, [y_scale(v) for v in pdp], COLOR_PDP, 2.5)
+        xs = x_scale.array(grid)
+        canvas.polylines(xs, y_scale.array(curves), COLOR_CURVE, 0.8, opacity=0.5)
+        canvas.polylines(xs, y_scale.array(pdp), COLOR_PDP, 2.5)
         if panel.anchor_index is not None:
             anchor = panel.anchor_index
-            canvas.circle(x_scale(grid[anchor]), y_scale(pdp[anchor]), 3, COLOR_ACCENT)
+            canvas.circles(xs[anchor], y_scale(pdp[anchor]), 3, COLOR_ACCENT)
     return canvas.svg()
 
 
@@ -448,6 +494,20 @@ def _csv_text(header, rows, meta: str) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
+
+
+def _cells(texts) -> list:
+    """Each of `texts` as `csv.writer` writes it as one cell of a row, with
+    "%" doubled for a %-template."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    cells = []
+    for text in texts:
+        writer.writerow((text, ""))
+        cells.append(buffer.getvalue()[:-2].replace("%", "%%"))
+        buffer.seek(0)
+        buffer.truncate()
+    return cells
 
 
 def summary_stats_csv(names, table, *, seed=None) -> str:
@@ -573,41 +633,48 @@ def group_summary_all_csv(parts, *, seed=None) -> str:
 
 
 def shap_values_csv(names, base_value, phi, row_ids=None, *, seed=None) -> str:
+    """One row per row of `phi`: its integer row id, its φ and the base value."""
     n = phi.shape[0]
     if row_ids is None:
         row_ids = list(range(n))
     header = ["RowId"] + list(names) + ["BaseValue"]
-    rows = [
-        [row_ids[i]] + [f"{v:.6f}" for v in phi[i]] + [f"{base_value:.6f}"]
-        for i in range(n)
-    ]
-    return _csv_text(header, rows, csv_meta_line(seed=seed, config={"table": "shap_values"}))
+    cells = ",%.6f" * phi.shape[1] + f",{base_value:.6f}\n"
+    template = "".join(f"{row_ids[i]}{cells}" for i in range(n))
+    return (_csv_text(header, [], csv_meta_line(seed=seed, config={"table": "shap_values"}))
+            + template % tuple(phi.ravel().tolist()))
 
 
 def importance_csv(names, totals, order, *, seed=None) -> str:
     """One row per feature in `order`, as `explain.importance` ranks them."""
-    rows = [[names[j], f"{totals[j]:.6f}", rank + 1] for rank, j in enumerate(order)]
-    return _csv_text(
-        ["Feature", "TotalAbsAttribution", "Rank"],
-        rows,
-        csv_meta_line(seed=seed, config={"table": "importance"}),
-    )
+    cells = _cells(names)
+    template = "".join(f"{cells[j]},%.6f,{rank + 1}\n" for rank, j in enumerate(order))
+    return (_csv_text(["Feature", "TotalAbsAttribution", "Rank"], [],
+                      csv_meta_line(seed=seed, config={"table": "importance"}))
+            + template % tuple(totals[j] for j in order))
 
 
 def ice_long_csv(curve_sets, row_ids=None, *, seed=None) -> str:
-    """Long-format ICE curves: one line per (variant, row, grid point)."""
-    rows = []
+    """Long-format ICE curves: one line per (variant, row, grid point).
+
+    `row_ids` are integers, one per curve (default: 0, 1, ...).  Each curve
+    set is one %-template: a line per (row, grid point) whose last cell takes
+    the curve's value there.
+    """
+    body = []
     for curve_set in curve_sets:
-        curves = curve_set.curves.tolist()
+        curves = curve_set.curves
         ids = row_ids if row_ids is not None else range(len(curves))
-        grid = [f"{value:.6f}" for value in curve_set.grid.tolist()]
-        name, variant = curve_set.feature_name, curve_set.variant
-        for row_id, curve in zip(ids, curves):
-            rows.extend([name, variant, row_id, value, f"{prediction:.6f}"]
-                        for value, prediction in zip(grid, curve))
+        name, variant = _cells((curve_set.feature_name, curve_set.variant))
+        lead = f"{name},{variant},"
+        heads = [f"{lead}{row_id}" for row_id, _ in zip(ids, curves)]
+        # head + head.join(tails) puts the row's head before each grid point's tail
+        tails = [f",{value:.6f},%.6f\n" for value in curve_set.grid.tolist()]
+        if tails:
+            template = "".join(head + head.join(tails) for head in heads)
+            body.append(template % tuple(curves[:len(heads)].ravel().tolist()))
     return _csv_text(
         ["Feature", "Variant", "RowId", "GridValue", "Prediction"],
-        rows,
+        [],
         csv_meta_line(seed=seed, config={"table": "ice_curves"}),
-    )
+    ) + "".join(body)
 

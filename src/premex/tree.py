@@ -574,7 +574,8 @@ def _check_fit_inputs(matrix, rows, targets, config):
 def _grow(jobs, config, reg_lambda, gamma) -> NodeTable:
     """One tree per job, grown in consecutive chunks of at most CHUNK_ROWS rows.
 
-    A job larger than CHUNK_ROWS is a chunk of its own.
+    A job larger than CHUNK_ROWS is a chunk of its own.  A lone chunk's
+    table, such as every boosting stage's, is returned as it is.
     """
     tables, chunk, rows = [], [], 0
     for job in jobs:
@@ -585,6 +586,8 @@ def _grow(jobs, config, reg_lambda, gamma) -> NodeTable:
         rows += job[1].size
     if chunk:
         tables.append(_grow_chunk(chunk, config, reg_lambda, gamma))
+    if len(tables) == 1:
+        return tables[0]
     return NodeTable.join(tables, tables[0].feature_count if tables else 0)
 
 

@@ -6,7 +6,10 @@ It also runs `explain` in the ICE modes that `reproduce` never writes (raw and
 derivative, ICE_RUNS) on the run's `model_gbm.json`, and `tune` once per
 variant on the run's `dataset.json` (TUNE_GRIDS: unsorted `n_estimators`
 values, never the grid's last key), and records those files' hashes under
-`<run>/<file>`.
+`<run>/<file>`.  A last run, `explain_bench`, explains every model at the
+explain benchmark's sizes (SHAP of 20 rows against 50 background rows,
+centered ICE of 20 rows on 30 grid points; BENCH_RUNS), so the report
+writers are pinned on inputs as large as the ones they are timed on.
 A change that moves artifact bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/golden.py --write
@@ -35,12 +38,24 @@ GOLDEN_ARGS = ["--folds", "2", "--background-size", "10", "--explain-rows", "4",
                "--ice-rows", "5", "--grid-points", "5"]
 ICE_ARGS = ["--mode", "ice", "--rows", "5", "--grid-points", "5"]
 ICE_RUNS = {"ice_raw": [], "ice_derivative": ["--derivative"]}
+BENCH_RUNS = {
+    "shap": ["--mode", "shap", "--rows", "20", "--background-size", "50"],
+    "ice": ["--mode", "ice", "--centered", "--rows", "20", "--grid-points", "30"],
+}
+BENCH_DIR = "explain_bench"
+VARIANTS = ("rf", "gbm", "xgb")
 TUNE_ARGS = ["--folds", "2"]
 TUNE_GRIDS = {
     "rf": {"n_estimators": [5, 2, 3], "max_depth": [2, 4]},
     "gbm": {"n_estimators": [4, 1, 3], "learning_rate": [0.19, 0.3]},
     "xgb": {"max_depth": [2, 3], "n_estimators": [6, 2, 4], "subsample": [0.75]},
 }
+
+
+def _explain_argv(out_dir, variant, run_dir, flags):
+    return ["explain", os.path.join(out_dir, f"model_{variant}.json"),
+            os.path.join(out_dir, "dataset.json"), "--split", os.path.join(out_dir, "split.json"),
+            "--out", run_dir, *flags]
 
 
 def _hash_dir(files, run, run_dir) -> None:
@@ -63,11 +78,8 @@ def run_manifest(work_dir) -> dict:
     files = {entry["name"]: entry.get("sha256") for entry in entries}
     for run, flags in ICE_RUNS.items():
         ice_dir = os.path.join(work_dir, run)
-        result = CliRunner().invoke(main, [
-            "explain", os.path.join(out_dir, "model_gbm.json"),
-            os.path.join(out_dir, "dataset.json"), "--split", os.path.join(out_dir, "split.json"),
-            "--out", ice_dir, *ICE_ARGS, *flags,
-        ])
+        result = CliRunner().invoke(main, _explain_argv(out_dir, "gbm", ice_dir,
+                                                        [*ICE_ARGS, *flags]))
         if result.exit_code != 0:
             raise RuntimeError(f"explain {run} exited {result.exit_code}: {result.output}")
         _hash_dir(files, run, ice_dir)
@@ -83,6 +95,14 @@ def run_manifest(work_dir) -> dict:
         if result.exit_code != 0:
             raise RuntimeError(f"tune {variant} exited {result.exit_code}: {result.output}")
         _hash_dir(files, f"tune_{variant}", tune_dir)
+    bench_dir = os.path.join(work_dir, BENCH_DIR)
+    for variant in VARIANTS:
+        for mode, flags in BENCH_RUNS.items():
+            result = CliRunner().invoke(main, _explain_argv(out_dir, variant, bench_dir, flags))
+            if result.exit_code != 0:
+                raise RuntimeError(f"explain {mode} {variant} exited {result.exit_code}: "
+                                   f"{result.output}")
+    _hash_dir(files, BENCH_DIR, bench_dir)
     return files
 
 
@@ -106,6 +126,12 @@ def write_golden(files: dict) -> None:
             for variant in TUNE_GRIDS
         },
         "tune_grids": TUNE_GRIDS,
+        "bench_commands": {
+            f"{mode}_{variant}": ["premex", "explain", f"out/model_{variant}.json",
+                                  "out/dataset.json", "--split", "out/split.json",
+                                  "--out", BENCH_DIR, *flags]
+            for variant in VARIANTS for mode, flags in BENCH_RUNS.items()
+        },
         "data": {"generator": "tests/synth.py make_csv_text", "n": DATA_ROWS,
                  "seed": DATA_SEED},
         "numpy": np.__version__,

@@ -881,6 +881,36 @@ class TestConfigFile:
         assert "config file" in result.output
 
 
+    @pytest.mark.parametrize("key, item", [
+        pytest.param("n_estimators", 2.7, id="int-fraction"),
+        pytest.param("seed", 2.5, id="seed-fraction"),
+        pytest.param("max_depth", True, id="int-bool"),
+        pytest.param("learning_rate", True, id="float-bool"),
+    ])
+    def test_number_click_would_change_exits_2(self, runner, workdir, tmp_path, key, item):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {key: item}}))
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["--config", str(config), "train",
+                                      str(workdir / "dataset.json"), "--model", "gbm",
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"train.{key}" in result.output and not out.exists()
+
+    def test_valid_numbers_apply(self, runner, workdir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"n-estimators": 3.0, "learning_rate": 0.25,
+                                                "max_depth": 2}}))
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["--config", str(config), "train",
+                                      str(workdir / "dataset.json"), "--model", "gbm",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        model = ensemble_mod.load_model(str(out / "model_gbm.json"))
+        assert len(model.trees) == 3 and model.learning_rate == 0.25
+        assert model.trees.depth.max() <= 2
+
+
 class TestReproduceSmoke:
     def test_missing_csv_clean_error(self, runner, tmp_path):
         result = runner.invoke(

@@ -2,7 +2,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_report as oracle
+from premex import report as report_mod
 from premex.data import Dataset, group_summary, pearson_correlation, summary_statistics
 from premex.errors import DataValidationError
 from premex.explain import IceCurveSet
@@ -129,6 +133,8 @@ class TestShapeChecks:
         pytest.param(lambda: beeswarm_svg(["a", "b"], [([1.0], [0.5])], "t"),
                      id="beeswarm-names"),
         pytest.param(lambda: beeswarm_svg(["a"], [([], [])], "t"), id="beeswarm-no-points"),
+        pytest.param(lambda: beeswarm_svg(["a"], [([1.0, 2.0], [0.5])], "t"),
+                     id="beeswarm-colors"),
         pytest.param(lambda: importance_bar_svg(["a"], [1.0, 2.0], "t"), id="importance-names"),
         pytest.param(lambda: ice_panel_svg([], "t"), id="ice-no-panels"),
         pytest.param(lambda: ice_panel_svg([IceCurveSet(0, "a", np.arange(3.0), np.zeros((2, 4)),
@@ -220,3 +226,119 @@ class TestImprovementCsv:
 
     def test_cv_above_test_is_negative(self):
         assert improvement_cells("GBM", 0.9, 0.85, 0.80)[4] == "-5.000"
+
+
+# --- whole-array writers against the number-at-a-time oracle ---------------
+
+# Finite values, with -0.0 and values on rounding ties of the 2- and 6-digit
+# formats (.xx5 and .xxxxxx5 in binary-exact and inexact forms).
+NUMBERS = st.one_of(
+    st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+    st.just(-0.0),
+    st.integers(-10**6, 10**6).map(lambda k: (2 * k + 1) / 200),
+    st.integers(-10**6, 10**6).map(lambda k: (2 * k + 1) / 2_000_000),
+    st.integers(-4096, 4096).map(lambda k: k / 8),
+)
+# Text cells that csv quotes (delimiter, quote, line ends), "%" of the
+# templates, and plain names.
+TEXT = st.one_of(
+    st.sampled_from(["Age", "BMI", "a,b", 'say "hi"', "two\nlines", "cr\r", "50%", "%s",
+                     "%.2f", " lead", ""]),
+    st.text(alphabet=st.sampled_from('ab ,"%\n\r;é'), max_size=6),
+)
+WRITERS = settings(max_examples=60, deadline=None)
+
+
+def number_arrays(shape):
+    return st.lists(NUMBERS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))).map(
+        lambda values: np.array(values, dtype=np.float64).reshape(shape))
+
+
+@st.composite
+def curve_sets(draw):
+    rows, points = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    grid = draw(number_arrays((points,)))
+    curves = draw(number_arrays((rows, points)))
+    pdp = draw(st.one_of(st.just(curves.mean(axis=0)), number_arrays((points,))))
+    anchor = draw(st.one_of(st.none(), st.integers(0, points - 1)))
+    return IceCurveSet(0, draw(TEXT), grid, curves, pdp, draw(TEXT), anchor)
+
+
+@st.composite
+def beeswarm_points(draw):
+    n = draw(st.integers(1, 12))
+    features = draw(st.integers(1, 4))
+    points = []
+    for _ in range(features):
+        phi = draw(st.one_of(
+            number_arrays((n,)),
+            NUMBERS.map(lambda value: np.full(n, value)),  # constant attributions
+            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n)
+            .map(np.array),  # ties, and the two zeros
+        ))
+        colors = draw(st.one_of(
+            st.just(np.full(n, 0.5)),
+            st.lists(st.integers(0, max(n - 1, 1)), min_size=n, max_size=n)
+            .map(lambda ranks: np.array(ranks) / max(n - 1, 1)),
+            st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array),
+        ))
+        points.append((phi, colors))
+    return [f"f{j}" for j in range(features)], points
+
+
+class TestWholeArrayWriters:
+    """Each whole-array writer gives the oracle's text for the same input."""
+
+    @WRITERS
+    @given(sets=st.lists(curve_sets(), min_size=1, max_size=3),
+           ids=st.one_of(st.none(), st.lists(st.integers(-10**12, 10**12), min_size=1,
+                                             max_size=6)))
+    def test_ice_long_csv(self, sets, ids):
+        assert report_mod.ice_long_csv(sets, ids, seed=3) == oracle.ice_long_csv(sets, ids, seed=3)
+
+    @WRITERS
+    @given(data=st.data(), rows=st.integers(0, 5), features=st.integers(1, 4))
+    def test_shap_values_and_importance_csv(self, data, rows, features):
+        names = data.draw(st.lists(TEXT, min_size=features, max_size=features))
+        phi = data.draw(number_arrays((rows, features)))
+        base = data.draw(NUMBERS)
+        ids = data.draw(st.one_of(st.none(), st.lists(st.integers(0, 10**6), min_size=rows,
+                                                      max_size=rows + 2)))
+        assert (report_mod.shap_values_csv(names, base, phi, ids, seed=1)
+                == oracle.shap_values_csv(names, base, phi, ids, seed=1))
+        totals = data.draw(number_arrays((features,)))
+        order = data.draw(st.permutations(range(features)))
+        assert (report_mod.importance_csv(names, totals, order)
+                == oracle.importance_csv(names, totals, order))
+
+    @WRITERS
+    @given(case=beeswarm_points())
+    def test_beeswarm_svg(self, case):
+        names, points = case
+        assert (report_mod.beeswarm_svg(names, points, "t", "m")
+                == oracle.beeswarm_svg(names, points, "t", "m"))
+
+    @WRITERS
+    @given(panels=st.lists(curve_sets(), min_size=1, max_size=4))
+    def test_ice_panel_svg(self, panels):
+        assert report_mod.ice_panel_svg(panels, "t", "m") == oracle.ice_panel_svg(panels, "t", "m")
+
+    @WRITERS
+    @given(data=st.data(), n=st.integers(3, 12))
+    def test_scatter_and_curve_figures(self, data, n):
+        xs, ys = data.draw(number_arrays((n,))), data.draw(number_arrays((n,)))
+        for name in ("prediction_error_svg", "residual_scatter_svg", "qq_svg"):
+            assert getattr(report_mod, name)(xs, ys, "t") == getattr(oracle, name)(xs, ys, "t")
+        val = data.draw(number_arrays((n,)))
+        assert (report_mod.learning_curve_svg(xs, ys, val, "t")
+                == oracle.learning_curve_svg(xs, ys, val, "t"))
+        groups = [(0.0, xs), (1.0, np.concatenate([ys, [1e6, -1e6]]))]
+        assert (report_mod.group_boxplot_svg("f", groups, "t")
+                == oracle.group_boxplot_svg("f", groups, "t"))
+
+    @WRITERS
+    @given(t=st.one_of(st.floats(0.0, 1.0), st.integers(0, 1024).map(lambda k: k / 1024)))
+    def test_blend(self, t):
+        for low, high in ((report_mod.COLOR_LOW, report_mod.COLOR_HIGH),
+                          ((255, 255, 255), report_mod.COLOR_LOW)):
+            assert report_mod._blend(low, high, t) == oracle._blend(low, high, t)

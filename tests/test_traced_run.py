@@ -81,6 +81,7 @@ print(json.dumps({
     "spans": len(tracer.names),
     "commands": len(commands),
     "counted": counted,
+    "names": sorted(set(tracer.names)),
     "layers": tracer_mod.layer_metrics(tracer, 1.0),
 }))
 """
@@ -121,6 +122,21 @@ def test_layer_metrics_reduce_the_spans(traced):
 ])
 def test_layer_metric_counts(traced, name):
     assert traced["layers"][name] > 0
+
+
+@pytest.mark.parametrize("name", [
+    "report.ice_long_csv",
+    "report.ice_panel_svg",
+    "report.beeswarm_svg",
+])
+def test_report_writer_is_a_span(traced, name):
+    # formatting done outside the public report functions would land in cli.self_s
+    assert name in traced["names"]
+
+
+def test_cli_self_time_per_command(traced):
+    # the benchmark allows 4 ms per command, plus a share of the traced wall time
+    assert traced["layers"]["cli.self_s"] <= 0.004 * traced["commands"]
 
 
 @pytest.mark.parametrize("name", [
