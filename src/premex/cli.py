@@ -212,8 +212,9 @@ def _train_one(train_data, variant, params, seed, out_dir):
     started = time.perf_counter()
     model = tuning_mod.fit_variant(variant, train_data, params, model_seed)
     elapsed = time.perf_counter() - started
-    ensemble_mod.save_model(model, os.path.join(out_dir, f"model_{variant}.json"))
+    # scored first, so a model whose R^2 is not finite is not written
     train_r2 = metrics_mod.r_squared(train_data.y, model.predict(train_data.X))
+    ensemble_mod.save_model(model, os.path.join(out_dir, f"model_{variant}.json"))
     report = {
         "variant": variant,
         "params": params,

@@ -320,8 +320,8 @@ def dataset_from_json(path) -> Dataset:
 
 def split_to_json(split: SplitIndices, path) -> None:
     payload = {
-        "train_rows": [int(i) for i in split.train_rows],
-        "test_rows": [int(i) for i in split.test_rows],
+        "train_rows": split.train_rows.tolist(),
+        "test_rows": split.test_rows.tolist(),
         "split_seed": split.seed,
     }
     write_json_artifact(path, "split", payload, seed=split.seed, config={"n": len(payload["train_rows"]) + len(payload["test_rows"])})

@@ -1,5 +1,6 @@
 """Regression evaluation metrics and the residual Q-Q points."""
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -20,6 +21,21 @@ def _pair(actual, predicted, min_len=1):
     return actual, predicted
 
 
+def _finite(metric):
+    """`metric` computed with numpy's overflow and invalid warnings off;
+    NumericError naming it when its value is NaN or infinite."""
+    @functools.wraps(metric)
+    def checked(actual, predicted) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = metric(actual, predicted)
+        if not math.isfinite(value):
+            raise NumericError(f"{metric.__name__} is {value}, not a finite number: "
+                               "the values overflow float64 arithmetic")
+        return value
+    return checked
+
+
+@_finite
 def r_squared(actual, predicted) -> float:
     """1 - SSE/SST; 1.0 for perfect predictions, negative when worse than the mean."""
     actual, predicted = _pair(actual, predicted, min_len=2)
@@ -30,16 +46,19 @@ def r_squared(actual, predicted) -> float:
     return float(1.0 - residual / total)
 
 
+@_finite
 def mae(actual, predicted) -> float:
     actual, predicted = _pair(actual, predicted)
     return float(np.mean(np.abs(actual - predicted)))
 
 
+@_finite
 def rmse(actual, predicted) -> float:
     actual, predicted = _pair(actual, predicted)
     return float(math.sqrt(np.mean((actual - predicted) ** 2)))
 
 
+@_finite
 def mape(actual, predicted) -> float:
     """Mean absolute percentage error, in percent.  Zero actuals are an error."""
     actual, predicted = _pair(actual, predicted)

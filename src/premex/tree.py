@@ -113,7 +113,11 @@ CHUNK_ROWS = 3000
 # a peak of 1.4, 2.0 and 3.3 MB with 2^14, 2^15 and 2^16 cells.  The
 # explain workload's timed commands took 152 and 154 ms (best of 20; 2
 # cores, numpy 2.4.6) with 2^15 and 2^16, and one explain iteration peaked
-# at 45.2 and 45.6 MB RSS.
+# at 45.2 and 45.6 MB RSS.  A level of growth whose padded (feature, node,
+# width) block fits in BLOCK_CELLS cells is also scored in one block
+# (_blocks): a 50-stage xgb fit on 740 rows then makes 269 _score calls for
+# its 250 levels, where splitting every uneven level made 402, and grows
+# the same trees.
 BLOCK_CELLS = 2**15
 
 
@@ -685,14 +689,17 @@ def _spans(start, size):
     return np.arange(size.sum()) + (start - size.cumsum() + size).repeat(size)
 
 
-def _blocks(size):
+def _blocks(size, n_features):
     """The nodes in blocks of similar size, largest first.
 
     Padding a block to its largest node at most doubles it, so the padded
     work and memory stay within twice the rows, however uneven the nodes.
+    A level whose whole padded (feature, node, width) block fits in
+    BLOCK_CELLS cells is one block, however much of it is padding.
     """
-    if size.max() * size.size <= 2 * size.sum():
-        return [slice(None)]  # the largest node is at most twice the mean
+    if (size.max() * size.size <= 2 * size.sum()  # the largest node is at most twice the mean
+            or n_features * size.size * max(int(size.max()), 2) <= BLOCK_CELLS):
+        return [slice(None)]
     order = np.argsort(-size, kind="stable")
     held = np.cumsum(size[order])
     blocks, first = [], 0
@@ -797,7 +804,7 @@ class _SortedColumns:
         n_features, n_nodes = self.x.shape[0], start.size
         best_gain = np.empty((n_nodes, n_features))
         best_cut = np.empty((n_nodes, n_features), dtype=np.int64)
-        for nodes in _blocks(size):
+        for nodes in _blocks(size, n_features):
             best_gain[nodes], best_cut[nodes] = self._score(start[nodes], size[nodes], reg_lambda,
                                                             gamma, second_order)
         if subset_size is not None:

@@ -466,6 +466,47 @@ class TestShortSplits:
         assert "error:" in result.output and isinstance(result.exception, SystemExit)
 
 
+class TestOverflowingPremiums:
+    """Premiums 1e150 times the synthetic ones are finite, but their squares
+    are not: every command that scores them exits 5 and writes no NaN or
+    Infinity into a JSON artifact."""
+
+    @pytest.fixture
+    def paths(self, runner, tmp_path):
+        csv_path = tmp_path / "premiums.csv"
+        csv_path.write_text(synth.make_csv_text(n=60, seed=3))
+        fitted = tmp_path / "fitted"
+        for args in (["ingest", str(csv_path)],
+                     ["train", str(fitted / "dataset.json"), "--model", "gbm",
+                      "--n-estimators", "5"]):
+            result = runner.invoke(main, [*args, "--out", str(fitted)])
+            assert result.exit_code == 0, result.output
+        dataset = data_mod.dataset_from_json(str(fitted / "dataset.json"))
+        huge = tmp_path / "huge.json"
+        data_mod.dataset_to_json(
+            data_mod.Dataset(dataset.feature_names, dataset.X, dataset.y * 1e150), str(huge))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n_estimators": [5]}))
+        return fitted, huge, grid
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "tune"])
+    def test_exits_5(self, runner, paths, tmp_path, command):
+        fitted, huge, grid = paths
+        args = {
+            "train": ["train", str(huge), "--model", "gbm", "--n-estimators", "5"],
+            "evaluate": ["evaluate", str(fitted / "model_gbm.json"), str(huge),
+                         "--split", str(fitted / "split.json")],
+            "tune": ["tune", str(huge), "--model", "gbm", "--grid", str(grid)],
+        }[command]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 5, result.output
+        assert "error: r_squared is nan, not a finite number" in result.output
+        for path in out.glob("*.json"):
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text, path.name
+
+
 def _set_keys(**changes):
     def edit(doc):
         doc.update(changes)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,18 @@ class TestTrivialCases:
     def test_mape_zero_actual_rejected(self):
         with pytest.raises(NumericError):
             mape([0.0, 1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("metric, actual, predicted", [
+        (r_squared, [3e154, -3e154], [0.0, 0.0]),  # SST and SSE overflow: inf / inf
+        (mae, [1.7e308, -1.7e308], [-1.7e308, 1.7e308]),
+        (rmse, [1e155, 2e155], [0.0, 0.0]),
+        (mape, [1e-300, 1.0], [1e300, 1.0]),
+    ], ids=["r_squared", "mae", "rmse", "mape"])
+    def test_non_finite_value_names_the_metric(self, metric, actual, predicted):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # computed without numpy's RuntimeWarning
+            with pytest.raises(NumericError, match=f"^{metric.__name__} is (nan|inf)"):
+                metric(actual, predicted)
 
 
 class TestProperties:

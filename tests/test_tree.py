@@ -256,6 +256,21 @@ class TestGradientTrees:
         assert tree.feature.size == 1
 
 
+class TestLevelBlocks:
+    def test_small_levels_scored_in_one_block(self):
+        # 300 rows and 3 features: every padded level is under BLOCK_CELLS
+        # cells, and some level has a node over twice its mean size
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 50, (300, 3)).astype(float)
+        y = X[:, 0] ** 2 + rng.normal(0.0, 1.0, 300)
+        score = tree_mod._SortedColumns._score
+        with mock.patch.object(tree_mod._SortedColumns, "_score", autospec=True,
+                               side_effect=score) as calls:
+            tree = fit_tree(X, y, TreeConfig(max_depth=5), stream(0, "t"))
+        assert int(tree.depth.max()) == 5
+        assert calls.call_count == 5  # one per level that splits
+
+
 INF, NAN = float("inf"), float("nan")
 
 
