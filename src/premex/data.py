@@ -228,28 +228,40 @@ def train_test_split(n: int, fraction: float, seed: int) -> SplitIndices:
 
 def summary_statistics(data: Dataset):
     """(names, table): one table row per column and the target, holding its
-    mean, std, min, Q1, median, Q3 and max; quartiles by linear interpolation."""
+    mean, std, min, Q1, median, Q3 and max; quartiles by linear interpolation.
+    NumericError names the first column whose statistics overflow float64."""
     if data.n < 1:
         raise DataValidationError("empty dataset")
     columns = np.column_stack([data.X, data.y])
-    q1, median, q3 = np.percentile(columns, [25, 50, 75], axis=0, method="linear")
-    std = columns.std(axis=0, ddof=1) if data.n > 1 else np.zeros(columns.shape[1])
-    table = np.column_stack([columns.mean(axis=0), std, columns.min(axis=0), q1, median, q3,
-                             columns.max(axis=0)])
-    return [*data.feature_names, TARGET_NAME], table
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1, median, q3 = np.percentile(columns, [25, 50, 75], axis=0, method="linear")
+        std = columns.std(axis=0, ddof=1) if data.n > 1 else np.zeros(columns.shape[1])
+        table = np.column_stack([columns.mean(axis=0), std, columns.min(axis=0), q1, median, q3,
+                                 columns.max(axis=0)])
+    names = [*data.feature_names, TARGET_NAME]
+    for name, row in zip(names, table.tolist()):
+        if not all(map(math.isfinite, row)):
+            raise NumericError(f"the summary statistics of column {name!r} are not finite: "
+                               "its values overflow float64 arithmetic")
+    return names, table
 
 
 def pearson_correlation(data: Dataset):
-    """(names, matrix): Pearson correlations between every pair of columns, the target last."""
+    """(names, matrix): Pearson correlations between every pair of columns, the target last.
+    NumericError names the first column that is constant or whose squares overflow float64."""
     if data.n < 2:
         raise DataValidationError("need at least 2 rows for correlations")
     columns = np.column_stack([data.X, data.y])
     names = [*data.feature_names, TARGET_NAME]
-    centered = columns - columns.mean(axis=0)
-    norms = np.sqrt((centered**2).sum(axis=0))
-    for j, s in enumerate(norms):
-        if s == 0.0:
-            raise NumericError(f"column {names[j]!r} is constant; correlation undefined")
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = columns - columns.mean(axis=0)
+        norms = np.sqrt((centered**2).sum(axis=0))
+    for name, norm in zip(names, norms.tolist()):
+        if norm == 0.0:
+            raise NumericError(f"column {name!r} is constant; correlation undefined")
+        if not math.isfinite(norm):
+            raise NumericError(f"the correlations of column {name!r} are not finite: "
+                               "its values overflow float64 arithmetic")
     matrix = (centered.T @ centered) / np.outer(norms, norms)
     matrix = (matrix + matrix.T) / 2.0
     np.fill_diagonal(matrix, 1.0)

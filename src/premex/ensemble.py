@@ -13,8 +13,8 @@ A model's `trees` is one `tree.NodeTable`, the table its fit grew or its
 file held: len(model.trees) counts its trees and model.trees[i] is tree
 i.  Prediction descends all trees at once, one gather per level, and adds
 their leaf values in tree order, so it gives the bits a loop over the
-trees gives.  save_model writes the table's trees and load_model checks
-every tree of a file in one pass.
+trees gives.  A model file's `trees` is the table's own columns, as
+NodeTable.to_document writes and NodeTable.from_document checks them.
 
 `PUBLISHED` is the one home of the published best hyperparameters;
 `variant_config` lays a parameter dict over them.  Every config checks
@@ -310,7 +310,7 @@ def save_model(model, path) -> None:
         "variant": model.variant,
         "config": asdict(model.config),
         "feature_names": model.feature_names,
-        "trees": model.trees.to_dicts(),
+        "trees": model.trees.to_document(),
     }
     if isinstance(model, BoostedModel):
         payload.update(base_score=model.base_score, learning_rate=model.learning_rate)
@@ -336,12 +336,12 @@ def load_model(path):
     names = document.get("feature_names")
     if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
         raise DataValidationError(f"{path}: feature_names must be a non-empty list of names")
-    if not isinstance(document.get("trees"), list) or (variant == "rf" and not document["trees"]):
-        raise DataValidationError(f"{path}: trees must be a list, non-empty for rf")
     try:
-        table = NodeTable.from_dicts(document["trees"], len(names))
+        table = NodeTable.from_document(document.get("trees"), len(names))
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from exc
+    if variant == "rf" and not len(table):
+        raise DataValidationError(f"{path}: an rf model must hold at least one tree")
     if variant == "rf":
         config = _config_from(document, ForestConfig, path)
         return ForestModel(trees=table, config=config, feature_names=names)

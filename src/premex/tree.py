@@ -73,8 +73,7 @@ threshold.  A leaf has feature -1 and threshold 0; its `left` and `right`
 point to the leaf itself, so a batch of rows descends in exactly the
 tree's depth in gathers with no leaf test.  `value` is the leaf
 prediction (0 on internal nodes) and `count` the number of training rows,
-weights counted, that reached the node.  The model JSON stores the six
-columns as they are.
+weights counted, that reached the node.
 
 A table of several trees concatenates their columns, each tree's child
 ids its own, and records each tree's first node and depth.  Each chunk of
@@ -82,13 +81,13 @@ growth builds its trees' table, and `fit_trees` joins the chunks' tables
 into the one that a model holds; `table[i]` is tree i over views of its
 part.  Prediction starts a (trees, rows) matrix of nodes at the roots and
 takes max(depth) steps, each one flat gather of X and one gather of the
-children.  Loading checks every tree of a file in one pass over the
-concatenated columns, and TreeSHAP reads leaf boxes from the table level
+children.  A model file holds the table as it is: `first` and the six
+concatenated columns, which loading type-checks once each and then checks
+as trees in one pass.  TreeSHAP reads leaf boxes from the table level
 by level.  Work on (tree, row) and (row, leaf) arrays goes in blocks of
 at most BLOCK_CELLS cells.
 """
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -98,6 +97,7 @@ import numpy as np
 from .errors import DataValidationError, NumericError
 
 COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
+FILE_COLUMNS = ("first", *COLUMNS)  # a model file's `trees` object
 
 # The most rows, summed over its trees, that one level loop grows at once.
 # A level's working memory is about 700 bytes per row.  3000 rows hold a
@@ -185,7 +185,7 @@ def _depths(feature, left, right, roots) -> np.ndarray:
     found level by level for all trees at once.
 
     This loop ends only because every child id exceeds its parent's, as
-    NodeTable.from_dicts checks.
+    NodeTable.from_document checks.
     """
     depth = np.zeros(roots.size, dtype=np.int64)
     level, tree = roots, np.arange(roots.size)
@@ -250,26 +250,36 @@ class NodeTable:
         return NodeTable(columns, first, depth, feature_count)
 
     @staticmethod
-    def from_dicts(documents, feature_count: int) -> "NodeTable":
-        """The table of to_dicts() output; DataValidationError if a tree is malformed.
+    def from_document(document, feature_count: int) -> "NodeTable":
+        """The table of to_document() output; DataValidationError if it is malformed.
 
-        One pass over the concatenated columns checks every tree as a table
-        of its own.  Only a table that fails is checked again tree by tree,
+        Each column's cells are type-checked once, then one pass over the
+        columns checks every tree as a table of its own.  Only a table that
+        fails is checked again tree by tree, its columns sliced at `first`,
         so the error names the first malformed tree's first fault.
         """
+        if not isinstance(document, dict) or document.keys() != set(FILE_COLUMNS):
+            raise DataValidationError(
+                f"trees must be an object of exactly the columns {sorted(FILE_COLUMNS)}")
+        columns = {name: _as_array(document[name], name) for name in FILE_COLUMNS}
+        first = columns.pop("first")
+        n = columns["feature"].size
+        if any(column.size != n for column in columns.values()):
+            raise DataValidationError("tree columns differ in length")
+        if (first[:1] != 0).any() or (np.diff(first, append=n) < 1).any() or (n and not first.size):
+            raise DataValidationError("tree starts 'first' must rise from 0 below the node count")
         try:
-            return _checked_table(documents, feature_count)
+            return _checked_table(columns, first, feature_count)
         except DataValidationError:
-            for document in documents:
-                _checked_table([document], feature_count)
+            bounds = [*first.tolist(), n]
+            for a, b in zip(bounds, bounds[1:]):
+                _checked_table({name: column[a:b] for name, column in columns.items()}, _ROOT,
+                               feature_count)
             raise
 
-    def to_dicts(self) -> list:
-        """Each tree's six columns as a dict of lists, in tree order."""
-        cells = {name: getattr(self, name).tolist() for name in COLUMNS}
-        starts = self.first.tolist()
-        return [{name: cells[name][a:b] for name in COLUMNS}
-                for a, b in zip(starts, starts[1:] + [self.feature.size])]
+    def to_document(self) -> dict:
+        """A model file's `trees` object: `first` and the six columns as lists."""
+        return {name: getattr(self, name).tolist() for name in FILE_COLUMNS}
 
     def tree_blocks(self, rows: int) -> list:
         """(start, stop) runs of consecutive trees whose leaves times `rows`
@@ -373,31 +383,23 @@ def _joined(arrays, name) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype), *arrays]).astype(dtype, copy=False)
 
 
-def _joined_column(lists, name) -> np.ndarray:
-    """One column of every tree, concatenated; DataValidationError as _column would raise."""
-    kinds = "if" if name in ("threshold", "value") else "i"
-    if all(isinstance(values, list) and values for values in lists):
-        cells = list(itertools.chain.from_iterable(lists))
-        # the types numpy reads as the column's kind in any list
-        if set(map(type, cells)) <= ({float} if kinds == "if" else {int}):
-            try:
-                return np.array(cells, dtype=np.float64 if kinds == "if" else np.int64)
-            except OverflowError:
-                pass  # an int beyond int64, which _column rejects
-    return _joined([_column(values, name, kinds) for values in lists], name)
+def _as_array(values, name) -> np.ndarray:
+    """One column of a `trees` object: a list of ints, or of ints and floats
+    for threshold and value.  bool is refused, although Python makes it an int."""
+    floats = name in ("threshold", "value")
+    if isinstance(values, list) and set(map(type, values)) <= {int, float if floats else int}:
+        try:
+            return np.array(values, dtype=np.float64 if floats else np.int64)
+        except OverflowError:  # an int beyond int64, or beyond float64 for a number
+            pass
+    raise DataValidationError(
+        f"tree column {name!r} must be a list of {'numbers' if floats else 'integers'}")
 
 
-def _checked_table(documents, feature_count: int) -> NodeTable:
-    """The table of `documents`, raising if any of them is malformed as a tree."""
-    for document in documents:
-        if not isinstance(document, dict) or document.keys() != _COLUMN_SET:
-            raise DataValidationError(f"a tree must hold exactly the columns {list(COLUMNS)}")
-    columns = {name: _joined_column([doc[name] for doc in documents], name) for name in COLUMNS}
-    sizes = np.array([len(doc["feature"]) for doc in documents], dtype=np.int64)
-    if any(len(doc[name]) != n for doc, n in zip(documents, sizes.tolist()) for name in COLUMNS):
-        raise DataValidationError("tree columns differ in length")
+def _checked_table(columns, first, feature_count: int) -> NodeTable:
+    """The table of `columns`, whose trees start at `first`, raising if any tree is malformed."""
     feature, left, right = columns["feature"], columns["left"], columns["right"]
-    first = np.cumsum(sizes) - sizes
+    sizes = np.diff(first, append=feature.size)
     tree = np.repeat(np.arange(sizes.size), sizes)  # each node's tree
     offset = first[tree]
     if not (np.isfinite(columns["threshold"]).all() and np.isfinite(columns["value"]).all()):
@@ -423,21 +425,6 @@ def _checked_table(documents, feature_count: int) -> NodeTable:
             "tree child ids must exceed their parent's and cover 1..n-1 once"
         )
     return NodeTable(columns, first, _depths(feature, left, right, first), feature_count)
-
-
-_COLUMN_SET = frozenset(COLUMNS)
-
-
-def _column(values, name, kinds) -> np.ndarray:
-    """One table column as a 1-d array whose dtype kind is in `kinds`."""
-    try:
-        array = np.asarray(values) if isinstance(values, list) and values else None
-    except (ValueError, OverflowError):
-        array = None
-    if array is None or array.ndim != 1 or array.dtype.kind not in kinds:
-        what = "integers" if kinds == "i" else "numbers"
-        raise DataValidationError(f"tree column {name!r} must be a non-empty list of {what}")
-    return array
 
 
 class Presorted:

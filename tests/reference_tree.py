@@ -4,11 +4,31 @@ A stack grows one node at a time, depth-first, and every node sorts each
 candidate feature's column afresh.  Tests require the level-wise engine in
 `premex.tree` to grow the same node tables as `_grow` and `_best_split`
 here, bit for bit.
+
+`to_dicts` and `from_dicts` are the per-tree form that tests build and
+compare trees in: one dict of the six columns per tree.  `from_dicts`
+loads through `NodeTable.from_document`, the model file's reader, so a
+table built in a test passes the checks a loaded model passes.
 """
 
 import numpy as np
 
 from premex.tree import COLUMNS, NodeTable
+
+
+def to_dicts(table) -> list:
+    """Each tree of `table` as a dict of its six columns as lists, in tree order."""
+    document = table.to_document()
+    bounds = [*document.pop("first"), table.feature.size]
+    return [{name: document[name][a:b] for name in COLUMNS} for a, b in zip(bounds, bounds[1:])]
+
+
+def from_dicts(trees, feature_count: int) -> NodeTable:
+    """The table of per-tree dicts of columns, checked as a model file's `trees` is."""
+    sizes = [len(tree["feature"]) for tree in trees]
+    document = {name: [cell for tree in trees for cell in tree[name]] for name in COLUMNS}
+    document["first"] = np.cumsum([0, *sizes[:-1]]).tolist() if trees else []
+    return NodeTable.from_document(document, feature_count)
 
 
 def fit_tree(X, targets, config, rng, weights=None):
@@ -87,7 +107,7 @@ def _grow(X, a, b, counts, targets, config, rng, *, reg_lambda, gamma,
         go_left = X[rows, best_feature] <= best_threshold
         stack.append((rows[~go_left], depth + 1, node, "right"))
         stack.append((rows[go_left], depth + 1, node, "left"))
-    return NodeTable.from_dicts([table], n_features)
+    return from_dicts([table], n_features)
 
 
 def _best_split(column, a, b, reg_lambda, gamma, second_order):

@@ -15,6 +15,7 @@ from premex.cli import EXIT_VALIDATION, guarded, main
 from premex.explain import shap_exact
 from premex.metrics import r_squared
 
+import golden
 import synth
 from conftest import FIXTURE20
 
@@ -171,8 +172,8 @@ class TestTrain:
         report = json.loads((workdir / f"run_report_{variant}.json").read_text())
         trees = json.loads((workdir / f"model_{variant}.json").read_text())["trees"]
         model = ensemble_mod.load_model(str(workdir / f"model_{variant}.json"))
-        assert report["nodes"] == sum(len(tree["feature"]) for tree in trees)
-        assert report["leaves"] == sum(tree["feature"].count(-1) for tree in trees)
+        assert report["nodes"] == len(trees["feature"])
+        assert report["leaves"] == trees["feature"].count(-1)
         assert report["depth"] == max(int(tree.depth[0]) for tree in model.trees)
         assert 1 <= report["depth"] <= {"rf": 4, "gbm": 3, "xgb": 3}[variant]
 
@@ -506,6 +507,18 @@ class TestOverflowingPremiums:
             text = path.read_text()
             assert "NaN" not in text and "Infinity" not in text, path.name
 
+    def test_ingest_exits_5_before_writing(self, runner, tmp_path):
+        lines = synth.make_csv_text(n=60, seed=3).splitlines()
+        scaled = [line.rsplit(",", 1) for line in lines[1:]]
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text("\n".join(
+            [lines[0], *(f"{head},{float(premium) * 1e150!r}" for head, premium in scaled)]) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["ingest", str(csv_path), "--out", str(out)])
+        assert result.exit_code == 5, result.output
+        assert "summary statistics of column 'PremiumPrice' are not finite" in result.output
+        assert not out.exists() or not list(out.iterdir())
+
 
 def _set_keys(**changes):
     def edit(doc):
@@ -627,6 +640,7 @@ class TestCorruptModel:
         )
         assert result.exit_code == 3, result.output
         assert "error:" in result.output and "Traceback" not in result.output
+        assert f"{path}:" in result.output
         return result
 
     def test_extra_config_key(self, runner, workdir, tmp_path):
@@ -635,16 +649,18 @@ class TestCorruptModel:
 
     def test_feature_out_of_range(self, runner, workdir, tmp_path):
         def edit(doc):
-            doc["trees"][0]["feature"][0] = 99
+            doc["trees"]["feature"][0] = 99  # tree 0's root
         result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
         assert "feature index" in result.output
 
     def test_child_cycle(self, runner, workdir, tmp_path):
         def edit(doc):
-            tree = doc["trees"][1]
-            tree["left"][tree["left"][0]] = 0  # the root's left child points back
-            tree["feature"][tree["left"][0]] = 0
-        self.edit_and_evaluate(runner, workdir, tmp_path, edit)
+            trees, root = doc["trees"], doc["trees"]["first"][1]
+            child = root + trees["left"][root]  # tree 1's root's left child
+            trees["left"][child] = 0  # points back to the root
+            trees["feature"][child] = 0
+        result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
+        assert "child ids" in result.output
 
     @pytest.mark.parametrize("key, value", [
         ("n_estimators", "x"), ("learning_rate", 7), ("seed", "s"),
@@ -656,28 +672,48 @@ class TestCorruptModel:
 
     def test_two_malformed_trees_name_the_first(self, runner, workdir, tmp_path):
         def edit(doc):
-            tree = doc["trees"][1]
-            leaf = tree["feature"].index(-1)
-            tree["left"][leaf] = 0  # a leaf that points away: the last checks
-            doc["trees"][3]["threshold"][0] = 1e400  # inf: an early check, in a later tree
+            trees = doc["trees"]
+            start, stop = trees["first"][1:3]
+            leaf = trees["feature"].index(-1, start, stop)  # a leaf of tree 1
+            trees["left"][leaf] = 0  # points away: the last checks
+            trees["threshold"][trees["first"][3]] = 1e400  # inf: an early check, in a later tree
         result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
         assert "leaf must point to itself" in result.output
         assert "finite" not in result.output
 
+    @pytest.mark.parametrize("column", ["count", "left", "threshold", "value"])
+    @pytest.mark.parametrize("cell", [True, False])
+    def test_boolean_cell_refused(self, runner, workdir, tmp_path, column, cell):
+        # json reads true and false as bools, which numpy would take as 1 and 0
+        def edit(doc):
+            doc["trees"][column][doc["trees"]["first"][1]] = cell  # tree 1's root
+        result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
+        assert f"tree column '{column}' must be a list of" in result.output
+
+    def test_per_tree_layout_refused(self, runner, workdir, tmp_path):
+        # the earlier layout: one object of six columns per tree
+        def edit(doc):
+            trees = doc["trees"]
+            bounds = [*trees.pop("first"), len(trees["feature"])]
+            doc["trees"] = [{name: column[a:b] for name, column in trees.items()}
+                            for a, b in zip(bounds, bounds[1:])]
+        result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
+        assert "trees must be an object of exactly the columns" in result.output
+
     def test_nested_tree_layout(self, runner, workdir, tmp_path):
         def edit(doc):
-            doc["trees"][0] = {"feature": 0, "threshold": 40.5,
-                               "left": {"value": -10.0, "count": 100},
-                               "right": {"value": 10.0, "count": 125}}
+            doc["trees"] = [{"feature": 0, "threshold": 40.5,
+                             "left": {"value": -10.0, "count": 100},
+                             "right": {"value": 10.0, "count": 125}}]
         self.edit_and_evaluate(runner, workdir, tmp_path, edit)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_mutated_model_never_raises(self, runner, workdir, tmp_path, data):
-        # three levels reach one node cell: trees -> stage -> column -> node
+        # two levels reach one node cell: trees -> column -> node
         doc = json.loads((workdir / "model_gbm.json").read_text())
-        _mutate_one_value(data, doc, depth=3)
+        _mutate_one_value(data, doc, depth=2)
         path = tmp_path / "mutated.json"
         path.write_text(json.dumps(doc))
         result = runner.invoke(
@@ -977,6 +1013,27 @@ class TestReproduceSmoke:
         result = runner.invoke(main, ["reproduce", synth_csv, "--out", str(out), "--folds", "1"])
         assert result.exit_code == 2, result.output
         assert "--folds" in result.output and not out.exists()
+
+    def test_full_tune(self, runner, tmp_path, monkeypatch):
+        # two cells a variant, with few trees, at the golden run's data and caps
+        grids = {
+            "rf": {"n_estimators": [3], "max_depth": [2, 3]},
+            "gbm": {"n_estimators": [2, 4], "learning_rate": [0.19]},
+            "xgb": {"max_depth": [2, 3], "n_estimators": [4]},
+        }
+        monkeypatch.setattr(tuning_mod, "DEFAULT_GRIDS", grids)
+        csv_path = tmp_path / "premiums.csv"
+        csv_path.write_text(synth.make_csv_text(n=golden.DATA_ROWS, seed=golden.DATA_SEED))
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["reproduce", str(csv_path), "--out", str(out), "--full-tune",
+                                      *golden.GOLDEN_ARGS])
+        assert result.exit_code == 0, result.output
+        for variant in grids:
+            assert (out / f"cv_{variant}.csv").is_file()
+            cv = json.loads((out / f"cv_{variant}.json").read_text())
+            assert len(cv["cells"]) == 2 and cv["best_params"] in [c["params"] for c in cv["cells"]]
+            report = json.loads((out / f"run_report_{variant}.json").read_text())
+            assert report["params"] == cv["best_params"]
 
 
 class TestGuardedRaises:

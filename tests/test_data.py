@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +271,21 @@ class TestPearson:
         dataset = Dataset(["a", "b"], np.array([[1.0, 5.0], [2.0, 5.0]]), np.zeros(2))
         with pytest.raises(NumericError):
             pearson_correlation(dataset)
+
+
+class TestOverflowingColumn:
+    """Premiums 1e150 times the synthetic ones are finite, but their squares
+    are not: the statistics that square them raise NumericError naming the
+    column, with numpy's overflow warnings off, instead of reporting inf
+    (the std) or 0.0 (the correlations)."""
+
+    @pytest.mark.parametrize("statistic", [summary_statistics, pearson_correlation])
+    def test_names_the_column(self, synth_dataset, statistic):
+        huge = Dataset(synth_dataset.feature_names, synth_dataset.X, synth_dataset.y * 1e150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="column 'PremiumPrice' are not finite"):
+                statistic(huge)
 
 
 class TestGroupSummary:

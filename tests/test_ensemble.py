@@ -22,14 +22,14 @@ from premex.ensemble import (
 )
 from premex.errors import DataValidationError, FormatVersionError
 from premex.rng import stream
-from premex.tree import NodeTable, TreeConfig, fit_tree
+from premex.tree import TreeConfig, fit_tree
+from reference_tree import from_dicts, to_dicts
 
 
 def leaf_trees(*values, feature_count=2):
     """The table of one single-leaf tree per value."""
-    return NodeTable.from_dicts([{"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
-                                  "value": [value], "count": [1]} for value in values],
-                                feature_count)
+    return from_dicts([{"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
+                        "value": [value], "count": [1]} for value in values], feature_count)
 
 
 class TestConfigChecks:
@@ -110,7 +110,7 @@ class TestForest:
         forest = fit_forest(small_regression, config)
         lone = fit_tree(small_regression.X, small_regression.y,
                         config.tree_config(), stream(0, "unused"))
-        assert forest.trees.to_dicts() == lone.to_dicts()
+        assert to_dicts(forest.trees) == to_dicts(lone)
         probe = small_regression.X[:10]
         assert np.array_equal(forest.predict(probe), lone.predict_matrix(probe))
 
@@ -130,7 +130,7 @@ class TestForest:
 
     def test_bootstrap_varies_trees(self, small_regression):
         forest = fit_forest(small_regression, ForestConfig(n_estimators=4, max_depth=3, seed=1))
-        docs = [json.dumps(t.to_dicts()) for t in forest.trees]
+        docs = [json.dumps(to_dicts(t)) for t in forest.trees]
         assert len(set(docs)) > 1
 
     def test_empty_data(self):
@@ -271,7 +271,7 @@ def assert_matches_classic(data, shared):
     stages, predictions = classic_residual_fit(data, BoostConfig(**shared))
     gbm = fit_gbm(data, BoostConfig(**shared))
     xgb = fit_xgb(data, BoostConfig(reg_lambda=0.0, gamma=0.0, **shared))
-    assert [t.to_dicts() for t in gbm.trees] == [t.to_dicts() for t in stages]
+    assert [to_dicts(t) for t in gbm.trees] == [to_dicts(t) for t in stages]
     for model in (gbm, xgb):
         assert np.max(np.abs(model.predict(data.X) - predictions)) < 1e-9
 
@@ -397,6 +397,15 @@ class TestSerialization:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(DataValidationError):
+            load_model(path)
+
+    def test_forest_without_trees_rejected(self, small_regression, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(fit_forest(small_regression, ForestConfig(n_estimators=2, seed=1)), path)
+        doc = json.loads(path.read_text())
+        doc["trees"] = {name: [] for name in doc["trees"]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataValidationError, match="at least one tree"):
             load_model(path)
 
     def test_wrong_version_tag(self, tmp_path):

@@ -17,9 +17,10 @@ from premex.explain import (
     tree_shap,
 )
 from premex.rng import stream
-from premex.tree import COLUMNS, NodeTable, TreeConfig, fit_tree
+from premex.tree import COLUMNS, TreeConfig, fit_tree
 from premex.tuning import fit_variant
 from reference_shap import shap_permutation, shap_value_function
+from reference_tree import from_dicts
 
 from conftest import FIXTURE20
 
@@ -348,7 +349,7 @@ def tree_terms(model):
 
 def table_of(*documents):
     """The table of 3-feature trees given as dicts of columns."""
-    return NodeTable.from_dicts(list(documents), 3)
+    return from_dicts(list(documents), 3)
 
 
 def sum_of_trees(table, scale, offset):
@@ -506,6 +507,6 @@ class TestTreeShap:
                                            min_size=1, max_size=4)))
         background = np.array(data.draw(st.lists(st.lists(values, min_size=p, max_size=p),
                                                  min_size=1, max_size=6)))
-        terms = (NodeTable.from_dicts(documents, p), data.draw(st.sampled_from([1.0, 0.5, 0.1])),
+        terms = (from_dicts(documents, p), data.draw(st.sampled_from([1.0, 0.5, 0.1])),
                  2.0)
         assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)

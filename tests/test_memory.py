@@ -20,10 +20,12 @@ at a peak of 2.0 MB (3.3 MB with twice the cells), and its TreeSHAP of 10
 rows against a 740-row background peaks at 1.4 MB, where each block is one
 tree.  With all trees and rows in one block they peak at 41 and 264 MB.
 
-Saving the published forest (40,892 nodes, 2.3 MB of JSON) peaks at
-8.5 MB, nearly all of it the node columns as Python lists.  When
-json.dumps formatted every number in Python, because of `indent`, the
-save peaked at 21.9 MB.
+The model file holds the table's columns whole.  Saving the published
+forest (40,892 nodes, 2.0 MB of JSON) peaks at 8.4 MB, and loading it at
+8.4 MB: the columns as Python lists next to the file's text.  Cut into
+one dict of columns per tree, the file was 2.3 MB and its save and load
+peaked at 8.5 MB; when json.dumps formatted every number in Python,
+because of `indent`, the save peaked at 21.9 MB.
 """
 
 import tracemalloc
@@ -33,7 +35,7 @@ import pytest
 
 import synth
 from premex import data as data_mod
-from premex.ensemble import PUBLISHED, ForestConfig, fit_forest, save_model
+from premex.ensemble import PUBLISHED, ForestConfig, fit_forest, load_model, save_model
 from premex.explain import tree_shap
 from premex.tuning import cross_val_score, learning_curve
 
@@ -97,4 +99,10 @@ def test_published_forest_tree_shap(rows740, published_forest):
 
 def test_published_forest_save(published_forest, tmp_path):
     path = tmp_path / "model_rf.json"
-    assert peak_bytes(lambda: save_model(published_forest, str(path))) < 10.6 * MB
+    assert peak_bytes(lambda: save_model(published_forest, str(path))) < 10.5 * MB
+
+
+def test_published_forest_load(published_forest, tmp_path):
+    path = tmp_path / "model_rf.json"
+    save_model(published_forest, str(path))
+    assert peak_bytes(lambda: load_model(str(path))) < 10.5 * MB

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_predict as oracle
+from reference_tree import from_dicts, to_dicts
 from premex import explain as explain_mod
 from premex import tree as tree_mod
 from premex.ensemble import (
@@ -74,7 +75,7 @@ def random_ensemble(data):
     p = data.draw(st.integers(1, 5))
     documents = [random_tree(data, p, data.draw(st.integers(0, 6)))
                  for _ in range(data.draw(st.integers(1, 7)))]
-    return p, NodeTable.from_dicts(documents, p)
+    return p, from_dicts(documents, p)
 
 
 def forest_and_boosted(table, p):
@@ -108,7 +109,7 @@ class TestPrediction:
     def test_single_leaf_trees(self):
         leaf = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [2.5],
                 "count": [3]}
-        table = NodeTable.from_dicts([leaf] * 3, 2)
+        table = from_dicts([leaf] * 3, 2)
         forest, boosted = forest_and_boosted(table, 2)
         X = np.arange(8.0).reshape(4, 2)
         assert forest.trees.depth.tolist() == [0, 0, 0]
@@ -195,7 +196,7 @@ class TestTreeShap:
 
 
 def two_stage_documents():
-    """A root split and a lone leaf, as to_dicts() writes them."""
+    """A root split and a lone leaf, as reference_tree.to_dicts() gives them."""
     split = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, 1, 2],
              "right": [2, 1, 2], "value": [0.0, 1.0, 2.0], "count": [2, 1, 1]}
     leaf = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [4.0],
@@ -206,9 +207,9 @@ def two_stage_documents():
 class TestLoading:
     def test_round_trip(self):
         documents = two_stage_documents() * 3
-        table = NodeTable.from_dicts(documents, 2)
-        assert table.to_dicts() == documents
-        assert [tree.to_dicts() for tree in table] == [[document] for document in documents]
+        table = from_dicts(documents, 2)
+        assert to_dicts(table) == documents
+        assert [to_dicts(tree) for tree in table] == [[document] for document in documents]
         assert table.depth.tolist() == [1, 0] * 3
         assert table.first.tolist() == [0, 3, 4, 7, 8, 11]
 
@@ -217,36 +218,44 @@ class TestLoading:
         documents[1] = dict(documents[1], left=[1])  # tree 1: a leaf pointing away
         documents[3] = dict(documents[3], value=[float("nan")])  # tree 3: checked earlier
         with pytest.raises(DataValidationError, match="leaf must point to itself"):
-            NodeTable.from_dicts(documents, 2)
+            from_dicts(documents, 2)
         documents[1], documents[3] = documents[3], documents[1]
         with pytest.raises(DataValidationError, match="finite"):
-            NodeTable.from_dicts(documents, 2)
+            from_dicts(documents, 2)
 
     def test_each_tree_checked_as_a_table_of_its_own(self):
         # a child id that would be valid in the whole table but not in its tree
         documents = two_stage_documents()
         documents[0] = dict(documents[0], right=[3, 1, 2])
         with pytest.raises(DataValidationError, match="child ids"):
-            NodeTable.from_dicts(documents, 2)
+            from_dicts(documents, 2)
 
-    def test_column_kinds_are_read_per_tree(self):
-        # numpy reads [True, 1] as integers and [True] as booleans, in a
-        # tree of its own as in a file of several trees
-        documents = two_stage_documents()
-        documents[0] = dict(documents[0], count=[2, True, 1])
-        assert NodeTable.from_dicts(documents, 2).count.tolist() == [2, 1, 1, 2]
-        documents[1] = dict(documents[1], count=[True])
-        with pytest.raises(DataValidationError, match="'count' must be a non-empty list"):
-            NodeTable.from_dicts(documents, 2)
+    def test_booleans_refused_in_every_column(self):
+        # json reads true as a bool, which numpy would take as 1 in a column
+        # of numbers; a model file's columns hold no booleans
+        for name, cells in [("count", [2, True, 1]), ("left", [True, 1, 2]),
+                            ("threshold", [False, 0.0, 0.0]), ("value", [0.0, True, 2.0])]:
+            documents = two_stage_documents()
+            documents[0] = dict(documents[0], **{name: cells})
+            with pytest.raises(DataValidationError, match=f"'{name}' must be a list"):
+                from_dicts(documents, 2)
+
+    @pytest.mark.parametrize("first", [[], [1], [0, 0], [0, 4], [0, 3, 2]])
+    def test_tree_starts_checked(self, first):
+        document = from_dicts(two_stage_documents(), 2).to_document()
+        with pytest.raises(DataValidationError, match="tree starts"):
+            NodeTable.from_document(dict(document, first=first), 2)
 
     def test_saved_model_loads_packed(self, small_regression, tmp_path):
         model = fit_gbm(small_regression, BoostConfig(n_estimators=5, max_depth=3, seed=4))
         save_model(model, tmp_path / "gbm.json")
         clone = load_model(tmp_path / "gbm.json")
         saved = json.loads((tmp_path / "gbm.json").read_text())["trees"]
-        assert saved == [tree.to_dicts()[0] for tree in model.trees]
+        assert saved == model.trees.to_document()
+        assert saved["first"] == model.trees.first.tolist()
         for name in COLUMNS:
             assert np.array_equal(getattr(clone.trees, name), getattr(model.trees, name))
+            assert saved[name] == getattr(model.trees, name).tolist()
         assert np.array_equal(clone.trees.depth, model.trees.depth)
         assert [t.depth.tolist() for t in clone.trees] == [t.depth.tolist() for t in model.trees]
 
@@ -254,10 +263,10 @@ class TestLoading:
 class TestJoin:
     def test_join_equals_the_table_of_all_documents(self):
         documents = two_stage_documents() * 3
-        parts = [NodeTable.from_dicts(documents[:1], 2), NodeTable.from_dicts(documents[1:4], 2),
-                 NodeTable.from_dicts([], 2), NodeTable.from_dicts(documents[4:], 2)]
+        parts = [from_dicts(documents[:1], 2), from_dicts(documents[1:4], 2),
+                 from_dicts([], 2), from_dicts(documents[4:], 2)]
         joined = NodeTable.join(parts, 2)
-        whole = NodeTable.from_dicts(documents, 2)
+        whole = from_dicts(documents, 2)
         for name in (*COLUMNS, "first", "depth"):
             assert np.array_equal(getattr(joined, name), getattr(whole, name))
             assert getattr(joined, name).dtype == getattr(whole, name).dtype
@@ -266,22 +275,22 @@ class TestJoin:
 
     def test_views_join_back_into_their_table(self):
         documents = two_stage_documents() * 2
-        table = NodeTable.from_dicts(documents, 2)
-        assert NodeTable.join([table[t] for t in range(len(table))], 2).to_dicts() == documents
-        assert table.to_dicts() == documents  # spent views leave their table whole
+        table = from_dicts(documents, 2)
+        assert to_dicts(NodeTable.join([table[t] for t in range(len(table))], 2)) == documents
+        assert to_dicts(table) == documents  # spent views leave their table whole
         assert len(NodeTable.join([], 2)) == 0
 
     def test_indexing(self):
         documents = two_stage_documents() * 2
-        table = NodeTable.from_dicts(documents, 2)
+        table = from_dicts(documents, 2)
         assert len(table) == 4
-        assert table[-1].to_dicts() == table[3].to_dicts() == [documents[3]]
+        assert to_dicts(table[-1]) == to_dicts(table[3]) == [documents[3]]
         with pytest.raises(IndexError):
             table[4]
         assert [len(tree) for tree in table] == [1] * 4
 
     def test_width_mismatch_rejected(self):
-        parts = [NodeTable.from_dicts(two_stage_documents(), 2),
-                 NodeTable.from_dicts(two_stage_documents(), 3)]
+        parts = [from_dicts(two_stage_documents(), 2),
+                 from_dicts(two_stage_documents(), 3)]
         with pytest.raises(DataValidationError, match="same 2 features"):
             NodeTable.join(parts, 2)

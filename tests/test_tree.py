@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import premex.tree as tree_mod
 import reference_tree
+from reference_tree import from_dicts, to_dicts
 from premex.errors import DataValidationError, NumericError
 from premex.rng import stream
 from premex.tree import (
@@ -110,7 +111,7 @@ class TestFitTree:
         config = TreeConfig(max_depth=5, max_features=3)
         first = fit_tree(X, y, config, stream(1234, "fit"))
         second = fit_tree(X, y, config, stream(1234, "fit"))
-        assert first.to_dicts() == second.to_dicts()
+        assert to_dicts(first) == to_dicts(second)
 
     def test_feature_subset_size_enforced(self):
         with pytest.raises(DataValidationError):
@@ -229,7 +230,7 @@ class TestGradientTrees:
         gh_tree = fit_tree_gradients(
             X, -residual, np.ones(70), config, stream(5, "a"), reg_lambda=0.0, gamma=0.0
         )
-        assert sse_tree.to_dicts() == gh_tree.to_dicts()
+        assert to_dicts(sse_tree) == to_dicts(gh_tree)
         assert np.allclose(sse_tree.predict_matrix(X), gh_tree.predict_matrix(X), atol=1e-9)
 
     def test_lambda_shrinks_leaf_values(self):
@@ -313,7 +314,7 @@ class TestTable:
         tree = known_split_tree()
         assert tree.depth.tolist() == [1]
         assert tree.feature.size == 3
-        assert tree.to_dicts() == [{
+        assert to_dicts(tree) == [{
             "feature": [0, -1, -1],
             "threshold": [2.5, 0.0, 0.0],
             "left": [1, 1, 2],
@@ -337,15 +338,17 @@ class TestSerialization:
         X = rng.normal(size=(60, 4))
         y = rng.normal(size=60)
         tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
-        clone = NodeTable.from_dicts(tree.to_dicts(), 4)[0]
-        assert clone.to_dicts() == tree.to_dicts()
+        clone = from_dicts(to_dicts(tree), 4)[0]
+        assert to_dicts(clone) == to_dicts(tree)
         assert clone.depth.tolist() == tree.depth.tolist()
         probe = rng.normal(size=(25, 4))
         assert np.array_equal(tree.predict_matrix(probe), clone.predict_matrix(probe))
 
     def test_dict_shape(self):
-        doc = known_split_tree().to_dicts()[0]
-        assert set(doc) == {"feature", "threshold", "left", "right", "value", "count"}
+        # a model file's `trees`: the tree starts and six whole columns
+        doc = known_split_tree().to_document()
+        assert set(doc) == {"first", "feature", "threshold", "left", "right", "value", "count"}
+        assert doc.pop("first") == [0]
         assert all(len(column) == 3 for column in doc.values())
 
     @pytest.mark.parametrize("column, cells", [
@@ -365,20 +368,23 @@ class TestSerialization:
         ("value", []),
     ])
     def test_malformed_table_rejected(self, column, cells):
-        doc = known_split_tree().to_dicts()[0]
+        doc = to_dicts(known_split_tree())[0]
         doc[column] = cells
         with pytest.raises(DataValidationError):
-            NodeTable.from_dicts([doc], 1)
+            from_dicts([doc], 1)
 
     @pytest.mark.parametrize("doc", [
         {"value": 1.0, "count": 4},  # nested layout: a leaf root
         {"feature": 0, "threshold": 2.5, "left": {"value": 1.0, "count": 2},
          "right": {"value": 3.0, "count": 2}},
         [],
+        # the earlier layout: one dict of six columns per tree
+        {"feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0], "left": [1, 1, 2],
+         "right": [2, 1, 2], "value": [0.0, 1.0, 3.0], "count": [4, 2, 2]},
     ])
     def test_nested_layout_rejected(self, doc):
-        with pytest.raises(DataValidationError):
-            NodeTable.from_dicts([doc], 1)
+        with pytest.raises(DataValidationError, match="trees must be an object"):
+            NodeTable.from_document([doc], 1)
 
 
 class TestReferenceEngine:
@@ -397,23 +403,23 @@ class TestReferenceEngine:
                             min_samples_split=data.draw(st.integers(2, 4)))
         # SSE mode, with and without a depth bound
         for mode in (config, TreeConfig(max_depth=None)):
-            assert (fit_tree(X, y, mode, stream(0, "t")).to_dicts()
-                    == reference_tree.fit_tree(X, y, mode, stream(0, "t")).to_dicts())
+            assert (to_dicts(fit_tree(X, y, mode, stream(0, "t")))
+                    == to_dicts(reference_tree.fit_tree(X, y, mode, stream(0, "t"))))
         # second-order mode on float gradients, lambda > 0 and gamma > 0
         grad = arrays(n, st.floats(-10.0, 10.0), "grad")
         hess = arrays(n, st.floats(0.5, 2.0), "hess")
         penalties = (data.draw(st.floats(0.1, 2.0), label="lambda"),
                      data.draw(st.floats(0.001, 0.1), label="gamma"))
-        assert (fit_tree_gradients(X, grad, hess, config, stream(0, "t"), *penalties).to_dicts()
-                == reference_tree.fit_tree_gradients(X, grad, hess, config, stream(0, "t"),
-                                                     *penalties).to_dicts())
+        assert (to_dicts(fit_tree_gradients(X, grad, hess, config, stream(0, "t"), *penalties))
+                == to_dicts(reference_tree.fit_tree_gradients(X, grad, hess, config,
+                                                              stream(0, "t"), *penalties)))
         # bootstrap weights against the same rows repeated, in drawn order
         weights = np.array(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
         repeated = np.repeat(np.arange(n), weights)
         repeated = repeated[data.draw(st.permutations(range(repeated.size)), label="order")]
-        assert (fit_tree(X, y, config, stream(0, "t"), weights=weights).to_dicts()
-                == reference_tree.fit_tree(X[repeated], y[repeated], config,
-                                           stream(0, "t")).to_dicts())
+        assert (to_dicts(fit_tree(X, y, config, stream(0, "t"), weights=weights))
+                == to_dicts(reference_tree.fit_tree(X[repeated], y[repeated], config,
+                                                    stream(0, "t"))))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_weights_on_float_targets_agree_to_rounding(self, seed):
@@ -475,15 +481,15 @@ class TestBatchedGrowth:
         for (X, y, w, g, h, j), batched, batched_gh in zip(jobs, sse, second_order):
             alone = fit_tree(X, y, config, stream(j, "t"), weights=w)
             alone_gh = fit_tree_gradients(X, g, h, config, stream(j, "t"), *penalties)
-            assert batched.to_dicts() == alone.to_dicts()
-            assert batched_gh.to_dicts() == alone_gh.to_dicts()
+            assert to_dicts(batched) == to_dicts(alone)
+            assert to_dicts(batched_gh) == to_dicts(alone_gh)
             if config.max_features is not None:
                 continue  # the reference draws subsets depth-first, not level by level
             repeated = np.arange(X.shape[0]) if w is None else np.repeat(np.arange(X.shape[0]), w)
-            assert batched.to_dicts() == reference_tree.fit_tree(
-                X[repeated], y[repeated], config, stream(j, "t")).to_dicts()
-            assert batched_gh.to_dicts() == reference_tree.fit_tree_gradients(
-                X, g, h, config, stream(j, "t"), *penalties).to_dicts()
+            assert to_dicts(batched) == to_dicts(reference_tree.fit_tree(
+                X[repeated], y[repeated], config, stream(j, "t")))
+            assert to_dicts(batched_gh) == to_dicts(reference_tree.fit_tree_gradients(
+                X, g, h, config, stream(j, "t"), *penalties))
 
     def test_empty_batch(self):
         assert len(fit_trees([], TreeConfig())) == 0
@@ -543,10 +549,10 @@ class TestPresorted:
              for j, rows in enumerate(subsets)], config, *penalties)
         for j, (rows, w) in enumerate(zip(subsets, weights)):
             repeated = np.repeat(rows, w)
-            assert sse[j].to_dicts() == reference_tree.fit_tree(
-                X[repeated], y[repeated], config, stream(j, "t")).to_dicts()
-            assert second_order[j].to_dicts() == reference_tree.fit_tree_gradients(
-                X[rows], grad[rows], hess[rows], config, stream(j, "t"), *penalties).to_dicts()
+            assert to_dicts(sse[j]) == to_dicts(reference_tree.fit_tree(
+                X[repeated], y[repeated], config, stream(j, "t")))
+            assert to_dicts(second_order[j]) == to_dicts(reference_tree.fit_tree_gradients(
+                X[rows], grad[rows], hess[rows], config, stream(j, "t"), *penalties))
 
     @pytest.mark.parametrize("rows", [[2, 1], [0, 0, 1], [1, 1], [-1, 0], [0, 4], [],
                                       [[0, 1]], [0.0, 1.0]])
@@ -578,7 +584,7 @@ class TestFeatureSubsets:
         config = TreeConfig(max_depth=4, max_features=1)
         tree = fit_tree(X, y, config, stream(3, "t"))
         assert set(tree.feature[tree.feature >= 0]) - {0}
-        assert tree.to_dicts() == fit_tree(X, y, config, stream(3, "t")).to_dicts()
+        assert to_dicts(tree) == to_dicts(fit_tree(X, y, config, stream(3, "t")))
 
 
 def eighths_matrix(rng, n):
@@ -603,7 +609,7 @@ class TestLeafValues:
             for w in (None, weights):
                 tree = fit_tree(X, y, config, stream(0, "t"), weights=w)
                 expected = reference_tree.fit_tree(X, y, config, stream(0, "t"), weights=w)
-                assert tree.to_dicts() == expected.to_dicts()
+                assert to_dicts(tree) == to_dicts(expected)
                 leaf = tree.feature < 0
                 sizes += [tree.count[leaf]] if w is None else []
         sizes = np.concatenate(sizes)
@@ -625,9 +631,9 @@ class TestUnitStatistics:
             h[rng.integers(n)] = 1.0 + 2.0**-40  # not unit: every sum goes through floats
         for config in (TreeConfig(max_depth=5), TreeConfig(max_depth=None, min_samples_split=30)):
             for penalties in ((1.0, 0.0), (0.0, 0.0), (0.3, 0.01)):
-                assert (fit_tree_gradients(X, grad, h, config, stream(1, "t"), *penalties).to_dicts()
-                        == reference_tree.fit_tree_gradients(X, grad, h, config, stream(1, "t"),
-                                                             *penalties).to_dicts())
+                assert (to_dicts(fit_tree_gradients(X, grad, h, config, stream(1, "t"), *penalties))
+                        == to_dicts(reference_tree.fit_tree_gradients(
+                            X, grad, h, config, stream(1, "t"), *penalties)))
 
     def test_bootstrap_weighted_trees_equal_the_reference(self):
         rng = np.random.default_rng(9)
@@ -644,7 +650,7 @@ class TestUnitStatistics:
             expected.append(reference_tree.fit_tree(X[rows], y[rows], config, stream(k, "t"),
                                                     weights=drawn[rows]))
         for tree, reference in zip(fit_trees(jobs, config), expected):
-            assert tree.to_dicts() == reference.to_dicts()
+            assert to_dicts(tree) == to_dicts(reference)
 
     def test_zero_hessian_leaf_is_a_numeric_error(self):
         X = np.arange(4.0)[:, None]
