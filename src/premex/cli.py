@@ -294,7 +294,11 @@ def _tune(train_data, variant, grid, folds, seed, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @guarded
 def tune(dataset_path, variant, grid_path, folds, seed, split_fraction, out_dir):
-    """Exhaustive grid search with k-fold cross-validation on the train split."""
+    """Exhaustive grid search with k-fold cross-validation on the train split.
+
+    Fits use every CPU in the process's affinity mask, and `taskset -c 0`
+    runs them serially.
+    """
     dataset = data_mod.dataset_from_json(dataset_path)
     if grid_path:
         grid = read_json(grid_path)
@@ -509,7 +513,11 @@ LEARNING_FRACTIONS = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 @guarded
 def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
               background_size, explain_rows, ice_rows, grid_points):
-    """One-shot pipeline: ingest, split, train, evaluate, curves, explain."""
+    """One-shot pipeline: ingest, split, train, evaluate, curves, explain.
+
+    Cross-validation and learning-curve fits use every CPU in the
+    process's affinity mask, and `taskset -c 0` runs them serially.
+    """
     started = time.perf_counter()
     timings = {}
     raw, derived, duplicates = _ingest(csv_path, out_dir, seed)

@@ -6,12 +6,23 @@ values, so no per-fold transform is fit.  Model streams derive from
 (seed, "fold", i) alone, which makes a refit of the winning cell
 reproduce its recorded score exactly.
 
+`cross_val_score`, `grid_search` (every cell and fold in one call) and
+`learning_curve` hand their fits to `_fold_fits` as a list of tasks.  It
+forks one child per extra CPU in the process's affinity mask (none on
+one CPU, or where `os.fork` is missing), gives each process a contiguous
+share of the tasks of about equal cost, and returns their R^2 values in
+task order.  A task's model depends only on its rows and seed, so the
+scores, and every artifact made from them, are the same floats for any
+number of workers; `taskset -c 0` runs every fit in one process.
+
 Hyperparameters are plain dicts over the defaults in `ensemble.PUBLISHED`;
 `ensemble.variant_config` checks their keys, types and ranges, for every
 grid cell before the first fit.
 """
 
 import itertools
+import os
+import pickle
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -67,33 +78,149 @@ def kfold_indices(n: int, k: int, seed: int) -> list:
     return folds
 
 
-def _fold_fits(data: Dataset, variant: str, params: dict, fractions, k: int, seed: int):
-    """Fit nested prefixes of each fold's shuffled training rows.
+def _fold_subsets(n: int, fractions, k: int, seed: int):
+    """Each fold's validation rows, and its nested training subsets.
 
-    Returns the folds' validation rows, the training subsets (fold by
-    fold, fraction by fraction) and an iterator over their models, in the
-    subsets' order.  Fold i's model seed is (seed, "fold", i) at every
-    fraction, so the fraction-1.0 models are plain k-fold CV.  The models
-    grow together, in one `ensemble.fit_models` call, so a caller scores
-    each model and drops it as it arrives.
+    Fold i's training rows are shuffled once by (seed, "curve", i), and
+    each fraction keeps a prefix of that shuffle, sorted.  With fractions
+    [1.0] a fold's one subset is all its training rows.
     """
-    folds = kfold_indices(data.n, k, seed)
-    all_rows = np.arange(data.n)
-    subsets, seeds = [], []  # fold by fold, fraction by fraction
+    folds = kfold_indices(n, k, seed)
+    all_rows = np.arange(n)
+    subsets = []  # per fold, its subsets fraction by fraction
     for i, val_rows in enumerate(folds):
         train_rows = np.setdiff1d(all_rows, val_rows)
         shuffled = stream(seed, "curve", i).permutation(train_rows)
+        subsets.append([])
         for fraction in fractions:
             size = round_half_up(fraction * train_rows.size)
             if size < 2:
                 raise DataValidationError(
                     f"fraction {fraction} keeps {size} row(s); need at least 2"
                 )
-            subsets.append(np.sort(shuffled[:size]))
-            seeds.append(derive_seed(seed, "fold", i))
-    models = fit_models(variant, variant_config(variant, params, seed),
-                        ((data.subset(rows), s) for rows, s in zip(subsets, seeds)))
-    return folds, subsets, models
+            subsets[-1].append(np.sort(shuffled[:size]))
+    return folds, subsets
+
+
+def _cv_tasks(n: int, cells: list, k: int, seed: int) -> list:
+    """One `_fold_fits` task per (cell, fold): fit on the other folds, score on the fold."""
+    folds, subsets = _fold_subsets(n, [1.0], k, seed)
+    return [(params, train_rows, derive_seed(seed, "fold", i), [val_rows])
+            for params in cells
+            for i, (val_rows, [train_rows]) in enumerate(zip(folds, subsets))]
+
+
+def _worker_count(tasks: int) -> int:
+    """Processes to share `tasks` fits: one per CPU in this process's affinity mask."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), tasks))
+
+
+def _fold_fits(data: Dataset, variant: str, seed: int, tasks: list) -> np.ndarray:
+    """R^2 of every task's model on each of its scored row sets, in task order.
+
+    A task is (params, training rows, model seed, scored row sets).  Its
+    model is `variant` at `params`, fit on data's training rows with
+    (model seed, "forest_tree" or "stage", t) streams, so it depends on
+    nothing but its task.  With W = `_worker_count(len(tasks))` above 1,
+    forked children share the work.  The tasks are cut into at most W
+    contiguous shares of about equal cost, a task costing its training
+    rows times its trees or stages: share w ends with the first task
+    whose running cost reaches w/W of the total.  This process scores
+    the first share and one child each of the others.  Every process
+    runs `_share_scores`, the same serial code, on its share, and a
+    child sends its scores or its first error through a pipe.  Since a
+    task's scores do not depend on which process fits it, or on which
+    tasks it is fit next to, the result holds the same floats for every
+    W.  A share stops at its first error, and the earliest share's error
+    is raised, so it is the earliest task's error, as in a serial run.
+    Every child is reaped before this returns or raises, and killed first
+    if the result is no longer needed.
+    """
+    workers = _worker_count(len(tasks))
+    # a task's cost: its training rows times its trees or stages
+    running = np.cumsum([rows.size * max(variant_config(variant, params, seed).n_estimators, 1)
+                         for params, rows, _, _ in tasks])
+    # share w ends with the first task whose running cost reaches w/W of the total
+    cuts = {int(np.searchsorted(running * workers, running[-1] * w)) + 1 for w in range(1, workers)}
+    bounds = sorted({0, len(tasks)} | cuts)
+    children = []  # (pid, read end of its pipe), in share order
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_share(data, variant, seed, tasks[start:stop]))
+        scores = _share_scores(data, variant, seed, tasks[:bounds[1]])
+        for pid, pipe in children:
+            payload = pipe.read()
+            if not payload:
+                raise RuntimeError(f"tuning worker {pid} exited without a result")
+            shared, error = pickle.loads(payload)
+            if error is not None:
+                raise error
+            scores += shared
+    except BaseException:
+        import signal  # not loaded by a run that never gets here
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return np.array(scores, dtype=np.float64)
+
+
+def _share_scores(data: Dataset, variant: str, seed: int, tasks: list) -> list:
+    """`_fold_fits` in this process: consecutive same-params tasks grow in one fit_models call.
+
+    fit_models grows the models of one call together, so a caller scores
+    each model and drops it as it arrives.
+    """
+    scores = []
+    for params, group in itertools.groupby(tasks, key=lambda task: task[0]):
+        group = list(group)
+        models = fit_models(variant, variant_config(variant, params, seed),
+                            ((data.subset(rows), model_seed) for _, rows, model_seed, _ in group))
+        for (*_, scored), model in zip(group, models):
+            scores += [_r_squared_on(data, rows, model) for rows in scored]
+    return scores
+
+
+def _fork_share(data: Dataset, variant: str, seed: int, tasks: list):
+    """Score `tasks` in a forked child; returns its pid and the read end of its pipe.
+
+    The child pickles (scores, None) or (None, its error) into the pipe
+    and always leaves by os._exit, so it runs no exit handler and flushes
+    no buffer it inherited.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                payload = pickle.dumps((_share_scores(data, variant, seed, tasks), None))
+            except BaseException as exc:
+                payload = _pickled_error(exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb")
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """(None, exc) pickled; an error that does not survive pickling goes as a RuntimeError."""
+    try:
+        payload = pickle.dumps((None, exc))
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        return pickle.dumps((None, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
 def _r_squared_on(data: Dataset, rows, model) -> float:
@@ -103,8 +230,7 @@ def _r_squared_on(data: Dataset, rows, model) -> float:
 
 def cross_val_score(data: Dataset, variant: str, params: dict, k: int, seed: int) -> list:
     """Per-fold held-out R^2; each fold's model is fit on the other folds."""
-    folds, _, models = _fold_fits(data, variant, params, [1.0], k, seed)
-    return [_r_squared_on(data, rows, model) for rows, model in zip(folds, models)]
+    return _fold_fits(data, variant, seed, _cv_tasks(data.n, [params], k, seed)).tolist()
 
 
 @dataclass
@@ -147,9 +273,10 @@ def grid_search(data: Dataset, variant: str, grid: dict, k: int, seed: int) -> C
             variant_config(variant, params, seed).tree_config().validate(data.m)
         except DataValidationError as exc:
             raise DataValidationError(f"grid cell {params}: {exc}") from exc
+    scores = _fold_fits(data, variant, seed, _cv_tasks(data.n, all_cells, k, seed))
     cells = []
-    for params in all_cells:
-        fold_scores = cross_val_score(data, variant, params, k, seed)
+    for params, row in zip(all_cells, scores.reshape(len(all_cells), k)):
+        fold_scores = row.tolist()
         cells.append(
             GridCell(
                 params=params,
@@ -190,16 +317,15 @@ def learning_curve(data: Dataset, variant: str, params: dict, fractions, k: int,
         raise DataValidationError("fractions must lie in (0, 1]")
     if sorted(fractions) != fractions:
         raise DataValidationError("fractions must be increasing")
-    folds, subsets, models = _fold_fits(data, variant, params, fractions, k, seed)
-    sizes, train_scores, val_scores = (np.zeros((len(fractions), k)) for _ in range(3))
-    for index, (subset, model) in enumerate(zip(subsets, models)):
-        i, j = divmod(index, len(fractions))
-        train_scores[j, i] = _r_squared_on(data, subset, model)
-        val_scores[j, i] = _r_squared_on(data, folds[i], model)
-        sizes[j, i] = subset.size
+    folds, subsets = _fold_subsets(data.n, fractions, k, seed)
+    tasks = [(params, rows, derive_seed(seed, "fold", i), [rows, folds[i]])
+             for i in range(k) for rows in subsets[i]]
+    scores = _fold_fits(data, variant, seed, tasks).reshape(k, len(fractions), 2)
+    # (fraction, fold) arrays, C-ordered, so each mean sums in fold order
+    train_scores, val_scores = (np.ascontiguousarray(scores[:, :, s].T) for s in range(2))
     return LearningCurve(
         fractions=fractions,
-        n_rows=sizes.mean(axis=1).tolist(),
+        n_rows=np.mean([[rows.size for rows in fold] for fold in subsets], axis=0).tolist(),
         train_scores=train_scores.mean(axis=1).tolist(),
         val_scores=val_scores.mean(axis=1).tolist(),
     )

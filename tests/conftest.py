@@ -32,6 +32,18 @@ requires_real_csv = pytest.mark.skipif(
 )
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process unreaped, a zombie or a running worker."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)  # reaps one zombie, if any
+    except ChildProcessError:
+        return
+    left = f"child {pid} with status {status}" if pid else "a running child"
+    pytest.fail(f"the test left {left} unreaped")
+
+
 @pytest.fixture(scope="session")
 def kaggle_csv():
     path = real_csv_path()

@@ -11,7 +11,10 @@ The fit's table is the one the forest predicts with, so a first one-row
 prediction leaves the fit's peak as it is; when prediction packed the
 fitted trees into a second table, the two peaked at 5.8 MB.  The level
 loop's work arrays are kept across calls, so each test passes only if it
-also holds in a fresh process, where the fit allocates them.
+also holds in a fresh process, where the fit allocates them.  The curve
+and the cross-validation run with one worker: tracemalloc sees only this
+process, and forked workers would each fit a share of the models out of
+its sight.
 
 An ensemble's table predicts and explains in blocks of at most
 `tree.BLOCK_CELLS` (tree, row) or (row, leaf) cells.  The published
@@ -35,6 +38,7 @@ import pytest
 
 import synth
 from premex import data as data_mod
+from premex import tuning
 from premex.ensemble import PUBLISHED, ForestConfig, fit_forest, load_model, save_model
 from premex.explain import tree_shap
 from premex.tuning import cross_val_score, learning_curve
@@ -74,15 +78,17 @@ def test_published_forest_fit_and_first_predict(rows740):
     assert peak_bytes(lambda: fit_forest(rows740, config).predict(rows740.X[:1])) < 5.0 * MB
 
 
-def test_rf_learning_curve(rows740):
-    # 5 folds x 5 fractions = 25 forests of the benchmark's 22 trees
+def test_rf_learning_curve(rows740, monkeypatch):
+    # 5 folds x 5 fractions = 25 forests of the benchmark's 22 trees, all in this process
+    monkeypatch.setattr(tuning, "_worker_count", lambda tasks: 1)
     fractions = [0.2, 0.4, 0.6, 0.8, 1.0]
     assert peak_bytes(lambda: learning_curve(
         rows740, "rf", {"n_estimators": 22}, fractions, 5, seed=3)) < 4.25 * MB
 
 
-def test_xgb_cross_validation(rows740):
-    # 5 folds of the published 50-stage xgb model, grown in lockstep
+def test_xgb_cross_validation(rows740, monkeypatch):
+    # 5 folds of the published 50-stage xgb model, grown in lockstep in this process
+    monkeypatch.setattr(tuning, "_worker_count", lambda tasks: 1)
     assert peak_bytes(lambda: cross_val_score(rows740, "xgb", {}, 5, seed=3)) < 4.95 * MB
 
 

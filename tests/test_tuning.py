@@ -1,14 +1,20 @@
 import json
+import os
+import time
+from dataclasses import asdict
 
 import premex.tuning as tuning_mod
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from premex.data import Dataset, round_half_up
-from premex.cli import _collect_params
+from premex.cli import _collect_params, main
 from premex.ensemble import PUBLISHED, variant_config
-from premex.errors import DataValidationError
+from premex.errors import DataValidationError, NumericError
 from premex.metrics import r_squared
 from premex.rng import derive_seed, stream
 from premex.tuning import (
@@ -220,6 +226,188 @@ class TestLockstepFits:
         curve = learning_curve(synth_dataset, variant, params, fractions, k, seed)
         assert curve.train_scores == train.mean(axis=1).tolist()
         assert curve.val_scores == val.mean(axis=1).tolist()
+
+
+def with_workers(monkeypatch, workers):
+    """Share every `_fold_fits` call among `workers` processes (fewer for fewer tasks)."""
+    monkeypatch.setattr(tuning_mod, "_worker_count", lambda tasks: min(workers, tasks))
+
+
+def fail_folds(monkeypatch, seed, folds, fail):
+    """Call fail(i) where fold i's model is fit, for each i in folds, wherever that fit runs."""
+    fold_of = {derive_seed(seed, "fold", i): i for i in folds}
+    fit_models = tuning_mod.fit_models
+
+    def failing_fit_models(variant, config, jobs):
+        def checked():
+            for rows, model_seed in jobs:
+                if model_seed in fold_of:
+                    fail(fold_of[model_seed])
+                yield rows, model_seed
+        return fit_models(variant, config, checked())
+
+    monkeypatch.setattr(tuning_mod, "fit_models", failing_fit_models)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+WORKER_CASES = [
+    ("rf", {"n_estimators": 4, "max_depth": 4, "max_features": 3},
+     {"n_estimators": [3, 2], "max_features": [5, None]}),
+    ("gbm", {"n_estimators": 6, "subsample": 0.8},
+     {"n_estimators": [6, 2], "learning_rate": [0.3, 0.1], "subsample": [0.7, 1.0]}),
+    ("xgb", {"n_estimators": 6, "max_depth": 3, "subsample": 0.7, "max_features": 5},
+     {"max_depth": [2, 3], "subsample": [0.75], "max_features": [4, None]}),
+]
+
+GRID_VALUES = {
+    "rf": {"n_estimators": [3, 1, 2], "max_features": [4, None], "max_depth": [3, 2]},
+    "gbm": {"n_estimators": [4, 2], "learning_rate": [0.3, 0.1], "subsample": [0.8, 1.0]},
+    "xgb": {"n_estimators": [3, 2], "subsample": [0.7, 1.0], "max_features": [5, None]},
+}
+
+
+class TestWorkers:
+    """Fits shared among forked workers give the floats one process gives."""
+
+    @pytest.mark.parametrize("variant, params, grid", WORKER_CASES)
+    def test_same_floats_for_one_two_and_three_workers(self, synth_dataset, monkeypatch,
+                                                       variant, params, grid):
+        fractions, k, seed = [0.4, 0.7, 1.0], 4, 21
+        results = []
+        for workers in (1, 2, 3):
+            with_workers(monkeypatch, workers)
+            scores = cross_val_score(synth_dataset, variant, params, k, seed)
+            curve = learning_curve(synth_dataset, variant, params, fractions, k, seed)
+            search = grid_search(synth_dataset, variant, grid, k, seed)
+            assert curve.val_scores[-1] == float(np.mean(scores))
+            results.append((scores, asdict(curve), search.to_dict()))
+            assert_no_child_left()
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_grid_search_equals_a_loop_of_cross_val_score(self, synth_dataset, data):
+        variant = data.draw(st.sampled_from(sorted(GRID_VALUES)))
+        keys = data.draw(st.permutations(sorted(GRID_VALUES[variant])))
+        grid = {key: data.draw(st.permutations(GRID_VALUES[variant][key])) for key in keys}
+        k, seed = 3, data.draw(st.integers(0, 2**32))
+        result = grid_search(synth_dataset, variant, grid, k, seed)
+        assert [cell.params for cell in result.cells] == grid_cells(grid)
+        for cell in result.cells:
+            scores = cross_val_score(synth_dataset, variant, cell.params, k, seed)
+            assert cell.fold_scores == scores
+            assert cell.mean_score == float(np.mean(scores))
+        order = sorted(range(len(result.cells)),
+                       key=lambda i: (-result.cells[i].mean_score, i))
+        assert [result.cells[i].rank for i in order] == list(range(1, len(order) + 1))
+
+    def test_shares_cut_by_rows_times_trees(self, synth_dataset, monkeypatch, tmp_path):
+        # 12 fits of 150 rows: the first 4, of 6 stages each, reach half the cost
+        # (24 of 42 stages), where half the count would be 6 fits
+        log = tmp_path / "fits.txt"
+        fit_models = tuning_mod.fit_models
+
+        def logged_fit_models(variant, config, jobs):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {config.n_estimators}\n")
+            return fit_models(variant, config, jobs)
+
+        monkeypatch.setattr(tuning_mod, "fit_models", logged_fit_models)
+        with_workers(monkeypatch, 2)
+        grid = {"n_estimators": [6, 1], "learning_rate": [0.1, 0.2, 0.3]}
+        grid_search(synth_dataset, "gbm", grid, 2, seed=3)
+        fits = [line.split() for line in log.read_text().splitlines()]  # one per cell
+        assert [n for pid, n in fits if int(pid) == os.getpid()] == ["6", "6"]
+        assert [n for pid, n in fits if int(pid) != os.getpid()] == ["6", "1", "1", "1"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [DataValidationError, NumericError, ValueError])
+    @pytest.mark.parametrize("failing", [(3, 4), (4,), (1, 3)])
+    def test_earliest_error_reaches_the_caller(self, synth_dataset, monkeypatch, error, failing):
+        # 5 folds among 3 processes: folds 0-1 here, 2-3 and 4 in the children
+        k, seed = 5, 9
+
+        def fail(i):
+            raise error(f"fold {i} failed")
+
+        fail_folds(monkeypatch, seed, failing, fail)
+        raised = []
+        for workers in (1, 3):
+            with_workers(monkeypatch, workers)
+            with pytest.raises(error) as info:
+                cross_val_score(synth_dataset, "gbm", {"n_estimators": 3}, k, seed)
+            raised.append(str(info.value))
+            assert_no_child_left()
+        assert raised == [f"fold {min(failing)} failed"] * 2
+
+    def test_children_killed_when_this_share_fails(self, synth_dataset, monkeypatch):
+        parent = os.getpid()
+
+        def fail(i):
+            if os.getpid() == parent:
+                raise NumericError(f"fold {i} failed")
+            time.sleep(60)
+
+        fail_folds(monkeypatch, 4, range(5), fail)
+        with_workers(monkeypatch, 3)
+        started = time.monotonic()
+        with pytest.raises(NumericError, match="fold 0 failed"):
+            cross_val_score(synth_dataset, "gbm", {"n_estimators": 3}, 5, 4)
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
+
+    def test_child_without_a_result(self, synth_dataset, monkeypatch):
+        parent = os.getpid()
+
+        def fail(i):
+            assert os.getpid() != parent, "fold 4 must be fit in a child"
+            os._exit(7)
+
+        fail_folds(monkeypatch, 4, [4], fail)
+        with_workers(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match="exited without a result"):
+            cross_val_score(synth_dataset, "gbm", {"n_estimators": 3}, 5, 4)
+        assert_no_child_left()
+
+    def test_unpicklable_error_named_in_a_runtime_error(self, synth_dataset, monkeypatch):
+        class TwoPartError(Exception):  # pickles, but cannot be rebuilt from its args
+            def __init__(self, a, b):
+                super().__init__(f"{a} {b}")
+
+        def fail(i):
+            raise TwoPartError("fold", i)
+
+        fail_folds(monkeypatch, 4, [4], fail)
+        with_workers(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match="TwoPartError: fold 4"):
+            cross_val_score(synth_dataset, "gbm", {"n_estimators": 3}, 5, 4)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error, code", [(DataValidationError, 3), (NumericError, 5)])
+    def test_tune_keeps_its_exit_code(self, synth_csv, tmp_path, monkeypatch, error, code):
+        runner = CliRunner()
+        out = tmp_path / "out"
+        assert runner.invoke(main, ["ingest", synth_csv, "--out", str(out)]).exit_code == 0
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n_estimators": [3]}))
+
+        def fail(i):
+            raise error(f"fold {i} failed")
+
+        # 3 folds among 3 processes: fold 2 is fit in the second child
+        fail_folds(monkeypatch, 42, [2], fail)
+        with_workers(monkeypatch, 3)
+        result = runner.invoke(main, ["tune", str(out / "dataset.json"), "--model", "gbm",
+                                      "--grid", str(grid), "--folds", "3", "--out", str(out)])
+        assert result.exit_code == code, result.output
+        assert "error: fold 2 failed" in result.output
+        assert not (out / "cv_gbm.json").exists()
+        assert_no_child_left()
 
 
 class TestDefaults:
