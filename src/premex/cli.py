@@ -1,7 +1,10 @@
 """Command-line pipeline: ingest, train, tune, evaluate, explain, reproduce.
 
 Every command derives all randomness from --seed, writes artifacts
-atomically, and embeds {seed, config hash, format version} in each one.
+atomically, and embeds {seed, config hash, format version} in each one; a
+JSON artifact holds its seed and config hash only in its `meta` block.
+Every artifact except `timings.json` is a deterministic function of the
+input, the flags and the seed, and `reproduce`'s manifest hashes it.
 Each pipeline stage has one implementation (`_ingest`, `_train_one`,
 `_tune`, `_evaluate_one`, `_explain_shap`, `_explain_ice`), called both by
 its command and by `reproduce`, so the one-shot run writes the same
@@ -207,7 +210,8 @@ def _collect_params(variant, flag_values):
 
 
 def _train_one(train_data, variant, params, seed, out_dir):
-    """Fit one model; write model_{variant}.json and run_report_{variant}.json."""
+    """Fit one model; write model_{variant}.json and run_report_{variant}.json.
+    The fit time is returned, not reported, so the report's bytes follow the seed."""
     model_seed = derive_seed(seed, "train", variant)
     started = time.perf_counter()
     model = tuning_mod.fit_variant(variant, train_data, params, model_seed)
@@ -218,12 +222,9 @@ def _train_one(train_data, variant, params, seed, out_dir):
     report = {
         "variant": variant,
         "params": params,
-        "seed": seed,
         "model_seed": model_seed,
-        "config_hash": config_hash(params),
         "train_rows": train_data.n,
         "train_r_squared": train_r2,
-        "fit_seconds": elapsed,
         # read off the node table
         "nodes": int(model.trees.feature.size),
         "leaves": int((model.trees.feature < 0).sum()),
@@ -384,7 +385,7 @@ def _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir):
     if variant == "rf":
         scale, offset = 1.0 / len(model.trees), 0.0
     else:
-        scale, offset = model.learning_rate, model.base_score
+        scale, offset = model.config.learning_rate, model.base_score
     base_value, phi = explain_mod.tree_shap(
         model.trees, scale, offset, rows, dataset.X[background_ids]
     )
@@ -606,8 +607,7 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
     click.echo(f"reproduce finished in {timings['total']:.1f}s -> {out_dir}")
 
 
-NONDETERMINISTIC_ARTIFACTS = ("timings.json", "run_report_rf.json",
-                              "run_report_gbm.json", "run_report_xgb.json")
+NONDETERMINISTIC_ARTIFACTS = ("timings.json",)
 
 
 def _write_manifest(out_dir, seed):

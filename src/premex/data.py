@@ -331,10 +331,10 @@ def dataset_from_json(path) -> Dataset:
 
 
 def split_to_json(split: SplitIndices, path) -> None:
+    """Write split.json: train_rows and test_rows, and the seed in meta.seed."""
     payload = {
         "train_rows": split.train_rows.tolist(),
         "test_rows": split.test_rows.tolist(),
-        "split_seed": split.seed,
     }
     write_json_artifact(path, "split", payload, seed=split.seed, config={"n": len(payload["train_rows"]) + len(payload["test_rows"])})
 
@@ -343,7 +343,7 @@ def split_from_json(path, n: int) -> SplitIndices:
     """Load split.json for a dataset of n rows.
 
     train_rows and test_rows must be disjoint, non-empty lists of distinct
-    row ids in 0..n-1, and split_seed an integer; else DataValidationError.
+    row ids in 0..n-1, and meta.seed an integer; else DataValidationError.
     """
     document = read_json_artifact(path, "split")
     rows = {}
@@ -360,6 +360,7 @@ def split_from_json(path, n: int) -> SplitIndices:
         rows[key] = np.array(ids, dtype=np.int64)
     if np.intersect1d(rows["train_rows"], rows["test_rows"]).size:
         raise DataValidationError(f"{path}: train_rows and test_rows share a row id")
-    if type(document.get("split_seed")) is not int:
-        raise DataValidationError(f"{path}: split_seed must be an integer")
-    return SplitIndices(rows["train_rows"], rows["test_rows"], document["split_seed"])
+    seed = document["meta"].get("seed")
+    if type(seed) is not int:
+        raise DataValidationError(f"{path}: meta.seed must be an integer")
+    return SplitIndices(rows["train_rows"], rows["test_rows"], seed)

@@ -13,8 +13,9 @@ A model's `trees` is one `tree.NodeTable`, the table its fit grew or its
 file held: len(model.trees) counts its trees and model.trees[i] is tree
 i.  Prediction descends all trees at once, one gather per level, and adds
 their leaf values in tree order, so it gives the bits a loop over the
-trees gives.  A model file's `trees` is the table's own columns, as
-NodeTable.to_document writes and NodeTable.from_document checks them.
+trees gives.  A model file holds `variant`, `config`, `feature_names`,
+`trees` (the table's own columns, as NodeTable.to_document writes and
+NodeTable.from_document checks them) and a boosted model's `base_score`.
 
 `PUBLISHED` is the one home of the published best hyperparameters;
 `variant_config` lays a parameter dict over them.  Every config checks
@@ -25,6 +26,7 @@ included, and raises DataValidationError.
 import numbers
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -140,7 +142,7 @@ class ForestModel:
     trees: NodeTable
     config: ForestConfig
     feature_names: list
-    variant: str = "rf"
+    variant: ClassVar[str] = "rf"
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -153,7 +155,6 @@ class ForestModel:
 class BoostedModel:
     variant: str  # "gbm" or "xgb"
     base_score: float
-    learning_rate: float
     trees: NodeTable  # the stages
     config: BoostConfig
     feature_names: list
@@ -167,7 +168,7 @@ class BoostedModel:
             )
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.full(X.shape[0], self.base_score)
-        self.trees.add_predictions(X, out, scale=self.learning_rate, n_trees=n_stages)
+        self.trees.add_predictions(X, out, scale=self.config.learning_rate, n_trees=n_stages)
         return out
 
 
@@ -276,7 +277,6 @@ def _boost_lockstep(config: BoostConfig, group, variant: str) -> list:
         BoostedModel(
             variant=variant,
             base_score=float(data.y.mean()),
-            learning_rate=config.learning_rate,
             trees=NodeTable.join([stage[i] for stage in stages], data.m),
             config=replace(config, seed=seed),
             feature_names=list(data.feature_names),
@@ -306,6 +306,8 @@ def fit_xgb(data: Dataset, config: BoostConfig) -> BoostedModel:
 # --- serialization ----------------------------------------------------------
 
 def save_model(model, path) -> None:
+    """Write variant, config, feature_names, trees and a boosted model's base_score;
+    the config, which meta hashes, is the one home of the seed and learning rate."""
     payload = {
         "variant": model.variant,
         "config": asdict(model.config),
@@ -313,7 +315,7 @@ def save_model(model, path) -> None:
         "trees": model.trees.to_document(),
     }
     if isinstance(model, BoostedModel):
-        payload.update(base_score=model.base_score, learning_rate=model.learning_rate)
+        payload["base_score"] = model.base_score
     write_json_artifact(path, "model", payload, seed=model.config.seed, config=payload["config"])
 
 
@@ -346,13 +348,13 @@ def load_model(path):
         config = _config_from(document, ForestConfig, path)
         return ForestModel(trees=table, config=config, feature_names=names)
     config = _config_from(document, BoostConfig, path)
-    scalars = [document.get("base_score"), document.get("learning_rate")]
-    if not all(_finite(v) for v in scalars):
-        raise DataValidationError(f"{path}: base_score and learning_rate must be finite numbers")
+    # a top-level learning_rate, which older files hold, is ignored
+    base_score = document.get("base_score")
+    if not _finite(base_score):
+        raise DataValidationError(f"{path}: base_score must be a finite number")
     return BoostedModel(
         variant=variant,
-        base_score=float(scalars[0]),
-        learning_rate=float(scalars[1]),
+        base_score=float(base_score),
         trees=table,
         config=config,
         feature_names=names,

@@ -127,9 +127,8 @@ def normal_quantile(p):
         raise NumericError("normal quantile requires probabilities strictly in (0, 1)")
     out = np.empty_like(p)
 
-    low = p < _P_LOW
-    high = p > 1.0 - _P_LOW
-    mid = ~(low | high)
+    tail = (p < _P_LOW) | (p > 1.0 - _P_LOW)
+    mid = ~tail
 
     if np.any(mid):
         q = p[mid] - 0.5
@@ -137,15 +136,12 @@ def normal_quantile(p):
         num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
         den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
         out[mid] = num * q / den
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(p[low]))
+    if np.any(tail):
+        # the lower tail's formula at min(p, 1 - p), negated for the upper tail
+        pt = p[tail]
+        q = np.sqrt(-2.0 * np.log(np.minimum(pt, 1.0 - pt)))
         num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
         den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        out[low] = num / den
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        out[high] = -num / den
+        out[tail] = np.where(pt < 0.5, num / den, -num / den)
 
     return float(out[0]) if scalar else out

@@ -248,7 +248,6 @@ class CvResult:
     best_params: dict
     best_mean_score: float
     k: int
-    seed: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -294,7 +293,6 @@ def grid_search(data: Dataset, variant: str, grid: dict, k: int, seed: int) -> C
         best_params=dict(best.params),
         best_mean_score=best.mean_score,
         k=k,
-        seed=seed,
     )
 
 

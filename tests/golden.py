@@ -14,7 +14,8 @@ A change that moves artifact bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/golden.py --write
 
-and says which files changed and why.
+which prints the entries it added, removed or changed, and says which
+files changed and why.
 """
 
 import hashlib
@@ -111,6 +112,14 @@ def load_golden() -> dict:
         return json.load(handle)
 
 
+def manifest_changes(old: dict, new: dict) -> list:
+    """One line per entry that `new` adds, removes or changes against `old`."""
+    lines = [f"added {name}" for name in sorted(set(new) - set(old))]
+    lines += [f"removed {name}" for name in sorted(set(old) - set(new))]
+    lines += [f"changed {name}" for name in sorted(set(old) & set(new)) if old[name] != new[name]]
+    return lines
+
+
 def write_golden(files: dict) -> None:
     document = {
         "command": ["premex", "reproduce", "premiums.csv", "--out", "out", *GOLDEN_ARGS],
@@ -147,8 +156,11 @@ if __name__ == "__main__":
 
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/golden.py --write")
+    previous = load_golden()["files"] if os.path.exists(GOLDEN_PATH) else {}
     with tempfile.TemporaryDirectory() as scratch:
         manifest = run_manifest(scratch)
     write_golden(manifest)
+    for line in manifest_changes(previous, manifest):
+        print(line)
     hashed = sum(value is not None for value in manifest.values())
     print(f"wrote {GOLDEN_PATH}: {len(manifest)} files, {hashed} hashed")

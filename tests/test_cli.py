@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import premex.data as data_mod
 import premex.ensemble as ensemble_mod
 import premex.metrics as metrics_mod
 import premex.tuning as tuning_mod
+from premex.artifacts import config_hash
 from premex.cli import EXIT_VALIDATION, guarded, main
 from premex.explain import shap_exact
 from premex.metrics import r_squared
@@ -161,11 +163,15 @@ class TestTrain:
         assert report["params"]["subsample"] == 0.9
         assert report["params"]["gamma"] == 0.0
 
-    def test_run_report_has_wall_time_and_seed(self, workdir):
+    def test_seed_and_hash_in_meta_fit_time_in_output(self, runner, workdir, tmp_path):
         report = json.loads((workdir / "run_report_rf.json").read_text())
-        assert report["fit_seconds"] > 0.0
-        assert report["seed"] == 7
-        assert "config_hash" in report
+        assert report["meta"]["seed"] == 7
+        assert report["meta"]["config_hash"] == config_hash(report["params"])
+        # the fit time is printed (and kept in reproduce's timings.json), not reported
+        result = runner.invoke(main, ["train", str(workdir / "dataset.json"), "--model", "rf",
+                                      "--n-estimators", "2", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        assert re.match(r"trained rf in \d+\.\d\ds, train R\^2 ", result.output)
 
     @pytest.mark.parametrize("variant", ["rf", "gbm", "xgb"])
     def test_run_report_model_statistics_match_the_model(self, workdir, variant):
@@ -577,7 +583,7 @@ class TestCorruptSplitAndDataset:
         pytest.param("split.json", _set_keys(train_rows=[]), id="rows-empty"),
         pytest.param("split.json", _set_keys(test_rows=[4, 4, 5]), id="row-repeated"),
         pytest.param("split.json", _set_keys(test_rows=[1.0, 2.0]), id="row-float"),
-        pytest.param("split.json", _set_keys(split_seed=None), id="no-seed"),
+        pytest.param("split.json", lambda doc: doc["meta"].pop("seed"), id="no-seed"),
         pytest.param("split.json", lambda doc: doc["test_rows"].append(doc["train_rows"][0]),
                      id="lists-overlap"),
         pytest.param("dataset.json", lambda doc: doc.pop("feature_names"), id="no-names"),
@@ -984,7 +990,7 @@ class TestConfigFile:
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
         model = ensemble_mod.load_model(str(out / "model_gbm.json"))
-        assert len(model.trees) == 3 and model.learning_rate == 0.25
+        assert len(model.trees) == 3 and model.config.learning_rate == 0.25
         assert model.trees.depth.max() <= 2
 
 

@@ -194,7 +194,7 @@ class TestGbm:
         X = np.zeros((4, 5))
         for trees in (leaf_trees(feature_count=3), leaf_trees(1.0, feature_count=3)):
             model = BoostedModel(
-                variant="gbm", base_score=5.0, learning_rate=0.1, trees=trees,
+                variant="gbm", base_score=5.0, trees=trees,
                 config=BoostConfig(), feature_names=["a", "b", "c"],
             )
             for n_stages in (None, 0):
@@ -203,8 +203,8 @@ class TestGbm:
 
     def test_one_stage_arithmetic(self):
         model = BoostedModel(
-            variant="gbm", base_score=5.0, learning_rate=0.1,
-            trees=leaf_trees(10.0), config=BoostConfig(), feature_names=["a", "b"],
+            variant="gbm", base_score=5.0, trees=leaf_trees(10.0),
+            config=BoostConfig(learning_rate=0.1), feature_names=["a", "b"],
         )
         assert model.predict([0.0, 0.0])[0] == 6.0
 
@@ -225,7 +225,7 @@ class TestGbm:
 @pytest.mark.parametrize("model", [
     ForestModel(trees=leaf_trees(1.0), config=ForestConfig(n_estimators=1),
                 feature_names=["a", "b"]),
-    BoostedModel(variant="xgb", base_score=0.0, learning_rate=0.1, trees=leaf_trees(1.0),
+    BoostedModel(variant="xgb", base_score=0.0, trees=leaf_trees(1.0),
                  config=BoostConfig(n_estimators=1), feature_names=["a", "b"]),
 ], ids=["rf", "xgb"])
 def test_predict_reports_input_shape(model):
@@ -388,7 +388,7 @@ class TestSerialization:
         lambda doc: doc.update(feature_names="abc"),
         lambda doc: doc.update(trees={}),
         lambda doc: doc.update(base_score=float("nan")),
-        lambda doc: doc.pop("learning_rate"),
+        lambda doc: doc.pop("base_score"),
     ])
     def test_malformed_document_rejected(self, small_regression, tmp_path, edit):
         path = tmp_path / "model.json"
@@ -398,6 +398,35 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataValidationError):
             load_model(path)
+
+    @pytest.mark.parametrize("fitter", [fit_gbm, fit_xgb])
+    def test_config_learning_rate_is_the_one_rate(self, small_regression, tmp_path, fitter):
+        path = tmp_path / "model.json"
+        model = fitter(small_regression, BoostConfig(n_estimators=3, max_depth=2, seed=1))
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert "learning_rate" not in doc
+        doc["config"]["learning_rate"] = 0.25
+        path.write_text(json.dumps(doc))
+        X = small_regression.X
+        expected = model.base_score + 0.25 * sum(tree.predict_matrix(X) for tree in model.trees)
+        np.testing.assert_allclose(load_model(path).predict(X), expected, rtol=1e-12)
+
+    def test_stale_top_level_learning_rate_ignored(self, small_regression, tmp_path):
+        path = tmp_path / "model.json"
+        model = fit_xgb(small_regression, BoostConfig(n_estimators=3, max_depth=2, seed=1))
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["learning_rate"] = 0.5  # as older files hold it
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        assert loaded.config.learning_rate == 0.1
+        assert np.array_equal(loaded.predict(small_regression.X), model.predict(small_regression.X))
+
+    def test_forest_variant_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            ForestModel(trees=leaf_trees(1.0), config=ForestConfig(n_estimators=1),
+                        feature_names=["a", "b"], variant="xgb")
 
     def test_forest_without_trees_rejected(self, small_regression, tmp_path):
         path = tmp_path / "model.json"

@@ -344,7 +344,7 @@ def tree_terms(model):
     """(table, scale, offset) of a fitted ensemble, as the explain command passes them."""
     if model.variant == "rf":
         return model.trees, 1.0 / len(model.trees), 0.0
-    return model.trees, model.learning_rate, model.base_score
+    return model.trees, model.config.learning_rate, model.base_score
 
 
 def table_of(*documents):

@@ -82,8 +82,9 @@ def forest_and_boosted(table, p):
     names = [f"x{j}" for j in range(p)]
     forest = ForestModel(trees=table, config=ForestConfig(n_estimators=len(table)),
                          feature_names=names)
-    boosted = BoostedModel(variant="xgb", base_score=3.7, learning_rate=0.3, trees=table,
-                           config=BoostConfig(n_estimators=len(table)), feature_names=names)
+    boosted = BoostedModel(variant="xgb", base_score=3.7, trees=table,
+                           config=BoostConfig(n_estimators=len(table), learning_rate=0.3),
+                           feature_names=names)
     return forest, boosted
 
 
@@ -137,7 +138,7 @@ class TestPrediction:
             expected = oracle.forest_predict(model.trees, X)
         else:
             expected = oracle.boosted_predict(model.trees, model.base_score,
-                                              model.learning_rate, X)
+                                              model.config.learning_rate, X)
         assert_same_bits(model.predict(X), expected)
 
 
@@ -186,7 +187,7 @@ class TestTreeShap:
     def test_fitted_models(self, synth_dataset, variant, params):
         model = fit_variant(variant, synth_dataset.subset(np.arange(200)), params, 5)
         scale, offset = ((1.0 / len(model.trees), 0.0) if variant == "rf"
-                         else (model.learning_rate, model.base_score))
+                         else (model.config.learning_rate, model.base_score))
         rows, background = synth_dataset.X[200:230], synth_dataset.X[:200]
         # 200 background rows: the rf's trees fall into several blocks
         got = explain_mod.tree_shap(model.trees, scale, offset, rows, background)
