@@ -275,7 +275,7 @@ def _tune(train_data, variant, grid, folds, seed, out_dir):
     write_json_artifact(
         os.path.join(out_dir, f"cv_{variant}.json"),
         "cv_result",
-        result.to_dict(),
+        result,
         seed=seed,
         config={"grid": grid, "k": folds},
     )
@@ -308,8 +308,8 @@ def tune(dataset_path, variant, grid_path, folds, seed, split_fraction, out_dir)
     split = data_mod.train_test_split(dataset.n, split_fraction, seed)
     result = _tune(dataset.subset(split.train_rows), variant, grid, folds, seed, out_dir)
     click.echo(
-        f"best {variant} params {json.dumps(result.best_params, sort_keys=True)} "
-        f"mean CV R^2 {100 * result.best_mean_score:.3f}%"
+        f"best {variant} params {json.dumps(result['best_params'], sort_keys=True)} "
+        f"mean CV R^2 {100 * result['best_mean_score']:.3f}%"
     )
 
 
@@ -335,7 +335,7 @@ def _evaluate_one(model, dataset, test_ids, seed, out_dir):
     write_json_artifact(
         os.path.join(out_dir, f"metrics_{variant}.json"),
         "metrics",
-        report.to_dict(),
+        report,
         seed=seed,
         config={"variant": variant},
     )
@@ -370,8 +370,8 @@ def evaluate(model_path, dataset_path, split_path, out_dir, seed):
     split = data_mod.split_from_json(split_path, dataset.n)
     report = _evaluate_one(model, dataset, split.test_rows, seed, out_dir)
     click.echo(
-        f"{report.model}: R^2 {100 * report.r_squared:.3f}% MAE {report.mae:.3f} "
-        f"RMSE {report.rmse:.3f} MAPE {report.mape:.3f}%"
+        f"{report['model']}: R^2 {100 * report['r_squared']:.3f}% MAE {report['mae']:.3f} "
+        f"RMSE {report['rmse']:.3f} MAPE {report['mape']:.3f}%"
     )
 
 
@@ -407,34 +407,36 @@ def _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir):
 
 def _explain_ice(model, dataset, ids, features, grid_points, centered, derivative,
                  seed, out_dir):
+    """Write the ICE CSV, the raw curves and the chosen kind's, and one panel
+    of the chosen kind per feature; return the number of panels."""
     variant = model.variant
+    kind = "derivative" if derivative else ("centered" if centered else "raw")
     panels = []
-    curve_sets = []
+    parts = []  # (name, kind, grid, curves) of the CSV
     for name in features:
-        index = dataset.feature_index(name)
-        raw = explain_mod.ice_curves(
-            model.predict, dataset.X[ids], index, n_points=grid_points, feature_name=name
+        grid, curves = explain_mod.ice_curves(
+            model.predict, dataset.X[ids], dataset.feature_index(name), n_points=grid_points
         )
-        chosen = raw
+        if derivative and grid.size < 2:
+            click.echo(f"warning: skipping {name}: its grid has one point, "
+                       "so it has no derivative", err=True)
+            continue
+        parts.append((name, "raw", grid, curves))
         if centered:
-            chosen = explain_mod.center_ice(raw)
+            curves = explain_mod.center_ice(curves)
         elif derivative:
-            if raw.grid.size < 2:
-                click.echo(f"warning: skipping {name}: its grid has one point, "
-                           "so it has no derivative", err=True)
-                continue
-            chosen = explain_mod.derivative_ice(raw)
-        curve_sets.extend([raw] if chosen is raw else [raw, chosen])
-        panels.append(chosen)
+            curves = explain_mod.derivative_ice(grid, curves)
+        panels.append((name, kind, grid, curves))
+        if kind != "raw":
+            parts.append(panels[-1])
     if not panels:
         raise NumericError("derivative curves need a grid of at least 2 points; "
                            "each feature asked for is constant among the explained rows")
     _write(out_dir, f"ice_{variant}.csv",
-           report_mod.ice_long_csv(curve_sets, [int(i) for i in ids], seed=seed))
-    kind_label = "derivative" if derivative else ("centered" if centered else "raw")
+           report_mod.ice_long_csv(parts, [int(i) for i in ids], seed=seed))
     _write(out_dir, f"ice_panel_{variant}.svg", report_mod.ice_panel_svg(
-        panels, f"{VARIANT_NAMES[variant]} {kind_label} ICE curves",
-        _svg_meta(seed, {"variant": variant, "kind": kind_label})))
+        panels, f"{VARIANT_NAMES[variant]} {kind} ICE curves",
+        _svg_meta(seed, {"variant": variant, "kind": kind})))
     return len(panels)
 
 
@@ -528,11 +530,11 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
         _svg_meta(seed, {"figure": "correlation"})))
     group_csv_parts = []
     for feature in GROUPING_FEATURES:
-        groups = data_mod.group_summary(derived, feature)
-        group_csv_parts.append((feature, groups))
+        values, table = data_mod.group_summary(derived, feature)
+        group_csv_parts.append((feature, values, table))
         column = derived.X[:, derived.feature_index(feature)]
         _write(out_dir, f"group_boxplot_{feature}.svg", report_mod.group_boxplot_svg(
-            feature, [(g.value, derived.y[column == g.value]) for g in groups],
+            feature, [(value, derived.y[column == value]) for value in values.tolist()],
             f"Premium by {feature}", _svg_meta(seed, {"figure": "group", "feature": feature})))
     _write(out_dir, "group_premium_stats.csv",
            report_mod.group_summary_all_csv(group_csv_parts, seed=seed))
@@ -549,7 +551,7 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
         if full_tune:
             stage_start = time.perf_counter()
             params = _tune(train_subset, variant, tuning_mod.DEFAULT_GRIDS[variant],
-                           folds, seed, out_dir).best_params
+                           folds, seed, out_dir)["best_params"]
             timings[f"cv_{variant}"] = time.perf_counter() - stage_start
         else:
             params = ensemble_mod.PUBLISHED[variant]
@@ -561,20 +563,19 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
         metrics_reports.append(report)
 
         stage_start = time.perf_counter()
-        curve = tuning_mod.learning_curve(
+        n_rows, train_scores, val_scores = tuning_mod.learning_curve(
             train_subset, variant, params, LEARNING_FRACTIONS, folds, seed
         )
-        _write(out_dir, f"learning_curve_{variant}.csv",
-               report_mod.learning_curve_csv(curve, seed=seed))
+        _write(out_dir, f"learning_curve_{variant}.csv", report_mod.learning_curve_csv(
+            LEARNING_FRACTIONS, n_rows, train_scores, val_scores, seed=seed))
         _write(out_dir, f"learning_curve_{variant}.svg", report_mod.learning_curve_svg(
-            curve.n_rows, curve.train_scores, curve.val_scores,
-            f"{VARIANT_NAMES[variant]} learning curve",
+            n_rows, train_scores, val_scores, f"{VARIANT_NAMES[variant]} learning curve",
             _svg_meta(seed, {"figure": "learning_curve", "variant": variant})))
         timings[f"learning_curve_{variant}"] = time.perf_counter() - stage_start
 
         # the curve's fraction-1.0 point is k-fold CV of these parameters
         scores.append({"model": VARIANT_NAMES[variant], "train_r2": train_r2,
-                       "cv_r2": curve.val_scores[-1], "test_r2": report.r_squared,
+                       "cv_r2": val_scores[-1], "test_r2": report["r_squared"],
                        "best_params": params})
 
     _write(out_dir, "test_metrics.csv",

@@ -4,8 +4,9 @@ The raw file has 11 columns (10 inputs + PremiumPrice).  `load_csv` returns
 it as the raw table: a Dataset of the 10 input columns with PremiumPrice as
 the target.  `derive_features` folds Height and Weight into BMI, giving the
 9-feature model matrix.  `summary_statistics` and `pearson_correlation`
-return (column names, array) pairs, the target last.  All operations here
-are pure functions; nothing mutates its inputs.
+return (column names, array) pairs, the target last; `group_summary`
+returns (feature values, array).  All operations here are pure functions;
+nothing mutates its inputs.
 """
 
 import csv
@@ -111,18 +112,6 @@ class SplitIndices:
     train_rows: np.ndarray
     test_rows: np.ndarray
     seed: int
-
-
-@dataclass
-class GroupStats:
-    value: float
-    count: int
-    mean: float
-    q1: float
-    median: float
-    q3: float
-    minimum: float
-    maximum: float
 
 
 def load_csv(path) -> Dataset:
@@ -268,26 +257,18 @@ def pearson_correlation(data: Dataset):
     return names, matrix
 
 
-def group_summary(data: Dataset, flag_feature: str) -> list:
-    """Premium statistics per distinct value of a binary/small-cardinality feature."""
+def group_summary(data: Dataset, flag_feature: str):
+    """(values, table): the distinct values of a binary/small-cardinality
+    feature, ascending, and per value a table row of its premiums' count,
+    mean, Q1, median, Q3, min and max; quartiles by linear interpolation."""
     column = data.X[:, data.feature_index(flag_feature)]
-    groups = []
-    for value in np.unique(column):
+    values = np.unique(column)
+    rows = []
+    for value in values:
         premiums = data.y[column == value]
         q1, median, q3 = np.percentile(premiums, [25, 50, 75], method="linear")
-        groups.append(
-            GroupStats(
-                value=float(value),
-                count=int(premiums.size),
-                mean=float(premiums.mean()),
-                q1=float(q1),
-                median=float(median),
-                q3=float(q3),
-                minimum=float(premiums.min()),
-                maximum=float(premiums.max()),
-            )
-        )
-    return groups
+        rows.append([premiums.size, premiums.mean(), q1, median, q3, premiums.min(), premiums.max()])
+    return values, np.array(rows, dtype=np.float64)
 
 
 # --- JSON round-trips -------------------------------------------------------

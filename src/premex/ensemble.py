@@ -114,6 +114,9 @@ class BoostConfig(_TreeFields):
         _check_number("reg_lambda", self.reg_lambda, rate=False)
         _check_number("gamma", self.gamma, rate=False)
         check_count("seed", self.seed, None)
+        # held as floats, so a rate given as 1 is saved and hashed as 1.0 is
+        for name in ("learning_rate", "subsample", "reg_lambda", "gamma"):
+            setattr(self, name, float(getattr(self, name)))
 
 
 def variant_config(variant: str, params: dict, seed: int):

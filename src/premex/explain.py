@@ -22,11 +22,12 @@ out) and enumerates all 2^p coalitions, 2^p x |background| model rows per
 explained row.  It is the model-agnostic oracle the tests hold
 `tree_shap` to.  Both take the background as a matrix and return
 (base value, φ), φ an explained rows x p array; `importance` ranks the
-features by sum of |φ|.  ICE curves also take a bare prediction function.
+features by sum of |φ|.  ICE curves also take a bare prediction function:
+`ice_curves` returns (grid, curves), one row of curves per explained row,
+and `center_ice` and `derivative_ice` map curves to curves.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,17 +35,6 @@ from .errors import DataValidationError, NumericError
 from .tree import BLOCK_CELLS
 
 MAX_EXACT_FEATURES = 20
-
-
-@dataclass
-class IceCurveSet:
-    feature_index: int
-    feature_name: str
-    grid: np.ndarray
-    curves: np.ndarray  # n_rows x n_grid predictions, one curve per row
-    pdp: np.ndarray  # pointwise mean of the curves
-    variant: str  # "raw", "centered", or "derivative"
-    anchor_index: int | None = None
 
 
 def _subset_weights(p: int) -> np.ndarray:
@@ -264,9 +254,9 @@ def make_grid(column: np.ndarray, n_points: int = 30, max_distinct: int = 10) ->
     return np.linspace(column.min(), column.max(), n_points)
 
 
-def ice_curves(predict_fn, rows, feature_index: int, grid=None, n_points: int = 30,
-               feature_name: str | None = None) -> IceCurveSet:
-    """Raw ICE curves: one prediction trace per row as one feature sweeps."""
+def ice_curves(predict_fn, rows, feature_index: int, grid=None, n_points: int = 30):
+    """(grid, curves): raw ICE curves, one prediction trace per row (a
+    rows x grid points array) as one feature sweeps the grid."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if not 0 <= feature_index < rows.shape[1]:
         raise DataValidationError(f"feature index {feature_index} out of range")
@@ -278,38 +268,17 @@ def ice_curves(predict_fn, rows, feature_index: int, grid=None, n_points: int = 
     # all grid points in one prediction call: block g holds every row at grid[g]
     swept = np.tile(rows, (grid.size, 1))
     swept[:, feature_index] = np.repeat(grid, rows.shape[0])
-    curves = np.ascontiguousarray(predict_fn(swept).reshape(grid.size, rows.shape[0]).T)
-    return IceCurveSet(
-        feature_index=feature_index,
-        feature_name=feature_name or f"x{feature_index}",
-        grid=grid,
-        curves=curves,
-        pdp=curves.mean(axis=0),
-        variant="raw",
-    )
+    return grid, np.ascontiguousarray(predict_fn(swept).reshape(grid.size, rows.shape[0]).T)
 
 
-def center_ice(curve_set: IceCurveSet, anchor_index: int = 0) -> IceCurveSet:
-    """Shift each curve to zero at the anchor grid point (left edge default)."""
-    if curve_set.variant != "raw":
-        raise DataValidationError(f"can only center raw curves, got {curve_set.variant!r}")
-    if not 0 <= anchor_index < curve_set.grid.size:
-        raise DataValidationError(f"anchor index {anchor_index} outside the grid")
-    centered = curve_set.curves - curve_set.curves[:, anchor_index : anchor_index + 1]
-    return IceCurveSet(
-        feature_index=curve_set.feature_index,
-        feature_name=curve_set.feature_name,
-        grid=curve_set.grid.copy(),
-        curves=centered,
-        pdp=centered.mean(axis=0),
-        variant="centered",
-        anchor_index=anchor_index,
-    )
+def center_ice(curves):
+    """The curves shifted to zero at the first grid point."""
+    return curves - curves[:, :1]
 
 
-def derivative_ice(curve_set: IceCurveSet) -> IceCurveSet:
-    """Numerical slope of each curve: central differences inside, one-sided ends."""
-    grid, curves = curve_set.grid, curve_set.curves
+def derivative_ice(grid, curves):
+    """Numerical slope of each curve over the grid: central differences
+    inside, one-sided at the ends."""
     if grid.size < 2:
         raise NumericError("derivative curves need a grid of at least 2 points")
     slopes = np.empty_like(curves)
@@ -317,13 +286,4 @@ def derivative_ice(curve_set: IceCurveSet) -> IceCurveSet:
     slopes[:, -1] = (curves[:, -1] - curves[:, -2]) / (grid[-1] - grid[-2])
     span = grid[2:] - grid[:-2]
     slopes[:, 1:-1] = (curves[:, 2:] - curves[:, :-2]) / span
-    return IceCurveSet(
-        feature_index=curve_set.feature_index,
-        feature_name=curve_set.feature_name,
-        grid=grid.copy(),
-        curves=slopes,
-        pdp=slopes.mean(axis=0),
-        variant="derivative",
-        anchor_index=None,
-    )
-
+    return slopes

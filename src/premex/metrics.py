@@ -1,8 +1,11 @@
-"""Regression evaluation metrics and the residual Q-Q points."""
+"""Regression evaluation metrics and the residual Q-Q points.
+
+Each metric returns a float; `evaluate_predictions` returns them as one
+dict, the body of a `metrics_<variant>.json`.
+"""
 
 import functools
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,29 +70,13 @@ def mape(actual, predicted) -> float:
     return float(100.0 * np.mean(np.abs((actual - predicted) / actual)))
 
 
-@dataclass
-class MetricsReport:
-    model: str
-    r_squared: float  # stored as a fraction; report layers format as percent
-    mae: float
-    rmse: float
-    mape: float
-    n: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def evaluate_predictions(model_name: str, actual, predicted) -> MetricsReport:
+def evaluate_predictions(model_name: str, actual, predicted) -> dict:
+    """The body of `metrics_<variant>.json`: model, r_squared (a fraction;
+    tables print it in percent), mae, rmse, mape and the row count n."""
     actual, predicted = _pair(actual, predicted, min_len=2)
-    return MetricsReport(
-        model=model_name,
-        r_squared=r_squared(actual, predicted),
-        mae=mae(actual, predicted),
-        rmse=rmse(actual, predicted),
-        mape=mape(actual, predicted),
-        n=int(actual.size),
-    )
+    return {"model": model_name, "r_squared": r_squared(actual, predicted),
+            "mae": mae(actual, predicted), "rmse": rmse(actual, predicted),
+            "mape": mape(actual, predicted), "n": int(actual.size)}
 
 
 def qq_points(actual, predicted):

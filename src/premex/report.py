@@ -14,9 +14,18 @@ of a panel's polylines (their shared x coordinates formatted once), with
 one `%`-template filled from the array's values: `'%.2f' % x` is
 `f"{x:.2f}"`.  The ICE, SHAP and importance tables write their rows the
 same way, one template per run of rows, with each text cell (feature name,
-curve variant) quoted once by `csv.writer`'s rules and row ids, which are
+curve kind) quoted once by `csv.writer`'s rules and row ids, which are
 integers, written as `str` writes them.  So the output is the text that
 formatting one number at a time gives (`tests/reference_report.py`).
+
+The ICE table and the ICE panel figure take their parts as (feature name,
+kind, grid, curves) tuples, the arrays of `explain.ice_curves`, and the
+kind is "raw", "centered" or "derivative".  A panel's PDP is its curves'
+column mean, and a centered panel marks the anchor, grid point 0.  The
+other tables take the results as their computing functions return them:
+`metrics.evaluate_predictions` dicts, a `tuning.grid_search` dict, the
+`tuning.learning_curve` arrays and `data.group_summary` (values, table)
+pairs.
 """
 
 import csv
@@ -445,7 +454,8 @@ def importance_bar_svg(names, totals, title, meta=""):
 
 
 def ice_panel_svg(panels, title, meta=""):
-    """One panel per `explain.IceCurveSet`: its curves, its PDP and its anchor."""
+    """One panel per (feature name, kind, grid, curves): its curves, its PDP
+    (their mean) and, for kind "centered", the anchor at grid point 0."""
     if not panels:
         raise DataValidationError("ice_panel: no panels")
     columns = min(3, len(panels))
@@ -455,12 +465,12 @@ def ice_panel_svg(panels, title, meta=""):
     width = margin + columns * (panel_w + 20) + 20
     height = 50 + rows * (panel_h + 40)
     canvas = _Canvas(width, height, title, meta)
-    for index, panel in enumerate(panels):
-        grid = _as_array(panel.grid, "ice_panel", "grid", 1)
-        curves = np.atleast_2d(np.asarray(panel.curves, dtype=np.float64))
-        pdp = _as_array(panel.pdp, "ice_panel", "pdp", 1)
-        if curves.shape[1] != grid.size or pdp.size != grid.size:
+    for index, (name, kind, grid, curves) in enumerate(panels):
+        grid = _as_array(grid, "ice_panel", "grid", 1)
+        curves = np.atleast_2d(np.asarray(curves, dtype=np.float64))
+        if curves.shape[1] != grid.size:
             raise DataValidationError("ice_panel: curve/grid lengths differ")
+        pdp = curves.mean(axis=0)
         px = margin + (index % columns) * (panel_w + 20)
         py = 50 + (index // columns) * (panel_h + 40)
         box = (px + 36, py + 20, px + panel_w, py + panel_h - 26)
@@ -468,7 +478,7 @@ def ice_panel_svg(panels, title, meta=""):
         hi = max(curves.max(), pdp.max())
         x_scale = _Scale(grid.min(), grid.max(), box[0], box[2])
         y_scale = _Scale(lo, hi, box[3], box[1])
-        canvas.text(px + panel_w / 2, py + 12, str(panel.feature_name),
+        canvas.text(px + panel_w / 2, py + 12, str(name),
                     size=11, anchor="middle", weight="bold")
         canvas.line(box[0], box[3], box[2], box[3])
         canvas.line(box[0], box[1], box[0], box[3])
@@ -479,9 +489,8 @@ def ice_panel_svg(panels, title, meta=""):
         xs = x_scale.array(grid)
         canvas.polylines(xs, y_scale.array(curves), COLOR_CURVE, 0.8, opacity=0.5)
         canvas.polylines(xs, y_scale.array(pdp), COLOR_PDP, 2.5)
-        if panel.anchor_index is not None:
-            anchor = panel.anchor_index
-            canvas.circles(xs[anchor], y_scale(pdp[anchor]), 3, COLOR_ACCENT)
+        if kind == "centered":
+            canvas.circles(xs[0], y_scale(pdp[0]), 3, COLOR_ACCENT)
     return canvas.svg()
 
 
@@ -521,11 +530,13 @@ def summary_stats_csv(names, table, *, seed=None) -> str:
 
 
 def metrics_table_csv(reports, *, seed=None) -> str:
-    """Test-set metrics, one model per row; R^2 and MAPE in percent."""
+    """Test-set metrics, one `metrics.evaluate_predictions` dict per row; R^2
+    and MAPE in percent."""
     if not reports:
         raise DataValidationError("no models to tabulate")
     rows = [
-        [r.model, f"{100.0 * r.r_squared:.3f}", f"{r.mae:.3f}", f"{r.rmse:.3f}", f"{r.mape:.3f}"]
+        [r["model"], f"{100.0 * r['r_squared']:.3f}", f"{r['mae']:.3f}", f"{r['rmse']:.3f}",
+         f"{r['mape']:.3f}"]
         for r in reports
     ]
     return _csv_text(
@@ -556,16 +567,18 @@ def cv_table_csv(entries, *, seed=None) -> str:
 
 
 def cv_cells_csv(result, *, seed=None) -> str:
-    """Every grid cell with its per-fold scores, mean, and rank."""
-    header = ["Rank", "Params"] + [f"Fold{i + 1}R2_pct" for i in range(result.k)] + ["MeanR2_pct"]
+    """Every grid cell of a `tuning.grid_search` result with its per-fold
+    scores, mean, and rank."""
+    header = (["Rank", "Params"] + [f"Fold{i + 1}R2_pct" for i in range(result["k"])]
+              + ["MeanR2_pct"])
     rows = []
-    for cell in sorted(result.cells, key=lambda c: c.rank):
+    for cell in sorted(result["cells"], key=lambda c: c["rank"]):
         rows.append(
-            [cell.rank, json.dumps(cell.params, sort_keys=True)]
-            + [f"{100.0 * s:.3f}" for s in cell.fold_scores]
-            + [f"{100.0 * cell.mean_score:.3f}"]
+            [cell["rank"], json.dumps(cell["params"], sort_keys=True)]
+            + [f"{100.0 * s:.3f}" for s in cell["fold_scores"]]
+            + [f"{100.0 * cell['mean_score']:.3f}"]
         )
-    return _csv_text(header, rows, csv_meta_line(seed=seed, config={"table": "cv_cells", "variant": result.variant}))
+    return _csv_text(header, rows, csv_meta_line(seed=seed, config={"table": "cv_cells", "variant": result["variant"]}))
 
 
 def improvement_csv(entries, *, seed=None) -> str:
@@ -588,10 +601,11 @@ def improvement_csv(entries, *, seed=None) -> str:
     )
 
 
-def learning_curve_csv(curve, *, seed=None) -> str:
+def learning_curve_csv(fractions, n_rows, train, val, *, seed=None) -> str:
+    """One row per fraction: its mean training rows and mean train and validation R^2."""
     rows = [
         [f"{f:.3f}", f"{n:.1f}", f"{t:.6f}", f"{v:.6f}"]
-        for f, n, t, v in zip(curve.fractions, curve.n_rows, curve.train_scores, curve.val_scores)
+        for f, n, t, v in zip(fractions, n_rows, train, val)
     ]
     return _csv_text(
         ["Fraction", "TrainRows", "TrainR2", "ValR2"],
@@ -603,28 +617,13 @@ def learning_curve_csv(curve, *, seed=None) -> str:
 _GROUP_HEADER = ["Feature", "Value", "Count", "MeanPremium", "Q1", "Median", "Q3", "Min", "Max"]
 
 
-def _group_rows(feature, groups):
-    return [
-        [
-            feature,
-            _label(g.value),
-            g.count,
-            f"{g.mean:.2f}",
-            f"{g.q1:.2f}",
-            f"{g.median:.2f}",
-            f"{g.q3:.2f}",
-            f"{g.minimum:.2f}",
-            f"{g.maximum:.2f}",
-        ]
-        for g in groups
-    ]
-
-
 def group_summary_all_csv(parts, *, seed=None) -> str:
-    """One table for every grouping feature: parts are (feature, groups) pairs."""
+    """One table for every grouping feature: parts are (feature, values, table)
+    triples, a `data.group_summary` result after its feature's name."""
     rows = []
-    for feature, groups in parts:
-        rows.extend(_group_rows(feature, groups))
+    for feature, values, table in parts:
+        rows.extend([feature, _label(value), int(count)] + [f"{v:.2f}" for v in stats]
+                    for value, (count, *stats) in zip(values.tolist(), table.tolist()))
     return _csv_text(
         _GROUP_HEADER,
         rows,
@@ -653,22 +652,21 @@ def importance_csv(names, totals, order, *, seed=None) -> str:
             + template % tuple(totals[j] for j in order))
 
 
-def ice_long_csv(curve_sets, row_ids=None, *, seed=None) -> str:
-    """Long-format ICE curves: one line per (variant, row, grid point).
+def ice_long_csv(parts, row_ids=None, *, seed=None) -> str:
+    """Long-format ICE curves: one line per (part, row, grid point).
 
-    `row_ids` are integers, one per curve (default: 0, 1, ...).  Each curve
-    set is one %-template: a line per (row, grid point) whose last cell takes
-    the curve's value there.
+    Each part is (feature name, kind, grid, curves), kind written in the
+    Variant column.  `row_ids` are integers, one per curve (default: 0, 1,
+    ...).  Each part is one %-template: a line per (row, grid point) whose
+    last cell takes the curve's value there.
     """
     body = []
-    for curve_set in curve_sets:
-        curves = curve_set.curves
+    for name, kind, grid, curves in parts:
         ids = row_ids if row_ids is not None else range(len(curves))
-        name, variant = _cells((curve_set.feature_name, curve_set.variant))
-        lead = f"{name},{variant},"
+        lead = ",".join(_cells((name, kind))) + ","
         heads = [f"{lead}{row_id}" for row_id, _ in zip(ids, curves)]
         # head + head.join(tails) puts the row's head before each grid point's tail
-        tails = [f",{value:.6f},%.6f\n" for value in curve_set.grid.tolist()]
+        tails = [f",{value:.6f},%.6f\n" for value in grid.tolist()]
         if tails:
             template = "".join(head + head.join(tails) for head in heads)
             body.append(template % tuple(curves[:len(heads)].ravel().tolist()))

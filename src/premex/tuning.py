@@ -4,7 +4,10 @@ Selection is always by mean R^2 across folds.  Models train on the raw
 feature matrix: tree splits depend only on the order of each feature's
 values, so no per-fold transform is fit.  Model streams derive from
 (seed, "fold", i) alone, which makes a refit of the winning cell
-reproduce its recorded score exactly.
+reproduce its recorded score exactly.  Results are what their readers
+take: `cross_val_score` returns the per-fold scores, `grid_search` the
+document body of `cv_<variant>.json`, and `learning_curve` arrays of row
+counts and mean train and validation scores.
 
 `cross_val_score`, `grid_search` (every cell and fold in one call) and
 `learning_curve` hand their fits to `_fold_fits` as a list of tasks.  It
@@ -23,7 +26,6 @@ grid cell before the first fit.
 import itertools
 import os
 import pickle
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -233,26 +235,6 @@ def cross_val_score(data: Dataset, variant: str, params: dict, k: int, seed: int
     return _fold_fits(data, variant, seed, _cv_tasks(data.n, [params], k, seed)).tolist()
 
 
-@dataclass
-class GridCell:
-    params: dict
-    fold_scores: list
-    mean_score: float
-    rank: int = 0
-
-
-@dataclass
-class CvResult:
-    variant: str
-    cells: list
-    best_params: dict
-    best_mean_score: float
-    k: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def grid_cells(grid: dict) -> list:
     """Cartesian product in declared key order, values in declared order."""
     if not isinstance(grid, dict) or not grid:
@@ -264,8 +246,13 @@ def grid_cells(grid: dict) -> list:
     return [dict(zip(keys, combo)) for combo in itertools.product(*grid.values())]
 
 
-def grid_search(data: Dataset, variant: str, grid: dict, k: int, seed: int) -> CvResult:
-    """Evaluate the full Cartesian product; ties go to the earliest cell."""
+def grid_search(data: Dataset, variant: str, grid: dict, k: int, seed: int) -> dict:
+    """Evaluate the full Cartesian product; ties go to the earliest cell.
+
+    Returns the body of `cv_<variant>.json`: variant, k, best_params,
+    best_mean_score, and cells, one {params, fold_scores, mean_score,
+    rank} per grid cell in declared order, rank 1 the best.
+    """
     all_cells = grid_cells(grid)
     for params in all_cells:
         try:
@@ -273,42 +260,23 @@ def grid_search(data: Dataset, variant: str, grid: dict, k: int, seed: int) -> C
         except DataValidationError as exc:
             raise DataValidationError(f"grid cell {params}: {exc}") from exc
     scores = _fold_fits(data, variant, seed, _cv_tasks(data.n, all_cells, k, seed))
-    cells = []
-    for params, row in zip(all_cells, scores.reshape(len(all_cells), k)):
-        fold_scores = row.tolist()
-        cells.append(
-            GridCell(
-                params=params,
-                fold_scores=fold_scores,
-                mean_score=float(np.mean(fold_scores)),
-            )
-        )
-    order = sorted(range(len(cells)), key=lambda i: (-cells[i].mean_score, i))
+    cells = [{"params": params, "fold_scores": row.tolist(), "mean_score": float(row.mean())}
+             for params, row in zip(all_cells, scores.reshape(len(all_cells), k))]
+    order = sorted(range(len(cells)), key=lambda i: (-cells[i]["mean_score"], i))
     for rank, i in enumerate(order, start=1):
-        cells[i].rank = rank
+        cells[i]["rank"] = rank
     best = cells[order[0]]
-    return CvResult(
-        variant=variant,
-        cells=cells,
-        best_params=dict(best.params),
-        best_mean_score=best.mean_score,
-        k=k,
-    )
+    return {"variant": variant, "cells": cells, "best_params": dict(best["params"]),
+            "best_mean_score": best["mean_score"], "k": k}
 
 
-@dataclass
-class LearningCurve:
-    fractions: list
-    n_rows: list  # mean training-subset size per fraction
-    train_scores: list  # mean train R^2 over folds
-    val_scores: list  # mean held-out R^2 over folds
+def learning_curve(data: Dataset, variant: str, params: dict, fractions, k: int, seed: int):
+    """(n_rows, train_scores, val_scores): per fraction, the mean training-subset
+    size and the mean train and held-out R^2 over folds, as float arrays.
 
-
-def learning_curve(data: Dataset, variant: str, params: dict, fractions, k: int, seed: int) -> LearningCurve:
-    """Fit on nested prefixes of each fold's shuffled training rows.
-
-    Nesting (one shuffle per fold, prefixes per fraction) keeps the curve
-    monotone in data inclusion rather than resampling noise.
+    Each fold's model is fit on a nested prefix of the fold's shuffled
+    training rows.  Nesting (one shuffle per fold, prefixes per fraction)
+    keeps the curve monotone in data inclusion rather than resampling noise.
     """
     fractions = list(fractions)
     if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
@@ -321,9 +289,5 @@ def learning_curve(data: Dataset, variant: str, params: dict, fractions, k: int,
     scores = _fold_fits(data, variant, seed, tasks).reshape(k, len(fractions), 2)
     # (fraction, fold) arrays, C-ordered, so each mean sums in fold order
     train_scores, val_scores = (np.ascontiguousarray(scores[:, :, s].T) for s in range(2))
-    return LearningCurve(
-        fractions=fractions,
-        n_rows=np.mean([[rows.size for rows in fold] for fold in subsets], axis=0).tolist(),
-        train_scores=train_scores.mean(axis=1).tolist(),
-        val_scores=val_scores.mean(axis=1).tolist(),
-    )
+    n_rows = np.mean([[rows.size for rows in fold] for fold in subsets], axis=0)
+    return n_rows, train_scores.mean(axis=1), val_scores.mean(axis=1)

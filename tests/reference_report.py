@@ -230,12 +230,12 @@ def ice_panel_svg(panels, title, meta=""):
     width = margin + columns * (panel_w + 20) + 20
     height = 50 + rows * (panel_h + 40)
     canvas = _Canvas(width, height, title, meta)
-    for index, panel in enumerate(panels):
-        grid = _as_array(panel.grid, "ice_panel", "grid", 1)
-        curves = np.atleast_2d(np.asarray(panel.curves, dtype=np.float64))
-        pdp = _as_array(panel.pdp, "ice_panel", "pdp", 1)
-        if curves.shape[1] != grid.size or pdp.size != grid.size:
+    for index, (name, kind, grid, curves) in enumerate(panels):
+        grid = _as_array(grid, "ice_panel", "grid", 1)
+        curves = np.atleast_2d(np.asarray(curves, dtype=np.float64))
+        if curves.shape[1] != grid.size:
             raise DataValidationError("ice_panel: curve/grid lengths differ")
+        pdp = curves.mean(axis=0)
         px = margin + (index % columns) * (panel_w + 20)
         py = 50 + (index // columns) * (panel_h + 40)
         box = (px + 36, py + 20, px + panel_w, py + panel_h - 26)
@@ -243,7 +243,7 @@ def ice_panel_svg(panels, title, meta=""):
         hi = max(curves.max(), pdp.max())
         x_scale = _Scale(grid.min(), grid.max(), box[0], box[2])
         y_scale = _Scale(lo, hi, box[3], box[1])
-        canvas.text(px + panel_w / 2, py + 12, str(panel.feature_name),
+        canvas.text(px + panel_w / 2, py + 12, str(name),
                     size=11, anchor="middle", weight="bold")
         canvas.line(box[0], box[3], box[2], box[3])
         canvas.line(box[0], box[1], box[0], box[3])
@@ -255,9 +255,8 @@ def ice_panel_svg(panels, title, meta=""):
         for curve in curves:
             _polyline(canvas, xs, [y_scale(v) for v in curve], COLOR_CURVE, 0.8, opacity=0.5)
         _polyline(canvas, xs, [y_scale(v) for v in pdp], COLOR_PDP, 2.5)
-        if panel.anchor_index is not None:
-            anchor = panel.anchor_index
-            _circle(canvas, x_scale(grid[anchor]), y_scale(pdp[anchor]), 3, COLOR_ACCENT)
+        if kind == "centered":
+            _circle(canvas, x_scale(grid[0]), y_scale(pdp[0]), 3, COLOR_ACCENT)
     return canvas.svg()
 
 
@@ -282,15 +281,14 @@ def importance_csv(names, totals, order, *, seed=None) -> str:
     )
 
 
-def ice_long_csv(curve_sets, row_ids=None, *, seed=None) -> str:
+def ice_long_csv(parts, row_ids=None, *, seed=None) -> str:
     rows = []
-    for curve_set in curve_sets:
-        curves = curve_set.curves.tolist()
+    for name, kind, grid, curves in parts:
+        curves = curves.tolist()
         ids = row_ids if row_ids is not None else range(len(curves))
-        grid = [f"{value:.6f}" for value in curve_set.grid.tolist()]
-        name, variant = curve_set.feature_name, curve_set.variant
+        grid = [f"{value:.6f}" for value in grid.tolist()]
         for row_id, curve in zip(ids, curves):
-            rows.extend([name, variant, row_id, value, f"{prediction:.6f}"]
+            rows.extend([name, kind, row_id, value, f"{prediction:.6f}"]
                         for value, prediction in zip(grid, curve))
     return _csv_text(
         ["Feature", "Variant", "RowId", "GridValue", "Prediction"],

@@ -357,6 +357,33 @@ class TestTune:
         assert result.exit_code == 4
 
 
+def test_cv_and_metrics_bodies_are_the_returned_dicts(runner, workdir, tmp_path):
+    # cv_gbm.json and metrics_gbm.json without kind and meta hold exactly what
+    # grid_search and evaluate_predictions return
+    dataset_path, model_path = str(workdir / "dataset.json"), str(workdir / "model_gbm.json")
+    grid = {"n_estimators": [4, 2], "learning_rate": [0.3, 0.1]}
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    for argv in (["tune", dataset_path, "--model", "gbm", "--grid", str(tmp_path / "grid.json"),
+                  "--folds", "3", "--seed", "7", "--out", str(workdir)],
+                 ["evaluate", model_path, dataset_path, "--split", str(workdir / "split.json"),
+                  "--seed", "7", "--out", str(workdir)]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+    dataset = data_mod.dataset_from_json(dataset_path)
+    train_rows = data_mod.train_test_split(dataset.n, 0.75, 7).train_rows
+    test_rows = data_mod.split_from_json(str(workdir / "split.json"), dataset.n).test_rows
+    predicted = ensemble_mod.load_model(model_path).predict(dataset.X[test_rows])
+    returned = {
+        "cv_gbm.json": tuning_mod.grid_search(dataset.subset(train_rows), "gbm", grid, 3, 7),
+        "metrics_gbm.json": metrics_mod.evaluate_predictions("GBM", dataset.y[test_rows],
+                                                             predicted),
+    }
+    for name, body in returned.items():
+        document = json.loads((workdir / name).read_text())
+        del document["kind"], document["meta"]
+        assert document == body
+
+
 class TestEvaluate:
     def test_metrics_artifacts(self, runner, workdir):
         result = runner.invoke(

@@ -293,16 +293,17 @@ class TestGroupSummary:
         flat = Dataset(
             ["flag"], np.zeros((synth_dataset.n, 1)), synth_dataset.y.copy()
         )
-        groups = group_summary(flat, "flag")
-        assert len(groups) == 1
-        assert groups[0].count == synth_dataset.n
-        assert groups[0].mean == pytest.approx(synth_dataset.y.mean())
-        assert groups[0].median == pytest.approx(np.median(synth_dataset.y))
+        values, table = group_summary(flat, "flag")
+        assert values.tolist() == [0.0]
+        count, mean, _, median, *_ = table[0]
+        assert count == synth_dataset.n
+        assert mean == pytest.approx(synth_dataset.y.mean())
+        assert median == pytest.approx(np.median(synth_dataset.y))
 
     def test_group_counts_partition(self, synth_dataset):
-        groups = group_summary(synth_dataset, "Diabetes")
-        assert sum(g.count for g in groups) == synth_dataset.n
-        assert len(groups) == 2
+        values, table = group_summary(synth_dataset, "Diabetes")
+        assert table[:, 0].sum() == synth_dataset.n
+        assert len(values) == len(table) == 2
 
     def test_unknown_feature(self, synth_dataset):
         with pytest.raises(DataValidationError):

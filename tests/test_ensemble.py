@@ -22,6 +22,7 @@ from premex.ensemble import (
 )
 from premex.errors import DataValidationError, FormatVersionError
 from premex.rng import stream
+from premex.tuning import fit_variant
 from premex.tree import TreeConfig, fit_tree
 from reference_tree import from_dicts, to_dicts
 
@@ -411,6 +412,20 @@ class TestSerialization:
         X = small_regression.X
         expected = model.base_score + 0.25 * sum(tree.predict_matrix(X) for tree in model.trees)
         np.testing.assert_allclose(load_model(path).predict(X), expected, rtol=1e-12)
+
+    def test_integer_rate_saves_as_its_float(self, small_regression, tmp_path):
+        # a grid's learning_rate 1 and the flag's 1.0 give one model file
+        texts = []
+        for rate in (1, 1.0):
+            path = tmp_path / type(rate).__name__ / "model_gbm.json"
+            params = {"learning_rate": rate, "n_estimators": 3}
+            save_model(fit_variant("gbm", small_regression, params, 4), path)
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+        assert b'"learning_rate": 1.0' in texts[0]
+        config = BoostConfig(learning_rate=1, subsample=1, reg_lambda=2, gamma=0)
+        assert {type(getattr(config, name)) for name in
+                ("learning_rate", "subsample", "reg_lambda", "gamma")} == {float}
 
     def test_stale_top_level_learning_rate_ignored(self, small_regression, tmp_path):
         path = tmp_path / "model.json"

@@ -192,21 +192,15 @@ class TestIceCurves:
     def test_model_ignoring_feature_gives_flat_curves(self):
         f = linear_model([1.0, 0.0])
         rows = np.random.default_rng(6).normal(size=(7, 2))
-        curves = ice_curves(f, rows, 1, n_points=15)
-        assert np.max(np.ptp(curves.curves, axis=1)) == 0.0
-        assert np.max(np.ptp(curves.pdp)) == 0.0
-
-    def test_pdp_is_exact_mean(self):
-        f = lambda X: np.atleast_2d(X)[:, 0] ** 2
-        rows = np.random.default_rng(7).normal(size=(9, 2))
-        curves = ice_curves(f, rows, 0, n_points=12)
-        assert np.array_equal(curves.pdp, curves.curves.mean(axis=0))
+        _, curves = ice_curves(f, rows, 1, n_points=15)
+        assert np.max(np.ptp(curves, axis=1)) == 0.0
+        assert np.max(np.ptp(curves.mean(axis=0))) == 0.0
 
     def test_additive_model_curves_are_vertical_shifts(self):
         f = lambda X: np.sin(np.atleast_2d(X)[:, 0]) + np.atleast_2d(X)[:, 1] * 2.0
         rows = np.random.default_rng(8).normal(size=(6, 2))
-        curves = ice_curves(f, rows, 0, n_points=20)
-        shifted = curves.curves - curves.curves[:, :1]
+        _, curves = ice_curves(f, rows, 0, n_points=20)
+        shifted = curves - curves[:, :1]
         for i in range(1, 6):
             assert np.max(np.abs(shifted[i] - shifted[0])) < 1e-9
 
@@ -231,10 +225,10 @@ class TestIceCurves:
             return np.atleast_2d(X) @ np.array([1.0, 2.0])
 
         rows = np.random.default_rng(18).normal(size=(4, 2))
-        curves = ice_curves(f, rows, 0, grid=np.linspace(-1.0, 1.0, 7))
+        grid, curves = ice_curves(f, rows, 0, grid=np.linspace(-1.0, 1.0, 7))
         assert calls == [4 * 7]
-        swept = np.column_stack([np.full(4, curves.grid[3]), rows[:, 1]])
-        assert np.array_equal(curves.curves[:, 3], f(swept))
+        swept = np.column_stack([np.full(4, grid[3]), rows[:, 1]])
+        assert np.array_equal(curves[:, 3], f(swept))
 
     def test_invalid_feature(self):
         f = linear_model([1.0, 1.0])
@@ -246,84 +240,78 @@ class TestCenteredIce:
     def test_zero_at_anchor(self):
         f = lambda X: np.exp(np.atleast_2d(X)[:, 0])
         rows = np.random.default_rng(9).normal(size=(5, 2))
-        centered = center_ice(ice_curves(f, rows, 0, n_points=10))
-        assert np.array_equal(centered.curves[:, 0], np.zeros(5))
-        assert centered.anchor_index == 0
+        _, raw = ice_curves(f, rows, 0, n_points=10)
+        centered = center_ice(raw)
+        assert np.array_equal(centered[:, 0], np.zeros(5))
+        assert np.array_equal(centered, raw - raw[:, :1])
 
     def test_constant_curve_centers_to_zero(self):
         f = linear_model([0.0, 1.0])
         rows = np.random.default_rng(10).normal(size=(4, 2))
-        centered = center_ice(ice_curves(f, rows, 0, n_points=8))
-        assert np.array_equal(centered.curves, np.zeros_like(centered.curves))
+        centered = center_ice(ice_curves(f, rows, 0, n_points=8)[1])
+        assert np.array_equal(centered, np.zeros_like(centered))
 
     def test_additive_model_centered_curves_coincide(self):
         f = lambda X: np.cos(np.atleast_2d(X)[:, 0]) * 3.0 + np.atleast_2d(X)[:, 1]
         rows = np.random.default_rng(11).normal(size=(8, 2))
-        centered = center_ice(ice_curves(f, rows, 0, n_points=25))
-        spread = np.ptp(centered.curves, axis=0)
+        centered = center_ice(ice_curves(f, rows, 0, n_points=25)[1])
+        spread = np.ptp(centered, axis=0)
         assert np.max(spread) < 1e-9
 
     def test_centering_commutes_with_averaging(self):
         f = lambda X: np.atleast_2d(X)[:, 0] * np.atleast_2d(X)[:, 1]
         rows = np.random.default_rng(12).normal(size=(6, 2))
-        raw = ice_curves(f, rows, 0, n_points=10)
-        centered = center_ice(raw)
-        pdp_then_center = raw.pdp - raw.pdp[0]
-        assert np.max(np.abs(centered.pdp - pdp_then_center)) < 1e-9
-
-    def test_anchor_bounds(self):
-        f = linear_model([1.0, 0.0])
-        raw = ice_curves(f, np.zeros((2, 2)), 0, grid=[0.0, 1.0])
-        with pytest.raises(DataValidationError):
-            center_ice(raw, anchor_index=5)
+        _, raw = ice_curves(f, rows, 0, n_points=10)
+        pdp = raw.mean(axis=0)
+        assert np.max(np.abs(center_ice(raw).mean(axis=0) - (pdp - pdp[0]))) < 1e-9
 
 
 class TestDerivativeIce:
     def test_linear_model_slope_everywhere(self):
         f = linear_model([4.0, 1.0])
         rows = np.random.default_rng(13).normal(size=(5, 2))
-        derivative = derivative_ice(ice_curves(f, rows, 0, n_points=12))
-        assert np.max(np.abs(derivative.curves - 4.0)) < 1e-9
+        derivative = derivative_ice(*ice_curves(f, rows, 0, n_points=12))
+        assert np.max(np.abs(derivative - 4.0)) < 1e-9
 
     def test_ignored_feature_zero_slope(self):
         f = linear_model([1.0, 0.0])
         rows = np.random.default_rng(14).normal(size=(5, 2))
-        derivative = derivative_ice(ice_curves(f, rows, 1, n_points=12))
-        assert np.max(np.abs(derivative.curves)) < 1e-12
+        derivative = derivative_ice(*ice_curves(f, rows, 1, n_points=12))
+        assert np.max(np.abs(derivative)) < 1e-12
 
     def test_no_interaction_single_line(self):
         f = lambda X: np.atleast_2d(X)[:, 0] ** 2 + np.atleast_2d(X)[:, 1]
         rows = np.random.default_rng(15).normal(size=(7, 2))
-        derivative = derivative_ice(ice_curves(f, rows, 0, n_points=20))
-        assert np.max(np.ptp(derivative.curves, axis=0)) < 1e-9
+        derivative = derivative_ice(*ice_curves(f, rows, 0, n_points=20))
+        assert np.max(np.ptp(derivative, axis=0)) < 1e-9
 
     def test_interaction_heterogeneous_lines(self):
         f = lambda X: np.atleast_2d(X)[:, 0] * np.atleast_2d(X)[:, 1]
         rows = np.random.default_rng(16).normal(size=(7, 2))
-        derivative = derivative_ice(ice_curves(f, rows, 0, n_points=20))
-        assert np.max(np.ptp(derivative.curves, axis=0)) > 0.0
+        derivative = derivative_ice(*ice_curves(f, rows, 0, n_points=20))
+        assert np.max(np.ptp(derivative, axis=0)) > 0.0
 
     def test_derivative_of_centered_equals_derivative_of_raw(self):
         f = lambda X: np.atleast_2d(X)[:, 0] * np.atleast_2d(X)[:, 1] ** 2
         rows = np.random.default_rng(17).normal(size=(6, 2))
-        raw = ice_curves(f, rows, 0, n_points=15)
-        from_raw = derivative_ice(raw)
-        from_centered = derivative_ice(center_ice(raw))
-        assert np.max(np.abs(from_raw.curves - from_centered.curves)) < 1e-9
+        grid, raw = ice_curves(f, rows, 0, n_points=15)
+        from_raw = derivative_ice(grid, raw)
+        from_centered = derivative_ice(grid, center_ice(raw))
+        assert np.max(np.abs(from_raw - from_centered)) < 1e-9
 
     def test_two_point_grid_is_one_forward_difference(self):
         # a binary flag's grid: both ends get the same one-sided slope
         f = linear_model([3.0, 1.0])
         rows = np.random.default_rng(18).normal(size=(4, 2))
-        derivative = derivative_ice(ice_curves(f, rows, 0, grid=[0.0, 2.0]))
-        assert derivative.curves.shape == (4, 2)
-        assert np.max(np.abs(derivative.curves - 3.0)) < 1e-12
+        derivative = derivative_ice(*ice_curves(f, rows, 0, grid=[0.0, 2.0]))
+        assert derivative.shape == (4, 2)
+        assert np.max(np.abs(derivative - 3.0)) < 1e-12
 
     def test_small_grid_rejected(self):
         f = linear_model([1.0, 0.0])
-        raw = ice_curves(f, np.zeros((2, 2)), 0, grid=[0.0])
+        grid, raw = ice_curves(f, np.zeros((2, 2)), 0, grid=[0.0])
         with pytest.raises(NumericError):
-            derivative_ice(raw)
+            derivative_ice(grid, raw)
 
 
 class TestOnFittedEnsemble:
@@ -336,8 +324,8 @@ class TestOnFittedEnsemble:
             total = base_value + phi[i].sum()
             assert total == pytest.approx(model.predict(rows[i : i + 1])[0], abs=1e-6)
         age = synth_dataset.feature_index("Age")
-        curves = ice_curves(model.predict, rows, age, feature_name="Age")
-        assert curves.curves.shape[0] == 5
+        _, curves = ice_curves(model.predict, rows, age)
+        assert curves.shape[0] == 5
 
 
 def tree_terms(model):

@@ -141,11 +141,11 @@ class TestProperties:
 class TestReport:
     def test_report_fields(self):
         report = evaluate_predictions("RF", ACTUAL, PREDICTED)
-        assert report.model == "RF"
-        assert report.n == 3
-        assert report.rmse >= report.mae >= 0.0
-        assert report.r_squared <= 1.0
-        assert set(report.to_dict()) == {"model", "r_squared", "mae", "rmse", "mape", "n"}
+        assert report["model"] == "RF"
+        assert report["n"] == 3
+        assert report["rmse"] >= report["mae"] >= 0.0
+        assert report["r_squared"] <= 1.0
+        assert set(report) == {"model", "r_squared", "mae", "rmse", "mape", "n"}
 
 
 class TestResidualDiagnostics:

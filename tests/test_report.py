@@ -9,8 +9,6 @@ import reference_report as oracle
 from premex import report as report_mod
 from premex.data import Dataset, group_summary, pearson_correlation, summary_statistics
 from premex.errors import DataValidationError
-from premex.explain import IceCurveSet
-from premex.metrics import MetricsReport
 from premex.report import (
     beeswarm_svg,
     correlation_heatmap_svg,
@@ -30,14 +28,14 @@ from premex.report import (
     shap_values_csv,
     summary_stats_csv,
 )
-from premex.tuning import LearningCurve
 
 
 def sample_reports():
+    keys = ("model", "r_squared", "mae", "rmse", "mape", "n")
     return [
-        MetricsReport("XGBoost", 0.8647, 1442.904, 2231.524, 5.906, 246),
-        MetricsReport("GBM", 0.8472, 1725.859, 2371.412, 7.229, 246),
-        MetricsReport("RandomForest", 0.84046, 1379.960, 2423.161, 5.831, 246),
+        dict(zip(keys, ("XGBoost", 0.8647, 1442.904, 2231.524, 5.906, 246))),
+        dict(zip(keys, ("GBM", 0.8472, 1725.859, 2371.412, 7.229, 246))),
+        dict(zip(keys, ("RandomForest", 0.84046, 1379.960, 2423.161, 5.831, 246))),
     ]
 
 
@@ -65,7 +63,6 @@ class TestRenderDeterminism:
     def test_all_kinds_are_wellformed_xml(self, synth_dataset):
         actual, predicted = scatter_data(40)
         residuals = actual - predicted
-        stats_groups = group_summary(synth_dataset, "Diabetes")
         column = synth_dataset.X[:, synth_dataset.feature_index("Diabetes")]
         names, matrix = pearson_correlation(synth_dataset)
         rng = np.random.default_rng(3)
@@ -87,11 +84,8 @@ class TestRenderDeterminism:
                 "bee",
             ),
             importance_bar_svg(["Age", "BMI"], [300.0, 120.0], "imp"),
-            ice_panel_svg(
-                [IceCurveSet(0, "Age", np.linspace(18, 66, 12), rng.normal(size=(6, 12)),
-                             rng.normal(size=12), "centered", anchor_index=0)],
-                "ice",
-            ),
+            ice_panel_svg([("Age", "centered", np.linspace(18, 66, 12), rng.normal(size=(6, 12)))],
+                          "ice"),
         ]
         for document in documents:
             root = ET.fromstring(document)
@@ -137,8 +131,7 @@ class TestShapeChecks:
                      id="beeswarm-colors"),
         pytest.param(lambda: importance_bar_svg(["a"], [1.0, 2.0], "t"), id="importance-names"),
         pytest.param(lambda: ice_panel_svg([], "t"), id="ice-no-panels"),
-        pytest.param(lambda: ice_panel_svg([IceCurveSet(0, "a", np.arange(3.0), np.zeros((2, 4)),
-                                                        np.zeros(3), "raw")], "t"),
+        pytest.param(lambda: ice_panel_svg([("a", "raw", np.arange(3.0), np.zeros((2, 4)))], "t"),
                      id="ice-grid-lengths"),
     ])
     def test_bad_shape_rejected(self, draw):
@@ -176,10 +169,12 @@ class TestTables:
         assert "XGBoost,88.222,74.475,86.470,11.995" in text
 
     def test_learning_curve_csv(self):
-        curve = LearningCurve([0.5, 1.0], [50.0, 100.0], [0.8, 0.9], [0.5, 0.6])
-        lines = learning_curve_csv(curve).strip().splitlines()
+        text = learning_curve_csv([0.5, 1.0], np.array([50.0, 100.0]), np.array([0.8, 0.9]),
+                                  np.array([0.5, 0.6]))
+        lines = text.strip().splitlines()
         assert lines[1] == "Fraction,TrainRows,TrainR2,ValR2"
         assert len(lines) == 4
+        assert lines[3] == "1.000,100.0,0.900000,0.600000"
 
     def test_summary_stats_two_decimals(self, synth_dataset):
         body = summary_stats_csv(*summary_statistics(synth_dataset)).strip().splitlines()[2]
@@ -188,11 +183,14 @@ class TestTables:
 
     def test_group_summary_all(self, synth_dataset):
         parts = [
-            ("Diabetes", group_summary(synth_dataset, "Diabetes")),
-            ("KnownAllergies", group_summary(synth_dataset, "KnownAllergies")),
+            (feature, *group_summary(synth_dataset, feature))
+            for feature in ("Diabetes", "KnownAllergies")
         ]
         lines = group_summary_all_csv(parts).strip().splitlines()
         assert len(lines) == 2 + 4  # meta + header + 2 groups per feature
+        # the count is an integer cell; the statistics have two decimals
+        count = int((synth_dataset.X[:, synth_dataset.feature_index("Diabetes")] == 0).sum())
+        assert lines[2].startswith(f"Diabetes,0,{count},")
 
     def test_shap_and_importance_csv(self, synth_dataset):
         from premex.explain import importance, shap_exact
@@ -259,9 +257,7 @@ def curve_sets(draw):
     rows, points = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     grid = draw(number_arrays((points,)))
     curves = draw(number_arrays((rows, points)))
-    pdp = draw(st.one_of(st.just(curves.mean(axis=0)), number_arrays((points,))))
-    anchor = draw(st.one_of(st.none(), st.integers(0, points - 1)))
-    return IceCurveSet(0, draw(TEXT), grid, curves, pdp, draw(TEXT), anchor)
+    return draw(TEXT), draw(st.one_of(st.just("centered"), TEXT)), grid, curves
 
 
 @st.composite

@@ -1,7 +1,6 @@
 import json
 import os
 import time
-from dataclasses import asdict
 
 import premex.tuning as tuning_mod
 
@@ -19,7 +18,6 @@ from premex.metrics import r_squared
 from premex.rng import derive_seed, stream
 from premex.tuning import (
     DEFAULT_GRIDS,
-    CvResult,
     cross_val_score,
     fit_variant,
     grid_cells,
@@ -105,15 +103,15 @@ class TestGridSearch:
     def test_single_cell(self, synth_dataset):
         grid = {"n_estimators": [5], "max_depth": [2]}
         result = grid_search(synth_dataset, "gbm", grid, 3, seed=2)
-        assert result.best_params == {"n_estimators": 5, "max_depth": 2}
-        assert len(result.cells) == 1
-        assert result.cells[0].rank == 1
+        assert result["best_params"] == {"n_estimators": 5, "max_depth": 2}
+        assert len(result["cells"]) == 1
+        assert result["cells"][0]["rank"] == 1
 
     def test_zero_stage_cell_loses(self, synth_dataset):
         result = grid_search(synth_dataset, "gbm", {"n_estimators": [0, 50]}, 3, seed=2)
-        assert result.best_params == {"n_estimators": 50}
-        by_params = {cell.params["n_estimators"]: cell for cell in result.cells}
-        assert by_params[50].mean_score > by_params[0].mean_score
+        assert result["best_params"] == {"n_estimators": 50}
+        by_params = {cell["params"]["n_estimators"]: cell for cell in result["cells"]}
+        assert by_params[50]["mean_score"] > by_params[0]["mean_score"]
 
     def test_enumeration_order_is_declared_order(self):
         cells = grid_cells({"a": [1, 2], "b": ["x", "y"]})
@@ -127,29 +125,27 @@ class TestGridSearch:
     def test_dominated_cell_never_changes_winner(self, synth_dataset):
         base_grid = {"n_estimators": [10, 20], "max_depth": [2]}
         with_dud = {"n_estimators": [10, 20, 0], "max_depth": [2]}
-        best_a = grid_search(synth_dataset, "gbm", base_grid, 3, seed=4).best_params
-        best_b = grid_search(synth_dataset, "gbm", with_dud, 3, seed=4).best_params
+        best_a = grid_search(synth_dataset, "gbm", base_grid, 3, seed=4)["best_params"]
+        best_b = grid_search(synth_dataset, "gbm", with_dud, 3, seed=4)["best_params"]
         assert best_a == best_b
 
     def test_determinism(self, synth_dataset):
         grid = {"n_estimators": [5, 10], "learning_rate": [0.2, 0.5]}
         first = grid_search(synth_dataset, "gbm", grid, 3, seed=6)
         second = grid_search(synth_dataset, "gbm", grid, 3, seed=6)
-        assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
-            second.to_dict(), sort_keys=True
-        )
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_refit_of_best_cell_reproduces_score(self, synth_dataset):
         grid = {"n_estimators": [5, 15], "learning_rate": [0.3]}
         result = grid_search(synth_dataset, "gbm", grid, 4, seed=3)
-        refit = cross_val_score(synth_dataset, "gbm", result.best_params, 4, seed=3)
-        assert abs(float(np.mean(refit)) - result.best_mean_score) < 1e-12
+        refit = cross_val_score(synth_dataset, "gbm", result["best_params"], 4, seed=3)
+        assert abs(float(np.mean(refit)) - result["best_mean_score"]) < 1e-12
 
     def test_mean_matches_folds(self, synth_dataset):
         result = grid_search(synth_dataset, "gbm", {"n_estimators": [5]}, 5, seed=8)
-        cell = result.cells[0]
-        assert cell.mean_score == pytest.approx(np.mean(cell.fold_scores), abs=1e-12)
-        assert result.best_mean_score == max(c.mean_score for c in result.cells)
+        cell = result["cells"][0]
+        assert cell["mean_score"] == pytest.approx(np.mean(cell["fold_scores"]), abs=1e-12)
+        assert result["best_mean_score"] == max(c["mean_score"] for c in result["cells"])
 
     def test_empty_grid_dimension(self, synth_dataset):
         with pytest.raises(DataValidationError):
@@ -172,19 +168,19 @@ class TestGridSearch:
 class TestLearningCurve:
     def test_shapes(self, synth_dataset):
         fractions = [0.2, 0.4, 0.6, 0.8, 1.0]
-        curve = learning_curve(
+        n_rows, train_scores, val_scores = learning_curve(
             synth_dataset, "gbm", {"n_estimators": 5, "max_depth": 2}, fractions, 3, seed=5
         )
-        assert len(curve.train_scores) == 5
-        assert len(curve.val_scores) == 5
-        assert len(curve.n_rows) == 5
-        assert curve.n_rows == sorted(curve.n_rows)
+        assert len(train_scores) == 5
+        assert len(val_scores) == 5
+        assert len(n_rows) == 5
+        assert n_rows.tolist() == sorted(n_rows.tolist())
 
     def test_full_fraction_equals_cross_val(self, synth_dataset):
         params = {"n_estimators": 5, "max_depth": 2}
-        curve = learning_curve(synth_dataset, "gbm", params, [0.5, 1.0], 3, seed=7)
+        _, _, val_scores = learning_curve(synth_dataset, "gbm", params, [0.5, 1.0], 3, seed=7)
         scores = cross_val_score(synth_dataset, "gbm", params, 3, seed=7)
-        assert curve.val_scores[-1] == float(np.mean(scores))
+        assert val_scores[-1] == float(np.mean(scores))
 
     def test_tiny_fraction_rejected(self, synth_dataset):
         with pytest.raises(DataValidationError):
@@ -223,9 +219,10 @@ class TestLockstepFits:
         fractions, k, seed = [0.3, 0.6, 1.0], 4, 13
         train, val = fold_by_fold(synth_dataset, variant, params, fractions, k, seed)
         assert cross_val_score(synth_dataset, variant, params, k, seed) == val[-1].tolist()
-        curve = learning_curve(synth_dataset, variant, params, fractions, k, seed)
-        assert curve.train_scores == train.mean(axis=1).tolist()
-        assert curve.val_scores == val.mean(axis=1).tolist()
+        _, train_scores, val_scores = learning_curve(synth_dataset, variant, params, fractions,
+                                                     k, seed)
+        assert train_scores.tolist() == train.mean(axis=1).tolist()
+        assert val_scores.tolist() == val.mean(axis=1).tolist()
 
 
 def with_workers(monkeypatch, workers):
@@ -283,8 +280,8 @@ class TestWorkers:
             scores = cross_val_score(synth_dataset, variant, params, k, seed)
             curve = learning_curve(synth_dataset, variant, params, fractions, k, seed)
             search = grid_search(synth_dataset, variant, grid, k, seed)
-            assert curve.val_scores[-1] == float(np.mean(scores))
-            results.append((scores, asdict(curve), search.to_dict()))
+            assert curve[2][-1] == float(np.mean(scores))
+            results.append((scores, [part.tolist() for part in curve], search))
             assert_no_child_left()
         assert results[1] == results[0]
         assert results[2] == results[0]
@@ -297,14 +294,14 @@ class TestWorkers:
         grid = {key: data.draw(st.permutations(GRID_VALUES[variant][key])) for key in keys}
         k, seed = 3, data.draw(st.integers(0, 2**32))
         result = grid_search(synth_dataset, variant, grid, k, seed)
-        assert [cell.params for cell in result.cells] == grid_cells(grid)
-        for cell in result.cells:
-            scores = cross_val_score(synth_dataset, variant, cell.params, k, seed)
-            assert cell.fold_scores == scores
-            assert cell.mean_score == float(np.mean(scores))
-        order = sorted(range(len(result.cells)),
-                       key=lambda i: (-result.cells[i].mean_score, i))
-        assert [result.cells[i].rank for i in order] == list(range(1, len(order) + 1))
+        cells = result["cells"]
+        assert [cell["params"] for cell in cells] == grid_cells(grid)
+        for cell in cells:
+            scores = cross_val_score(synth_dataset, variant, cell["params"], k, seed)
+            assert cell["fold_scores"] == scores
+            assert cell["mean_score"] == float(np.mean(scores))
+        order = sorted(range(len(cells)), key=lambda i: (-cells[i]["mean_score"], i))
+        assert [cells[i]["rank"] for i in order] == list(range(1, len(order) + 1))
 
     def test_shares_cut_by_rows_times_trees(self, synth_dataset, monkeypatch, tmp_path):
         # 12 fits of 150 rows: the first 4, of 6 stages each, reach half the cost
