@@ -188,7 +188,7 @@ class TestTables:
         ]
         lines = group_summary_all_csv(parts).strip().splitlines()
         assert len(lines) == 2 + 4  # meta + header + 2 groups per feature
-        # the count is an integer cell; the statistics have two decimals
+        # the count is written as an integer
         count = int((synth_dataset.X[:, synth_dataset.feature_index("Diabetes")] == 0).sum())
         assert lines[2].startswith(f"Diabetes,0,{count},")
 
