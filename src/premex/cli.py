@@ -272,6 +272,9 @@ def train(dataset_path, variant, out_dir, seed, split_fraction, split_path, **fl
 def _tune(train_data, variant, grid, folds, seed, out_dir):
     """Grid search with k-fold CV; write cv_{variant}.json and cv_{variant}.csv."""
     result = tuning_mod.grid_search(train_data, variant, grid, folds, seed)
+    # hashed as the configs hold its values, as the cells are written
+    grid = {key: [ensemble_mod.typed_params(variant, {key: value})[key] for value in values]
+            for key, values in grid.items()}
     write_json_artifact(
         os.path.join(out_dir, f"cv_{variant}.json"),
         "cv_result",

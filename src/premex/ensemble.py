@@ -140,6 +140,13 @@ def variant_config(variant: str, params: dict, seed: int):
     return (ForestConfig if variant == "rf" else BoostConfig)(**merged)
 
 
+def typed_params(variant: str, params: dict) -> dict:
+    """`params` as the variant's config holds them: a float field given as
+    0 or 1 reads 0.0 or 1.0, so either is written and hashed alike."""
+    config = variant_config(variant, params, seed=0)
+    return {key: getattr(config, key) for key in params}
+
+
 @dataclass
 class ForestModel:
     trees: NodeTable

@@ -48,8 +48,8 @@ sorted column blocks of XGBoost (Chen & Guestrin 2016, arXiv 1603.02754):
   its rows, so a chunk takes one sum per distinct leaf size, not per leaf.
 * With max_features, each level draws one feature subset per open node
   from the tree's generator, breadth-first, left child first.
-* Nodes are made breadth-first and renumbered depth-first, left child
-  first, when the table is built.
+* A tree's table keeps its nodes in the order growth makes them:
+  breadth-first, level by level, left child first.
 * Independent trees grow together: `fit_trees` and `fit_trees_gradients`
   stack the jobs' rows, each job's root owns its own segment of
   positions, and one level loop scores and partitions the open nodes of
@@ -67,13 +67,15 @@ One representation serves growth, prediction, loading, saving and
 TreeSHAP: a `NodeTable`, the flat node tables of one or more trees.  A
 tree's table is the equal-length columns `feature`, `threshold`, `left`,
 `right`, `value` and `count`, indexed by node id.  Node 0 is the root,
-and nodes are numbered depth-first, left child first, so every child's id
-is greater than its parent's.  A row goes left when row[feature] <=
-threshold.  A leaf has feature -1 and threshold 0; its `left` and `right`
-point to the leaf itself, so a batch of rows descends in exactly the
-tree's depth in gathers with no leaf test.  `value` is the leaf
-prediction (0 on internal nodes) and `count` the number of training rows,
-weights counted, that reached the node.
+and nodes are numbered in growth order, breadth-first, left child first:
+the children of the k-th split node are nodes 2k + 1 and 2k + 2.  A
+loaded table may number its nodes in any order that puts every child
+after its parent, as the depth-first files of earlier versions do.  A
+row goes left when row[feature] <= threshold.  A leaf has feature -1 and
+threshold 0; its `left` and `right` point to the leaf itself, so a batch
+of rows descends in exactly the tree's depth in gathers with no leaf
+test.  `value` is the leaf prediction (0 on internal nodes) and `count`
+the number of training rows, weights counted, that reached the node.
 
 A table of several trees concatenates their columns, each tree's child
 ids its own, and records each tree's first node and depth.  Each chunk of
@@ -667,8 +669,8 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
     if not np.isfinite(value).all():
         raise NumericError("a leaf value is not finite: its hessians sum to -reg_lambda, "
                            "or a sum overflowed")
-    return _depth_first_table([level[0].size for level in levels], tree, feature, threshold,
-                               value, count, len(jobs), n_features)
+    return _level_table([level[0].size for level in levels], tree, feature, threshold, value,
+                        count, n_features)
 
 
 def _spans(start, size):
@@ -928,36 +930,22 @@ class _SortedColumns:
         keys[:, _spans(start, n_left)] = taken.take(np.flatnonzero(moves)).reshape(shape[0], -1)
 
 
-def _depth_first_table(level_sizes, tree, feature, threshold, value, count, n_trees,
-                        n_features) -> NodeTable:
-    """The breadth-first nodes as the trees' table, numbered depth-first, left child first.
+def _level_table(level_sizes, tree, feature, threshold, value, count, n_features) -> NodeTable:
+    """The nodes, given level by level, as the trees' table in growth order.
 
-    Nodes are given level by level; the children of a level's k-th split
-    node are the next level's nodes 2k and 2k + 1.
+    Within a level the nodes are in tree order, so a stable sort by tree
+    gives each tree its nodes level by level, left child first: the
+    children of a tree's k-th split node are its nodes 2k + 1 and 2k + 2,
+    and its last node lies on its deepest level.
     """
-    internal = feature >= 0
-    ids = np.arange(feature.size)
-    # the roots come first, then each split node's two children in turn
-    left = ids.copy()
-    left[internal] = n_trees + 2 * np.arange(np.count_nonzero(internal))
-    right = left + internal
-    bounds = np.cumsum(level_sizes) - level_sizes
-    split_nodes = [lo + np.flatnonzero(internal[lo:lo + n])
-                   for lo, n in zip(bounds.tolist(), level_sizes)]
-    subtree = np.ones(ids.size, dtype=np.int64)
-    for nodes in reversed(split_nodes):
-        subtree[nodes] += subtree[left[nodes]] + subtree[right[nodes]]
-    order = np.zeros(ids.size, dtype=np.int64)  # within its tree
-    depth = np.zeros(n_trees, dtype=np.int64)
-    for level, nodes in enumerate(split_nodes):
-        order[left[nodes]] = order[nodes] + 1
-        order[right[nodes]] = order[nodes] + 1 + subtree[left[nodes]]
-        depth[tree[nodes]] = level + 1
-    # tree t's table fills positions first[t] .. first[t] + subtree[t] - 1
-    first = np.cumsum(subtree[:n_trees]) - subtree[:n_trees]
-    at = first[tree] + order
-    table = {}
-    for name, column in zip(COLUMNS, (feature, threshold, order[left], order[right], value, count)):
-        table[name] = np.empty_like(column)
-        table[name][at] = column
-    return NodeTable(table, first, depth, n_features)
+    order = np.argsort(tree, kind="stable")
+    tree, internal = tree[order], feature[order] >= 0
+    size = np.bincount(tree)  # every tree has its root on the first level
+    first = np.cumsum(size) - size
+    splits = np.cumsum(internal) - internal  # split nodes before each node
+    left = np.where(internal, 2 * (splits - splits[first][tree]) + 1,
+                    np.arange(tree.size) - first[tree])
+    level = np.repeat(np.arange(len(level_sizes)), level_sizes)
+    table = dict(zip(COLUMNS, (feature[order], threshold[order], left, left + internal,
+                               value[order], count[order])))
+    return NodeTable(table, first, level[order[first + size - 1]], n_features)

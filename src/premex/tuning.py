@@ -30,7 +30,7 @@ import pickle
 import numpy as np
 
 from .data import Dataset, round_half_up
-from .ensemble import fit_forest, fit_gbm, fit_models, fit_xgb, variant_config
+from .ensemble import fit_forest, fit_gbm, fit_models, fit_xgb, typed_params, variant_config
 from .errors import DataValidationError
 from .metrics import r_squared
 from .rng import derive_seed, stream
@@ -251,14 +251,16 @@ def grid_search(data: Dataset, variant: str, grid: dict, k: int, seed: int) -> d
 
     Returns the body of `cv_<variant>.json`: variant, k, best_params,
     best_mean_score, and cells, one {params, fold_scores, mean_score,
-    rank} per grid cell in declared order, rank 1 the best.
+    rank} per grid cell in declared order, rank 1 the best.  Parameters
+    are given as the configs hold them (`ensemble.typed_params`).
     """
-    all_cells = grid_cells(grid)
-    for params in all_cells:
+    all_cells = []
+    for params in grid_cells(grid):
         try:
             variant_config(variant, params, seed).tree_config().validate(data.m)
         except DataValidationError as exc:
             raise DataValidationError(f"grid cell {params}: {exc}") from exc
+        all_cells.append(typed_params(variant, params))
     scores = _fold_fits(data, variant, seed, _cv_tasks(data.n, all_cells, k, seed))
     cells = [{"params": params, "fold_scores": row.tolist(), "mean_score": float(row.mean())}
              for params, row in zip(all_cells, scores.reshape(len(all_cells), k))]

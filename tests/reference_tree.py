@@ -1,15 +1,19 @@
 """A node-at-a-time tree growth engine: the oracle for `premex.tree`.
 
-A stack grows one node at a time, depth-first, and every node sorts each
-candidate feature's column afresh.  Tests require the level-wise engine in
-`premex.tree` to grow the same node tables as `_grow` and `_best_split`
-here, bit for bit.
+A first-in, first-out queue grows one node at a time, breadth-first with
+the left child first, and every node sorts each candidate feature's
+column afresh.  So nodes are numbered, and `max_features` subsets drawn,
+in the order the level-wise engine in `premex.tree` makes them.  Tests
+require that engine to grow the same node tables as `_grow` and
+`_best_split` here, bit for bit.
 
 `to_dicts` and `from_dicts` are the per-tree form that tests build and
 compare trees in: one dict of the six columns per tree.  `from_dicts`
 loads through `NodeTable.from_document`, the model file's reader, so a
 table built in a test passes the checks a loaded model passes.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -59,18 +63,18 @@ def _grow(X, a, b, counts, targets, config, rng, *, reg_lambda, gamma,
     node whose targets are all equal is a leaf.  Second-order mode:
     a = gradients, b = hessians; score is G^2/(H+lambda), gain is halved
     and gamma-penalized.  `counts` are the integer row weights.  Nodes are
-    appended to the table in the order the stack pops them, which is
-    depth-first with the left child first.
+    appended to the table in the order the queue yields them, which is
+    breadth-first with the left child first.
     """
     n_features = X.shape[1]
     k = config.max_features
     use_subsets = k is not None and k < n_features
     table = {name: [] for name in COLUMNS}
 
-    # stack entries: (row indices, depth, parent id, child column)
-    stack = [(np.arange(X.shape[0], dtype=np.int64), 0, -1, "left")]
-    while stack:
-        rows, depth, parent, side = stack.pop()
+    # queue entries: (row indices, depth, parent id, child column)
+    queue = deque([(np.arange(X.shape[0], dtype=np.int64), 0, -1, "left")])
+    while queue:
+        rows, depth, parent, side = queue.popleft()
         node = len(table["feature"])
         if parent >= 0:
             table[side][parent] = node
@@ -105,8 +109,8 @@ def _grow(X, a, b, counts, targets, config, rng, *, reg_lambda, gamma,
         table["threshold"].append(best_threshold)
         table["value"].append(0.0)
         go_left = X[rows, best_feature] <= best_threshold
-        stack.append((rows[~go_left], depth + 1, node, "right"))
-        stack.append((rows[go_left], depth + 1, node, "left"))
+        queue.append((rows[go_left], depth + 1, node, "left"))
+        queue.append((rows[~go_left], depth + 1, node, "right"))
     return from_dicts([table], n_features)
 
 

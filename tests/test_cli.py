@@ -1068,6 +1068,31 @@ class TestReproduceSmoke:
             report = json.loads((out / f"run_report_{variant}.json").read_text())
             assert report["params"] == cv["best_params"]
 
+    def test_full_tune_writes_an_int_cell_as_its_float(self, runner, tmp_path, monkeypatch):
+        # a grid's gamma of 0 writes what 0.0 writes, and what `train --gamma 0` does
+        csv_path = tmp_path / "premiums.csv"
+        csv_path.write_text(synth.make_csv_text(n=golden.DATA_ROWS, seed=golden.DATA_SEED))
+        written = []
+        for gamma in (0, 0.0):
+            xgb = {key: [value] for key, value in ensemble_mod.PUBLISHED["xgb"].items()}
+            monkeypatch.setattr(tuning_mod, "DEFAULT_GRIDS", {
+                "rf": {"n_estimators": [3]}, "gbm": {"n_estimators": [2]},
+                "xgb": dict(xgb, n_estimators=[4], gamma=[gamma])})
+            out = tmp_path / f"gamma_{gamma!r}"
+            result = runner.invoke(main, ["reproduce", str(csv_path), "--out", str(out),
+                                          "--full-tune", *golden.GOLDEN_ARGS])
+            assert result.exit_code == 0, result.output
+            written.append([(out / name).read_text()
+                            for name in ("cv_xgb.json", "run_report_xgb.json", "cv_overview.csv")])
+        assert written[0] == written[1]
+        gamma = json.loads(written[0][1])["params"]["gamma"]
+        assert gamma == 0.0 and isinstance(gamma, float)
+        result = runner.invoke(main, ["train", str(out / "dataset.json"), "--model", "xgb",
+                                      "--split", str(out / "split.json"), "--gamma", "0",
+                                      "--n-estimators", "4", "--out", str(tmp_path / "flag")])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "flag" / "run_report_xgb.json").read_text() == written[0][1]
+
 
 class TestGuardedRaises:
     """Every check that no command reaches today still maps to exit 3."""

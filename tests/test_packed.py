@@ -8,6 +8,7 @@ table[t], whatever the block size.
 """
 
 import json
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -42,25 +43,43 @@ def assert_same_bits(actual, expected):
 
 
 def random_tree(data, p: int, max_depth: int) -> dict:
-    """The columns of a tree of depth at most max_depth, numbered depth-first as grown trees are."""
+    """The columns of a tree of depth at most max_depth, numbered in growth
+    order (breadth-first, left child first, as grown trees are) or
+    depth-first (as model files written before growth order are)."""
     columns = {name: [] for name in COLUMNS}
-
-    def grow(depth):
+    breadth_first = data.draw(st.booleans())
+    open_nodes = deque([(0, None, None)])  # (depth, parent, the parent's child column)
+    while open_nodes:
+        depth, parent, side = open_nodes.popleft() if breadth_first else open_nodes.pop()
         node = len(columns["feature"])
         for name, initial in zip(COLUMNS, (-1, 0.0, node, node, 0.0, 1)):
             columns[name].append(initial)
+        if parent is not None:
+            columns[side][parent] = node
         if depth < max_depth and data.draw(st.booleans()):
             columns["feature"][node] = data.draw(st.integers(0, p - 1))
             columns["threshold"][node] = data.draw(st.sampled_from(CUTS))
-            columns["left"][node] = grow(depth + 1)
-            columns["right"][node] = grow(depth + 1)
+            children = [(depth + 1, node, "left"), (depth + 1, node, "right")]
+            open_nodes.extend(children if breadth_first else children[::-1])
         else:
             columns["value"][node] = data.draw(
                 st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0]))
-        return node
-
-    grow(0)
     return columns
+
+
+def depth_first(document: dict) -> dict:
+    """A tree's dict of columns renumbered depth-first, left child first."""
+    order, stack = [], [0]  # the nodes' ids, in depth-first order
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if document["feature"][node] >= 0:
+            stack += [document["right"][node], document["left"][node]]
+    new_id = {node: i for i, node in enumerate(order)}
+    renumbered = {name: [document[name][node] for node in order] for name in COLUMNS}
+    for side in ("left", "right"):
+        renumbered[side] = [new_id[child] for child in renumbered[side]]
+    return renumbered
 
 
 def random_matrix(data, p: int, max_rows: int) -> np.ndarray:
@@ -259,6 +278,40 @@ class TestLoading:
             assert saved[name] == getattr(model.trees, name).tolist()
         assert np.array_equal(clone.trees.depth, model.trees.depth)
         assert [t.depth.tolist() for t in clone.trees] == [t.depth.tolist() for t in model.trees]
+
+
+class TestDepthFirstFiles:
+    """Model files written before growth order number each tree's nodes depth-first."""
+
+    @pytest.mark.parametrize("variant,params", [
+        ("rf", {"n_estimators": 22}),
+        ("gbm", {}),
+        ("xgb", {}),
+    ])
+    def test_load_predict_and_explain_as_growth_order(self, synth_dataset, tmp_path, variant,
+                                                      params):
+        model = fit_variant(variant, synth_dataset.subset(np.arange(200)), params, 5)
+        save_model(model, tmp_path / "grown.json")
+        document = json.loads((tmp_path / "grown.json").read_text())
+        old_trees = [depth_first(tree) for tree in to_dicts(model.trees)]
+        document["trees"] = from_dicts(old_trees, synth_dataset.m).to_document()
+        assert document["trees"] != model.trees.to_document()
+        (tmp_path / "depth_first.json").write_text(json.dumps(document))
+        grown = load_model(tmp_path / "grown.json")
+        old = load_model(tmp_path / "depth_first.json")
+        assert to_dicts(old.trees) == old_trees
+        assert old.trees.depth.tolist() == grown.trees.depth.tolist()
+        X = synth_dataset.X
+        assert_same_bits(old.predict(X), grown.predict(X))
+        # the leaves are summed in another order, so φ agrees to rounding,
+        # within the tolerance of test_explain.py's TestTreeShap
+        scale, offset = ((1.0 / len(model.trees), 0.0) if variant == "rf"
+                         else (model.config.learning_rate, model.base_score))
+        rows, background = X[200:230], X[:200]
+        base, phi = explain_mod.tree_shap(grown.trees, scale, offset, rows, background)
+        old_base, old_phi = explain_mod.tree_shap(old.trees, scale, offset, rows, background)
+        assert np.abs(old_phi - phi).max() <= 1e-9 * max(np.abs(phi).max(), 1.0)
+        assert abs(old_base - base) <= 1e-9 * max(abs(base), 1.0)
 
 
 class TestJoin:

@@ -323,13 +323,33 @@ class TestTable:
             "count": [4, 2, 2],
         }]
 
-    def test_children_numbered_depth_first_left_first(self):
+    @pytest.mark.parametrize("batch", [False, True], ids=["one-tree", "batch"])
+    def test_nodes_numbered_in_growth_order(self, batch):
         rng = np.random.default_rng(17)
         X = rng.normal(size=(120, 4))
-        tree = fit_tree(X, rng.normal(size=120), TreeConfig(max_depth=5), stream(0, "t"))
-        internal = np.flatnonzero(tree.feature >= 0)
-        assert np.array_equal(tree.left[internal], internal + 1)
-        assert np.all(tree.right[internal] > tree.left[internal])
+        config = TreeConfig(max_depth=5)
+        if batch:
+            # one level loop grows the trees together; each keeps its own order
+            matrix = Presorted(X)
+            rows = [np.sort(rng.choice(120, size=size, replace=False)) for size in (90, 4, 60)]
+            table = fit_trees([(matrix, r, rng.normal(size=r.size), None, stream(j, "t"))
+                               for j, r in enumerate(rows)], config)
+        else:
+            table = fit_tree(X, rng.normal(size=120), config, stream(0, "t"))
+        for tree in table:
+            internal = np.flatnonzero(tree.feature >= 0)
+            # the k-th split node's children are nodes 2k + 1 and 2k + 2
+            k = np.arange(internal.size)
+            assert np.array_equal(tree.left[internal], 2 * k + 1)
+            assert np.array_equal(tree.right[internal], 2 * k + 2)
+            leaves = np.flatnonzero(tree.feature < 0)
+            assert np.array_equal(tree.left[leaves], leaves)
+            assert np.array_equal(tree.right[leaves], leaves)
+            # node ids follow the levels in turn
+            level = np.zeros(tree.feature.size, dtype=np.int64)
+            for node in internal:
+                level[tree.left[node]] = level[tree.right[node]] = level[node] + 1
+            assert (np.diff(level) >= 0).all() and level[-1] == tree.depth[0]
 
 
 class TestSerialization:
@@ -483,8 +503,6 @@ class TestBatchedGrowth:
             alone_gh = fit_tree_gradients(X, g, h, config, stream(j, "t"), *penalties)
             assert to_dicts(batched) == to_dicts(alone)
             assert to_dicts(batched_gh) == to_dicts(alone_gh)
-            if config.max_features is not None:
-                continue  # the reference draws subsets depth-first, not level by level
             repeated = np.arange(X.shape[0]) if w is None else np.repeat(np.arange(X.shape[0]), w)
             assert to_dicts(batched) == to_dicts(reference_tree.fit_tree(
                 X[repeated], y[repeated], config, stream(j, "t")))
@@ -523,11 +541,7 @@ class TestPresorted:
         hess = arrays(n, st.floats(0.5, 2.0), "hess")
         m = X.shape[1]
         max_features = data.draw(st.none() | st.integers(1, m - 1), label="max_features")
-        # the reference draws feature subsets depth-first and the engine
-        # breadth-first: the same draws while only the root and its
-        # children split
-        depths = st.integers(1, 2) if max_features else st.none() | st.integers(1, 4)
-        config = TreeConfig(max_depth=data.draw(depths, label="max_depth"),
+        config = TreeConfig(max_depth=data.draw(st.none() | st.integers(1, 4), label="max_depth"),
                             min_samples_split=data.draw(st.integers(2, 4), label="min_split"),
                             max_features=max_features)
         penalties = (data.draw(st.floats(0.1, 2.0), label="lambda"),
