@@ -2,9 +2,9 @@
 
 All JSON artifacts carry a `meta` block with the format version, the
 seed, and a hash of the generating configuration.  CSV artifacts carry
-the same information in a leading `#` comment line, SVG artifacts in a
-`<desc>` element.  Writes are atomic (temp file + rename) so a failed
-command never leaves a partial artifact behind.
+it in a leading `#` comment line, SVG artifacts in a `<desc>` element;
+this module renders all three.  Writes are atomic (temp file + rename)
+so a failed command never leaves a partial artifact behind.
 
 A JSON artifact's text is the canonical form
 `json.dumps(document, sort_keys=True, indent=1)`: keys sorted, one value
@@ -180,3 +180,7 @@ def csv_meta_line(*, seed=None, config=None) -> str:
         f" seed={meta['seed']}"
         f" config_hash={meta['config_hash']}"
     )
+
+
+def svg_meta_line(*, seed, config) -> str:
+    return f"seed={seed} config_hash={config_hash(config)} format_version={FORMAT_VERSION}"

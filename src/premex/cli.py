@@ -31,9 +31,7 @@ from . import explain as explain_mod
 from . import metrics as metrics_mod
 from . import report as report_mod
 from . import tuning as tuning_mod
-from .artifacts import (
-    FORMAT_VERSION, config_hash, read_json, write_json_artifact, write_text_atomic,
-)
+from .artifacts import read_json, svg_meta_line, write_json_artifact, write_text_atomic
 from .errors import DataValidationError, NumericError
 from .rng import derive_seed, stream
 
@@ -139,10 +137,6 @@ def main():
 
 def _write(out_dir, name, text):
     write_text_atomic(os.path.join(out_dir, name), text)
-
-
-def _svg_meta(seed, config):
-    return f"seed={seed} config_hash={config_hash(config)} format_version={FORMAT_VERSION}"
 
 
 def _subsample(ids, cap, seed, name):
@@ -273,7 +267,7 @@ def _tune(train_data, variant, grid, folds, seed, out_dir):
     """Grid search with k-fold CV; write cv_{variant}.json and cv_{variant}.csv."""
     result = tuning_mod.grid_search(train_data, variant, grid, folds, seed)
     # hashed as the configs hold its values, as the cells are written
-    grid = {key: [ensemble_mod.typed_params(variant, {key: value})[key] for value in values]
+    grid = {key: [getattr(ensemble_mod.variant_config(variant, {key: v}, 0), key) for v in values]
             for key, values in grid.items()}
     write_json_artifact(
         os.path.join(out_dir, f"cv_{variant}.json"),
@@ -345,7 +339,7 @@ def _evaluate_one(model, dataset, test_ids, seed, out_dir):
     _write(out_dir, f"metrics_{variant}.csv",
            report_mod.metrics_table_csv([report], seed=seed))
     name = VARIANT_NAMES[variant]
-    meta = _svg_meta(seed, {"variant": variant})
+    meta = svg_meta_line(seed=seed, config={"variant": variant})
     _write(out_dir, f"residual_scatter_{variant}.svg", report_mod.residual_scatter_svg(
         predicted, actual - predicted, f"{name} residuals", meta))
     try:
@@ -399,7 +393,7 @@ def _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir):
     _write(out_dir, f"shap_importance_{variant}.csv",
            report_mod.importance_csv(names, totals, order, seed=seed))
     name = VARIANT_NAMES[variant]
-    meta = _svg_meta(seed, {"variant": variant, "rows": len(row_ids)})
+    meta = svg_meta_line(seed=seed, config={"variant": variant, "rows": len(row_ids)})
     _write(out_dir, f"beeswarm_{variant}.svg", report_mod.beeswarm_svg(
         ranked, explain_mod.beeswarm_data(phi, rows, order), f"{name} attribution summary",
         meta))
@@ -439,7 +433,7 @@ def _explain_ice(model, dataset, ids, features, grid_points, centered, derivativ
            report_mod.ice_long_csv(parts, [int(i) for i in ids], seed=seed))
     _write(out_dir, f"ice_panel_{variant}.svg", report_mod.ice_panel_svg(
         panels, f"{VARIANT_NAMES[variant]} {kind} ICE curves",
-        _svg_meta(seed, {"variant": variant, "kind": kind})))
+        svg_meta_line(seed=seed, config={"variant": variant, "kind": kind})))
     return len(panels)
 
 
@@ -526,11 +520,12 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
     """
     started = time.perf_counter()
     timings = {}
+    earlier = _file_stamps(out_dir)
     raw, derived, duplicates = _ingest(csv_path, out_dir, seed)
     names, matrix = data_mod.pearson_correlation(raw)
     _write(out_dir, "correlation_heatmap.svg", report_mod.correlation_heatmap_svg(
         names, matrix, "Attribute correlation",
-        _svg_meta(seed, {"figure": "correlation"})))
+        svg_meta_line(seed=seed, config={"figure": "correlation"})))
     group_csv_parts = []
     for feature in GROUPING_FEATURES:
         values, table = data_mod.group_summary(derived, feature)
@@ -538,7 +533,8 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
         column = derived.X[:, derived.feature_index(feature)]
         _write(out_dir, f"group_boxplot_{feature}.svg", report_mod.group_boxplot_svg(
             feature, [(value, derived.y[column == value]) for value in values.tolist()],
-            f"Premium by {feature}", _svg_meta(seed, {"figure": "group", "feature": feature})))
+            f"Premium by {feature}",
+            svg_meta_line(seed=seed, config={"figure": "group", "feature": feature})))
     _write(out_dir, "group_premium_stats.csv",
            report_mod.group_summary_all_csv(group_csv_parts, seed=seed))
     timings["eda"] = time.perf_counter() - started
@@ -573,7 +569,7 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
             LEARNING_FRACTIONS, n_rows, train_scores, val_scores, seed=seed))
         _write(out_dir, f"learning_curve_{variant}.svg", report_mod.learning_curve_svg(
             n_rows, train_scores, val_scores, f"{VARIANT_NAMES[variant]} learning curve",
-            _svg_meta(seed, {"figure": "learning_curve", "variant": variant})))
+            svg_meta_line(seed=seed, config={"figure": "learning_curve", "variant": variant})))
         timings[f"learning_curve_{variant}"] = time.perf_counter() - stage_start
 
         # the curve's fraction-1.0 point is k-fold CV of these parameters
@@ -607,18 +603,27 @@ def reproduce(csv_path, out_dir, seed, split_fraction, folds, full_tune,
         seed=seed,
         config={"command": "reproduce"},
     )
-    _write_manifest(out_dir, seed)
+    _write_manifest(out_dir, seed, earlier)
     click.echo(f"reproduce finished in {timings['total']:.1f}s -> {out_dir}")
 
 
 NONDETERMINISTIC_ARTIFACTS = ("timings.json",)
 
 
-def _write_manifest(out_dir, seed):
+def _file_stamps(out_dir) -> dict:
+    """(inode, mtime) of each file in out_dir by name; a write replaces its file by a new one."""
+    if not os.path.isdir(out_dir):
+        return {}
+    return {entry.name: (entry.inode(), entry.stat().st_mtime_ns)
+            for entry in os.scandir(out_dir) if entry.is_file()}
+
+
+def _write_manifest(out_dir, seed, earlier):
+    """Hash each file in out_dir that this run wrote: not one that keeps its `earlier` stamp."""
     entries = []
-    for name in sorted(os.listdir(out_dir)):
+    for name, stamp in sorted(_file_stamps(out_dir).items()):
         path = os.path.join(out_dir, name)
-        if not os.path.isfile(path) or name == "manifest.json":
+        if name == "manifest.json" or earlier.get(name) == stamp:
             continue
         entry = {"name": name}
         if name in NONDETERMINISTIC_ARTIFACTS:

@@ -18,9 +18,11 @@ trees gives.  A model file holds `variant`, `config`, `feature_names`,
 NodeTable.from_document checks them) and a boosted model's `base_score`.
 
 `PUBLISHED` is the one home of the published best hyperparameters;
-`variant_config` lays a parameter dict over them.  Every config checks
-its fields' types and ranges when built, `replace()` and `load_model`
-included, and raises DataValidationError.
+`variant_config` lays a parameter dict over them.  Each model config is
+a `tree.TreeConfig` with its learner's fields added, so the tree engine
+takes it as it is.  Every config checks its fields' types and ranges
+when built, `replace()` and `load_model` included, and raises
+DataValidationError.
 """
 
 import numbers
@@ -66,41 +68,27 @@ def _check_number(name: str, value, rate: bool) -> None:
         raise DataValidationError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-class _TreeFields:
-    """max_depth, min_samples_split and max_features, checked as a TreeConfig."""
-
-    def tree_config(self) -> TreeConfig:
-        return TreeConfig(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            max_features=self.max_features,
-        )
-
-
 @dataclass
-class ForestConfig(_TreeFields):
+class ForestConfig(TreeConfig):
     n_estimators: int = 220
     max_depth: int | None = 7
     min_samples_split: int = 3
-    max_features: int | None = None  # None = all features
     bootstrap: bool = True
     seed: int = 0
 
     def __post_init__(self):
         check_count("n_estimators", self.n_estimators, 1)
-        self.tree_config()  # checks the three tree fields
+        super().__post_init__()  # the three tree fields
         if not isinstance(self.bootstrap, bool):
             raise DataValidationError(f"bootstrap must be true or false, got {self.bootstrap!r}")
         check_count("seed", self.seed, None)
 
 
 @dataclass
-class BoostConfig(_TreeFields):
+class BoostConfig(TreeConfig):
     n_estimators: int = 50
     learning_rate: float = 0.1
     max_depth: int | None = 3
-    min_samples_split: int = 2
-    max_features: int | None = None
     subsample: float = 1.0
     reg_lambda: float = 1.0  # xgb only
     gamma: float = 0.0  # xgb only
@@ -109,7 +97,7 @@ class BoostConfig(_TreeFields):
     def __post_init__(self):
         check_count("n_estimators", self.n_estimators, 0)
         _check_number("learning_rate", self.learning_rate, rate=True)
-        self.tree_config()  # checks the three tree fields
+        super().__post_init__()  # the three tree fields
         _check_number("subsample", self.subsample, rate=True)
         _check_number("reg_lambda", self.reg_lambda, rate=False)
         _check_number("gamma", self.gamma, rate=False)
@@ -138,13 +126,6 @@ def variant_config(variant: str, params: dict, seed: int):
         )
     merged = {**PUBLISHED[variant], **params, "seed": seed}
     return (ForestConfig if variant == "rf" else BoostConfig)(**merged)
-
-
-def typed_params(variant: str, params: dict) -> dict:
-    """`params` as the variant's config holds them: a float field given as
-    0 or 1 reads 0.0 or 1.0, so either is written and hashed alike."""
-    config = variant_config(variant, params, seed=0)
-    return {key: getattr(config, key) for key in params}
 
 
 @dataclass
@@ -212,8 +193,6 @@ def fit_models(variant: str, config, jobs):
 
 
 def _fit_forests(config: ForestConfig, jobs):
-    tree_config = config.tree_config()
-
     def tree_jobs(data, seed):
         matrix = Presorted(data.X)
         for k in range(config.n_estimators):
@@ -228,8 +207,8 @@ def _fit_forests(config: ForestConfig, jobs):
     for data, seed in jobs:
         if data.n < 2:
             raise DataValidationError("need at least 2 rows to fit a forest")
-        tree_config.validate(data.m)
-        yield ForestModel(trees=fit_trees(tree_jobs(data, seed), tree_config),
+        config.validate(data.m)
+        yield ForestModel(trees=fit_trees(tree_jobs(data, seed), config),
                           config=replace(config, seed=seed),
                           feature_names=list(data.feature_names))
 
@@ -244,12 +223,11 @@ def _stage_rows(rng: np.random.Generator, n: int, subsample: float) -> np.ndarra
 
 def _fit_boosted(config: BoostConfig, jobs, variant: str):
     """The models of fit_models, in lockstep groups of at most CHUNK_ROWS rows."""
-    tree_config = config.tree_config()
     group, rows = [], 0
     for data, seed in jobs:
         if data.n < 2:
             raise DataValidationError("need at least 2 rows to fit a boosted model")
-        tree_config.validate(data.m)
+        config.validate(data.m)
         if group and rows + data.n > CHUNK_ROWS:
             yield from _boost_lockstep(config, group, variant)
             group, rows = [], 0
@@ -266,7 +244,6 @@ def _boost_lockstep(config: BoostConfig, group, variant: str) -> list:
     stages share one `tree.Presorted` of its data.  Model i's stages are
     the i-th trees of the stages' tables, joined into one at the end.
     """
-    tree_config = config.tree_config()
     matrices = [Presorted(data.X) for data, _ in group]
     predictions = [np.full(data.n, float(data.y.mean())) for data, _ in group]
     stages = []  # one table per stage, its trees in group order
@@ -279,7 +256,7 @@ def _boost_lockstep(config: BoostConfig, group, variant: str) -> list:
             yield matrix, rows, grad[rows], np.ones(rows.size), rng
 
     for t in range(config.n_estimators):
-        stage = fit_trees_gradients(stage_jobs(t), tree_config, config.reg_lambda, config.gamma)
+        stage = fit_trees_gradients(stage_jobs(t), config, config.reg_lambda, config.gamma)
         stages.append(stage)
         for i, (data, _) in enumerate(group):
             predictions[i] = predictions[i] + config.learning_rate * stage[i].predict_matrix(data.X)

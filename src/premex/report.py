@@ -645,11 +645,9 @@ def shap_values_csv(names, base_value, phi, row_ids=None, *, seed=None) -> str:
 
 def importance_csv(names, totals, order, *, seed=None) -> str:
     """One row per feature in `order`, as `explain.importance` ranks them."""
-    cells = _cells(names)
-    template = "".join(f"{cells[j]},%.6f,{rank + 1}\n" for rank, j in enumerate(order))
-    return (_csv_text(["Feature", "TotalAbsAttribution", "Rank"], [],
-                      csv_meta_line(seed=seed, config={"table": "importance"}))
-            + template % tuple(totals[j] for j in order))
+    rows = [[names[j], f"{totals[j]:.6f}", rank + 1] for rank, j in enumerate(order)]
+    return _csv_text(["Feature", "TotalAbsAttribution", "Rank"], rows,
+                     csv_meta_line(seed=seed, config={"table": "importance"}))
 
 
 def ice_long_csv(parts, row_ids=None, *, seed=None) -> str:

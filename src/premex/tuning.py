@@ -14,13 +14,12 @@ counts and mean train and validation scores.
 forks one child per extra CPU in the process's affinity mask (none on
 one CPU, or where `os.fork` is missing), gives each process a contiguous
 share of the tasks of about equal cost, and returns their R^2 values in
-task order.  A task's model depends only on its rows and seed, so the
-scores, and every artifact made from them, are the same floats for any
-number of workers; `taskset -c 0` runs every fit in one process.
+task order.  A task's model depends only on its config, rows and seed,
+so the scores, and every artifact made from them, are the same floats
+for any number of workers; `taskset -c 0` runs every fit in one process.
 
-Hyperparameters are plain dicts over the defaults in `ensemble.PUBLISHED`;
-`ensemble.variant_config` checks their keys, types and ranges, for every
-grid cell before the first fit.
+Hyperparameters are plain dicts over `ensemble.PUBLISHED`; each task carries
+the config that `ensemble.variant_config` checked once per grid cell or call.
 """
 
 import itertools
@@ -30,7 +29,7 @@ import pickle
 import numpy as np
 
 from .data import Dataset, round_half_up
-from .ensemble import fit_forest, fit_gbm, fit_models, fit_xgb, typed_params, variant_config
+from .ensemble import fit_forest, fit_gbm, fit_models, fit_xgb, variant_config
 from .errors import DataValidationError
 from .metrics import r_squared
 from .rng import derive_seed, stream
@@ -104,11 +103,11 @@ def _fold_subsets(n: int, fractions, k: int, seed: int):
     return folds, subsets
 
 
-def _cv_tasks(n: int, cells: list, k: int, seed: int) -> list:
-    """One `_fold_fits` task per (cell, fold): fit on the other folds, score on the fold."""
+def _cv_tasks(n: int, configs: list, k: int, seed: int) -> list:
+    """One `_fold_fits` task per (config, fold): fit on the other folds, score on the fold."""
     folds, subsets = _fold_subsets(n, [1.0], k, seed)
-    return [(params, train_rows, derive_seed(seed, "fold", i), [val_rows])
-            for params in cells
+    return [(config, train_rows, derive_seed(seed, "fold", i), [val_rows])
+            for config in configs
             for i, (val_rows, [train_rows]) in enumerate(zip(folds, subsets))]
 
 
@@ -119,11 +118,11 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), tasks))
 
 
-def _fold_fits(data: Dataset, variant: str, seed: int, tasks: list) -> np.ndarray:
+def _fold_fits(data: Dataset, variant: str, tasks: list) -> np.ndarray:
     """R^2 of every task's model on each of its scored row sets, in task order.
 
-    A task is (params, training rows, model seed, scored row sets).  Its
-    model is `variant` at `params`, fit on data's training rows with
+    A task is (config, training rows, model seed, scored row sets).  Its
+    model is `variant` at `config`, fit on data's training rows with
     (model seed, "forest_tree" or "stage", t) streams, so it depends on
     nothing but its task.  With W = `_worker_count(len(tasks))` above 1,
     forked children share the work.  The tasks are cut into at most W
@@ -142,16 +141,15 @@ def _fold_fits(data: Dataset, variant: str, seed: int, tasks: list) -> np.ndarra
     """
     workers = _worker_count(len(tasks))
     # a task's cost: its training rows times its trees or stages
-    running = np.cumsum([rows.size * max(variant_config(variant, params, seed).n_estimators, 1)
-                         for params, rows, _, _ in tasks])
+    running = np.cumsum([rows.size * max(config.n_estimators, 1) for config, rows, _, _ in tasks])
     # share w ends with the first task whose running cost reaches w/W of the total
     cuts = {int(np.searchsorted(running * workers, running[-1] * w)) + 1 for w in range(1, workers)}
     bounds = sorted({0, len(tasks)} | cuts)
     children = []  # (pid, read end of its pipe), in share order
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_share(data, variant, seed, tasks[start:stop]))
-        scores = _share_scores(data, variant, seed, tasks[:bounds[1]])
+            children.append(_fork_share(data, variant, tasks[start:stop]))
+        scores = _share_scores(data, variant, tasks[:bounds[1]])
         for pid, pipe in children:
             payload = pipe.read()
             if not payload:
@@ -173,23 +171,23 @@ def _fold_fits(data: Dataset, variant: str, seed: int, tasks: list) -> np.ndarra
     return np.array(scores, dtype=np.float64)
 
 
-def _share_scores(data: Dataset, variant: str, seed: int, tasks: list) -> list:
-    """`_fold_fits` in this process: consecutive same-params tasks grow in one fit_models call.
+def _share_scores(data: Dataset, variant: str, tasks: list) -> list:
+    """`_fold_fits` in this process: consecutive equal-config tasks grow in one fit_models call.
 
     fit_models grows the models of one call together, so a caller scores
     each model and drops it as it arrives.
     """
     scores = []
-    for params, group in itertools.groupby(tasks, key=lambda task: task[0]):
+    for config, group in itertools.groupby(tasks, key=lambda task: task[0]):
         group = list(group)
-        models = fit_models(variant, variant_config(variant, params, seed),
+        models = fit_models(variant, config,
                             ((data.subset(rows), model_seed) for _, rows, model_seed, _ in group))
         for (*_, scored), model in zip(group, models):
             scores += [_r_squared_on(data, rows, model) for rows in scored]
     return scores
 
 
-def _fork_share(data: Dataset, variant: str, seed: int, tasks: list):
+def _fork_share(data: Dataset, variant: str, tasks: list):
     """Score `tasks` in a forked child; returns its pid and the read end of its pipe.
 
     The child pickles (scores, None) or (None, its error) into the pipe
@@ -203,7 +201,7 @@ def _fork_share(data: Dataset, variant: str, seed: int, tasks: list):
         try:
             os.close(read_end)
             try:
-                payload = pickle.dumps((_share_scores(data, variant, seed, tasks), None))
+                payload = pickle.dumps((_share_scores(data, variant, tasks), None))
             except BaseException as exc:
                 payload = _pickled_error(exc)
             with os.fdopen(write_end, "wb") as pipe:
@@ -232,7 +230,8 @@ def _r_squared_on(data: Dataset, rows, model) -> float:
 
 def cross_val_score(data: Dataset, variant: str, params: dict, k: int, seed: int) -> list:
     """Per-fold held-out R^2; each fold's model is fit on the other folds."""
-    return _fold_fits(data, variant, seed, _cv_tasks(data.n, [params], k, seed)).tolist()
+    config = variant_config(variant, params, seed)
+    return _fold_fits(data, variant, _cv_tasks(data.n, [config], k, seed)).tolist()
 
 
 def grid_cells(grid: dict) -> list:
@@ -252,18 +251,20 @@ def grid_search(data: Dataset, variant: str, grid: dict, k: int, seed: int) -> d
     Returns the body of `cv_<variant>.json`: variant, k, best_params,
     best_mean_score, and cells, one {params, fold_scores, mean_score,
     rank} per grid cell in declared order, rank 1 the best.  Parameters
-    are given as the configs hold them (`ensemble.typed_params`).
+    are given as the cell's config holds them: a rate of 1 reads 1.0.
     """
-    all_cells = []
-    for params in grid_cells(grid):
+    configs = []
+    for cell in grid_cells(grid):
         try:
-            variant_config(variant, params, seed).tree_config().validate(data.m)
+            config = variant_config(variant, cell, seed)
+            config.validate(data.m)
         except DataValidationError as exc:
-            raise DataValidationError(f"grid cell {params}: {exc}") from exc
-        all_cells.append(typed_params(variant, params))
-    scores = _fold_fits(data, variant, seed, _cv_tasks(data.n, all_cells, k, seed))
-    cells = [{"params": params, "fold_scores": row.tolist(), "mean_score": float(row.mean())}
-             for params, row in zip(all_cells, scores.reshape(len(all_cells), k))]
+            raise DataValidationError(f"grid cell {cell}: {exc}") from exc
+        configs.append(config)
+    scores = _fold_fits(data, variant, _cv_tasks(data.n, configs, k, seed))
+    cells = [{"params": {key: getattr(config, key) for key in grid},
+              "fold_scores": row.tolist(), "mean_score": float(row.mean())}
+             for config, row in zip(configs, scores.reshape(len(configs), k))]
     order = sorted(range(len(cells)), key=lambda i: (-cells[i]["mean_score"], i))
     for rank, i in enumerate(order, start=1):
         cells[i]["rank"] = rank
@@ -285,10 +286,11 @@ def learning_curve(data: Dataset, variant: str, params: dict, fractions, k: int,
         raise DataValidationError("fractions must lie in (0, 1]")
     if sorted(fractions) != fractions:
         raise DataValidationError("fractions must be increasing")
+    config = variant_config(variant, params, seed)
     folds, subsets = _fold_subsets(data.n, fractions, k, seed)
-    tasks = [(params, rows, derive_seed(seed, "fold", i), [rows, folds[i]])
+    tasks = [(config, rows, derive_seed(seed, "fold", i), [rows, folds[i]])
              for i in range(k) for rows in subsets[i]]
-    scores = _fold_fits(data, variant, seed, tasks).reshape(k, len(fractions), 2)
+    scores = _fold_fits(data, variant, tasks).reshape(k, len(fractions), 2)
     # (fraction, fold) arrays, C-ordered, so each mean sums in fold order
     train_scores, val_scores = (np.ascontiguousarray(scores[:, :, s].T) for s in range(2))
     n_rows = np.mean([[rows.size for rows in fold] for fold in subsets], axis=0)

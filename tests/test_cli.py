@@ -1047,6 +1047,29 @@ class TestReproduceSmoke:
         assert result.exit_code == 2, result.output
         assert "--folds" in result.output and not out.exists()
 
+    def test_manifest_leaves_out_files_of_earlier_commands(self, runner, tmp_path):
+        csv_path = tmp_path / "premiums.csv"
+        csv_path.write_text(synth.make_csv_text(n=golden.DATA_ROWS, seed=golden.DATA_SEED))
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n_estimators": [2], "max_depth": [2]}))
+        # ingest writes a dataset.json that reproduce rewrites; tune's files it never writes
+        for argv in (["ingest", str(csv_path), "--out", str(used)],
+                     ["tune", str(used / "dataset.json"), "--model", "rf", "--grid", str(grid),
+                      "--folds", "2", "--out", str(used)]):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0, result.output
+        assert (used / "cv_rf.json").is_file() and (used / "cv_rf.csv").is_file()
+        manifests = []
+        for out in (used, fresh):
+            result = runner.invoke(main, ["reproduce", str(csv_path), "--out", str(out),
+                                          *golden.GOLDEN_ARGS])
+            assert result.exit_code == 0, result.output
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        # timings.json is listed unhashed, so the documents are equal as they stand
+        assert manifests[0] == manifests[1]
+        assert "cv_rf.json" not in {entry["name"] for entry in manifests[0]["files"]}
+
     def test_full_tune(self, runner, tmp_path, monkeypatch):
         # two cells a variant, with few trees, at the golden run's data and caps
         grids = {

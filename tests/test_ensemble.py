@@ -23,7 +23,7 @@ from premex.ensemble import (
 from premex.errors import DataValidationError, FormatVersionError
 from premex.rng import stream
 from premex.tuning import fit_variant
-from premex.tree import TreeConfig, fit_tree
+from premex.tree import Presorted, TreeConfig, fit_tree, fit_trees, fit_trees_gradients
 from reference_tree import from_dicts, to_dicts
 
 
@@ -65,6 +65,48 @@ class TestConfigChecks:
         BoostConfig(n_estimators=0, learning_rate=1, subsample=1, reg_lambda=0, max_depth=None)
         ForestConfig(n_estimators=1, max_depth=0, max_features=1, bootstrap=False, seed=-3)
         TreeConfig(max_depth=None, max_features=None)
+
+
+class TestModelConfigsAreTreeConfigs:
+    """The tree engine takes a model config as it takes the TreeConfig of its three tree fields."""
+
+    @staticmethod
+    def tree_fields(config):
+        return TreeConfig(max_depth=config.max_depth, min_samples_split=config.min_samples_split,
+                          max_features=config.max_features)
+
+    @staticmethod
+    def jobs(data, targets, second):
+        """Three jobs on nested row prefixes, each with its own fresh stream."""
+        matrix = Presorted(data.X)
+        for j, n in enumerate((40, 80, 120)):
+            rows = np.arange(n)
+            yield (matrix, rows, targets[rows], np.ones(n) if second else None, stream(j, "t"))
+
+    def test_fit_trees_takes_a_forest_config(self, small_regression):
+        config = ForestConfig(n_estimators=3, max_depth=4, min_samples_split=5, max_features=2)
+        assert isinstance(config, TreeConfig)
+        grown = fit_trees(self.jobs(small_regression, small_regression.y, False), config)
+        expected = fit_trees(self.jobs(small_regression, small_regression.y, False),
+                             self.tree_fields(config))
+        assert to_dicts(grown) == to_dicts(expected)
+
+    def test_fit_trees_gradients_takes_a_boost_config(self, small_regression):
+        config = BoostConfig(max_depth=3, min_samples_split=6, max_features=3, reg_lambda=0.5)
+        assert isinstance(config, TreeConfig)
+        grad = small_regression.y - small_regression.y.mean()
+        grown = fit_trees_gradients(self.jobs(small_regression, grad, True), config,
+                                    config.reg_lambda, config.gamma)
+        expected = fit_trees_gradients(self.jobs(small_regression, grad, True),
+                                       self.tree_fields(config), config.reg_lambda, config.gamma)
+        assert to_dicts(grown) == to_dicts(expected)
+
+    def test_validate_checks_max_features_against_the_data(self, small_regression):
+        config = ForestConfig(max_features=5)
+        with pytest.raises(DataValidationError, match="max_features"):
+            config.validate(small_regression.m)
+        with pytest.raises(DataValidationError, match="max_features"):
+            fit_trees(self.jobs(small_regression, small_regression.y, False), config)
 
 
 class TestVariantConfig:
@@ -110,7 +152,7 @@ class TestForest:
                               min_samples_split=2, max_features=None, seed=9)
         forest = fit_forest(small_regression, config)
         lone = fit_tree(small_regression.X, small_regression.y,
-                        config.tree_config(), stream(0, "unused"))
+                        config, stream(0, "unused"))
         assert to_dicts(forest.trees) == to_dicts(lone)
         probe = small_regression.X[:10]
         assert np.array_equal(forest.predict(probe), lone.predict_matrix(probe))
@@ -262,7 +304,7 @@ def classic_residual_fit(data, config):
         rng = stream(config.seed, "stage", t)
         rows = _stage_rows(rng, data.n, config.subsample)
         residuals = data.y - predictions
-        tree = fit_tree(data.X[rows], residuals[rows], config.tree_config(), rng)
+        tree = fit_tree(data.X[rows], residuals[rows], config, rng)
         stages.append(tree)
         predictions = predictions + config.learning_rate * tree.predict_matrix(data.X)
     return stages, predictions

@@ -438,7 +438,7 @@ class TestDefaults:
             cells = grid_cells(grid)
             assert cells, variant
             for params in cells:
-                variant_config(variant, params, 0).tree_config().validate(9)
+                variant_config(variant, params, 0).validate(9)
 
     def test_fit_variant_roundtrip(self, small_regression):
         model = fit_variant("rf", small_regression, {"n_estimators": 3, "max_depth": 2}, seed=1)
