@@ -11,6 +11,12 @@ A JSON artifact's text is the canonical form
 per line, each level indented one space, non-ASCII text escaped.  Its
 numbers must be finite.  Standard JSON has no NaN or Infinity, so a
 document holding NaN or ±inf raises NumericError and no file is written.
+
+Every JSON input is read here, and this module alone decides what a number
+read from JSON may be.  `read_json` refuses the NaN and ±Infinity tokens
+as it parses.  `json_array` turns each list of numbers into an int64 or
+float64 array, refusing a bool, a string, null, a nested list, a number
+too large for the dtype, and a non-finite float such as 1e400 (json's inf).
 """
 
 import hashlib
@@ -18,6 +24,8 @@ import itertools
 import json
 import os
 import tempfile
+
+import numpy as np
 
 from .errors import DataValidationError, FormatVersionError, NumericError
 
@@ -144,17 +152,38 @@ def write_json_artifact(path, kind: str, payload: dict, *, seed=None, config=Non
     write_text_atomic(path, canonical_json(document) + "\n")
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a finite number")
+
+
 def read_json(path):
     """The JSON document in the UTF-8 file at `path`; DataValidationError
-    naming the file if it is not UTF-8 JSON or nests too deeply to parse."""
+    naming the file if it is not UTF-8 JSON, holds NaN or ±Infinity, or
+    nests too deeply to parse."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_refuse_constant)
     # JSONDecodeError, UnicodeDecodeError, or an int of too many digits
     except ValueError as exc:
         raise DataValidationError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError:
         raise DataValidationError(f"{path}: JSON nested too deeply to read") from None
+
+
+def json_array(values, what: str, integers: bool = False) -> np.ndarray:
+    """The JSON list `values` as a float64 array, or int64 if `integers`;
+    DataValidationError naming `what` unless every item is a finite number
+    (an int if `integers`) that fits the dtype."""
+    if isinstance(values, list) and set(map(type, values)) <= ({int} if integers else {int, float}):
+        try:
+            array = np.array(values, dtype=np.int64 if integers else np.float64)
+        except OverflowError:  # an int beyond int64, or beyond float64 for a number
+            pass
+        else:
+            if integers or np.isfinite(array).all():
+                return array
+    raise DataValidationError(
+        f"{what} must be a list of {'integers' if integers else 'finite numbers'}")
 
 
 def read_json_artifact(path, kind: str) -> dict:

@@ -60,28 +60,14 @@ def guarded(fn):
     return wrapper
 
 
-def _finite_number(text):
-    """A JSON number or constant (NaN, Infinity) of the config file, if finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise click.UsageError(f"config file holds {text}, which is not a finite number")
-    return value
-
-
 def _load_config_map(ctx, param, value):
     """--config JSON supplies per-command flag defaults: {"train": {...}}."""
     if not value:
         return None
     try:
-        with open(value, "r", encoding="utf-8") as handle:
-            mapping = json.load(handle, parse_constant=_finite_number, parse_float=_finite_number)
-    except OSError as exc:
+        mapping = read_json(value)
+    except (OSError, DataValidationError) as exc:
         raise click.UsageError(f"cannot read config file: {exc}")
-    # JSONDecodeError, UnicodeDecodeError, or an int of too many digits
-    except ValueError as exc:
-        raise click.UsageError(f"config file is not valid JSON: {exc}")
-    except RecursionError:
-        raise click.UsageError("config file is nested too deeply to read")
     if not isinstance(mapping, dict):
         raise click.UsageError("config file must hold an object of command sections")
     normalized = {}
@@ -101,19 +87,23 @@ def _load_config_map(ctx, param, value):
         normalized[command_name] = {}
         for key, item in section.items():
             name = alias.get(key.replace("-", "_"), key)
-            if name in parameters:
-                _check_config_number(parameters[name].type, f"{command_name}.{key}", item)
+            _check_config_number(getattr(parameters.get(name), "type", None),
+                                 f"{command_name}.{key}", item)
             normalized[command_name][name] = item
     ctx.default_map = normalized
     return value
 
 
 def _check_config_number(kind, where, item):
-    """Reject a config value that click's number types would quietly change.
+    """Reject a config value that is not finite, or that click's number
+    types would quietly change.
 
-    click takes `int(x)` of a float and of a bool, and `float(x)` of a
-    bool, where the same value given as a flag is a usage error.
+    json reads a literal such as 1e400 as inf.  click takes `int(x)` of a
+    float and of a bool, and `float(x)` of a bool, where the same value
+    given as a flag is a usage error.
     """
+    if isinstance(item, float) and not math.isfinite(item):
+        raise click.UsageError(f"config file holds {where} = {item}, which is not a finite number")
     if isinstance(kind, click.types.IntParamType) and (
         isinstance(item, bool) or isinstance(item, float) and not item.is_integer()
     ):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json_artifact, write_json_artifact
+from .artifacts import json_array, read_json_artifact, write_json_artifact
 from .errors import DataValidationError, NumericError
 from .rng import stream
 
@@ -195,8 +195,15 @@ def derive_features(raw: Dataset) -> Dataset:
         raise DataValidationError(f"record {bad[0]}: non-positive height")
     # Python's float ** 2 calls pow(); numpy's ** 2 squares, which can differ
     # in the last bit, so BMI stays in Python floats
-    bmi = np.array([w / (h / 100.0) ** 2 for h, w in zip(height.tolist(), weight.tolist())])
-    columns = [bmi if name == "BMI" else raw.X[:, raw.feature_index(name)]
+    bmi = []
+    for record, (h, w) in enumerate(zip(height.tolist(), weight.tolist())):
+        try:
+            bmi.append(w / (h / 100.0) ** 2)
+        except (OverflowError, ZeroDivisionError):  # (h / 100) ** 2 overflows or rounds to 0
+            bmi.append(math.inf)
+        if not math.isfinite(bmi[-1]):
+            raise NumericError(f"record {record}: BMI of height {h} and weight {w} is not finite")
+    columns = [np.array(bmi) if name == "BMI" else raw.X[:, raw.feature_index(name)]
                for name in MODEL_FEATURES]
     return Dataset(list(MODEL_FEATURES), np.column_stack(columns), raw.y.copy())
 
@@ -283,11 +290,9 @@ def dataset_to_json(data: Dataset, path, *, seed=None) -> None:
 
 
 def dataset_from_json(path) -> Dataset:
-    """Load dataset.json: m feature names, a rectangular n x m X and n y values.
-
-    A missing key, a ragged row, a value that is not a number (bool, string,
-    null) or a non-finite one raises DataValidationError.
-    """
+    """Load dataset.json: m feature names, a rectangular n x m X and n y
+    values, every number as `artifacts.json_array` reads it; else
+    DataValidationError."""
     document = read_json_artifact(path, "dataset")
     names, X, y = (document.get(key) for key in ("feature_names", "X", "y"))
     if not isinstance(names, list) or not names or not all(isinstance(v, str) for v in names):
@@ -298,17 +303,8 @@ def dataset_from_json(path) -> Dataset:
         raise DataValidationError(f"{path}: X must be a non-empty list of rows of {len(names)} numbers")
     if not isinstance(y, list) or len(y) != len(X):
         raise DataValidationError(f"{path}: y must be a list of {len(X)} numbers, one per X row")
-    for key, cells in (("X", itertools.chain.from_iterable(X)), ("y", y)):
-        if not set(map(type, cells)) <= {int, float}:  # not bool, str or None
-            raise DataValidationError(f"{path}: {key} holds a value that is not a number")
-    try:
-        X, y = np.array(X, dtype=np.float64), np.array(y, dtype=np.float64)
-    except OverflowError:
-        raise DataValidationError(f"{path}: a number is too large for a float") from None
-    for key, values in (("X", X), ("y", y)):
-        if not np.isfinite(values).all():
-            raise DataValidationError(f"{path}: {key} holds a non-finite value")
-    return Dataset(names, X, y)
+    X = json_array(list(itertools.chain.from_iterable(X)), f"{path}: X's cells")
+    return Dataset(names, X.reshape(len(y), len(names)), json_array(y, f"{path}: y"))
 
 
 def split_to_json(split: SplitIndices, path) -> None:
@@ -329,16 +325,14 @@ def split_from_json(path, n: int) -> SplitIndices:
     document = read_json_artifact(path, "split")
     rows = {}
     for key in ("train_rows", "test_rows"):
-        ids = document.get(key)
-        # C-level passes over the list, no Python loop; type() keeps bools out
-        if (not isinstance(ids, list) or not ids or set(map(type, ids)) != {int}
-                or min(ids) < 0 or max(ids) >= n):
+        ids = json_array(document.get(key), f"{path}: {key}", integers=True)
+        if not ids.size or ids.min() < 0 or ids.max() >= n:
             raise DataValidationError(
                 f"{path}: {key} must be a non-empty list of row ids in 0..{n - 1}"
             )
-        if len(set(ids)) != len(ids):
+        if np.unique(ids).size != ids.size:
             raise DataValidationError(f"{path}: {key} repeats a row id")
-        rows[key] = np.array(ids, dtype=np.int64)
+        rows[key] = ids
     if np.intersect1d(rows["train_rows"], rows["test_rows"]).size:
         raise DataValidationError(f"{path}: train_rows and test_rows share a row id")
     seed = document["meta"].get("seed")

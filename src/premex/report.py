@@ -37,7 +37,7 @@ from itertools import chain
 import numpy as np
 
 from .artifacts import csv_meta_line
-from .errors import DataValidationError
+from .errors import DataValidationError, NumericError
 
 # One place for every cosmetic constant.
 COLOR_AXIS = "#333333"
@@ -90,10 +90,12 @@ def _ticks(lo: float, hi: float, target: int = 5):
 
 
 class _Scale:
-    def __init__(self, lo, hi, pixel_lo, pixel_hi):
+    def __init__(self, lo, hi, pixel_lo, pixel_hi, figure):
         if hi <= lo:
             lo, hi = lo - 0.5, hi + 0.5
         self.lo, self.hi = float(lo), float(hi)
+        if not math.isfinite(self.hi - self.lo):
+            raise NumericError(f"figure {figure!r}: an axis from {lo} to {hi} overflows float64")
         self.pixel_lo, self.pixel_hi = float(pixel_lo), float(pixel_hi)
 
     def __call__(self, x):
@@ -261,7 +263,7 @@ def group_boxplot_svg(feature, groups, title, meta=""):
     box = (70, 50, width - 30, height - 70)
     all_values = np.concatenate([_as_array(values, "group_boxplot", "values")
                                  for _, values in groups])
-    y_scale = _Scale(all_values.min(), all_values.max(), box[3], box[1])
+    y_scale = _Scale(all_values.min(), all_values.max(), box[3], box[1], title)
     canvas = _Canvas(width, height, title, meta)
     slot = (box[2] - box[0]) / len(groups)
     for g_index, (value, group_values) in enumerate(groups):
@@ -306,8 +308,8 @@ def learning_curve_svg(n_rows, train, val, title, meta=""):
     width, height = 520, 380
     box = (70, 50, width - 30, height - 70)
     y_all = np.concatenate([train, val])
-    x_scale = _Scale(n_rows.min(), n_rows.max(), box[0], box[2])
-    y_scale = _Scale(y_all.min(), min(1.05, y_all.max() + 0.05), box[3], box[1])
+    x_scale = _Scale(n_rows.min(), n_rows.max(), box[0], box[2], title)
+    y_scale = _Scale(y_all.min(), min(1.05, y_all.max() + 0.05), box[3], box[1], title)
     canvas = _Canvas(width, height, title, meta)
     _axes(canvas, box, x_scale, y_scale, "training rows", "R^2")
     xs, train_ys, val_ys = x_scale.array(n_rows), y_scale.array(train), y_scale.array(val)
@@ -333,10 +335,9 @@ def _series_pair(kind, names, xs, ys, min_len):
 def _scatter_svg(xs, ys, title, x_label, y_label, meta, identity=False, zero_line=False):
     width, height = 480, 420
     box = (70, 50, width - 30, height - 70)
-    lo = min(xs.min(), ys.min()) if identity else None
-    hi = max(xs.max(), ys.max()) if identity else None
-    x_scale = _Scale(lo if identity else xs.min(), hi if identity else xs.max(), box[0], box[2])
-    y_scale = _Scale(lo if identity else ys.min(), hi if identity else ys.max(), box[3], box[1])
+    lo, hi = min(xs.min(), ys.min()), max(xs.max(), ys.max())
+    x_scale = _Scale(*((lo, hi) if identity else (xs.min(), xs.max())), box[0], box[2], title)
+    y_scale = _Scale(*((lo, hi) if identity else (ys.min(), ys.max())), box[3], box[1], title)
     canvas = _Canvas(width, height, title, meta)
     _axes(canvas, box, x_scale, y_scale, x_label, y_label)
     if identity:
@@ -387,7 +388,7 @@ def beeswarm_svg(names, points, title, meta=""):
     if phi.size == 0:
         raise DataValidationError("beeswarm: no attribution points")
     limit = max(abs(phi.min()), abs(phi.max()), 1e-12)
-    x_scale = _Scale(-limit, limit, left, width - 90)
+    x_scale = _Scale(-limit, limit, left, width - 90, title)
     # deterministic vertical stacking: points sharing an x-bin of their
     # feature's row fan out, taken by (phi, color, index); x grows with phi,
     # so a bin's points are one run, and a point's level is its place in it.
@@ -437,7 +438,7 @@ def importance_bar_svg(names, totals, title, meta=""):
     left, top = 170, 50
     bottom = top + band * len(names)
     height = bottom + 70
-    x_scale = _Scale(0, totals.max() if totals.max() > 0 else 1.0, left, width - 40)
+    x_scale = _Scale(0, totals.max() if totals.max() > 0 else 1.0, left, width - 40, title)
     canvas = _Canvas(width, height, title, meta)
     for row, (name, total) in enumerate(zip(names, totals)):
         y = top + band * row + 6
@@ -476,8 +477,8 @@ def ice_panel_svg(panels, title, meta=""):
         box = (px + 36, py + 20, px + panel_w, py + panel_h - 26)
         lo = min(curves.min(), pdp.min())
         hi = max(curves.max(), pdp.max())
-        x_scale = _Scale(grid.min(), grid.max(), box[0], box[2])
-        y_scale = _Scale(lo, hi, box[3], box[1])
+        x_scale = _Scale(grid.min(), grid.max(), box[0], box[2], title)
+        y_scale = _Scale(lo, hi, box[3], box[1], title)
         canvas.text(px + panel_w / 2, py + 12, str(name),
                     size=11, anchor="middle", weight="bold")
         canvas.line(box[0], box[3], box[2], box[3])

@@ -84,10 +84,10 @@ into the one that a model holds; `table[i]` is tree i over views of its
 part.  Prediction starts a (trees, rows) matrix of nodes at the roots and
 takes max(depth) steps, each one flat gather of X and one gather of the
 children.  A model file holds the table as it is: `first` and the six
-concatenated columns, which loading type-checks once each and then checks
-as trees in one pass.  TreeSHAP reads leaf boxes from the table level
-by level.  Work on (tree, row) and (row, leaf) arrays goes in blocks of
-at most BLOCK_CELLS cells.
+concatenated columns, which loading reads with `artifacts.json_array`
+and then checks as trees in one pass.  TreeSHAP reads leaf boxes from
+the table level by level.  Work on (tree, row) and (row, leaf) arrays
+goes in blocks of at most BLOCK_CELLS cells.
 """
 
 import math
@@ -96,6 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import json_array
 from .errors import DataValidationError, NumericError
 
 COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
@@ -255,15 +256,17 @@ class NodeTable:
     def from_document(document, feature_count: int) -> "NodeTable":
         """The table of to_document() output; DataValidationError if it is malformed.
 
-        Each column's cells are type-checked once, then one pass over the
-        columns checks every tree as a table of its own.  Only a table that
-        fails is checked again tree by tree, its columns sliced at `first`,
-        so the error names the first malformed tree's first fault.
+        Each column is read by `artifacts.json_array`, then one pass over
+        the columns checks every tree as a table of its own.  Only a table
+        that fails is checked again tree by tree, its columns sliced at
+        `first`, so the error names the first malformed tree's first fault.
         """
         if not isinstance(document, dict) or document.keys() != set(FILE_COLUMNS):
             raise DataValidationError(
                 f"trees must be an object of exactly the columns {sorted(FILE_COLUMNS)}")
-        columns = {name: _as_array(document[name], name) for name in FILE_COLUMNS}
+        columns = {name: json_array(document[name], f"tree column {name!r}",
+                                    integers=name not in ("threshold", "value"))
+                   for name in FILE_COLUMNS}
         first = columns.pop("first")
         n = columns["feature"].size
         if any(column.size != n for column in columns.values()):
@@ -385,27 +388,12 @@ def _joined(arrays, name) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype), *arrays]).astype(dtype, copy=False)
 
 
-def _as_array(values, name) -> np.ndarray:
-    """One column of a `trees` object: a list of ints, or of ints and floats
-    for threshold and value.  bool is refused, although Python makes it an int."""
-    floats = name in ("threshold", "value")
-    if isinstance(values, list) and set(map(type, values)) <= {int, float if floats else int}:
-        try:
-            return np.array(values, dtype=np.float64 if floats else np.int64)
-        except OverflowError:  # an int beyond int64, or beyond float64 for a number
-            pass
-    raise DataValidationError(
-        f"tree column {name!r} must be a list of {'numbers' if floats else 'integers'}")
-
-
 def _checked_table(columns, first, feature_count: int) -> NodeTable:
     """The table of `columns`, whose trees start at `first`, raising if any tree is malformed."""
     feature, left, right = columns["feature"], columns["left"], columns["right"]
     sizes = np.diff(first, append=feature.size)
     tree = np.repeat(np.arange(sizes.size), sizes)  # each node's tree
     offset = first[tree]
-    if not (np.isfinite(columns["threshold"]).all() and np.isfinite(columns["value"]).all()):
-        raise DataValidationError("tree thresholds and values must be finite")
     if feature.size and (feature.min() < -1 or feature.max() >= feature_count):
         raise DataValidationError(f"tree feature index outside -1..{feature_count - 1}")
     if columns["count"].size and columns["count"].min() < 1:

@@ -5,18 +5,18 @@ feature matrix: tree splits depend only on the order of each feature's
 values, so no per-fold transform is fit.  Model streams derive from
 (seed, "fold", i) alone, which makes a refit of the winning cell
 reproduce its recorded score exactly.  Results are what their readers
-take: `cross_val_score` returns the per-fold scores, `grid_search` the
-document body of `cv_<variant>.json`, and `learning_curve` arrays of row
-counts and mean train and validation scores.
+take: `grid_search` returns the document body of `cv_<variant>.json`,
+and `learning_curve` arrays of row counts and mean train and validation
+scores.
 
-`cross_val_score`, `grid_search` (every cell and fold in one call) and
-`learning_curve` hand their fits to `_fold_fits` as a list of tasks.  It
-forks one child per extra CPU in the process's affinity mask (none on
-one CPU, or where `os.fork` is missing), gives each process a contiguous
-share of the tasks of about equal cost, and returns their R^2 values in
-task order.  A task's model depends only on its config, rows and seed,
-so the scores, and every artifact made from them, are the same floats
-for any number of workers; `taskset -c 0` runs every fit in one process.
+`grid_search` (every cell and fold in one call) and `learning_curve`
+hand their fits to `_fold_fits` as a list of tasks.  It forks one child
+per extra CPU in the process's affinity mask (none on one CPU, or where
+`os.fork` is missing), gives each process a contiguous share of the
+tasks of about equal cost, and returns their R^2 values in task order.
+A task's model depends only on its config, rows and seed, so the scores,
+and every artifact made from them, are the same floats for any number of
+workers; `taskset -c 0` runs every fit in one process.
 
 Hyperparameters are plain dicts over `ensemble.PUBLISHED`; each task carries
 the config that `ensemble.variant_config` checked once per grid cell or call.
@@ -226,12 +226,6 @@ def _pickled_error(exc: BaseException) -> bytes:
 def _r_squared_on(data: Dataset, rows, model) -> float:
     """The model's R^2 on data's rows `rows`."""
     return r_squared(data.y[rows], model.predict(data.X[rows]))
-
-
-def cross_val_score(data: Dataset, variant: str, params: dict, k: int, seed: int) -> list:
-    """Per-fold held-out R^2; each fold's model is fit on the other folds."""
-    config = variant_config(variant, params, seed)
-    return _fold_fits(data, variant, _cv_tasks(data.n, [config], k, seed)).tolist()
 
 
 def grid_cells(grid: dict) -> list:

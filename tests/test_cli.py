@@ -118,6 +118,38 @@ class TestIngest:
         assert column in result.output and "non-finite" in result.output
         assert not (out / "dataset.json").exists()
 
+    @pytest.mark.parametrize("height", ["1e300", "1e-200", "5e-160"])
+    def test_bmi_past_float64_exits_5(self, runner, tmp_path, height):
+        # the BMI formula overflows, divides by a height squared to 0, or gives inf
+        bad = _synth_csv_with_cell(tmp_path, 2, "Height", height)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["ingest", str(bad), "--out", str(out)])
+        assert result.exit_code == 5, result.output
+        assert "error: record 1: BMI of height" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (out / "dataset.json").exists()
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_extreme_cells_never_raise(self, runner, tmp_path, data):
+        # finite cells at the edges of float64, where BMI and the summary overflow
+        lines = synth.make_csv_text(n=12, seed=5).splitlines()
+        header = synth.HEADER.split(",")
+        for _ in range(data.draw(st.integers(1, 4))):
+            line = data.draw(st.integers(1, len(lines) - 1))
+            column = data.draw(st.sampled_from(["Age", "Height", "Weight",
+                                                "NumberOfMajorSurgeries"]))
+            row = lines[line].split(",")
+            row[header.index(column)] = data.draw(
+                st.sampled_from(["5e-324", "1e-200", "1e300", "1.7e308"]))
+            lines[line] = ",".join(row)
+        path = tmp_path / "extreme.csv"
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["ingest", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code in (0, 3, 5), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -709,10 +741,10 @@ class TestCorruptModel:
             start, stop = trees["first"][1:3]
             leaf = trees["feature"].index(-1, start, stop)  # a leaf of tree 1
             trees["left"][leaf] = 0  # points away: the last checks
-            trees["threshold"][trees["first"][3]] = 1e400  # inf: an early check, in a later tree
+            trees["count"][trees["first"][3]] = 0  # an early check, in a later tree
         result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
         assert "leaf must point to itself" in result.output
-        assert "finite" not in result.output
+        assert "row counts" not in result.output
 
     @pytest.mark.parametrize("column", ["count", "left", "threshold", "value"])
     @pytest.mark.parametrize("cell", [True, False])
@@ -778,6 +810,51 @@ class TestCorruptGrid:
         )
         assert result.exit_code in (0, 2, 3, 4, 5), result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+class TestBadJsonNumbers:
+    """A NaN or Infinity token, the literal 1e400 (inf to json) or `true`
+    where a number belongs is refused by every JSON input: exit 3, or 2 for
+    --config, with an error line and no traceback."""
+
+    HOLE = "<number>"
+    FILES = {
+        "dataset": ("dataset.json", lambda doc, cell: doc["X"][3].__setitem__(5, cell)),
+        "split": ("split.json", lambda doc, cell: doc["test_rows"].__setitem__(0, cell)),
+        "model": ("model_xgb.json",
+                  lambda doc, cell: doc["trees"]["threshold"].__setitem__(0, cell)),
+    }
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e400", "true"])
+    @pytest.mark.parametrize("role", ["dataset", "split", "model", "grid", "config"])
+    def test_refused(self, runner, workdir, tmp_path, role, token):
+        if role in self.FILES:
+            name, edit = self.FILES[role]
+            doc = json.loads((workdir / name).read_text())
+            edit(doc, self.HOLE)
+        elif role == "grid":
+            doc = {"learning_rate": [self.HOLE], "n_estimators": [2]}
+        else:
+            doc = {"train": {"learning_rate": self.HOLE}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace(json.dumps(self.HOLE), token))
+        dataset, out = str(workdir / "dataset.json"), str(tmp_path / "o")
+        argv = {
+            "dataset": ["train", str(bad), "--model", "gbm", "--n-estimators", "2", "--out", out],
+            "split": ["evaluate", str(workdir / "model_gbm.json"), dataset, "--split", str(bad),
+                      "--out", out],
+            "model": ["evaluate", str(bad), dataset, "--split", str(workdir / "split.json"),
+                      "--out", out],
+            "grid": ["tune", dataset, "--model", "gbm", "--grid", str(bad), "--folds", "2",
+                     "--out", out],
+            "config": ["--config", str(bad), "train", dataset, "--model", "gbm",
+                       "--n-estimators", "2", "--out", out],
+        }[role]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == (2 if role == "config" else 3), result.output
+        assert isinstance(result.exception, SystemExit)
+        assert re.search(r"^(error|Error): ", result.output, re.M), result.output
+        assert "Traceback" not in result.output and not os.path.exists(out)
 
 
 class TestUnreadableFiles:
@@ -956,6 +1033,28 @@ class TestExplain:
         for line in lines:
             phi = [float(v) for v in line.split(",")[1:-1]]
             assert all(v == 0.0 for v in phi)
+
+
+class TestAxisOverflow:
+    def test_ice_span_past_float64_exits_5(self, runner, workdir, tmp_path):
+        # BMI alternates -1e308 and 1e308, so the ICE grid's span is inf
+        doc = json.loads((workdir / "dataset.json").read_text())
+        bmi = doc["feature_names"].index("BMI")
+        for i, row in enumerate(doc["X"]):
+            row[bmi] = 1e308 if i % 2 else -1e308
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["train", str(dataset), "--model", "rf",
+                                      "--n-estimators", "5", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["explain", str(out / "model_rf.json"), str(dataset),
+                                      "--split", str(out / "split.json"), "--mode", "ice",
+                                      "--rows", "3", "--out", str(out)])
+        assert result.exit_code == 5, result.output
+        assert "error: figure 'RandomForest raw ICE curves': an axis from" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (out / "ice_panel_rf.svg").exists()
 
 
 class TestConfigFile:

@@ -41,7 +41,9 @@ from premex import data as data_mod
 from premex import tuning
 from premex.ensemble import PUBLISHED, ForestConfig, fit_forest, load_model, save_model
 from premex.explain import tree_shap
-from premex.tuning import cross_val_score, learning_curve
+from premex.tuning import learning_curve
+
+from cv import cross_val_score
 
 MB = 2**20
 

@@ -236,11 +236,11 @@ class TestLoading:
     def test_first_malformed_tree_names_the_error(self):
         documents = two_stage_documents() * 2
         documents[1] = dict(documents[1], left=[1])  # tree 1: a leaf pointing away
-        documents[3] = dict(documents[3], value=[float("nan")])  # tree 3: checked earlier
+        documents[3] = dict(documents[3], count=[0])  # tree 3: checked earlier
         with pytest.raises(DataValidationError, match="leaf must point to itself"):
             from_dicts(documents, 2)
         documents[1], documents[3] = documents[3], documents[1]
-        with pytest.raises(DataValidationError, match="finite"):
+        with pytest.raises(DataValidationError, match="row counts must be positive"):
             from_dicts(documents, 2)
 
     def test_each_tree_checked_as_a_table_of_its_own(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import reference_report as oracle
 from premex import report as report_mod
 from premex.data import Dataset, group_summary, pearson_correlation, summary_statistics
-from premex.errors import DataValidationError
+from premex.errors import DataValidationError, NumericError
 from premex.report import (
     beeswarm_svg,
     correlation_heatmap_svg,
@@ -137,6 +137,12 @@ class TestShapeChecks:
     def test_bad_shape_rejected(self, draw):
         with pytest.raises(DataValidationError):
             draw()
+
+
+def test_axis_span_past_float64_names_the_figure():
+    panel = ("BMI", "raw", np.array([-1e308, 1e308]), np.zeros((3, 2)))
+    with pytest.raises(NumericError, match="figure 'ICE': an axis from -1e[+]308 to 1e[+]308 overflows"):
+        ice_panel_svg([panel], "ICE")
 
 
 class TestMetaEmbedding:
