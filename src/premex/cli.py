@@ -10,7 +10,8 @@ Each pipeline stage has one implementation (`_ingest`, `_train_one`,
 its command and by `reproduce`, so the one-shot run writes the same
 artifacts as the single commands.  Each figure is one call of its
 `report.<figure>_svg` function with the stage's arrays, a title and the
-SVG meta line.
+SVG meta line.  A stage that draws figures renders every text it writes
+before its first write, so a figure that fails leaves no file of its stage.
 Exit codes: 0 success, 2 usage, 3 data validation, 4 I/O, 5 numeric.
 """
 
@@ -319,6 +320,22 @@ def _evaluate_one(model, dataset, test_ids, seed, out_dir):
     actual = dataset.y[test_ids]
     predicted = model.predict(dataset.X[test_ids])
     report = metrics_mod.evaluate_predictions(VARIANT_NAMES[variant], actual, predicted)
+    name = VARIANT_NAMES[variant]
+    meta = svg_meta_line(seed=seed, config={"variant": variant})
+    texts = {
+        f"metrics_{variant}.csv": report_mod.metrics_table_csv([report], seed=seed),
+        f"residual_scatter_{variant}.svg": report_mod.residual_scatter_svg(
+            predicted, actual - predicted, f"{name} residuals", meta),
+    }
+    try:
+        theoretical, sample = metrics_mod.qq_points(actual, predicted)
+    except NumericError as exc:
+        click.echo(f"warning: skipping Q-Q figure: {exc}", err=True)
+    else:
+        texts[f"qq_{variant}.svg"] = report_mod.qq_svg(
+            theoretical, sample, f"{name} residual Q-Q", meta)
+    texts[f"prediction_error_{variant}.svg"] = report_mod.prediction_error_svg(
+        actual, predicted, f"{name} prediction error", meta)
     write_json_artifact(
         os.path.join(out_dir, f"metrics_{variant}.json"),
         "metrics",
@@ -326,21 +343,8 @@ def _evaluate_one(model, dataset, test_ids, seed, out_dir):
         seed=seed,
         config={"variant": variant},
     )
-    _write(out_dir, f"metrics_{variant}.csv",
-           report_mod.metrics_table_csv([report], seed=seed))
-    name = VARIANT_NAMES[variant]
-    meta = svg_meta_line(seed=seed, config={"variant": variant})
-    _write(out_dir, f"residual_scatter_{variant}.svg", report_mod.residual_scatter_svg(
-        predicted, actual - predicted, f"{name} residuals", meta))
-    try:
-        theoretical, sample = metrics_mod.qq_points(actual, predicted)
-    except NumericError as exc:
-        click.echo(f"warning: skipping Q-Q figure: {exc}", err=True)
-    else:
-        _write(out_dir, f"qq_{variant}.svg", report_mod.qq_svg(
-            theoretical, sample, f"{name} residual Q-Q", meta))
-    _write(out_dir, f"prediction_error_{variant}.svg", report_mod.prediction_error_svg(
-        actual, predicted, f"{name} prediction error", meta))
+    for file_name, text in texts.items():
+        _write(out_dir, file_name, text)
     return report
 
 
@@ -378,17 +382,21 @@ def _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir):
     )
     totals, order = explain_mod.importance(phi)
     ranked = [names[j] for j in order]
-    _write(out_dir, f"shap_values_{variant}.csv",
-           report_mod.shap_values_csv(names, base_value, phi, row_ids, seed=seed))
-    _write(out_dir, f"shap_importance_{variant}.csv",
-           report_mod.importance_csv(names, totals, order, seed=seed))
     name = VARIANT_NAMES[variant]
     meta = svg_meta_line(seed=seed, config={"variant": variant, "rows": len(row_ids)})
-    _write(out_dir, f"beeswarm_{variant}.svg", report_mod.beeswarm_svg(
-        ranked, explain_mod.beeswarm_data(phi, rows, order), f"{name} attribution summary",
-        meta))
-    _write(out_dir, f"importance_{variant}.svg", report_mod.importance_bar_svg(
-        ranked, totals[order], f"{name} feature importance", meta))
+    texts = {
+        f"shap_values_{variant}.csv":
+            report_mod.shap_values_csv(names, base_value, phi, row_ids, seed=seed),
+        f"shap_importance_{variant}.csv":
+            report_mod.importance_csv(names, totals, order, seed=seed),
+        f"beeswarm_{variant}.svg": report_mod.beeswarm_svg(
+            ranked, explain_mod.beeswarm_data(phi, rows, order),
+            f"{name} attribution summary", meta),
+        f"importance_{variant}.svg": report_mod.importance_bar_svg(
+            ranked, totals[order], f"{name} feature importance", meta),
+    }
+    for file_name, text in texts.items():
+        _write(out_dir, file_name, text)
     return ranked
 
 
@@ -419,11 +427,12 @@ def _explain_ice(model, dataset, ids, features, grid_points, centered, derivativ
     if not panels:
         raise NumericError("derivative curves need a grid of at least 2 points; "
                            "each feature asked for is constant among the explained rows")
-    _write(out_dir, f"ice_{variant}.csv",
-           report_mod.ice_long_csv(parts, [int(i) for i in ids], seed=seed))
-    _write(out_dir, f"ice_panel_{variant}.svg", report_mod.ice_panel_svg(
+    csv_text = report_mod.ice_long_csv(parts, [int(i) for i in ids], seed=seed)
+    svg_text = report_mod.ice_panel_svg(
         panels, f"{VARIANT_NAMES[variant]} {kind} ICE curves",
-        svg_meta_line(seed=seed, config={"variant": variant, "kind": kind})))
+        svg_meta_line(seed=seed, config={"variant": variant, "kind": kind}))
+    _write(out_dir, f"ice_{variant}.csv", csv_text)
+    _write(out_dir, f"ice_panel_{variant}.svg", svg_text)
     return len(panels)
 
 

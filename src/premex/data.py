@@ -192,17 +192,17 @@ def derive_features(raw: Dataset) -> Dataset:
     height, weight = (raw.X[:, raw.feature_index(name)] for name in ("Height", "Weight"))
     bad = np.flatnonzero(~(height > 0))
     if bad.size:
-        raise DataValidationError(f"record {bad[0]}: non-positive height")
+        raise DataValidationError(f"row {bad[0] + 1}: non-positive height")
     # Python's float ** 2 calls pow(); numpy's ** 2 squares, which can differ
     # in the last bit, so BMI stays in Python floats
     bmi = []
-    for record, (h, w) in enumerate(zip(height.tolist(), weight.tolist())):
+    for row, (h, w) in enumerate(zip(height.tolist(), weight.tolist()), start=1):
         try:
             bmi.append(w / (h / 100.0) ** 2)
         except (OverflowError, ZeroDivisionError):  # (h / 100) ** 2 overflows or rounds to 0
             bmi.append(math.inf)
         if not math.isfinite(bmi[-1]):
-            raise NumericError(f"record {record}: BMI of height {h} and weight {w} is not finite")
+            raise NumericError(f"row {row}: BMI of height {h} and weight {w} is not finite")
     columns = [np.array(bmi) if name == "BMI" else raw.X[:, raw.feature_index(name)]
                for name in MODEL_FEATURES]
     return Dataset(list(MODEL_FEATURES), np.column_stack(columns), raw.y.copy())

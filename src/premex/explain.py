@@ -220,16 +220,9 @@ def importance(phi):
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks from 1..n with ties sharing their average position."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a run of c equal values ending at sorted position e has mean position e - (c - 1) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def beeswarm_data(phi, rows, order) -> list:

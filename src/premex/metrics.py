@@ -92,43 +92,16 @@ def qq_points(actual, predicted):
     return normal_quantile(ranks), np.sort((residuals - residuals.mean()) / spread)
 
 
-# Inverse normal CDF: Acklam's rational approximation, peak relative
-# error about 1.2e-9 over (0, 1).  Local so the Q-Q plot needs no scipy.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
 def normal_quantile(p):
-    """Standard normal inverse CDF, elementwise over (0, 1)."""
+    """Standard normal inverse CDF, elementwise over (0, 1): the standard
+    library's `NormalDist.inv_cdf`, Wichura's AS241 (relative error near
+    1e-16)."""
+    from statistics import NormalDist  # loaded only by commands that draw a Q-Q plot
+
     p = np.asarray(p, dtype=np.float64)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise NumericError("normal quantile requires probabilities strictly in (0, 1)")
-    out = np.empty_like(p)
-
-    tail = (p < _P_LOW) | (p > 1.0 - _P_LOW)
-    mid = ~tail
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        out[mid] = num * q / den
-    if np.any(tail):
-        # the lower tail's formula at min(p, 1 - p), negated for the upper tail
-        pt = p[tail]
-        q = np.sqrt(-2.0 * np.log(np.minimum(pt, 1.0 - pt)))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        out[tail] = np.where(pt < 0.5, num / den, -num / den)
-
-    return float(out[0]) if scalar else out
+    inv_cdf = NormalDist().inv_cdf
+    if p.ndim == 0:
+        return inv_cdf(float(p))
+    return np.array([inv_cdf(x) for x in p.ravel().tolist()]).reshape(p.shape)

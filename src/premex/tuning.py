@@ -69,14 +69,8 @@ def kfold_indices(n: int, k: int, seed: int) -> list:
         raise DataValidationError(
             f"cannot split {n} rows into {k} folds of at least 2 rows; need 2..{n // 2} folds"
         )
-    permutation = stream(seed, "kfold").permutation(n)
-    base, extra = divmod(n, k)
-    folds, start = [], 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(np.sort(permutation[start : start + size]))
-        start += size
-    return folds
+    # array_split gives the first n % k parts one row more
+    return list(map(np.sort, np.array_split(stream(seed, "kfold").permutation(n), k)))
 
 
 def _fold_subsets(n: int, fractions, k: int, seed: int):

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 import premex.data as data_mod
 import premex.ensemble as ensemble_mod
 import premex.metrics as metrics_mod
+import premex.report as report_mod
 import premex.tuning as tuning_mod
 from premex.artifacts import config_hash
 from premex.cli import EXIT_VALIDATION, guarded, main
+from premex.errors import NumericError
 from premex.explain import shap_exact
 from premex.metrics import r_squared
 
@@ -125,7 +127,7 @@ class TestIngest:
         out = tmp_path / "o"
         result = runner.invoke(main, ["ingest", str(bad), "--out", str(out)])
         assert result.exit_code == 5, result.output
-        assert "error: record 1: BMI of height" in result.output
+        assert "error: row 2: BMI of height" in result.output
         assert isinstance(result.exception, SystemExit)
         assert not (out / "dataset.json").exists()
 
@@ -1055,6 +1057,33 @@ class TestAxisOverflow:
         assert "error: figure 'RandomForest raw ICE curves': an axis from" in result.output
         assert isinstance(result.exception, SystemExit)
         assert not (out / "ice_panel_rf.svg").exists()
+        assert not (out / "ice_rf.csv").exists()
+
+    @pytest.mark.parametrize("figure, command, stage_files", [
+        ("beeswarm_svg", ["explain", "--mode", "shap", "--rows", "4"],
+         ["shap_values_rf.csv", "shap_importance_rf.csv", "beeswarm_rf.svg",
+          "importance_rf.svg"]),
+        ("prediction_error_svg", ["evaluate"],
+         ["metrics_rf.json", "metrics_rf.csv", "residual_scatter_rf.svg", "qq_rf.svg",
+          "prediction_error_rf.svg"]),
+    ])
+    def test_failed_figure_leaves_no_file_of_its_stage(self, runner, workdir, tmp_path,
+                                                       monkeypatch, figure, command,
+                                                       stage_files):
+        def fail(*args, **kwargs):
+            raise NumericError("figure failed")
+
+        monkeypatch.setattr(report_mod, figure, fail)
+        out = tmp_path / "o"
+        result = runner.invoke(main, [command[0], str(workdir / "model_rf.json"),
+                                      str(workdir / "dataset.json"),
+                                      "--split", str(workdir / "split.json"), *command[1:],
+                                      "--out", str(out)])
+        assert result.exit_code == 5, result.output
+        assert "error: figure failed" in result.output
+        for name in stage_files:
+            assert not (out / name).exists(), name
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestConfigFile:

@@ -7,6 +7,7 @@ from premex.data import derive_features, load_csv
 from premex.ensemble import BoostConfig, fit_gbm
 from premex.errors import DataValidationError, NumericError
 from premex.explain import (
+    _average_ranks,
     beeswarm_data,
     center_ice,
     derivative_ice,
@@ -186,6 +187,22 @@ class TestBeeswarm:
         _, order = importance(phi)
         _, colors = beeswarm_data(phi, rows, order)[order.index(2)]
         assert len(np.unique(colors)) == 2
+
+
+class TestAverageRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-3, 3).map(float), max_size=30),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30),
+        st.lists(st.sampled_from([-0.0, 0.0, 1.0]), max_size=30),
+    ))
+    def test_rank_is_the_mean_sorted_position_of_equal_values(self, values):
+        ranks = _average_ranks(np.array(values, dtype=np.float64))
+        assert ranks.dtype == np.float64 and ranks.shape == (len(values),)
+        ordered = sorted(values)
+        for value, rank in zip(values, ranks.tolist()):
+            positions = [i + 1 for i, v in enumerate(ordered) if v == value]
+            assert rank == sum(positions) / len(positions)
 
 
 class TestIceCurves:

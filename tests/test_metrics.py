@@ -1,5 +1,6 @@
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -179,7 +180,20 @@ class TestNormalQuantile:
         reference = scipy_stats.norm.ppf(p)
         mask = np.abs(reference) > 1e-8
         rel = np.abs(ours[mask] - reference[mask]) / np.abs(reference[mask])
-        assert rel.max() < 1e-8
+        assert rel.max() < 1e-12
+
+    def test_inverts_the_normal_cdf(self):
+        p = np.linspace(1e-6, 1 - 1e-6, 2001)
+        cdf = NormalDist().cdf
+        q = normal_quantile(p)
+        assert max(abs(cdf(x) - target) for x, target in zip(q.tolist(), p.tolist())) <= 1e-15
+
+    def test_scalar_gives_float_and_array_gives_array(self):
+        assert type(normal_quantile(0.25)) is float
+        assert type(normal_quantile(np.float64(0.25))) is float
+        out = normal_quantile(np.full((2, 3), 0.25))
+        assert out.dtype == np.float64 and out.shape == (2, 3)
+        assert np.all(out == normal_quantile(0.25))
 
     def test_known_points(self):
         assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-9)

@@ -55,6 +55,21 @@ class TestKfold:
         with pytest.raises(DataValidationError):
             kfold_indices(5, 1, seed=0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_folds_are_sorted_consecutive_slices_of_the_permutation(self, data):
+        n = data.draw(st.integers(4, 400))
+        k = data.draw(st.integers(2, min(12, n // 2)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        permutation = stream(seed, "kfold").permutation(n)
+        folds = kfold_indices(n, k, seed)
+        assert len(folds) == k
+        start = 0
+        for i, fold in enumerate(folds):
+            size = n // k + (i < n % k)
+            assert np.array_equal(fold, np.sort(permutation[start : start + size]))
+            start += size
+
     def test_folds_below_two_rows_rejected(self):
         # 3 folds of 5 rows leave a 1-row validation fold, where R^2 is undefined
         with pytest.raises(DataValidationError, match="2 rows"):
