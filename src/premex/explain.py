@@ -12,10 +12,12 @@ adds (a-1)!·b!/(a+b)! to each x-only feature and -a!·(b-1)!/(a+b)! to
 each z-only feature (Lundberg et al. 2020, arXiv 1905.04610; Laberge &
 Pequignot 2022, arXiv 2209.15123).  Background rows are grouped per leaf
 by the features they meet, so the cost per tree is explained rows times
-(leaf, mask) groups, with no model evaluation.  The leaf boxes, masks and
-groups of a block of trees are found at once, level by level and with one
-`np.unique`; each tree's sums are still formed alone and added in tree
-order, so the results do not depend on the blocks.
+(leaf, mask) groups, with no model evaluation.  The masks of a block of
+trees come from one descent of the background and explained rows through
+the node table, level by level (`NodeTable.leaf_masks`), and the groups
+from sorting each leaf's background masks; each tree's sums are still
+formed alone and added in tree order, so the results do not depend on
+the blocks.
 
 `shap_exact` works against a bare prediction function (matrix in, vector
 out) and enumerates all 2^p coalitions, 2^p x |background| model rows per
@@ -112,20 +114,6 @@ def _leaf_weights(p: int):
     return plus, minus
 
 
-def _leaf_masks(X, lo, hi) -> np.ndarray:
-    """Per row and leaf, the bitmask of the features whose leaf condition the row meets."""
-    shape = (X.shape[0], lo.shape[0])
-    masks = np.zeros(shape, dtype=np.uint32)
-    met, below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    for j, (lo_j, hi_j) in enumerate(zip(np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T))):
-        column = X[:, j : j + 1]
-        np.less(lo_j, column, out=met)
-        np.less_equal(column, hi_j, out=below)
-        met &= below
-        masks |= met.astype(np.uint32) << np.uint32(j)
-    return masks
-
-
 def tree_shap(table, scale: float, offset: float, rows, background):
     """shap_exact's (base value, φ) for the model offset + scale * sum(trees),
     the trees of `table` (a tree.NodeTable).
@@ -138,10 +126,17 @@ def tree_shap(table, scale: float, offset: float, rows, background):
     prediction over the background: the groups whose rows meet every
     feature, i.e. reach the leaf.
 
-    The trees are taken in blocks whose leaves times background rows fit
-    BLOCK_CELLS, and the explained rows in blocks whose rows times groups
-    do.  Every tree's sums are still formed on their own and added in tree
-    order, so φ and the base value do not depend on the blocks.
+    The trees are taken in blocks whose leaves times background and
+    explained rows fit BLOCK_CELLS.  A block's masks come from
+    NodeTable.leaf_masks, which descends rows in chunks of BLOCK_CELLS //
+    leaves: one descent takes the whole background and the explained rows
+    that fill its last chunk, and each later chunk of explained rows is
+    descended, used and dropped.  Each leaf's background masks are sorted,
+    and a group starts where the mask changes, so the groups come in
+    (leaf, mask) order.  The explained rows meet the groups in blocks whose
+    rows times groups fit BLOCK_CELLS.  Every tree's sums are still formed
+    on their own and added in tree order, so φ and the base value do not
+    depend on the blocks.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     n, p = rows.shape
@@ -156,16 +151,17 @@ def tree_shap(table, scale: float, offset: float, rows, background):
     if not (np.isfinite(rows).all() and np.isfinite(B).all()):
         raise DataValidationError("explained and background rows must be finite (no NaN or inf)")
 
+    nb = B.shape[0]
     everything = (1 << p) - 1
     plus, minus = _leaf_weights(p)
     phi = np.zeros((n, p))
     base_value = 0.0
-    for start, stop in table.tree_blocks(B.shape[0]):
-        leaves, lo, hi = table.leaf_boxes(start, stop)
-        keys = (np.arange(leaves.size, dtype=np.int64) << p) | _leaf_masks(B, lo, hi)
-        keys, counts = np.unique(keys, return_counts=True)
-        leaf, z_mask = keys >> p, (keys & everything).astype(np.uint32)
-        weight = scale * table.value[leaves[leaf]] * counts / B.shape[0]
+    for start, stop, n_leaves in table.tree_blocks(nb + n):
+        chunk = max(1, BLOCK_CELLS // n_leaves)
+        fill = min(n, -nb % chunk)  # the explained rows that fill the background's last chunk
+        leaves, masks = table.leaf_masks(start, stop, np.concatenate([B, rows[:fill]]))
+        leaf, z_mask, counts = _background_groups(masks[:, :nb])
+        weight = scale * table.value[leaves[leaf]] * counts / nb
         # each group's tree, counted from the block's first
         tree = np.searchsorted(table.first, leaves[leaf], side="right") - 1 - start
         # per tree, in tree order: its groups whose rows reach the leaf
@@ -175,35 +171,59 @@ def tree_shap(table, scale: float, offset: float, rows, background):
             base_value += float(part.sum())
 
         step = max(1, BLOCK_CELLS // leaf.size)
-        for r in range(0, n, step):
-            _add_tree_shap(phi[r : r + step], _leaf_masks(rows[r : r + step], lo, hi)[:, leaf],
-                           z_mask, weight, tree, stop - start, plus, minus)
+        x_masks, at = masks[:, nb:].copy(), 0
+        del masks  # the background's are grouped: hold only the explained rows' masks
+        while True:
+            for r in range(0, x_masks.shape[1], step):
+                part = x_masks[:, r : r + step]
+                _add_tree_shap(phi[at + r : at + r + part.shape[1]], part[leaf], z_mask, weight,
+                               tree, stop - start, plus, minus)
+            at += x_masks.shape[1]
+            if at == n:
+                break
+            x_masks = table.leaf_masks(start, stop, rows[at : at + chunk])[1]
     return offset + base_value, phi
+
+
+def _background_groups(masks):
+    """(leaf, z_mask, count) of the (leaf, mask) groups of the background
+    rows' (leaves, rows) masks, in (leaf, mask) order, as np.unique of the
+    (leaf, mask) pairs gives them: each leaf's masks are sorted, and a
+    group starts where the mask changes or a leaf begins."""
+    nb = masks.shape[1]
+    z = np.sort(masks, axis=1).reshape(-1)
+    new = np.empty(z.size, dtype=bool)
+    new[0], new[1:] = True, z[1:] != z[:-1]
+    new[::nb] = True
+    starts = np.flatnonzero(new)
+    return starts // nb, z[starts], np.diff(starts, append=z.size)
 
 
 def _add_tree_shap(phi, x_mask, z_mask, weight, tree, n_trees, plus, minus) -> None:
     """Add each tree's φ for the explained rows of x_mask to phi, tree by tree.
 
-    x_mask is per explained row and group, z_mask, weight and tree per
+    x_mask is per group and explained row, z_mask, weight and tree per
     group.  For each (tree, row) a bincount sums the gains (and, apart,
     the losses) of the row's live groups in group order, as a bincount
     over that tree alone would.
     """
     n, p = phi.shape
     everything = (1 << p) - 1
-    # the live (explained row, group) entries: each feature met by either row
-    row, group = np.nonzero((x_mask | z_mask) == everything)
-    x_mask, z_mask = x_mask[row, group], z_mask[group]
+    # the live (group, explained row) entries: each feature met by either row
+    live = np.flatnonzero((x_mask | z_mask[:, None]) == everything)
+    group, row = np.divmod(live, n)
+    x_mask, z_mask = x_mask.reshape(-1).take(live), z_mask.take(group)
     x_only, z_only = x_mask & ~z_mask, z_mask & ~x_mask
     a, b = np.bitwise_count(x_only), np.bitwise_count(z_only)
-    gain, loss = plus[a, b] * weight[group], minus[a, b] * weight[group]
-    key = tree[group] * n + row
+    weight = weight.take(group)
+    gain, loss = plus[a, b] * weight, minus[a, b] * weight
+    key = tree.take(group) * n + row
     sums = np.zeros((n_trees, 2, n, p))
     for j in range(p):
         bit = 1 << j
         for side, (only, amount) in enumerate(((x_only, gain), (z_only, loss))):
-            take = (only & bit) != 0
-            sums[:, side, :, j] = np.bincount(key[take], weights=amount[take],
+            take = np.flatnonzero(only & bit)
+            sums[:, side, :, j] = np.bincount(key.take(take), weights=amount.take(take),
                                               minlength=n_trees * n).reshape(n_trees, n)
     for tree_sums in sums.reshape(-1, n, p):
         phi += tree_sums

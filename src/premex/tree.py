@@ -85,9 +85,10 @@ part.  Prediction starts a (trees, rows) matrix of nodes at the roots and
 takes max(depth) steps, each one flat gather of X and one gather of the
 children.  A model file holds the table as it is: `first` and the six
 concatenated columns, which loading reads with `artifacts.json_array`
-and then checks as trees in one pass.  TreeSHAP reads leaf boxes from
-the table level by level.  Work on (tree, row) and (row, leaf) arrays
-goes in blocks of at most BLOCK_CELLS cells.
+and then checks as trees in one pass.  TreeSHAP's leaf masks come from
+the same level-by-level descent, each node holding a feature mask per row
+in place of each row holding a node (`leaf_masks`).  Work on (tree, row)
+and (leaf, row) arrays goes in blocks of at most BLOCK_CELLS cells.
 """
 
 import math
@@ -110,13 +111,14 @@ FILE_COLUMNS = ("first", *COLUMNS)  # a model file's `trees` object
 # above 3000, tests/test_memory.py's forest and learning-curve bounds fail.
 CHUNK_ROWS = 3000
 
-# The most (tree, row) or (row, leaf) cells that one block of prediction
+# The most (tree, row) or (leaf, row) cells that one block of prediction
 # or TreeSHAP works on at once (NodeTable.add_predictions,
-# explain.tree_shap).  The published 220-tree forest predicts 7400 rows at
-# a peak of 1.4, 2.0 and 3.3 MB with 2^14, 2^15 and 2^16 cells.  The
-# explain workload's timed commands took 152 and 154 ms (best of 20; 2
-# cores, numpy 2.4.6) with 2^15 and 2^16, and one explain iteration peaked
-# at 45.2 and 45.6 MB RSS.  A level of growth whose padded (feature, node,
+# NodeTable.leaf_masks, explain.tree_shap).  The published 220-tree forest
+# predicts 7400 rows at a peak of 1.4, 2.0 and 3.3 MB with 2^14, 2^15 and
+# 2^16 cells.  The explain workload's timed commands took 94 and 98 ms
+# (best of 20 iterations, medians 138 and 144 ms; 2 shared cores, numpy
+# 2.4.6) with 2^15 and 2^16, and an explain iteration peaked at a median
+# of 45.4 and 45.9 MB RSS.  A level of growth whose padded (feature, node,
 # width) block fits in BLOCK_CELLS cells is also scored in one block
 # (_blocks): a 50-stage xgb fit on 740 rows then makes 269 _score calls for
 # its 250 levels, where splitting every uneven level made 402, and grows
@@ -287,8 +289,9 @@ class NodeTable:
         return {name: getattr(self, name).tolist() for name in FILE_COLUMNS}
 
     def tree_blocks(self, rows: int) -> list:
-        """(start, stop) runs of consecutive trees whose leaves times `rows`
-        are at most BLOCK_CELLS; a run holds at least one tree."""
+        """(start, stop, leaves) runs of consecutive trees and their leaf
+        count, whose leaves times `rows` are at most BLOCK_CELLS; a run
+        holds at least one tree."""
         leaves = np.flatnonzero(self.feature < 0)
         counts = np.bincount(np.searchsorted(self.first, leaves, side="right") - 1,
                              minlength=len(self))
@@ -299,7 +302,7 @@ class NodeTable:
                 cells = 0
             cells += tree_cells
         bounds.append(len(self))
-        return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        return [(a, b, int(counts[a:b].sum())) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
     def add_predictions(self, X, out, scale=None, n_trees=None) -> None:
         """Add the predictions of the first n_trees trees (all if None) for the
@@ -341,35 +344,52 @@ class NodeTable:
             for tree_values in values:
                 part += tree_values
 
-    def leaf_boxes(self, start: int, stop: int):
-        """(leaf ids, lo, hi) of trees start..stop-1: a row reaches leaf k iff
-        lo[k] < row <= hi[k] on every feature.
+    def leaf_masks(self, start: int, stop: int, X):
+        """(leaf ids, masks) of trees start..stop-1 for the finite rows of X:
+        masks[k, i] has bit j set iff row i meets every condition on
+        feature j of the path to leaf k.
 
-        Leaf ids are into the whole table, in order.  The boxes are built
-        one level of every tree at a time, parents before children.
+        Leaf ids are into the whole table, in order, and masks is a
+        (leaves, rows) uint32 array.  The roots start with every bit set,
+        and all trees descend one level at a time: a left child keeps its
+        parent's mask less the split feature's bit for the rows with
+        x > threshold, a right child less it for the rows with
+        x <= threshold.  A leaf's box is its path's tightest condition on
+        each feature, so these are the masks of the leaf boxes, lo < x <= hi.
+        Rows descend in chunks of at most BLOCK_CELLS // leaves, so only
+        one level's masks of one chunk are held besides the result.
         """
         base = int(self.first[start]) if start < len(self) else self.feature.size
         end = int(self.first[stop]) if stop < len(self) else self.feature.size
-        lo = np.full((end - base, self.feature_count), -np.inf)
-        hi = np.full((end - base, self.feature_count), np.inf)
-        # nodes as rows of lo and hi, each with its tree's first row
-        level = offset = self.first[start:stop] - base
+        leaves = np.flatnonzero(self.feature[base:end] < 0)
+        slot = np.empty(end - base, dtype=np.int64)  # each leaf's row of masks
+        slot[leaves] = np.arange(leaves.size)
+        masks = np.empty((leaves.size, X.shape[0]), dtype=np.uint32)
+        columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+        # per level of every tree, found once for all chunks: which of its
+        # nodes split, the slots of its leaves, and each split's feature
+        # bit, feature and threshold
+        levels = []
+        level = offset = self.first[start:stop] - base  # offsets from base, and their trees'
         while level.size:
             split = self.feature[base + level] >= 0
-            level, offset = level[split], offset[split]
-            f, t = self.feature[base + level], self.threshold[base + level]
-            left = offset + self.left[base + level]
-            right = offset + self.right[base + level]
-            lo[left] = lo[right] = lo[level]
-            hi[left] = hi[right] = hi[level]
-            # as min(hi, t) and max(lo, t): the bound stays unless t is tighter
-            bound = hi[level, f]
-            hi[left, f] = np.where(t < bound, t, bound)
-            bound = lo[level, f]
-            lo[right, f] = np.where(t > bound, t, bound)
-            level, offset = np.concatenate([left, right]), np.concatenate([offset, offset])
-        leaves = np.flatnonzero(self.feature[base:end] < 0)
-        return base + leaves, lo[leaves], hi[leaves]
+            node, offset = base + level[split], offset[split]
+            f = self.feature[node]
+            bit = (np.uint32(1) << f.astype(np.uint32))[:, None]
+            levels.append((split, slot[level[~split]], bit, f, self.threshold[node][:, None]))
+            level = np.concatenate([offset + self.left[node], offset + self.right[node]])
+            offset = np.concatenate([offset, offset])
+        everything = np.uint32((1 << self.feature_count) - 1)
+        step = max(1, BLOCK_CELLS // leaves.size)
+        for lo in range(0, X.shape[0], step):
+            chunk = columns[:, lo:lo + step]
+            level_masks = np.full((stop - start, chunk.shape[1]), everything)
+            for split, leaf_slots, bit, f, t in levels:
+                masks[leaf_slots, lo:lo + step] = level_masks[~split]
+                parent = level_masks[split]
+                above = (chunk[f] > t) * bit
+                level_masks = np.concatenate([parent & ~above, parent & ~(above ^ bit)])
+        return base + leaves, masks
 
 
 class RegressionTree(NodeTable):

@@ -2,8 +2,10 @@
 
 Each tree walks its own node table here, one tree after another (a
 model's one-tree views table[t]), as the ensembles did before their trees
-shared one table.  Tests require the whole table to give the same
-predictions, leaf boxes, base value and φ as these, bit for bit.
+shared one table.  A row's leaf masks come from comparing it with each
+leaf's box, and the background is grouped with np.unique.  Tests require
+the whole table to give the same predictions, leaf masks, base value and
+φ as these, bit for bit.
 """
 
 import numpy as np

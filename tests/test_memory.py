@@ -17,11 +17,15 @@ process, and forked workers would each fit a share of the models out of
 its sight.
 
 An ensemble's table predicts and explains in blocks of at most
-`tree.BLOCK_CELLS` (tree, row) or (row, leaf) cells.  The published
+`tree.BLOCK_CELLS` (tree, row) or (leaf, row) cells.  The published
 220-tree forest predicts 7,400 rows (the uncapped `reproduce`'s ICE rows)
-at a peak of 2.0 MB (3.3 MB with twice the cells), and its TreeSHAP of 10
-rows against a 740-row background peaks at 1.4 MB, where each block is one
-tree.  With all trees and rows in one block they peak at 41 and 264 MB.
+at a peak of 2.0 MB (3.3 MB with twice the cells).  Its TreeSHAP of 10
+and of all 740 rows against the 740-row background peaks at 0.87 and
+1.14 MB: each block is one tree, and its rows descend in chunks of
+BLOCK_CELLS // leaves.  Descending each block's rows in one chunk peaks at
+1.38 and 2.93 MB, so only the 740-row test fails that change.  With all
+trees and rows in one block, prediction peaks at 41 MB and the TreeSHAP
+of 10 rows at 229 MB.
 
 The model file holds the table's columns whole.  Saving the published
 forest (40,892 nodes, 2.0 MB of JSON) peaks at 8.4 MB, and loading it at
@@ -103,6 +107,14 @@ def test_published_forest_tree_shap(rows740, published_forest):
     scale = 1.0 / len(published_forest.trees)
     assert peak_bytes(lambda: tree_shap(
         published_forest.trees, scale, 0.0, rows740.X[:10], rows740.X)) < 1.76 * MB
+
+
+def test_published_forest_tree_shap_740_rows(rows740, published_forest):
+    # every row explained: a block's explained rows descend in chunks, so
+    # the peak does not grow with their number
+    scale = 1.0 / len(published_forest.trees)
+    assert peak_bytes(lambda: tree_shap(
+        published_forest.trees, scale, 0.0, rows740.X, rows740.X)) < 1.76 * MB
 
 
 def test_published_forest_save(published_forest, tmp_path):

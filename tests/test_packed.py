@@ -1,10 +1,13 @@
 """One node table per ensemble, against one tree at a time.
 
-`tree.NodeTable` holds an ensemble's trees; prediction, leaf boxes and
+`tree.NodeTable` holds an ensemble's trees; prediction, leaf masks and
 TreeSHAP run over all trees at once, in blocks of at most `BLOCK_CELLS`
 cells.  Every result must equal, bit for bit, the tree-at-a-time oracles
 of `tests/reference_predict.py`, which walk the table's one-tree views
-table[t], whatever the block size.
+table[t], whatever the block size.  The leaf masks come from one descent
+of the rows through the table; the oracle compares each row with each
+leaf's box, and TreeSHAP's oracle groups the background with np.unique
+where TreeSHAP sorts each leaf's masks.
 """
 
 import json
@@ -161,25 +164,26 @@ class TestPrediction:
         assert_same_bits(model.predict(X), expected)
 
 
-class TestLeafBoxes:
+class TestLeafMasks:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_random_trees_equal_tree_at_a_time(self, data):
+    def test_random_trees_equal_the_box_masks(self, data):
         p, table = random_ensemble(data)
         trees = list(table)
-        expected = [oracle.leaf_boxes(tree, p) for tree in trees]
-        for t, (leaves, lo, hi) in enumerate(expected):
-            got = table.leaf_boxes(t, t + 1)
-            assert np.array_equal(got[0], leaves + table.first[t])
-            assert_same_bits(got[1], lo)
-            assert_same_bits(got[2], hi)
+        X = random_matrix(data, p, 30)
         start = data.draw(st.integers(0, len(trees) - 1))
         stop = data.draw(st.integers(start + 1, len(trees)))
-        leaves, lo, hi = table.leaf_boxes(start, stop)
-        assert np.array_equal(leaves, np.concatenate(
-            [expected[t][0] + table.first[t] for t in range(start, stop)]))
-        assert_same_bits(lo, np.concatenate([expected[t][1] for t in range(start, stop)]))
-        assert_same_bits(hi, np.concatenate([expected[t][2] for t in range(start, stop)]))
+        block = data.draw(st.sampled_from([1, 7, 100, tree_mod.BLOCK_CELLS]))
+        with mock.patch.object(tree_mod, "BLOCK_CELLS", block):
+            leaves, masks = table.leaf_masks(start, stop, X)
+        expected_leaves, expected_masks = [], []
+        for t in range(start, stop):
+            tree_leaves, lo, hi = oracle.leaf_boxes(trees[t], p)
+            expected_leaves.append(tree_leaves + table.first[t])
+            expected_masks.append(oracle._leaf_masks(X, lo, hi).T)
+        assert np.array_equal(leaves, np.concatenate(expected_leaves))
+        assert masks.dtype == np.uint32 and masks.shape == (leaves.size, X.shape[0])
+        assert np.array_equal(masks.astype(np.int64), np.concatenate(expected_masks))
 
 
 class TestTreeShap:
@@ -213,6 +217,16 @@ class TestTreeShap:
         expected = oracle.tree_shap(model.trees, scale, offset, rows, background)
         assert_same_bits(got[0], expected[0])
         assert_same_bits(got[1], expected[1])
+
+    def test_one_descent_per_block_at_the_explain_size(self, synth_dataset):
+        # the explain workload's 22-tree forest, 20 explained rows, 50 background rows
+        model = fit_variant("rf", synth_dataset, {"n_estimators": 22}, 3)
+        table = model.trees
+        rows, background = synth_dataset.X[50:70], synth_dataset.X[:50]
+        with mock.patch.object(table, "leaf_masks", wraps=table.leaf_masks) as leaf_masks:
+            explain_mod.tree_shap(table, 1.0 / len(table), 0.0, rows, background)
+        blocks = table.tree_blocks(70)
+        assert len(blocks) > 1 and leaf_masks.call_count == len(blocks)
 
 
 def two_stage_documents():
