@@ -408,10 +408,10 @@ def _explain_ice(model, dataset, ids, features, grid_points, centered, derivativ
     kind = "derivative" if derivative else ("centered" if centered else "raw")
     panels = []
     parts = []  # (name, kind, grid, curves) of the CSV
-    for name in features:
-        grid, curves = explain_mod.ice_curves(
-            model.predict, dataset.X[ids], dataset.feature_index(name), n_points=grid_points
-        )
+    sweeps = explain_mod.ice_curves(model.predict, dataset.X[ids],
+                                    [dataset.feature_index(name) for name in features],
+                                    n_points=grid_points)
+    for name, (grid, curves) in zip(features, sweeps):
         if derivative and grid.size < 2:
             click.echo(f"warning: skipping {name}: its grid has one point, "
                        "so it has no derivative", err=True)

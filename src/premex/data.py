@@ -323,17 +323,19 @@ def split_from_json(path, n: int) -> SplitIndices:
     row ids in 0..n-1, and meta.seed an integer; else DataValidationError.
     """
     document = read_json_artifact(path, "split")
-    rows = {}
+    rows, used = {}, np.zeros(n, dtype=np.int64)  # how many of the lists hold each row
     for key in ("train_rows", "test_rows"):
         ids = json_array(document.get(key), f"{path}: {key}", integers=True)
         if not ids.size or ids.min() < 0 or ids.max() >= n:
             raise DataValidationError(
                 f"{path}: {key} must be a non-empty list of row ids in 0..{n - 1}"
             )
-        if np.unique(ids).size != ids.size:
+        held = np.bincount(ids, minlength=n)
+        if held.max() > 1:
             raise DataValidationError(f"{path}: {key} repeats a row id")
+        used += held
         rows[key] = ids
-    if np.intersect1d(rows["train_rows"], rows["test_rows"]).size:
+    if used.max() > 1:
         raise DataValidationError(f"{path}: train_rows and test_rows share a row id")
     seed = document["meta"].get("seed")
     if type(seed) is not int:

@@ -14,8 +14,11 @@ file held: len(model.trees) counts its trees and model.trees[i] is tree
 i.  Prediction descends all trees at once, one gather per level, and adds
 their leaf values in tree order, so it gives the bits a loop over the
 trees gives.  A model file holds `variant`, `config`, `feature_names`,
-`trees` (the table's own columns, as NodeTable.to_document writes and
-NodeTable.from_document checks them) and a boosted model's `base_score`.
+`trees` and a boosted model's `base_score`.  `trees` holds each node's
+facts once, as NodeTable.to_document writes them: the table's `first`,
+`feature` and `count`, the split nodes' thresholds and the leaves' values.
+It holds no child ids: NodeTable.from_document derives the growth-order
+children and checks the trees.
 
 `PUBLISHED` is the one home of the published best hyperparameters;
 `variant_config` lays a parameter dict over them.  Each model config is

@@ -25,8 +25,9 @@ explained row.  It is the model-agnostic oracle the tests hold
 `tree_shap` to.  Both take the background as a matrix and return
 (base value, φ), φ an explained rows x p array; `importance` ranks the
 features by sum of |φ|.  ICE curves also take a bare prediction function:
-`ice_curves` returns (grid, curves), one row of curves per explained row,
-and `center_ice` and `derivative_ice` map curves to curves.
+`ice_curves` returns (grid, curves) per feature, one row of curves per
+explained row, from one prediction call for all the features; `center_ice`
+and `derivative_ice` map curves to curves.
 """
 
 import math
@@ -267,21 +268,31 @@ def make_grid(column: np.ndarray, n_points: int = 30, max_distinct: int = 10) ->
     return np.linspace(column.min(), column.max(), n_points)
 
 
-def ice_curves(predict_fn, rows, feature_index: int, grid=None, n_points: int = 30):
-    """(grid, curves): raw ICE curves, one prediction trace per row (a
-    rows x grid points array) as one feature sweeps the grid."""
+def ice_curves(predict_fn, rows, features, grids=None, n_points: int = 30) -> list:
+    """[(grid, curves)] per feature index in the list `features`: raw ICE
+    curves, one prediction trace per row (a rows x grid points array) as
+    that feature sweeps its grid, its make_grid unless `grids` gives each.
+
+    Every feature's swept rows go to one prediction call: block g of a
+    feature's part holds every row at its grid[g].
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if not 0 <= feature_index < rows.shape[1]:
-        raise DataValidationError(f"feature index {feature_index} out of range")
-    if grid is None:
-        grid = make_grid(rows[:, feature_index], n_points=n_points)
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise DataValidationError("empty evaluation grid")
-    # all grid points in one prediction call: block g holds every row at grid[g]
-    swept = np.tile(rows, (grid.size, 1))
-    swept[:, feature_index] = np.repeat(grid, rows.shape[0])
-    return grid, np.ascontiguousarray(predict_fn(swept).reshape(grid.size, rows.shape[0]).T)
+    for j in features:
+        if not 0 <= j < rows.shape[1]:
+            raise DataValidationError(f"feature index {j} out of range")
+    if grids is None:
+        grids = [make_grid(rows[:, j], n_points=n_points) for j in features]
+    grids = [np.asarray(grid, dtype=np.float64) for grid in grids]
+    if len(grids) != len(features) or any(grid.size == 0 for grid in grids):
+        raise DataValidationError("each feature needs a non-empty evaluation grid")
+    n, points = rows.shape[0], [grid.size for grid in grids]
+    bounds = n * np.cumsum([0, *points])
+    swept = np.tile(rows, (sum(points), 1))
+    for j, grid, lo, hi in zip(features, grids, bounds, bounds[1:]):
+        swept[lo:hi, j] = np.repeat(grid, n)
+    predictions = predict_fn(swept)
+    return [(grid, np.ascontiguousarray(predictions[lo:hi].reshape(grid.size, n).T))
+            for grid, lo, hi in zip(grids, bounds, bounds[1:])]
 
 
 def center_ice(curves):

@@ -68,10 +68,8 @@ TreeSHAP: a `NodeTable`, the flat node tables of one or more trees.  A
 tree's table is the equal-length columns `feature`, `threshold`, `left`,
 `right`, `value` and `count`, indexed by node id.  Node 0 is the root,
 and nodes are numbered in growth order, breadth-first, left child first:
-the children of the k-th split node are nodes 2k + 1 and 2k + 2.  A
-loaded table may number its nodes in any order that puts every child
-after its parent, as the depth-first files of earlier versions do.  A
-row goes left when row[feature] <= threshold.  A leaf has feature -1 and
+the children of the k-th split node are nodes 2k + 1 and 2k + 2.  A row
+goes left when row[feature] <= threshold.  A leaf has feature -1 and
 threshold 0; its `left` and `right` point to the leaf itself, so a batch
 of rows descends in exactly the tree's depth in gathers with no leaf
 test.  `value` is the leaf prediction (0 on internal nodes) and `count`
@@ -83,12 +81,15 @@ growth builds its trees' table, and `fit_trees` joins the chunks' tables
 into the one that a model holds; `table[i]` is tree i over views of its
 part.  Prediction starts a (trees, rows) matrix of nodes at the roots and
 takes max(depth) steps, each one flat gather of X and one gather of the
-children.  A model file holds the table as it is: `first` and the six
-concatenated columns, which loading reads with `artifacts.json_array`
-and then checks as trees in one pass.  TreeSHAP's leaf masks come from
-the same level-by-level descent, each node holding a feature mask per row
-in place of each row holding a node (`leaf_masks`).  Work on (tree, row)
-and (leaf, row) arrays goes in blocks of at most BLOCK_CELLS cells.
+children.  A model file holds each node's facts once: `first`, and
+`feature` and `count` whole, one threshold per split node and one value
+per leaf, in node order.  Growth order implies the children, so the file
+holds no child ids, and loading derives them as growth does
+(`_growth_children`) before it checks the trees in one pass.  TreeSHAP's
+leaf masks come from the same level-by-level descent, each node holding a
+feature mask per row in place of each row holding a node (`leaf_masks`).
+Work on (tree, row) and (leaf, row) arrays goes in blocks of at most
+BLOCK_CELLS cells.
 """
 
 import math
@@ -101,7 +102,9 @@ from .artifacts import json_array
 from .errors import DataValidationError, NumericError
 
 COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
-FILE_COLUMNS = ("first", *COLUMNS)  # a model file's `trees` object
+# a model file's `trees` object: no child ids, thresholds of split nodes
+# and values of leaves only
+FILE_COLUMNS = ("first", "feature", "threshold", "value", "count")
 
 # The most rows, summed over its trees, that one level loop grows at once.
 # A level's working memory is about 700 bytes per row.  3000 rows hold a
@@ -258,35 +261,63 @@ class NodeTable:
     def from_document(document, feature_count: int) -> "NodeTable":
         """The table of to_document() output; DataValidationError if it is malformed.
 
-        Each column is read by `artifacts.json_array`, then one pass over
-        the columns checks every tree as a table of its own.  Only a table
-        that fails is checked again tree by tree, its columns sliced at
-        `first`, so the error names the first malformed tree's first fault.
+        Each list is read by `artifacts.json_array`.  The thresholds and
+        values go back into full-length columns, zero on the other nodes,
+        and the children are the growth-order ones.  Then one pass over the
+        columns checks every tree as a table of its own.  Only a table that
+        fails is checked again tree by tree, its columns sliced at `first`,
+        so the error names the first malformed tree and its first fault.
         """
         if not isinstance(document, dict) or document.keys() != set(FILE_COLUMNS):
             raise DataValidationError(
                 f"trees must be an object of exactly the columns {sorted(FILE_COLUMNS)}")
-        columns = {name: json_array(document[name], f"tree column {name!r}",
-                                    integers=name not in ("threshold", "value"))
-                   for name in FILE_COLUMNS}
-        first = columns.pop("first")
-        n = columns["feature"].size
-        if any(column.size != n for column in columns.values()):
-            raise DataValidationError("tree columns differ in length")
+        first, feature, threshold, value, count = (
+            json_array(document[name], f"tree column {name!r}",
+                       integers=name not in ("threshold", "value"))
+            for name in FILE_COLUMNS)
+        n = feature.size
+        if count.size != n:
+            raise DataValidationError("tree columns 'feature' and 'count' differ in length")
         if (first[:1] != 0).any() or (np.diff(first, append=n) < 1).any() or (n and not first.size):
             raise DataValidationError("tree starts 'first' must rise from 0 below the node count")
+        internal = feature >= 0
+        splits = int(np.count_nonzero(internal))
+        if threshold.size != splits or value.size != n - splits:
+            raise DataValidationError(
+                f"trees need one threshold per split node and one value per leaf: {splits} and "
+                f"{n - splits}, got {threshold.size} and {value.size}")
+        columns = {"feature": feature, "threshold": np.zeros(n), "value": np.zeros(n),
+                   "count": count}
+        columns["threshold"][internal] = threshold
+        columns["value"][~internal] = value
+        columns["left"], columns["right"] = _growth_children(first, internal)
         try:
             return _checked_table(columns, first, feature_count)
         except DataValidationError:
             bounds = [*first.tolist(), n]
-            for a, b in zip(bounds, bounds[1:]):
-                _checked_table({name: column[a:b] for name, column in columns.items()}, _ROOT,
-                               feature_count)
+            for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                try:
+                    _checked_table({name: column[a:b] for name, column in columns.items()},
+                                   _ROOT, feature_count)
+                except DataValidationError as exc:
+                    raise DataValidationError(f"tree {t}: {exc}") from None
             raise
 
     def to_document(self) -> dict:
-        """A model file's `trees` object: `first` and the six columns as lists."""
-        return {name: getattr(self, name).tolist() for name in FILE_COLUMNS}
+        """A model file's `trees` object: `first`, `feature` and `count`, the
+        split nodes' thresholds and the leaves' values, as lists.
+
+        Only the growth-order children can be left out, so a table whose
+        `left` and `right` are not theirs raises DataValidationError.
+        """
+        internal = self.feature >= 0
+        left, right = _growth_children(self.first, internal)
+        if not (np.array_equal(self.left, left) and np.array_equal(self.right, right)):
+            raise DataValidationError("a table saves only in growth order: the k-th split "
+                                      "node's children must be nodes 2k + 1 and 2k + 2")
+        return {"first": self.first.tolist(), "feature": self.feature.tolist(),
+                "threshold": self.threshold[internal].tolist(),
+                "value": self.value[~internal].tolist(), "count": self.count.tolist()}
 
     def tree_blocks(self, rows: int) -> list:
         """(start, stop, leaves) runs of consecutive trees and their leaf
@@ -409,32 +440,40 @@ def _joined(arrays, name) -> np.ndarray:
 
 
 def _checked_table(columns, first, feature_count: int) -> NodeTable:
-    """The table of `columns`, whose trees start at `first`, raising if any tree is malformed."""
-    feature, left, right = columns["feature"], columns["left"], columns["right"]
+    """The table of `columns`, whose trees start at `first` and whose children
+    are the growth-order ones, raising if any tree is malformed."""
+    feature, left = columns["feature"], columns["left"]
     sizes = np.diff(first, append=feature.size)
-    tree = np.repeat(np.arange(sizes.size), sizes)  # each node's tree
-    offset = first[tree]
     if feature.size and (feature.min() < -1 or feature.max() >= feature_count):
         raise DataValidationError(f"tree feature index outside -1..{feature_count - 1}")
     if columns["count"].size and columns["count"].min() < 1:
         raise DataValidationError("tree row counts must be positive")
-    ids = np.arange(feature.size) - offset  # each node's id in its tree
-    leaf = feature < 0
-    if (left[leaf] != ids[leaf]).any() or (right[leaf] != ids[leaf]).any():
-        raise DataValidationError("a tree leaf must point to itself")
-    # per tree: every child above its parent and inside the tree, and
-    # n - 1 children, no two alike, so they cover 1..n-1 once
-    split = ~leaf
-    parents = np.concatenate([ids[split], ids[split]])
-    children = np.concatenate([left[split], right[split]])
-    owner = np.concatenate([tree[split], tree[split]])
-    if ((children <= parents) | (children >= sizes[owner])).any() or (
-            (np.bincount(owner, minlength=sizes.size) != sizes - 1).any()
-            or (np.bincount(children + first[owner], minlength=feature.size) > 1).any()):
-        raise DataValidationError(
-            "tree child ids must exceed their parent's and cover 1..n-1 once"
-        )
-    return NodeTable(columns, first, _depths(feature, left, right, first), feature_count)
+    # per tree: n = 2s + 1 nodes for s split nodes, so the children 1..n-1
+    # cover the tree once, and the k-th split node before its child 2k + 1
+    tree = np.repeat(np.arange(sizes.size), sizes)  # each node's tree
+    internal = feature >= 0
+    if (np.bincount(tree[internal], minlength=sizes.size) * 2 + 1 != sizes).any():
+        raise DataValidationError("a tree of s split nodes must hold 2s + 1 nodes")
+    split = np.flatnonzero(internal)
+    if (left[split] <= split - first[tree[split]]).any():
+        raise DataValidationError("a tree's k-th split node must come before node 2k + 1")
+    return NodeTable(columns, first, _depths(feature, left, columns["right"], first),
+                     feature_count)
+
+
+def _growth_children(first, internal):
+    """(left, right): each node's children in growth order, as ids in its tree.
+
+    The trees start at `first`, and `internal` marks the split nodes.  The
+    children of a tree's k-th split node are its nodes 2k + 1 and 2k + 2,
+    and a leaf points to itself.
+    """
+    sizes = np.diff(first, append=internal.size)
+    tree = np.repeat(np.arange(sizes.size), sizes)  # each node's tree
+    splits = np.cumsum(internal) - internal  # split nodes before each node
+    start = first[tree]
+    left = np.where(internal, 2 * (splits - splits[start]) + 1, np.arange(internal.size) - start)
+    return left, left + internal
 
 
 class Presorted:
@@ -947,13 +986,11 @@ def _level_table(level_sizes, tree, feature, threshold, value, count, n_features
     and its last node lies on its deepest level.
     """
     order = np.argsort(tree, kind="stable")
-    tree, internal = tree[order], feature[order] >= 0
+    internal = feature[order] >= 0
     size = np.bincount(tree)  # every tree has its root on the first level
     first = np.cumsum(size) - size
-    splits = np.cumsum(internal) - internal  # split nodes before each node
-    left = np.where(internal, 2 * (splits - splits[first][tree]) + 1,
-                    np.arange(tree.size) - first[tree])
+    left, right = _growth_children(first, internal)
     level = np.repeat(np.arange(len(level_sizes)), level_sizes)
-    table = dict(zip(COLUMNS, (feature[order], threshold[order], left, left + internal,
-                               value[order], count[order])))
+    table = dict(zip(COLUMNS, (feature[order], threshold[order], left, right, value[order],
+                               count[order])))
     return NodeTable(table, first, level[order[first + size - 1]], n_features)

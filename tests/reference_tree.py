@@ -11,6 +11,8 @@ require that engine to grow the same node tables as `_grow` and
 compare trees in: one dict of the six columns per tree.  `from_dicts`
 loads through `NodeTable.from_document`, the model file's reader, so a
 table built in a test passes the checks a loaded model passes.
+`seven_columns` writes such dicts in the earlier model file layout, which
+loading refuses.
 """
 
 from collections import deque
@@ -22,17 +24,43 @@ from premex.tree import COLUMNS, NodeTable
 
 def to_dicts(table) -> list:
     """Each tree of `table` as a dict of its six columns as lists, in tree order."""
-    document = table.to_document()
-    bounds = [*document.pop("first"), table.feature.size]
-    return [{name: document[name][a:b] for name in COLUMNS} for a, b in zip(bounds, bounds[1:])]
+    bounds = [*table.first.tolist(), table.feature.size]
+    return [{name: getattr(table, name)[a:b].tolist() for name in COLUMNS}
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def from_dicts(trees, feature_count: int) -> NodeTable:
-    """The table of per-tree dicts of columns, checked as a model file's `trees` is."""
+    """The table of per-tree dicts of columns, checked as a model file's `trees` is.
+
+    The file holds no child ids and no zero fillers, so the trees must be
+    in growth order, with threshold 0 on leaves and value 0 on split
+    nodes; ValueError if the loaded table is not the trees given.
+    """
+    sizes = [len(tree["feature"]) for tree in trees]
+    cells = {name: [cell for tree in trees for cell in tree[name]] for name in COLUMNS}
+    split = [type(f) is int and f >= 0 for f in cells["feature"]]
+    document = {
+        "first": np.cumsum([0, *sizes[:-1]]).tolist() if trees else [],
+        "feature": cells["feature"],
+        "threshold": [t for t, s in zip(cells["threshold"], split) if s],
+        "value": [v for v, s in zip(cells["value"], split) if not s],
+        "count": cells["count"],
+    }
+    table = NodeTable.from_document(document, feature_count)
+    if to_dicts(table) != [dict(tree) for tree in trees]:
+        raise ValueError("the trees are not in growth order, or a leaf threshold or a split "
+                         "node's value is not 0")
+    return table
+
+
+def seven_columns(trees) -> dict:
+    """Per-tree dicts of the six columns in the earlier seven-column model
+    file layout: `first` and the six columns whole, child ids and zero
+    fillers included."""
     sizes = [len(tree["feature"]) for tree in trees]
     document = {name: [cell for tree in trees for cell in tree[name]] for name in COLUMNS}
-    document["first"] = np.cumsum([0, *sizes[:-1]]).tolist() if trees else []
-    return NodeTable.from_document(document, feature_count)
+    document["first"] = np.cumsum([0, *sizes[:-1]]).tolist()
+    return document
 
 
 def fit_tree(X, targets, config, rng, weights=None):

@@ -18,10 +18,12 @@ from premex.cli import EXIT_VALIDATION, guarded, main
 from premex.errors import NumericError
 from premex.explain import shap_exact
 from premex.metrics import r_squared
+from premex.tree import NodeTable
 
 import golden
 import synth
 from conftest import FIXTURE20
+from reference_tree import seven_columns, to_dicts
 
 
 @pytest.fixture
@@ -693,6 +695,12 @@ class TestCorruptSplitAndDataset:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def _seven_columns(doc) -> dict:
+    """The model document's `trees` in the earlier seven-column layout."""
+    table = NodeTable.from_document(doc["trees"], len(doc["feature_names"]))
+    return seven_columns(to_dicts(table))
+
+
 class TestCorruptModel:
     @staticmethod
     def edit_and_evaluate(runner, workdir, tmp_path, edit):
@@ -718,16 +726,56 @@ class TestCorruptModel:
         def edit(doc):
             doc["trees"]["feature"][0] = 99  # tree 0's root
         result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
-        assert "feature index" in result.output
+        assert "tree 0: tree feature index" in result.output
 
     def test_child_cycle(self, runner, workdir, tmp_path):
+        # the earlier layout, with child ids, and a cycle in them
         def edit(doc):
+            doc["trees"] = _seven_columns(doc)
             trees, root = doc["trees"], doc["trees"]["first"][1]
             child = root + trees["left"][root]  # tree 1's root's left child
             trees["left"][child] = 0  # points back to the root
             trees["feature"][child] = 0
         result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
-        assert "child ids" in result.output
+        assert ("trees must be an object of exactly the columns "
+                "['count', 'feature', 'first', 'threshold', 'value']") in result.output
+
+    @pytest.mark.parametrize("fault, message", [
+        pytest.param("node-count", "tree 1: a tree of s split nodes must hold 2s + 1 nodes",
+                     id="node-count"),
+        pytest.param("leaf-root-then-split",
+                     "tree 1: a tree's k-th split node must come before node 2k + 1",
+                     id="leaf-root-then-split"),
+        pytest.param("count-zero", "tree 1: tree row counts must be positive", id="count-zero"),
+    ])
+    def test_growth_order_fault_names_its_tree(self, runner, workdir, tmp_path, fault, message):
+        def edit(doc):
+            trees = doc["trees"]
+            start, stop = trees["first"][1:3]
+            if fault == "node-count":
+                trees["first"][2] += 1  # tree 1 takes tree 2's root
+            elif fault == "count-zero":
+                trees["count"][stop - 1] = 0
+            else:
+                # tree 1's root and its first leaf trade roles: the root takes
+                # the leaf's value, the leaf the root's feature and threshold
+                feature = trees["feature"]
+                leaf = feature.index(-1, start, stop)
+                at = sum(f >= 0 for f in feature[:start])  # the root's threshold
+                moved_to = at + sum(f >= 0 for f in feature[start + 1:leaf])
+                trees["threshold"].insert(moved_to, trees["threshold"].pop(at))
+                feature[leaf], feature[start] = feature[start], -1
+        result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
+        assert message in result.output
+
+    @pytest.mark.parametrize("column, length", [("threshold", 1), ("threshold", -1),
+                                                ("value", 1), ("value", -1)])
+    def test_list_of_wrong_length(self, runner, workdir, tmp_path, column, length):
+        def edit(doc):
+            cells = doc["trees"][column]
+            doc["trees"][column] = cells + [1.0] if length > 0 else cells[:-1]
+        result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
+        assert "one threshold per split node and one value per leaf" in result.output
 
     @pytest.mark.parametrize("key, value", [
         ("n_estimators", "x"), ("learning_rate", 7), ("seed", "s"),
@@ -740,22 +788,25 @@ class TestCorruptModel:
     def test_two_malformed_trees_name_the_first(self, runner, workdir, tmp_path):
         def edit(doc):
             trees = doc["trees"]
-            start, stop = trees["first"][1:3]
-            leaf = trees["feature"].index(-1, start, stop)  # a leaf of tree 1
-            trees["left"][leaf] = 0  # points away: the last checks
+            trees["first"][2] += 1  # tree 1 takes tree 2's root: the last checks
             trees["count"][trees["first"][3]] = 0  # an early check, in a later tree
         result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
-        assert "leaf must point to itself" in result.output
+        assert "tree 1: a tree of s split nodes" in result.output
         assert "row counts" not in result.output
 
-    @pytest.mark.parametrize("column", ["count", "left", "threshold", "value"])
+    @pytest.mark.parametrize("column", ["count", "left", "threshold", "value", "feature"])
     @pytest.mark.parametrize("cell", [True, False])
     def test_boolean_cell_refused(self, runner, workdir, tmp_path, column, cell):
         # json reads true and false as bools, which numpy would take as 1 and 0
         def edit(doc):
-            doc["trees"][column][doc["trees"]["first"][1]] = cell  # tree 1's root
+            if column == "left":
+                doc["trees"] = _seven_columns(doc)  # the earlier layout
+            doc["trees"][column][doc["trees"]["first"][1]] = cell  # a cell of tree 1 or later
         result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
-        assert f"tree column '{column}' must be a list of" in result.output
+        if column == "left":
+            assert "trees must be an object of exactly the columns" in result.output
+        else:
+            assert f"tree column '{column}' must be a list of" in result.output
 
     def test_per_tree_layout_refused(self, runner, workdir, tmp_path):
         # the earlier layout: one object of six columns per tree

@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -327,6 +329,25 @@ class TestJsonRoundTrips:
         assert np.array_equal(loaded.train_rows, split.train_rows)
         assert np.array_equal(loaded.test_rows, split.test_rows)
         assert loaded.seed == 11
+
+    @pytest.mark.parametrize("train, test, message", [
+        ([0, 1, 2], [3, 50], "test_rows must be a non-empty list of row ids in 0..49"),
+        ([0, 0, 1], [-1], "train_rows repeats a row id"),  # per key: range, then repeats
+        ([0, 1, 60, 1], [2], "train_rows must be a non-empty list"),
+        ([0, 1, 2], [], "test_rows must be a non-empty list"),
+        ([0, 1, 2], [2, 3, 3], "test_rows repeats a row id"),  # before the shared id
+        ([0, 1, 2], [3, 2], "train_rows and test_rows share a row id"),
+        ([49], [49], "train_rows and test_rows share a row id"),
+    ])
+    def test_split_rows_checked_in_order(self, tmp_path, train, test, message):
+        path = str(tmp_path / "split.json")
+        data_mod.split_to_json(train_test_split(50, 0.75, seed=11), path)
+        document = json.loads(open(path).read())
+        document.update(train_rows=train, test_rows=test)
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        with pytest.raises(DataValidationError, match=f"^{re.escape(path)}: {message}"):
+            data_mod.split_from_json(path, 50)
 
     def test_wrong_version_tag(self, tmp_path):
         path = tmp_path / "bad.json"

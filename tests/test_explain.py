@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,14 +211,14 @@ class TestIceCurves:
     def test_model_ignoring_feature_gives_flat_curves(self):
         f = linear_model([1.0, 0.0])
         rows = np.random.default_rng(6).normal(size=(7, 2))
-        _, curves = ice_curves(f, rows, 1, n_points=15)
+        _, curves = ice_curves(f, rows, [1], n_points=15)[0]
         assert np.max(np.ptp(curves, axis=1)) == 0.0
         assert np.max(np.ptp(curves.mean(axis=0))) == 0.0
 
     def test_additive_model_curves_are_vertical_shifts(self):
         f = lambda X: np.sin(np.atleast_2d(X)[:, 0]) + np.atleast_2d(X)[:, 1] * 2.0
         rows = np.random.default_rng(8).normal(size=(6, 2))
-        _, curves = ice_curves(f, rows, 0, n_points=20)
+        _, curves = ice_curves(f, rows, [0], n_points=20)[0]
         shifted = curves - curves[:, :1]
         for i in range(1, 6):
             assert np.max(np.abs(shifted[i] - shifted[0])) < 1e-9
@@ -242,22 +244,60 @@ class TestIceCurves:
             return np.atleast_2d(X) @ np.array([1.0, 2.0])
 
         rows = np.random.default_rng(18).normal(size=(4, 2))
-        grid, curves = ice_curves(f, rows, 0, grid=np.linspace(-1.0, 1.0, 7))
+        grid, curves = ice_curves(f, rows, [0], grids=[np.linspace(-1.0, 1.0, 7)])[0]
         assert calls == [4 * 7]
         swept = np.column_stack([np.full(4, grid[3]), rows[:, 1]])
         assert np.array_equal(curves[:, 3], f(swept))
 
+    def test_one_prediction_call_for_every_feature(self):
+        calls = []
+
+        def f(X):
+            calls.append(X.shape[0])
+            return np.atleast_2d(X) @ np.array([1.0, 2.0, -3.0])
+
+        rows = np.random.default_rng(19).normal(size=(5, 3))
+        grids = [np.linspace(-1.0, 1.0, 7), np.array([0.5]), np.linspace(0.0, 2.0, 4)]
+        sweeps = ice_curves(f, rows, [2, 0, 2], grids=grids)
+        assert calls == [5 * (7 + 1 + 4)]
+        for j, grid, (swept_grid, curves) in zip([2, 0, 2], grids, sweeps):
+            assert np.array_equal(swept_grid, grid)
+            assert curves.shape == (5, grid.size) and curves.flags.c_contiguous
+            for g, value in enumerate(grid):
+                swept = rows.copy()
+                swept[:, j] = value
+                assert np.array_equal(curves[:, g], f(swept))
+
+    @pytest.mark.parametrize("variant", ["rf", "gbm", "xgb"])
+    def test_batched_curves_equal_each_feature_alone(self, synth_dataset, variant):
+        model = fit_variant(variant, synth_dataset.subset(np.arange(200)), {"n_estimators": 12},
+                            5)
+        rows = synth_dataset.X[200:220]
+        features = list(range(synth_dataset.m))
+        batched = ice_curves(model.predict, rows, features, n_points=9)
+        for j, (grid, curves) in zip(features, batched):
+            [(alone_grid, alone)] = ice_curves(model.predict, rows, [j], n_points=9)
+            assert np.array_equal(grid, alone_grid)
+            assert np.array_equal(curves.view(np.int64), alone.view(np.int64))
+
+    def test_grid_per_feature_required(self):
+        f = linear_model([1.0, 1.0])
+        with pytest.raises(DataValidationError, match="non-empty evaluation grid"):
+            ice_curves(f, np.zeros((3, 2)), [0, 1], grids=[[0.0, 1.0]])
+        with pytest.raises(DataValidationError, match="non-empty evaluation grid"):
+            ice_curves(f, np.zeros((3, 2)), [0, 1], grids=[[0.0, 1.0], []])
+
     def test_invalid_feature(self):
         f = linear_model([1.0, 1.0])
         with pytest.raises(DataValidationError):
-            ice_curves(f, np.zeros((3, 2)), 5)
+            ice_curves(f, np.zeros((3, 2)), [5])
 
 
 class TestCenteredIce:
     def test_zero_at_anchor(self):
         f = lambda X: np.exp(np.atleast_2d(X)[:, 0])
         rows = np.random.default_rng(9).normal(size=(5, 2))
-        _, raw = ice_curves(f, rows, 0, n_points=10)
+        _, raw = ice_curves(f, rows, [0], n_points=10)[0]
         centered = center_ice(raw)
         assert np.array_equal(centered[:, 0], np.zeros(5))
         assert np.array_equal(centered, raw - raw[:, :1])
@@ -265,20 +305,20 @@ class TestCenteredIce:
     def test_constant_curve_centers_to_zero(self):
         f = linear_model([0.0, 1.0])
         rows = np.random.default_rng(10).normal(size=(4, 2))
-        centered = center_ice(ice_curves(f, rows, 0, n_points=8)[1])
+        centered = center_ice(ice_curves(f, rows, [0], n_points=8)[0][1])
         assert np.array_equal(centered, np.zeros_like(centered))
 
     def test_additive_model_centered_curves_coincide(self):
         f = lambda X: np.cos(np.atleast_2d(X)[:, 0]) * 3.0 + np.atleast_2d(X)[:, 1]
         rows = np.random.default_rng(11).normal(size=(8, 2))
-        centered = center_ice(ice_curves(f, rows, 0, n_points=25)[1])
+        centered = center_ice(ice_curves(f, rows, [0], n_points=25)[0][1])
         spread = np.ptp(centered, axis=0)
         assert np.max(spread) < 1e-9
 
     def test_centering_commutes_with_averaging(self):
         f = lambda X: np.atleast_2d(X)[:, 0] * np.atleast_2d(X)[:, 1]
         rows = np.random.default_rng(12).normal(size=(6, 2))
-        _, raw = ice_curves(f, rows, 0, n_points=10)
+        _, raw = ice_curves(f, rows, [0], n_points=10)[0]
         pdp = raw.mean(axis=0)
         assert np.max(np.abs(center_ice(raw).mean(axis=0) - (pdp - pdp[0]))) < 1e-9
 
@@ -287,31 +327,31 @@ class TestDerivativeIce:
     def test_linear_model_slope_everywhere(self):
         f = linear_model([4.0, 1.0])
         rows = np.random.default_rng(13).normal(size=(5, 2))
-        derivative = derivative_ice(*ice_curves(f, rows, 0, n_points=12))
+        derivative = derivative_ice(*ice_curves(f, rows, [0], n_points=12)[0])
         assert np.max(np.abs(derivative - 4.0)) < 1e-9
 
     def test_ignored_feature_zero_slope(self):
         f = linear_model([1.0, 0.0])
         rows = np.random.default_rng(14).normal(size=(5, 2))
-        derivative = derivative_ice(*ice_curves(f, rows, 1, n_points=12))
+        derivative = derivative_ice(*ice_curves(f, rows, [1], n_points=12)[0])
         assert np.max(np.abs(derivative)) < 1e-12
 
     def test_no_interaction_single_line(self):
         f = lambda X: np.atleast_2d(X)[:, 0] ** 2 + np.atleast_2d(X)[:, 1]
         rows = np.random.default_rng(15).normal(size=(7, 2))
-        derivative = derivative_ice(*ice_curves(f, rows, 0, n_points=20))
+        derivative = derivative_ice(*ice_curves(f, rows, [0], n_points=20)[0])
         assert np.max(np.ptp(derivative, axis=0)) < 1e-9
 
     def test_interaction_heterogeneous_lines(self):
         f = lambda X: np.atleast_2d(X)[:, 0] * np.atleast_2d(X)[:, 1]
         rows = np.random.default_rng(16).normal(size=(7, 2))
-        derivative = derivative_ice(*ice_curves(f, rows, 0, n_points=20))
+        derivative = derivative_ice(*ice_curves(f, rows, [0], n_points=20)[0])
         assert np.max(np.ptp(derivative, axis=0)) > 0.0
 
     def test_derivative_of_centered_equals_derivative_of_raw(self):
         f = lambda X: np.atleast_2d(X)[:, 0] * np.atleast_2d(X)[:, 1] ** 2
         rows = np.random.default_rng(17).normal(size=(6, 2))
-        grid, raw = ice_curves(f, rows, 0, n_points=15)
+        grid, raw = ice_curves(f, rows, [0], n_points=15)[0]
         from_raw = derivative_ice(grid, raw)
         from_centered = derivative_ice(grid, center_ice(raw))
         assert np.max(np.abs(from_raw - from_centered)) < 1e-9
@@ -320,13 +360,13 @@ class TestDerivativeIce:
         # a binary flag's grid: both ends get the same one-sided slope
         f = linear_model([3.0, 1.0])
         rows = np.random.default_rng(18).normal(size=(4, 2))
-        derivative = derivative_ice(*ice_curves(f, rows, 0, grid=[0.0, 2.0]))
+        derivative = derivative_ice(*ice_curves(f, rows, [0], grids=[[0.0, 2.0]])[0])
         assert derivative.shape == (4, 2)
         assert np.max(np.abs(derivative - 3.0)) < 1e-12
 
     def test_small_grid_rejected(self):
         f = linear_model([1.0, 0.0])
-        grid, raw = ice_curves(f, np.zeros((2, 2)), 0, grid=[0.0])
+        grid, raw = ice_curves(f, np.zeros((2, 2)), [0], grids=[[0.0]])[0]
         with pytest.raises(NumericError):
             derivative_ice(grid, raw)
 
@@ -341,7 +381,7 @@ class TestOnFittedEnsemble:
             total = base_value + phi[i].sum()
             assert total == pytest.approx(model.predict(rows[i : i + 1])[0], abs=1e-6)
         age = synth_dataset.feature_index("Age")
-        _, curves = ice_curves(model.predict, rows, age)
+        _, curves = ice_curves(model.predict, rows, [age])[0]
         assert curves.shape[0] == 5
 
 
@@ -386,25 +426,25 @@ def tree_columns(feature, threshold, left, right, value):
     return dict(zip(COLUMNS, (feature, threshold, left, right, value, [1] * len(feature))))
 
 
-# feature 0 splits twice on the path to leaves 2 and 3 (at 2 then 1) and to
+# feature 0 splits twice on the path to leaves 3 and 4 (at 2 then 1) and to
 # leaves 7 and 8 (at 2 then 5); feature 2 is never used
 TWICE = tree_columns(
-    feature=[0, 0, -1, -1, 1, -1, 0, -1, -1],
+    feature=[0, 0, 1, -1, -1, -1, 0, -1, -1],
     threshold=[2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0],
-    left=[1, 2, 2, 3, 5, 5, 7, 7, 8],
-    right=[4, 3, 2, 3, 6, 5, 8, 7, 8],
-    value=[0.0, 0.0, 10.0, -4.0, 0.0, 7.0, 0.0, 1.0, 20.0],
+    left=[1, 3, 5, 3, 4, 5, 7, 7, 8],
+    right=[2, 4, 6, 3, 4, 5, 8, 7, 8],
+    value=[0.0, 0.0, 0.0, 10.0, -4.0, 7.0, 0.0, 1.0, 20.0],
 )
 
 
 # a tree no data grows, but a model file may hold: feature 0's second split
-# on each path is looser than its first, so leaves 3 and 5 are unreachable
+# on each path is looser than its first, so leaves 4 and 5 are unreachable
 LOOSE = tree_columns(
-    feature=[0, 0, -1, -1, 0, -1, -1],
-    threshold=[3.0, 5.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-    left=[1, 2, 2, 3, 5, 5, 6],
-    right=[4, 3, 2, 3, 6, 5, 6],
-    value=[0.0, 0.0, 4.0, 9.0, 0.0, -2.0, 6.0],
+    feature=[0, 0, 0, -1, -1, -1, -1],
+    threshold=[3.0, 5.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+    left=[1, 3, 5, 3, 4, 5, 6],
+    right=[2, 4, 6, 3, 4, 5, 6],
+    value=[0.0, 0.0, 0.0, 4.0, 9.0, -2.0, 6.0],
 )
 
 
@@ -490,23 +530,26 @@ class TestTreeShap:
     def test_random_trees_on_tied_integer_data(self, data):
         p = data.draw(st.integers(1, 4))
 
-        def grow(columns, depth):
-            node = len(columns["feature"])
-            for name, initial in zip(COLUMNS, (-1, 0.0, node, node, 0.0, 1)):
-                columns[name].append(initial)
-            if depth < 4 and data.draw(st.booleans()):
-                columns["feature"][node] = data.draw(st.integers(0, p - 1))
-                columns["threshold"][node] = float(data.draw(st.integers(0, 3)))
-                columns["left"][node] = grow(columns, depth + 1)
-                columns["right"][node] = grow(columns, depth + 1)
-            else:
-                columns["value"][node] = float(data.draw(st.integers(-9, 9)))
-            return node
+        def grow():
+            """A tree's columns, numbered in growth order."""
+            columns = {name: [] for name in COLUMNS}
+            open_nodes = deque([(0, None, None)])  # (depth, parent, the parent's child column)
+            while open_nodes:
+                depth, parent, side = open_nodes.popleft()
+                node = len(columns["feature"])
+                for name, initial in zip(COLUMNS, (-1, 0.0, node, node, 0.0, 1)):
+                    columns[name].append(initial)
+                if parent is not None:
+                    columns[side][parent] = node
+                if depth < 4 and data.draw(st.booleans()):
+                    columns["feature"][node] = data.draw(st.integers(0, p - 1))
+                    columns["threshold"][node] = float(data.draw(st.integers(0, 3)))
+                    open_nodes.extend([(depth + 1, node, "left"), (depth + 1, node, "right")])
+                else:
+                    columns["value"][node] = float(data.draw(st.integers(-9, 9)))
+            return columns
 
-        documents = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            documents.append({name: [] for name in COLUMNS})
-            grow(documents[-1], 0)
+        documents = [grow() for _ in range(data.draw(st.integers(1, 3)))]
         values = st.integers(0, 4).map(float)
         rows = np.array(data.draw(st.lists(st.lists(values, min_size=p, max_size=p),
                                            min_size=1, max_size=4)))

@@ -27,12 +27,15 @@ BLOCK_CELLS // leaves.  Descending each block's rows in one chunk peaks at
 trees and rows in one block, prediction peaks at 41 MB and the TreeSHAP
 of 10 rows at 229 MB.
 
-The model file holds the table's columns whole.  Saving the published
-forest (40,892 nodes, 2.0 MB of JSON) peaks at 8.4 MB, and loading it at
-8.4 MB: the columns as Python lists next to the file's text.  Cut into
-one dict of columns per tree, the file was 2.3 MB and its save and load
-peaked at 8.5 MB; when json.dumps formatted every number in Python,
-because of `indent`, the save peaked at 21.9 MB.
+The model file holds each node's facts once: `first`, `feature` and
+`count` whole, one threshold per split node and one value per leaf, and
+no child ids.  Saving the published forest (40,892 nodes, 1.1 MB of JSON)
+peaks at 4.9 MB, and loading it at 5.4 MB: the columns as Python lists
+next to the file's text.  With the child ids and zero fillers of the
+earlier layout, the file was 2.0 MB and its save and load peaked at 8.4
+MB, so both limits fail that layout; cut into one dict of columns per
+tree, it was 2.3 MB and peaked at 8.5 MB; when json.dumps formatted every
+number in Python, because of `indent`, the save peaked at 21.9 MB.
 """
 
 import tracemalloc
@@ -119,10 +122,10 @@ def test_published_forest_tree_shap_740_rows(rows740, published_forest):
 
 def test_published_forest_save(published_forest, tmp_path):
     path = tmp_path / "model_rf.json"
-    assert peak_bytes(lambda: save_model(published_forest, str(path))) < 10.5 * MB
+    assert peak_bytes(lambda: save_model(published_forest, str(path))) < 6.5 * MB
 
 
 def test_published_forest_load(published_forest, tmp_path):
     path = tmp_path / "model_rf.json"
     save_model(published_forest, str(path))
-    assert peak_bytes(lambda: load_model(str(path))) < 10.5 * MB
+    assert peak_bytes(lambda: load_model(str(path))) < 6.5 * MB

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_predict as oracle
-from reference_tree import from_dicts, to_dicts
+from reference_tree import from_dicts, seven_columns, to_dicts
 from premex import explain as explain_mod
 from premex import tree as tree_mod
 from premex.ensemble import (
@@ -47,13 +47,11 @@ def assert_same_bits(actual, expected):
 
 def random_tree(data, p: int, max_depth: int) -> dict:
     """The columns of a tree of depth at most max_depth, numbered in growth
-    order (breadth-first, left child first, as grown trees are) or
-    depth-first (as model files written before growth order are)."""
+    order (breadth-first, left child first), as grown and loaded trees are."""
     columns = {name: [] for name in COLUMNS}
-    breadth_first = data.draw(st.booleans())
     open_nodes = deque([(0, None, None)])  # (depth, parent, the parent's child column)
     while open_nodes:
-        depth, parent, side = open_nodes.popleft() if breadth_first else open_nodes.pop()
+        depth, parent, side = open_nodes.popleft()
         node = len(columns["feature"])
         for name, initial in zip(COLUMNS, (-1, 0.0, node, node, 0.0, 1)):
             columns[name].append(initial)
@@ -62,8 +60,7 @@ def random_tree(data, p: int, max_depth: int) -> dict:
         if depth < max_depth and data.draw(st.booleans()):
             columns["feature"][node] = data.draw(st.integers(0, p - 1))
             columns["threshold"][node] = data.draw(st.sampled_from(CUTS))
-            children = [(depth + 1, node, "left"), (depth + 1, node, "right")]
-            open_nodes.extend(children if breadth_first else children[::-1])
+            open_nodes.extend([(depth + 1, node, "left"), (depth + 1, node, "right")])
         else:
             columns["value"][node] = data.draw(
                 st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0]))
@@ -71,7 +68,8 @@ def random_tree(data, p: int, max_depth: int) -> dict:
 
 
 def depth_first(document: dict) -> dict:
-    """A tree's dict of columns renumbered depth-first, left child first."""
+    """A tree's dict of columns renumbered depth-first, left child first, as
+    model files written before growth order numbered them."""
     order, stack = [], [0]  # the nodes' ids, in depth-first order
     while stack:
         node = stack.pop()
@@ -249,25 +247,26 @@ class TestLoading:
 
     def test_first_malformed_tree_names_the_error(self):
         documents = two_stage_documents() * 2
-        documents[1] = dict(documents[1], left=[1])  # tree 1: a leaf pointing away
+        documents[1] = dict(documents[1], feature=[0])  # tree 1: a split node without children
         documents[3] = dict(documents[3], count=[0])  # tree 3: checked earlier
-        with pytest.raises(DataValidationError, match="leaf must point to itself"):
+        with pytest.raises(DataValidationError, match="^tree 1: a tree of s split nodes"):
             from_dicts(documents, 2)
         documents[1], documents[3] = documents[3], documents[1]
-        with pytest.raises(DataValidationError, match="row counts must be positive"):
+        with pytest.raises(DataValidationError, match="^tree 1: tree row counts must be positive"):
             from_dicts(documents, 2)
 
     def test_each_tree_checked_as_a_table_of_its_own(self):
-        # a child id that would be valid in the whole table but not in its tree
-        documents = two_stage_documents()
-        documents[0] = dict(documents[0], right=[3, 1, 2])
-        with pytest.raises(DataValidationError, match="child ids"):
-            from_dicts(documents, 2)
+        # 4 nodes with 1 split node in 2 trees fit the whole table, but tree
+        # 0's second child would be tree 1's root
+        document = {"first": [0, 2], "feature": [0, -1, -1, -1], "threshold": [0.5],
+                    "value": [1.0, 2.0, 4.0], "count": [2, 1, 1, 2]}
+        with pytest.raises(DataValidationError, match="^tree 0: a tree of s split nodes"):
+            NodeTable.from_document(document, 2)
 
     def test_booleans_refused_in_every_column(self):
         # json reads true as a bool, which numpy would take as 1 in a column
         # of numbers; a model file's columns hold no booleans
-        for name, cells in [("count", [2, True, 1]), ("left", [True, 1, 2]),
+        for name, cells in [("count", [2, True, 1]), ("feature", [True, -1, -1]),
                             ("threshold", [False, 0.0, 0.0]), ("value", [0.0, True, 2.0])]:
             documents = two_stage_documents()
             documents[0] = dict(documents[0], **{name: cells})
@@ -287,45 +286,76 @@ class TestLoading:
         saved = json.loads((tmp_path / "gbm.json").read_text())["trees"]
         assert saved == model.trees.to_document()
         assert saved["first"] == model.trees.first.tolist()
+        internal = model.trees.feature >= 0
+        assert saved["feature"] == model.trees.feature.tolist()
+        assert saved["count"] == model.trees.count.tolist()
+        assert saved["threshold"] == model.trees.threshold[internal].tolist()
+        assert saved["value"] == model.trees.value[~internal].tolist()
         for name in COLUMNS:
             assert np.array_equal(getattr(clone.trees, name), getattr(model.trees, name))
-            assert saved[name] == getattr(model.trees, name).tolist()
         assert np.array_equal(clone.trees.depth, model.trees.depth)
         assert [t.depth.tolist() for t in clone.trees] == [t.depth.tolist() for t in model.trees]
-
-
-class TestDepthFirstFiles:
-    """Model files written before growth order number each tree's nodes depth-first."""
 
     @pytest.mark.parametrize("variant,params", [
         ("rf", {"n_estimators": 22}),
         ("gbm", {}),
         ("xgb", {}),
     ])
-    def test_load_predict_and_explain_as_growth_order(self, synth_dataset, tmp_path, variant,
-                                                      params):
+    def test_save_load_keeps_every_column(self, synth_dataset, tmp_path, variant, params):
+        model = fit_variant(variant, synth_dataset, params, 5)
+        save_model(model, tmp_path / "model.json")
+        clone = load_model(tmp_path / "model.json")
+        for name in (*COLUMNS, "first", "depth"):
+            assert getattr(clone.trees, name).dtype == getattr(model.trees, name).dtype
+            if name in ("threshold", "value"):
+                assert_same_bits(getattr(clone.trees, name), getattr(model.trees, name))
+            else:
+                assert np.array_equal(getattr(clone.trees, name), getattr(model.trees, name))
+        assert clone.trees.feature_count == model.trees.feature_count
+
+
+class TestDepthFirstFiles:
+    """Model files written before this layout number each tree's nodes
+    depth-first or hold child ids; neither loads, and no table saves as
+    another tree."""
+
+    @pytest.mark.parametrize("variant,params", [
+        ("rf", {"n_estimators": 22}),
+        ("gbm", {}),
+        ("xgb", {}),
+    ])
+    def test_refused_as_the_old_layout(self, synth_dataset, tmp_path, variant, params):
         model = fit_variant(variant, synth_dataset.subset(np.arange(200)), params, 5)
         save_model(model, tmp_path / "grown.json")
         document = json.loads((tmp_path / "grown.json").read_text())
-        old_trees = [depth_first(tree) for tree in to_dicts(model.trees)]
-        document["trees"] = from_dicts(old_trees, synth_dataset.m).to_document()
-        assert document["trees"] != model.trees.to_document()
-        (tmp_path / "depth_first.json").write_text(json.dumps(document))
-        grown = load_model(tmp_path / "grown.json")
-        old = load_model(tmp_path / "depth_first.json")
-        assert to_dicts(old.trees) == old_trees
-        assert old.trees.depth.tolist() == grown.trees.depth.tolist()
+        trees = to_dicts(model.trees)
+        for old_trees in (trees, [depth_first(tree) for tree in trees]):
+            document["trees"] = seven_columns(old_trees)
+            (tmp_path / "old.json").write_text(json.dumps(document))
+            with pytest.raises(DataValidationError,
+                               match="trees must be an object of exactly the columns"):
+                load_model(tmp_path / "old.json")
+
+    def test_depth_first_table_not_saved(self, synth_dataset, tmp_path):
+        model = fit_variant("gbm", synth_dataset.subset(np.arange(200)), {}, 5)
+        old = seven_columns([depth_first(tree) for tree in to_dicts(model.trees)])
+        columns = {name: np.array(old[name], dtype=getattr(model.trees, name).dtype)
+                   for name in COLUMNS}
+        assert not np.array_equal(columns["left"], model.trees.left)
+        # the same trees, numbered depth-first: they predict alike in memory
+        table = NodeTable(columns, model.trees.first, model.trees.depth, synth_dataset.m)
         X = synth_dataset.X
-        assert_same_bits(old.predict(X), grown.predict(X))
-        # the leaves are summed in another order, so φ agrees to rounding,
-        # within the tolerance of test_explain.py's TestTreeShap
-        scale, offset = ((1.0 / len(model.trees), 0.0) if variant == "rf"
-                         else (model.config.learning_rate, model.base_score))
-        rows, background = X[200:230], X[:200]
-        base, phi = explain_mod.tree_shap(grown.trees, scale, offset, rows, background)
-        old_base, old_phi = explain_mod.tree_shap(old.trees, scale, offset, rows, background)
-        assert np.abs(old_phi - phi).max() <= 1e-9 * max(np.abs(phi).max(), 1.0)
-        assert abs(old_base - base) <= 1e-9 * max(abs(base), 1.0)
+        out = np.zeros(X.shape[0])
+        table.add_predictions(X, out)
+        expected = np.zeros(X.shape[0])
+        model.trees.add_predictions(X, expected)
+        assert_same_bits(out, expected)
+        with pytest.raises(DataValidationError, match="saves only in growth order"):
+            table.to_document()
+        model.trees = table
+        with pytest.raises(DataValidationError, match="saves only in growth order"):
+            save_model(model, tmp_path / "depth_first.json")
+        assert not (tmp_path / "depth_first.json").exists()
 
 
 class TestJoin:

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import premex.tree as tree_mod
 import reference_tree
-from reference_tree import from_dicts, to_dicts
+from reference_tree import from_dicts, seven_columns, to_dicts
 from premex.errors import DataValidationError, NumericError
 from premex.rng import stream
 from premex.tree import (
@@ -365,33 +365,55 @@ class TestSerialization:
         assert np.array_equal(tree.predict_matrix(probe), clone.predict_matrix(probe))
 
     def test_dict_shape(self):
-        # a model file's `trees`: the tree starts and six whole columns
+        # a model file's `trees`: the tree starts, `feature` and `count`
+        # whole, one threshold per split node and one value per leaf
         doc = known_split_tree().to_document()
-        assert set(doc) == {"first", "feature", "threshold", "left", "right", "value", "count"}
-        assert doc.pop("first") == [0]
-        assert all(len(column) == 3 for column in doc.values())
+        assert set(doc) == {"first", "feature", "threshold", "value", "count"}
+        assert doc == {"first": [0], "feature": [0, -1, -1], "threshold": [2.5],
+                       "value": [1.0, 3.0], "count": [4, 2, 2]}
 
     @pytest.mark.parametrize("column, cells", [
         ("feature", [0, -1]),  # unequal length
         ("feature", [1, -1, -1]),  # feature outside -1..m-1
-        ("feature", [-2, -1, -1]),
+        ("feature", [0, -2, -1]),
         ("feature", [0.0, -1, -1]),  # non-integer index
-        ("left", [1, 1, "2"]),
-        ("threshold", [float("nan"), 0.0, 0.0]),  # non-finite
-        ("value", [0.0, float("inf"), 3.0]),
+        ("left", [1, 1, "2"]),  # the earlier layout, with child ids
+        ("threshold", [float("nan")]),  # non-finite
+        ("value", [float("inf"), 3.0]),
         ("count", [4, 0, 2]),
         ("count", [2**63, 2, 2]),  # beyond int64
-        ("left", [1, 2, 2]),  # leaf 1 does not point to itself
-        ("left", [0, 1, 2]),  # root is its own child: a cycle
-        ("right", [1, 1, 2]),  # node 2 is never reached, node 1 twice
+        ("left", [1, 2, 2]),  # the earlier layout, leaf 1 pointing away
+        ("left", [0, 1, 2]),  # the earlier layout, the root its own child
+        ("right", [1, 1, 2]),  # the earlier layout, node 2 never reached
         ("feature", [[0], [-1], [-1]]),
         ("value", []),
+        ("threshold", [True]),  # json's true, which numpy would take as 1
+        ("count", [4, True, 2]),
     ])
     def test_malformed_table_rejected(self, column, cells):
-        doc = to_dicts(known_split_tree())[0]
+        doc, match = known_split_tree().to_document(), None
+        if column in ("left", "right"):
+            # the earlier seven-column layout: `first` and the six columns whole
+            doc = seven_columns(to_dicts(known_split_tree()))
+            match = ("trees must be an object of exactly the columns "
+                     "\\['count', 'feature', 'first', 'threshold', 'value'\\]")
         doc[column] = cells
-        with pytest.raises(DataValidationError):
-            from_dicts([doc], 1)
+        with pytest.raises(DataValidationError, match=match):
+            NodeTable.from_document(doc, 1)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"first": [0], "feature": [0, -1], "threshold": [2.5], "value": [1.0],
+          "count": [4, 2]}, "2s \\+ 1 nodes"),
+        ({"first": [0], "feature": [-1, 0, -1], "threshold": [2.5], "value": [1.0, 3.0],
+          "count": [4, 2, 2]}, "k-th split node must come before node 2k \\+ 1"),
+        ({"first": [0], "feature": [0, -1, -1], "threshold": [2.5, 1.0], "value": [1.0, 3.0],
+          "count": [4, 2, 2]}, "one threshold per split node"),
+        ({"first": [0], "feature": [0, -1, -1], "threshold": [2.5], "value": [1.0],
+          "count": [4, 2, 2]}, "one value per leaf"),
+    ])
+    def test_growth_order_shape_checked(self, doc, message):
+        with pytest.raises(DataValidationError, match=message):
+            NodeTable.from_document(doc, 1)
 
     @pytest.mark.parametrize("doc", [
         {"value": 1.0, "count": 4},  # nested layout: a leaf root
