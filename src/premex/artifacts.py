@@ -186,6 +186,14 @@ def json_array(values, what: str, integers: bool = False) -> np.ndarray:
         f"{what} must be a list of {'integers' if integers else 'finite numbers'}")
 
 
+def json_names(values, what: str) -> list:
+    """The JSON list `values`; DataValidationError naming `what` unless it
+    is a non-empty list of strings."""
+    if isinstance(values, list) and values and all(isinstance(v, str) for v in values):
+        return values
+    raise DataValidationError(f"{what} must be a non-empty list of strings")
+
+
 def read_json_artifact(path, kind: str) -> dict:
     document = read_json(path)
     if not isinstance(document, dict) or not isinstance(document.get("meta"), dict):

@@ -213,7 +213,7 @@ def _train_one(train_data, variant, params, seed, out_dir):
         # read off the node table
         "nodes": int(model.trees.feature.size),
         "leaves": int((model.trees.feature < 0).sum()),
-        "depth": int(model.trees.depth.max(initial=0)),
+        "depth": int(model.trees.depths().max(initial=0)),
     }
     write_json_artifact(
         os.path.join(out_dir, f"run_report_{variant}.json"),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import json_array, read_json_artifact, write_json_artifact
+from .artifacts import json_array, json_names, read_json_artifact, write_json_artifact
 from .errors import DataValidationError, NumericError
 from .rng import stream
 
@@ -294,9 +294,8 @@ def dataset_from_json(path) -> Dataset:
     values, every number as `artifacts.json_array` reads it; else
     DataValidationError."""
     document = read_json_artifact(path, "dataset")
-    names, X, y = (document.get(key) for key in ("feature_names", "X", "y"))
-    if not isinstance(names, list) or not names or not all(isinstance(v, str) for v in names):
-        raise DataValidationError(f"{path}: feature_names must be a non-empty list of strings")
+    names = json_names(document.get("feature_names"), f"{path}: feature_names")
+    X, y = document.get("X"), document.get("y")
     if not isinstance(X, list) or not X or not all(
         isinstance(row, list) and len(row) == len(names) for row in X
     ):
@@ -320,7 +319,9 @@ def split_from_json(path, n: int) -> SplitIndices:
     """Load split.json for a dataset of n rows.
 
     train_rows and test_rows must be disjoint, non-empty lists of distinct
-    row ids in 0..n-1, and meta.seed an integer; else DataValidationError.
+    row ids in 0..n-1, meta.seed an integer, and the two lists must cover
+    every row, as every split this pipeline writes does; else
+    DataValidationError.
     """
     document = read_json_artifact(path, "split")
     rows, used = {}, np.zeros(n, dtype=np.int64)  # how many of the lists hold each row
@@ -340,4 +341,7 @@ def split_from_json(path, n: int) -> SplitIndices:
     seed = document["meta"].get("seed")
     if type(seed) is not int:
         raise DataValidationError(f"{path}: meta.seed must be an integer")
+    if used.sum() != n:
+        raise DataValidationError(f"{path}: train_rows and test_rows cover {used.sum()} of "
+                                  f"the dataset's {n} rows, not every row")
     return SplitIndices(rows["train_rows"], rows["test_rows"], seed)

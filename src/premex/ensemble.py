@@ -17,8 +17,9 @@ trees gives.  A model file holds `variant`, `config`, `feature_names`,
 `trees` and a boosted model's `base_score`.  `trees` holds each node's
 facts once, as NodeTable.to_document writes them: the table's `first`,
 `feature` and `count`, the split nodes' thresholds and the leaves' values.
-It holds no child ids: NodeTable.from_document derives the growth-order
-children and checks the trees.
+The table in memory holds the same facts, with zeros on the other nodes.
+Neither holds child ids: growth order implies them, and
+NodeTable.from_document checks every tree's growth-order shape.
 
 `PUBLISHED` is the one home of the published best hyperparameters;
 `variant_config` lays a parameter dict over them.  Each model config is
@@ -35,7 +36,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .artifacts import read_json_artifact, write_json_artifact
+from .artifacts import json_names, read_json_artifact, write_json_artifact
 from .data import Dataset, round_half_up
 from .errors import DataValidationError
 from .rng import stream
@@ -325,9 +326,7 @@ def load_model(path):
     variant = document.get("variant")
     if variant not in PUBLISHED:
         raise DataValidationError(f"{path}: unknown model variant {variant!r}")
-    names = document.get("feature_names")
-    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
-        raise DataValidationError(f"{path}: feature_names must be a non-empty list of names")
+    names = json_names(document.get("feature_names"), f"{path}: feature_names")
     try:
         table = NodeTable.from_document(document.get("trees"), len(names))
     except DataValidationError as exc:

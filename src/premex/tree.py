@@ -64,34 +64,34 @@ Integer row weights stand for repeated rows, so a bootstrap resample is
 its distinct rows weighted by their draw counts.
 
 One representation serves growth, prediction, loading, saving and
-TreeSHAP: a `NodeTable`, the flat node tables of one or more trees.  A
-tree's table is the equal-length columns `feature`, `threshold`, `left`,
-`right`, `value` and `count`, indexed by node id.  Node 0 is the root,
-and nodes are numbered in growth order, breadth-first, left child first:
-the children of the k-th split node are nodes 2k + 1 and 2k + 2.  A row
-goes left when row[feature] <= threshold.  A leaf has feature -1 and
-threshold 0; its `left` and `right` point to the leaf itself, so a batch
-of rows descends in exactly the tree's depth in gathers with no leaf
-test.  `value` is the leaf prediction (0 on internal nodes) and `count`
-the number of training rows, weights counted, that reached the node.
+TreeSHAP: a `NodeTable`, the flat node tables of one or more trees.  It
+holds exactly a model file's facts: each tree's first node `first`, and
+the equal-length columns `feature`, `threshold`, `value` and `count`,
+indexed by node id.  Node 0 is a tree's root, and nodes are numbered in
+growth order, breadth-first, left child first, so the children of the
+k-th split node are nodes 2k + 1 and 2k + 2.  A row goes left when
+row[feature] <= threshold.  A leaf has feature -1 and threshold 0;
+`value` is the leaf prediction (0 on internal nodes) and `count` the
+number of training rows, weights counted, that reached the node.
 
-A table of several trees concatenates their columns, each tree's child
-ids its own, and records each tree's first node and depth.  Each chunk of
+A table of several trees concatenates their columns.  Each chunk of
 growth builds its trees' table, and `fit_trees` joins the chunks' tables
 into the one that a model holds; `table[i]` is tree i over views of its
-part.  Prediction starts a (trees, rows) matrix of nodes at the roots and
-takes max(depth) steps, each one flat gather of X and one gather of the
-children.  A model file holds each node's facts once: `first`, and
-`feature` and `count` whole, one threshold per split node and one value
-per leaf, in node order.  Growth order implies the children, so the file
-holds no child ids, and loading derives them as growth does
-(`_growth_children`) before it checks the trees in one pass.  TreeSHAP's
-leaf masks come from the same level-by-level descent, each node holding a
+part.  No child ids or depths are held: the code that walks trees derives
+them from growth order (`_growth_children`, `_depths`), prediction for
+the trees it adds and `leaf_masks` per block of trees.  Prediction starts
+a (trees, rows) matrix of nodes at the roots and takes max(depth) steps,
+each one flat gather of X and one gather of the children; a leaf steps
+to itself.  A model file holds `first`, `feature` and `count` whole, one
+threshold per split node and one value per leaf; loading checks each
+tree's growth-order shape on its split ranks alone.  TreeSHAP's leaf
+masks come from the same level-by-level descent, each node holding a
 feature mask per row in place of each row holding a node (`leaf_masks`).
 Work on (tree, row) and (leaf, row) arrays goes in blocks of at most
 BLOCK_CELLS cells.
 """
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -101,9 +101,9 @@ import numpy as np
 from .artifacts import json_array
 from .errors import DataValidationError, NumericError
 
-COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
-# a model file's `trees` object: no child ids, thresholds of split nodes
-# and values of leaves only
+COLUMNS = ("feature", "threshold", "value", "count")
+# a model file's `trees` object: thresholds of split nodes and values of
+# leaves only
 FILE_COLUMNS = ("first", "feature", "threshold", "value", "count")
 
 # The most rows, summed over its trees, that one level loop grows at once.
@@ -166,6 +166,42 @@ class TreeConfig:
 _ROOT = np.zeros(1, dtype=np.int64)
 
 
+def _growth_children(first, internal) -> np.ndarray:
+    """Each node's left child in growth order, or a leaf's own id, as ids
+    into the columns of the trees that start at `first`.
+
+    `internal` marks the split nodes.  The children of a tree's k-th split
+    node are its nodes 2k + 1 and 2k + 2, so a node's right child is its
+    left child plus internal: a leaf points to itself either way.
+    """
+    left = np.cumsum(internal)  # split nodes up to each node
+    # the tree at f, with s split nodes before it: its k-th split node, the
+    # (s + k + 1)-th of all, has the left child f + 2k + 1
+    shift = first - 1 - 2 * (left[first] - internal[first])
+    left *= 2
+    left += np.repeat(shift, np.append(first[1:], internal.size) - first)
+    return np.where(internal, left, np.arange(internal.size))
+
+
+def _depths(first, internal) -> np.ndarray:
+    """The depth of each tree that starts at `first`: the number of
+    ancestors of its last node, which lies on its deepest level.
+
+    The parent of a tree's node i > 0 is its split node of rank (i - 1) // 2.
+    """
+    split = np.flatnonzero(internal).tolist()
+    bounds = [*first.tolist(), internal.size]
+    depths = []
+    for f, stop in zip(bounds, bounds[1:]):
+        before = bisect.bisect_left(split, f)  # the split nodes of earlier trees
+        node, depth = stop - 1, 0
+        while node > f:
+            node = split[before + (node - f - 1) // 2]
+            depth += 1
+        depths.append(depth)
+    return np.array(depths, dtype=np.int64)
+
+
 def _descend(feature, threshold, children, roots, depth: int, X) -> np.ndarray:
     """The node that each row of X reaches in each tree rooted at `roots`,
     after `depth` levels: a (trees, rows) array.
@@ -188,41 +224,20 @@ def _descend(feature, threshold, children, roots, depth: int, X) -> np.ndarray:
     return node
 
 
-def _depths(feature, left, right, roots) -> np.ndarray:
-    """The depth of each tree rooted at `roots`, whose child ids are its own,
-    found level by level for all trees at once.
-
-    This loop ends only because every child id exceeds its parent's, as
-    NodeTable.from_document checks.
-    """
-    depth = np.zeros(roots.size, dtype=np.int64)
-    level, tree = roots, np.arange(roots.size)
-    while level.size:
-        split = feature[level] >= 0
-        level, tree = level[split], tree[split]
-        depth[tree] += 1
-        offset = roots[tree]
-        level = np.concatenate([offset + left[level], offset + right[level]])
-        tree = np.concatenate([tree, tree])
-    return depth
-
-
 class NodeTable:
     """The node tables of one or more trees, concatenated: what growth
     returns and a model holds, predicts with, saves and explains.
 
-    The six columns of every tree are concatenated in tree order, each
-    tree's child ids its own.  Tree t's root is node first[t], its nodes
-    run up to the next tree's root, and depth[t] is its depth.  len() is
-    the number of trees, and table[t] is tree t as a one-tree table over
-    views of its part.
+    The four columns of every tree are concatenated in tree order.  Tree
+    t's root is node first[t], and its nodes run up to the next tree's
+    root.  len() is the number of trees, and table[t] is tree t as a
+    one-tree table over views of its part.
     """
 
-    def __init__(self, columns: dict, first, depth, feature_count: int):
+    def __init__(self, columns: dict, first, feature_count: int):
         for name in COLUMNS:
             setattr(self, name, columns[name])
         self.first = first
-        self.depth = depth
         self.feature_count = feature_count
 
     def __len__(self) -> int:
@@ -233,7 +248,7 @@ class NodeTable:
         a = int(self.first[t])
         b = int(self.first[t + 1]) if t + 1 < len(self) else self.feature.size
         return RegressionTree({name: getattr(self, name)[a:b] for name in COLUMNS}, _ROOT,
-                              self.depth[t:t + 1], self.feature_count)
+                              self.feature_count)
 
     @staticmethod
     def join(tables, feature_count: int) -> "NodeTable":
@@ -249,24 +264,23 @@ class NodeTable:
             raise DataValidationError(f"every tree must read the same {feature_count} features")
         offsets = np.cumsum([0] + [table.feature.size for table in tables])
         first = _joined([table.first + at for table, at in zip(tables, offsets)], "first")
-        depth = _joined([table.depth for table in tables], "depth")
         columns = {}
         for name in COLUMNS:
             columns[name] = _joined([getattr(table, name) for table in tables], name)
             for table in tables:
                 setattr(table, name, None)
-        return NodeTable(columns, first, depth, feature_count)
+        return NodeTable(columns, first, feature_count)
 
     @staticmethod
     def from_document(document, feature_count: int) -> "NodeTable":
         """The table of to_document() output; DataValidationError if it is malformed.
 
-        Each list is read by `artifacts.json_array`.  The thresholds and
-        values go back into full-length columns, zero on the other nodes,
-        and the children are the growth-order ones.  Then one pass over the
-        columns checks every tree as a table of its own.  Only a table that
-        fails is checked again tree by tree, its columns sliced at `first`,
-        so the error names the first malformed tree and its first fault.
+        Each list is read by `artifacts.json_array`, and the thresholds and
+        values go back into full-length columns, zero on the other nodes.
+        Then one pass over the columns checks every tree as a table of its
+        own.  Only a table that fails is checked again tree by tree, its
+        columns sliced at `first`, so the error names the first malformed
+        tree and its first fault.
         """
         if not isinstance(document, dict) or document.keys() != set(FILE_COLUMNS):
             raise DataValidationError(
@@ -290,7 +304,6 @@ class NodeTable:
                    "count": count}
         columns["threshold"][internal] = threshold
         columns["value"][~internal] = value
-        columns["left"], columns["right"] = _growth_children(first, internal)
         try:
             return _checked_table(columns, first, feature_count)
         except DataValidationError:
@@ -305,19 +318,15 @@ class NodeTable:
 
     def to_document(self) -> dict:
         """A model file's `trees` object: `first`, `feature` and `count`, the
-        split nodes' thresholds and the leaves' values, as lists.
-
-        Only the growth-order children can be left out, so a table whose
-        `left` and `right` are not theirs raises DataValidationError.
-        """
+        split nodes' thresholds and the leaves' values, as lists."""
         internal = self.feature >= 0
-        left, right = _growth_children(self.first, internal)
-        if not (np.array_equal(self.left, left) and np.array_equal(self.right, right)):
-            raise DataValidationError("a table saves only in growth order: the k-th split "
-                                      "node's children must be nodes 2k + 1 and 2k + 2")
         return {"first": self.first.tolist(), "feature": self.feature.tolist(),
                 "threshold": self.threshold[internal].tolist(),
                 "value": self.value[~internal].tolist(), "count": self.count.tolist()}
+
+    def depths(self) -> np.ndarray:
+        """Each tree's depth: the most splits on a path from its root to a leaf."""
+        return _depths(self.first, self.feature >= 0)
 
     def tree_blocks(self, rows: int) -> list:
         """(start, stop, leaves) runs of consecutive trees and their leaf
@@ -355,15 +364,12 @@ class NodeTable:
         roots = self.first[:n_trees]
         if not roots.size:
             return
-        depth = int(self.depth[:n_trees].max())
-        # each node's (left, right) as ids into the whole table: its own ids
-        # plus its tree's first node, spread over the tree by the running max
-        children = np.zeros((self.feature.size, 2), dtype=np.int64)
-        children[self.first] = self.first[:, None]
-        np.maximum.accumulate(children, out=children)
-        children[:, 0] += self.left
-        children[:, 1] += self.right
-        children = children.reshape(-1)
+        # each node's (left, right), flat, over the nodes of the trees that predict
+        end = int(self.first[n_trees]) if roots.size < len(self) else self.feature.size
+        internal = self.feature[:end] >= 0
+        children = np.repeat(_growth_children(roots, internal), 2)
+        children[1::2] += internal
+        depth = int(_depths(roots, internal).max())
         step = max(1, BLOCK_CELLS // roots.size)
         for lo in range(0, X.shape[0], step):
             leaves = _descend(self.feature, self.threshold, children, roots, depth,
@@ -392,7 +398,9 @@ class NodeTable:
         """
         base = int(self.first[start]) if start < len(self) else self.feature.size
         end = int(self.first[stop]) if stop < len(self) else self.feature.size
-        leaves = np.flatnonzero(self.feature[base:end] < 0)
+        feature, threshold = self.feature[base:end], self.threshold[base:end]
+        internal = feature >= 0
+        leaves = np.flatnonzero(~internal)
         slot = np.empty(end - base, dtype=np.int64)  # each leaf's row of masks
         slot[leaves] = np.arange(leaves.size)
         masks = np.empty((leaves.size, X.shape[0]), dtype=np.uint32)
@@ -401,15 +409,15 @@ class NodeTable:
         # nodes split, the slots of its leaves, and each split's feature
         # bit, feature and threshold
         levels = []
-        level = offset = self.first[start:stop] - base  # offsets from base, and their trees'
+        level = self.first[start:stop] - base
+        left = _growth_children(level, internal)  # node ids from base
         while level.size:
-            split = self.feature[base + level] >= 0
-            node, offset = base + level[split], offset[split]
-            f = self.feature[node]
+            split = internal[level]
+            node = level[split]
+            f = feature[node]
             bit = (np.uint32(1) << f.astype(np.uint32))[:, None]
-            levels.append((split, slot[level[~split]], bit, f, self.threshold[node][:, None]))
-            level = np.concatenate([offset + self.left[node], offset + self.right[node]])
-            offset = np.concatenate([offset, offset])
+            levels.append((split, slot[level[~split]], bit, f, threshold[node][:, None]))
+            level = np.concatenate([left[node], left[node] + 1])
         everything = np.uint32((1 << self.feature_count) - 1)
         step = max(1, BLOCK_CELLS // leaves.size)
         for lo in range(0, X.shape[0], step):
@@ -440,40 +448,25 @@ def _joined(arrays, name) -> np.ndarray:
 
 
 def _checked_table(columns, first, feature_count: int) -> NodeTable:
-    """The table of `columns`, whose trees start at `first` and whose children
-    are the growth-order ones, raising if any tree is malformed."""
-    feature, left = columns["feature"], columns["left"]
-    sizes = np.diff(first, append=feature.size)
+    """The table of `columns`, whose trees start at `first`, raising if any
+    tree is malformed."""
+    feature = columns["feature"]
     if feature.size and (feature.min() < -1 or feature.max() >= feature_count):
         raise DataValidationError(f"tree feature index outside -1..{feature_count - 1}")
     if columns["count"].size and columns["count"].min() < 1:
         raise DataValidationError("tree row counts must be positive")
-    # per tree: n = 2s + 1 nodes for s split nodes, so the children 1..n-1
-    # cover the tree once, and the k-th split node before its child 2k + 1
+    # per tree: 2s + 1 nodes for s split nodes, so the growth-order children
+    # 1..2s cover it once, and its k-th split node before its child 2k + 1
+    sizes = np.diff(first, append=feature.size)
     tree = np.repeat(np.arange(sizes.size), sizes)  # each node's tree
-    internal = feature >= 0
-    if (np.bincount(tree[internal], minlength=sizes.size) * 2 + 1 != sizes).any():
+    split = np.flatnonzero(feature >= 0)
+    if (np.bincount(tree[split], minlength=sizes.size) * 2 + 1 != sizes).any():
         raise DataValidationError("a tree of s split nodes must hold 2s + 1 nodes")
-    split = np.flatnonzero(internal)
-    if (left[split] <= split - first[tree[split]]).any():
+    # a split node's rank in its tree: in the table, less earlier trees' splits
+    start = first[tree[split]]
+    if (split - start > 2 * (np.arange(split.size) - np.searchsorted(split, start))).any():
         raise DataValidationError("a tree's k-th split node must come before node 2k + 1")
-    return NodeTable(columns, first, _depths(feature, left, columns["right"], first),
-                     feature_count)
-
-
-def _growth_children(first, internal):
-    """(left, right): each node's children in growth order, as ids in its tree.
-
-    The trees start at `first`, and `internal` marks the split nodes.  The
-    children of a tree's k-th split node are its nodes 2k + 1 and 2k + 2,
-    and a leaf points to itself.
-    """
-    sizes = np.diff(first, append=internal.size)
-    tree = np.repeat(np.arange(sizes.size), sizes)  # each node's tree
-    splits = np.cumsum(internal) - internal  # split nodes before each node
-    start = first[tree]
-    left = np.where(internal, 2 * (splits - splits[start]) + 1, np.arange(internal.size) - start)
-    return left, left + internal
+    return NodeTable(columns, first, feature_count)
 
 
 class Presorted:
@@ -716,8 +709,7 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
     if not np.isfinite(value).all():
         raise NumericError("a leaf value is not finite: its hessians sum to -reg_lambda, "
                            "or a sum overflowed")
-    return _level_table([level[0].size for level in levels], tree, feature, threshold, value,
-                        count, n_features)
+    return _level_table(tree, feature, threshold, value, count, n_features)
 
 
 def _spans(start, size):
@@ -977,20 +969,14 @@ class _SortedColumns:
         keys[:, _spans(start, n_left)] = taken.take(np.flatnonzero(moves)).reshape(shape[0], -1)
 
 
-def _level_table(level_sizes, tree, feature, threshold, value, count, n_features) -> NodeTable:
+def _level_table(tree, feature, threshold, value, count, n_features) -> NodeTable:
     """The nodes, given level by level, as the trees' table in growth order.
 
     Within a level the nodes are in tree order, so a stable sort by tree
     gives each tree its nodes level by level, left child first: the
-    children of a tree's k-th split node are its nodes 2k + 1 and 2k + 2,
-    and its last node lies on its deepest level.
+    children of a tree's k-th split node are its nodes 2k + 1 and 2k + 2.
     """
     order = np.argsort(tree, kind="stable")
-    internal = feature[order] >= 0
     size = np.bincount(tree)  # every tree has its root on the first level
-    first = np.cumsum(size) - size
-    left, right = _growth_children(first, internal)
-    level = np.repeat(np.arange(len(level_sizes)), level_sizes)
-    table = dict(zip(COLUMNS, (feature[order], threshold[order], left, right, value[order],
-                               count[order])))
-    return NodeTable(table, first, level[order[first + size - 1]], n_features)
+    table = dict(zip(COLUMNS, (feature[order], threshold[order], value[order], count[order])))
+    return NodeTable(table, np.cumsum(size) - size, n_features)

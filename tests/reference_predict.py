@@ -2,8 +2,10 @@
 
 Each tree walks its own node table here, one tree after another (a
 model's one-tree views table[t]), as the ensembles did before their trees
-shared one table.  A row's leaf masks come from comparing it with each
-leaf's box, and the background is grouped with np.unique.  Tests require
+shared one table.  A tree's children come from a loop over its nodes in
+growth order (`children`), not from `premex.tree`.  A row's leaf masks
+come from comparing it with each leaf's box, and the background is
+grouped with np.unique.  Tests require
 the whole table to give the same predictions, leaf masks, base value and
 φ as these, bit for bit.
 """
@@ -13,14 +15,34 @@ import numpy as np
 from premex.explain import _leaf_weights
 
 
+def children(feature) -> tuple:
+    """(left, right): each node's children in one tree's growth order, a
+    leaf pointing to itself.
+
+    Node ids are handed out in turn, two to each split node in node order:
+    the k-th split node's children are nodes 2k + 1 and 2k + 2.
+    """
+    left, right, handed_out = [], [], 0
+    for node, f in enumerate(np.asarray(feature).tolist()):
+        if f >= 0:
+            left.append(handed_out + 1)
+            right.append(handed_out + 2)
+            handed_out += 2
+        else:
+            left.append(node)
+            right.append(node)
+    return np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+
+
 def tree_predictions(tree, X) -> np.ndarray:
     """One tree's leaf value per row of X, gathered level by level with 2-d indexing."""
     X = np.asarray(X, dtype=np.float64)
+    left, right = children(tree.feature)
     rows = np.arange(X.shape[0])
     node = np.zeros(X.shape[0], dtype=np.int64)
-    for _ in range(int(tree.depth[0])):  # a leaf reads column -1 and steps to itself
+    while (tree.feature[node] >= 0).any():  # a leaf reads column -1 and steps to itself
         go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
-        node = np.where(go_left, tree.left[node], tree.right[node])
+        node = np.where(go_left, left[node], right[node])
     return tree.value[node]
 
 
@@ -45,9 +67,10 @@ def leaf_boxes(tree, p: int):
     """
     lo = np.full((tree.feature.size, p), -np.inf)
     hi = np.full((tree.feature.size, p), np.inf)
+    lefts, rights = children(tree.feature)
     for node in np.flatnonzero(tree.feature >= 0):
         f, t = tree.feature[node], tree.threshold[node]
-        left, right = tree.left[node], tree.right[node]
+        left, right = lefts[node], rights[node]
         lo[left] = lo[right] = lo[node]
         hi[left] = hi[right] = hi[node]
         hi[left, f] = min(hi[node, f], t)

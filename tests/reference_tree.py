@@ -8,11 +8,11 @@ require that engine to grow the same node tables as `_grow` and
 `_best_split` here, bit for bit.
 
 `to_dicts` and `from_dicts` are the per-tree form that tests build and
-compare trees in: one dict of the six columns per tree.  `from_dicts`
+compare trees in: one dict of the four columns per tree.  `from_dicts`
 loads through `NodeTable.from_document`, the model file's reader, so a
 table built in a test passes the checks a loaded model passes.
-`seven_columns` writes such dicts in the earlier model file layout, which
-loading refuses.
+`with_children` adds a tree's child ids, and `seven_columns` writes
+such dicts in the earlier model file layout, which loading refuses.
 """
 
 from collections import deque
@@ -20,10 +20,14 @@ from collections import deque
 import numpy as np
 
 from premex.tree import COLUMNS, NodeTable
+from reference_predict import children
+
+# a tree's columns in the earlier model file layouts, child ids included
+OLD_COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
 
 
 def to_dicts(table) -> list:
-    """Each tree of `table` as a dict of its six columns as lists, in tree order."""
+    """Each tree of `table` as a dict of its four columns as lists, in tree order."""
     bounds = [*table.first.tolist(), table.feature.size]
     return [{name: getattr(table, name)[a:b].tolist() for name in COLUMNS}
             for a, b in zip(bounds, bounds[1:])]
@@ -53,12 +57,18 @@ def from_dicts(trees, feature_count: int) -> NodeTable:
     return table
 
 
+def with_children(tree: dict) -> dict:
+    """A tree's dict of columns with its growth-order `left` and `right` added."""
+    left, right = children(tree["feature"])
+    return dict(tree, left=left.tolist(), right=right.tolist())
+
+
 def seven_columns(trees) -> dict:
-    """Per-tree dicts of the six columns in the earlier seven-column model
-    file layout: `first` and the six columns whole, child ids and zero
-    fillers included."""
+    """Per-tree dicts of the six OLD_COLUMNS in the earlier seven-column
+    model file layout: `first` and the six columns whole, child ids and
+    zero fillers included."""
     sizes = [len(tree["feature"]) for tree in trees]
-    document = {name: [cell for tree in trees for cell in tree[name]] for name in COLUMNS}
+    document = {name: [cell for tree in trees for cell in tree[name]] for name in OLD_COLUMNS}
     document["first"] = np.cumsum([0, *sizes[:-1]]).tolist()
     return document
 
@@ -99,13 +109,10 @@ def _grow(X, a, b, counts, targets, config, rng, *, reg_lambda, gamma,
     use_subsets = k is not None and k < n_features
     table = {name: [] for name in COLUMNS}
 
-    # queue entries: (row indices, depth, parent id, child column)
-    queue = deque([(np.arange(X.shape[0], dtype=np.int64), 0, -1, "left")])
+    # queue entries: (row indices, depth)
+    queue = deque([(np.arange(X.shape[0], dtype=np.int64), 0)])
     while queue:
-        rows, depth, parent, side = queue.popleft()
-        node = len(table["feature"])
-        if parent >= 0:
-            table[side][parent] = node
+        rows, depth = queue.popleft()
         best_gain, best_feature, best_threshold = -np.inf, -1, 0.0
         depth_capped = config.max_depth is not None and depth >= config.max_depth
         if not (
@@ -123,8 +130,6 @@ def _grow(X, a, b, counts, targets, config, rng, *, reg_lambda, gamma,
                 )
                 if gain > best_gain:
                     best_gain, best_feature, best_threshold = gain, int(f), threshold
-        table["left"].append(node)
-        table["right"].append(node)
         table["count"].append(int(counts[rows].sum()))
         if best_gain <= 0.0:
             sa = float(a[rows].sum())
@@ -137,8 +142,8 @@ def _grow(X, a, b, counts, targets, config, rng, *, reg_lambda, gamma,
         table["threshold"].append(best_threshold)
         table["value"].append(0.0)
         go_left = X[rows, best_feature] <= best_threshold
-        queue.append((rows[go_left], depth + 1, node, "left"))
-        queue.append((rows[~go_left], depth + 1, node, "right"))
+        queue.append((rows[go_left], depth + 1))
+        queue.append((rows[~go_left], depth + 1))
     return from_dicts([table], n_features)
 
 

@@ -23,7 +23,7 @@ from premex.tree import NodeTable
 import golden
 import synth
 from conftest import FIXTURE20
-from reference_tree import seven_columns, to_dicts
+from reference_tree import seven_columns, to_dicts, with_children
 
 
 @pytest.fixture
@@ -216,7 +216,7 @@ class TestTrain:
         model = ensemble_mod.load_model(str(workdir / f"model_{variant}.json"))
         assert report["nodes"] == len(trees["feature"])
         assert report["leaves"] == trees["feature"].count(-1)
-        assert report["depth"] == max(int(tree.depth[0]) for tree in model.trees)
+        assert report["depth"] == max(int(tree.depths()[0]) for tree in model.trees)
         assert 1 <= report["depth"] <= {"rf": 4, "gbm": 3, "xgb": 3}[variant]
 
     def test_unknown_flag_exits_2(self, runner, workdir):
@@ -667,6 +667,15 @@ class TestCorruptSplitAndDataset:
         assert result.exit_code == 3, result.output
         assert "error:" in result.output and isinstance(result.exception, SystemExit)
 
+    def test_split_of_some_rows_exits_3(self, runner, workdir, tmp_path):
+        doc = json.loads((workdir / "split.json").read_text())
+        doc.update(train_rows=[0, 1, 2], test_rows=[5, 6])
+        result = self.evaluate_with(runner, workdir, tmp_path, "split.json", doc)
+        assert result.exit_code == 3, result.output
+        n = len(json.loads((workdir / "dataset.json").read_text())["y"])
+        assert f"cover 5 of the dataset's {n} rows, not every row" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize("command", ["evaluate", "explain"])
     def test_reversed_feature_names_exit_3(self, runner, workdir, tmp_path, command):
         # same matrix, names in another order than the model's features
@@ -698,7 +707,7 @@ class TestCorruptSplitAndDataset:
 def _seven_columns(doc) -> dict:
     """The model document's `trees` in the earlier seven-column layout."""
     table = NodeTable.from_document(doc["trees"], len(doc["feature_names"]))
-    return seven_columns(to_dicts(table))
+    return seven_columns([with_children(tree) for tree in to_dicts(table)])
 
 
 class TestCorruptModel:
@@ -986,18 +995,20 @@ class TestExplain:
 
     @pytest.mark.parametrize("variant", ["rf", "gbm", "xgb"])
     def test_shap_csv_equals_exact_shapley_values(self, runner, workdir, tmp_path, variant):
-        # all 30 train rows are the background and all 5 test rows are explained
+        # on the first 35 rows, split whole: all 30 train rows are the
+        # background and all 5 test rows are explained
+        dataset = data_mod.dataset_from_json(str(workdir / "dataset.json")).subset(np.arange(35))
+        data_mod.dataset_to_json(dataset, str(tmp_path / "dataset.json"), seed=0)
         split = tmp_path / "split.json"
         data_mod.split_to_json(data_mod.SplitIndices(np.arange(30), np.arange(30, 35), 0),
                                str(split))
         model_path = str(workdir / f"model_{variant}.json")
         result = runner.invoke(
             main,
-            ["explain", model_path, str(workdir / "dataset.json"), "--split", str(split),
+            ["explain", model_path, str(tmp_path / "dataset.json"), "--split", str(split),
              "--mode", "shap", "--out", str(tmp_path)],
         )
         assert result.exit_code == 0, result.output
-        dataset = data_mod.dataset_from_json(str(workdir / "dataset.json"))
         model = ensemble_mod.load_model(model_path)
         base_value, phi = shap_exact(model.predict, dataset.X[30:35], dataset.X[:30])
         lines = (tmp_path / f"shap_values_{variant}.csv").read_text().strip().splitlines()[2:]
@@ -1197,7 +1208,7 @@ class TestConfigFile:
         assert result.exit_code == 0, result.output
         model = ensemble_mod.load_model(str(out / "model_gbm.json"))
         assert len(model.trees) == 3 and model.config.learning_rate == 0.25
-        assert model.trees.depth.max() <= 2
+        assert model.trees.depths().max() <= 2
 
 
 class TestReproduceSmoke:

@@ -349,6 +349,32 @@ class TestJsonRoundTrips:
         with pytest.raises(DataValidationError, match=f"^{re.escape(path)}: {message}"):
             data_mod.split_from_json(path, 50)
 
+    def test_split_must_cover_every_row(self, tmp_path):
+        path = str(tmp_path / "split.json")
+        data_mod.split_to_json(train_test_split(50, 0.75, seed=11), path)
+        document = json.loads(open(path).read())
+        document.update(train_rows=[0, 1, 2], test_rows=[5, 6])
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        with pytest.raises(DataValidationError,
+                           match="cover 5 of the dataset's 50 rows, not every row"):
+            data_mod.split_from_json(path, 50)
+        # the same file is whole for a dataset of its own rows only
+        with pytest.raises(DataValidationError, match="cover 5 of the dataset's 7 rows"):
+            data_mod.split_from_json(path, 7)
+
+    @pytest.mark.parametrize("names", ["abc", [], ["Age", 3], None])
+    def test_dataset_feature_names_must_be_names(self, synth_dataset, tmp_path, names):
+        path = str(tmp_path / "d.json")
+        data_mod.dataset_to_json(synth_dataset, path, seed=3)
+        document = json.loads(open(path).read())
+        document["feature_names"] = names
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        with pytest.raises(DataValidationError,
+                           match="feature_names must be a non-empty list of strings"):
+            data_mod.dataset_from_json(path)
+
     def test_wrong_version_tag(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "dataset", "meta": {"format_version": 99}}')

@@ -29,8 +29,8 @@ from reference_tree import from_dicts, to_dicts
 
 def leaf_trees(*values, feature_count=2):
     """The table of one single-leaf tree per value."""
-    return from_dicts([{"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
-                        "value": [value], "count": [1]} for value in values], feature_count)
+    return from_dicts([{"feature": [-1], "threshold": [0.0], "value": [value], "count": [1]}
+                       for value in values], feature_count)
 
 
 class TestConfigChecks:
@@ -479,6 +479,17 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.config.learning_rate == 0.1
         assert np.array_equal(loaded.predict(small_regression.X), model.predict(small_regression.X))
+
+    @pytest.mark.parametrize("names", ["abc", [], ["Age", 3], None])
+    def test_feature_names_must_be_names(self, small_regression, tmp_path, names):
+        path = tmp_path / "model.json"
+        save_model(fit_gbm(small_regression, BoostConfig(n_estimators=2, seed=1)), path)
+        doc = json.loads(path.read_text())
+        doc["feature_names"] = names
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataValidationError,
+                           match="feature_names must be a non-empty list of strings"):
+            load_model(path)
 
     def test_forest_variant_is_not_a_field(self):
         with pytest.raises(TypeError):

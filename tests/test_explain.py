@@ -421,29 +421,25 @@ def assert_matches_oracle(predict_fn, terms, rows, background_rows):
     return phi
 
 
-def tree_columns(feature, threshold, left, right, value):
+def tree_columns(feature, threshold, value):
     """A tree's node table as a dict of columns; every node's row count is 1."""
-    return dict(zip(COLUMNS, (feature, threshold, left, right, value, [1] * len(feature))))
+    return dict(zip(COLUMNS, (feature, threshold, value, [1] * len(feature))))
 
 
 # feature 0 splits twice on the path to leaves 3 and 4 (at 2 then 1) and to
 # leaves 7 and 8 (at 2 then 5); feature 2 is never used
-TWICE = tree_columns(
+TWICE = tree_columns(  # nodes 0, 1, 2 and 6 split into 1-2, 3-4, 5-6 and 7-8
     feature=[0, 0, 1, -1, -1, -1, 0, -1, -1],
     threshold=[2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0],
-    left=[1, 3, 5, 3, 4, 5, 7, 7, 8],
-    right=[2, 4, 6, 3, 4, 5, 8, 7, 8],
     value=[0.0, 0.0, 0.0, 10.0, -4.0, 7.0, 0.0, 1.0, 20.0],
 )
 
 
 # a tree no data grows, but a model file may hold: feature 0's second split
 # on each path is looser than its first, so leaves 4 and 5 are unreachable
-LOOSE = tree_columns(
+LOOSE = tree_columns(  # nodes 0, 1 and 2 split into 1-2, 3-4 and 5-6
     feature=[0, 0, 0, -1, -1, -1, -1],
     threshold=[3.0, 5.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-    left=[1, 3, 5, 3, 4, 5, 6],
-    right=[2, 4, 6, 3, 4, 5, 6],
     value=[0.0, 0.0, 0.0, 4.0, 9.0, -2.0, 6.0],
 )
 
@@ -484,7 +480,7 @@ class TestTreeShap:
         assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
 
     def test_single_leaf_trees(self):
-        leaf = tree_columns([-1], [0.0], [0], [0], [6.0])
+        leaf = tree_columns([-1], [0.0], [6.0])
         rows, background = grid_rows([0.5, 5.5], [1.0]), grid_rows([1.0, 2.5], [-1.0])
         terms = (table_of(leaf, TWICE, leaf), 0.25, 0.0)
         assert_matches_oracle(sum_of_trees(*terms), terms, rows, background)
@@ -533,18 +529,16 @@ class TestTreeShap:
         def grow():
             """A tree's columns, numbered in growth order."""
             columns = {name: [] for name in COLUMNS}
-            open_nodes = deque([(0, None, None)])  # (depth, parent, the parent's child column)
+            open_nodes = deque([0])  # the depths of the nodes not yet numbered
             while open_nodes:
-                depth, parent, side = open_nodes.popleft()
+                depth = open_nodes.popleft()
                 node = len(columns["feature"])
-                for name, initial in zip(COLUMNS, (-1, 0.0, node, node, 0.0, 1)):
+                for name, initial in zip(COLUMNS, (-1, 0.0, 0.0, 1)):
                     columns[name].append(initial)
-                if parent is not None:
-                    columns[side][parent] = node
                 if depth < 4 and data.draw(st.booleans()):
                     columns["feature"][node] = data.draw(st.integers(0, p - 1))
                     columns["threshold"][node] = float(data.draw(st.integers(0, 3)))
-                    open_nodes.extend([(depth + 1, node, "left"), (depth + 1, node, "right")])
+                    open_nodes.extend([depth + 1, depth + 1])
                 else:
                     columns["value"][node] = float(data.draw(st.integers(-9, 9)))
             return columns

@@ -20,14 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_predict as oracle
-from reference_tree import from_dicts, seven_columns, to_dicts
+from reference_tree import OLD_COLUMNS, from_dicts, seven_columns, to_dicts, with_children
 from premex import explain as explain_mod
 from premex import tree as tree_mod
 from premex.ensemble import (
     BoostConfig, BoostedModel, ForestConfig, ForestModel, fit_gbm, load_model, save_model,
 )
 from premex.errors import DataValidationError
-from premex.tree import COLUMNS, NodeTable, RegressionTree
+from premex.rng import stream
+from premex.tree import (
+    COLUMNS, NodeTable, Presorted, RegressionTree, TreeConfig, fit_trees_gradients,
+)
 from premex.tuning import fit_variant
 
 # thresholds and cell values share a small set, so rows often sit on a
@@ -49,18 +52,16 @@ def random_tree(data, p: int, max_depth: int) -> dict:
     """The columns of a tree of depth at most max_depth, numbered in growth
     order (breadth-first, left child first), as grown and loaded trees are."""
     columns = {name: [] for name in COLUMNS}
-    open_nodes = deque([(0, None, None)])  # (depth, parent, the parent's child column)
+    open_nodes = deque([0])  # the depths of the nodes not yet numbered
     while open_nodes:
-        depth, parent, side = open_nodes.popleft()
+        depth = open_nodes.popleft()
         node = len(columns["feature"])
-        for name, initial in zip(COLUMNS, (-1, 0.0, node, node, 0.0, 1)):
+        for name, initial in zip(COLUMNS, (-1, 0.0, 0.0, 1)):
             columns[name].append(initial)
-        if parent is not None:
-            columns[side][parent] = node
         if depth < max_depth and data.draw(st.booleans()):
             columns["feature"][node] = data.draw(st.integers(0, p - 1))
             columns["threshold"][node] = data.draw(st.sampled_from(CUTS))
-            open_nodes.extend([(depth + 1, node, "left"), (depth + 1, node, "right")])
+            open_nodes.extend([depth + 1, depth + 1])
         else:
             columns["value"][node] = data.draw(
                 st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0]))
@@ -68,8 +69,8 @@ def random_tree(data, p: int, max_depth: int) -> dict:
 
 
 def depth_first(document: dict) -> dict:
-    """A tree's dict of columns renumbered depth-first, left child first, as
-    model files written before growth order numbered them."""
+    """A tree's dict of OLD_COLUMNS renumbered depth-first, left child
+    first, as model files written before growth order numbered them."""
     order, stack = [], [0]  # the nodes' ids, in depth-first order
     while stack:
         node = stack.pop()
@@ -77,7 +78,7 @@ def depth_first(document: dict) -> dict:
         if document["feature"][node] >= 0:
             stack += [document["right"][node], document["left"][node]]
     new_id = {node: i for i, node in enumerate(order)}
-    renumbered = {name: [document[name][node] for node in order] for name in COLUMNS}
+    renumbered = {name: [document[name][node] for node in order] for name in OLD_COLUMNS}
     for side in ("left", "right"):
         renumbered[side] = [new_id[child] for child in renumbered[side]]
     return renumbered
@@ -128,12 +129,11 @@ class TestPrediction:
             assert_same_bits(tree.predict_matrix(X), oracle.tree_predictions(tree, X))
 
     def test_single_leaf_trees(self):
-        leaf = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [2.5],
-                "count": [3]}
+        leaf = {"feature": [-1], "threshold": [0.0], "value": [2.5], "count": [3]}
         table = from_dicts([leaf] * 3, 2)
         forest, boosted = forest_and_boosted(table, 2)
         X = np.arange(8.0).reshape(4, 2)
-        assert forest.trees.depth.tolist() == [0, 0, 0]
+        assert forest.trees.depths().tolist() == [0, 0, 0]
         assert_same_bits(forest.predict(X), oracle.forest_predict(list(table), X))
         assert_same_bits(boosted.predict(X), oracle.boosted_predict(list(table), 3.7, 0.3, X))
 
@@ -229,10 +229,9 @@ class TestTreeShap:
 
 def two_stage_documents():
     """A root split and a lone leaf, as reference_tree.to_dicts() gives them."""
-    split = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, 1, 2],
-             "right": [2, 1, 2], "value": [0.0, 1.0, 2.0], "count": [2, 1, 1]}
-    leaf = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [4.0],
-            "count": [2]}
+    split = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [0.0, 1.0, 2.0],
+             "count": [2, 1, 1]}
+    leaf = {"feature": [-1], "threshold": [0.0], "value": [4.0], "count": [2]}
     return [split, leaf]
 
 
@@ -242,7 +241,7 @@ class TestLoading:
         table = from_dicts(documents, 2)
         assert to_dicts(table) == documents
         assert [to_dicts(tree) for tree in table] == [[document] for document in documents]
-        assert table.depth.tolist() == [1, 0] * 3
+        assert table.depths().tolist() == [1, 0] * 3
         assert table.first.tolist() == [0, 3, 4, 7, 8, 11]
 
     def test_first_malformed_tree_names_the_error(self):
@@ -293,8 +292,8 @@ class TestLoading:
         assert saved["value"] == model.trees.value[~internal].tolist()
         for name in COLUMNS:
             assert np.array_equal(getattr(clone.trees, name), getattr(model.trees, name))
-        assert np.array_equal(clone.trees.depth, model.trees.depth)
-        assert [t.depth.tolist() for t in clone.trees] == [t.depth.tolist() for t in model.trees]
+        assert np.array_equal(clone.trees.depths(), model.trees.depths())
+        assert [t.depths().tolist() for t in clone.trees] == [[d] for d in model.trees.depths()]
 
     @pytest.mark.parametrize("variant,params", [
         ("rf", {"n_estimators": 22}),
@@ -305,7 +304,7 @@ class TestLoading:
         model = fit_variant(variant, synth_dataset, params, 5)
         save_model(model, tmp_path / "model.json")
         clone = load_model(tmp_path / "model.json")
-        for name in (*COLUMNS, "first", "depth"):
+        for name in (*COLUMNS, "first"):
             assert getattr(clone.trees, name).dtype == getattr(model.trees, name).dtype
             if name in ("threshold", "value"):
                 assert_same_bits(getattr(clone.trees, name), getattr(model.trees, name))
@@ -315,9 +314,9 @@ class TestLoading:
 
 
 class TestDepthFirstFiles:
-    """Model files written before this layout number each tree's nodes
-    depth-first or hold child ids; neither loads, and no table saves as
-    another tree."""
+    """Model files written before this layout hold child ids, with each
+    tree's nodes numbered in growth order or, earlier, depth-first; none
+    loads."""
 
     @pytest.mark.parametrize("variant,params", [
         ("rf", {"n_estimators": 22}),
@@ -328,34 +327,13 @@ class TestDepthFirstFiles:
         model = fit_variant(variant, synth_dataset.subset(np.arange(200)), params, 5)
         save_model(model, tmp_path / "grown.json")
         document = json.loads((tmp_path / "grown.json").read_text())
-        trees = to_dicts(model.trees)
+        trees = [with_children(tree) for tree in to_dicts(model.trees)]
         for old_trees in (trees, [depth_first(tree) for tree in trees]):
             document["trees"] = seven_columns(old_trees)
             (tmp_path / "old.json").write_text(json.dumps(document))
             with pytest.raises(DataValidationError,
                                match="trees must be an object of exactly the columns"):
                 load_model(tmp_path / "old.json")
-
-    def test_depth_first_table_not_saved(self, synth_dataset, tmp_path):
-        model = fit_variant("gbm", synth_dataset.subset(np.arange(200)), {}, 5)
-        old = seven_columns([depth_first(tree) for tree in to_dicts(model.trees)])
-        columns = {name: np.array(old[name], dtype=getattr(model.trees, name).dtype)
-                   for name in COLUMNS}
-        assert not np.array_equal(columns["left"], model.trees.left)
-        # the same trees, numbered depth-first: they predict alike in memory
-        table = NodeTable(columns, model.trees.first, model.trees.depth, synth_dataset.m)
-        X = synth_dataset.X
-        out = np.zeros(X.shape[0])
-        table.add_predictions(X, out)
-        expected = np.zeros(X.shape[0])
-        model.trees.add_predictions(X, expected)
-        assert_same_bits(out, expected)
-        with pytest.raises(DataValidationError, match="saves only in growth order"):
-            table.to_document()
-        model.trees = table
-        with pytest.raises(DataValidationError, match="saves only in growth order"):
-            save_model(model, tmp_path / "depth_first.json")
-        assert not (tmp_path / "depth_first.json").exists()
 
 
 class TestJoin:
@@ -365,9 +343,10 @@ class TestJoin:
                  from_dicts([], 2), from_dicts(documents[4:], 2)]
         joined = NodeTable.join(parts, 2)
         whole = from_dicts(documents, 2)
-        for name in (*COLUMNS, "first", "depth"):
+        for name in (*COLUMNS, "first"):
             assert np.array_equal(getattr(joined, name), getattr(whole, name))
             assert getattr(joined, name).dtype == getattr(whole, name).dtype
+        assert joined.depths().tolist() == whole.depths().tolist()
         # each part's column is dropped once copied
         assert all(getattr(part, name) is None for part in parts for name in COLUMNS)
 
@@ -392,3 +371,58 @@ class TestJoin:
                  from_dicts(two_stage_documents(), 3)]
         with pytest.raises(DataValidationError, match="same 2 features"):
             NodeTable.join(parts, 2)
+
+
+def lockstep_tables(data, n_models: int, n_stages: int) -> list:
+    """Boosted tables as ensemble._boost_lockstep builds them: stage t of
+    every model is one fit_trees_gradients batch, and model i's table
+    joins the i-th views of the stages."""
+    matrix = Presorted(data.X)
+    stages = []
+    for t in range(n_stages):
+        jobs = []
+        for i in range(n_models):
+            rng = stream(i, "stage", t)
+            rows = np.sort(rng.choice(data.n, size=data.n - 10 * i, replace=False))
+            jobs.append((matrix, rows, rng.normal(size=rows.size), np.ones(rows.size), rng))
+        stages.append(fit_trees_gradients(jobs, TreeConfig(max_depth=4)))
+    return [NodeTable.join([stage[i] for stage in stages], data.m) for i in range(n_models)]
+
+
+class TestEveryProducer:
+    """Every way a table comes about saves and loads back with each column
+    identical bit for bit, and predicts the bits of the tree-at-a-time
+    oracle, which finds each tree's children with its own loop."""
+
+    @staticmethod
+    def tables(producer, data, tmp_path) -> list:
+        if producer == "joined-stage-views":
+            return lockstep_tables(data, 3, 4)
+        models = [fit_variant(variant, data, params, 5) for variant, params in
+                  [("rf", {"n_estimators": 22}), ("gbm", {}), ("xgb", {})]]
+        if producer == "fitted":
+            return [model.trees for model in models]
+        if producer == "views":
+            return [tree for model in models for tree in model.trees]
+        for model in models:
+            save_model(model, tmp_path / f"{model.variant}.json")
+        return [load_model(tmp_path / f"{model.variant}.json").trees for model in models]
+
+    @pytest.mark.parametrize("producer", ["fitted", "joined-stage-views", "views", "loaded"])
+    def test_round_trip_and_prediction(self, synth_dataset, tmp_path, producer):
+        X = synth_dataset.X[::3].copy()
+        X[:, 0] += 1.5  # half-integer ages, which grown thresholds can equal
+        for table in self.tables(producer, synth_dataset, tmp_path):
+            clone = NodeTable.from_document(table.to_document(), table.feature_count)
+            assert type(clone) is NodeTable and clone.feature_count == table.feature_count
+            for name in (*COLUMNS, "first"):
+                got, expected = getattr(clone, name), getattr(table, name)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            expected = np.full(X.shape[0], -0.0)
+            for tree in table:
+                expected += oracle.tree_predictions(tree, X)
+            for predicting in (table, clone):
+                out = np.full(X.shape[0], -0.0)
+                predicting.add_predictions(X, out)
+                assert_same_bits(out, expected)

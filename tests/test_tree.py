@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 import premex.tree as tree_mod
 import reference_tree
-from reference_tree import from_dicts, seven_columns, to_dicts
+from reference_predict import children
+from reference_tree import from_dicts, seven_columns, to_dicts, with_children
 from premex.errors import DataValidationError, NumericError
 from premex.rng import stream
 from premex.tree import (
@@ -50,8 +51,9 @@ class TestFitTree:
         tree = fit_tree(X, y, TreeConfig(max_depth=1), stream(0, "t"))
         assert tree.feature[0] == 0
         assert tree.threshold[0] == oracle_threshold
-        assert tree.value[tree.left[0]] == 1.0
-        assert tree.value[tree.right[0]] == 3.0
+        # the root's children are nodes 1 and 2
+        assert tree.value[1] == 1.0
+        assert tree.value[2] == 3.0
 
     def test_constant_targets_single_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
@@ -90,12 +92,13 @@ class TestFitTree:
         X = rng.normal(size=(200, 5))
         y = rng.normal(size=200)
         tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
-        assert tree.depth[0] <= 4
+        assert tree.depths()[0] <= 4
         internal = tree.feature >= 0
+        left, right = children(tree.feature)
         assert np.all(tree.count >= 1)
         # an internal node's rows are exactly its children's rows
         assert np.array_equal(
-            tree.count[internal], tree.count[tree.left[internal]] + tree.count[tree.right[internal]]
+            tree.count[internal], tree.count[left[internal]] + tree.count[right[internal]]
         )
 
     def test_min_samples_split(self):
@@ -189,6 +192,7 @@ class TestMidpointThresholds:
         tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
 
         node_rows = {0: np.arange(60)}
+        left, right = children(tree.feature)
         for node in range(tree.feature.size):  # parents come before children
             rows, feature = node_rows.pop(node), tree.feature[node]
             assert rows.size == tree.count[node]
@@ -198,8 +202,8 @@ class TestMidpointThresholds:
             midpoints = (values[1:] + values[:-1]) / 2.0
             assert tree.threshold[node] in midpoints
             go_left = X[rows, feature] <= tree.threshold[node]
-            node_rows[tree.left[node]] = rows[go_left]
-            node_rows[tree.right[node]] = rows[~go_left]
+            node_rows[left[node]] = rows[go_left]
+            node_rows[right[node]] = rows[~go_left]
         assert not node_rows
 
     @pytest.mark.parametrize("low, high", [
@@ -268,7 +272,7 @@ class TestLevelBlocks:
         with mock.patch.object(tree_mod._SortedColumns, "_score", autospec=True,
                                side_effect=score) as calls:
             tree = fit_tree(X, y, TreeConfig(max_depth=5), stream(0, "t"))
-        assert int(tree.depth.max()) == 5
+        assert int(tree.depths().max()) == 5
         assert calls.call_count == 5  # one per level that splits
 
 
@@ -312,13 +316,11 @@ def known_split_tree():
 class TestTable:
     def test_depth_one_tree(self):
         tree = known_split_tree()
-        assert tree.depth.tolist() == [1]
+        assert tree.depths().tolist() == [1]
         assert tree.feature.size == 3
         assert to_dicts(tree) == [{
             "feature": [0, -1, -1],
             "threshold": [2.5, 0.0, 0.0],
-            "left": [1, 1, 2],
-            "right": [2, 1, 2],
             "value": [0.0, 1.0, 3.0],
             "count": [4, 2, 2],
         }]
@@ -335,21 +337,25 @@ class TestTable:
             table = fit_trees([(matrix, r, rng.normal(size=r.size), None, stream(j, "t"))
                                for j, r in enumerate(rows)], config)
         else:
+            rows = [np.arange(120)]
             table = fit_tree(X, rng.normal(size=120), config, stream(0, "t"))
-        for tree in table:
-            internal = np.flatnonzero(tree.feature >= 0)
-            # the k-th split node's children are nodes 2k + 1 and 2k + 2
-            k = np.arange(internal.size)
-            assert np.array_equal(tree.left[internal], 2 * k + 1)
-            assert np.array_equal(tree.right[internal], 2 * k + 2)
-            leaves = np.flatnonzero(tree.feature < 0)
-            assert np.array_equal(tree.left[leaves], leaves)
-            assert np.array_equal(tree.right[leaves], leaves)
+        for tree, rows in zip(table, rows):
+            # with the k-th split node's children nodes 2k + 1 and 2k + 2,
+            # every node holds exactly the rows that reach it
+            left, right = children(tree.feature)
+            node_rows = {0: rows}
+            for node in range(tree.feature.size):
+                reached = node_rows.pop(node)
+                assert reached.size == tree.count[node]
+                if tree.feature[node] >= 0:
+                    go_left = X[reached, tree.feature[node]] <= tree.threshold[node]
+                    node_rows[left[node]], node_rows[right[node]] = (reached[go_left],
+                                                                     reached[~go_left])
             # node ids follow the levels in turn
             level = np.zeros(tree.feature.size, dtype=np.int64)
-            for node in internal:
-                level[tree.left[node]] = level[tree.right[node]] = level[node] + 1
-            assert (np.diff(level) >= 0).all() and level[-1] == tree.depth[0]
+            for node in np.flatnonzero(tree.feature >= 0):
+                level[left[node]] = level[right[node]] = level[node] + 1
+            assert (np.diff(level) >= 0).all() and level[-1] == tree.depths()[0]
 
 
 class TestSerialization:
@@ -360,7 +366,7 @@ class TestSerialization:
         tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
         clone = from_dicts(to_dicts(tree), 4)[0]
         assert to_dicts(clone) == to_dicts(tree)
-        assert clone.depth.tolist() == tree.depth.tolist()
+        assert clone.depths().tolist() == tree.depths().tolist()
         probe = rng.normal(size=(25, 4))
         assert np.array_equal(tree.predict_matrix(probe), clone.predict_matrix(probe))
 
@@ -394,7 +400,7 @@ class TestSerialization:
         doc, match = known_split_tree().to_document(), None
         if column in ("left", "right"):
             # the earlier seven-column layout: `first` and the six columns whole
-            doc = seven_columns(to_dicts(known_split_tree()))
+            doc = seven_columns([with_children(tree) for tree in to_dicts(known_split_tree())])
             match = ("trees must be an object of exactly the columns "
                      "\\['count', 'feature', 'first', 'threshold', 'value'\\]")
         doc[column] = cells
@@ -476,7 +482,7 @@ class TestReferenceEngine:
         config = TreeConfig(max_depth=5)
         tree = fit_tree(X, y, config, stream(0, "t"), weights=weights)
         expected = reference_tree.fit_tree(X[repeated], y[repeated], config, stream(0, "t"))
-        for name in ("feature", "threshold", "left", "right", "count"):
+        for name in ("feature", "threshold", "count"):
             assert np.array_equal(getattr(tree, name), getattr(expected, name))
         assert np.allclose(tree.value, expected.value, rtol=1e-12, atol=0.0)
 
