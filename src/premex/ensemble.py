@@ -15,11 +15,13 @@ i.  Prediction descends all trees at once, one gather per level, and adds
 their leaf values in tree order, so it gives the bits a loop over the
 trees gives.  A model file holds `variant`, `config`, `feature_names`,
 `trees` and a boosted model's `base_score`.  `trees` holds each node's
-facts once, as NodeTable.to_document writes them: the table's `first`,
-`feature` and `count`, the split nodes' thresholds and the leaves' values.
-The table in memory holds the same facts, with zeros on the other nodes.
+facts once, as NodeTable.to_document writes them: the table's `first`
+and `feature`, the split nodes' thresholds and the leaves' values.  The
+table in memory holds the same facts, with zeros on the other nodes.
 Neither holds child ids: growth order implies them, and
-NodeTable.from_document checks every tree's growth-order shape.
+NodeTable.from_document checks every tree's growth-order shape.  Nor
+does either hold the rows that reached a node: weighted node sizes are
+internal to growth, which sums them for min_samples_split.
 
 `PUBLISHED` is the one home of the published best hyperparameters;
 `variant_config` lays a parameter dict over them.  Each model config is

@@ -66,13 +66,14 @@ its distinct rows weighted by their draw counts.
 One representation serves growth, prediction, loading, saving and
 TreeSHAP: a `NodeTable`, the flat node tables of one or more trees.  It
 holds exactly a model file's facts: each tree's first node `first`, and
-the equal-length columns `feature`, `threshold`, `value` and `count`,
-indexed by node id.  Node 0 is a tree's root, and nodes are numbered in
-growth order, breadth-first, left child first, so the children of the
-k-th split node are nodes 2k + 1 and 2k + 2.  A row goes left when
-row[feature] <= threshold.  A leaf has feature -1 and threshold 0;
-`value` is the leaf prediction (0 on internal nodes) and `count` the
-number of training rows, weights counted, that reached the node.
+the equal-length columns `feature`, `threshold` and `value`, indexed by
+node id.  Node 0 is a tree's root, and nodes are numbered in growth
+order, breadth-first, left child first, so the children of the k-th
+split node are nodes 2k + 1 and 2k + 2.  A row goes left when
+row[feature] <= threshold.  A leaf has feature -1 and threshold 0, and
+`value` is the leaf prediction (0 on internal nodes).  A node's weighted
+size, the training rows that reached it with weights counted, is summed
+during growth for `min_samples_split` and not kept.
 
 A table of several trees concatenates their columns.  Each chunk of
 growth builds its trees' table, and `fit_trees` joins the chunks' tables
@@ -82,11 +83,11 @@ them from growth order (`_growth_children`, `_depths`), prediction for
 the trees it adds and `leaf_masks` per block of trees.  Prediction starts
 a (trees, rows) matrix of nodes at the roots and takes max(depth) steps,
 each one flat gather of X and one gather of the children; a leaf steps
-to itself.  A model file holds `first`, `feature` and `count` whole, one
-threshold per split node and one value per leaf; loading checks each
-tree's growth-order shape on its split ranks alone.  TreeSHAP's leaf
-masks come from the same level-by-level descent, each node holding a
-feature mask per row in place of each row holding a node (`leaf_masks`).
+to itself.  A model file holds `first` and `feature` whole, one threshold
+per split node and one value per leaf; loading checks each tree's
+growth-order shape on its split ranks alone.  TreeSHAP's leaf masks come
+from the same level-by-level descent, each node holding a feature mask
+per row in place of each row holding a node (`leaf_masks`).
 Work on (tree, row) and (leaf, row) arrays goes in blocks of at most
 BLOCK_CELLS cells.
 """
@@ -101,10 +102,10 @@ import numpy as np
 from .artifacts import json_array
 from .errors import DataValidationError, NumericError
 
-COLUMNS = ("feature", "threshold", "value", "count")
+COLUMNS = ("feature", "threshold", "value")
 # a model file's `trees` object: thresholds of split nodes and values of
 # leaves only
-FILE_COLUMNS = ("first", "feature", "threshold", "value", "count")
+FILE_COLUMNS = ("first", "feature", "threshold", "value")
 
 # The most rows, summed over its trees, that one level loop grows at once.
 # A level's working memory is about 700 bytes per row.  3000 rows hold a
@@ -228,7 +229,7 @@ class NodeTable:
     """The node tables of one or more trees, concatenated: what growth
     returns and a model holds, predicts with, saves and explains.
 
-    The four columns of every tree are concatenated in tree order.  Tree
+    The three columns of every tree are concatenated in tree order.  Tree
     t's root is node first[t], and its nodes run up to the next tree's
     root.  len() is the number of trees, and table[t] is tree t as a
     one-tree table over views of its part.
@@ -285,13 +286,11 @@ class NodeTable:
         if not isinstance(document, dict) or document.keys() != set(FILE_COLUMNS):
             raise DataValidationError(
                 f"trees must be an object of exactly the columns {sorted(FILE_COLUMNS)}")
-        first, feature, threshold, value, count = (
+        first, feature, threshold, value = (
             json_array(document[name], f"tree column {name!r}",
                        integers=name not in ("threshold", "value"))
             for name in FILE_COLUMNS)
         n = feature.size
-        if count.size != n:
-            raise DataValidationError("tree columns 'feature' and 'count' differ in length")
         if (first[:1] != 0).any() or (np.diff(first, append=n) < 1).any() or (n and not first.size):
             raise DataValidationError("tree starts 'first' must rise from 0 below the node count")
         internal = feature >= 0
@@ -300,8 +299,7 @@ class NodeTable:
             raise DataValidationError(
                 f"trees need one threshold per split node and one value per leaf: {splits} and "
                 f"{n - splits}, got {threshold.size} and {value.size}")
-        columns = {"feature": feature, "threshold": np.zeros(n), "value": np.zeros(n),
-                   "count": count}
+        columns = {"feature": feature, "threshold": np.zeros(n), "value": np.zeros(n)}
         columns["threshold"][internal] = threshold
         columns["value"][~internal] = value
         try:
@@ -317,12 +315,12 @@ class NodeTable:
             raise
 
     def to_document(self) -> dict:
-        """A model file's `trees` object: `first`, `feature` and `count`, the
-        split nodes' thresholds and the leaves' values, as lists."""
+        """A model file's `trees` object: `first` and `feature`, the split
+        nodes' thresholds and the leaves' values, as lists."""
         internal = self.feature >= 0
         return {"first": self.first.tolist(), "feature": self.feature.tolist(),
                 "threshold": self.threshold[internal].tolist(),
-                "value": self.value[~internal].tolist(), "count": self.count.tolist()}
+                "value": self.value[~internal].tolist()}
 
     def depths(self) -> np.ndarray:
         """Each tree's depth: the most splits on a path from its root to a leaf."""
@@ -453,8 +451,6 @@ def _checked_table(columns, first, feature_count: int) -> NodeTable:
     feature = columns["feature"]
     if feature.size and (feature.min() < -1 or feature.max() >= feature_count):
         raise DataValidationError(f"tree feature index outside -1..{feature_count - 1}")
-    if columns["count"].size and columns["count"].min() < 1:
-        raise DataValidationError("tree row counts must be positive")
     # per tree: 2s + 1 nodes for s split nodes, so the growth-order children
     # 1..2s cover it once, and its k-th split node before its child 2k + 1
     sizes = np.diff(first, append=feature.size)
@@ -515,11 +511,10 @@ def fit_tree(X, targets, config: TreeConfig, rng: np.random.Generator, *,
     """Grow a tree greedily, maximizing SSE reduction; leaves predict means.
 
     `weights` are optional positive integer row multiplicities: row i
-    counts as weights[i] copies of itself, in `count`, in
-    `min_samples_split` and in every sum.  On integer targets every sum
-    is exact, so the tree equals the one grown on the repeated rows; on
-    other targets the sums can differ from the repeated rows' in the last
-    bits.
+    counts as weights[i] copies of itself, in `min_samples_split` and in
+    every sum.  On integer targets every sum is exact, so the tree equals
+    the one grown on the repeated rows; on other targets the sums can
+    differ from the repeated rows' in the last bits.
     """
     matrix = Presorted(X)
     return fit_trees([(matrix, np.arange(matrix.shape[0]), targets, weights, rng)], config)[0]
@@ -571,14 +566,13 @@ def fit_trees_gradients(jobs, config: TreeConfig, reg_lambda: float = 1.0,
 def _sse_job(matrix, rows, targets, weights, rng, config):
     rows, targets = _check_fit_inputs(matrix, rows, targets, config)
     if weights is None:
-        counts = np.ones(rows.size, dtype=np.int64)
+        b = np.ones(rows.size)
     else:
-        counts = np.asarray(weights)
-        if counts.shape != targets.shape or counts.dtype.kind not in "iu" or counts.min() < 1:
+        weights = np.asarray(weights)
+        if weights.shape != targets.shape or weights.dtype.kind not in "iu" or weights.min() < 1:
             raise DataValidationError("weights must be one positive integer per row")
-        counts = counts.astype(np.int64)
-    b = counts.astype(np.float64)
-    return matrix, rows, targets * b, b, counts, targets, rng
+        b = weights.astype(np.float64)
+    return matrix, rows, targets * b, b, targets, rng
 
 
 def _gradient_job(matrix, rows, grad, hess, rng, config):
@@ -588,7 +582,7 @@ def _gradient_job(matrix, rows, grad, hess, rng, config):
         raise DataValidationError("grad and hess must have equal length")
     if not np.isfinite(hess).all():
         raise DataValidationError("hessians must be finite (no NaN or inf)")
-    return matrix, rows, grad, hess, np.ones(rows.size, dtype=np.int64), None, rng
+    return matrix, rows, grad, hess, None, rng
 
 
 def _check_fit_inputs(matrix, rows, targets, config):
@@ -625,35 +619,36 @@ def _grow(jobs, config, reg_lambda, gamma) -> NodeTable:
 
 
 def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
-    """The level-wise engine over a batch of jobs (matrix, rows, a, b, counts, targets, rng).
+    """The level-wise engine over a batch of jobs (matrix, rows, a, b, targets, rng).
 
     SSE mode (targets given): a = weight * target, b = weight; node score
     is (sum a)^2 / (sum b), the gain is the exact SSE reduction, and a node
     whose targets are all equal is a leaf.  Second-order mode (targets
     None): a = gradients, b = hessians; score is G^2/(H+lambda), the gain
-    is halved and gamma-penalized.  `counts` are the integer row weights.
+    is halved and gamma-penalized.  A node's weighted size, compared with
+    min_samples_split, is its rows' sum of b in SSE mode (exact, as the
+    weights are integers) and its number of rows in second-order mode.
 
     The jobs' rows are stacked, and each job's root owns its own segment
     of positions, so a level scores and partitions the open nodes of every
     tree at once.  Nothing a node computes depends on the other nodes, so
     each tree is the one its job grows alone.
     """
-    second_order = jobs[0][5] is None
+    second_order = jobs[0][4] is None
     n_features = jobs[0][0].shape[1]
     if any(job[0].shape[1] != n_features for job in jobs):
         raise DataValidationError("every tree of a batch must have the same features")
-    a, b, counts = (np.concatenate([job[i] for job in jobs]) for i in (2, 3, 4))
-    rngs = [job[6] for job in jobs]
+    a, b = (np.concatenate([job[i] for job in jobs]) for i in (2, 3))
+    rngs = [job[5] for job in jobs]
     k = config.max_features
     subset_size = k if k is not None and k < n_features else None
     size = np.array([job[1].size for job in jobs])
     start = np.cumsum(size) - size
     columns = _SortedColumns([job[:2] for job in jobs], a, b)
     if not second_order:
-        counts = np.append(counts, 0)
-        targets = np.append(np.concatenate([job[5] for job in jobs]), 0.0)
+        targets = np.append(np.concatenate([job[4] for job in jobs]), 0.0)
 
-    levels = []  # per level: the open nodes' (tree, start, size, count, feature, threshold)
+    levels = []  # per level: the open nodes' (tree, start, size, feature, threshold)
     tree = np.arange(len(jobs))  # the job each open node belongs to
     depth = 0
     # gains and leaf values may divide by zero and midpoints overflow; a
@@ -661,14 +656,14 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
     # and a leaf value that is not finite is rejected below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
-            # every count is 1 in a second-order job, and in an SSE job
+            # every row weighs 1 in a second-order job, and in an SSE job
             # whose b = weight is unit
-            count = size
+            weighted = size
             if not second_order:
                 bounds = np.column_stack([start, start + size]).ravel()
                 rows = columns.rows()
                 if not columns.unit_b:
-                    count = np.add.reduceat(counts[rows], bounds)[::2]
+                    weighted = np.add.reduceat(columns.b[0].take(rows), bounds)[::2]
                 values = targets[rows]
                 spread = (np.maximum.reduceat(values, bounds)
                           - np.minimum.reduceat(values, bounds))[::2]
@@ -676,7 +671,7 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
             threshold = np.zeros(start.size)
             split = np.zeros(0, dtype=np.int64)
             if depth != config.max_depth:
-                splittable = count >= config.min_samples_split
+                splittable = weighted >= config.min_samples_split
                 if not second_order:
                     splittable &= spread != 0.0
                 split = np.flatnonzero(splittable)
@@ -689,7 +684,7 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
                 )
                 split, n_left = split[gainful], n_left[gainful]
                 feature[split], threshold[split] = best_feature[gainful], best_threshold[gainful]
-            levels.append((tree, start, size, count, feature, threshold))
+            levels.append((tree, start, size, feature, threshold))
             if not split.size:
                 break
             # children at the depth bound are leaves: only the row order matters
@@ -702,14 +697,14 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
             size[1::2] = parent_size - n_left
             tree = tree[split].repeat(2)
             depth += 1
-        tree, start, size, count, feature, threshold = (np.concatenate(c) for c in zip(*levels))
+        tree, start, size, feature, threshold = (np.concatenate(c) for c in zip(*levels))
         value = np.zeros(feature.size)
         leaf = np.flatnonzero(feature < 0)
         value[leaf] = columns.leaf_values(start[leaf], size[leaf], reg_lambda, second_order)
     if not np.isfinite(value).all():
         raise NumericError("a leaf value is not finite: its hessians sum to -reg_lambda, "
                            "or a sum overflowed")
-    return _level_table(tree, feature, threshold, value, count, n_features)
+    return _level_table(tree, feature, threshold, value, n_features)
 
 
 def _spans(start, size):
@@ -969,7 +964,7 @@ class _SortedColumns:
         keys[:, _spans(start, n_left)] = taken.take(np.flatnonzero(moves)).reshape(shape[0], -1)
 
 
-def _level_table(tree, feature, threshold, value, count, n_features) -> NodeTable:
+def _level_table(tree, feature, threshold, value, n_features) -> NodeTable:
     """The nodes, given level by level, as the trees' table in growth order.
 
     Within a level the nodes are in tree order, so a stable sort by tree
@@ -978,5 +973,5 @@ def _level_table(tree, feature, threshold, value, count, n_features) -> NodeTabl
     """
     order = np.argsort(tree, kind="stable")
     size = np.bincount(tree)  # every tree has its root on the first level
-    table = dict(zip(COLUMNS, (feature[order], threshold[order], value[order], count[order])))
+    table = dict(zip(COLUMNS, (feature[order], threshold[order], value[order])))
     return NodeTable(table, np.cumsum(size) - size, n_features)

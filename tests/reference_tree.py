@@ -8,11 +8,12 @@ require that engine to grow the same node tables as `_grow` and
 `_best_split` here, bit for bit.
 
 `to_dicts` and `from_dicts` are the per-tree form that tests build and
-compare trees in: one dict of the four columns per tree.  `from_dicts`
+compare trees in: one dict of the three columns per tree.  `from_dicts`
 loads through `NodeTable.from_document`, the model file's reader, so a
 table built in a test passes the checks a loaded model passes.
-`with_children` adds a tree's child ids, and `seven_columns` writes
-such dicts in the earlier model file layout, which loading refuses.
+`old_columns` adds a tree's child ids and row counts, and
+`seven_columns` and `five_columns` write such trees in the earlier model
+file layouts, which loading refuses.
 """
 
 from collections import deque
@@ -22,12 +23,13 @@ import numpy as np
 from premex.tree import COLUMNS, NodeTable
 from reference_predict import children
 
-# a tree's columns in the earlier model file layouts, child ids included
+# a tree's columns in the earlier model file layouts, child ids and row
+# counts included
 OLD_COLUMNS = ("feature", "threshold", "left", "right", "value", "count")
 
 
 def to_dicts(table) -> list:
-    """Each tree of `table` as a dict of its four columns as lists, in tree order."""
+    """Each tree of `table` as a dict of its three columns as lists, in tree order."""
     bounds = [*table.first.tolist(), table.feature.size]
     return [{name: getattr(table, name)[a:b].tolist() for name in COLUMNS}
             for a, b in zip(bounds, bounds[1:])]
@@ -48,7 +50,6 @@ def from_dicts(trees, feature_count: int) -> NodeTable:
         "feature": cells["feature"],
         "threshold": [t for t, s in zip(cells["threshold"], split) if s],
         "value": [v for v, s in zip(cells["value"], split) if not s],
-        "count": cells["count"],
     }
     table = NodeTable.from_document(document, feature_count)
     if to_dicts(table) != [dict(tree) for tree in trees]:
@@ -57,10 +58,16 @@ def from_dicts(trees, feature_count: int) -> NodeTable:
     return table
 
 
-def with_children(tree: dict) -> dict:
-    """A tree's dict of columns with its growth-order `left` and `right` added."""
-    left, right = children(tree["feature"])
-    return dict(tree, left=left.tolist(), right=right.tolist())
+def old_columns(tree: dict) -> dict:
+    """A tree's dict of columns with the rest of OLD_COLUMNS added: its
+    growth-order `left` and `right`, and its `count` as if one training
+    row reached each leaf."""
+    left, right = (ids.tolist() for ids in children(tree["feature"]))
+    count = [1] * len(left)
+    for node in reversed(range(len(count))):  # children come after their parent
+        if left[node] != node:
+            count[node] = count[left[node]] + count[right[node]]
+    return dict(tree, left=left, right=right, count=count)
 
 
 def seven_columns(trees) -> dict:
@@ -71,6 +78,13 @@ def seven_columns(trees) -> dict:
     document = {name: [cell for tree in trees for cell in tree[name]] for name in OLD_COLUMNS}
     document["first"] = np.cumsum([0, *sizes[:-1]]).tolist()
     return document
+
+
+def five_columns(table) -> dict:
+    """A table's `trees` object in the earlier five-column model file
+    layout: the four columns of to_document() and `count` whole."""
+    count = [cell for tree in to_dicts(table) for cell in old_columns(tree)["count"]]
+    return dict(table.to_document(), count=count)
 
 
 def fit_tree(X, targets, config, rng, weights=None):
@@ -130,7 +144,6 @@ def _grow(X, a, b, counts, targets, config, rng, *, reg_lambda, gamma,
                 )
                 if gain > best_gain:
                     best_gain, best_feature, best_threshold = gain, int(f), threshold
-        table["count"].append(int(counts[rows].sum()))
         if best_gain <= 0.0:
             sa = float(a[rows].sum())
             sb = float(b[rows].sum())

@@ -23,7 +23,7 @@ from premex.tree import NodeTable
 import golden
 import synth
 from conftest import FIXTURE20
-from reference_tree import seven_columns, to_dicts, with_children
+from reference_tree import five_columns, old_columns, seven_columns, to_dicts
 
 
 @pytest.fixture
@@ -704,10 +704,19 @@ class TestCorruptSplitAndDataset:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def _table(doc) -> NodeTable:
+    """The model document's `trees` as a node table."""
+    return NodeTable.from_document(doc["trees"], len(doc["feature_names"]))
+
+
 def _seven_columns(doc) -> dict:
     """The model document's `trees` in the earlier seven-column layout."""
-    table = NodeTable.from_document(doc["trees"], len(doc["feature_names"]))
-    return seven_columns([with_children(tree) for tree in to_dicts(table)])
+    return seven_columns([old_columns(tree) for tree in to_dicts(_table(doc))])
+
+
+# what an earlier layout's `trees` is told it must hold
+FOUR_KEYS = ("trees must be an object of exactly the columns "
+             "['feature', 'first', 'threshold', 'value']")
 
 
 class TestCorruptModel:
@@ -746,8 +755,7 @@ class TestCorruptModel:
             trees["left"][child] = 0  # points back to the root
             trees["feature"][child] = 0
         result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
-        assert ("trees must be an object of exactly the columns "
-                "['count', 'feature', 'first', 'threshold', 'value']") in result.output
+        assert FOUR_KEYS in result.output
 
     @pytest.mark.parametrize("fault, message", [
         pytest.param("node-count", "tree 1: a tree of s split nodes must hold 2s + 1 nodes",
@@ -755,7 +763,6 @@ class TestCorruptModel:
         pytest.param("leaf-root-then-split",
                      "tree 1: a tree's k-th split node must come before node 2k + 1",
                      id="leaf-root-then-split"),
-        pytest.param("count-zero", "tree 1: tree row counts must be positive", id="count-zero"),
     ])
     def test_growth_order_fault_names_its_tree(self, runner, workdir, tmp_path, fault, message):
         def edit(doc):
@@ -763,8 +770,6 @@ class TestCorruptModel:
             start, stop = trees["first"][1:3]
             if fault == "node-count":
                 trees["first"][2] += 1  # tree 1 takes tree 2's root
-            elif fault == "count-zero":
-                trees["count"][stop - 1] = 0
             else:
                 # tree 1's root and its first leaf trade roles: the root takes
                 # the leaf's value, the leaf the root's feature and threshold
@@ -798,22 +803,28 @@ class TestCorruptModel:
         def edit(doc):
             trees = doc["trees"]
             trees["first"][2] += 1  # tree 1 takes tree 2's root: the last checks
-            trees["count"][trees["first"][3]] = 0  # an early check, in a later tree
+            root, feature = trees["first"][3], trees["feature"]
+            # an early check, in a later tree; its root stays a split or a leaf
+            feature[root] = 99 if feature[root] >= 0 else -2
         result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
         assert "tree 1: a tree of s split nodes" in result.output
-        assert "row counts" not in result.output
+        assert "feature index" not in result.output
 
     @pytest.mark.parametrize("column", ["count", "left", "threshold", "value", "feature"])
     @pytest.mark.parametrize("cell", [True, False])
     def test_boolean_cell_refused(self, runner, workdir, tmp_path, column, cell):
         # json reads true and false as bools, which numpy would take as 1 and 0
+        # `left` and `count` exist only in the earlier seven- and
+        # five-column layouts, which are refused by their keys
         def edit(doc):
             if column == "left":
-                doc["trees"] = _seven_columns(doc)  # the earlier layout
+                doc["trees"] = _seven_columns(doc)
+            elif column == "count":
+                doc["trees"] = five_columns(_table(doc))
             doc["trees"][column][doc["trees"]["first"][1]] = cell  # a cell of tree 1 or later
         result = self.edit_and_evaluate(runner, workdir, tmp_path, edit)
-        if column == "left":
-            assert "trees must be an object of exactly the columns" in result.output
+        if column in ("left", "count"):
+            assert FOUR_KEYS in result.output
         else:
             assert f"tree column '{column}' must be a list of" in result.output
 

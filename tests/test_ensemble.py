@@ -29,7 +29,7 @@ from reference_tree import from_dicts, to_dicts
 
 def leaf_trees(*values, feature_count=2):
     """The table of one single-leaf tree per value."""
-    return from_dicts([{"feature": [-1], "threshold": [0.0], "value": [value], "count": [1]}
+    return from_dicts([{"feature": [-1], "threshold": [0.0], "value": [value]}
                        for value in values], feature_count)
 
 

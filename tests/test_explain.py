@@ -422,8 +422,8 @@ def assert_matches_oracle(predict_fn, terms, rows, background_rows):
 
 
 def tree_columns(feature, threshold, value):
-    """A tree's node table as a dict of columns; every node's row count is 1."""
-    return dict(zip(COLUMNS, (feature, threshold, value, [1] * len(feature))))
+    """A tree's node table as a dict of columns."""
+    return dict(zip(COLUMNS, (feature, threshold, value)))
 
 
 # feature 0 splits twice on the path to leaves 3 and 4 (at 2 then 1) and to

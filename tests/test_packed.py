@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_predict as oracle
-from reference_tree import OLD_COLUMNS, from_dicts, seven_columns, to_dicts, with_children
+from reference_tree import OLD_COLUMNS, from_dicts, old_columns, seven_columns, to_dicts
 from premex import explain as explain_mod
 from premex import tree as tree_mod
 from premex.ensemble import (
@@ -129,7 +129,7 @@ class TestPrediction:
             assert_same_bits(tree.predict_matrix(X), oracle.tree_predictions(tree, X))
 
     def test_single_leaf_trees(self):
-        leaf = {"feature": [-1], "threshold": [0.0], "value": [2.5], "count": [3]}
+        leaf = {"feature": [-1], "threshold": [0.0], "value": [2.5]}
         table = from_dicts([leaf] * 3, 2)
         forest, boosted = forest_and_boosted(table, 2)
         X = np.arange(8.0).reshape(4, 2)
@@ -229,9 +229,8 @@ class TestTreeShap:
 
 def two_stage_documents():
     """A root split and a lone leaf, as reference_tree.to_dicts() gives them."""
-    split = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [0.0, 1.0, 2.0],
-             "count": [2, 1, 1]}
-    leaf = {"feature": [-1], "threshold": [0.0], "value": [4.0], "count": [2]}
+    split = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [0.0, 1.0, 2.0]}
+    leaf = {"feature": [-1], "threshold": [0.0], "value": [4.0]}
     return [split, leaf]
 
 
@@ -247,26 +246,26 @@ class TestLoading:
     def test_first_malformed_tree_names_the_error(self):
         documents = two_stage_documents() * 2
         documents[1] = dict(documents[1], feature=[0])  # tree 1: a split node without children
-        documents[3] = dict(documents[3], count=[0])  # tree 3: checked earlier
+        documents[3] = dict(documents[3], feature=[-2])  # tree 3: checked earlier
         with pytest.raises(DataValidationError, match="^tree 1: a tree of s split nodes"):
             from_dicts(documents, 2)
         documents[1], documents[3] = documents[3], documents[1]
-        with pytest.raises(DataValidationError, match="^tree 1: tree row counts must be positive"):
+        with pytest.raises(DataValidationError, match="^tree 1: tree feature index outside"):
             from_dicts(documents, 2)
 
     def test_each_tree_checked_as_a_table_of_its_own(self):
         # 4 nodes with 1 split node in 2 trees fit the whole table, but tree
         # 0's second child would be tree 1's root
         document = {"first": [0, 2], "feature": [0, -1, -1, -1], "threshold": [0.5],
-                    "value": [1.0, 2.0, 4.0], "count": [2, 1, 1, 2]}
+                    "value": [1.0, 2.0, 4.0]}
         with pytest.raises(DataValidationError, match="^tree 0: a tree of s split nodes"):
             NodeTable.from_document(document, 2)
 
     def test_booleans_refused_in_every_column(self):
         # json reads true as a bool, which numpy would take as 1 in a column
         # of numbers; a model file's columns hold no booleans
-        for name, cells in [("count", [2, True, 1]), ("feature", [True, -1, -1]),
-                            ("threshold", [False, 0.0, 0.0]), ("value", [0.0, True, 2.0])]:
+        for name, cells in [("feature", [True, -1, -1]), ("threshold", [False, 0.0, 0.0]),
+                            ("value", [0.0, True, 2.0])]:
             documents = two_stage_documents()
             documents[0] = dict(documents[0], **{name: cells})
             with pytest.raises(DataValidationError, match=f"'{name}' must be a list"):
@@ -287,7 +286,6 @@ class TestLoading:
         assert saved["first"] == model.trees.first.tolist()
         internal = model.trees.feature >= 0
         assert saved["feature"] == model.trees.feature.tolist()
-        assert saved["count"] == model.trees.count.tolist()
         assert saved["threshold"] == model.trees.threshold[internal].tolist()
         assert saved["value"] == model.trees.value[~internal].tolist()
         for name in COLUMNS:
@@ -327,7 +325,7 @@ class TestDepthFirstFiles:
         model = fit_variant(variant, synth_dataset.subset(np.arange(200)), params, 5)
         save_model(model, tmp_path / "grown.json")
         document = json.loads((tmp_path / "grown.json").read_text())
-        trees = [with_children(tree) for tree in to_dicts(model.trees)]
+        trees = [old_columns(tree) for tree in to_dicts(model.trees)]
         for old_trees in (trees, [depth_first(tree) for tree in trees]):
             document["trees"] = seven_columns(old_trees)
             (tmp_path / "old.json").write_text(json.dumps(document))

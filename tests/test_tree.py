@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 import premex.tree as tree_mod
 import reference_tree
-from reference_predict import children
-from reference_tree import from_dicts, seven_columns, to_dicts, with_children
+from reference_predict import children, leaf_boxes
+from reference_tree import five_columns, from_dicts, old_columns, seven_columns, to_dicts
 from premex.errors import DataValidationError, NumericError
 from premex.rng import stream
 from premex.tree import (
@@ -61,7 +61,6 @@ class TestFitTree:
         tree = fit_tree(X, y, TreeConfig(), stream(0, "t"))
         assert tree.feature.size == 1 and tree.feature[0] == -1
         assert tree.value[0] == 4.2
-        assert tree.count[0] == 8
 
     def test_depth_zero_predicts_mean(self):
         X = np.arange(6.0).reshape(-1, 1)
@@ -93,13 +92,6 @@ class TestFitTree:
         y = rng.normal(size=200)
         tree = fit_tree(X, y, TreeConfig(max_depth=4), stream(0, "t"))
         assert tree.depths()[0] <= 4
-        internal = tree.feature >= 0
-        left, right = children(tree.feature)
-        assert np.all(tree.count >= 1)
-        # an internal node's rows are exactly its children's rows
-        assert np.array_equal(
-            tree.count[internal], tree.count[left[internal]] + tree.count[right[internal]]
-        )
 
     def test_min_samples_split(self):
         X = np.arange(5.0).reshape(-1, 1)
@@ -195,7 +187,6 @@ class TestMidpointThresholds:
         left, right = children(tree.feature)
         for node in range(tree.feature.size):  # parents come before children
             rows, feature = node_rows.pop(node), tree.feature[node]
-            assert rows.size == tree.count[node]
             if feature < 0:
                 continue
             values = np.unique(X[rows, feature])
@@ -219,7 +210,6 @@ class TestMidpointThresholds:
         second_order = fit_tree_gradients(X, y, np.ones(2), config, stream(0, "t"), 0.0, 0.0)
         for tree, leaves in ((sse, y), (second_order, -y)):
             assert tree.threshold[0] == low
-            assert tree.count.tolist() == [2, 1, 1]
             assert np.array_equal(tree.predict_matrix(X), leaves)
 
 
@@ -322,7 +312,6 @@ class TestTable:
             "feature": [0, -1, -1],
             "threshold": [2.5, 0.0, 0.0],
             "value": [0.0, 1.0, 3.0],
-            "count": [4, 2, 2],
         }]
 
     @pytest.mark.parametrize("batch", [False, True], ids=["one-tree", "batch"])
@@ -337,21 +326,11 @@ class TestTable:
             table = fit_trees([(matrix, r, rng.normal(size=r.size), None, stream(j, "t"))
                                for j, r in enumerate(rows)], config)
         else:
-            rows = [np.arange(120)]
             table = fit_tree(X, rng.normal(size=120), config, stream(0, "t"))
-        for tree, rows in zip(table, rows):
+        for tree in table:
             # with the k-th split node's children nodes 2k + 1 and 2k + 2,
-            # every node holds exactly the rows that reach it
-            left, right = children(tree.feature)
-            node_rows = {0: rows}
-            for node in range(tree.feature.size):
-                reached = node_rows.pop(node)
-                assert reached.size == tree.count[node]
-                if tree.feature[node] >= 0:
-                    go_left = X[reached, tree.feature[node]] <= tree.threshold[node]
-                    node_rows[left[node]], node_rows[right[node]] = (reached[go_left],
-                                                                     reached[~go_left])
             # node ids follow the levels in turn
+            left, right = children(tree.feature)
             level = np.zeros(tree.feature.size, dtype=np.int64)
             for node in np.flatnonzero(tree.feature >= 0):
                 level[left[node]] = level[right[node]] = level[node] + 1
@@ -371,12 +350,12 @@ class TestSerialization:
         assert np.array_equal(tree.predict_matrix(probe), clone.predict_matrix(probe))
 
     def test_dict_shape(self):
-        # a model file's `trees`: the tree starts, `feature` and `count`
-        # whole, one threshold per split node and one value per leaf
+        # a model file's `trees`: the tree starts and `feature` whole, one
+        # threshold per split node and one value per leaf
         doc = known_split_tree().to_document()
-        assert set(doc) == {"first", "feature", "threshold", "value", "count"}
+        assert set(doc) == {"first", "feature", "threshold", "value"}
         assert doc == {"first": [0], "feature": [0, -1, -1], "threshold": [2.5],
-                       "value": [1.0, 3.0], "count": [4, 2, 2]}
+                       "value": [1.0, 3.0]}
 
     @pytest.mark.parametrize("column, cells", [
         ("feature", [0, -1]),  # unequal length
@@ -386,8 +365,8 @@ class TestSerialization:
         ("left", [1, 1, "2"]),  # the earlier layout, with child ids
         ("threshold", [float("nan")]),  # non-finite
         ("value", [float("inf"), 3.0]),
-        ("count", [4, 0, 2]),
-        ("count", [2**63, 2, 2]),  # beyond int64
+        ("count", [4, 2, 2]),  # the earlier five-column layout, with row counts
+        ("count", [2**63, 2, 2]),  # refused by its keys, whatever its cells
         ("left", [1, 2, 2]),  # the earlier layout, leaf 1 pointing away
         ("left", [0, 1, 2]),  # the earlier layout, the root its own child
         ("right", [1, 1, 2]),  # the earlier layout, node 2 never reached
@@ -400,22 +379,25 @@ class TestSerialization:
         doc, match = known_split_tree().to_document(), None
         if column in ("left", "right"):
             # the earlier seven-column layout: `first` and the six columns whole
-            doc = seven_columns([with_children(tree) for tree in to_dicts(known_split_tree())])
+            doc = seven_columns([old_columns(tree) for tree in to_dicts(known_split_tree())])
+        elif column == "count":
+            doc = five_columns(known_split_tree())
+        if column in ("left", "right", "count"):
             match = ("trees must be an object of exactly the columns "
-                     "\\['count', 'feature', 'first', 'threshold', 'value'\\]")
+                     "\\['feature', 'first', 'threshold', 'value'\\]")
         doc[column] = cells
         with pytest.raises(DataValidationError, match=match):
             NodeTable.from_document(doc, 1)
 
     @pytest.mark.parametrize("doc, message", [
-        ({"first": [0], "feature": [0, -1], "threshold": [2.5], "value": [1.0],
-          "count": [4, 2]}, "2s \\+ 1 nodes"),
-        ({"first": [0], "feature": [-1, 0, -1], "threshold": [2.5], "value": [1.0, 3.0],
-          "count": [4, 2, 2]}, "k-th split node must come before node 2k \\+ 1"),
-        ({"first": [0], "feature": [0, -1, -1], "threshold": [2.5, 1.0], "value": [1.0, 3.0],
-          "count": [4, 2, 2]}, "one threshold per split node"),
-        ({"first": [0], "feature": [0, -1, -1], "threshold": [2.5], "value": [1.0],
-          "count": [4, 2, 2]}, "one value per leaf"),
+        ({"first": [0], "feature": [0, -1], "threshold": [2.5], "value": [1.0]},
+         "2s \\+ 1 nodes"),
+        ({"first": [0], "feature": [-1, 0, -1], "threshold": [2.5], "value": [1.0, 3.0]},
+         "k-th split node must come before node 2k \\+ 1"),
+        ({"first": [0], "feature": [0, -1, -1], "threshold": [2.5, 1.0], "value": [1.0, 3.0]},
+         "one threshold per split node"),
+        ({"first": [0], "feature": [0, -1, -1], "threshold": [2.5], "value": [1.0]},
+         "one value per leaf"),
     ])
     def test_growth_order_shape_checked(self, doc, message):
         with pytest.raises(DataValidationError, match=message):
@@ -482,7 +464,7 @@ class TestReferenceEngine:
         config = TreeConfig(max_depth=5)
         tree = fit_tree(X, y, config, stream(0, "t"), weights=weights)
         expected = reference_tree.fit_tree(X[repeated], y[repeated], config, stream(0, "t"))
-        for name in ("feature", "threshold", "count"):
+        for name in ("feature", "threshold"):
             assert np.array_equal(getattr(tree, name), getattr(expected, name))
         assert np.allclose(tree.value, expected.value, rtol=1e-12, atol=0.0)
 
@@ -652,8 +634,10 @@ class TestLeafValues:
                 tree = fit_tree(X, y, config, stream(0, "t"), weights=w)
                 expected = reference_tree.fit_tree(X, y, config, stream(0, "t"), weights=w)
                 assert to_dicts(tree) == to_dicts(expected)
-                leaf = tree.feature < 0
-                sizes += [tree.count[leaf]] if w is None else []
+                if w is None:  # the training rows inside each leaf's box
+                    _, lo, hi = leaf_boxes(tree, X.shape[1])
+                    inside = (lo[:, None] < X) & (X <= hi[:, None])
+                    sizes.append(inside.all(axis=2).sum(axis=1))
         sizes = np.concatenate(sizes)
         assert sizes.min() == 1 and sizes.max() > 256
         assert ((sizes > 8) & (sizes <= 128)).any() and ((sizes > 128) & (sizes <= 256)).any()
