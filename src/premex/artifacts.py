@@ -7,10 +7,12 @@ this module renders all three.  Writes are atomic (temp file + rename)
 so a failed command never leaves a partial artifact behind.
 
 A JSON artifact's text is the canonical form
-`json.dumps(document, sort_keys=True, indent=1)`: keys sorted, one value
-per line, each level indented one space, non-ASCII text escaped.  Its
+`json.dumps(document, sort_keys=True, separators=(",", ":"))` and a
+newline: one line, keys sorted, no spaces, non-ASCII text escaped.  Its
 numbers must be finite.  Standard JSON has no NaN or Infinity, so a
 document holding NaN or ±inf raises NumericError and no file is written.
+Reading ignores layout, so a file in the earlier indented form
+(`indent=1`) loads as it did.
 
 Every JSON input is read here, and this module alone decides what a number
 read from JSON may be.  `read_json` refuses the NaN and ±Infinity tokens
@@ -20,7 +22,6 @@ too large for the dtype, and a non-finite float such as 1e400 (json's inf).
 """
 
 import hashlib
-import itertools
 import json
 import os
 import tempfile
@@ -31,91 +32,19 @@ from .errors import DataValidationError, FormatVersionError, NumericError
 
 FORMAT_VERSION = 1
 
-
-# A scalar of these types, and a list of them or of non-empty lists of
-# them, is formatted by one call of the C encoder.  It writes numbers as
-# the pure-Python encoder does (the repr of the float or int), and no
-# scalar's text holds a comma or a bracket, so str.replace can put in the
-# layout afterwards.
-_SCALARS = frozenset((int, float, bool, type(None)))
-_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-_string = json.encoder.encode_basestring_ascii
-
-
-class _Unhandled(Exception):
-    """A value the layout writer leaves to json.dumps: a non-str key or another type."""
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
 def canonical_json(payload) -> str:
-    """json.dumps(payload, sort_keys=True, indent=1); NumericError if it holds NaN or ±inf.
+    """json.dumps(payload, sort_keys=True, separators=(",", ":")), one line
+    with no spaces; NumericError if it holds NaN or ±inf.
 
-    CPython formats with its C encoder only when indent is None, so each
-    list of numbers (a node-table column, a split's row ids, a dataset's
-    rows) is formatted compactly in one C call, and only dicts, strings
-    and mixed lists go through the short writer below.  A document holding
-    anything else (a numpy scalar, a non-str key, ...) is left whole to
-    json.dumps.
+    With no indent, CPython formats the whole document with its C encoder.
     """
-    chunks = []
     try:
-        _lay_out(payload, "\n", chunks)
-    except _Unhandled:
-        try:
-            return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
-        except ValueError as exc:  # NaN or ±inf (or a circular reference)
-            raise NumericError(f"cannot write JSON: {exc}") from None
-    return "".join(chunks)
-
-
-def _compact_numbers(value) -> str:
-    text = _compact(value)
-    if "N" in text or "I" in text:  # NaN, Infinity: no other token holds a capital
-        raise NumericError("cannot write NaN or infinity to a JSON artifact")
-    return text
-
-
-def _lay_out(value, newline, chunks) -> None:
-    """Append the canonical text of `value`, whose lines start with `newline`."""
-    kind = type(value)
-    inner = newline + " "
-    if kind is str:
-        chunks.append(_string(value))
-    elif kind in _SCALARS:
-        chunks.append(_compact_numbers(value))
-    elif kind is dict:
-        if not value:
-            chunks.append("{}")
-            return
-        opening = "{"
-        for key, item in sorted(value.items()):
-            if type(key) is not str:
-                raise _Unhandled
-            chunks.append(f"{opening}{inner}{_string(key)}: ")
-            _lay_out(item, inner, chunks)
-            opening = ","
-        chunks.append(newline + "}")
-    elif kind is list or kind is tuple:
-        kinds = set(map(type, value))
-        if not value:
-            chunks.append("[]")
-        elif kinds <= _SCALARS:
-            text = _compact_numbers(value)[1:-1]  # "1,2"
-            chunks.append(f"[{inner}{text.replace(',', ',' + inner)}{newline}]")
-        elif kinds <= {list, tuple} and all(value) and set(
-                map(type, itertools.chain.from_iterable(value))) <= _SCALARS:
-            text = _compact_numbers(value)[2:-2]  # "1,2],[3"
-            cells = inner + " "
-            text = text.replace(",", "," + cells).replace(f"],{cells}[", f"{inner}],{inner}[{cells}")
-            chunks.append(f"[{inner}[{cells}{text}{inner}]{newline}]")
-        else:
-            opening = "["
-            for item in value:
-                chunks.append(opening + inner)
-                _lay_out(item, inner, chunks)
-                opening = ","
-            chunks.append(newline + "]")
-    else:
-        raise _Unhandled
+        return _encode(payload)
+    except ValueError as exc:  # NaN or ±inf (or a circular reference)
+        raise NumericError(f"cannot write JSON: {exc}") from None
 
 
 def config_hash(config) -> str:

@@ -88,29 +88,40 @@ def _load_config_map(ctx, param, value):
         normalized[command_name] = {}
         for key, item in section.items():
             name = alias.get(key.replace("-", "_"), key)
-            _check_config_number(getattr(parameters.get(name), "type", None),
-                                 f"{command_name}.{key}", item)
+            _check_config_value(getattr(parameters.get(name), "type", None),
+                                f"{command_name}.{key}", item)
             normalized[command_name][name] = item
     ctx.default_map = normalized
     return value
 
 
-def _check_config_number(kind, where, item):
-    """Reject a config value that is not finite, or that click's number
-    types would quietly change.
+def _check_config_value(kind, where, item):
+    """Reject a config value that is not finite, or that click's type
+    `kind` would quietly change or could not convert.
 
-    json reads a literal such as 1e400 as inf.  click takes `int(x)` of a
-    float and of a bool, and `float(x)` of a bool, where the same value
-    given as a flag is a usage error.
+    json reads a literal such as 1e400 as inf.  A string is converted as
+    the same text given as a flag.  Of other values, click takes `int(x)`
+    of a float and of a bool, and `float(x)` of a bool, where a flag of the
+    same value is a usage error; it raises TypeError, OverflowError or
+    AttributeError on a list, an object, an int too large for a float and
+    a switch's number; and it takes a path's number as a file descriptor.
     """
     if isinstance(item, float) and not math.isfinite(item):
         raise click.UsageError(f"config file holds {where} = {item}, which is not a finite number")
-    if isinstance(kind, click.types.IntParamType) and (
-        isinstance(item, bool) or isinstance(item, float) and not item.is_integer()
-    ):
-        raise click.UsageError(f"config value {where} must be an integer, not {json.dumps(item)}")
-    if isinstance(kind, click.types.FloatParamType) and isinstance(item, bool):
-        raise click.UsageError(f"config value {where} must be a number, not {json.dumps(item)}")
+    if kind is None or item is None or isinstance(item, str):
+        return
+    if isinstance(kind, click.types.IntParamType):
+        fits = type(item) is int or type(item) is float and item.is_integer()
+        wanted = "an integer"
+    elif isinstance(kind, click.types.FloatParamType):
+        fits = type(item) in (int, float) and abs(item) <= sys.float_info.max
+        wanted = "a finite number"
+    elif isinstance(kind, click.types.BoolParamType):
+        fits, wanted = type(item) is bool, "true or false"
+    else:  # a path, a choice or a name
+        fits, wanted = False, "a string"
+    if not fits:
+        raise click.UsageError(f"config value {where} must be {wanted}, not {json.dumps(item)}")
 
 
 @click.group()

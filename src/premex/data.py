@@ -114,6 +114,22 @@ class SplitIndices:
     seed: int
 
 
+def _csv_rows(path, lines):
+    """(number, row) for each CSV row of `lines`, the header numbered 0;
+    DataValidationError naming the row csv cannot read, such as one with a
+    field over csv.field_size_limit() characters."""
+    reader = csv.reader(lines)
+    for number in itertools.count():
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            where = f"row {number}" if number else "header"
+            raise DataValidationError(f"{path}: {where}: {exc}") from None
+        yield number, row
+
+
 def load_csv(path) -> Dataset:
     """Parse the premium CSV into the raw table, validating schema and domains.
 
@@ -122,11 +138,11 @@ def load_csv(path) -> Dataset:
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         try:
-            reader = csv.reader(handle.readlines())
+            reader = _csv_rows(path, handle.readlines())
         except UnicodeDecodeError as exc:
             raise DataValidationError(f"{path}: not UTF-8 text: {exc}") from exc
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise DataValidationError(f"{path}: empty file, expected a header row")
         header = [name.strip() for name in header]
@@ -138,7 +154,7 @@ def load_csv(path) -> Dataset:
                 f"unexpected columns {unexpected}"
             )
         rows = []
-        for row_number, row in enumerate(reader, start=1):
+        for row_number, row in reader:
             if not row or all(cell.strip() == "" for cell in row):
                 raise DataValidationError(f"{path}: row {row_number} is blank")
             if len(row) != len(RAW_COLUMNS):

@@ -100,6 +100,16 @@ class TestIngest:
         assert result.exit_code == 3
         assert "PremiumPrice" in result.output
 
+    def test_field_over_csv_limit_exits_3(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(synth.HEADER + "\n" + "x" * 200_000 + "\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["ingest", str(bad), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output and "Traceback" not in result.output
+        assert "row 1: field larger than field limit" in result.output and not out.exists()
+
     @pytest.mark.parametrize("column, cell, message", [
         ("Age", "-1", "Age must be >= 0"),
         ("Height", "0", "Height must be > 0"),
@@ -1207,6 +1217,30 @@ class TestConfigFile:
                                       "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert f"train.{key}" in result.output and not out.exists()
+
+    @pytest.mark.parametrize("command, key, item", [
+        pytest.param("train", "split_fraction", [1], id="list"),
+        pytest.param("train", "seed", {"a": 1}, id="object"),
+        pytest.param("train", "learning_rate", 10**310, id="int-past-float"),
+        pytest.param("ingest", "out", [], id="path-list"),
+        pytest.param("ingest", "out", 5, id="path-number"),
+        pytest.param("explain", "centered", {}, id="switch-object"),
+    ])
+    def test_value_click_cannot_convert_exits_2(self, runner, workdir, synth_csv, tmp_path,
+                                                command, key, item):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({command: {key: item}}))
+        dataset, out = str(workdir / "dataset.json"), str(tmp_path / "o")
+        argv = {
+            "train": ["train", dataset, "--model", "gbm", "--out", out],
+            "ingest": ["ingest", synth_csv],
+            "explain": ["explain", str(workdir / "model_gbm.json"), dataset, "--out", out],
+        }[command]
+        result = runner.invoke(main, ["--config", str(config), *argv])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"config value {command}.{key} must be" in result.output
+        assert "Traceback" not in result.output and not os.path.exists(out)
 
     def test_valid_numbers_apply(self, runner, workdir, tmp_path):
         config = tmp_path / "config.json"

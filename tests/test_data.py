@@ -121,6 +121,15 @@ class TestLoadCsv:
         with pytest.raises(DataValidationError, match="row 1"):
             load_csv(path)
 
+    @pytest.mark.parametrize("header, body, where", [
+        (None, "18,0,0,0,0,155,57,0,0,0,16000\n" + "x" * 200_000 + "\n", "row 2"),
+        ("x" * 200_000, "", "header"),
+    ])
+    def test_field_over_csv_limit_names_its_row(self, tmp_path, header, body, where):
+        path = write_csv(tmp_path, body, header=header)
+        with pytest.raises(DataValidationError, match=f"{where}: field larger than field limit"):
+            load_csv(path)
+
 
 class TestDuplicates:
     def test_fixture_has_none(self):

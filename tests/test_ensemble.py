@@ -464,7 +464,7 @@ class TestSerialization:
             save_model(fit_variant("gbm", small_regression, params, 4), path)
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
-        assert b'"learning_rate": 1.0' in texts[0]
+        assert b'"learning_rate":1.0' in texts[0]
         config = BoostConfig(learning_rate=1, subsample=1, reg_lambda=2, gamma=0)
         assert {type(getattr(config, name)) for name in
                 ("learning_rate", "subsample", "reg_lambda", "gamma")} == {float}

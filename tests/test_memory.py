@@ -29,10 +29,12 @@ of 10 rows at 229 MB.
 
 The model file holds each node's facts once: `first` and `feature`
 whole, one threshold per split node and one value per leaf, and no child
-ids or row counts.  Saving the published forest (40,892 nodes, 0.83 MB of
-JSON) peaks at 4.3 MB, and loading it at 4.1 MB: the columns as Python
-lists next to the file's text.  With each node's row count as well, the
-file was 1.1 MB and its save and load peaked at 4.9 and 4.8 MB.  With
+ids or row counts.  Saving the published forest (40,892 nodes, 0.50 MB of
+one-line JSON) peaks at 5.0 MB, and loading it at 4.1 MB: the columns as
+Python lists next to the file's text.  Written one value per line
+(`indent=1`), the file was 0.83 MB and its save peaked at 4.3 MB.  In
+that layout, with each node's row count as well, the file was 1.1 MB
+and its save and load peaked at 4.9 and 4.8 MB.  With
 the child ids and zero fillers of the earlier layout, the file was 2.0
 MB and its save and load peaked at 8.4 MB, so both limits fail that
 layout; cut into one dict of columns per tree, it was 2.3 MB and peaked
