@@ -48,9 +48,8 @@ def canonical_json(payload) -> str:
 
 
 def config_hash(config) -> str:
-    """Short stable hash of any JSON-serializable configuration."""
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+    """Short stable hash of a configuration's canonical JSON."""
+    return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:12]
 
 
 def meta_block(seed, config) -> dict:

@@ -1,8 +1,8 @@
 """The three tree-ensemble learners and their serialization.
 
 * random forest: bootstrap rows per tree, unweighted prediction average
-* xgb: stagewise trees on (gradient, hessian) with L2 leaf penalty lambda
-  and per-split penalty gamma, shrunk by the learning rate
+* xgb: stagewise trees on squared-loss gradients with L2 leaf penalty
+  lambda and per-split penalty gamma, shrunk by the learning rate
 * gbm: the same loop with lambda = gamma = 0, which fits squared-loss
   residuals
 
@@ -244,7 +244,8 @@ def _fit_boosted(config: BoostConfig, jobs, variant: str):
 
 
 def _boost_lockstep(config: BoostConfig, group, variant: str) -> list:
-    """Stagewise second-order boosting under squared loss: g = pred - y, h = 1.
+    """Stagewise boosting under squared loss: each stage grows on the
+    gradients pred - y, each row of weight 1 (the hessian).
 
     Stage t of every model of the group is one batch, and each model's
     stages share one `tree.Presorted` of its data.  Model i's stages are
@@ -259,7 +260,7 @@ def _boost_lockstep(config: BoostConfig, group, variant: str) -> list:
             rng = stream(seed, "stage", t)
             rows = _stage_rows(rng, data.n, config.subsample)
             grad = prediction - data.y
-            yield matrix, rows, grad[rows], np.ones(rows.size), rng
+            yield matrix, rows, grad[rows], rng
 
     for t in range(config.n_estimators):
         stage = fit_trees_gradients(stage_jobs(t), config, config.reg_lambda, config.gamma)
@@ -281,9 +282,9 @@ def _boost_lockstep(config: BoostConfig, group, variant: str) -> list:
 def fit_gbm(data: Dataset, config: BoostConfig) -> BoostedModel:
     """Classic gradient boosting under squared loss: stages fit residuals.
 
-    With lambda = gamma = 0 each second-order leaf -G/H is the mean residual
-    of its rows and each gain is half the SSE reduction, so the stages are
-    the classic residual-fit trees.  config.reg_lambda and config.gamma
+    With lambda = gamma = 0 each leaf -G/n is the mean residual of its n
+    rows and each gain is half the SSE reduction, so the stages are the
+    classic residual-fit trees.  config.reg_lambda and config.gamma
     are replaced by 0, and the model's config records the 0s.
     """
     [model] = fit_models("gbm", config, [(data, config.seed)])

@@ -236,7 +236,7 @@ def importance(phi):
     if phi.size == 0:
         raise DataValidationError("empty explanation")
     totals = np.abs(phi).sum(axis=0)
-    return totals, sorted(range(totals.size), key=lambda j: (-totals[j], j))
+    return totals, np.argsort(-totals, kind="stable").tolist()
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -1,13 +1,18 @@
 """CART-style binary regression trees.
 
+Every tree grows by one criterion, XGBoost's second-order gain (Chen &
+Guestrin 2016, arXiv 1603.02754).  Each row holds a gradient a and an
+integer weight b; for a node's sums G of a and W of b, the node scores
+G^2/(W + lambda), a split gains half its children's scores less the
+node's, less gamma, and a leaf predicts -G/(W + lambda).  Under squared
+error, a boosting stage's rows hold their gradients with weight 1, the
+hessian.  A forest's rows hold a = -(y * w) and b = w for targets y drawn
+w times, at lambda = gamma = 0: a split gains half its SSE reduction, a
+leaf predicts its rows' mean, and a node of equal targets is a leaf.
+
 Split search is exact: every midpoint between adjacent distinct sorted
 feature values is a candidate.  Where the midpoint rounds up to the upper
-value or overflows, the lower value is the threshold.  Two growth
-criteria share the engine:
-
-* plain SSE reduction with leaf = mean target (forests)
-* regularized second-order gain with leaf = -G/(H + lambda) (boosting
-  stages; gbm's are the lambda = gamma = 0 case)
+value or overflows, the lower value is the threshold.
 
 Growth is level-wise on presorted columns, the exact greedy method on
 sorted column blocks of XGBoost (Chen & Guestrin 2016, arXiv 1603.02754):
@@ -34,11 +39,11 @@ sorted column blocks of XGBoost (Chen & Guestrin 2016, arXiv 1603.02754):
   alone.  So every prefix sum restarts at its node and adds the node's
   rows in (value, row) order, exactly as sorting that node by itself
   would.  Gains are computed only between distinct values.
-* Unit statistics are counts.  When every b of a chunk is 1 (a boosting
-  stage's hessians, or a forest's weights without bootstrap), a prefix
-  sum of b is its length and a node's total is its size: a sum of ones
-  is exact, so these are the floats the sums would give.  Other b, such
-  as bootstrap weights, are gathered and summed.
+* Unit weights are counts.  When every b of a chunk is 1 (every boosting
+  stage, or a forest without bootstrap), a prefix sum of b is its length
+  and a node's total is its size: a sum of ones is exact, so these are
+  the floats the sums would give.  Bootstrap weights are gathered and
+  summed.
 * Ties go to the first maximum: the lowest threshold within a feature,
   then the lowest feature index, so identical inputs always grow
   identical trees.
@@ -529,31 +534,23 @@ def fit_trees(jobs, config: TreeConfig) -> NodeTable:
     rows `rows` alone.  `jobs` may be any iterable; it is read one chunk
     at a time (see CHUNK_ROWS).
     """
-    return _grow((_sse_job(*job, config) for job in jobs), config, 0.0, 0.0)
+    return _grow((_forest_job(*job, config) for job in jobs), config, 0.0, 0.0)
 
 
-def fit_tree_gradients(
-    X,
-    grad,
-    hess,
-    config: TreeConfig,
-    rng: np.random.Generator,
-    reg_lambda: float = 1.0,
-    gamma: float = 0.0,
-) -> RegressionTree:
-    """Grow a tree on per-row (gradient, hessian) pairs.
-
-    Split gain is 0.5*[G_L^2/(H_L+l) + G_R^2/(H_R+l) - G^2/(H+l)] - gamma
-    and each leaf predicts -G/(H+l).
-    """
+def fit_tree_gradients(X, grad, config: TreeConfig, rng: np.random.Generator,
+                       reg_lambda: float = 1.0, gamma: float = 0.0) -> RegressionTree:
+    """Grow a tree on per-row gradients, each row of weight 1: for G a
+    node's gradient sum and n its rows, split gain is
+    0.5*[G_L^2/(n_L+l) + G_R^2/(n_R+l) - G^2/(n+l)] - gamma and each leaf
+    predicts -G/(n+l)."""
     matrix = Presorted(X)
-    return fit_trees_gradients([(matrix, np.arange(matrix.shape[0]), grad, hess, rng)],
+    return fit_trees_gradients([(matrix, np.arange(matrix.shape[0]), grad, rng)],
                                config, reg_lambda, gamma)[0]
 
 
 def fit_trees_gradients(jobs, config: TreeConfig, reg_lambda: float = 1.0,
                         gamma: float = 0.0) -> NodeTable:
-    """fit_tree_gradients on each job (matrix, rows, grad, hess, rng), grown together.
+    """fit_tree_gradients on each job (matrix, rows, grad, rng), grown together.
 
     `matrix` and `rows` are as in fit_trees.  The table holds one tree per
     job, in job order, and each is the one fit_tree_gradients grows on
@@ -563,26 +560,20 @@ def fit_trees_gradients(jobs, config: TreeConfig, reg_lambda: float = 1.0,
     return _grow((_gradient_job(*job, config) for job in jobs), config, reg_lambda, gamma)
 
 
-def _sse_job(matrix, rows, targets, weights, rng, config):
+def _forest_job(matrix, rows, targets, weights, rng, config):
     rows, targets = _check_fit_inputs(matrix, rows, targets, config)
-    if weights is None:
-        b = np.ones(rows.size)
-    else:
+    b = np.ones(rows.size)
+    if weights is not None:
         weights = np.asarray(weights)
         if weights.shape != targets.shape or weights.dtype.kind not in "iu" or weights.min() < 1:
             raise DataValidationError("weights must be one positive integer per row")
         b = weights.astype(np.float64)
-    return matrix, rows, targets * b, b, targets, rng
+    return matrix, rows, -(targets * b), b, targets, rng
 
 
-def _gradient_job(matrix, rows, grad, hess, rng, config):
+def _gradient_job(matrix, rows, grad, rng, config):
     rows, grad = _check_fit_inputs(matrix, rows, grad, config)
-    hess = np.ascontiguousarray(hess, dtype=np.float64)
-    if hess.shape != grad.shape:
-        raise DataValidationError("grad and hess must have equal length")
-    if not np.isfinite(hess).all():
-        raise DataValidationError("hessians must be finite (no NaN or inf)")
-    return matrix, rows, grad, hess, None, rng
+    return matrix, rows, grad, np.ones(rows.size), None, rng
 
 
 def _check_fit_inputs(matrix, rows, targets, config):
@@ -621,20 +612,17 @@ def _grow(jobs, config, reg_lambda, gamma) -> NodeTable:
 def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
     """The level-wise engine over a batch of jobs (matrix, rows, a, b, targets, rng).
 
-    SSE mode (targets given): a = weight * target, b = weight; node score
-    is (sum a)^2 / (sum b), the gain is the exact SSE reduction, and a node
-    whose targets are all equal is a leaf.  Second-order mode (targets
-    None): a = gradients, b = hessians; score is G^2/(H+lambda), the gain
-    is halved and gamma-penalized.  A node's weighted size, compared with
-    min_samples_split, is its rows' sum of b in SSE mode (exact, as the
-    weights are integers) and its number of rows in second-order mode.
+    a holds the rows' gradients and b their integer weights.  A node's
+    weighted size, compared with min_samples_split, is its rows' sum of b,
+    exact as the weights are integers.  Forest jobs give their targets,
+    and a node whose targets are all equal is a leaf; gradient jobs give
+    None.
 
     The jobs' rows are stacked, and each job's root owns its own segment
     of positions, so a level scores and partitions the open nodes of every
     tree at once.  Nothing a node computes depends on the other nodes, so
     each tree is the one its job grows alone.
     """
-    second_order = jobs[0][4] is None
     n_features = jobs[0][0].shape[1]
     if any(job[0].shape[1] != n_features for job in jobs):
         raise DataValidationError("every tree of a batch must have the same features")
@@ -645,7 +633,8 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
     size = np.array([job[1].size for job in jobs])
     start = np.cumsum(size) - size
     columns = _SortedColumns([job[:2] for job in jobs], a, b)
-    if not second_order:
+    targets = None
+    if jobs[0][4] is not None:
         targets = np.append(np.concatenate([job[4] for job in jobs]), 0.0)
 
     levels = []  # per level: the open nodes' (tree, start, size, feature, threshold)
@@ -656,10 +645,9 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
     # and a leaf value that is not finite is rejected below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
-            # every row weighs 1 in a second-order job, and in an SSE job
-            # whose b = weight is unit
+            # only forest jobs hold targets or other weights than 1
             weighted = size
-            if not second_order:
+            if targets is not None:
                 bounds = np.column_stack([start, start + size]).ravel()
                 rows = columns.rows()
                 if not columns.unit_b:
@@ -672,15 +660,14 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
             split = np.zeros(0, dtype=np.int64)
             if depth != config.max_depth:
                 splittable = weighted >= config.min_samples_split
-                if not second_order:
+                if targets is not None:
                     splittable &= spread != 0.0
                 split = np.flatnonzero(splittable)
             if split.size:
                 node_rngs = (None if subset_size is None
                              else [rngs[t] for t in tree[split].tolist()])
                 gainful, best_feature, best_threshold, n_left = columns.best_splits(
-                    start[split], size[split], node_rngs, subset_size, reg_lambda, gamma,
-                    second_order
+                    start[split], size[split], node_rngs, subset_size, reg_lambda, gamma
                 )
                 split, n_left = split[gainful], n_left[gainful]
                 feature[split], threshold[split] = best_feature[gainful], best_threshold[gainful]
@@ -700,10 +687,9 @@ def _grow_chunk(jobs, config, reg_lambda, gamma) -> NodeTable:
         tree, start, size, feature, threshold = (np.concatenate(c) for c in zip(*levels))
         value = np.zeros(feature.size)
         leaf = np.flatnonzero(feature < 0)
-        value[leaf] = columns.leaf_values(start[leaf], size[leaf], reg_lambda, second_order)
+        value[leaf] = columns.leaf_values(start[leaf], size[leaf], reg_lambda)
     if not np.isfinite(value).all():
-        raise NumericError("a leaf value is not finite: its hessians sum to -reg_lambda, "
-                           "or a sum overflowed")
+        raise NumericError("a leaf value is not finite: a sum overflowed")
     return _level_table(tree, feature, threshold, value, n_features)
 
 
@@ -817,7 +803,7 @@ class _SortedColumns:
         """The row at each position, ascending within every node."""
         return self.keys[-1]
 
-    def best_splits(self, start, size, rngs, subset_size, reg_lambda, gamma, second_order):
+    def best_splits(self, start, size, rngs, subset_size, reg_lambda, gamma):
         """Per node: (gain > 0, feature, threshold, rows going left) of its best split.
 
         Ties go to the first maximum: the lowest threshold within a
@@ -829,7 +815,7 @@ class _SortedColumns:
         best_cut = np.empty((n_nodes, n_features), dtype=np.int64)
         for nodes in _blocks(size, n_features):
             best_gain[nodes], best_cut[nodes] = self._score(start[nodes], size[nodes], reg_lambda,
-                                                            gamma, second_order)
+                                                            gamma)
         if subset_size is not None:
             # one subset per node, drawn breadth-first, left child first
             drawn = np.zeros(best_gain.shape, dtype=bool)
@@ -850,7 +836,7 @@ class _SortedColumns:
         # below <= threshold < above, so the rows through the cut go left
         return best_gain[nodes, chosen] > 0.0, chosen, threshold, cut + 1
 
-    def _score(self, start, size, reg_lambda, gamma, second_order):
+    def _score(self, start, size, reg_lambda, gamma):
         """Each (node, feature) lane's best gain and cut, as two (node, feature) arrays.
 
         The nodes' ranges are laid out as a padded (feature, node,
@@ -899,9 +885,8 @@ class _SortedColumns:
             total_b += reg_lambda
             gains += total_a**2 / total_b  # the right child's score
             gains -= parent_score[lane]
-            if second_order:
-                gains *= 0.5
-                gains -= gamma
+            gains *= 0.5
+            gains -= gamma
             # first maximum per lane; a lane holding nan or inf scores
             # -inf, as np.argmax followed by a finiteness check would
             np.maximum.at(best_gain, lane, gains)
@@ -913,7 +898,7 @@ class _SortedColumns:
             best_cut[scored] = cut[first_hit[scored]]
         return best_gain.reshape(n_features, n_nodes).T, best_cut.reshape(n_features, n_nodes).T
 
-    def leaf_values(self, start, size, reg_lambda, second_order):
+    def leaf_values(self, start, size, reg_lambda):
         """Each leaf's value from the statistics of its range's rows.
 
         A leaf keeps its range once made, so its rows sit there in
@@ -935,7 +920,7 @@ class _SortedColumns:
             if b is not None:
                 sum_b[i:j] = b[at].sum(axis=1)
         value = np.empty(size.size)
-        value[order] = -sum_a / (sum_b + reg_lambda) if second_order else sum_a / sum_b
+        value[order] = -sum_a / (sum_b + reg_lambda)
         return value
 
     def partition(self, start, size, n_left, feature, row_order_only=False):

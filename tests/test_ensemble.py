@@ -76,12 +76,13 @@ class TestModelConfigsAreTreeConfigs:
                           max_features=config.max_features)
 
     @staticmethod
-    def jobs(data, targets, second):
+    def jobs(data, targets, gradient):
         """Three jobs on nested row prefixes, each with its own fresh stream."""
         matrix = Presorted(data.X)
         for j, n in enumerate((40, 80, 120)):
             rows = np.arange(n)
-            yield (matrix, rows, targets[rows], np.ones(n) if second else None, stream(j, "t"))
+            job = (matrix, rows, targets[rows])
+            yield (*job, stream(j, "t")) if gradient else (*job, None, stream(j, "t"))
 
     def test_fit_trees_takes_a_forest_config(self, small_regression):
         config = ForestConfig(n_estimators=3, max_depth=4, min_samples_split=5, max_features=2)
@@ -296,7 +297,7 @@ def classic_residual_fit(data, config):
     """Textbook gradient boosting: each stage is an SSE tree on the residuals.
 
     Uses the library's stage streams and row subsets, so it must grow the
-    same trees as the second-order loop at lambda = gamma = 0.
+    same trees as the boosting loop at lambda = gamma = 0.
     """
     predictions = np.full(data.n, data.y.mean())
     stages = []

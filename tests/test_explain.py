@@ -533,7 +533,7 @@ class TestTreeShap:
             while open_nodes:
                 depth = open_nodes.popleft()
                 node = len(columns["feature"])
-                for name, initial in zip(COLUMNS, (-1, 0.0, 0.0, 1)):
+                for name, initial in zip(COLUMNS, (-1, 0.0, 0.0)):
                     columns[name].append(initial)
                 if depth < 4 and data.draw(st.booleans()):
                     columns["feature"][node] = data.draw(st.integers(0, p - 1))

@@ -56,7 +56,7 @@ def random_tree(data, p: int, max_depth: int) -> dict:
     while open_nodes:
         depth = open_nodes.popleft()
         node = len(columns["feature"])
-        for name, initial in zip(COLUMNS, (-1, 0.0, 0.0, 1)):
+        for name, initial in zip(COLUMNS, (-1, 0.0, 0.0)):
             columns[name].append(initial)
         if depth < max_depth and data.draw(st.booleans()):
             columns["feature"][node] = data.draw(st.integers(0, p - 1))
@@ -382,7 +382,7 @@ def lockstep_tables(data, n_models: int, n_stages: int) -> list:
         for i in range(n_models):
             rng = stream(i, "stage", t)
             rows = np.sort(rng.choice(data.n, size=data.n - 10 * i, replace=False))
-            jobs.append((matrix, rows, rng.normal(size=rows.size), np.ones(rows.size), rng))
+            jobs.append((matrix, rows, rng.normal(size=rows.size), rng))
         stages.append(fit_trees_gradients(jobs, TreeConfig(max_depth=4)))
     return [NodeTable.join([stage[i] for stage in stages], data.m) for i in range(n_models)]
 
