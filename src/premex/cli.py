@@ -401,7 +401,7 @@ def _explain_shap(model, dataset, explain_ids, background_ids, seed, out_dir):
         f"shap_importance_{variant}.csv":
             report_mod.importance_csv(names, totals, order, seed=seed),
         f"beeswarm_{variant}.svg": report_mod.beeswarm_svg(
-            ranked, explain_mod.beeswarm_data(phi, rows, order),
+            ranked, phi[:, order], explain_mod.rank_colors(rows[:, order]),
             f"{name} attribution summary", meta),
         f"importance_{variant}.svg": report_mod.importance_bar_svg(
             ranked, totals[order], f"{name} feature importance", meta),

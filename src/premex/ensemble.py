@@ -31,8 +31,6 @@ when built, `replace()` and `load_model` included, and raises
 DataValidationError.
 """
 
-import numbers
-import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import ClassVar
 
@@ -43,13 +41,13 @@ from .data import Dataset, round_half_up
 from .errors import DataValidationError
 from .rng import stream
 from .tree import (
-    CHUNK_ROWS, NodeTable, Presorted, TreeConfig, check_count, fit_trees, fit_trees_gradients,
+    CHUNK_ROWS, NodeTable, Presorted, TreeConfig, check_count, check_number, finite_number,
+    fit_trees, fit_trees_gradients,
 )
 
 
 # The defaults of `train` and `reproduce`, keyed by variant; per variant,
-# the keys a grid or a flag may set (not the seed, rf's bootstrap or
-# gbm's penalties).
+# the keys a grid or a flag may set (not the seed or gbm's penalties).
 PUBLISHED = {
     "rf": {"n_estimators": 220, "max_depth": 7, "min_samples_split": 3, "max_features": None},
     "gbm": {"n_estimators": 19, "learning_rate": 0.19, "max_depth": 3, "min_samples_split": 2,
@@ -59,34 +57,16 @@ PUBLISHED = {
 }
 
 
-def _finite(value) -> bool:
-    """A real number, not bool, nan, inf or an int too large for a float."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and abs(value) <= sys.float_info.max)
-
-
-def _check_number(name: str, value, rate: bool) -> None:
-    """DataValidationError unless value is a finite number: in (0, 1] if a rate, else >= 0."""
-    finite = _finite(value)
-    if rate and not (finite and 0.0 < value <= 1.0):
-        raise DataValidationError(f"{name} must be a number in (0, 1], got {value!r}")
-    if not rate and not (finite and value >= 0.0):
-        raise DataValidationError(f"{name} must be a finite number >= 0, got {value!r}")
-
-
 @dataclass
 class ForestConfig(TreeConfig):
     n_estimators: int = 220
     max_depth: int | None = 7
     min_samples_split: int = 3
-    bootstrap: bool = True
     seed: int = 0
 
     def __post_init__(self):
         check_count("n_estimators", self.n_estimators, 1)
         super().__post_init__()  # the three tree fields
-        if not isinstance(self.bootstrap, bool):
-            raise DataValidationError(f"bootstrap must be true or false, got {self.bootstrap!r}")
         check_count("seed", self.seed, None)
 
 
@@ -102,11 +82,11 @@ class BoostConfig(TreeConfig):
 
     def __post_init__(self):
         check_count("n_estimators", self.n_estimators, 0)
-        _check_number("learning_rate", self.learning_rate, rate=True)
+        check_number("learning_rate", self.learning_rate, rate=True)
         super().__post_init__()  # the three tree fields
-        _check_number("subsample", self.subsample, rate=True)
-        _check_number("reg_lambda", self.reg_lambda, rate=False)
-        _check_number("gamma", self.gamma, rate=False)
+        check_number("subsample", self.subsample, rate=True)
+        check_number("reg_lambda", self.reg_lambda, rate=False)
+        check_number("gamma", self.gamma, rate=False)
         check_count("seed", self.seed, None)
         # held as floats, so a rate given as 1 is saved and hashed as 1.0 is
         for name in ("learning_rate", "subsample", "reg_lambda", "gamma"):
@@ -203,9 +183,6 @@ def _fit_forests(config: ForestConfig, jobs):
         matrix = Presorted(data.X)
         for k in range(config.n_estimators):
             rng = stream(seed, "forest_tree", k)
-            if not config.bootstrap:
-                yield matrix, np.arange(data.n), data.y, None, rng
-                continue
             drawn = np.bincount(rng.integers(0, data.n, size=data.n), minlength=data.n)
             rows = np.flatnonzero(drawn)
             yield matrix, rows, data.y[rows], drawn[rows], rng
@@ -342,7 +319,7 @@ def load_model(path):
     config = _config_from(document, BoostConfig, path)
     # a top-level learning_rate, which older files hold, is ignored
     base_score = document.get("base_score")
-    if not _finite(base_score):
+    if not finite_number(base_score):
         raise DataValidationError(f"{path}: base_score must be a finite number")
     return BoostedModel(
         variant=variant,

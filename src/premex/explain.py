@@ -25,9 +25,9 @@ explained row.  It is the model-agnostic oracle the tests hold
 `tree_shap` to.  Both take the background as a matrix and return
 (base value, φ), φ an explained rows x p array; `importance` ranks the
 features by sum of |φ|.  ICE curves also take a bare prediction function:
-`ice_curves` returns (grid, curves) per feature, one row of curves per
-explained row, from one prediction call for all the features; `center_ice`
-and `derivative_ice` map curves to curves.
+`ice_curves` returns (grid, curves) per feature, each over its make_grid,
+one row of curves per explained row, from one prediction call for all the
+features; `center_ice` and `derivative_ice` map curves to curves.
 """
 
 import math
@@ -246,32 +246,26 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
-def beeswarm_data(phi, rows, order) -> list:
-    """The plot points of each feature in `order`: (its attributions,
-    rank-normalized colors of its values in `rows`, in [0, 1])."""
-    n = phi.shape[0]
-    points = []
-    for j in order:
-        if n == 1:
-            colors = np.array([0.5])
-        else:
-            colors = (_average_ranks(rows[:, j]) - 1.0) / (n - 1.0)
-        points.append((phi[:, j].copy(), colors))
-    return points
+def rank_colors(rows):
+    """A beeswarm's colors: each column's average ranks scaled to [0, 1], or 0.5 for one row."""
+    n = rows.shape[0]
+    if n == 1:
+        return np.full(rows.shape, 0.5)
+    return (np.column_stack([_average_ranks(column) for column in rows.T]) - 1.0) / (n - 1.0)
 
 
-def make_grid(column: np.ndarray, n_points: int = 30, max_distinct: int = 10) -> np.ndarray:
-    """Sorted unique values for low-cardinality features, else equispaced."""
+def make_grid(column: np.ndarray, n_points: int = 30) -> np.ndarray:
+    """Sorted unique values for at most 10 distinct values, else equispaced."""
     distinct = np.unique(column)
-    if distinct.size <= max_distinct:
+    if distinct.size <= 10:
         return distinct
     return np.linspace(column.min(), column.max(), n_points)
 
 
-def ice_curves(predict_fn, rows, features, grids=None, n_points: int = 30) -> list:
+def ice_curves(predict_fn, rows, features, n_points: int = 30) -> list:
     """[(grid, curves)] per feature index in the list `features`: raw ICE
     curves, one prediction trace per row (a rows x grid points array) as
-    that feature sweeps its grid, its make_grid unless `grids` gives each.
+    that feature sweeps its make_grid.
 
     Every feature's swept rows go to one prediction call: block g of a
     feature's part holds every row at its grid[g].
@@ -280,10 +274,8 @@ def ice_curves(predict_fn, rows, features, grids=None, n_points: int = 30) -> li
     for j in features:
         if not 0 <= j < rows.shape[1]:
             raise DataValidationError(f"feature index {j} out of range")
-    if grids is None:
-        grids = [make_grid(rows[:, j], n_points=n_points) for j in features]
-    grids = [np.asarray(grid, dtype=np.float64) for grid in grids]
-    if len(grids) != len(features) or any(grid.size == 0 for grid in grids):
+    grids = [make_grid(rows[:, j], n_points=n_points) for j in features]
+    if any(grid.size == 0 for grid in grids):
         raise DataValidationError("each feature needs a non-empty evaluation grid")
     n, points = rows.shape[0], [grid.size for grid in grids]
     bounds = n * np.cumsum([0, *points])

@@ -92,16 +92,13 @@ def qq_points(actual, predicted):
     return normal_quantile(ranks), np.sort((residuals - residuals.mean()) / spread)
 
 
-def normal_quantile(p):
-    """Standard normal inverse CDF, elementwise over (0, 1): the standard
-    library's `NormalDist.inv_cdf`, Wichura's AS241 (relative error near
-    1e-16)."""
+def normal_quantile(p) -> np.ndarray:
+    """Standard normal inverse CDF, elementwise over (0, 1), as an array of
+    p's shape: the standard library's `NormalDist.inv_cdf`, Wichura's AS241
+    (relative error near 1e-16)."""
     from statistics import NormalDist  # loaded only by commands that draw a Q-Q plot
 
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise NumericError("normal quantile requires probabilities strictly in (0, 1)")
-    inv_cdf = NormalDist().inv_cdf
-    if p.ndim == 0:
-        return inv_cdf(float(p))
-    return np.array([inv_cdf(x) for x in p.ravel().tolist()]).reshape(p.shape)
+    return np.array(list(map(NormalDist().inv_cdf, p.ravel().tolist()))).reshape(p.shape)

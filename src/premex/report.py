@@ -128,11 +128,10 @@ class _Canvas:
             f'stroke="{color}" stroke-width="{width}"{extra}/>'
         )
 
-    def rect(self, x, y, w, h, fill, stroke="none", opacity=None):
-        extra = f' fill-opacity="{opacity}"' if opacity is not None else ""
+    def rect(self, x, y, w, h, fill, stroke="none"):
         self.parts.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="{fill}" stroke="{stroke}"{extra}/>'
+            f'fill="{fill}" stroke="{stroke}"/>'
         )
 
     def _repeat(self, element, count, values):
@@ -370,30 +369,31 @@ def prediction_error_svg(actual, predicted, title, meta=""):
                         identity=True)
 
 
-def beeswarm_svg(names, points, title, meta=""):
-    """One row of attributions per feature; `points` are (phi, colors in [0, 1]) pairs."""
-    if not names or len(names) != len(points):
+def beeswarm_svg(names, phi, colors, title, meta=""):
+    """One row of attributions per feature: `phi` and its `colors` in [0, 1]
+    are (rows x features) arrays, column j the points of names[j]."""
+    phi = np.asarray(phi, dtype=np.float64)
+    colors = np.asarray(colors, dtype=np.float64)
+    if not names or phi.ndim != 2 or len(names) != phi.shape[1]:
         raise DataValidationError("beeswarm: names and point groups must align")
+    if colors.shape != phi.shape:
+        raise DataValidationError("beeswarm: each attribution needs one color")
+    if phi.size == 0:
+        raise DataValidationError("beeswarm: no attribution points")
     band = 40
     width = 640
     left, top = 170, 50
     bottom = top + band * len(names)
     height = bottom + 70
-    phi = [np.asarray(p[0], dtype=np.float64) for p in points]
-    colors = [np.asarray(p[1], dtype=np.float64) for p in points]
-    if any(c.shape != f.shape for c, f in zip(colors, phi)):
-        raise DataValidationError("beeswarm: each attribution needs one color")
-    sizes = [f.size for f in phi]
-    phi, colors = np.concatenate(phi), np.concatenate(colors)
-    if phi.size == 0:
-        raise DataValidationError("beeswarm: no attribution points")
+    n = phi.shape[0]
+    phi, colors = phi.T.ravel(), colors.T.ravel()  # feature by feature
     limit = max(abs(phi.min()), abs(phi.max()), 1e-12)
     x_scale = _Scale(-limit, limit, left, width - 90, title)
     # deterministic vertical stacking: points sharing an x-bin of their
     # feature's row fan out, taken by (phi, color, index); x grows with phi,
     # so a bin's points are one run, and a point's level is its place in it.
     # `row` is sorted, so the sort, first by row, leaves it as it is.
-    row = np.repeat(np.arange(len(sizes)), sizes)
+    row = np.repeat(np.arange(len(names)), n)
     order = np.lexsort((colors, phi, row))
     xs = x_scale.array(phi[order])
     bins = (xs - left) // 5
@@ -407,13 +407,13 @@ def beeswarm_svg(names, points, title, meta=""):
     rgb = _rgb(COLOR_LOW, COLOR_HIGH, colors[order])
     canvas = _Canvas(width, height, title, meta)
     canvas.line(x_scale(0), top, x_scale(0), bottom, color=COLOR_GRID, width=1)
-    ends = np.cumsum(sizes).tolist()
-    for index, (name, start, end) in enumerate(zip(names, [0] + ends, ends)):
+    for index, name in enumerate(names):
         center = top + band * (index + 0.5)
         canvas.text(left - 8, center + 3.5, name, size=10, anchor="end")
         canvas.line(left, top + band * (index + 1), width - 90, top + band * (index + 1),
                     color=COLOR_GRID, width=0.5)
-        canvas.circles(xs[start:end], ys[start:end], 2.2, rgb[start:end], opacity=0.8)
+        points = slice(index * n, (index + 1) * n)
+        canvas.circles(xs[points], ys[points], 2.2, rgb[points], opacity=0.8)
     canvas.line(left, bottom, width - 90, bottom)
     for tick in _ticks(-limit, limit):
         canvas.line(x_scale(tick), bottom, x_scale(tick), bottom + 4)
@@ -632,11 +632,9 @@ def group_summary_all_csv(parts, *, seed=None) -> str:
     )
 
 
-def shap_values_csv(names, base_value, phi, row_ids=None, *, seed=None) -> str:
+def shap_values_csv(names, base_value, phi, row_ids, *, seed=None) -> str:
     """One row per row of `phi`: its integer row id, its φ and the base value."""
     n = phi.shape[0]
-    if row_ids is None:
-        row_ids = list(range(n))
     header = ["RowId"] + list(names) + ["BaseValue"]
     cells = ",%.6f" * phi.shape[1] + f",{base_value:.6f}\n"
     template = "".join(f"{row_ids[i]}{cells}" for i in range(n))
@@ -651,19 +649,18 @@ def importance_csv(names, totals, order, *, seed=None) -> str:
                      csv_meta_line(seed=seed, config={"table": "importance"}))
 
 
-def ice_long_csv(parts, row_ids=None, *, seed=None) -> str:
+def ice_long_csv(parts, row_ids, *, seed=None) -> str:
     """Long-format ICE curves: one line per (part, row, grid point).
 
     Each part is (feature name, kind, grid, curves), kind written in the
-    Variant column.  `row_ids` are integers, one per curve (default: 0, 1,
-    ...).  Each part is one %-template: a line per (row, grid point) whose
-    last cell takes the curve's value there.
+    Variant column.  `row_ids` are integers, one per curve; a part writes
+    the curves that have an id.  Each part is one %-template: a line per
+    (row, grid point) whose last cell takes the curve's value there.
     """
     body = []
     for name, kind, grid, curves in parts:
-        ids = row_ids if row_ids is not None else range(len(curves))
         lead = ",".join(_cells((name, kind))) + ","
-        heads = [f"{lead}{row_id}" for row_id, _ in zip(ids, curves)]
+        heads = [f"{lead}{row_id}" for row_id, _ in zip(row_ids, curves)]
         # head + head.join(tails) puts the row's head before each grid point's tail
         tails = [f",{value:.6f},%.6f\n" for value in grid.tolist()]
         if tails:

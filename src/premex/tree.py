@@ -40,10 +40,9 @@ sorted column blocks of XGBoost (Chen & Guestrin 2016, arXiv 1603.02754):
   rows in (value, row) order, exactly as sorting that node by itself
   would.  Gains are computed only between distinct values.
 * Unit weights are counts.  When every b of a chunk is 1 (every boosting
-  stage, or a forest without bootstrap), a prefix sum of b is its length
-  and a node's total is its size: a sum of ones is exact, so these are
-  the floats the sums would give.  Bootstrap weights are gathered and
-  summed.
+  stage), a prefix sum of b is its length and a node's total is its
+  size: a sum of ones is exact, so these are the floats the sums would
+  give.  Bootstrap weights are gathered and summed.
 * Ties go to the first maximum: the lowest threshold within a feature,
   then the lowest feature index, so identical inputs always grow
   identical trees.
@@ -100,6 +99,7 @@ BLOCK_CELLS cells.
 import bisect
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +148,21 @@ def check_count(name: str, value, minimum: int | None, nullable: bool = False) -
         raise DataValidationError(
             f"{name} must be an integer{bound}{' or null' if nullable else ''}, got {value!r}"
         )
+
+
+def finite_number(value) -> bool:
+    """A real number, not bool, nan, inf or an int too large for a float."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and abs(value) <= sys.float_info.max)
+
+
+def check_number(name: str, value, rate: bool) -> None:
+    """DataValidationError unless value is a finite number: in (0, 1] if a rate, else >= 0."""
+    finite = finite_number(value)
+    if rate and not (finite and 0.0 < value <= 1.0):
+        raise DataValidationError(f"{name} must be a number in (0, 1], got {value!r}")
+    if not rate and not (finite and value >= 0.0):
+        raise DataValidationError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass
@@ -557,6 +572,8 @@ def fit_trees_gradients(jobs, config: TreeConfig, reg_lambda: float = 1.0,
     matrix's rows `rows` alone.  `jobs` may be any iterable; it is read one
     chunk at a time.
     """
+    check_number("reg_lambda", reg_lambda, rate=False)
+    check_number("gamma", gamma, rate=False)
     return _grow((_gradient_job(*job, config) for job in jobs), config, reg_lambda, gamma)
 
 

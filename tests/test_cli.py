@@ -731,8 +731,8 @@ FOUR_KEYS = ("trees must be an object of exactly the columns "
 
 class TestCorruptModel:
     @staticmethod
-    def edit_and_evaluate(runner, workdir, tmp_path, edit):
-        doc = json.loads((workdir / "model_xgb.json").read_text())
+    def edit_and_evaluate(runner, workdir, tmp_path, edit, variant="xgb"):
+        doc = json.loads((workdir / f"model_{variant}.json").read_text())
         edit(doc)
         path = tmp_path / "corrupt.json"
         path.write_text(json.dumps(doc))
@@ -749,6 +749,12 @@ class TestCorruptModel:
     def test_extra_config_key(self, runner, workdir, tmp_path):
         self.edit_and_evaluate(runner, workdir, tmp_path,
                                lambda doc: doc["config"].update(colsample=0.5))
+
+    def test_rf_config_with_bootstrap(self, runner, workdir, tmp_path):
+        # every forest bootstraps, so rf configs no longer hold the key
+        result = self.edit_and_evaluate(runner, workdir, tmp_path,
+                                        lambda doc: doc["config"].update(bootstrap=True), "rf")
+        assert "model config must hold exactly the keys" in result.output
 
     def test_feature_out_of_range(self, runner, workdir, tmp_path):
         def edit(doc):

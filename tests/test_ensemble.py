@@ -43,7 +43,6 @@ class TestConfigChecks:
         lambda: ForestConfig(n_estimators=0),
         lambda: ForestConfig(n_estimators=True),
         lambda: ForestConfig(n_estimators="10"),
-        lambda: ForestConfig(bootstrap=1),
         lambda: ForestConfig(seed="s"),
         lambda: ForestConfig(max_depth=-4),
         lambda: BoostConfig(n_estimators=-1),
@@ -63,7 +62,7 @@ class TestConfigChecks:
 
     def test_accepted_edges(self):
         BoostConfig(n_estimators=0, learning_rate=1, subsample=1, reg_lambda=0, max_depth=None)
-        ForestConfig(n_estimators=1, max_depth=0, max_features=1, bootstrap=False, seed=-3)
+        ForestConfig(n_estimators=1, max_depth=0, max_features=1, seed=-3)
         TreeConfig(max_depth=None, max_features=None)
 
 
@@ -149,11 +148,15 @@ class TestForest:
         assert model.predict([0.0, 0.0])[0] == 20.0
 
     def test_single_tree_degenerate_forest(self, small_regression):
-        config = ForestConfig(n_estimators=1, bootstrap=False, max_depth=3,
-                              min_samples_split=2, max_features=None, seed=9)
+        config = ForestConfig(n_estimators=1, max_depth=3, min_samples_split=2,
+                              max_features=None, seed=9)
         forest = fit_forest(small_regression, config)
-        lone = fit_tree(small_regression.X, small_regression.y,
-                        config, stream(0, "unused"))
+        # the one tree grows on its bootstrap draw, as integer row weights
+        n = small_regression.n
+        drawn = np.bincount(stream(9, "forest_tree", 0).integers(0, n, size=n), minlength=n)
+        rows = np.flatnonzero(drawn)
+        lone = fit_tree(small_regression.X[rows], small_regression.y[rows],
+                        config, stream(0, "unused"), weights=drawn[rows])
         assert to_dicts(forest.trees) == to_dicts(lone)
         probe = small_regression.X[:10]
         assert np.array_equal(forest.predict(probe), lone.predict_matrix(probe))

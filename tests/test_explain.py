@@ -10,12 +10,12 @@ from premex.ensemble import BoostConfig, fit_gbm
 from premex.errors import DataValidationError, NumericError
 from premex.explain import (
     _average_ranks,
-    beeswarm_data,
     center_ice,
     derivative_ice,
     ice_curves,
     importance,
     make_grid,
+    rank_colors,
     shap_exact,
     tree_shap,
 )
@@ -167,19 +167,19 @@ class TestGlobalImportance:
 
 class TestBeeswarm:
     def test_single_point_color_convention(self):
-        f = linear_model([2.0])
-        rows = np.array([[4.0]])
-        _, phi = shap_exact(f, rows, np.array([[1.0]]))
-        [(_, colors)] = beeswarm_data(phi, rows, [0])
-        assert colors[0] == 0.5
+        assert rank_colors(np.array([[4.0, -1.0]])).tolist() == [[0.5, 0.5]]
 
     def test_order_matches_importance(self, background5):
         f = linear_model([0.1, 5.0, 0.0, 1.0, -2.0])
         rows = np.random.default_rng(4).normal(size=(8, 5))
+        rows[:3, 1] = rows[3, 1]  # a tie
         _, phi = shap_exact(f, rows, background5)
         _, order = importance(phi)
-        points = beeswarm_data(phi, rows, order)
-        assert [phi_j.tolist() for phi_j, _ in points] == [phi[:, j].tolist() for j in order]
+        colors = rank_colors(rows[:, order])
+        assert colors.shape == (8, 5)
+        for k, j in enumerate(order):
+            expected = (_average_ranks(rows[:, j]) - 1.0) / 7.0
+            assert colors[:, k].tolist() == expected.tolist()
 
     def test_binary_column_two_color_levels(self, background5):
         f = linear_model([1.0, 1.0, 1.0, 1.0, 1.0])
@@ -187,7 +187,7 @@ class TestBeeswarm:
         rows[:, 2] = np.tile([0.0, 1.0], 5)
         _, phi = shap_exact(f, rows, background5)
         _, order = importance(phi)
-        _, colors = beeswarm_data(phi, rows, order)[order.index(2)]
+        colors = rank_colors(rows[:, order])[:, order.index(2)]
         assert len(np.unique(colors)) == 2
 
 
@@ -243,10 +243,11 @@ class TestIceCurves:
             calls.append(X.shape[0])
             return np.atleast_2d(X) @ np.array([1.0, 2.0])
 
-        rows = np.random.default_rng(18).normal(size=(4, 2))
-        grid, curves = ice_curves(f, rows, [0], grids=[np.linspace(-1.0, 1.0, 7)])[0]
-        assert calls == [4 * 7]
-        swept = np.column_stack([np.full(4, grid[3]), rows[:, 1]])
+        rows = np.random.default_rng(18).normal(size=(12, 2))  # over 10 distinct values
+        grid, curves = ice_curves(f, rows, [0], n_points=7)[0]
+        assert np.array_equal(grid, np.linspace(rows[:, 0].min(), rows[:, 0].max(), 7))
+        assert calls == [12 * 7]
+        swept = np.column_stack([np.full(12, grid[3]), rows[:, 1]])
         assert np.array_equal(curves[:, 3], f(swept))
 
     def test_one_prediction_call_for_every_feature(self):
@@ -256,13 +257,17 @@ class TestIceCurves:
             calls.append(X.shape[0])
             return np.atleast_2d(X) @ np.array([1.0, 2.0, -3.0])
 
-        rows = np.random.default_rng(19).normal(size=(5, 3))
-        grids = [np.linspace(-1.0, 1.0, 7), np.array([0.5]), np.linspace(0.0, 2.0, 4)]
-        sweeps = ice_curves(f, rows, [2, 0, 2], grids=grids)
-        assert calls == [5 * (7 + 1 + 4)]
-        for j, grid, (swept_grid, curves) in zip([2, 0, 2], grids, sweeps):
+        # grids of 7 equispaced points, one value and 4 distinct values
+        rows = np.random.default_rng(19).normal(size=(12, 3))
+        rows[:, 0] = 0.5
+        rows[:, 1] = np.tile([0.0, 1.0, 2.0, 4.0], 3)
+        grids = [np.linspace(rows[:, 2].min(), rows[:, 2].max(), 7), np.array([0.5]),
+                 np.array([0.0, 1.0, 2.0, 4.0])]
+        sweeps = ice_curves(f, rows, [2, 0, 1, 2], n_points=7)
+        assert calls == [12 * (7 + 1 + 4 + 7)]
+        for j, grid, (swept_grid, curves) in zip([2, 0, 1, 2], grids + grids[:1], sweeps):
             assert np.array_equal(swept_grid, grid)
-            assert curves.shape == (5, grid.size) and curves.flags.c_contiguous
+            assert curves.shape == (12, grid.size) and curves.flags.c_contiguous
             for g, value in enumerate(grid):
                 swept = rows.copy()
                 swept[:, j] = value
@@ -280,12 +285,11 @@ class TestIceCurves:
             assert np.array_equal(grid, alone_grid)
             assert np.array_equal(curves.view(np.int64), alone.view(np.int64))
 
-    def test_grid_per_feature_required(self):
+    def test_zero_rows_rejected(self):
+        # no rows is the one input whose make_grid is empty
         f = linear_model([1.0, 1.0])
         with pytest.raises(DataValidationError, match="non-empty evaluation grid"):
-            ice_curves(f, np.zeros((3, 2)), [0, 1], grids=[[0.0, 1.0]])
-        with pytest.raises(DataValidationError, match="non-empty evaluation grid"):
-            ice_curves(f, np.zeros((3, 2)), [0, 1], grids=[[0.0, 1.0], []])
+            ice_curves(f, np.zeros((0, 2)), [0, 1])
 
     def test_invalid_feature(self):
         f = linear_model([1.0, 1.0])
@@ -360,13 +364,17 @@ class TestDerivativeIce:
         # a binary flag's grid: both ends get the same one-sided slope
         f = linear_model([3.0, 1.0])
         rows = np.random.default_rng(18).normal(size=(4, 2))
-        derivative = derivative_ice(*ice_curves(f, rows, [0], grids=[[0.0, 2.0]])[0])
+        rows[:, 0] = [0.0, 2.0, 2.0, 0.0]
+        grid, raw = ice_curves(f, rows, [0])[0]
+        assert grid.tolist() == [0.0, 2.0]
+        derivative = derivative_ice(grid, raw)
         assert derivative.shape == (4, 2)
         assert np.max(np.abs(derivative - 3.0)) < 1e-12
 
     def test_small_grid_rejected(self):
         f = linear_model([1.0, 0.0])
-        grid, raw = ice_curves(f, np.zeros((2, 2)), [0], grids=[[0.0]])[0]
+        grid, raw = ice_curves(f, np.zeros((2, 2)), [0])[0]
+        assert grid.tolist() == [0.0]
         with pytest.raises(NumericError):
             derivative_ice(grid, raw)
 

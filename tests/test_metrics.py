@@ -188,12 +188,12 @@ class TestNormalQuantile:
         q = normal_quantile(p)
         assert max(abs(cdf(x) - target) for x, target in zip(q.tolist(), p.tolist())) <= 1e-15
 
-    def test_scalar_gives_float_and_array_gives_array(self):
-        assert type(normal_quantile(0.25)) is float
-        assert type(normal_quantile(np.float64(0.25))) is float
-        out = normal_quantile(np.full((2, 3), 0.25))
-        assert out.dtype == np.float64 and out.shape == (2, 3)
-        assert np.all(out == normal_quantile(0.25))
+    def test_output_has_the_input_shape(self):
+        for shape in [(), (1,), (4,), (2, 3)]:
+            out = normal_quantile(np.full(shape, 0.25))
+            assert isinstance(out, np.ndarray)
+            assert out.dtype == np.float64 and out.shape == shape
+            assert np.all(out == NormalDist().inv_cdf(0.25))
 
     def test_known_points(self):
         assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-9)

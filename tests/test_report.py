@@ -79,8 +79,8 @@ class TestRenderDeterminism:
             learning_curve_svg([10, 20, 40], [0.9, 0.85, 0.8], [0.3, 0.5, 0.6], "lc"),
             beeswarm_svg(
                 ["Age", "BMI"],
-                [(rng.normal(size=30) * 100, rng.random(30)),
-                 (rng.normal(size=30) * 50, rng.random(30))],
+                np.column_stack([rng.normal(size=30) * 100, rng.normal(size=30) * 50]),
+                rng.random((30, 2)),
                 "bee",
             ),
             importance_bar_svg(["Age", "BMI"], [300.0, 120.0], "imp"),
@@ -124,10 +124,11 @@ class TestShapeChecks:
                      id="heatmap-shape"),
         pytest.param(lambda: group_boxplot_svg("f", [], "t"), id="boxplot-no-groups"),
         pytest.param(lambda: group_boxplot_svg("f", [(0.0, [])], "t"), id="boxplot-empty-group"),
-        pytest.param(lambda: beeswarm_svg(["a", "b"], [([1.0], [0.5])], "t"),
+        pytest.param(lambda: beeswarm_svg(["a", "b"], [[1.0]], [[0.5]], "t"),
                      id="beeswarm-names"),
-        pytest.param(lambda: beeswarm_svg(["a"], [([], [])], "t"), id="beeswarm-no-points"),
-        pytest.param(lambda: beeswarm_svg(["a"], [([1.0, 2.0], [0.5])], "t"),
+        pytest.param(lambda: beeswarm_svg(["a"], np.zeros((0, 1)), np.zeros((0, 1)), "t"),
+                     id="beeswarm-no-points"),
+        pytest.param(lambda: beeswarm_svg(["a"], [[1.0], [2.0]], [[0.5]], "t"),
                      id="beeswarm-colors"),
         pytest.param(lambda: importance_bar_svg(["a"], [1.0, 2.0], "t"), id="importance-names"),
         pytest.param(lambda: ice_panel_svg([], "t"), id="ice-no-panels"),
@@ -293,8 +294,7 @@ class TestWholeArrayWriters:
 
     @WRITERS
     @given(sets=st.lists(curve_sets(), min_size=1, max_size=3),
-           ids=st.one_of(st.none(), st.lists(st.integers(-10**12, 10**12), min_size=1,
-                                             max_size=6)))
+           ids=st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=6))
     def test_ice_long_csv(self, sets, ids):
         assert report_mod.ice_long_csv(sets, ids, seed=3) == oracle.ice_long_csv(sets, ids, seed=3)
 
@@ -304,8 +304,7 @@ class TestWholeArrayWriters:
         names = data.draw(st.lists(TEXT, min_size=features, max_size=features))
         phi = data.draw(number_arrays((rows, features)))
         base = data.draw(NUMBERS)
-        ids = data.draw(st.one_of(st.none(), st.lists(st.integers(0, 10**6), min_size=rows,
-                                                      max_size=rows + 2)))
+        ids = data.draw(st.lists(st.integers(0, 10**6), min_size=rows, max_size=rows + 2))
         assert (report_mod.shap_values_csv(names, base, phi, ids, seed=1)
                 == oracle.shap_values_csv(names, base, phi, ids, seed=1))
         totals = data.draw(number_arrays((features,)))
@@ -317,7 +316,8 @@ class TestWholeArrayWriters:
     @given(case=beeswarm_points())
     def test_beeswarm_svg(self, case):
         names, points = case
-        assert (report_mod.beeswarm_svg(names, points, "t", "m")
+        phi, colors = (np.column_stack(part) for part in zip(*points))
+        assert (report_mod.beeswarm_svg(names, phi, colors, "t", "m")
                 == oracle.beeswarm_svg(names, points, "t", "m"))
 
     @WRITERS

@@ -248,6 +248,18 @@ class TestGradientTrees:
                                   reg_lambda=0.0, gamma=1e12)
         assert tree.feature.size == 1
 
+    @pytest.mark.parametrize("penalty, value", [
+        ("reg_lambda", -1.0), ("reg_lambda", float("nan")), ("reg_lambda", float("inf")),
+        ("gamma", -5.0), ("gamma", float("inf")),
+    ])
+    def test_bad_penalty_rejected(self, penalty, value):
+        # BoostConfig's rule: a finite number >= 0, checked before any job is read
+        X, grad = np.arange(3.0)[:, None], np.array([1.0, 2.0, 3.0])
+        with pytest.raises(DataValidationError, match=penalty):
+            fit_tree_gradients(X, grad, TreeConfig(), stream(0, "t"), **{penalty: value})
+        with pytest.raises(DataValidationError, match=penalty):
+            fit_trees_gradients([], TreeConfig(), **{penalty: value})
+
 
 class TestLevelBlocks:
     def test_small_levels_scored_in_one_block(self):
